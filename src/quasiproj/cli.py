@@ -11,7 +11,7 @@ from .geometry import make_basis
 from .io import (RunConfig, build_tiling_document, cells_obj, frequency_csv,
                  overlap_csv, render_svg, resolve_shift, window_document,
                  write_json, write_text)
-from .lattice3d import build_lattice3, cell_instance, find_tips, overlap_census
+from .lattice3d import build_cells, build_lattice3, find_tips, overlap_census
 from .tiling2d import empirical_frequencies
 from .window import (build_decagon_Q, build_polytope_P, build_windows,
                      enumerate_accepted_2d, enumerate_accepted_3d, slice_window)
@@ -126,10 +126,13 @@ def _run_mode(config: RunConfig) -> None:
                              threads=config.threads)
         tips = find_tips(lat, shift, Q, basis, config.tol)
         inner = tips[abs(tips).max(axis=1) <= config.radius - 3]
-        cells = [cell_instance(t, lat, P, config.tol) for t in inner]
+        cells = build_cells(inner, lat)
         _emit(config, cells_obj(cells, P))
         log.info("lattice: %d points, %d tips, %d complete cells",
                  len(lat.labels), len(tips), len(cells))
+        if not cells:
+            log.warning("no complete cells: every tip lies within 3 label steps "
+                        "of the box edge; raise --radius")
     elif config.mode == "overlap-census":
         lat = build_lattice3(config.radius, shift, Q, basis, config.tol,
                              threads=config.threads)

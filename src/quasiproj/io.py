@@ -14,10 +14,11 @@ import numpy as np
 
 from .errors import ConfigError, SingularityError
 from .geometry import DEFAULT_EPS, ProjectionBasis, make_basis
-from .lattice3d import CellInstance, OverlapCensus
+from .lattice3d import OVERLAP_SIGNATURES, CellInstance, OverlapCensus
 from .tiling2d import FrequencyReport
 from .window import (DecagonQ, GridShift, PolytopeP, WindowSet,
-                     enumerate_accepted_2d, normalize_shift, random_shift)
+                     enumerate_accepted_2d, label_keys, label_rows,
+                     normalize_shift, random_shift)
 
 
 def fmt(x: float) -> str:
@@ -99,23 +100,20 @@ def build_tiling_document(radius: int, shift: GridShift, wset: WindowSet,
     """Window-accepted vertices in the label box plus all edges between them."""
     basis = basis or make_basis()
     labels, xy = enumerate_accepted_2d(radius, shift, wset, basis, threads=threads)
-    row_of = {tuple(int(x) for x in lab): i for i, lab in enumerate(labels)}
-    index = labels.sum(axis=1)
+    keys = label_keys(labels, radius)
+    index = labels.sum(axis=1).tolist()
 
+    # row of the +e_m neighbor of every vertex, -1 where it is not accepted
+    step = np.column_stack([label_rows(keys, label_keys(labels + e, radius))
+                            for e in np.eye(5, dtype=np.int64)])
+    rows, _ = np.nonzero(step >= 0)
     styles = {1: "1-2", 2: "2-3", 3: "3-4", 4: "4-5"}
-    edges = []
-    for i, lab in enumerate(labels):
-        for m in range(5):
-            nb = list(lab)
-            nb[m] += 1
-            j = row_of.get(tuple(nb))
-            if j is not None:
-                edges.append((i, j, styles[int(index[i])]))
+    edges = tuple((i, j, styles[index[i]])
+                  for i, j in zip(rows.tolist(), step[step >= 0].tolist()))
 
-    vertices = tuple((tuple(int(x) for x in lab), int(index[i]),
-                      (float(xy[i, 0]), float(xy[i, 1])))
-                     for i, lab in enumerate(labels))
-    return TilingDocument(vertices=vertices, edges=tuple(edges))
+    vertices = tuple((tuple(lab), i, tuple(p))
+                     for lab, i, p in zip(labels.tolist(), index, xy.tolist()))
+    return TilingDocument(vertices=vertices, edges=edges)
 
 
 #: stroke classes for the four edge kinds, keyed by endpoint index pair
@@ -178,11 +176,8 @@ def frequency_csv(report: FrequencyReport) -> str:
 
 
 def overlap_csv(census: OverlapCensus) -> str:
-    signature = {"A1": (4, 0, 4), "A23": (5, 1, 4), "A46": (4, 1, 3),
-                 "A57": (5, 2, 3), "A8": (6, 2, 4)}
     lines = ["class,neighbors,K,J,count,frequency,analytic_ratio"]
-    for label in ("A1", "A23", "A46", "A57", "A8"):
-        nb, kk, jj = signature[label]
+    for (nb, kk, jj), label in OVERLAP_SIGNATURES.items():
         lines.append(",".join([
             label, str(nb), str(kk), str(jj), str(census.counts[label]),
             fmt(census.frequencies[label]), fmt(census.analytic[label]),

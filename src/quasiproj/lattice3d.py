@@ -20,9 +20,9 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import CensusViolationError, ConsistencyError, SingularityError
 from .geometry import DEFAULT_EPS, PHI, ProjectionBasis, make_basis
-from .window import (CUBE_VERTICES, HULL_INDICES, DecagonQ, GridShift,
-                     PolytopeP, d_test_points, enumerate_accepted_3d,
-                     points_in_convex_polygon)
+from .window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, DecagonQ,
+                     GridShift, PolytopeP, d_test_points, enumerate_accepted_3d,
+                     label_keys, label_rows, points_in_convex_polygon)
 
 #: volume below which an intersection counts as a touch, not an overlap;
 #: realized J/K overlaps have volume > 0.05, float noise sits below 1e-12
@@ -52,27 +52,21 @@ ANALYTIC_CLASS_FREQUENCIES = {
 
 @dataclass(frozen=True)
 class Lattice3:
-    """Accepted labels in a box with their 3-d points and lookup structures."""
+    """Accepted labels in a box with their 3-d points and sorted label keys."""
 
     labels: np.ndarray  # (N, 5) int64, sorted
     points: np.ndarray  # (N, 3)
     radius: int
 
     def __post_init__(self):
-        index = {tuple(int(x) for x in row): i for i, row in enumerate(self.labels)}
-        object.__setattr__(self, "label_index", index)
-        layers: dict[int, np.ndarray] = {}
-        z = self.labels.sum(axis=1)
-        for zv in np.unique(z):
-            layers[int(zv)] = np.flatnonzero(z == zv)
-        object.__setattr__(self, "_layers", layers)
+        object.__setattr__(self, "keys", label_keys(self.labels, self.radius))
+
+    def rows(self, labels) -> np.ndarray:
+        """Row of each label (last axis 5), -1 where it is not a lattice point."""
+        return label_rows(self.keys, label_keys(labels, self.radius))
 
     def __contains__(self, label) -> bool:
-        return tuple(int(x) for x in label) in self.label_index
-
-    def layer(self, z: int) -> np.ndarray:
-        """Row indices of lattice points with coordinate sum z."""
-        return self._layers.get(int(z), np.empty(0, dtype=np.int64))
+        return bool(self.rows(label) >= 0)
 
 
 def build_lattice3(radius: int, shift: GridShift, Q: DecagonQ,
@@ -113,37 +107,12 @@ def tip_triangle(tip_label, shift: GridShift, Q: DecagonQ,
         if status[0] == 1:
             return t
     raise SingularityError(
-        f"tip test point {tuple(pt)} lies on a triangle boundary of the inner decagon")
+        f"tip test point {tuple(pt.tolist())} lies on a triangle boundary of the inner decagon")
 
 
 def _triangle_halfplanes(tri: np.ndarray):
     from .geometry import polygon_halfplanes
     return polygon_halfplanes(tri)
-
-
-def interior_atoms(tip_label, lat: Lattice3, P: PolytopeP,
-                   eps: float = DEFAULT_EPS) -> np.ndarray:
-    """The lattice points strictly inside the cell anchored at a tip.
-
-    Sweeps the stored lattice layer by layer; exactly four atoms must turn
-    up, anything else is a geometry or tolerance failure.
-    """
-    tip_label = np.asarray(tip_label, dtype=np.int64)
-    tip_point = lat.points[lat.label_index[tuple(int(x) for x in tip_label)]]
-    z0 = int(tip_label.sum())
-    found = []
-    for dz in range(1, 5):
-        rows = lat.layer(z0 + dz)
-        if len(rows) == 0:
-            continue
-        rel = lat.points[rows] - tip_point
-        inside = np.max(rel @ P.face_normals.T - P.face_offsets, axis=1) < -eps
-        found.extend(rows[inside].tolist())
-    if len(found) != 4:
-        raise ConsistencyError(
-            f"cell at {tuple(int(x) for x in tip_label)} has {len(found)} interior "
-            "atoms, expected 4")
-    return lat.labels[sorted(found)]
 
 
 @dataclass(frozen=True)
@@ -153,26 +122,42 @@ class CellInstance:
     tip_label: np.ndarray       # (5,)
     tip_point: np.ndarray       # (3,)
     hull_atoms: np.ndarray      # (22, 5) labels on the translated hull
-    interior_atoms: np.ndarray  # (4, 5) labels strictly inside
+    interior_atoms: np.ndarray  # (4, 5) labels strictly inside, sorted
 
 
-def cell_instance(tip_label, lat: Lattice3, P: PolytopeP,
-                  eps: float = DEFAULT_EPS) -> CellInstance:
-    """Assemble a tip's cell, checking all 26 atoms are lattice points."""
-    tip_label = np.asarray(tip_label, dtype=np.int64)
-    key = tuple(int(x) for x in tip_label)
-    if key not in lat.label_index:
-        raise ValueError(f"{key} is not a lattice point")
-    hull_atoms = tip_label[None, :] + CUBE_VERTICES[list(HULL_INDICES)]
-    missing = [a for a in hull_atoms if tuple(int(x) for x in a) not in lat.label_index]
-    if missing:
+def build_cells(tips, lat: Lattice3) -> list[CellInstance]:
+    """Assemble the cells of many tips by one lookup of tip + cube vertices.
+
+    All 22 hull translates must be lattice points.  The only offsets that
+    can carry an interior atom are the ten interior cube vertices (no other
+    m has m.W strictly inside the polytope with m.D short enough for both
+    ends to pass the decagon test), and exactly four of them must hit.
+    """
+    tips = np.asarray(tips, dtype=np.int64).reshape(-1, 5)
+    atoms = tips[:, None, :] + CUBE_VERTICES             # (n, 32, 5)
+    rows = lat.rows(atoms)
+    if np.any(rows[:, 0] < 0):
+        bad = tips[np.argmax(rows[:, 0] < 0)]
+        raise ValueError(f"{tuple(bad.tolist())} is not a lattice point")
+    missing = (rows[:, HULL_INDICES] < 0).sum(axis=1)
+    if np.any(missing):
+        i = int(np.argmax(missing))
         raise ConsistencyError(
-            f"cell at {key}: {len(missing)} hull atoms are not lattice points "
-            "(is the tip too close to the enumeration boundary?)")
-    inner = interior_atoms(tip_label, lat, P, eps)
-    return CellInstance(tip_label=tip_label,
-                        tip_point=lat.points[lat.label_index[key]],
-                        hull_atoms=hull_atoms, interior_atoms=inner)
+            f"cell at {tuple(tips[i].tolist())}: {missing[i]} hull atoms are not "
+            "lattice points (is the tip too close to the enumeration boundary?)")
+    inner = rows[:, INTERIOR_INDICES]
+    found = (inner >= 0).sum(axis=1)
+    if np.any(found != 4):
+        i = int(np.argmax(found != 4))
+        raise ConsistencyError(
+            f"cell at {tuple(tips[i].tolist())} has {found[i]} interior atoms, "
+            "expected 4")
+    # misses are -1, so the four hits sort last, in label order
+    inner = np.sort(inner, axis=1)[:, -4:]
+    hull = atoms[:, HULL_INDICES]
+    return [CellInstance(tip_label=tips[i], tip_point=lat.points[rows[i, 0]],
+                         hull_atoms=hull[i], interior_atoms=lat.labels[inner[i]])
+            for i in range(len(tips))]
 
 
 # ---------------------------------------------------------------------------
@@ -266,62 +251,43 @@ def build_overlap_table(P: PolytopeP, basis: ProjectionBasis | None = None,
     return OverlapTable(offsets=tuple(shapes.keys()), shapes=shapes)
 
 
-@dataclass(frozen=True)
-class OverlapClass:
-    label: str
-    neighbors: int
-    k_shares: int
-    j_shares: int
+def overlap_signatures(inner: np.ndarray, tips: np.ndarray, radius: int,
+                       table: OverlapTable) -> np.ndarray:
+    """(neighbors, K, J) of each inner tip: its overlapping neighbor cells by shape.
 
-
-def classify_overlap(tip_label, tip_set: set, table: OverlapTable) -> OverlapClass:
-    """Count overlapping neighbor cells and map (neighbors, K, J) to its class.
-
-    Requires every tip within reach of this one to be present in tip_set.
+    `tips` must hold every tip within reach of an inner tip, and inner tips
+    must lie two label steps inside the box, so the key of tip + m is the
+    tip's key plus the offset's.
     """
-    tip = tuple(int(x) for x in np.asarray(tip_label))
-    neighbors = 0
-    k_shares = 0
-    j_shares = 0
+    tip_keys = label_keys(tips, radius)
+    inner_keys = label_keys(inner, radius)
+    origin = label_keys(np.zeros(5, dtype=np.int64), radius)
+    sig = np.zeros((len(inner), 3), dtype=np.int64)
     for m in table.offsets:
-        other = (tip[0] + m[0], tip[1] + m[1], tip[2] + m[2],
-                 tip[3] + m[3], tip[4] + m[4])
-        if other not in tip_set:
-            continue
         shape = table.shapes[m]
         if not shape.overlapping:
             continue
-        neighbors += 1
-        if shape.faces == 12:
-            k_shares += 1
-        elif shape.faces == 6:
-            j_shares += 1
-        else:
+        hit = label_rows(tip_keys, inner_keys + (label_keys(m, radius) - origin)) >= 0
+        if shape.faces not in (6, 12) and np.any(hit):
+            tip = inner[np.argmax(hit)]
             raise CensusViolationError(
-                f"overlap of {tip} and {other} has {shape.faces} faces, expected 6 or 12")
-    sig = (neighbors, k_shares, j_shares)
-    if sig not in OVERLAP_SIGNATURES:
-        raise CensusViolationError(
-            f"tip {tip} has overlap signature {sig}, outside the five known classes")
-    return OverlapClass(label=OVERLAP_SIGNATURES[sig], neighbors=neighbors,
-                        k_shares=k_shares, j_shares=j_shares)
+                f"overlap of {tuple(tip.tolist())} and {tuple((tip + m).tolist())} "
+                f"has {shape.faces} faces, expected 6 or 12")
+        sig[:, 0] += hit
+        sig[:, 1 if shape.faces == 12 else 2] += hit
+    return sig
 
 
-def shared_atom_count(tip_a, tip_b, lat: Lattice3, P: PolytopeP,
-                      eps: float = DEFAULT_EPS) -> int:
+def shared_atom_count(tip_a, tip_b, lat: Lattice3) -> int:
     """Number of atoms the two tips' 26-atom cells have in common.
 
     Overlapping neighbor cells share the lattice points inside their
     intersection; reported as a statistic only, no published values exist
     to assert against.
     """
-    cells = [cell_instance(t, lat, P, eps) for t in (tip_a, tip_b)]
-    sets = [
-        {tuple(int(x) for x in a)
-         for a in np.vstack([c.hull_atoms, c.interior_atoms])}
-        for c in cells
-    ]
-    return len(sets[0] & sets[1])
+    a, b = (label_keys(np.vstack([c.hull_atoms, c.interior_atoms]), lat.radius)
+            for c in build_cells(np.vstack([tip_a, tip_b]), lat))
+    return len(np.intersect1d(a, b))
 
 
 @dataclass(frozen=True)
@@ -348,22 +314,27 @@ def overlap_census(lat: Lattice3, shift: GridShift, Q: DecagonQ, P: PolytopeP,
     basis = basis or make_basis()
     table = table or build_overlap_table(P, basis, eps)
     tips = find_tips(lat, shift, Q, basis, eps)
-    tip_set = {tuple(int(x) for x in row) for row in tips}
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - margin]
 
-    counter: Counter = Counter()
+    sigs = [tuple(s) for s in overlap_signatures(inner, tips, lat.radius, table).tolist()]
+    for i, sig in enumerate(sigs):
+        if sig not in OVERLAP_SIGNATURES:
+            raise CensusViolationError(
+                f"tip {tuple(inner[i].tolist())} has overlap signature {sig}, "
+                "outside the five known classes")
+    classes = [OVERLAP_SIGNATURES[sig] for sig in sigs]
+    counter = Counter(classes)
+
     shared_sums: dict[str, list] = {lab: [] for lab in ANALYTIC_CLASS_FREQUENCIES}
-    safe = lat.radius - margin - 2  # shared-atom cells need one more label ring
-    for tip in inner:
-        oc = classify_overlap(tip, tip_set, table)
-        counter[oc.label] += 1
-        if (shared_atom_sample and len(shared_sums[oc.label]) < shared_atom_sample
-                and np.abs(tip).max() <= safe):
-            for m in table.offsets:
-                other = tuple(int(a + b) for a, b in zip(tip, m))
-                if other in tip_set and table.shapes[m].overlapping:
-                    shared_sums[oc.label].append(
-                        shared_atom_count(tip, np.array(other), lat, P, eps))
+    if shared_atom_sample:
+        tip_keys = label_keys(tips, lat.radius)
+        overlapping = np.array([m for m in table.offsets if table.shapes[m].overlapping])
+        safe = lat.radius - margin - 2  # shared-atom cells need one more label ring
+        for tip, label in zip(inner, classes):
+            if len(shared_sums[label]) < shared_atom_sample and np.abs(tip).max() <= safe:
+                others = tip + overlapping
+                for other in others[label_rows(tip_keys, label_keys(others, lat.radius)) >= 0]:
+                    shared_sums[label].append(shared_atom_count(tip, other, lat))
     total = sum(counter.values())
     if total == 0:
         raise ValueError("no boundary-complete tips in the lattice box")

@@ -69,7 +69,7 @@ def k_vector_2d(r, shift: GridShift, basis: ProjectionBasis | None = None,
     """Mesh label of a plane point: K_j = ceil(d_j . r + gamma_j)."""
     basis = basis or make_basis()
     vals = grid_values_2d(np.asarray(r, dtype=float), shift, basis)
-    return _ceil_checked(vals, eps, f"point {tuple(np.asarray(r, float))}")[0]
+    return _ceil_checked(vals, eps, f"point {tuple(np.asarray(r, float).tolist())}")[0]
 
 
 def k_vector_3d(R, shift: GridShift, basis: ProjectionBasis | None = None,
@@ -77,7 +77,7 @@ def k_vector_3d(R, shift: GridShift, basis: ProjectionBasis | None = None,
     """Mesh label of a space point: K_j = ceil(w_j . R + gamma_j)."""
     basis = basis or make_basis()
     vals = grid_values_3d(np.asarray(R, dtype=float), shift, basis)
-    return _ceil_checked(vals, eps, f"point {tuple(np.asarray(R, float))}")[0]
+    return _ceil_checked(vals, eps, f"point {tuple(np.asarray(R, float).tolist())}")[0]
 
 
 def mesh_locator(labels: np.ndarray, shift: GridShift,
@@ -147,7 +147,7 @@ def enumerate_intersections(box, shift: GridShift,
                     f"singular pentagrid: line (family {u}, "
                     f"label {int(round(vals[i][int(np.argwhere(dist <= eps)[0, 1])]))}) "
                     f"passes through the intersection of (family {s}, label {int(ks[i])}) "
-                    f"and (family {t}, label {int(kt[i])}) at r={tuple(pts[i])}")
+                    f"and (family {t}, label {int(kt[i])}) at r={tuple(pts[i].tolist())}")
             order = np.lexsort((kt, ks))
             for i in order:
                 out.append(Intersection(r=pts[i], families=(s, t),
@@ -168,7 +168,8 @@ def _probe_points(inter: Intersection, shift: GridShift, basis: ProjectionBasis,
     third = float(np.min(np.abs(vals[others] - np.round(vals[others]))))
     if third <= 10 * eps:
         raise SingularityError(
-            f"near-singular intersection of families {inter.families} at r={tuple(inter.r)}")
+            f"near-singular intersection of families {inter.families} "
+            f"at r={tuple(inter.r.tolist())}")
     # keep probes inside the four adjacent meshes even when a third line is close
     d_eff = min(delta, 0.45 * third)
     return inter.r + d_eff * (_PROBE_SIGNS[:, :1] * basis.D[s] +
@@ -195,7 +196,7 @@ def rhombus_at(inter: Intersection, shift: GridShift,
     if not np.array_equal(diff, expected):
         raise SingularityError(
             f"probes around intersection {inter.families}/{inter.line_labels} "
-            f"straddle a third grid family (label spread {tuple(diff)})")
+            f"straddle a third grid family (label spread {tuple(diff.tolist())})")
     return labels, labels.astype(float) @ basis.D
 
 
@@ -208,10 +209,6 @@ class PentagridTiling:
     rhombi: np.ndarray     # (N, 4) rows of indices into labels, loop order
     families: np.ndarray   # (N, 2) grid families of the generating intersection
     line_labels: np.ndarray  # (N, 2)
-
-    @property
-    def label_set(self) -> set:
-        return {tuple(int(x) for x in row) for row in self.labels}
 
 
 def tiling_from_pentagrid(box, shift: GridShift,
@@ -241,7 +238,8 @@ def tiling_from_pentagrid(box, shift: GridShift,
     if np.any(third <= 10 * eps):
         i = int(np.argmin(third))
         raise SingularityError(
-            f"near-singular intersection of families {tuple(fams[i])} at r={tuple(pts[i])}")
+            f"near-singular intersection of families {tuple(fams[i].tolist())} "
+            f"at r={tuple(pts[i].tolist())}")
     d_eff = np.minimum(delta, 0.45 * third)
 
     ds = basis.D[fams[:, 0]]
@@ -259,7 +257,7 @@ def tiling_from_pentagrid(box, shift: GridShift,
     if np.any(bad):
         i = int(np.argwhere(bad)[0])
         raise SingularityError(
-            f"probes around intersection {tuple(fams[i])}/{tuple(labs[i])} "
+            f"probes around intersection {tuple(fams[i].tolist())}/{tuple(labs[i].tolist())} "
             "straddle a third grid family")
 
     flat = all_labels.reshape(-1, 5)

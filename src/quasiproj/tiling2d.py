@@ -17,73 +17,15 @@ import numpy as np
 
 from .errors import CensusViolationError, SingularityError
 from .geometry import PHI, ProjectionBasis, make_basis
-from .window import (Acceptance, GridShift, WindowSet, accept_2d,
-                     accept_2d_bulk, enumerate_accepted_2d)
+from .window import GridShift, WindowSet, accept_2d_bulk, enumerate_accepted_2d
 
 _P = PHI
-_EDGE_STYLES = {(1, 2): "1-2", (2, 3): "2-3", (3, 4): "3-4", (4, 5): "4-5"}
 
 
 class VertexType(NamedTuple):
     index: int
     n_pos: int
     n_neg: int
-
-
-@dataclass(frozen=True)
-class DirectedEdge:
-    """Unit tiling edge from a vertex of index I to a neighbor of index I +- 1."""
-
-    from_label: tuple
-    to_label: tuple
-    direction: np.ndarray  # +-d_m in the tiling plane
-    sign: int              # +1: index increases, -1: index decreases
-    style: str             # render class by the endpoint index pair
-
-
-def edges_at(k, shift: GridShift, wset: WindowSet,
-             basis: ProjectionBasis | None = None) -> list[DirectedEdge]:
-    """All tiling edges at an accepted vertex, probing the ten unit neighbors."""
-    basis = basis or make_basis()
-    k = np.asarray(k, dtype=np.int64)
-    here = accept_2d(k, shift, wset, basis)
-    if here.status is Acceptance.SINGULAR:
-        raise SingularityError(f"vertex {tuple(int(x) for x in k)} is singular")
-    if here.status is not Acceptance.ACCEPT:
-        raise ValueError(f"{tuple(int(x) for x in k)} is not an accepted vertex")
-    index = here.index
-    edges = []
-    for m in range(5):
-        for sign in (1, -1):
-            k2 = k.copy()
-            k2[m] += sign
-            res = accept_2d(k2, shift, wset, basis)
-            if res.status is Acceptance.SINGULAR:
-                raise SingularityError(
-                    f"neighbor {tuple(int(x) for x in k2)} is singular")
-            if res.status is Acceptance.ACCEPT:
-                pair = (min(index, index + sign), max(index, index + sign))
-                edges.append(DirectedEdge(
-                    from_label=tuple(int(x) for x in k),
-                    to_label=tuple(int(x) for x in k2),
-                    direction=sign * basis.D[m],
-                    sign=sign,
-                    style=_EDGE_STYLES[pair]))
-    return edges
-
-
-def classify_vertex(k, shift: GridShift, wset: WindowSet,
-                    basis: ProjectionBasis | None = None) -> VertexType:
-    """Vertex type [n_pos, n_neg]_I of an accepted vertex."""
-    basis = basis or make_basis()
-    edges = edges_at(k, shift, wset, basis)
-    n_pos = sum(1 for e in edges if e.sign > 0)
-    n_neg = len(edges) - n_pos
-    index = int(np.sum(np.asarray(k)))
-    vt = VertexType(index, n_pos, n_neg)
-    if (n_pos, n_neg) not in CENSUS[index]:
-        raise CensusViolationError(f"vertex type {vt} is outside the known census")
-    return vt
 
 
 def neighbor_counts(labels: np.ndarray, shift: GridShift, wset: WindowSet,

@@ -538,7 +538,7 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet,
             bad = cand[status == -1][0]
             raise SingularityError(
                 f"label {tuple(int(x) for x in bad)} lands within eps of a window "
-                f"boundary for gamma={tuple(shift.gamma)}; perturb the shift")
+                f"boundary for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
         return cand[status == 1]
 
     chunks = _run_chunks(process, range(-M, M + 1), threads)
@@ -584,13 +584,38 @@ def enumerate_accepted_3d(radius: int, shift: GridShift, Q: DecagonQ,
             bad = cand[status == -1][0]
             raise SingularityError(
                 f"label {tuple(int(x) for x in bad)} lands within eps of the decagon "
-                f"boundary for gamma={tuple(shift.gamma)}; perturb the shift")
+                f"boundary for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
         return cand[status == 1]
 
     chunks = _run_chunks(process, range(-M, M + 1), threads)
     labels = np.vstack([c for c in chunks if len(c)]) if chunks else np.empty((0, 5), np.int64)
     labels = labels[np.lexsort(labels.T[::-1])]
     return labels, labels.astype(float) @ basis.W
+
+
+def label_keys(labels, radius: int) -> np.ndarray:
+    """Mixed-radix int64 key (k + R) . (2R+1)^(4..0) of each label, -1 outside the box.
+
+    Inside the box [-R, R]^5 the key order is the enumerators' lexicographic
+    label order, and key(k + m) = key(k) + key(m) - key(0) while k + m stays
+    in the box.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    radius = int(radius)
+    if (2 * radius + 1) ** 5 > np.iinfo(np.int64).max:
+        raise ValueError(f"radius {radius} is too large for int64 label keys")
+    weights = (2 * radius + 1) ** np.arange(4, -1, -1, dtype=np.int64)
+    inside = np.all(np.abs(labels) <= radius, axis=-1)
+    return np.where(inside, (labels + radius) @ weights, -1)
+
+
+def label_rows(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Row of each query key in the sorted key array, -1 where it is absent."""
+    query = np.asarray(query, dtype=np.int64)
+    if len(keys) == 0:
+        return np.full(query.shape, -1, dtype=np.int64)
+    rows = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[rows] == query, rows, -1)
 
 
 def _run_chunks(fn, keys, threads: int) -> list:

@@ -56,3 +56,39 @@ def polygon_area(poly) -> float:
     p = np.asarray(poly, dtype=float)
     q = np.roll(p, -1, axis=0)
     return 0.5 * float(np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
+
+
+def interior_atoms_sweep(tips, lat, P, eps=1e-9):
+    """Brute-force interior atoms: sweep the four lattice layers above each tip.
+
+    A lattice point is an interior atom when its 3-d point lies strictly
+    inside the polytope translated to the tip.  Returns one (4, 5) label
+    array per tip, in label order; no lookup tables are involved.
+    """
+    z = lat.labels.sum(axis=1)
+    layers = {int(v): np.flatnonzero(z == v) for v in np.unique(z)}
+    tip_rows = {tuple(int(x) for x in row): i for i, row in enumerate(lat.labels)}
+    out = []
+    for tip in tips:
+        tip_point = lat.points[tip_rows[tuple(int(x) for x in tip)]]
+        found = []
+        for dz in range(1, 5):
+            rows = layers.get(int(tip.sum()) + dz, np.empty(0, dtype=np.int64))
+            rel = lat.points[rows] - tip_point
+            inside = np.max(rel @ P.face_normals.T - P.face_offsets, axis=1) < -eps
+            found.extend(rows[inside].tolist())
+        out.append(lat.labels[sorted(found)])
+    return out
+
+
+def overlap_signature_loop(tip, tip_set, table):
+    """(neighbors, K, J) of one tip by probing every table offset in a Python set."""
+    neighbors = k_shares = j_shares = 0
+    for m in table.offsets:
+        other = tuple(int(a) + b for a, b in zip(tip, m))
+        shape = table.shapes[m]
+        if other in tip_set and shape.overlapping:
+            neighbors += 1
+            k_shares += shape.faces == 12
+            j_shares += shape.faces == 6
+    return neighbors, k_shares, j_shares

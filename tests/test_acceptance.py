@@ -11,8 +11,8 @@ import pytest
 
 import quasiproj as qp
 from quasiproj.cli import run as cli_run
-from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, build_overlap_table,
-                                 cell_instance, find_tips, overlap_census)
+from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, build_cells,
+                                 build_overlap_table, find_tips, overlap_census)
 from quasiproj.pentagrid import mesh_locator, tiling_from_pentagrid
 from quasiproj.tiling2d import (CENSUS, analytic_A, analytic_probability,
                                 census_support, empirical_frequencies)
@@ -163,14 +163,14 @@ def test_criterion_6_cell_census(P, Q, basis):
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     assert len(inner) >= 1000
     violations = 0
-    for tip in inner:
+    cells = build_cells(inner, lat)  # raises unless 22 + 4 atoms per tip
+    for tip, cell in zip(inner, cells):
         for m in range(5):
             for s in (1, -1):
                 nb = tip.copy()
                 nb[m] += s
                 if nb not in lat:
                     violations += 1
-        cell = cell_instance(tip, lat, P)  # raises unless 22 + 4 atoms
         if len(cell.hull_atoms) + len(cell.interior_atoms) != 26:
             violations += 1
     elapsed = time.perf_counter() - t0
@@ -208,12 +208,11 @@ def test_criterion_8_z_periodicity(Q, basis):
     inner = lat.labels[np.abs(lat.labels).max(axis=1) <= lat.radius - 1]
     ones = np.ones(5, dtype=np.int64)
     violations = 0
-    for k in inner:
+    for k, i in zip(inner, lat.rows(inner)):
         res = accept_3d(k + ones, shift, Q, basis)
         if res.status is not Acceptance.ACCEPT:
             violations += 1
             continue
-        i = lat.label_index[tuple(int(x) for x in k)]
         if not np.allclose(res.vertex, lat.points[i] + [0, 0, 5], atol=1e-9):
             violations += 1
     elapsed = time.perf_counter() - t0

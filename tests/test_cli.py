@@ -1,4 +1,5 @@
 import json
+import logging
 
 from quasiproj.cli import run
 
@@ -80,3 +81,20 @@ def test_deterministic_outputs(tmp_path):
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_singular_gamma_message_prints_plain_numbers(caplog):
+    with caplog.at_level(logging.ERROR, logger="qc"):
+        assert run(["lattice3d", "--gamma=1,-1,0,0,0", "--radius", "3"]) == 3
+    assert "(1.0, -1.0, 0.0, 0.0, 0.0)" in caplog.text
+    assert "np.float64" not in caplog.text
+
+
+def test_zero_cells_warns(tmp_path, caplog):
+    out = tmp_path / "cells.obj"
+    with caplog.at_level(logging.INFO, logger="qc"):
+        assert run(["lattice3d", "--radius", "2", "--out", str(out)]) == 0
+    assert "580 points, 90 tips, 0 complete cells" in caplog.text
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "no complete cells" in warnings[0].getMessage()
+    assert out.read_text() == "# quasiperiodic unit cells (one object per cell)\n"

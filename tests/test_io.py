@@ -9,7 +9,7 @@ from quasiproj.io import (RunConfig, TilingDocument, build_tiling_document,
                           cells_obj, frequency_csv, overlap_csv, render_svg,
                           resolve_shift, window_document, write_json,
                           write_text)
-from quasiproj.lattice3d import OverlapCensus, cell_instance, find_tips
+from quasiproj.lattice3d import OverlapCensus, build_cells, find_tips
 from quasiproj.tiling2d import FrequencyReport, FrequencyRow
 from quasiproj.window import random_shift
 
@@ -138,7 +138,7 @@ def test_cells_obj_dedupes_shared_vertices(P, Q, basis):
             pair = (t, np.array(other))
             break
     assert pair is not None
-    cells = [cell_instance(t, lat, P) for t in pair]
+    cells = build_cells(np.vstack(pair), lat)
     text = cells_obj(cells, P)
     n_v = text.count("\nv ")
     n_f = text.count("\nf ")

@@ -4,11 +4,12 @@ import pytest
 import quasiproj as qp
 from quasiproj.errors import ConsistencyError
 from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_SIGNATURES,
-                                 build_overlap_table, cell_instance,
-                                 classify_overlap, convex_intersection,
-                                 find_tips, interior_atoms, overlap_census,
+                                 build_cells, build_overlap_table,
+                                 convex_intersection, find_tips, overlap_census,
+                                 overlap_signatures, shared_atom_count,
                                  tip_triangle)
-from quasiproj.window import (Acceptance, accept_3d, d_test_points,
+from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, Acceptance,
+                              accept_3d, d_test_points, label_keys,
                               normalize_shift, random_shift)
 
 PHI = qp.PHI
@@ -40,7 +41,7 @@ def test_lattice_contains_origin_for_example_shift(Q, basis):
     shift = normalize_shift([0.13, 0.07, 0.11, 0.05, 0.09])
     lat = qp.build_lattice3(2, shift, Q, basis)
     assert np.zeros(5, dtype=np.int64) in lat
-    i = lat.label_index[(0, 0, 0, 0, 0)]
+    i = int(lat.rows(np.zeros(5, dtype=np.int64)))
     assert np.allclose(lat.points[i], [0, 0, 0])
 
 
@@ -107,8 +108,7 @@ def test_cells_26_atoms(lat_env, P):
     shift, lat, tips = lat_env
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     rng = np.random.default_rng(1)
-    for i in rng.choice(len(inner), 150, replace=False):
-        cell = cell_instance(inner[i], lat, P)
+    for cell in build_cells(inner[rng.choice(len(inner), 150, replace=False)], lat):
         assert len(cell.hull_atoms) == 22
         assert len(cell.interior_atoms) == 4
         # atoms really are lattice points and sit where they should
@@ -125,7 +125,7 @@ def test_same_triangle_same_interior_offsets(lat_env, P, Q, basis):
         tip = inner[i]
         tri = tip_triangle(tip, shift, Q, basis)
         offsets = frozenset(tuple(int(x) for x in (a - tip))
-                            for a in interior_atoms(tip, lat, P))
+                            for a in build_cells(tip, lat)[0].interior_atoms)
         by_triangle.setdefault(tri, set()).add(offsets)
     assert len(by_triangle) >= 8  # most triangles sampled
     for tri, offset_sets in by_triangle.items():
@@ -147,8 +147,7 @@ def test_z_translated_cells_are_translates(lat_env, P):
         up = t + ones
         if tuple(up) not in tipset or np.abs(up).max() > lat.radius - 3:
             continue
-        a = cell_instance(t, lat, P)
-        b = cell_instance(up, lat, P)
+        a, b = build_cells(np.vstack([t, up]), lat)
         assert np.allclose(b.tip_point - a.tip_point, [0, 0, 5], atol=1e-9)
         assert np.array_equal(b.interior_atoms, a.interior_atoms + ones)
         assert np.array_equal(b.hull_atoms, a.hull_atoms + ones)
@@ -156,6 +155,57 @@ def test_z_translated_cells_are_translates(lat_env, P):
         if checked >= 40:
             break
     assert checked >= 10
+
+
+def test_label_keys_follow_label_order(lat_env):
+    shift, lat, tips = lat_env
+    assert np.all(np.diff(lat.keys) > 0)
+    assert np.array_equal(lat.rows(lat.labels), np.arange(len(lat.labels)))
+    # absent labels and labels outside the box both look up as -1
+    outside = lat.labels[:3].copy()
+    outside[:, 0] = lat.radius + 1
+    assert np.all(lat.rows(outside) == -1)
+    assert lat.labels[0] in lat and outside[0] not in lat
+    with pytest.raises(ValueError, match="too large"):
+        label_keys(np.zeros(5, dtype=np.int64), 3200)
+
+
+def test_interior_offsets_are_the_interior_cube_vertices(P, basis):
+    # m can carry an interior atom only if m.W lies strictly inside the
+    # polytope and m.D is shorter than the radii p + 1/p of the decagon and
+    # the inner decagon; over {-3..3}^5 that leaves the ten interior cube
+    # vertices, each clear of both bounds by far more than eps
+    r = np.arange(-3, 4, dtype=np.int64)
+    grid = np.stack(np.meshgrid(*([r] * 5), indexing="ij"), axis=-1).reshape(-1, 5)
+    depth = np.max((grid @ basis.W) @ P.face_normals.T - P.face_offsets, axis=1)
+    reach = np.linalg.norm(grid @ basis.D, axis=1) - (PHI + 1 / PHI)
+    found = (depth < 0) & (reach < 0)
+    assert sorted(map(tuple, grid[found].tolist())) == \
+        sorted(map(tuple, CUBE_VERTICES[list(INTERIOR_INDICES)].tolist()))
+    assert np.min(-np.maximum(depth[found], reach[found])) > 0.5
+
+
+@pytest.mark.parametrize("c,seed", [(0.5, 11), (0.2, 3)])
+def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, basis, overlap_table):
+    from helpers import interior_atoms_sweep, overlap_signature_loop
+    shift = random_shift(c, seed)
+    lat = qp.build_lattice3(10, shift, Q, basis)
+    tips = find_tips(lat, shift, Q, basis)
+    inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
+    assert len(inner) > 1000
+    cells = build_cells(inner, lat)
+    for cell, expected in zip(cells, interior_atoms_sweep(inner, lat, P)):
+        assert np.array_equal(cell.interior_atoms, expected)
+    tip_set = {tuple(r) for r in tips.tolist()}
+    sigs = overlap_signatures(inner, tips, lat.radius, overlap_table).tolist()
+    assert sigs == [list(overlap_signature_loop(t, tip_set, overlap_table))
+                    for t in inner.tolist()]
+
+
+def test_build_cells_rejects_non_lattice_tip(lat_env):
+    shift, lat, tips = lat_env
+    with pytest.raises(ValueError, match="not a lattice point"):
+        build_cells(np.full(5, lat.radius + 1), lat)
 
 
 def test_convex_intersection_identity(P):
@@ -193,13 +243,11 @@ def test_overlap_volume_symmetry(P, overlap_table, basis):
 
 def test_classify_overlap_signatures(lat_env, Q, P, basis, overlap_table):
     shift, lat, tips = lat_env
-    tipset = {tuple(r) for r in tips}
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     seen = set()
-    for t in inner:
-        oc = classify_overlap(t, tipset, overlap_table)
-        assert (oc.neighbors, oc.k_shares, oc.j_shares) in OVERLAP_SIGNATURES
-        seen.add(oc.label)
+    for sig in overlap_signatures(inner, tips, lat.radius, overlap_table).tolist():
+        assert tuple(sig) in OVERLAP_SIGNATURES
+        seen.add(OVERLAP_SIGNATURES[tuple(sig)])
     assert seen == {"A1", "A23", "A46", "A57", "A8"}
 
 
@@ -220,7 +268,6 @@ def test_overlap_census_matches_analytic(Q, P, basis, overlap_table):
 
 
 def test_shared_atom_count_symmetric(lat_env, P, basis, overlap_table):
-    from quasiproj.lattice3d import shared_atom_count
     shift, lat, tips = lat_env
     tipset = {tuple(r) for r in tips}
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 5]
@@ -230,8 +277,8 @@ def test_shared_atom_count_symmetric(lat_env, P, basis, overlap_table):
             other = tuple(int(a + b) for a, b in zip(t, m))
             if other in tipset and overlap_table.shapes[m].overlapping \
                     and max(abs(x) for x in other) <= lat.radius - 3:
-                n_ab = shared_atom_count(t, np.array(other), lat, P)
-                n_ba = shared_atom_count(np.array(other), t, lat, P)
+                n_ab = shared_atom_count(t, np.array(other), lat)
+                n_ba = shared_atom_count(np.array(other), t, lat)
                 assert n_ab == n_ba
                 assert n_ab >= 1
                 pairs += 1
@@ -246,10 +293,9 @@ def test_z_periodicity_of_accepted_points(Q, basis):
     lat = qp.build_lattice3(6, shift, Q, basis)
     ones = np.ones(5, dtype=np.int64)
     inner = lat.labels[np.abs(lat.labels).max(axis=1) <= 5]
-    for k in inner:
+    for k, i in zip(inner, lat.rows(inner)):
         res = accept_3d(k + ones, shift, Q, basis)
         assert res.status is Acceptance.ACCEPT
-        i = lat.label_index[tuple(int(x) for x in k)]
         assert np.allclose(res.vertex, lat.points[i] + [0, 0, 5], atol=1e-9)
 
 

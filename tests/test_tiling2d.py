@@ -5,9 +5,9 @@ import quasiproj as qp
 from quasiproj.errors import CensusViolationError
 from quasiproj.tiling2d import (CENSUS, VertexType, analytic_A,
                                 analytic_probability, census_support,
-                                classify_vertex, edges_at,
                                 empirical_frequencies, neighbor_counts)
-from quasiproj.window import enumerate_accepted_2d, random_shift
+from quasiproj.window import (Acceptance, accept_2d, enumerate_accepted_2d,
+                              random_shift)
 
 P = qp.PHI
 PINV2 = P ** -2
@@ -121,32 +121,31 @@ def patch(basis, windows_for):
     return shift, ws, labels, inner
 
 
-def test_edges_at_basic(patch, basis):
+def test_neighbor_counts_basic(patch, basis):
     shift, ws, labels, inner = patch
     n_pos, n_neg = neighbor_counts(inner, shift, ws, basis)
-    index = inner.sum(axis=1)
 
-    # spot check scalar edges_at against the vectorized counts
+    # spot check the vectorized counts against scalar probes of the ten
+    # unit neighbors
     rng = np.random.default_rng(5)
     for i in rng.choice(len(inner), 30, replace=False):
-        edges = edges_at(inner[i], shift, ws, basis)
-        assert sum(1 for e in edges if e.sign > 0) == n_pos[i]
-        assert sum(1 for e in edges if e.sign < 0) == n_neg[i]
-        for e in edges:
-            d_index = sum(e.to_label) - sum(e.from_label)
-            assert d_index == e.sign and abs(d_index) == 1
-            # step +-e_m moves the plane image by +-d_m
-            m = int(np.argmax(np.abs(np.array(e.to_label) - np.array(e.from_label))))
-            assert np.allclose(e.direction,
-                               e.sign * basis.D[m], atol=1e-12)
-            lo = min(sum(e.from_label), sum(e.to_label))
-            assert e.style == f"{lo}-{lo + 1}"
-
-
-def test_edges_at_rejects_non_vertex(patch, basis):
-    shift, ws, labels, inner = patch
-    with pytest.raises(ValueError):
-        edges_at([0, 0, 0, 0, 0], shift, ws, basis)
+        here = accept_2d(inner[i], shift, ws, basis)
+        assert here.status is Acceptance.ACCEPT
+        found = {1: 0, -1: 0}
+        for m in range(5):
+            for sign in (1, -1):
+                nb = inner[i].copy()
+                nb[m] += sign
+                res = accept_2d(nb, shift, ws, basis)
+                if res.status is not Acceptance.ACCEPT:
+                    continue
+                found[sign] += 1
+                assert res.index - here.index == sign
+                # step +-e_m moves the plane image by +-d_m
+                assert np.allclose(res.vertex - here.vertex,
+                                   sign * basis.D[m], atol=1e-12)
+        assert found[1] == n_pos[i]
+        assert found[-1] == n_neg[i]
 
 
 def test_star_vertex_has_five_positive_edges(patch, basis):
@@ -155,7 +154,9 @@ def test_star_vertex_has_five_positive_edges(patch, basis):
     index = inner.sum(axis=1)
     stars = np.flatnonzero((index == 1) & (n_pos == 5) & (n_neg == 0))
     assert len(stars) > 0
-    vt = classify_vertex(inner[stars[0]], shift, ws, basis)
+    s = stars[0]
+    vt = VertexType(int(index[s]), int(n_pos[s]), int(n_neg[s]))
+    assert (vt.n_pos, vt.n_neg) in CENSUS[vt.index]
     assert vt == VertexType(1, 5, 0)
 
 
