@@ -6,9 +6,8 @@ Two independent constructions of the same objects: the de Bruijn pentagrid
 validates analytic vertex-type and cell-overlap frequencies against counts.
 """
 
-from .geometry import (DEFAULT_EPS, PHI, THETA, GoldenConstants, ProjectionBasis,
-                       Region, make_basis, point_in_convex_polygon, project_2d,
-                       project_3d)
+from .geometry import (DEFAULT_EPS, PHI, THETA, ProjectionBasis, make_basis,
+                       project_2d, project_3d)
 from .window import (Acceptance, AcceptResult, CUBE_VERTICES, DecagonQ, GridShift,
                      PolytopeP, SliceWindow, WindowSet, accept_2d, accept_3d,
                      build_decagon_Q, build_polytope_P, build_windows,

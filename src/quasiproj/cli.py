@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 
-from .errors import ConfigError, EmptyWindowError, QcError, SingularConfigError
+from .errors import (ConfigError, EmptyWindowError, QcError, SingularConfigError,
+                     SingularityError)
 from .geometry import make_basis
 from .io import (RunConfig, build_tiling_document, cells_obj, frequency_csv,
                  overlap_csv, render_svg, resolve_shift, window_document,
                  write_json, write_text)
 from .lattice3d import build_cells, build_lattice3, find_tips, overlap_census
 from .tiling2d import empirical_frequencies
-from .window import (build_decagon_Q, build_polytope_P, build_windows,
-                     enumerate_accepted_2d, enumerate_accepted_3d, slice_window)
+from .window import (MAX_KEY_RADIUS, build_decagon_Q, build_polytope_P,
+                     build_windows, slice_window)
 
 log = logging.getLogger("qc")
 
@@ -47,8 +49,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="label-box half-width (default 20)")
         sp.add_argument("--tol", type=float, default=1e-9,
                         help="absolute boundary tolerance (default 1e-9)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for label enumeration (default 1)")
         sp.add_argument("--index", type=int, default=None,
                         help="restrict 'windows' output to one slice index")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
@@ -66,15 +66,19 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"cannot parse --gamma {args.gamma!r}: {exc}") from exc
         if len(gamma) != 5:
             raise ConfigError(f"--gamma needs 5 components, got {len(gamma)}")
+        if not all(map(math.isfinite, gamma)):
+            raise ConfigError(f"--gamma components must be finite, got {args.gamma!r}")
     if not 0.0 <= args.c < 1.0:
         raise ConfigError(f"--c must lie in [0, 1), got {args.c}")
-    if args.radius < 1:
-        raise ConfigError(f"--radius must be >= 1, got {args.radius}")
-    if args.tol <= 0:
+    if not 1 <= args.radius <= MAX_KEY_RADIUS:
+        raise ConfigError(f"--radius must lie in [1, {MAX_KEY_RADIUS}], got {args.radius}")
+    if not 0.0 < args.tol < math.inf:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
+    if args.index is not None and not 1 <= args.index <= 5:
+        raise ConfigError(f"--index must lie in [1, 5], got {args.index}")
     return RunConfig(mode=args.mode, c=args.c, gamma=gamma, seed=args.seed,
-                     radius=args.radius, tol=args.tol, threads=args.threads,
-                     index=args.index, out=args.out, format=args.format)
+                     radius=args.radius, tol=args.tol, index=args.index,
+                     out=args.out, format=args.format)
 
 
 def _emit(config: RunConfig, content: str) -> None:
@@ -102,48 +106,54 @@ def _run_mode(config: RunConfig) -> None:
         _emit(config, write_json(doc))
         return
 
-    def probe(shift):
-        enumerate_accepted_2d(3, shift, build_windows(P, shift.c, config.tol), basis)
-        enumerate_accepted_3d(2, shift, Q, basis, config.tol)
+    def produce(shift) -> tuple[str, list]:
+        """The mode's output for one shift, and the (level, line)s to log after it."""
+        if config.mode in ("tiling2d", "freq"):
+            wset = build_windows(P, shift.c, config.tol)
+            if config.mode == "tiling2d":
+                doc = build_tiling_document(config.radius, shift, wset, basis)
+                return render_svg(doc), []
+            report = empirical_frequencies(config.radius, shift, wset, basis)
+            return frequency_csv(report), []
+        lat = build_lattice3(config.radius, shift, Q, basis, config.tol)
+        if config.mode == "lattice3d":
+            tips = find_tips(lat, shift, Q, basis, config.tol)
+            inner = tips[abs(tips).max(axis=1) <= config.radius - 3]
+            cells = build_cells(inner, lat)
+            notes = [(logging.INFO, f"lattice: {len(lat.labels)} points, "
+                                    f"{len(tips)} tips, {len(cells)} complete cells")]
+            if not cells:
+                notes.append((logging.WARNING,
+                              "no complete cells: every tip lies within 3 label "
+                              "steps of the box edge; raise --radius"))
+            return cells_obj(cells, P), notes
+        census = overlap_census(lat, shift, Q, P, basis, config.tol,
+                                shared_atom_sample=20)
+        notes = []
+        if census.shared_atoms:
+            shared = {k: round(v, 2) for k, v in census.shared_atoms.items()}
+            notes.append((logging.INFO,
+                          f"mean shared atoms with overlapping neighbors: {shared}"))
+        return overlap_csv(census), notes
 
-    shift = resolve_shift(config, probe=probe)
+    produced = []
+
+    def attempt(shift):
+        try:
+            produced.append(produce(shift))
+        except SingularityError as exc:
+            if config.gamma == "auto":
+                log.info("gamma draw is singular, redrawing: %s", exc)
+            raise
+
+    shift = resolve_shift(config, probe=attempt)
     resolved = RunConfig(**{**config.__dict__, "gamma": shift.gamma.tolist(),
                             "c": shift.c})
     log.info("resolved config: %s", resolved.to_json())
-
-    if config.mode == "tiling2d":
-        wset = build_windows(P, shift.c, config.tol)
-        doc = build_tiling_document(config.radius, shift, wset, basis,
-                                    threads=config.threads)
-        _emit(config, render_svg(doc))
-    elif config.mode == "freq":
-        wset = build_windows(P, shift.c, config.tol)
-        report = empirical_frequencies(config.radius, shift, wset, basis,
-                                       threads=config.threads)
-        _emit(config, frequency_csv(report))
-    elif config.mode == "lattice3d":
-        lat = build_lattice3(config.radius, shift, Q, basis, config.tol,
-                             threads=config.threads)
-        tips = find_tips(lat, shift, Q, basis, config.tol)
-        inner = tips[abs(tips).max(axis=1) <= config.radius - 3]
-        cells = build_cells(inner, lat)
-        _emit(config, cells_obj(cells, P))
-        log.info("lattice: %d points, %d tips, %d complete cells",
-                 len(lat.labels), len(tips), len(cells))
-        if not cells:
-            log.warning("no complete cells: every tip lies within 3 label steps "
-                        "of the box edge; raise --radius")
-    elif config.mode == "overlap-census":
-        lat = build_lattice3(config.radius, shift, Q, basis, config.tol,
-                             threads=config.threads)
-        census = overlap_census(lat, shift, Q, P, basis, config.tol,
-                                shared_atom_sample=20)
-        _emit(config, overlap_csv(census))
-        if census.shared_atoms:
-            log.info("mean shared atoms with overlapping neighbors: %s",
-                     {k: round(v, 2) for k, v in census.shared_atoms.items()})
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ConfigError(f"unknown mode {config.mode!r}")
+    (content, notes), = produced
+    _emit(config, content)
+    for level, line in notes:
+        log.log(level, "%s", line)
 
 
 def run(argv) -> int:
@@ -159,7 +169,7 @@ def run(argv) -> int:
     except SingularConfigError as exc:
         log.error("singular configuration: %s", exc)
         return EXIT_SINGULAR
-    except (ConfigError, EmptyWindowError, ValueError) as exc:
+    except (ConfigError, EmptyWindowError) as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
     except QcError as exc:

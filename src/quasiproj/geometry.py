@@ -9,7 +9,6 @@ decisions.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,18 +26,6 @@ DEFAULT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class GoldenConstants:
-    """Golden ratio and the powers of its inverse used by the frequency formulas."""
-
-    p: float = PHI
-    p_inv: float = 1.0 / PHI
-    p_inv2: float = PHI ** -2
-    p_inv3: float = PHI ** -3
-    p_inv4: float = PHI ** -4
-    theta: float = THETA
-
-
-@dataclass(frozen=True)
 class ProjectionBasis:
     """Row generators of the tiling plane and its 3-d orthogonal space.
 
@@ -49,16 +36,6 @@ class ProjectionBasis:
 
     D: np.ndarray  # (5, 2)
     W: np.ndarray  # (5, 3)
-
-    @property
-    def d(self) -> np.ndarray:
-        """The five plane generators as rows."""
-        return self.D
-
-    @property
-    def w(self) -> np.ndarray:
-        """The five space generators as rows."""
-        return self.W
 
 
 def make_basis() -> ProjectionBasis:
@@ -85,12 +62,6 @@ def project_3d(k, basis: ProjectionBasis) -> np.ndarray:
     return np.asarray(k, dtype=float) @ basis.W
 
 
-class Region(enum.Enum):
-    INSIDE = "inside"
-    OUTSIDE = "outside"
-    BOUNDARY = "boundary"
-
-
 def polygon_halfplanes(polygon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Outward unit normals and offsets of a CCW convex polygon.
 
@@ -109,21 +80,6 @@ def polygon_halfplanes(polygon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normals, offsets
 
 
-def point_in_convex_polygon(pt, polygon, eps: float = DEFAULT_EPS) -> Region:
-    """Classify a point against a convex CCW polygon with tolerance eps.
-
-    INSIDE means strictly interior by more than eps, BOUNDARY within eps of
-    an edge, OUTSIDE otherwise.
-    """
-    normals, offsets = polygon_halfplanes(polygon)
-    d_max = float(np.max(normals @ np.asarray(pt, dtype=float) - offsets))
-    if d_max < -eps:
-        return Region.INSIDE
-    if d_max > eps:
-        return Region.OUTSIDE
-    return Region.BOUNDARY
-
-
 def points_in_convex_polygon(pts: np.ndarray, normals: np.ndarray,
                              offsets: np.ndarray, eps: float) -> np.ndarray:
     """Vectorized classification: +1 inside, 0 outside, -1 boundary-within-eps."""
@@ -132,14 +88,3 @@ def points_in_convex_polygon(pts: np.ndarray, normals: np.ndarray,
     status[d_max < -eps] = 1
     status[np.abs(d_max) <= eps] = -1
     return status
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute tolerance wrapper so call sites can't pass a bare misplaced float."""
-
-    eps: float = DEFAULT_EPS
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")

@@ -17,8 +17,8 @@ from .geometry import DEFAULT_EPS, ProjectionBasis, make_basis
 from .lattice3d import OVERLAP_SIGNATURES, CellInstance, OverlapCensus
 from .tiling2d import FrequencyReport
 from .window import (DecagonQ, GridShift, PolytopeP, WindowSet,
-                     enumerate_accepted_2d, label_keys, label_rows,
-                     normalize_shift, random_shift)
+                     enumerate_accepted_2d, label_keys, normalize_shift,
+                     random_shift, step_rows)
 
 
 def fmt(x: float) -> str:
@@ -40,7 +40,6 @@ class RunConfig:
     seed: int = 0
     radius: int = 20
     tol: float = DEFAULT_EPS
-    threads: int = 1
     index: int | None = None
     out: str | None = None
     format: str = "auto"
@@ -56,16 +55,20 @@ class RunConfig:
 def resolve_shift(config: RunConfig, probe=None, max_retries: int = 20) -> GridShift:
     """Produce the grid shift for a run.
 
-    Explicit gamma is normalized as given (its sum wins over config.c).
-    "auto" draws gamma_1..4 uniformly from the seed and pins the sum to
-    config.c; if the optional probe callable flags the draw as singular, the
+    Explicit gamma is normalized as given (its sum wins over config.c), and
+    the optional probe runs on it once; a SingularityError it raises is the
+    caller's.  "auto" draws gamma_1..4 uniformly from the seed and pins the
+    sum to config.c; while the probe raises SingularityError for a draw, the
     draw is retried with an incremented seed, a bounded number of times.
     """
     if config.gamma != "auto":
         gamma = [float(g) for g in config.gamma]
         if len(gamma) != 5:
             raise ConfigError(f"gamma needs 5 components, got {len(gamma)}")
-        return normalize_shift(gamma)
+        shift = normalize_shift(gamma)
+        if probe is not None:
+            probe(shift)
+        return shift
     if not 0.0 <= config.c < 1.0:
         raise ConfigError(f"c must lie in [0, 1), got {config.c}")
     last_error = None
@@ -76,7 +79,7 @@ def resolve_shift(config: RunConfig, probe=None, max_retries: int = 20) -> GridS
         try:
             probe(shift)
             return shift
-        except SingularityError as exc:  # pragma: no cover - astronomically rare
+        except SingularityError as exc:
             last_error = exc
     raise SingularityError(
         f"no regular shift found after {max_retries} draws: {last_error}")
@@ -95,17 +98,14 @@ class TilingDocument:
 
 
 def build_tiling_document(radius: int, shift: GridShift, wset: WindowSet,
-                          basis: ProjectionBasis | None = None,
-                          threads: int = 1) -> TilingDocument:
+                          basis: ProjectionBasis | None = None) -> TilingDocument:
     """Window-accepted vertices in the label box plus all edges between them."""
     basis = basis or make_basis()
-    labels, xy = enumerate_accepted_2d(radius, shift, wset, basis, threads=threads)
-    keys = label_keys(labels, radius)
+    labels, xy = enumerate_accepted_2d(radius, shift, wset, basis)
     index = labels.sum(axis=1).tolist()
 
     # row of the +e_m neighbor of every vertex, -1 where it is not accepted
-    step = np.column_stack([label_rows(keys, label_keys(labels + e, radius))
-                            for e in np.eye(5, dtype=np.int64)])
+    step = step_rows(labels, label_keys(labels, radius), radius)
     rows, _ = np.nonzero(step >= 0)
     styles = {1: "1-2", 2: "2-3", 3: "3-4", 4: "4-5"}
     edges = tuple((i, j, styles[index[i]])

@@ -18,8 +18,10 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .errors import CensusViolationError, ConsistencyError, SingularityError
-from .geometry import DEFAULT_EPS, PHI, ProjectionBasis, make_basis
+from .errors import (CensusViolationError, ConfigError, ConsistencyError,
+                     SingularityError)
+from .geometry import (DEFAULT_EPS, PHI, ProjectionBasis, make_basis,
+                       polygon_halfplanes)
 from .window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, DecagonQ,
                      GridShift, PolytopeP, d_test_points, enumerate_accepted_3d,
                      label_keys, label_rows, points_in_convex_polygon)
@@ -71,9 +73,9 @@ class Lattice3:
 
 def build_lattice3(radius: int, shift: GridShift, Q: DecagonQ,
                    basis: ProjectionBasis | None = None,
-                   eps: float = DEFAULT_EPS, threads: int = 1) -> Lattice3:
+                   eps: float = DEFAULT_EPS) -> Lattice3:
     basis = basis or make_basis()
-    labels, points = enumerate_accepted_3d(radius, shift, Q, basis, eps, threads)
+    labels, points = enumerate_accepted_3d(radius, shift, Q, basis, eps)
     return Lattice3(labels=labels, points=points, radius=radius)
 
 
@@ -103,16 +105,11 @@ def tip_triangle(tip_label, shift: GridShift, Q: DecagonQ,
     pt = d_test_points(np.asarray(tip_label)[None, :], shift, basis)[0]
     for t in range(10):
         tri = Q.triangles[t]
-        status = points_in_convex_polygon(pt[None, :], *_triangle_halfplanes(tri), eps)
+        status = points_in_convex_polygon(pt[None, :], *polygon_halfplanes(tri), eps)
         if status[0] == 1:
             return t
     raise SingularityError(
         f"tip test point {tuple(pt.tolist())} lies on a triangle boundary of the inner decagon")
-
-
-def _triangle_halfplanes(tri: np.ndarray):
-    from .geometry import polygon_halfplanes
-    return polygon_halfplanes(tri)
 
 
 @dataclass(frozen=True)
@@ -337,7 +334,7 @@ def overlap_census(lat: Lattice3, shift: GridShift, Q: DecagonQ, P: PolytopeP,
                     shared_sums[label].append(shared_atom_count(tip, other, lat))
     total = sum(counter.values())
     if total == 0:
-        raise ValueError("no boundary-complete tips in the lattice box")
+        raise ConfigError("no boundary-complete tips in the lattice box")
     freqs = {lab: counter.get(lab, 0) / total for lab in ANALYTIC_CLASS_FREQUENCIES}
     shared = None
     if shared_atom_sample:

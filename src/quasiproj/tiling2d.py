@@ -15,9 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CensusViolationError, SingularityError
+from .errors import CensusViolationError, ConfigError
 from .geometry import PHI, ProjectionBasis, make_basis
-from .window import GridShift, WindowSet, accept_2d_bulk, enumerate_accepted_2d
+from .window import (GridShift, WindowSet, enumerate_accepted_2d, label_keys,
+                     step_rows)
 
 _P = PHI
 
@@ -28,27 +29,20 @@ class VertexType(NamedTuple):
     n_neg: int
 
 
-def neighbor_counts(labels: np.ndarray, shift: GridShift, wset: WindowSet,
-                    basis: ProjectionBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (n_pos, n_neg) for many accepted labels."""
+def neighbor_counts(labels: np.ndarray, keys: np.ndarray,
+                    radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n_pos, n_neg) of each label: how many of its k + e_m and k - e_m are vertices.
+
+    `keys` are the sorted label keys of every accepted label in the box
+    [-radius, radius]^5.  The enumeration behind them has tested every label
+    in the box, so a step that stays in the box is a vertex exactly when its
+    key is present; labels must therefore lie one step inside the box.
+    """
     labels = np.asarray(labels, dtype=np.int64)
-    n = len(labels)
-    n_pos = np.zeros(n, dtype=np.int64)
-    n_neg = np.zeros(n, dtype=np.int64)
-    for m in range(5):
-        for sign in (1, -1):
-            nb = labels.copy()
-            nb[:, m] += sign
-            status = accept_2d_bulk(nb, shift, wset, basis)
-            if np.any(status == -1):
-                bad = nb[status == -1][0]
-                raise SingularityError(
-                    f"neighbor {tuple(int(x) for x in bad)} is singular")
-            if sign > 0:
-                n_pos += status == 1
-            else:
-                n_neg += status == 1
-    return n_pos, n_neg
+    if np.any(np.abs(labels) >= radius):
+        raise ValueError(f"labels must lie inside the box [{1 - radius}, {radius - 1}]^5")
+    return tuple((step_rows(labels, keys, radius, sign) >= 0).sum(axis=1)
+                 for sign in (1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +232,7 @@ class FrequencyReport:
 
 def empirical_frequencies(radius: int, shift: GridShift, wset: WindowSet,
                           basis: ProjectionBasis | None = None,
-                          margin: int = 2, threads: int = 1) -> FrequencyReport:
+                          margin: int = 2) -> FrequencyReport:
     """Classify every boundary-complete vertex in the label box and tally types.
 
     Vertices within `margin` label steps of the box edge are discarded so no
@@ -246,13 +240,13 @@ def empirical_frequencies(radius: int, shift: GridShift, wset: WindowSet,
     type falls outside the analytic support at this c.
     """
     basis = basis or make_basis()
-    labels, _ = enumerate_accepted_2d(radius, shift, wset, basis, threads=threads)
-    inner = np.abs(labels).max(axis=1) <= radius - margin
-    labels = labels[inner]
+    labels, _ = enumerate_accepted_2d(radius, shift, wset, basis)
+    keys = label_keys(labels, radius)
+    labels = labels[np.abs(labels).max(axis=1) <= radius - margin]
     if len(labels) == 0:
-        raise ValueError("label box too small: no boundary-complete vertices")
+        raise ConfigError("label box too small: no boundary-complete vertices")
 
-    n_pos, n_neg = neighbor_counts(labels, shift, wset, basis)
+    n_pos, n_neg = neighbor_counts(labels, keys, radius)
     index = labels.sum(axis=1)
     counts = Counter(zip(index.tolist(), n_pos.tolist(), n_neg.tolist()))
 

@@ -473,124 +473,162 @@ def point_in_inner_decagon(pt: np.ndarray, Q: DecagonQ,
 
 
 # ---------------------------------------------------------------------------
-# label-box enumeration
+# label-box enumeration by scan conversion
 #
-# For an accepted label, k_j - gamma_j - lambda_j is an exact projection of a
-# plane (or space) point onto generator j, so consecutive residuals satisfy
-# the linear three-term relations of the generators:
-#   2-d:  r_{j+1} = r_j / p - r_{j-1}            (d_{j-1} + d_{j+1} = d_j / p)
-#   3-d:  r_3 = r_0 + r_1/p - r_2/p,  r_4 = -r_0/p + r_1/p + r_2
-# With lambda in [0, 1] this confines each successive coordinate to an
-# interval of width < 4, so only two coordinates (three in 3-d) are free.
-# Candidate supersets below use a one-step safety margin on each side.
+# Fix all but two label coordinates (u, v).  The test point is then affine in
+# them, t0 + u a + v b, and one-to-one, so the labels a window accepts are the
+# integer points of a convex polygon in the (u, v) plane.  Each enumerator
+# scans that polygon, widened by eps plus a float slack so the whole singular
+# band |d| <= eps is inside it, and passes every point it finds to the bulk
+# acceptance test.  Candidates are then accepted labels, rejects within the
+# slack of the window, and singular labels, which raise.
+#   2-d:  fix (k0, k1, I) and scan (k2, k3); k4 = I - k0 - k1 - k2 - k3.
+#   3-d:  fix (k0, k1, k2) and scan (k3, k4).
 # ---------------------------------------------------------------------------
 
-_PINV = 1.0 / PHI
+#: how far past eps a scan reaches, far above the float error of its bounds
+_SCAN_SLACK = 1e-6
+
+#: the c = 0 index-5 window is the point 0, given as a square of zero size:
+#: widened by eps and the slack, it holds the singular disk |t| <= eps
+_POINT_WINDOW = (np.zeros((1, 2)),
+                 np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                 np.zeros(4))
 
 
-def _offsets_grid(base: np.ndarray, n: int) -> np.ndarray:
-    """base (...,) -> candidates (..., n) = floor(base) - 1 + {0..n-1}."""
-    return np.floor(base).astype(np.int64)[..., None] + np.arange(-1, n - 1, dtype=np.int64)
+def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, value) for every integer value in [lo[row], hi[row]], in row order."""
+    counts = np.maximum(hi - lo + 1, 0)
+    row = np.repeat(np.arange(len(lo)), counts)
+    start = np.cumsum(counts) - counts
+    return row, lo[row] + (np.arange(len(row)) - start[row])
+
+
+def _integer_span(lo: np.ndarray, hi: np.ndarray, box_lo, box_hi):
+    """Integer bounds of the real intervals [lo, hi] within [box_lo, box_hi]."""
+    lo = np.ceil(np.clip(lo, box_lo, box_hi + 1)).astype(np.int64)
+    hi = np.floor(np.clip(hi, box_lo - 1, box_hi)).astype(np.int64)
+    return lo, hi
+
+
+def _scan(t0: np.ndarray, a: np.ndarray, b: np.ndarray, window, reach: float,
+          radius: int):
+    """Scan-convert a convex window, widened by `reach`, in label coordinates.
+
+    Row r of t0 is the test point of (u, v) = (0, 0); (u, v) moves it by
+    u a + v b.  Returns (row, u, v_lo, v_hi): every u in [-radius, radius]
+    whose line can meet the widened window, with the real v interval where
+    it does (empty when v_lo > v_hi).
+    """
+    vertices, normals, offsets = window
+    inv_u = np.linalg.inv(np.column_stack([a, b]))[0]  # u = inv_u . (t - t0)
+    # widening moves a vertex out by reach / cos(half its turning angle)
+    turn = np.einsum("ij,ij->i", normals, np.roll(normals, -1, axis=0))
+    push = reach / np.sqrt((1.0 + turn.min()) / 2.0) * np.linalg.norm(inv_u)
+    u0 = t0 @ inv_u
+    vertex_u = vertices @ inv_u
+    u_lo, u_hi = _integer_span(vertex_u.min() - push - u0, vertex_u.max() + push - u0,
+                               -radius, radius)
+    row, u = _expand(u_lo, u_hi)
+    t = t0[row] + u[:, None] * a
+    v_lo = np.full(len(row), -np.inf)
+    v_hi = np.full(len(row), np.inf)
+    for n, o in zip(normals, offsets):
+        nb = float(n @ b)
+        room = (o + reach) - t @ n            # nb * v must not exceed this
+        if abs(nb) < 1e-12:                   # edge parallel to b: all or nothing
+            v_hi[room < 0] = -np.inf
+        elif nb > 0:
+            np.minimum(v_hi, room / nb, out=v_hi)
+        else:
+            np.maximum(v_lo, room / nb, out=v_lo)
+    return row, u, v_lo, v_hi
+
+
+def _accepted(blocks, describe, shift: GridShift) -> np.ndarray:
+    """Sorted accepted labels of the (candidates, status) blocks.
+
+    Raises SingularityError naming the lexicographically first singular
+    candidate, if there is one.
+    """
+    cand = np.vstack([c for c, _ in blocks])
+    status = np.concatenate([s for _, s in blocks])
+    bad = cand[status == -1]
+    if len(bad):
+        first = bad[np.lexsort(bad.T[::-1])[0]]
+        raise SingularityError(
+            f"label {tuple(int(x) for x in first)} lands within eps of {describe} "
+            f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
+    labels = cand[status == 1]
+    return labels[np.lexsort(labels.T[::-1])]
+
+
+def _window_2d(wset: WindowSet, index: int):
+    if index == 5 and wset.degenerate_top:
+        return _POINT_WINDOW
+    win = wset.slices[index]
+    return win.polygon, win.normals, win.offsets
 
 
 def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet,
-                          basis: ProjectionBasis | None = None,
-                          threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                          basis: ProjectionBasis | None = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """All accepted labels in the box [-radius, radius]^5, sorted lexicographically.
 
     Returns (labels (N,5) int64, tiling vertices (N,2)).  Raises
-    SingularityError if any candidate test point lies within eps of a window
-    boundary.
+    SingularityError if any label in the box has its test point within eps
+    of a window boundary.
     """
     basis = basis or make_basis()
-    g = shift.gamma
     M = int(radius)
-    k1 = np.arange(-M, M + 1, dtype=np.int64)
-
-    def process(k0: int) -> np.ndarray:
-        K0 = np.full_like(k1, k0)
-        lo2 = _PINV * (k1 - g[1] - 1.0) - (K0 - g[0]) + g[2]
-        K2 = _offsets_grid(lo2, 6)                      # (n1, 6)
-        K1b = np.broadcast_to(k1[:, None], K2.shape)
-        K0b = np.broadcast_to(K0[:, None], K2.shape)
-        lo3 = _PINV * (K2 - g[2] - 1.0) - (K1b - g[1]) + g[3]
-        K3 = _offsets_grid(lo3, 6)                      # (n1, 6, 6)
-        K2b = np.broadcast_to(K2[..., None], K3.shape)
-        lo4 = _PINV * (K3 - g[3] - 1.0) - (K2b - g[2]) + g[4]
-        K4 = _offsets_grid(lo4, 6)                      # (n1, 6, 6, 6)
-
-        shape = K4.shape
-        cand = np.empty(shape + (5,), dtype=np.int64)
-        cand[..., 0] = k0
-        cand[..., 1] = np.broadcast_to(k1[:, None, None, None], shape)
-        cand[..., 2] = np.broadcast_to(K2[..., None, None], shape)
-        cand[..., 3] = np.broadcast_to(K3[..., None], shape)
-        cand[..., 4] = K4
-        cand = cand.reshape(-1, 5)
-
-        s = cand.sum(axis=1)
-        keep = (np.abs(cand).max(axis=1) <= M) & (s >= 1) & (s <= 5)
-        cand = cand[keep]
-        if len(cand) == 0:
-            return cand
-        status = accept_2d_bulk(cand, shift, wset, basis)
-        if np.any(status == -1):
-            bad = cand[status == -1][0]
-            raise SingularityError(
-                f"label {tuple(int(x) for x in bad)} lands within eps of a window "
-                f"boundary for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
-        return cand[status == 1]
-
-    chunks = _run_chunks(process, range(-M, M + 1), threads)
-    labels = np.vstack([c for c in chunks if len(c)]) if chunks else np.empty((0, 5), np.int64)
-    labels = labels[np.lexsort(labels.T[::-1])]
+    w = basis.W[:, :2]
+    k = np.arange(-M, M + 1, dtype=np.int64)
+    k01 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
+    reach = wset.eps + _SCAN_SLACK
+    blocks = []
+    for index in range(1, 6):
+        t0 = k01 @ (w[:2] - w[4]) + index * w[4] - shift.gamma @ w
+        row, k2, v_lo, v_hi = _scan(t0, w[2] - w[4], w[3] - w[4],
+                                    _window_2d(wset, index), reach, M)
+        k34 = index - k01[row].sum(axis=1) - k2
+        sub, k3 = _expand(*_integer_span(v_lo, v_hi, np.maximum(k34 - M, -M),
+                                         np.minimum(k34 + M, M)))
+        cand = np.column_stack([k01[row[sub]], k2[sub], k3, k34[sub] - k3])
+        blocks.append((cand, accept_2d_bulk(cand, shift, wset, basis)))
+    labels = _accepted(blocks, "a window boundary", shift)
     return labels, labels.astype(float) @ basis.D
 
 
 def enumerate_accepted_3d(radius: int, shift: GridShift, Q: DecagonQ,
                           basis: ProjectionBasis | None = None,
-                          eps: float = DEFAULT_EPS,
-                          threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                          eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray]:
     """All 3-d accepted labels in the box [-radius, radius]^5, sorted; with points."""
     basis = basis or make_basis()
-    g = shift.gamma
     M = int(radius)
-    k12 = np.arange(-M, M + 1, dtype=np.int64)
-    K1, K2 = np.meshgrid(k12, k12, indexing="ij")
-
-    def process(k0: int) -> np.ndarray:
-        K0 = np.full_like(K1, k0)
-        lo3 = (K0 - g[0] - 1.0) + _PINV * (K1 - g[1] - 1.0) - _PINV * (K2 - g[2]) + g[3]
-        K3 = _offsets_grid(lo3, 7)                      # (n, n, 7)
-        K2b = np.broadcast_to(K2[..., None], K3.shape)
-        K1b = np.broadcast_to(K1[..., None], K3.shape)
-        lo4 = -_PINV * (K0[..., None] - g[0]) + _PINV * (K1b - g[1] - 1.0) + (K2b - g[2] - 1.0) + g[4]
-        K4 = _offsets_grid(lo4, 7)                      # (n, n, 7, 7)
-
-        shape = K4.shape
-        cand = np.empty(shape + (5,), dtype=np.int64)
-        cand[..., 0] = k0
-        cand[..., 1] = np.broadcast_to(K1[..., None, None], shape)
-        cand[..., 2] = np.broadcast_to(K2[..., None, None], shape)
-        cand[..., 3] = np.broadcast_to(K3[..., None], shape)
-        cand[..., 4] = K4
-        cand = cand.reshape(-1, 5)
-
-        cand = cand[np.abs(cand).max(axis=1) <= M]
-        if len(cand) == 0:
-            return cand
-        status = accept_3d_bulk(cand, shift, Q, basis, eps)
-        if np.any(status == -1):
-            bad = cand[status == -1][0]
-            raise SingularityError(
-                f"label {tuple(int(x) for x in bad)} lands within eps of the decagon "
-                f"boundary for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
-        return cand[status == 1]
-
-    chunks = _run_chunks(process, range(-M, M + 1), threads)
-    labels = np.vstack([c for c in chunks if len(c)]) if chunks else np.empty((0, 5), np.int64)
-    labels = labels[np.lexsort(labels.T[::-1])]
+    d = basis.D
+    k = np.arange(-M, M + 1, dtype=np.int64)
+    k12 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
+    window = (Q.vertices, Q._normals, Q._offsets)
+    base = k12 @ d[1:3] - shift.gamma @ d
+    blocks = []
+    for k0 in range(-M, M + 1):
+        row, k3, v_lo, v_hi = _scan(base + k0 * d[0], d[3], d[4], window,
+                                    eps + _SCAN_SLACK, M)
+        sub, k4 = _expand(*_integer_span(v_lo, v_hi, -M, M))
+        cand = np.column_stack([np.full(len(sub), k0), k12[row[sub]], k3[sub], k4])
+        blocks.append((cand, accept_3d_bulk(cand, shift, Q, basis, eps)))
+    labels = _accepted(blocks, "the decagon boundary", shift)
     return labels, labels.astype(float) @ basis.W
+
+
+#: largest box half-width whose label keys fit in int64, (2R+1)^5 < 2^63
+MAX_KEY_RADIUS = 3103
+
+
+def _key_weights(radius: int) -> np.ndarray:
+    if radius > MAX_KEY_RADIUS:
+        raise ValueError(f"radius {radius} is too large for int64 label keys")
+    return (2 * radius + 1) ** np.arange(4, -1, -1, dtype=np.int64)
 
 
 def label_keys(labels, radius: int) -> np.ndarray:
@@ -602,9 +640,7 @@ def label_keys(labels, radius: int) -> np.ndarray:
     """
     labels = np.asarray(labels, dtype=np.int64)
     radius = int(radius)
-    if (2 * radius + 1) ** 5 > np.iinfo(np.int64).max:
-        raise ValueError(f"radius {radius} is too large for int64 label keys")
-    weights = (2 * radius + 1) ** np.arange(4, -1, -1, dtype=np.int64)
+    weights = _key_weights(radius)
     inside = np.all(np.abs(labels) <= radius, axis=-1)
     return np.where(inside, (labels + radius) @ weights, -1)
 
@@ -618,11 +654,17 @@ def label_rows(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     return np.where(keys[rows] == query, rows, -1)
 
 
-def _run_chunks(fn, keys, threads: int) -> list:
-    """Run fn over keys, optionally in a thread pool; results keep key order."""
-    keys = list(keys)
-    if threads <= 1:
-        return [fn(k) for k in keys]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, keys))
+def step_rows(labels: np.ndarray, keys: np.ndarray, radius: int,
+              sign: int = 1) -> np.ndarray:
+    """(N, 5) row of each label's k + sign e_m in the sorted key array.
+
+    -1 where the step is not a key, or leaves the box [-radius, radius]^5.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    radius = int(radius)
+    base = label_keys(labels, radius)
+    inside = (base >= 0) & (np.abs(labels.T + sign) <= radius)
+    # one row of queries per step: sorted labels give sorted rows, which
+    # searchsorted walks about twice as fast as interleaved queries
+    query = np.where(inside, base + sign * _key_weights(radius)[:, None], -1)
+    return label_rows(keys, query).T

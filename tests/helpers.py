@@ -92,3 +92,82 @@ def overlap_signature_loop(tip, tip_set, table):
             k_shares += shape.faces == 12
             j_shares += shape.faces == 6
     return neighbors, k_shares, j_shares
+
+
+# ---------------------------------------------------------------------------
+# lambda-box candidate supersets: the enumeration kernel before scan
+# conversion, kept as a small-radius oracle.
+#
+# For an accepted label, k_j - gamma_j - lambda_j is an exact projection of a
+# plane (or space) point onto generator j, so consecutive residuals satisfy
+# the linear three-term relations of the generators:
+#   2-d:  r_{j+1} = r_j / p - r_{j-1}            (d_{j-1} + d_{j+1} = d_j / p)
+#   3-d:  r_3 = r_0 + r_1/p - r_2/p,  r_4 = -r_0/p + r_1/p + r_2
+# With lambda in [0, 1] this confines each successive coordinate to an
+# interval of width < 4, so only two coordinates (three in 3-d) are free.
+# The supersets below use a one-step safety margin on each side.
+# ---------------------------------------------------------------------------
+
+_PINV = 2.0 / (1.0 + np.sqrt(5.0))
+
+
+def _offsets_grid(base, n):
+    """base (...,) -> candidates (..., n) = floor(base) - 1 + {0..n-1}."""
+    return np.floor(base).astype(np.int64)[..., None] + np.arange(-1, n - 1, dtype=np.int64)
+
+
+def lambda_box_candidates_2d(radius, shift):
+    """Every label in the box with index 1..5 that the 2-d lambda box admits."""
+    g = shift.gamma
+    M = int(radius)
+    k1 = np.arange(-M, M + 1, dtype=np.int64)
+    chunks = []
+    for k0 in range(-M, M + 1):
+        K0 = np.full_like(k1, k0)
+        lo2 = _PINV * (k1 - g[1] - 1.0) - (K0 - g[0]) + g[2]
+        K2 = _offsets_grid(lo2, 6)
+        K1b = np.broadcast_to(k1[:, None], K2.shape)
+        lo3 = _PINV * (K2 - g[2] - 1.0) - (K1b - g[1]) + g[3]
+        K3 = _offsets_grid(lo3, 6)
+        K2b = np.broadcast_to(K2[..., None], K3.shape)
+        lo4 = _PINV * (K3 - g[3] - 1.0) - (K2b - g[2]) + g[4]
+        K4 = _offsets_grid(lo4, 6)
+        shape = K4.shape
+        cand = np.empty(shape + (5,), dtype=np.int64)
+        cand[..., 0] = k0
+        cand[..., 1] = np.broadcast_to(k1[:, None, None, None], shape)
+        cand[..., 2] = np.broadcast_to(K2[..., None, None], shape)
+        cand[..., 3] = np.broadcast_to(K3[..., None], shape)
+        cand[..., 4] = K4
+        cand = cand.reshape(-1, 5)
+        s = cand.sum(axis=1)
+        chunks.append(cand[(np.abs(cand).max(axis=1) <= M) & (s >= 1) & (s <= 5)])
+    return np.vstack(chunks)
+
+
+def lambda_box_candidates_3d(radius, shift):
+    """Every label in the box that the 3-d lambda box admits."""
+    g = shift.gamma
+    M = int(radius)
+    k12 = np.arange(-M, M + 1, dtype=np.int64)
+    K1, K2 = np.meshgrid(k12, k12, indexing="ij")
+    chunks = []
+    for k0 in range(-M, M + 1):
+        K0 = np.full_like(K1, k0)
+        lo3 = (K0 - g[0] - 1.0) + _PINV * (K1 - g[1] - 1.0) - _PINV * (K2 - g[2]) + g[3]
+        K3 = _offsets_grid(lo3, 7)
+        K2b = np.broadcast_to(K2[..., None], K3.shape)
+        K1b = np.broadcast_to(K1[..., None], K3.shape)
+        lo4 = (-_PINV * (K0[..., None] - g[0]) + _PINV * (K1b - g[1] - 1.0)
+               + (K2b - g[2] - 1.0) + g[4])
+        K4 = _offsets_grid(lo4, 7)
+        shape = K4.shape
+        cand = np.empty(shape + (5,), dtype=np.int64)
+        cand[..., 0] = k0
+        cand[..., 1] = np.broadcast_to(K1[..., None, None], shape)
+        cand[..., 2] = np.broadcast_to(K2[..., None, None], shape)
+        cand[..., 3] = np.broadcast_to(K3[..., None], shape)
+        cand[..., 4] = K4
+        cand = cand.reshape(-1, 5)
+        chunks.append(cand[np.abs(cand).max(axis=1) <= M])
+    return np.vstack(chunks)

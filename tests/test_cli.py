@@ -1,7 +1,12 @@
 import json
 import logging
 
+import pytest
+
+from quasiproj import cli
 from quasiproj.cli import run
+from quasiproj.io import RunConfig
+from quasiproj.window import random_shift
 
 
 def test_freq_end_to_end(tmp_path):
@@ -98,3 +103,59 @@ def test_zero_cells_warns(tmp_path, caplog):
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and "no complete cells" in warnings[0].getMessage()
     assert out.read_text() == "# quasiperiodic unit cells (one object per cell)\n"
+
+
+# seed 8 at c = 0.5, radius 10, tol 1e-4: the first draw puts a label of the
+# box within tol of a window boundary, the second draw is regular
+REDRAW_ARGS = ["freq", "--c", "0.5", "--seed", "8", "--radius", "10", "--tol", "1e-4"]
+
+
+def _echoed_gamma(caplog):
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("resolved config: ")]
+    assert len(lines) == 1
+    return json.loads(lines[0].partition(": ")[2])["gamma"]
+
+
+def test_auto_gamma_redraws_a_singular_draw(tmp_path, caplog):
+    out = tmp_path / "freq.csv"
+    with caplog.at_level(logging.INFO, logger="qc"):
+        assert run(REDRAW_ARGS + ["--out", str(out)]) == 0
+    assert caplog.text.count("redrawing") == 1
+    assert _echoed_gamma(caplog) == random_shift(0.5, 8 + 1009).gamma.tolist()
+    assert out.read_text().startswith("I,n_pos,n_neg")
+
+
+def test_explicit_singular_gamma_exits_3(caplog):
+    gamma = ",".join(map(repr, random_shift(0.5, 8).gamma.tolist()))
+    with caplog.at_level(logging.INFO, logger="qc"):
+        assert run(["freq", "--radius", "10", "--tol", "1e-4", f"--gamma={gamma}"]) == 3
+    assert "redrawing" not in caplog.text
+    assert "lands within eps of a window boundary" in caplog.text
+
+
+def test_user_errors_exit_2_before_running(caplog):
+    with caplog.at_level(logging.ERROR, logger="qc"):
+        assert run(["freq", "--radius", "2"]) == 2          # no complete vertex
+        assert run(["overlap-census", "--radius", "2"]) == 2  # no complete tip
+        assert run(["freq", "--radius", "3104"]) == 2       # int64 label keys
+        assert run(["windows", "--index", "7"]) == 2
+        assert run(["freq", "--gamma", "nan,0,0,0,0"]) == 2
+    assert caplog.text.count("configuration error") == 5
+    assert "label box too small" in caplog.text
+    assert "no boundary-complete tips" in caplog.text
+
+
+def test_internal_value_error_is_not_a_configuration_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "empirical_frequencies", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        run(["freq", "--radius", "4"])
+
+
+def test_tolerance_validation():
+    assert RunConfig().tol == 1e-9
+    for tol in ("0", "-1e-9", "nan"):
+        assert run(["freq", "--tol", tol]) == 2

@@ -16,7 +16,7 @@ from quasiproj.window import random_shift
 
 def test_runconfig_json_roundtrip():
     cfg = RunConfig(mode="freq", c=0.25, gamma=[0.1, 0.2, -0.3, 0.15, 0.1],
-                    seed=42, radius=30, tol=1e-10, threads=2, index=None,
+                    seed=42, radius=30, tol=1e-10, index=None,
                     out="x.csv", format="csv")
     assert RunConfig.from_json(cfg.to_json()) == cfg
     auto = RunConfig()

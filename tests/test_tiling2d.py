@@ -7,7 +7,7 @@ from quasiproj.tiling2d import (CENSUS, VertexType, analytic_A,
                                 analytic_probability, census_support,
                                 empirical_frequencies, neighbor_counts)
 from quasiproj.window import (Acceptance, accept_2d, enumerate_accepted_2d,
-                              random_shift)
+                              label_keys, random_shift)
 
 P = qp.PHI
 PINV2 = P ** -2
@@ -123,7 +123,7 @@ def patch(basis, windows_for):
 
 def test_neighbor_counts_basic(patch, basis):
     shift, ws, labels, inner = patch
-    n_pos, n_neg = neighbor_counts(inner, shift, ws, basis)
+    n_pos, n_neg = neighbor_counts(inner, label_keys(labels, 12), 12)
 
     # spot check the vectorized counts against scalar probes of the ten
     # unit neighbors
@@ -150,7 +150,7 @@ def test_neighbor_counts_basic(patch, basis):
 
 def test_star_vertex_has_five_positive_edges(patch, basis):
     shift, ws, labels, inner = patch
-    n_pos, n_neg = neighbor_counts(inner, shift, ws, basis)
+    n_pos, n_neg = neighbor_counts(inner, label_keys(labels, 12), 12)
     index = inner.sum(axis=1)
     stars = np.flatnonzero((index == 1) & (n_pos == 5) & (n_neg == 0))
     assert len(stars) > 0
@@ -162,7 +162,7 @@ def test_star_vertex_has_five_positive_edges(patch, basis):
 
 def test_observed_types_within_census(patch, basis):
     shift, ws, labels, inner = patch
-    n_pos, n_neg = neighbor_counts(inner, shift, ws, basis)
+    n_pos, n_neg = neighbor_counts(inner, label_keys(labels, 12), 12)
     index = inner.sum(axis=1)
     for i in range(len(inner)):
         assert (int(n_pos[i]), int(n_neg[i])) in CENSUS[int(index[i])]
@@ -178,7 +178,7 @@ def test_type_4_0_absent_below_breakpoint(basis, windows_for):
     ws = windows_for(0.2)
     labels, _ = enumerate_accepted_2d(12, shift, ws, basis)
     inner = labels[np.abs(labels).max(axis=1) <= 10]
-    n_pos, n_neg = neighbor_counts(inner, shift, ws, basis)
+    n_pos, n_neg = neighbor_counts(inner, label_keys(labels, 12), 12)
     index = inner.sum(axis=1)
     mask = (index == 2) & (n_pos == 4) & (n_neg == 0)
     assert not mask.any()

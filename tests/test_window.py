@@ -4,13 +4,15 @@ import pytest
 import quasiproj as qp
 from quasiproj.errors import (DegenerateWindowError, EmptyWindowError,
                               PolygonError)
-from quasiproj.geometry import Region, point_in_convex_polygon
+from quasiproj.geometry import points_in_convex_polygon
 from quasiproj.window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES,
-                              Acceptance, accept_2d, accept_3d,
-                              enumerate_accepted_2d, enumerate_accepted_3d,
-                              normalize_shift, random_shift, slice_window)
+                              Acceptance, accept_2d, accept_2d_bulk, accept_3d,
+                              accept_3d_bulk, enumerate_accepted_2d,
+                              enumerate_accepted_3d, normalize_shift, random_shift,
+                              slice_window)
 
-from helpers import mesh_margin_2d, mesh_margin_3d, mesh_solution_2d, polygon_area
+from helpers import (lambda_box_candidates_2d, lambda_box_candidates_3d,
+                     mesh_margin_2d, mesh_margin_3d, mesh_solution_2d, polygon_area)
 
 P_GOLD = qp.PHI
 
@@ -197,8 +199,8 @@ def test_slice_windows_nest_in_shadow(P, Q):
     for c in (0.0, 0.25, 0.5, 0.8):
         ws = qp.build_windows(P, c)
         for w in ws.slices.values():
-            for pt in w.polygon:
-                assert point_in_convex_polygon(pt, Q.vertices) is not Region.OUTSIDE
+            status = points_in_convex_polygon(w.polygon, Q._normals, Q._offsets, 1e-9)
+            assert np.all(status != 0)
 
 
 def test_slice_area_central_symmetry(P):
@@ -343,9 +345,131 @@ def test_enumerate_3d_matches_naive(Q, basis):
     assert {tuple(r) for r in chain} == naive
 
 
-def test_enumerate_threads_deterministic(P, basis, windows_for):
+def _lex_sorted(labels):
+    return labels[np.lexsort(labels.T[::-1])]
+
+
+def test_enumerate_repeat_and_nested_box_deterministic(P, Q, basis, windows_for):
+    # repeated runs agree exactly, and a bigger box restricted to a smaller
+    # one gives the smaller box's labels in the same order
     shift = random_shift(0.5, 7)
     ws = windows_for(0.5)
-    l1, _ = enumerate_accepted_2d(6, shift, ws, basis, threads=1)
-    l4, _ = enumerate_accepted_2d(6, shift, ws, basis, threads=4)
-    assert np.array_equal(l1, l4)
+    l1, v1 = enumerate_accepted_2d(6, shift, ws, basis)
+    l2, v2 = enumerate_accepted_2d(6, shift, ws, basis)
+    assert np.array_equal(l1, l2) and np.array_equal(v1, v2)
+    big, _ = enumerate_accepted_2d(9, shift, ws, basis)
+    assert np.array_equal(big[np.abs(big).max(axis=1) <= 6], l1)
+
+    m1, _ = enumerate_accepted_3d(4, shift, Q, basis)
+    m2, _ = enumerate_accepted_3d(4, shift, Q, basis)
+    assert np.array_equal(m1, m2)
+    big, _ = enumerate_accepted_3d(6, shift, Q, basis)
+    assert np.array_equal(big[np.abs(big).max(axis=1) <= 4], m1)
+
+
+# -- scan conversion against the lambda-box oracle ---------------------------
+
+@pytest.mark.parametrize("c", [0.0, P_GOLD ** -3, P_GOLD ** -2, 0.5, 0.9])
+def test_enumerate_matches_lambda_box_oracle(c, Q, basis, windows_for):
+    ws = windows_for(c)
+    for seed in (1, 2, 3):
+        shift = random_shift(c, seed)
+        for R in (3, 10):
+            cand = lambda_box_candidates_2d(R, shift)
+            status = accept_2d_bulk(cand, shift, ws, basis)
+            assert not np.any(status == -1)
+            labels, _ = enumerate_accepted_2d(R, shift, ws, basis)
+            assert np.array_equal(labels, _lex_sorted(cand[status == 1])), (seed, R)
+
+            cand = lambda_box_candidates_3d(R, shift)
+            status = accept_3d_bulk(cand, shift, Q, basis)
+            assert not np.any(status == -1)
+            labels, _ = enumerate_accepted_3d(R, shift, Q, basis)
+            assert np.array_equal(labels, _lex_sorted(cand[status == 1])), (seed, R)
+
+
+def _record(monkeypatch, name):
+    """Wrap window.<name> so every (candidates, status) it sees is kept."""
+    tested = []
+    original = getattr(qp.window, name)
+
+    def recorded(labels, *args, **kwargs):
+        status = original(labels, *args, **kwargs)
+        tested.append((np.atleast_2d(labels), status))
+        return status
+
+    monkeypatch.setattr(qp.window, name, recorded)
+    return tested
+
+
+def test_enumeration_tests_at_most_twice_what_it_accepts(Q, basis, windows_for,
+                                                          monkeypatch):
+    tested2 = _record(monkeypatch, "accept_2d_bulk")
+    tested3 = _record(monkeypatch, "accept_3d_bulk")
+    for c, seed in ((0.0, 1), (0.5, 7), (0.9, 2)):
+        shift = random_shift(c, seed)
+        tested2.clear()
+        labels, _ = enumerate_accepted_2d(12, shift, windows_for(c), basis)
+        assert sum(len(t) for t, _ in tested2) <= 2 * len(labels)
+        tested3.clear()
+        labels, _ = enumerate_accepted_3d(8, shift, Q, basis)
+        assert sum(len(t) for t, _ in tested3) <= 2 * len(labels)
+
+
+def _moved_shift(shift, gen, k, target):
+    """shift with its sum kept and label k's test point moved onto target.
+
+    gen is the (5, 2) generator block of the test point (W[:, :2] or D);
+    both blocks have orthogonal columns of squared length 5/2 that sum to 0.
+    """
+    delta = gen @ (np.asarray(k, dtype=float) @ gen - shift.gamma @ gen - target) / 2.5
+    return qp.GridShift(gamma=shift.gamma + delta, c=shift.c)
+
+
+def _assert_singular(enumerate_call, tested, k):
+    with pytest.raises(qp.errors.SingularityError) as info:
+        enumerate_call()
+    cand = np.vstack([t for t, _ in tested])
+    status = np.concatenate([s for _, s in tested])
+    assert status[np.all(cand == k, axis=1)].tolist() == [-1]
+    first = _lex_sorted(cand[status == -1])[0]
+    assert f"label {tuple(first.tolist())} lands" in str(info.value)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_enumerate_2d_raises_just_outside_a_window_edge(eps, P, basis, monkeypatch):
+    ws = qp.build_windows(P, 0.5, eps)
+    tested = _record(monkeypatch, "accept_2d_bulk")
+    for index in range(1, 6):
+        k = CUBE_VERTICES[[0, 1, 6, 16, 26, 31][index]]
+        win = ws.slices[index]
+        edge = index % len(win.polygon)
+        mid = (win.polygon[edge] + win.polygon[(edge + 1) % len(win.polygon)]) / 2
+        target = mid + 0.9 * eps * win.normals[edge]
+        shift = _moved_shift(random_shift(0.5, 11), basis.W[:, :2], k, target)
+        tested.clear()
+        _assert_singular(lambda: enumerate_accepted_2d(5, shift, ws, basis), tested, k)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_enumerate_3d_raises_just_outside_a_decagon_edge(eps, Q, basis, monkeypatch):
+    tested = _record(monkeypatch, "accept_3d_bulk")
+    for edge in (0, 3, 7):
+        k = np.array([1, -1, 2, 0, -2])
+        mid = (Q.vertices[edge] + Q.vertices[(edge + 1) % 10]) / 2
+        target = mid + 0.9 * eps * Q._normals[edge]
+        shift = _moved_shift(random_shift(0.3, 5), basis.D, k, target)
+        tested.clear()
+        _assert_singular(lambda: enumerate_accepted_3d(4, shift, Q, basis, eps),
+                         tested, k)
+
+
+def test_enumerate_2d_raises_at_the_c0_index5_point_window(P, basis, monkeypatch):
+    # at c = 0 the index-5 window is the single point 0; put the test point
+    # of an index-5 label just off it, keeping the other labels generic
+    ws = qp.build_windows(P, 0.0)
+    tested = _record(monkeypatch, "accept_2d_bulk")
+    generic = qp.GridShift(gamma=basis.D @ np.array([0.31, -0.17]), c=0.0)
+    k = np.array([3, -1, 2, 0, 1])
+    shift = _moved_shift(generic, basis.W[:, :2], k, np.array([0.6e-9, -0.3e-9]))
+    _assert_singular(lambda: enumerate_accepted_2d(4, shift, ws, basis), tested, k)
