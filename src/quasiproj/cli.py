@@ -127,7 +127,7 @@ def _run_mode(config: RunConfig) -> None:
                               "no complete cells: every tip lies within 3 label "
                               "steps of the box edge; raise --radius"))
             return cells_obj(cells, P), notes
-        census = overlap_census(lat, shift, Q, P, basis, config.tol,
+        census = overlap_census(lat, shift, Q, basis, config.tol,
                                 shared_atom_sample=20)
         notes = []
         if census.shared_atoms:

@@ -82,7 +82,8 @@ def resolve_shift(config: RunConfig, probe=None, max_retries: int = 20) -> GridS
         except SingularityError as exc:
             last_error = exc
     raise SingularityError(
-        f"no regular shift found after {max_retries} draws: {last_error}")
+        f"no regular shift found after {max_retries} draws: every draw was singular "
+        f"at tol={config.tol}; last draw: {last_error}")
 
 
 # ---------------------------------------------------------------------------

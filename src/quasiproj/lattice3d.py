@@ -15,20 +15,14 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import (CensusViolationError, ConfigError, ConsistencyError,
                      SingularityError)
 from .geometry import (DEFAULT_EPS, PHI, ProjectionBasis, make_basis,
                        polygon_halfplanes)
 from .window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, DecagonQ,
-                     GridShift, PolytopeP, d_test_points, enumerate_accepted_3d,
-                     label_keys, label_rows, points_in_convex_polygon)
-
-#: volume below which an intersection counts as a touch, not an overlap;
-#: realized J/K overlaps have volume > 0.05, float noise sits below 1e-12
-VOLUME_FLOOR = 1e-12
+                     GridShift, d_test_points, enumerate_accepted_3d, label_keys,
+                     label_rows, points_in_convex_polygon)
 
 #: overlap classes keyed by (neighbor count, K count, J count)
 OVERLAP_SIGNATURES = {
@@ -158,98 +152,30 @@ def build_cells(tips, lat: Lattice3) -> list[CellInstance]:
 
 
 # ---------------------------------------------------------------------------
-# convex intersections of neighboring cells
+# overlaps of neighboring cells
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OverlapShape:
-    volume: float
-    faces: int
-
-    @property
-    def overlapping(self) -> bool:
-        return self.volume > VOLUME_FLOOR
+def _orbit(seed) -> np.ndarray:
+    """The seed's ten images under cyclic shift of the coordinates and negation."""
+    rolls = np.array([np.roll(seed, s) for s in range(5)], dtype=np.int64)
+    return np.vstack([rolls, -rolls])
 
 
-_EMPTY_OVERLAP = OverlapShape(volume=0.0, faces=0)
+#: 5-d tip-to-tip offsets m whose cells overlap, by the shape of the overlap:
+#: the 12-faced K (volumes 6.88 and 2.67) and the 6-faced J (volume 1.31).
+#: Two tips' plane test points lie in the inner decagon, which confines m to
+#: 100 offsets in {-2..2}^5; these 30 of them give a solid intersection of
+#: the polytope with its translate by m.W.  The polytope alone fixes them,
+#: so they hold for every shift.
+OVERLAP_OFFSETS = {
+    "K": np.vstack([_orbit((1, 0, 0, 0, 0)), _orbit((1, 0, 0, 0, -1))]),
+    "J": _orbit((1, 0, 1, 0, 0)),
+}
+OVERLAP_OFFSETS["K"].setflags(write=False)
+OVERLAP_OFFSETS["J"].setflags(write=False)
 
 
-def convex_intersection(offset, P: PolytopeP, eps: float = DEFAULT_EPS) -> OverlapShape:
-    """Intersection of the polytope with a translated copy of itself.
-
-    Runs a Chebyshev-center LP over the 40 face half-spaces; when the
-    intersection is solid, reports its volume and the face count after
-    merging coincident planes.
-    """
-    offset = np.asarray(offset, dtype=float)
-    A = np.vstack([P.face_normals, P.face_normals])
-    b = np.concatenate([P.face_offsets, P.face_offsets + P.face_normals @ offset])
-
-    res = linprog(c=[0.0, 0.0, 0.0, -1.0],
-                  A_ub=np.column_stack([A, np.ones(len(A))]), b_ub=b,
-                  bounds=[(None, None)] * 3 + [(0, None)], method="highs")
-    if not res.success or res.x[3] < 1e-7:
-        return _EMPTY_OVERLAP
-    center = res.x[:3]
-
-    try:
-        hs = HalfspaceIntersection(np.column_stack([A, -b]), center)
-        hull = ConvexHull(hs.intersections)
-    except QhullError:
-        return _EMPTY_OVERLAP
-
-    # count distinct supporting planes that actually carry a 2-d facet
-    planes: list[tuple[np.ndarray, float]] = []
-    for normal, off in zip(A, b):
-        if not any(np.dot(normal, n2) > 1.0 - 1e-9 and abs(off - o2) < max(eps, 1e-9)
-                   for n2, o2 in planes):
-            planes.append((normal, off))
-    verts = hs.intersections
-    faces = 0
-    for normal, off in planes:
-        on_plane = np.abs(verts @ normal - off) < 1e-7
-        if int(on_plane.sum()) >= 3:
-            faces += 1
-    return OverlapShape(volume=float(hull.volume), faces=faces)
-
-
-@dataclass(frozen=True)
-class OverlapTable:
-    """Cached cell intersections for every feasible tip-to-tip 5-d offset."""
-
-    offsets: tuple         # candidate 5-d offsets as tuples
-    shapes: dict           # offset tuple -> OverlapShape
-
-
-def build_overlap_table(P: PolytopeP, basis: ProjectionBasis | None = None,
-                        eps: float = DEFAULT_EPS) -> OverlapTable:
-    """Precompute intersections for all offsets two tips can realize.
-
-    Both tips have plane test points inside the inner decagon (radius 1/p),
-    so the plane offset is below 2/p; overlap further needs |dz| <= 4 and an
-    xy offset below the diameter 2p.  That confines the 5-d offset to
-    {-2..2}^5, a finite set computed once; results are shift-independent.
-    """
-    basis = basis or make_basis()
-    rng = np.arange(-2, 3, dtype=np.int64)
-    grid = np.stack(np.meshgrid(*([rng] * 5), indexing="ij"), axis=-1).reshape(-1, 5)
-    grid = grid[np.any(grid != 0, axis=1)]
-
-    plane = grid.astype(float) @ basis.D
-    space = grid.astype(float) @ basis.W
-    feasible = ((np.linalg.norm(plane, axis=1) < 2.0 / PHI + 1e-9)
-                & (np.abs(space[:, 2]) <= 4)
-                & (np.linalg.norm(space[:, :2], axis=1) < 2.0 * PHI + 1e-9))
-    offsets = grid[feasible]
-
-    shapes = {}
-    for m, off3 in zip(offsets, offsets.astype(float) @ basis.W):
-        shapes[tuple(int(x) for x in m)] = convex_intersection(off3, P, eps)
-    return OverlapTable(offsets=tuple(shapes.keys()), shapes=shapes)
-
-
-def overlap_signatures(inner: np.ndarray, tips: np.ndarray, radius: int,
-                       table: OverlapTable) -> np.ndarray:
+def overlap_signatures(inner: np.ndarray, tips: np.ndarray, radius: int) -> np.ndarray:
     """(neighbors, K, J) of each inner tip: its overlapping neighbor cells by shape.
 
     `tips` must hold every tip within reach of an inner tip, and inner tips
@@ -259,20 +185,12 @@ def overlap_signatures(inner: np.ndarray, tips: np.ndarray, radius: int,
     tip_keys = label_keys(tips, radius)
     inner_keys = label_keys(inner, radius)
     origin = label_keys(np.zeros(5, dtype=np.int64), radius)
-    sig = np.zeros((len(inner), 3), dtype=np.int64)
-    for m in table.offsets:
-        shape = table.shapes[m]
-        if not shape.overlapping:
-            continue
-        hit = label_rows(tip_keys, inner_keys + (label_keys(m, radius) - origin)) >= 0
-        if shape.faces not in (6, 12) and np.any(hit):
-            tip = inner[np.argmax(hit)]
-            raise CensusViolationError(
-                f"overlap of {tuple(tip.tolist())} and {tuple((tip + m).tolist())} "
-                f"has {shape.faces} faces, expected 6 or 12")
-        sig[:, 0] += hit
-        sig[:, 1 if shape.faces == 12 else 2] += hit
-    return sig
+    hits = {}
+    for shape, m in OVERLAP_OFFSETS.items():
+        # one row of queries per offset, so each row is sorted
+        query = inner_keys + (label_keys(m, radius) - origin)[:, None]
+        hits[shape] = (label_rows(tip_keys, query) >= 0).sum(axis=0)
+    return np.column_stack([hits["K"] + hits["J"], hits["K"], hits["J"]])
 
 
 def shared_atom_count(tip_a, tip_b, lat: Lattice3) -> int:
@@ -297,10 +215,9 @@ class OverlapCensus:
     shared_atoms: dict = None  # class label -> mean atoms shared with neighbors
 
 
-def overlap_census(lat: Lattice3, shift: GridShift, Q: DecagonQ, P: PolytopeP,
+def overlap_census(lat: Lattice3, shift: GridShift, Q: DecagonQ,
                    basis: ProjectionBasis | None = None,
                    eps: float = DEFAULT_EPS, margin: int = 3,
-                   table: OverlapTable | None = None,
                    shared_atom_sample: int = 0) -> OverlapCensus:
     """Classify every boundary-complete tip and tally the five overlap classes.
 
@@ -309,11 +226,10 @@ def overlap_census(lat: Lattice3, shift: GridShift, Q: DecagonQ, P: PolytopeP,
     sampled tips per class.
     """
     basis = basis or make_basis()
-    table = table or build_overlap_table(P, basis, eps)
     tips = find_tips(lat, shift, Q, basis, eps)
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - margin]
 
-    sigs = [tuple(s) for s in overlap_signatures(inner, tips, lat.radius, table).tolist()]
+    sigs = [tuple(s) for s in overlap_signatures(inner, tips, lat.radius).tolist()]
     for i, sig in enumerate(sigs):
         if sig not in OVERLAP_SIGNATURES:
             raise CensusViolationError(
@@ -325,7 +241,7 @@ def overlap_census(lat: Lattice3, shift: GridShift, Q: DecagonQ, P: PolytopeP,
     shared_sums: dict[str, list] = {lab: [] for lab in ANALYTIC_CLASS_FREQUENCIES}
     if shared_atom_sample:
         tip_keys = label_keys(tips, lat.radius)
-        overlapping = np.array([m for m in table.offsets if table.shapes[m].overlapping])
+        overlapping = np.vstack(list(OVERLAP_OFFSETS.values()))
         safe = lat.radius - margin - 2  # shared-atom cells need one more label ring
         for tip, label in zip(inner, classes):
             if len(shared_sums[label]) < shared_atom_sample and np.abs(tip).max() <= safe:

@@ -24,18 +24,6 @@ PROBE_DELTA = 1e-4
 
 
 @dataclass(frozen=True)
-class GridLine:
-    """Line number ``label`` of grid family ``family``: d_family . r + gamma = label."""
-
-    family: int
-    label: int
-
-    def __post_init__(self):
-        if not 0 <= self.family <= 4:
-            raise ValueError(f"family must be in [0, 4], got {self.family}")
-
-
-@dataclass(frozen=True)
 class Intersection:
     r: np.ndarray          # (2,) intersection point
     families: tuple        # (s, t) with s < t
@@ -160,46 +148,6 @@ def enumerate_intersections(box, shift: GridShift,
 _PROBE_SIGNS = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)], dtype=float)
 
 
-def _probe_points(inter: Intersection, shift: GridShift, basis: ProjectionBasis,
-                  eps: float, delta: float) -> np.ndarray:
-    s, t = inter.families
-    vals = grid_values_2d(inter.r, shift, basis)[0]
-    others = [u for u in range(5) if u not in (s, t)]
-    third = float(np.min(np.abs(vals[others] - np.round(vals[others]))))
-    if third <= 10 * eps:
-        raise SingularityError(
-            f"near-singular intersection of families {inter.families} "
-            f"at r={tuple(inter.r.tolist())}")
-    # keep probes inside the four adjacent meshes even when a third line is close
-    d_eff = min(delta, 0.45 * third)
-    return inter.r + d_eff * (_PROBE_SIGNS[:, :1] * basis.D[s] +
-                              _PROBE_SIGNS[:, 1:] * basis.D[t])
-
-
-def rhombus_at(inter: Intersection, shift: GridShift,
-               basis: ProjectionBasis | None = None,
-               eps: float = DEFAULT_EPS,
-               delta: float = PROBE_DELTA) -> tuple[np.ndarray, np.ndarray]:
-    """Mesh labels and tiling vertices of the four meshes around an intersection.
-
-    Returns (labels (4,5) int, vertices (4,2)) in loop order; the quadrilateral
-    has unit edges along +-d_s and +-d_t.
-    """
-    basis = basis or make_basis()
-    probes = _probe_points(inter, shift, basis, eps, delta)
-    vals = grid_values_2d(probes, shift, basis)
-    labels = _ceil_checked(vals, eps, "probe point")
-    s, t = inter.families
-    diff = labels.max(axis=0) - labels.min(axis=0)
-    expected = np.zeros(5, np.int64)
-    expected[[s, t]] = 1
-    if not np.array_equal(diff, expected):
-        raise SingularityError(
-            f"probes around intersection {inter.families}/{inter.line_labels} "
-            f"straddle a third grid family (label spread {tuple(diff.tolist())})")
-    return labels, labels.astype(float) @ basis.D
-
-
 @dataclass(frozen=True)
 class PentagridTiling:
     """Dual tiling of a pentagrid patch: vertex table plus rhombus index quads."""
@@ -215,7 +163,12 @@ def tiling_from_pentagrid(box, shift: GridShift,
                           basis: ProjectionBasis | None = None,
                           eps: float = DEFAULT_EPS,
                           delta: float = PROBE_DELTA) -> PentagridTiling:
-    """Union of rhombus_at over all intersections in the box, deduplicated."""
+    """The dual tiling of every grid intersection in the box, vertices deduplicated.
+
+    Each intersection of families s and t is probed in its four adjacent
+    meshes; their labels, which differ by one unit in k_s and k_t only, are
+    the corners of a unit rhombus with edges along d_s and d_t.
+    """
     basis = basis or make_basis()
     inters = enumerate_intersections(box, shift, basis, eps)
     n = len(inters)

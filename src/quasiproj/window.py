@@ -14,7 +14,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import (ConsistencyError, DegenerateWindowError, EmptyWindowError,
                      SingularityError)
@@ -41,6 +40,21 @@ HULL_INDICES = tuple(range(0, 11)) + tuple(range(21, 32))
 #: cube vertices projecting strictly inside the polytope (and onto the
 #: decagon hull in the plane)
 INTERIOR_INDICES = tuple(range(11, 21))
+
+#: the 20 rhombic faces of the polytope as cube-vertex loops, CCW seen from
+#: outside.  The polytope is the zonohedron of the five w_j, so each face is
+#: spanned by one generator pair (w_i, w_j), and each pair spans two
+#: opposite faces.  Faces run by lowest vertex height, then by the angle of
+#: their centroid.  The loops are written out, not generated, because the
+#: OBJ output records each loop from its first vertex, and for a face whose
+#: vertices straddle the branch cut of an angle sort no rule fixes that one.
+FACE_LOOPS = (
+    (0, 5, 9, 4), (0, 1, 10, 5), (2, 6, 1, 0), (2, 0, 3, 7), (8, 3, 0, 4),
+    (23, 8, 4, 9), (10, 24, 9, 5), (1, 6, 25, 10), (21, 6, 2, 7), (8, 22, 7, 3),
+    (24, 28, 23, 9), (29, 24, 10, 25), (21, 30, 25, 6), (26, 21, 7, 22),
+    (22, 8, 23, 27), (31, 27, 23, 28), (24, 29, 31, 28), (30, 31, 29, 25),
+    (30, 21, 26, 31), (26, 22, 27, 31),
+)
 
 
 @dataclass(frozen=True)
@@ -110,86 +124,25 @@ class PolytopeP:
     interior_points: np.ndarray    # (10, 3) images of the interior cube vertices
 
 
-def _merge_hull_faces(hull: ConvexHull, angle_tol: float, offset_tol: float):
-    """Group Qhull simplices into maximal coplanar faces."""
-    eqs = hull.equations  # rows (normal, -offset) with outward normal
-    n = len(eqs)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if find(i) == find(j):
-                continue
-            cos = float(np.dot(eqs[i, :3], eqs[j, :3]))
-            if cos > np.cos(angle_tol) and abs(eqs[i, 3] - eqs[j, 3]) < offset_tol:
-                parent[find(j)] = find(i)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _order_face_loop(points: np.ndarray, idx: list[int], normal: np.ndarray) -> tuple:
-    """Order coplanar vertices CCW as seen from the outward normal side."""
-    pts = points[idx]
-    centroid = pts.mean(axis=0)
-    # in-plane orthonormal frame
-    a = np.zeros(3)
-    a[np.argmin(np.abs(normal))] = 1.0
-    u = np.cross(normal, a)
-    u /= np.linalg.norm(u)
-    v = np.cross(normal, u)
-    rel = pts - centroid
-    ang = np.arctan2(rel @ v, rel @ u)
-    order = np.argsort(ang)
-    loop = [idx[i] for i in order]
-    # right-handed check: cross of first two edges must point along the normal
-    e1 = points[loop[1]] - points[loop[0]]
-    e2 = points[loop[2]] - points[loop[1]]
-    if np.dot(np.cross(e1, e2), normal) < 0:
-        loop.reverse()
-    return tuple(loop)
-
-
 def build_polytope_P(basis: ProjectionBasis | None = None,
                      eps: float = DEFAULT_EPS) -> PolytopeP:
-    """Project the 5-cube into 3-space and extract the hull combinatorics.
+    """Project the 5-cube into 3-space and lay the faces of FACE_LOOPS on it.
 
-    Raises ConsistencyError unless the hull has exactly 22 vertices, 40
-    edges and 20 faces.
+    Each face normal is the normalised cross product of two loop edges.
+    Raises ConsistencyError unless the loops hold 22 vertices, 40 edges and
+    20 faces, and every cube vertex lies on or inside every face plane.
     """
     basis = basis or make_basis()
     proj = CUBE_VERTICES.astype(float) @ basis.W
-    hull = ConvexHull(proj)
 
-    hull_cube = np.sort(hull.vertices)
+    hull_cube = np.unique(np.array(FACE_LOOPS))
     if len(hull_cube) != 22:
         raise ConsistencyError(f"expected 22 hull vertices, got {len(hull_cube)}")
-
     vertices = proj[hull_cube]
-    remap = {int(ci): vi for vi, ci in enumerate(hull_cube)}
-
-    groups = _merge_hull_faces(hull, angle_tol=1e-6, offset_tol=max(eps, 1e-9))
-    if len(groups) != 20:
-        raise ConsistencyError(f"expected 20 faces after coplanar merge, got {len(groups)}")
-
-    loops = []
-    normals = np.empty((20, 3))
-    offsets = np.empty(20)
-    for fi, grp in enumerate(groups):
-        normal = hull.equations[grp[0], :3]
-        members = sorted({int(v) for s in grp for v in hull.simplices[s]})
-        loop_cube = _order_face_loop(proj, members, normal)
-        loops.append(tuple(remap[c] for c in loop_cube))
-        normals[fi] = normal
-        offsets[fi] = -hull.equations[grp[0], 3]
+    loops = tuple(tuple(int(i) for i in np.searchsorted(hull_cube, loop))
+                  for loop in FACE_LOOPS)
+    if len(loops) != 20:
+        raise ConsistencyError(f"expected 20 faces, got {len(loops)}")
 
     edge_set = set()
     for loop in loops:
@@ -200,21 +153,19 @@ def build_polytope_P(basis: ProjectionBasis | None = None,
     if 22 - 40 + 20 != 2:  # Euler check, here for the reader
         raise ConsistencyError("Euler characteristic violated")
 
-    # canonical face order: by (min z of loop, angle of centroid)
-    def face_key(i):
-        loop = loops[i]
-        pts = vertices[list(loop)]
-        cen = pts.mean(axis=0)
-        return (round(pts[:, 2].min(), 9), round(float(np.arctan2(cen[1], cen[0])), 9))
-
-    order = sorted(range(20), key=face_key)
-    loops = tuple(loops[i] for i in order)
-    normals = normals[order]
-    offsets = offsets[order]
+    corners = vertices[np.array(loops)]                  # (20, 4, 3)
+    normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 1])
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    offsets = np.einsum("ij,ij->i", normals, corners[:, 0])
+    height = proj @ normals.T - offsets                  # (32, 20)
+    if height.max() > max(eps, 1e-9):
+        ci, fi = np.unravel_index(np.argmax(height), height.shape)
+        raise ConsistencyError(
+            f"cube vertex {ci} lies {float(height[ci, fi])} outside face {fi}")
 
     edges = np.array(sorted(edge_set), dtype=np.int64)
     interior = proj[list(INTERIOR_INDICES)]
-    for arr in (proj, vertices, edges, normals, offsets, interior):
+    for arr in (proj, hull_cube, vertices, edges, normals, offsets, interior):
         arr.setflags(write=False)
     return PolytopeP(projections=proj, hull_cube_indices=hull_cube,
                      vertices=vertices, edges=edges, face_normals=normals,
@@ -253,19 +204,18 @@ def build_decagon_Q(basis: ProjectionBasis | None = None,
     The ten interior cube vertices of the polytope map to the decagon hull;
     the 22 remaining images land at radii 0, 1 and 1/p.  The hull of the
     radius-1/p images is the inner decagon whose points are the tips of 3-d
-    unit cells.
+    unit cells.  Raises ConsistencyError unless the 22 lie strictly inside
+    the decagon.
     """
     basis = basis or make_basis()
     proj = CUBE_VERTICES.astype(float) @ basis.D
-    hull = ConvexHull(proj)
-    hull_idx = set(int(v) for v in hull.vertices)
-    if len(hull_idx) != 10:
-        raise ConsistencyError(f"expected a 10-vertex hull, got {len(hull_idx)}")
-    if hull_idx != set(INTERIOR_INDICES):
-        raise ConsistencyError("decagon hull is not the interior cube-vertex set")
-
-    vertices = _ccw_by_angle(proj[sorted(hull_idx)])
-    interior = proj[[i for i in range(32) if i not in hull_idx]]
+    vertices = _ccw_by_angle(proj[list(INTERIOR_INDICES)])
+    interior = proj[[i for i in range(32) if i not in INTERIOR_INDICES]]
+    inside = points_in_convex_polygon(interior, *polygon_halfplanes(vertices), eps)
+    if np.any(inside != 1):
+        raise ConsistencyError(
+            f"{int(np.sum(inside != 1))} cube-vertex images are not strictly inside "
+            "the decagon of the interior cube vertices")
 
     radii = np.linalg.norm(interior, axis=1)
     inner_mask = np.abs(radii - 1.0 / PHI) < max(eps, 1e-9)

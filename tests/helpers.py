@@ -3,11 +3,15 @@
 The mesh-condition oracles solve the defining linear feasibility problem
 directly (does some point r and some lambda in the open unit 5-cube satisfy
 grid-projection + gamma + lambda = k?) with an LP, bypassing the window
-construction entirely.
+construction entirely.  The overlap oracle intersects translated copies of
+the polytope numerically, with an LP and Qhull.
 """
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+
+from quasiproj.geometry import PHI
 
 
 def mesh_margin_2d(k, shift, basis) -> float:
@@ -81,16 +85,84 @@ def interior_atoms_sweep(tips, lat, P, eps=1e-9):
     return out
 
 
+# ---------------------------------------------------------------------------
+# cell overlaps by numerical polytope intersection
+# ---------------------------------------------------------------------------
+
+#: volume below which an intersection counts as a touch, not an overlap;
+#: realized J/K overlaps have volume > 0.05, float noise sits below 1e-12
+VOLUME_FLOOR = 1e-12
+
+
+def convex_intersection(offset, P, eps=1e-9):
+    """(volume, faces) of the polytope's intersection with a translate of itself.
+
+    Runs a Chebyshev-center LP over the 40 face half-spaces; when the
+    intersection is solid, reports its volume and the face count after
+    merging coincident planes.  (0.0, 0) when it is not solid.
+    """
+    offset = np.asarray(offset, dtype=float)
+    A = np.vstack([P.face_normals, P.face_normals])
+    b = np.concatenate([P.face_offsets, P.face_offsets + P.face_normals @ offset])
+
+    res = linprog(c=[0.0, 0.0, 0.0, -1.0],
+                  A_ub=np.column_stack([A, np.ones(len(A))]), b_ub=b,
+                  bounds=[(None, None)] * 3 + [(0, None)], method="highs")
+    if not res.success or res.x[3] < 1e-7:
+        return 0.0, 0
+    center = res.x[:3]
+
+    try:
+        hs = HalfspaceIntersection(np.column_stack([A, -b]), center)
+        hull = ConvexHull(hs.intersections)
+    except QhullError:
+        return 0.0, 0
+
+    # count distinct supporting planes that actually carry a 2-d facet
+    planes = []
+    for normal, off in zip(A, b):
+        if not any(np.dot(normal, n2) > 1.0 - 1e-9 and abs(off - o2) < max(eps, 1e-9)
+                   for n2, o2 in planes):
+            planes.append((normal, off))
+    verts = hs.intersections
+    faces = 0
+    for normal, off in planes:
+        on_plane = np.abs(verts @ normal - off) < 1e-7
+        if int(on_plane.sum()) >= 3:
+            faces += 1
+    return float(hull.volume), faces
+
+
+def overlap_table(P, basis, eps=1e-9):
+    """offset tuple -> (volume, faces) for every tip-to-tip 5-d offset.
+
+    Both tips have plane test points inside the inner decagon (radius 1/p),
+    so the plane offset is below 2/p; overlap further needs |dz| <= 4 and an
+    xy offset below the diameter 2p.  That confines the 5-d offset to
+    {-2..2}^5.
+    """
+    rng = np.arange(-2, 3, dtype=np.int64)
+    grid = np.stack(np.meshgrid(*([rng] * 5), indexing="ij"), axis=-1).reshape(-1, 5)
+    grid = grid[np.any(grid != 0, axis=1)]
+
+    plane = grid.astype(float) @ basis.D
+    space = grid.astype(float) @ basis.W
+    feasible = ((np.linalg.norm(plane, axis=1) < 2.0 / PHI + 1e-9)
+                & (np.abs(space[:, 2]) <= 4)
+                & (np.linalg.norm(space[:, :2], axis=1) < 2.0 * PHI + 1e-9))
+    return {tuple(int(x) for x in m): convex_intersection(off3, P, eps)
+            for m, off3 in zip(grid[feasible], grid[feasible].astype(float) @ basis.W)}
+
+
 def overlap_signature_loop(tip, tip_set, table):
     """(neighbors, K, J) of one tip by probing every table offset in a Python set."""
     neighbors = k_shares = j_shares = 0
-    for m in table.offsets:
+    for m, (volume, faces) in table.items():
         other = tuple(int(a) + b for a, b in zip(tip, m))
-        shape = table.shapes[m]
-        if other in tip_set and shape.overlapping:
+        if other in tip_set and volume > VOLUME_FLOOR:
             neighbors += 1
-            k_shares += shape.faces == 12
-            j_shares += shape.faces == 6
+            k_shares += faces == 12
+            j_shares += faces == 6
     return neighbors, k_shares, j_shares
 
 

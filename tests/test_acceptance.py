@@ -11,13 +11,15 @@ import pytest
 
 import quasiproj as qp
 from quasiproj.cli import run as cli_run
-from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, build_cells,
-                                 build_overlap_table, find_tips, overlap_census)
+from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
+                                 build_cells, find_tips, overlap_census)
 from quasiproj.pentagrid import mesh_locator, tiling_from_pentagrid
 from quasiproj.tiling2d import (CENSUS, analytic_A, analytic_probability,
                                 census_support, empirical_frequencies)
 from quasiproj.window import (Acceptance, accept_3d, enumerate_accepted_2d,
                               random_shift)
+
+from helpers import VOLUME_FLOOR, overlap_table
 
 PHI = qp.PHI
 PINV2 = PHI ** -2
@@ -180,14 +182,19 @@ def test_criterion_6_cell_census(P, Q, basis):
 
 def test_criterion_7_overlap_classes(P, Q, basis):
     t0 = time.perf_counter()
-    table = build_overlap_table(P, basis)
-    realized = [s for s in table.shapes.values() if s.overlapping]
-    assert {s.faces for s in realized} <= {6, 12}
+    # the census counts tips at OVERLAP_OFFSETS; the numerical oracle
+    # intersects every tip-to-tip translate of the polytope
+    realized = {m: faces for m, (volume, faces) in overlap_table(P, basis).items()
+                if volume > VOLUME_FLOOR}
+    assert set(realized.values()) <= {6, 12}
+    assert realized == {tuple(m): faces
+                        for shape, faces in (("K", 12), ("J", 6))
+                        for m in OVERLAP_OFFSETS[shape].tolist()}
 
     results = {}
     for c, seed in ((0.2, 3), (0.7, 4)):
         shift, lat = _lattice(Q, basis, c, seed, 16)
-        census = overlap_census(lat, shift, Q, P, basis, table=table)
+        census = overlap_census(lat, shift, Q, basis)
         assert census.n_tips >= 1000
         for label, freq in census.frequencies.items():
             assert abs(freq - ANALYTIC_CLASS_FREQUENCIES[label]) <= 0.01, \

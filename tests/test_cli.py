@@ -1,5 +1,9 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,3 +163,35 @@ def test_tolerance_validation():
     assert RunConfig().tol == 1e-9
     for tol in ("0", "-1e-9", "nan"):
         assert run(["freq", "--tol", tol]) == 2
+
+
+def test_auto_gamma_gives_up_naming_the_tolerance(caplog):
+    # at tol 1e-2 every draw puts some label of the radius-30 box within tol
+    # of a window boundary
+    with caplog.at_level(logging.INFO, logger="qc"):
+        assert run(["freq", "--radius", "30", "--tol", "1e-2"]) == 3
+    assert caplog.text.count("redrawing") == 20
+    assert "no regular shift found after 20 draws" in caplog.text
+    assert "every draw was singular at tol=0.01" in caplog.text
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from quasiproj.cli import run
+out = sys.argv[1]
+codes = [run([mode, "--c", "0.4", "--radius", radius, "--out", f"{out}/{mode}"])
+         for mode, radius in [("windows", "1"), ("tiling2d", "4"), ("freq", "4"),
+                              ("lattice3d", "5"), ("overlap-census", "6")]]
+sys.exit(max(codes))
+"""
+
+
+def test_every_mode_runs_without_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.iterdir())) == 5

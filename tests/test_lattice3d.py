@@ -3,14 +3,16 @@ import pytest
 
 import quasiproj as qp
 from quasiproj.errors import ConsistencyError
-from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_SIGNATURES,
-                                 build_cells, build_overlap_table,
-                                 convex_intersection, find_tips, overlap_census,
-                                 overlap_signatures, shared_atom_count,
-                                 tip_triangle)
+from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
+                                 OVERLAP_SIGNATURES, build_cells, find_tips,
+                                 overlap_census, overlap_signatures,
+                                 shared_atom_count, tip_triangle)
 from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, Acceptance,
                               accept_3d, d_test_points, label_keys,
                               normalize_shift, random_shift)
+
+from helpers import (VOLUME_FLOOR, convex_intersection, interior_atoms_sweep,
+                     overlap_signature_loop, overlap_table)
 
 PHI = qp.PHI
 
@@ -24,8 +26,8 @@ def lat_env(basis, Q):
 
 
 @pytest.fixture(scope="module")
-def overlap_table(P, basis):
-    return build_overlap_table(P, basis)
+def oracle_table(P, basis):
+    return overlap_table(P, basis)
 
 
 def test_lattice_contains_z_translates(lat_env):
@@ -186,8 +188,7 @@ def test_interior_offsets_are_the_interior_cube_vertices(P, basis):
 
 
 @pytest.mark.parametrize("c,seed", [(0.5, 11), (0.2, 3)])
-def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, basis, overlap_table):
-    from helpers import interior_atoms_sweep, overlap_signature_loop
+def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, basis, oracle_table):
     shift = random_shift(c, seed)
     lat = qp.build_lattice3(10, shift, Q, basis)
     tips = find_tips(lat, shift, Q, basis)
@@ -197,8 +198,8 @@ def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, basis, overlap
     for cell, expected in zip(cells, interior_atoms_sweep(inner, lat, P)):
         assert np.array_equal(cell.interior_atoms, expected)
     tip_set = {tuple(r) for r in tips.tolist()}
-    sigs = overlap_signatures(inner, tips, lat.radius, overlap_table).tolist()
-    assert sigs == [list(overlap_signature_loop(t, tip_set, overlap_table))
+    sigs = overlap_signatures(inner, tips, lat.radius).tolist()
+    assert sigs == [list(overlap_signature_loop(t, tip_set, oracle_table))
                     for t in inner.tolist()]
 
 
@@ -210,52 +211,59 @@ def test_build_cells_rejects_non_lattice_tip(lat_env):
 
 def test_convex_intersection_identity(P):
     from scipy.spatial import ConvexHull
-    shape = convex_intersection([0.0, 0.0, 0.0], P)
-    assert shape.faces == 20
-    assert shape.volume == pytest.approx(ConvexHull(P.vertices).volume, abs=1e-9)
+    volume, faces = convex_intersection([0.0, 0.0, 0.0], P)
+    assert faces == 20
+    assert volume == pytest.approx(ConvexHull(P.vertices).volume, abs=1e-9)
 
 
 def test_convex_intersection_tip_touch(P):
-    shape = convex_intersection([0.0, 0.0, 5.0], P)
-    assert not shape.overlapping
-    assert shape.volume < 1e-9
+    volume, faces = convex_intersection([0.0, 0.0, 5.0], P)
+    assert not volume > VOLUME_FLOOR
+    assert volume < 1e-9
 
 
 def test_convex_intersection_disjoint(P):
-    shape = convex_intersection([10.0, 0.0, 0.0], P)
-    assert not shape.overlapping
+    volume, faces = convex_intersection([10.0, 0.0, 0.0], P)
+    assert not volume > VOLUME_FLOOR
 
 
-def test_overlap_table_faces(overlap_table):
-    realized = [s for s in overlap_table.shapes.values() if s.overlapping]
-    assert len(realized) > 0
-    assert {s.faces for s in realized} <= {6, 12}
+def test_overlap_table_faces(oracle_table):
+    # the overlapping offsets of the numerical table are OVERLAP_OFFSETS,
+    # with faces 12 for K and 6 for J
+    realized = {m: faces for m, (volume, faces) in oracle_table.items()
+                if volume > VOLUME_FLOOR}
+    assert len(oracle_table) == 100
+    assert set(realized.values()) == {6, 12}
+    for shape, faces in (("K", 12), ("J", 6)):
+        offsets = [tuple(m) for m in OVERLAP_OFFSETS[shape].tolist()]
+        assert len(set(offsets)) == len(offsets)
+        assert {m for m, f in realized.items() if f == faces} == set(offsets)
 
 
-def test_overlap_volume_symmetry(P, overlap_table, basis):
-    for m in overlap_table.offsets[:60]:
+def test_overlap_volume_symmetry(oracle_table):
+    offsets = list(oracle_table)
+    for m in offsets[:60]:
         neg = tuple(-x for x in m)
-        if neg in overlap_table.shapes:
-            a, b = overlap_table.shapes[m], overlap_table.shapes[neg]
-            assert a.volume == pytest.approx(b.volume, abs=1e-8)
-            assert a.faces == b.faces
+        if neg in oracle_table:
+            (va, fa), (vb, fb) = oracle_table[m], oracle_table[neg]
+            assert va == pytest.approx(vb, abs=1e-8)
+            assert fa == fb
 
 
-def test_classify_overlap_signatures(lat_env, Q, P, basis, overlap_table):
+def test_classify_overlap_signatures(lat_env, Q, P, basis):
     shift, lat, tips = lat_env
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     seen = set()
-    for sig in overlap_signatures(inner, tips, lat.radius, overlap_table).tolist():
+    for sig in overlap_signatures(inner, tips, lat.radius).tolist():
         assert tuple(sig) in OVERLAP_SIGNATURES
         seen.add(OVERLAP_SIGNATURES[tuple(sig)])
     assert seen == {"A1", "A23", "A46", "A57", "A8"}
 
 
-def test_overlap_census_matches_analytic(Q, P, basis, overlap_table):
+def test_overlap_census_matches_analytic(Q, basis):
     shift = random_shift(0.3, 29)
     lat = qp.build_lattice3(12, shift, Q, basis)
-    census = overlap_census(lat, shift, Q, P, basis, table=overlap_table,
-                            shared_atom_sample=5)
+    census = overlap_census(lat, shift, Q, basis, shared_atom_sample=5)
     assert census.n_tips > 1000
     assert sum(census.counts.values()) == census.n_tips
     assert sum(census.frequencies.values()) == pytest.approx(1.0, abs=1e-12)
@@ -267,15 +275,15 @@ def test_overlap_census_matches_analytic(Q, P, basis, overlap_table):
         assert mean_shared >= 1.0, lab
 
 
-def test_shared_atom_count_symmetric(lat_env, P, basis, overlap_table):
+def test_shared_atom_count_symmetric(lat_env, oracle_table):
     shift, lat, tips = lat_env
     tipset = {tuple(r) for r in tips}
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 5]
     pairs = 0
     for t in inner:
-        for m in overlap_table.offsets:
+        for m, (volume, faces) in oracle_table.items():
             other = tuple(int(a + b) for a, b in zip(t, m))
-            if other in tipset and overlap_table.shapes[m].overlapping \
+            if other in tipset and volume > VOLUME_FLOOR \
                     and max(abs(x) for x in other) <= lat.radius - 3:
                 n_ab = shared_atom_count(t, np.array(other), lat)
                 n_ba = shared_atom_count(np.array(other), t, lat)

@@ -3,17 +3,10 @@ import pytest
 
 import quasiproj as qp
 from quasiproj.errors import SingularityError
-from quasiproj.pentagrid import (GridLine, enumerate_intersections,
-                                 grid_values_2d, k_vector_2d, k_vector_3d,
-                                 mesh_locator, rhombus_at,
+from quasiproj.pentagrid import (enumerate_intersections, grid_values_2d,
+                                 k_vector_2d, k_vector_3d, mesh_locator,
                                  tiling_from_pentagrid)
 from quasiproj.window import normalize_shift, random_shift
-
-
-def test_gridline_family_range():
-    GridLine(family=4, label=-3)
-    with pytest.raises(ValueError):
-        GridLine(family=5, label=0)
 
 
 class _RawShift:
@@ -129,14 +122,14 @@ def test_singular_pentagrid_detected(basis):
         enumerate_intersections((-2, 2, -2, 2), normalize_shift([0.0] * 5), basis)
 
 
-def test_rhombus_at(basis):
+def test_tiling_from_pentagrid_rhombi(basis):
     shift = random_shift(0.3, 6)
-    inters = enumerate_intersections((-3, 3, -3, 3), shift, basis)
+    tiling = tiling_from_pentagrid((-3, 3, -3, 3), shift, basis)
     rng = np.random.default_rng(7)
-    for i in rng.choice(len(inters), 40, replace=False):
-        it = inters[i]
-        labels, verts = rhombus_at(it, shift, basis)
-        s, t = it.families
+    for i in rng.choice(len(tiling.rhombi), 40, replace=False):
+        labels = tiling.labels[tiling.rhombi[i]]
+        verts = tiling.vertices[tiling.rhombi[i]]
+        s, t = tiling.families[i]
         # the four mesh labels differ only in coordinates s and t, by one unit
         spread = labels.max(axis=0) - labels.min(axis=0)
         expect = np.zeros(5, dtype=int)

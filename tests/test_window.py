@@ -5,8 +5,8 @@ import quasiproj as qp
 from quasiproj.errors import (DegenerateWindowError, EmptyWindowError,
                               PolygonError)
 from quasiproj.geometry import points_in_convex_polygon
-from quasiproj.window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES,
-                              Acceptance, accept_2d, accept_2d_bulk, accept_3d,
+from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
+                              INTERIOR_INDICES, Acceptance, accept_2d, accept_2d_bulk, accept_3d,
                               accept_3d_bulk, enumerate_accepted_2d,
                               enumerate_accepted_3d, normalize_shift, random_shift,
                               slice_window)
@@ -126,6 +126,25 @@ def test_polytope_faces_are_unit_rhombi(P):
 
 def test_polytope_hull_vertex_set(P):
     assert set(P.hull_cube_indices.tolist()) == set(HULL_INDICES)
+
+
+def test_face_loops_match_qhull(P):
+    from scipy.spatial import ConvexHull
+    hull = ConvexHull(P.projections)
+    assert set(hull.vertices.tolist()) == set(HULL_INDICES)
+    for normal, offset in zip(P.face_normals, P.face_offsets):
+        # Qhull rows are (outward normal, -offset), one per triangle
+        err = np.abs(hull.equations - np.append(normal, -offset)).max(axis=1)
+        assert err.min() < 1e-12
+    # each face is spanned by one generator pair (w_i, w_j): its cube edges
+    # are the unit steps e_i and e_j; each pair spans two faces
+    pairs = []
+    for loop in FACE_LOOPS:
+        steps = CUBE_VERTICES[list(loop[1:] + loop[:1])] - CUBE_VERTICES[list(loop)]
+        assert np.all(np.abs(steps).sum(axis=1) == 1)
+        pairs.append(tuple(np.flatnonzero(np.any(steps != 0, axis=0)).tolist()))
+    assert all(len(p) == 2 for p in pairs)
+    assert sorted(pairs) == sorted([(i, j) for i in range(5) for j in range(i + 1, 5)] * 2)
 
 
 # -- decagon -----------------------------------------------------------------
