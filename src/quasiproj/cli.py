@@ -89,16 +89,34 @@ def _emit(config: RunConfig, content: str) -> None:
         sys.stdout.write(content)
 
 
+def _check_tol(tol: float, wset=None, Q=None) -> None:
+    """Refuse a --tol that reaches the centre of a window the run decides against.
+
+    A test point within tol of a window's edge is singular, so such a
+    window would have no point left to decide.
+    """
+    widths = {f"V_{i}": w.half_width for i, w in (wset.slices.items() if wset else ())}
+    if Q is not None:
+        widths["Q"] = float(Q._offsets.min())
+        widths["the inner decagon"] = float(Q._inner_offsets.min())
+    name, width = min(widths.items(), key=lambda item: item[1])
+    if tol >= width:
+        raise ConfigError(
+            f"--tol {tol} is not below {width:.6g}, the distance from the centre of "
+            f"{name} to its nearest edge: every test point in it would be singular")
+
+
 def _run_mode(config: RunConfig) -> None:
     basis = make_basis()
-    P = build_polytope_P(basis, config.tol)
-    Q = build_decagon_Q(basis, config.tol)
+    P = build_polytope_P(basis)
+    Q = build_decagon_Q(basis)
 
     if config.mode == "windows":
         log.info("resolved config: %s", config.to_json())
         wset = build_windows(P, config.c, config.tol)
+        _check_tol(config.tol, wset, Q)
         if config.index is not None:
-            win = slice_window(P, config.index, config.c, config.tol)
+            win = slice_window(P, config.index, config.c)
             doc = {"c": config.c, "index": config.index, "height": win.height,
                    "polygon": win.polygon.tolist()}
         else:
@@ -110,14 +128,16 @@ def _run_mode(config: RunConfig) -> None:
         """The mode's output for one shift, and the (level, line)s to log after it."""
         if config.mode in ("tiling2d", "freq"):
             wset = build_windows(P, shift.c, config.tol)
+            _check_tol(config.tol, wset)
             if config.mode == "tiling2d":
                 doc = build_tiling_document(config.radius, shift, wset, basis)
                 return render_svg(doc), []
             report = empirical_frequencies(config.radius, shift, wset, basis)
             return frequency_csv(report), []
+        _check_tol(config.tol, Q=Q)
         lat = build_lattice3(config.radius, shift, Q, basis, config.tol)
         if config.mode == "lattice3d":
-            tips = find_tips(lat, shift, Q, basis, config.tol)
+            tips = find_tips(lat, Q, config.tol)
             inner = tips[abs(tips).max(axis=1) <= config.radius - 3]
             cells = build_cells(inner, lat)
             notes = [(logging.INFO, f"lattice: {len(lat.labels)} points, "
@@ -127,8 +147,7 @@ def _run_mode(config: RunConfig) -> None:
                               "no complete cells: every tip lies within 3 label "
                               "steps of the box edge; raise --radius"))
             return cells_obj(cells, P), notes
-        census = overlap_census(lat, shift, Q, basis, config.tol,
-                                shared_atom_sample=20)
+        census = overlap_census(lat, shift, Q, config.tol, shared_atom_sample=20)
         notes = []
         if census.shared_atoms:
             shared = {k: round(v, 2) for k, v in census.shared_atoms.items()}

@@ -80,10 +80,19 @@ def polygon_halfplanes(polygon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normals, offsets
 
 
+def max_edge_distance(pts: np.ndarray, normals: np.ndarray,
+                      offsets: np.ndarray) -> np.ndarray:
+    """Largest signed distance of each point past an edge line; < 0 strictly inside."""
+    # as (edges, N), so that the max runs elementwise across a few long rows
+    d = normals @ pts.T
+    d -= offsets[:, None]
+    return d.max(axis=0)
+
+
 def points_in_convex_polygon(pts: np.ndarray, normals: np.ndarray,
                              offsets: np.ndarray, eps: float) -> np.ndarray:
     """Vectorized classification: +1 inside, 0 outside, -1 boundary-within-eps."""
-    d_max = np.max(pts @ normals.T - offsets, axis=1)
+    d_max = max_edge_distance(pts, normals, offsets)
     status = np.zeros(len(pts), dtype=np.int8)
     status[d_max < -eps] = 1
     status[np.abs(d_max) <= eps] = -1

@@ -17,8 +17,8 @@ from .geometry import DEFAULT_EPS, ProjectionBasis, make_basis
 from .lattice3d import OVERLAP_SIGNATURES, CellInstance, OverlapCensus
 from .tiling2d import FrequencyReport
 from .window import (DecagonQ, GridShift, PolytopeP, WindowSet,
-                     enumerate_accepted_2d, label_keys, normalize_shift,
-                     random_shift, step_rows)
+                     enumerate_accepted_2d, normalize_shift, random_shift,
+                     step_rows)
 
 
 def fmt(x: float) -> str:
@@ -102,11 +102,11 @@ def build_tiling_document(radius: int, shift: GridShift, wset: WindowSet,
                           basis: ProjectionBasis | None = None) -> TilingDocument:
     """Window-accepted vertices in the label box plus all edges between them."""
     basis = basis or make_basis()
-    labels, xy = enumerate_accepted_2d(radius, shift, wset, basis)
+    labels, xy, keys = enumerate_accepted_2d(radius, shift, wset, basis)
     index = labels.sum(axis=1).tolist()
 
     # row of the +e_m neighbor of every vertex, -1 where it is not accepted
-    step = step_rows(labels, label_keys(labels, radius), radius)
+    step = step_rows(labels, keys, radius)
     rows, _ = np.nonzero(step >= 0)
     styles = {1: "1-2", 2: "2-3", 3: "3-4", 4: "4-5"}
     edges = tuple((i, j, styles[index[i]])

@@ -11,7 +11,6 @@ frequencies.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,8 @@ from .errors import (CensusViolationError, ConfigError, ConsistencyError,
 from .geometry import (DEFAULT_EPS, PHI, ProjectionBasis, make_basis,
                        polygon_halfplanes)
 from .window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, DecagonQ,
-                     GridShift, d_test_points, enumerate_accepted_3d, label_keys,
-                     label_rows, points_in_convex_polygon)
+                     GridShift, d_test_points, enumerate_accepted_3d, key_member,
+                     label_keys, label_rows, points_in_convex_polygon)
 
 #: overlap classes keyed by (neighbor count, K count, J count)
 OVERLAP_SIGNATURES = {
@@ -32,6 +31,12 @@ OVERLAP_SIGNATURES = {
     (5, 2, 3): "A57",
     (6, 2, 4): "A8",
 }
+
+_CLASSES = tuple(OVERLAP_SIGNATURES.values())
+#: class row of each signature (K + J, K, J) by its code 11 K + J (K <= 20,
+#: J <= 10), -1 for a signature outside the five classes
+_CLASS_OF_CODE = np.full(21 * 11, -1, dtype=np.int64)
+_CLASS_OF_CODE[[11 * k + j for _, k, j in OVERLAP_SIGNATURES]] = np.arange(len(_CLASSES))
 
 #: relative class frequencies 1 : p^-3 : p^-2 : p^-3 : (p^-2 + p^-4)/2
 _RAW_RATIOS = {
@@ -48,14 +53,13 @@ ANALYTIC_CLASS_FREQUENCIES = {
 
 @dataclass(frozen=True)
 class Lattice3:
-    """Accepted labels in a box with their 3-d points and sorted label keys."""
+    """Accepted labels in a box, as enumerate_accepted_3d returns them."""
 
-    labels: np.ndarray  # (N, 5) int64, sorted
-    points: np.ndarray  # (N, 3)
+    labels: np.ndarray       # (N, 5) int64, in key order
+    points: np.ndarray       # (N, 3)
+    keys: np.ndarray         # (N,) label_keys(labels, radius), strictly increasing
+    test_points: np.ndarray  # (N, 2) plane test points
     radius: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "keys", label_keys(self.labels, self.radius))
 
     def rows(self, labels) -> np.ndarray:
         """Row of each label (last axis 5), -1 where it is not a lattice point."""
@@ -69,20 +73,19 @@ def build_lattice3(radius: int, shift: GridShift, Q: DecagonQ,
                    basis: ProjectionBasis | None = None,
                    eps: float = DEFAULT_EPS) -> Lattice3:
     basis = basis or make_basis()
-    labels, points = enumerate_accepted_3d(radius, shift, Q, basis, eps)
-    return Lattice3(labels=labels, points=points, radius=radius)
+    labels, points, keys, test_points = enumerate_accepted_3d(radius, shift, Q, basis, eps)
+    return Lattice3(labels=labels, points=points, keys=keys, test_points=test_points,
+                    radius=radius)
 
 
-def find_tips(lat: Lattice3, shift: GridShift, Q: DecagonQ,
-              basis: ProjectionBasis | None = None,
-              eps: float = DEFAULT_EPS) -> np.ndarray:
+def find_tips(lat: Lattice3, Q: DecagonQ, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Labels whose plane test point falls strictly inside the inner decagon.
 
     Every tip is connected to all ten unit neighbors and anchors a unit cell.
+    The test points are the ones the lattice's acceptance test decided on.
     """
-    basis = basis or make_basis()
-    pts = d_test_points(lat.labels, shift, basis)
-    status = points_in_convex_polygon(pts, Q._inner_normals, Q._inner_offsets, eps)
+    status = points_in_convex_polygon(lat.test_points, Q._inner_normals,
+                                      Q._inner_offsets, eps)
     if np.any(status == -1):
         bad = lat.labels[status == -1][0]
         raise SingularityError(
@@ -180,16 +183,17 @@ def overlap_signatures(inner: np.ndarray, tips: np.ndarray, radius: int) -> np.n
 
     `tips` must hold every tip within reach of an inner tip, and inner tips
     must lie two label steps inside the box, so the key of tip + m is the
-    tip's key plus the offset's.
+    tip's key plus the offset's.  Both must be in key order, as find_tips
+    returns them.
     """
     tip_keys = label_keys(tips, radius)
     inner_keys = label_keys(inner, radius)
     origin = label_keys(np.zeros(5, dtype=np.int64), radius)
     hits = {}
     for shape, m in OVERLAP_OFFSETS.items():
-        # one row of queries per offset, so each row is sorted
-        query = inner_keys + (label_keys(m, radius) - origin)[:, None]
-        hits[shape] = (label_rows(tip_keys, query) >= 0).sum(axis=0)
+        # inner tips in key order make each offset's queries one sorted run
+        hits[shape] = sum(key_member(tip_keys, inner_keys + delta)
+                          for delta in label_keys(m, radius) - origin)
     return np.column_stack([hits["K"] + hits["J"], hits["K"], hits["J"]])
 
 
@@ -216,7 +220,6 @@ class OverlapCensus:
 
 
 def overlap_census(lat: Lattice3, shift: GridShift, Q: DecagonQ,
-                   basis: ProjectionBasis | None = None,
                    eps: float = DEFAULT_EPS, margin: int = 3,
                    shared_atom_sample: int = 0) -> OverlapCensus:
     """Classify every boundary-complete tip and tally the five overlap classes.
@@ -225,39 +228,39 @@ def overlap_census(lat: Lattice3, shift: GridShift, Q: DecagonQ,
     cell shares with its overlapping neighbors, averaged over that many
     sampled tips per class.
     """
-    basis = basis or make_basis()
-    tips = find_tips(lat, shift, Q, basis, eps)
+    tips = find_tips(lat, Q, eps)
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - margin]
+    if len(inner) == 0:
+        raise ConfigError("no boundary-complete tips in the lattice box")
 
-    sigs = [tuple(s) for s in overlap_signatures(inner, tips, lat.radius).tolist()]
-    for i, sig in enumerate(sigs):
-        if sig not in OVERLAP_SIGNATURES:
-            raise CensusViolationError(
-                f"tip {tuple(inner[i].tolist())} has overlap signature {sig}, "
-                "outside the five known classes")
-    classes = [OVERLAP_SIGNATURES[sig] for sig in sigs]
-    counter = Counter(classes)
+    sigs = overlap_signatures(inner, tips, lat.radius)
+    cls = _CLASS_OF_CODE[11 * sigs[:, 1] + sigs[:, 2]]
+    if np.any(cls < 0):
+        i = int(np.argmax(cls < 0))
+        raise CensusViolationError(
+            f"tip {tuple(inner[i].tolist())} has overlap signature "
+            f"{tuple(sigs[i].tolist())}, outside the five known classes")
+    counts = dict(zip(_CLASSES, np.bincount(cls, minlength=len(_CLASSES)).tolist()))
 
-    shared_sums: dict[str, list] = {lab: [] for lab in ANALYTIC_CLASS_FREQUENCIES}
+    shared_sums: dict[str, list] = {lab: [] for lab in _CLASSES}
     if shared_atom_sample:
         tip_keys = label_keys(tips, lat.radius)
         overlapping = np.vstack(list(OVERLAP_OFFSETS.values()))
-        safe = lat.radius - margin - 2  # shared-atom cells need one more label ring
-        for tip, label in zip(inner, classes):
-            if len(shared_sums[label]) < shared_atom_sample and np.abs(tip).max() <= safe:
+        # shared-atom cells need one more label ring
+        safe = np.abs(inner).max(axis=1) <= lat.radius - margin - 2
+        for j, label in enumerate(_CLASSES):
+            for tip in inner[(cls == j) & safe]:
+                if len(shared_sums[label]) >= shared_atom_sample:
+                    break
                 others = tip + overlapping
                 for other in others[label_rows(tip_keys, label_keys(others, lat.radius)) >= 0]:
                     shared_sums[label].append(shared_atom_count(tip, other, lat))
-    total = sum(counter.values())
-    if total == 0:
-        raise ConfigError("no boundary-complete tips in the lattice box")
-    freqs = {lab: counter.get(lab, 0) / total for lab in ANALYTIC_CLASS_FREQUENCIES}
+    total = len(inner)
     shared = None
     if shared_atom_sample:
         shared = {lab: (float(np.mean(v)) if v else float("nan"))
                   for lab, v in shared_sums.items()}
-    return OverlapCensus(c=shift.c, n_tips=total,
-                         counts={lab: counter.get(lab, 0) for lab in ANALYTIC_CLASS_FREQUENCIES},
-                         frequencies=freqs,
+    return OverlapCensus(c=shift.c, n_tips=total, counts=counts,
+                         frequencies={lab: n / total for lab, n in counts.items()},
                          analytic=dict(ANALYTIC_CLASS_FREQUENCIES),
                          shared_atoms=shared)

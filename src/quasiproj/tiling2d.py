@@ -9,7 +9,6 @@ shift sum c.  The full census holds 3 + 9 + 20 + 9 + 3 types.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,8 +16,8 @@ import numpy as np
 
 from .errors import CensusViolationError, ConfigError
 from .geometry import PHI, ProjectionBasis, make_basis
-from .window import (GridShift, WindowSet, enumerate_accepted_2d, label_keys,
-                     step_rows)
+from .window import (GridShift, WindowSet, enumerate_accepted_2d, key_member,
+                     label_keys)
 
 _P = PHI
 
@@ -36,12 +35,19 @@ def neighbor_counts(labels: np.ndarray, keys: np.ndarray,
     `keys` are the sorted label keys of every accepted label in the box
     [-radius, radius]^5.  The enumeration behind them has tested every label
     in the box, so a step that stays in the box is a vertex exactly when its
-    key is present; labels must therefore lie one step inside the box.
+    key is present; labels must therefore lie one step inside the box.  They
+    must also be distinct and in key order, as the enumerator returns them,
+    so that each step's queries are one sorted run to merge with the keys.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if np.any(np.abs(labels) >= radius):
         raise ValueError(f"labels must lie inside the box [{1 - radius}, {radius - 1}]^5")
-    return tuple((step_rows(labels, keys, radius, sign) >= 0).sum(axis=1)
+    base = label_keys(labels, radius)
+    if np.any(base[1:] <= base[:-1]):
+        raise ValueError("labels must be distinct and in key order")
+    # key(k + e_m) - key(k) is the key of e_m less the key of 0
+    steps = label_keys(np.eye(5, dtype=np.int64), radius) - label_keys(np.zeros(5), radius)
+    return tuple(sum(key_member(keys, base + sign * step) for step in steps)
                  for sign in (1, -1))
 
 
@@ -240,30 +246,32 @@ def empirical_frequencies(radius: int, shift: GridShift, wset: WindowSet,
     type falls outside the analytic support at this c.
     """
     basis = basis or make_basis()
-    labels, _ = enumerate_accepted_2d(radius, shift, wset, basis)
-    keys = label_keys(labels, radius)
+    labels, _, keys = enumerate_accepted_2d(radius, shift, wset, basis)
     labels = labels[np.abs(labels).max(axis=1) <= radius - margin]
     if len(labels) == 0:
         raise ConfigError("label box too small: no boundary-complete vertices")
 
     n_pos, n_neg = neighbor_counts(labels, keys, radius)
-    index = labels.sum(axis=1)
-    counts = Counter(zip(index.tolist(), n_pos.tolist(), n_neg.tolist()))
+    # type [n, n']_I as the code 36 I + 6 n + n'
+    code = 36 * labels.sum(axis=1) + 6 * n_pos + n_neg
+    counts = np.bincount(code, minlength=6 * 36)
 
     total = len(labels)
-    support = {(vt.index, vt.n_pos, vt.n_neg) for vt in census_support(shift.c)}
-    for key in counts:
-        if key[1:] not in CENSUS[key[0]]:
+    support = [(vt.index, vt.n_pos, vt.n_neg) for vt in census_support(shift.c)]
+    allowed = np.zeros(len(counts), dtype=bool)
+    allowed[[36 * i + 6 * n + nn for i, n, nn in support]] = True
+    if not np.all(allowed[code]):
+        # the first vertex, in label order, of a type outside the support
+        i, n, nn = map(int, np.unravel_index(code[np.argmin(allowed[code])], (6, 6, 6)))
+        if (n, nn) not in CENSUS[i]:
             raise CensusViolationError(
-                f"observed type [{key[1]},{key[2]}]_{key[0]} is outside the census")
-        if key not in support:
-            raise CensusViolationError(
-                f"observed type [{key[1]},{key[2]}]_{key[0]} has zero analytic "
-                f"frequency at c={shift.c}")
+                f"observed type [{n},{nn}]_{i} is outside the census")
+        raise CensusViolationError(
+            f"observed type [{n},{nn}]_{i} has zero analytic frequency at c={shift.c}")
 
     rows = []
-    for (i, n, nn) in sorted(support | set(counts)):
-        cnt = counts.get((i, n, nn), 0)
+    for (i, n, nn) in support:
+        cnt = int(counts[36 * i + 6 * n + nn])
         rows.append(FrequencyRow(i, n, nn,
                                  analytic=analytic_probability(i, n, nn, shift.c),
                                  empirical=cnt / total, count=cnt))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConsistencyError, DegenerateWindowError, EmptyWindowError,
-                     SingularityError)
+from .errors import (ConfigError, ConsistencyError, DegenerateWindowError,
+                     EmptyWindowError, SingularityError)
 from .geometry import (DEFAULT_EPS, PHI, ProjectionBasis, make_basis,
                        points_in_convex_polygon, polygon_halfplanes)
 
@@ -110,6 +110,12 @@ def random_shift(c: float, seed: int) -> GridShift:
 # polytope P (3-d window) and decagon Q (2-d window)
 # ---------------------------------------------------------------------------
 
+#: tolerance of the window constructions.  The windows are fixed figures, so
+#: their construction checks do not follow a run's boundary tolerance eps,
+#: which only sets how close to an edge a test point counts as singular.
+CONSTRUCTION_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class PolytopeP:
     """Hull data of the 3-d window: 22 vertices, 40 edges, 20 rhombic faces."""
@@ -124,8 +130,7 @@ class PolytopeP:
     interior_points: np.ndarray    # (10, 3) images of the interior cube vertices
 
 
-def build_polytope_P(basis: ProjectionBasis | None = None,
-                     eps: float = DEFAULT_EPS) -> PolytopeP:
+def build_polytope_P(basis: ProjectionBasis | None = None) -> PolytopeP:
     """Project the 5-cube into 3-space and lay the faces of FACE_LOOPS on it.
 
     Each face normal is the normalised cross product of two loop edges.
@@ -158,7 +163,7 @@ def build_polytope_P(basis: ProjectionBasis | None = None,
     normals /= np.linalg.norm(normals, axis=1)[:, None]
     offsets = np.einsum("ij,ij->i", normals, corners[:, 0])
     height = proj @ normals.T - offsets                  # (32, 20)
-    if height.max() > max(eps, 1e-9):
+    if height.max() > CONSTRUCTION_TOL:
         ci, fi = np.unravel_index(np.argmax(height), height.shape)
         raise ConsistencyError(
             f"cube vertex {ci} lies {float(height[ci, fi])} outside face {fi}")
@@ -192,13 +197,17 @@ class DecagonQ:
         object.__setattr__(self, "_inner_offsets", oi)
 
 
+def _polygon_area(p: np.ndarray) -> float:
+    q = np.roll(p, -1, axis=0)
+    return 0.5 * float(np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
+
+
 def _ccw_by_angle(points: np.ndarray) -> np.ndarray:
     ang = np.arctan2(points[:, 1], points[:, 0])
     return points[np.argsort(ang)]
 
 
-def build_decagon_Q(basis: ProjectionBasis | None = None,
-                    eps: float = DEFAULT_EPS) -> DecagonQ:
+def build_decagon_Q(basis: ProjectionBasis | None = None) -> DecagonQ:
     """Project the 5-cube into the tiling plane.
 
     The ten interior cube vertices of the polytope map to the decagon hull;
@@ -211,14 +220,15 @@ def build_decagon_Q(basis: ProjectionBasis | None = None,
     proj = CUBE_VERTICES.astype(float) @ basis.D
     vertices = _ccw_by_angle(proj[list(INTERIOR_INDICES)])
     interior = proj[[i for i in range(32) if i not in INTERIOR_INDICES]]
-    inside = points_in_convex_polygon(interior, *polygon_halfplanes(vertices), eps)
+    inside = points_in_convex_polygon(interior, *polygon_halfplanes(vertices),
+                                      CONSTRUCTION_TOL)
     if np.any(inside != 1):
         raise ConsistencyError(
             f"{int(np.sum(inside != 1))} cube-vertex images are not strictly inside "
             "the decagon of the interior cube vertices")
 
     radii = np.linalg.norm(interior, axis=1)
-    inner_mask = np.abs(radii - 1.0 / PHI) < max(eps, 1e-9)
+    inner_mask = np.abs(radii - 1.0 / PHI) < CONSTRUCTION_TOL
     if int(inner_mask.sum()) != 10:
         raise ConsistencyError(f"expected 10 radius-1/p points, got {int(inner_mask.sum())}")
     inner = _ccw_by_angle(interior[inner_mask])
@@ -252,24 +262,27 @@ class SliceWindow:
 
     @property
     def area(self) -> float:
-        p = self.polygon
-        q = np.roll(p, -1, axis=0)
-        return 0.5 * float(np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
+        return _polygon_area(self.polygon)
+
+    @property
+    def half_width(self) -> float:
+        """Distance from the polytope's axis, the slice's centre, to its nearest edge."""
+        return float(self.offsets.min())
 
 
-def slice_window(P: PolytopeP, index: int, c: float,
-                 eps: float = DEFAULT_EPS) -> SliceWindow:
+def slice_window(P: PolytopeP, index: int, c: float) -> SliceWindow:
     """Clip the polytope faces against the plane z = index - c.
 
     Collects face/plane intersection segments, deduplicates endpoints within
-    eps and orders them by angle.  The result is a pentagon near the tips
-    and a decagon through the middle of the polytope.
+    CONSTRUCTION_TOL and orders them by angle.  The result is a pentagon
+    near the tips and a decagon through the middle of the polytope.
     """
     if not 1 <= index <= 5:
         raise ValueError(f"index must be in [1, 5], got {index}")
     if not 0.0 <= c < 1.0:
         raise ValueError(f"c must lie in [0, 1), got {c}")
     h = index - c
+    eps = CONSTRUCTION_TOL
     if h <= -eps or h >= 5.0 + eps:
         raise EmptyWindowError(f"slice height {h} outside the polytope span [0, 5]")
     if abs(h) <= eps or abs(h - 5.0) <= eps:
@@ -295,7 +308,7 @@ def slice_window(P: PolytopeP, index: int, c: float,
     # eps-dedup, then angular order around the centroid
     uniq: list[np.ndarray] = []
     for p in arr:
-        if not any(np.max(np.abs(p - q)) <= max(eps, 1e-9) for q in uniq):
+        if not any(np.max(np.abs(p - q)) <= eps for q in uniq):
             uniq.append(p)
     poly = np.array(uniq)
     cen = poly.mean(axis=0)
@@ -319,11 +332,14 @@ class WindowSet:
 
 
 def build_windows(P: PolytopeP, c: float, eps: float = DEFAULT_EPS) -> WindowSet:
-    slices = {}
-    degenerate_top = c < eps
+    """The slice windows at c, with eps as the boundary tolerance of acceptance.
+
+    When c < eps (or below CONSTRUCTION_TOL) the top slice is a tip, and the
+    index-5 window is taken to be the point 0.
+    """
+    degenerate_top = c < max(eps, CONSTRUCTION_TOL)
     top = 4 if degenerate_top else 5
-    for index in range(1, top + 1):
-        slices[index] = slice_window(P, index, c, eps)
+    slices = {index: slice_window(P, index, c) for index in range(1, top + 1)}
     return WindowSet(c=c, eps=eps, slices=slices, degenerate_top=degenerate_top)
 
 
@@ -393,11 +409,17 @@ def accept_2d(k, shift: GridShift, wset: WindowSet,
 
 
 def accept_3d_bulk(labels: np.ndarray, shift: GridShift, Q: DecagonQ,
-                   basis: ProjectionBasis, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Vectorized 3-d acceptance against the decagon window."""
-    labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
-    pts = d_test_points(labels, shift, basis)
-    return points_in_convex_polygon(pts, Q._normals, Q._offsets, eps)
+                   basis: ProjectionBasis, eps: float = DEFAULT_EPS,
+                   test_points: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized 3-d acceptance against the decagon window.
+
+    `test_points`, when given, are the labels' d_test_points, computed by
+    the caller so that it can keep them.
+    """
+    if test_points is None:
+        labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
+        test_points = d_test_points(labels, shift, basis)
+    return points_in_convex_polygon(test_points, Q._normals, Q._offsets, eps)
 
 
 def accept_3d(k, shift: GridShift, Q: DecagonQ,
@@ -495,22 +517,26 @@ def _scan(t0: np.ndarray, a: np.ndarray, b: np.ndarray, window, reach: float,
     return row, u, v_lo, v_hi
 
 
-def _accepted(blocks, describe, shift: GridShift) -> np.ndarray:
-    """Sorted accepted labels of the (candidates, status) blocks.
+def _accepted(blocks, describe, shift: GridShift, radius: int):
+    """Accepted rows of the (candidates, status, *per-candidate arrays) blocks.
 
-    Raises SingularityError naming the lexicographically first singular
-    candidate, if there is one.
+    Returns the accepted labels, their keys and the accepted rows of each
+    per-candidate array, in block order.  Raises SingularityError naming the
+    lexicographically first singular candidate, if there is one.
     """
-    cand = np.vstack([c for c, _ in blocks])
-    status = np.concatenate([s for _, s in blocks])
+    cand = np.vstack([b[0] for b in blocks])
+    status = np.concatenate([b[1] for b in blocks])
     bad = cand[status == -1]
     if len(bad):
-        first = bad[np.lexsort(bad.T[::-1])[0]]
+        first = bad[np.argmin(label_keys(bad, radius))]
         raise SingularityError(
             f"label {tuple(int(x) for x in first)} lands within eps of {describe} "
             f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
-    labels = cand[status == 1]
-    return labels[np.lexsort(labels.T[::-1])]
+    keep = status == 1
+    labels = cand[keep]
+    extra = [np.concatenate([b[i] for b in blocks])[keep]
+             for i in range(2, len(blocks[0]))]
+    return labels, label_keys(labels, radius), *extra
 
 
 def _window_2d(wset: WindowSet, index: int):
@@ -520,55 +546,100 @@ def _window_2d(wset: WindowSet, index: int):
     return win.polygon, win.normals, win.offsets
 
 
+#: memory an enumeration may plan for, and what a qc run holds at its peak per
+#: accepted label (measured above a ~30 MB start: ~205 B at `qc freq
+#: --radius 200`, ~320 B at `qc overlap-census --radius 35`)
+MEMORY_BUDGET = 4 * 10 ** 9
+BYTES_PER_LABEL = 320
+
+
+def _check_budget(radius: int, rows: int, area: float, a: np.ndarray,
+                  b: np.ndarray) -> None:
+    """Refuse a box whose accepted labels would not fit in MEMORY_BUDGET.
+
+    The scan meets `rows` lines of fixed label coordinates, and on each it
+    tests the integer (u, v) of a window of this total area, where a unit
+    step in u and in v moves the test point by a and b.  So rows times the
+    area over |a x b| estimates the accepted count before anything is
+    allocated.
+    """
+    estimate = rows * area / abs(float(a[0] * b[1] - a[1] * b[0]))
+    if estimate * BYTES_PER_LABEL > MEMORY_BUDGET:
+        raise ConfigError(
+            f"radius {radius} would accept about {estimate:.3g} labels, "
+            f"{estimate * BYTES_PER_LABEL / 1e9:.3g} GB at {BYTES_PER_LABEL} B each, "
+            f"above the {MEMORY_BUDGET / 1e9:g} GB budget; use a smaller radius")
+
+
 def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet,
                           basis: ProjectionBasis | None = None
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """All accepted labels in the box [-radius, radius]^5, sorted lexicographically.
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All accepted labels in the box [-radius, radius]^5, in key order.
 
-    Returns (labels (N,5) int64, tiling vertices (N,2)).  Raises
+    Returns (labels (N,5) int64, tiling vertices (N,2), keys (N,) int64):
+    the keys are label_keys(labels, radius), strictly increasing.  Raises
     SingularityError if any label in the box has its test point within eps
-    of a window boundary.
+    of a window boundary, and ConfigError if the box would not fit in
+    MEMORY_BUDGET.
     """
     basis = basis or make_basis()
     M = int(radius)
     w = basis.W[:, :2]
+    a, b = w[2] - w[4], w[3] - w[4]
+    _check_budget(M, (2 * M + 1) ** 2, sum(win.area for win in wset.slices.values()),
+                  a, b)
     k = np.arange(-M, M + 1, dtype=np.int64)
     k01 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
     reach = wset.eps + _SCAN_SLACK
     blocks = []
     for index in range(1, 6):
         t0 = k01 @ (w[:2] - w[4]) + index * w[4] - shift.gamma @ w
-        row, k2, v_lo, v_hi = _scan(t0, w[2] - w[4], w[3] - w[4],
-                                    _window_2d(wset, index), reach, M)
+        row, k2, v_lo, v_hi = _scan(t0, a, b, _window_2d(wset, index), reach, M)
         k34 = index - k01[row].sum(axis=1) - k2
         sub, k3 = _expand(*_integer_span(v_lo, v_hi, np.maximum(k34 - M, -M),
                                          np.minimum(k34 + M, M)))
         cand = np.column_stack([k01[row[sub]], k2[sub], k3, k34[sub] - k3])
         blocks.append((cand, accept_2d_bulk(cand, shift, wset, basis)))
-    labels = _accepted(blocks, "a window boundary", shift)
-    return labels, labels.astype(float) @ basis.D
+    labels, keys = _accepted(blocks, "a window boundary", shift, M)
+    # each index block is in key order; a stable sort merges the five runs
+    order = np.argsort(keys, kind="stable")
+    labels, keys = labels[order], keys[order]
+    return labels, labels.astype(float) @ basis.D, keys
 
 
 def enumerate_accepted_3d(radius: int, shift: GridShift, Q: DecagonQ,
                           basis: ProjectionBasis | None = None,
-                          eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """All 3-d accepted labels in the box [-radius, radius]^5, sorted; with points."""
+                          eps: float = DEFAULT_EPS
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All 3-d accepted labels in the box [-radius, radius]^5, in key order.
+
+    Returns (labels (N,5) int64, 3-d points (N,3), keys (N,) int64, plane
+    test points (N,2)): the keys are label_keys(labels, radius), strictly
+    increasing, and the test points are the d_test_points the acceptance
+    test decided on.  Raises SingularityError for a label within eps of the
+    decagon boundary, and ConfigError if the box would not fit in
+    MEMORY_BUDGET.
+    """
     basis = basis or make_basis()
     M = int(radius)
     d = basis.D
+    _check_budget(M, (2 * M + 1) ** 3, _polygon_area(Q.vertices), d[3], d[4])
     k = np.arange(-M, M + 1, dtype=np.int64)
     k12 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
     window = (Q.vertices, Q._normals, Q._offsets)
     base = k12 @ d[1:3] - shift.gamma @ d
     blocks = []
+    # k0 ascends over the blocks, and (k1, k2), k3, k4 within each, so the
+    # candidates come out in key order
     for k0 in range(-M, M + 1):
         row, k3, v_lo, v_hi = _scan(base + k0 * d[0], d[3], d[4], window,
                                     eps + _SCAN_SLACK, M)
         sub, k4 = _expand(*_integer_span(v_lo, v_hi, -M, M))
         cand = np.column_stack([np.full(len(sub), k0), k12[row[sub]], k3[sub], k4])
-        blocks.append((cand, accept_3d_bulk(cand, shift, Q, basis, eps)))
-    labels = _accepted(blocks, "the decagon boundary", shift)
-    return labels, labels.astype(float) @ basis.W
+        pts = d_test_points(cand, shift, basis)
+        blocks.append((cand, accept_3d_bulk(cand, shift, Q, basis, eps, pts), pts))
+    labels, keys, pts = _accepted(blocks, "the decagon boundary", shift, M)
+    return labels, labels.astype(float) @ basis.W, keys, pts
 
 
 #: largest box half-width whose label keys fit in int64, (2R+1)^5 < 2^63
@@ -602,6 +673,20 @@ def label_rows(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
         return np.full(query.shape, -1, dtype=np.int64)
     rows = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
     return np.where(keys[rows] == query, rows, -1)
+
+
+def key_member(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Whether each query key is in the sorted key array; -1 never is.
+
+    `keys` must be distinct, and so must the query's other keys.  When both
+    are increasing, as for the step queries of labels in key order, one
+    stable sort merges the two runs in linear time, where label_rows would
+    binary-search each query.
+    """
+    query = np.asarray(query, dtype=np.int64)
+    found = query >= 0
+    found[found] = np.isin(query[found], keys, assume_unique=True, kind="sort")
+    return found
 
 
 def step_rows(labels: np.ndarray, keys: np.ndarray, radius: int,

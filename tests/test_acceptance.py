@@ -91,7 +91,7 @@ def test_criterion_3_dual_construction_equivalence(P, basis, windows_for, c):
     tiling = tiling_from_pentagrid((-R, R, -R, R), shift, basis)
     # label box wide enough for every mesh within the trim radius
     box = int(np.ceil(R - 3.0 + 2.4 + np.abs(shift.gamma).max() + 1)) + 1
-    window_labels, _ = enumerate_accepted_2d(box, shift, ws, basis)
+    window_labels, _, _ = enumerate_accepted_2d(box, shift, ws, basis)
 
     trim = R - 3.0
     pk = np.linalg.norm(mesh_locator(tiling.labels, shift, basis), axis=1)
@@ -161,7 +161,7 @@ def test_criterion_5_census_structure(basis, windows_for):
 def test_criterion_6_cell_census(P, Q, basis):
     t0 = time.perf_counter()
     shift, lat = _lattice(Q, basis, 0.5, 11, 10)
-    tips = find_tips(lat, shift, Q, basis)
+    tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     assert len(inner) >= 1000
     violations = 0
@@ -194,7 +194,7 @@ def test_criterion_7_overlap_classes(P, Q, basis):
     results = {}
     for c, seed in ((0.2, 3), (0.7, 4)):
         shift, lat = _lattice(Q, basis, c, seed, 16)
-        census = overlap_census(lat, shift, Q, basis)
+        census = overlap_census(lat, shift, Q)
         assert census.n_tips >= 1000
         for label, freq in census.frequencies.items():
             assert abs(freq - ANALYTIC_CLASS_FREQUENCIES[label]) <= 0.01, \

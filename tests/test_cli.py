@@ -3,6 +3,8 @@ import logging
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -195,3 +197,49 @@ def test_every_mode_runs_without_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.iterdir())) == 5
+
+
+@pytest.mark.parametrize("tol", ["0.3", "0.45", "0.6"])
+def test_coarse_tolerance_is_a_configuration_error(tol, tmp_path, caplog):
+    # the windows do not depend on --tol; a --tol that reaches the centre of
+    # one (V_1 and V_5 at c = 0.5 are 0.4045 wide) is refused by name
+    out = tmp_path / "w.json"
+    with caplog.at_level(logging.ERROR, logger="qc"):
+        code = run(["windows", "--tol", tol, "--out", str(out)])
+    if tol == "0.3":
+        assert code == 0
+        reference = tmp_path / "default.json"
+        assert run(["windows", "--out", str(reference)]) == 0
+        doc, default = json.loads(out.read_text()), json.loads(reference.read_text())
+        assert doc.pop("eps") == 0.3 and default.pop("eps") == 1e-9
+        assert doc == default
+    else:
+        assert code == 2
+        assert f"configuration error: --tol {tol} is not below 0.404508" in caplog.text
+    assert "radius-1/p" not in caplog.text and "strictly inside" not in caplog.text
+
+
+def test_coarse_tolerance_for_the_lattice_names_the_inner_decagon(caplog):
+    with caplog.at_level(logging.ERROR, logger="qc"):
+        assert run(["overlap-census", "--radius", "6", "--tol", "0.6"]) == 2
+    assert "--tol 0.6 is not below 0.587785" in caplog.text
+    assert "the inner decagon" in caplog.text
+    assert "redrawing" not in caplog.text
+
+
+@pytest.mark.parametrize("mode", ["overlap-census", "freq"])
+def test_infeasible_radius_is_refused_before_allocating(mode, caplog):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with caplog.at_level(logging.ERROR, logger="qc"):
+            code = run([mode, "--radius", "3000"])
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert elapsed < 1.0
+    assert peak < 16 * 2 ** 20
+    assert "radius 3000 would accept about" in caplog.text
+    assert "above the 4 GB budget" in caplog.text

@@ -127,7 +127,7 @@ def test_window_document_structure(P, Q, windows_for):
 def test_cells_obj_dedupes_shared_vertices(P, Q, basis):
     shift = random_shift(0.5, 11)
     lat = qp.build_lattice3(8, shift, Q, basis)
-    tips = find_tips(lat, shift, Q, basis)
+    tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= 5]
     # find two tips one z-period apart: their cells share the touching tip
     tipset = {tuple(r) for r in inner}

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import quasiproj as qp
 from quasiproj.errors import ConsistencyError
+from quasiproj.geometry import points_in_convex_polygon
 from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
                                  OVERLAP_SIGNATURES, build_cells, find_tips,
                                  overlap_census, overlap_signatures,
@@ -21,7 +24,7 @@ PHI = qp.PHI
 def lat_env(basis, Q):
     shift = random_shift(0.5, 11)
     lat = qp.build_lattice3(10, shift, Q, basis)
-    tips = find_tips(lat, shift, Q, basis)
+    tips = find_tips(lat, Q)
     return shift, lat, tips
 
 
@@ -191,7 +194,7 @@ def test_interior_offsets_are_the_interior_cube_vertices(P, basis):
 def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, basis, oracle_table):
     shift = random_shift(c, seed)
     lat = qp.build_lattice3(10, shift, Q, basis)
-    tips = find_tips(lat, shift, Q, basis)
+    tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     assert len(inner) > 1000
     cells = build_cells(inner, lat)
@@ -263,7 +266,7 @@ def test_classify_overlap_signatures(lat_env, Q, P, basis):
 def test_overlap_census_matches_analytic(Q, basis):
     shift = random_shift(0.3, 29)
     lat = qp.build_lattice3(12, shift, Q, basis)
-    census = overlap_census(lat, shift, Q, basis, shared_atom_sample=5)
+    census = overlap_census(lat, shift, Q, shared_atom_sample=5)
     assert census.n_tips > 1000
     assert sum(census.counts.values()) == census.n_tips
     assert sum(census.frequencies.values()) == pytest.approx(1.0, abs=1e-12)
@@ -315,3 +318,33 @@ def test_analytic_class_frequencies_normalized():
     assert r["A46"] / r["A1"] == pytest.approx(PHI ** -2, abs=1e-12)
     assert r["A57"] / r["A1"] == pytest.approx(PHI ** -3, abs=1e-12)
     assert r["A8"] / r["A1"] == pytest.approx((PHI ** -2 + PHI ** -4) / 2, abs=1e-12)
+
+
+def test_find_tips_reads_the_acceptance_test_points(Q, basis):
+    for c, seed in ((0.0, 1), (0.2, 3), (0.7, 5)):
+        shift = random_shift(c, seed)
+        lat = qp.build_lattice3(8, shift, Q, basis)
+        recomputed = d_test_points(lat.labels, shift, basis)
+        assert np.array_equal(lat.test_points, recomputed)
+        status = points_in_convex_polygon(recomputed, Q._inner_normals,
+                                          Q._inner_offsets, 1e-9)
+        assert np.array_equal(find_tips(lat, Q), lat.labels[status == 1])
+
+
+def test_overlap_violation_names_the_first_offending_tip(Q, basis, monkeypatch):
+    shift = random_shift(0.3, 4)
+    lat = qp.build_lattice3(10, shift, Q, basis)
+    tips = find_tips(lat, Q)
+    inner = tips[np.abs(tips).max(axis=1) <= 7]
+    original = qp.lattice3d.overlap_signatures
+
+    def doctored(*args):
+        sigs = original(*args)
+        sigs[[2, 5]] = [(3, 0, 3), (7, 3, 4)]
+        return sigs
+
+    monkeypatch.setattr(qp.lattice3d, "overlap_signatures", doctored)
+    with pytest.raises(qp.errors.CensusViolationError,
+                       match=rf"tip {re.escape(str(tuple(inner[2].tolist())))} has "
+                             r"overlap signature \(3, 0, 3\)"):
+        overlap_census(lat, shift, Q)

@@ -176,7 +176,7 @@ def test_cross_oracle_equivalence_small(P, basis, windows_for, c, seed):
     R = 6.0
     tiling = tiling_from_pentagrid((-R, R, -R, R), shift, basis)
     box = int(np.ceil(R)) + 9
-    wl, _ = qp.enumerate_accepted_2d(box, shift, ws, basis)
+    wl, _, _ = qp.enumerate_accepted_2d(box, shift, ws, basis)
 
     trim = R - 3.0
     pk = np.linalg.norm(mesh_locator(tiling.labels, shift, basis), axis=1)

@@ -116,7 +116,7 @@ def test_boundary_values_are_continuous_limits():
 def patch(basis, windows_for):
     shift = random_shift(0.5, 7)
     ws = windows_for(0.5)
-    labels, _ = enumerate_accepted_2d(12, shift, ws, basis)
+    labels, _, _ = enumerate_accepted_2d(12, shift, ws, basis)
     inner = labels[np.abs(labels).max(axis=1) <= 10]
     return shift, ws, labels, inner
 
@@ -176,7 +176,7 @@ def test_observed_types_within_census(patch, basis):
 def test_type_4_0_absent_below_breakpoint(basis, windows_for):
     shift = random_shift(0.2, 13)
     ws = windows_for(0.2)
-    labels, _ = enumerate_accepted_2d(12, shift, ws, basis)
+    labels, _, _ = enumerate_accepted_2d(12, shift, ws, basis)
     inner = labels[np.abs(labels).max(axis=1) <= 10]
     n_pos, n_neg = neighbor_counts(inner, label_keys(labels, 12), 12)
     index = inner.sum(axis=1)
@@ -246,3 +246,31 @@ def test_index_population_shifts_with_c(basis, windows_for):
     a1 = sum(analytic_A(1, n, nn, 0.8) for (n, nn) in CENSUS[1])
     b1 = sum(analytic_A(1, n, nn, 0.2) for (n, nn) in CENSUS[1])
     assert a1 < b1
+
+
+def test_census_violation_names_the_first_offending_type(basis, windows_for,
+                                                         monkeypatch):
+    # at c = 0.2 the type [4,0]_2 is in the census but has zero frequency
+    shift = random_shift(0.2, 13)
+    labels, _, _ = enumerate_accepted_2d(8, shift, windows_for(0.2), basis)
+    inner = labels[np.abs(labels).max(axis=1) <= 6]
+    first2 = int(np.argmax(inner.sum(axis=1) == 2))
+    original = qp.tiling2d.neighbor_counts
+
+    def doctored(rows, types):
+        def counts(*args):
+            n_pos, n_neg = original(*args)
+            for row, (n, nn) in zip(rows, types):
+                n_pos[row], n_neg[row] = n, nn
+            return n_pos, n_neg
+        monkeypatch.setattr(qp.tiling2d, "neighbor_counts", counts)
+
+    index = inner.sum(axis=1)
+    doctored([first2 + 3, first2], [(1, 1), (4, 0)])
+    with pytest.raises(CensusViolationError,
+                       match=r"type \[4,0\]_2 has zero analytic frequency at c=0.2"):
+        empirical_frequencies(8, shift, windows_for(0.2), basis)
+    doctored([first2 + 3, first2], [(4, 0), (1, 1)])
+    with pytest.raises(CensusViolationError,
+                       match=rf"type \[1,1\]_{index[first2]} is outside the census"):
+        empirical_frequencies(8, shift, windows_for(0.2), basis)

@@ -1,15 +1,19 @@
+import random
+
 import numpy as np
 import pytest
 
 import quasiproj as qp
+from quasiproj import geometry
 from quasiproj.errors import (DegenerateWindowError, EmptyWindowError,
                               PolygonError)
-from quasiproj.geometry import points_in_convex_polygon
+from quasiproj.geometry import max_edge_distance, points_in_convex_polygon
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               INTERIOR_INDICES, Acceptance, accept_2d, accept_2d_bulk, accept_3d,
-                              accept_3d_bulk, enumerate_accepted_2d,
-                              enumerate_accepted_3d, normalize_shift, random_shift,
-                              slice_window)
+                              accept_3d_bulk, d_test_points, enumerate_accepted_2d,
+                              enumerate_accepted_3d, key_member, label_keys,
+                              label_rows, normalize_shift, random_shift,
+                              slice_window, step_rows)
 
 from helpers import (lambda_box_candidates_2d, lambda_box_candidates_3d,
                      mesh_margin_2d, mesh_margin_3d, mesh_solution_2d, polygon_area)
@@ -248,7 +252,7 @@ def test_accept_2d_against_lp_oracle(P, basis, windows_for):
     assert (r.status is Acceptance.ACCEPT) == (m > 0)
 
     rng = np.random.default_rng(4)
-    accepted, _ = enumerate_accepted_2d(3, shift, ws, basis)
+    accepted, _, _ = enumerate_accepted_2d(3, shift, ws, basis)
     pool = [rng.integers(-3, 4, 5) for _ in range(200)]
     pool += [accepted[i] for i in rng.choice(len(accepted), 25, replace=False)]
     checked_accepts = 0
@@ -269,7 +273,7 @@ def test_accepted_labels_recover_unit_cube_lambda(P, basis, windows_for):
     # mesh condition: the recovered lambda lies strictly inside the unit cube
     shift = random_shift(0.5, 5)
     ws = windows_for(0.5)
-    labels, _ = enumerate_accepted_2d(4, shift, ws, basis)
+    labels, _, _ = enumerate_accepted_2d(4, shift, ws, basis)
     rng = np.random.default_rng(6)
     for i in rng.choice(len(labels), size=25, replace=False):
         _, lam = mesh_solution_2d(labels[i], shift, basis)
@@ -345,7 +349,7 @@ def test_enumerate_2d_matches_naive(P, basis, windows_for):
         if 1 <= sum(k) <= 5:
             if accept_2d(np.array(k), shift, ws, basis).status is Acceptance.ACCEPT:
                 naive.add(k)
-    chain, verts = enumerate_accepted_2d(M, shift, ws, basis)
+    chain, verts, _ = enumerate_accepted_2d(M, shift, ws, basis)
     assert {tuple(r) for r in chain} == naive
     assert np.allclose(verts, chain.astype(float) @ basis.D)
     # sorted lexicographically
@@ -360,7 +364,7 @@ def test_enumerate_3d_matches_naive(Q, basis):
     for k in product(range(-M, M + 1), repeat=5):
         if accept_3d(np.array(k), shift, Q, basis).status is Acceptance.ACCEPT:
             naive.add(k)
-    chain, _ = enumerate_accepted_3d(M, shift, Q, basis)
+    chain, *_ = enumerate_accepted_3d(M, shift, Q, basis)
     assert {tuple(r) for r in chain} == naive
 
 
@@ -373,16 +377,16 @@ def test_enumerate_repeat_and_nested_box_deterministic(P, Q, basis, windows_for)
     # one gives the smaller box's labels in the same order
     shift = random_shift(0.5, 7)
     ws = windows_for(0.5)
-    l1, v1 = enumerate_accepted_2d(6, shift, ws, basis)
-    l2, v2 = enumerate_accepted_2d(6, shift, ws, basis)
+    l1, v1, _ = enumerate_accepted_2d(6, shift, ws, basis)
+    l2, v2, _ = enumerate_accepted_2d(6, shift, ws, basis)
     assert np.array_equal(l1, l2) and np.array_equal(v1, v2)
-    big, _ = enumerate_accepted_2d(9, shift, ws, basis)
+    big, _, _ = enumerate_accepted_2d(9, shift, ws, basis)
     assert np.array_equal(big[np.abs(big).max(axis=1) <= 6], l1)
 
-    m1, _ = enumerate_accepted_3d(4, shift, Q, basis)
-    m2, _ = enumerate_accepted_3d(4, shift, Q, basis)
+    m1, *_ = enumerate_accepted_3d(4, shift, Q, basis)
+    m2, *_ = enumerate_accepted_3d(4, shift, Q, basis)
     assert np.array_equal(m1, m2)
-    big, _ = enumerate_accepted_3d(6, shift, Q, basis)
+    big, *_ = enumerate_accepted_3d(6, shift, Q, basis)
     assert np.array_equal(big[np.abs(big).max(axis=1) <= 4], m1)
 
 
@@ -397,13 +401,13 @@ def test_enumerate_matches_lambda_box_oracle(c, Q, basis, windows_for):
             cand = lambda_box_candidates_2d(R, shift)
             status = accept_2d_bulk(cand, shift, ws, basis)
             assert not np.any(status == -1)
-            labels, _ = enumerate_accepted_2d(R, shift, ws, basis)
+            labels, _, _ = enumerate_accepted_2d(R, shift, ws, basis)
             assert np.array_equal(labels, _lex_sorted(cand[status == 1])), (seed, R)
 
             cand = lambda_box_candidates_3d(R, shift)
             status = accept_3d_bulk(cand, shift, Q, basis)
             assert not np.any(status == -1)
-            labels, _ = enumerate_accepted_3d(R, shift, Q, basis)
+            labels, *_ = enumerate_accepted_3d(R, shift, Q, basis)
             assert np.array_equal(labels, _lex_sorted(cand[status == 1])), (seed, R)
 
 
@@ -428,10 +432,10 @@ def test_enumeration_tests_at_most_twice_what_it_accepts(Q, basis, windows_for,
     for c, seed in ((0.0, 1), (0.5, 7), (0.9, 2)):
         shift = random_shift(c, seed)
         tested2.clear()
-        labels, _ = enumerate_accepted_2d(12, shift, windows_for(c), basis)
+        labels, _, _ = enumerate_accepted_2d(12, shift, windows_for(c), basis)
         assert sum(len(t) for t, _ in tested2) <= 2 * len(labels)
         tested3.clear()
-        labels, _ = enumerate_accepted_3d(8, shift, Q, basis)
+        labels, *_ = enumerate_accepted_3d(8, shift, Q, basis)
         assert sum(len(t) for t, _ in tested3) <= 2 * len(labels)
 
 
@@ -492,3 +496,80 @@ def test_enumerate_2d_raises_at_the_c0_index5_point_window(P, basis, monkeypatch
     k = np.array([3, -1, 2, 0, 1])
     shift = _moved_shift(generic, basis.W[:, :2], k, np.array([0.6e-9, -0.3e-9]))
     _assert_singular(lambda: enumerate_accepted_2d(4, shift, ws, basis), tested, k)
+
+
+# -- the key stream: enumerator order, merge membership, polygon reduction ----
+
+@pytest.mark.parametrize("c", [0.0, P_GOLD ** -2, 0.5, 0.9])
+def test_enumerators_return_strictly_increasing_keys(c, Q, basis, windows_for):
+    for R in (2, 5, 9):
+        shift = random_shift(c, R)
+        labels, _, keys = enumerate_accepted_2d(R, shift, windows_for(c), basis)
+        assert np.all(np.diff(keys) > 0)
+        assert np.array_equal(keys, label_keys(labels, R))
+
+        labels, _, keys, test_points = enumerate_accepted_3d(R, shift, Q, basis)
+        assert np.all(np.diff(keys) > 0)
+        assert np.array_equal(keys, label_keys(labels, R))
+        assert np.array_equal(test_points, d_test_points(labels, shift, basis))
+
+
+def test_key_member_matches_binary_search(basis, windows_for):
+    unit = np.eye(5, dtype=np.int64)
+    left_box = 0
+    for c in (0.0, 0.5):
+        for R in (3, 6):
+            labels, _, keys = enumerate_accepted_2d(R, random_shift(c, 4),
+                                                    windows_for(c), basis)
+            assert np.any(np.abs(labels).max(axis=1) == R)  # box-edge labels
+            for sign in (1, -1):
+                steps = step_rows(labels, keys, R, sign)
+                for m in range(5):
+                    # -1 where the step leaves the box
+                    query = label_keys(labels + sign * unit[m], R)
+                    left_box += np.sum(query == -1)
+                    member = key_member(keys, query)
+                    assert np.array_equal(member, label_rows(keys, query) >= 0)
+                    assert np.array_equal(member, steps[:, m] >= 0)
+    assert left_box > 0
+    empty = np.empty(0, dtype=np.int64)
+    assert not np.any(key_member(empty, keys))
+    assert key_member(empty, keys).shape == keys.shape
+    assert key_member(keys, empty).shape == (0,)
+    assert key_member(empty, empty).shape == (0,)
+
+
+def test_neighbor_counts_needs_labels_in_key_order(basis, windows_for):
+    labels, _, keys = enumerate_accepted_2d(6, random_shift(0.5, 4), windows_for(0.5), basis)
+    inner = labels[np.abs(labels).max(axis=1) <= 5]
+    for bad in (inner[::-1], np.vstack([inner[:1], inner])):
+        with pytest.raises(ValueError, match="distinct and in key order"):
+            qp.neighbor_counts(bad, keys, 6)
+
+
+def _benchmark_gamma(c, seed):
+    """The shift the benchmark draws: gamma_1..4 uniform, gamma_0 fixing the sum."""
+    rng = random.Random(seed)
+    tail = [rng.random() for _ in range(4)]
+    return [c - sum(tail)] + tail
+
+
+def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, Q, basis, monkeypatch):
+    # every point set the acceptance tests see in `qc freq --c 0.5 --radius 80`
+    # and `qc overlap-census --c 0.2 --radius 20` at the benchmark's seed 0
+    seen = []
+    original = geometry.max_edge_distance
+
+    def recorded(pts, normals, offsets):
+        seen.append((pts, normals, offsets))
+        return original(pts, normals, offsets)
+
+    monkeypatch.setattr(geometry, "max_edge_distance", recorded)
+    shift = normalize_shift(_benchmark_gamma(0.5, 0))
+    enumerate_accepted_2d(80, shift, qp.build_windows(P, shift.c), basis)
+    shift = normalize_shift(_benchmark_gamma(0.2, 0))
+    qp.find_tips(qp.build_lattice3(20, shift, Q, basis), Q)
+    assert sum(len(pts) for pts, _, _ in seen) == 161833 + 2 * 351437
+    for pts, normals, offsets in seen:
+        old = np.max(pts @ normals.T - offsets, axis=1)
+        assert np.array_equal(max_edge_distance(pts, normals, offsets), old)
