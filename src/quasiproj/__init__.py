@@ -6,11 +6,9 @@ Two independent constructions of the same objects: the de Bruijn pentagrid
 validates analytic vertex-type and cell-overlap frequencies against counts.
 """
 
-from .geometry import (DEFAULT_EPS, PHI, THETA, ProjectionBasis, make_basis,
-                       project_2d, project_3d)
-from .window import (Acceptance, AcceptResult, CUBE_VERTICES, DecagonQ, GridShift,
-                     PolytopeP, SliceWindow, WindowSet, accept_2d, accept_3d,
-                     build_decagon_Q, build_polytope_P, build_windows,
+from .geometry import DEFAULT_EPS, PHI, THETA, ProjectionBasis, make_basis
+from .window import (CUBE_VERTICES, DecagonQ, GridShift, PolytopeP, SliceWindow,
+                     WindowSet, build_decagon_Q, build_polytope_P, build_windows,
                      enumerate_accepted_2d, enumerate_accepted_3d, label_keys,
                      label_rows, normalize_shift, random_shift, slice_window)
 from .pentagrid import (Intersection, PentagridTiling, enumerate_intersections,
@@ -18,8 +16,8 @@ from .pentagrid import (Intersection, PentagridTiling, enumerate_intersections,
 from .tiling2d import (CENSUS, FrequencyReport, VertexType, analytic_A,
                        analytic_probability, census_support, empirical_frequencies,
                        neighbor_counts)
-from .lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS, CellInstance,
-                        Lattice3, OverlapCensus, build_cells, build_lattice3,
-                        find_tips, overlap_census, overlap_signatures)
+from .lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS, Lattice3,
+                        OverlapCensus, build_cells, build_lattice3, find_tips,
+                        overlap_census, overlap_signatures)
 
 __version__ = "0.1.0"

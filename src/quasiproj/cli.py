@@ -16,7 +16,7 @@ from .io import (RunConfig, build_tiling_document, cells_obj, frequency_csv,
 from .lattice3d import build_cells, build_lattice3, find_tips, overlap_census
 from .tiling2d import empirical_frequencies
 from .window import (MAX_KEY_RADIUS, build_decagon_Q, build_polytope_P,
-                     build_windows, slice_window)
+                     build_windows, label_extent, slice_window)
 
 log = logging.getLogger("qc")
 
@@ -138,15 +138,15 @@ def _run_mode(config: RunConfig) -> None:
         lat = build_lattice3(config.radius, shift, Q, basis, config.tol)
         if config.mode == "lattice3d":
             tips = find_tips(lat, Q, config.tol)
-            inner = tips[abs(tips).max(axis=1) <= config.radius - 3]
+            inner = tips[label_extent(tips) <= config.radius - 3]
             cells = build_cells(inner, lat)
             notes = [(logging.INFO, f"lattice: {len(lat.labels)} points, "
-                                    f"{len(tips)} tips, {len(cells)} complete cells")]
-            if not cells:
+                                    f"{len(tips)} tips, {len(inner)} complete cells")]
+            if not len(inner):
                 notes.append((logging.WARNING,
                               "no complete cells: every tip lies within 3 label "
                               "steps of the box edge; raise --radius"))
-            return cells_obj(cells, P), notes
+            return cells_obj(cells, lat, P), notes
         census = overlap_census(lat, shift, Q, config.tol, shared_atom_sample=20)
         notes = []
         if census.shared_atoms:

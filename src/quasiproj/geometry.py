@@ -48,20 +48,6 @@ def make_basis() -> ProjectionBasis:
     return ProjectionBasis(D=D, W=W)
 
 
-def project_2d(k, basis: ProjectionBasis) -> np.ndarray:
-    """Map a 5-d lattice point to the tiling plane: sum_j k_j d_j."""
-    return np.asarray(k, dtype=float) @ basis.D
-
-
-def project_3d(k, basis: ProjectionBasis) -> np.ndarray:
-    """Map a 5-d lattice point to 3-space: sum_j k_j w_j.
-
-    The z component equals the coordinate sum (the index) exactly, because
-    every w_j has third component 1.
-    """
-    return np.asarray(k, dtype=float) @ basis.W
-
-
 def polygon_halfplanes(polygon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Outward unit normals and offsets of a CCW convex polygon.
 

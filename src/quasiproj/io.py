@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, SingularityError
 from .geometry import DEFAULT_EPS, ProjectionBasis, make_basis
-from .lattice3d import OVERLAP_SIGNATURES, CellInstance, OverlapCensus
+from .lattice3d import OVERLAP_SIGNATURES, Lattice3, OverlapCensus
 from .tiling2d import FrequencyReport
 from .window import (DecagonQ, GridShift, PolytopeP, WindowSet,
                      enumerate_accepted_2d, normalize_shift, random_shift,
@@ -92,37 +92,37 @@ def resolve_shift(config: RunConfig, probe=None, max_retries: int = 20) -> GridS
 
 @dataclass(frozen=True)
 class TilingDocument:
-    """Vertex and edge lists of a tiling patch, ready for rendering."""
+    """A tiling patch as arrays, ready for rendering."""
 
-    vertices: tuple   # ((label, index, (x, y)), ...) label-sorted
-    edges: tuple      # ((from_row, to_row, style), ...) positive direction
+    labels: np.ndarray  # (N, 5) int64, in key order
+    points: np.ndarray  # (N, 2) tiling vertices
+    edges: np.ndarray   # (E, 2) rows (i, j), j the +e_m step of i, sorted by (i, j)
 
 
 def build_tiling_document(radius: int, shift: GridShift, wset: WindowSet,
                           basis: ProjectionBasis | None = None) -> TilingDocument:
-    """Window-accepted vertices in the label box plus all edges between them."""
-    basis = basis or make_basis()
-    labels, xy, keys = enumerate_accepted_2d(radius, shift, wset, basis)
-    index = labels.sum(axis=1).tolist()
+    """Window-accepted vertices in the label box plus all edges between them.
 
+    The rows are in label order, so sorting the edges by row pair sorts them
+    by their end labels.
+    """
+    basis = basis or make_basis()
+    labels, points, keys = enumerate_accepted_2d(radius, shift, wset, basis)
     # row of the +e_m neighbor of every vertex, -1 where it is not accepted
     step = step_rows(labels, keys, radius)
-    rows, _ = np.nonzero(step >= 0)
-    styles = {1: "1-2", 2: "2-3", 3: "3-4", 4: "4-5"}
-    edges = tuple((i, j, styles[index[i]])
-                  for i, j in zip(rows.tolist(), step[step >= 0].tolist()))
-
-    vertices = tuple((tuple(lab), i, tuple(p))
-                     for lab, i, p in zip(labels.tolist(), index, xy.tolist()))
-    return TilingDocument(vertices=vertices, edges=edges)
+    i, m = np.nonzero(step >= 0)
+    j = step[i, m]
+    order = np.lexsort((j, i))
+    return TilingDocument(labels=labels, points=points,
+                          edges=np.column_stack([i[order], j[order]]))
 
 
-#: stroke classes for the four edge kinds, keyed by endpoint index pair
+#: stroke classes for the four edge kinds, keyed by the index of the lower end
 SVG_STYLES = {
-    "1-2": 'stroke="#000" stroke-width="0.03" stroke-dasharray="0.12 0.08"',
-    "4-5": 'stroke="#000" stroke-width="0.08" stroke-dasharray="0.12 0.08"',
-    "2-3": 'stroke="#000" stroke-width="0.08"',
-    "3-4": 'stroke="#000" stroke-width="0.03"',
+    1: 'stroke="#000" stroke-width="0.03" stroke-dasharray="0.12 0.08"',
+    2: 'stroke="#000" stroke-width="0.08"',
+    3: 'stroke="#000" stroke-width="0.03"',
+    4: 'stroke="#000" stroke-width="0.08" stroke-dasharray="0.12 0.08"',
 }
 
 
@@ -132,11 +132,10 @@ def render_svg(doc: TilingDocument, pad: float = 1.0) -> str:
     The y axis is flipped (SVG y grows downward) so the drawing matches the
     mathematical orientation.
     """
-    if doc.vertices:
-        xs = [v[2][0] for v in doc.vertices]
-        ys = [-v[2][1] for v in doc.vertices]
-        x0, x1 = min(xs) - pad, max(xs) + pad
-        y0, y1 = min(ys) - pad, max(ys) + pad
+    xs, ys = doc.points[:, 0], -doc.points[:, 1]
+    if len(xs):
+        x0, x1 = xs.min() - pad, xs.max() + pad
+        y0, y1 = ys.min() - pad, ys.max() + pad
     else:
         x0, y0, x1, y1 = -1.0, -1.0, 1.0, 1.0
 
@@ -147,13 +146,10 @@ def render_svg(doc: TilingDocument, pad: float = 1.0) -> str:
         f'viewBox="{fmt(x0)} {fmt(y0)} {fmt(x1 - x0)} {fmt(y1 - y0)}">',
         '<g fill="none">',
     ]
-    def edge_key(e):
-        return (doc.vertices[e[0]][0], doc.vertices[e[1]][0])
-    for e in sorted(doc.edges, key=edge_key):
-        (ax, ay) = doc.vertices[e[0]][2]
-        (bx, by) = doc.vertices[e[1]][2]
-        lines.append(f'<path {SVG_STYLES[e[2]]} '
-                     f'd="M {fmt(ax)} {fmt(-ay)} L {fmt(bx)} {fmt(-by)}"/>')
+    at = [f"{fmt(x)} {fmt(y)}" for x, y in zip(xs.tolist(), ys.tolist())]
+    index = doc.labels.sum(axis=1)[doc.edges[:, 0]]
+    lines += [f'<path {SVG_STYLES[s]} d="M {at[i]} L {at[j]}"/>'
+              for (i, j), s in zip(doc.edges.tolist(), index.tolist())]
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -225,22 +221,35 @@ def write_json(obj: dict) -> str:
 # OBJ export
 # ---------------------------------------------------------------------------
 
-def cells_obj(cells: list[CellInstance], P: PolytopeP) -> str:
-    """Wavefront OBJ of unit cells, one object per cell, vertices deduplicated."""
+def cells_obj(cells, lat: Lattice3, P: PolytopeP) -> str:
+    """Wavefront OBJ of unit cells, one object per cell, vertices deduplicated.
+
+    `cells` is what build_cells returns.  Each vertex is a lattice point, so
+    its row identifies it; ids follow first appearance, and a vertex's
+    coordinates are those of the cell it first appears in.
+    """
+    tip_rows, hull_rows, _ = cells
+    _, first, inverse = np.unique(hull_rows, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(1, len(first) + 1)
+    ids = rank[inverse].reshape(hull_rows.shape)
+    # vertex id n + 1 first appears in cell_of[n], as its hull vertex hull_of[n]
+    cell_of, hull_of = np.divmod(np.sort(first), hull_rows.shape[1])
+    coords = P.vertices[hull_of] + lat.points[tip_rows[cell_of]]
+    v_lines = [f"v {fmt(x)} {fmt(y)} {fmt(z)}" for x, y, z in coords.tolist()]
+    # the cell's face lines, to be filled with its vertex ids at the face corners
+    faces = "\n".join("f" + " %d" * len(loop) for loop in P.face_loops)
+    face_corners = np.concatenate(P.face_loops)
+
     lines = ["# quasiperiodic unit cells (one object per cell)"]
-    vid: dict[tuple, int] = {}
-    for cell in cells:
-        name = "cell_" + "_".join(str(int(x)) for x in cell.tip_label)
-        lines.append(f"o {name}")
-        local = []
-        for v in P.vertices + cell.tip_point:
-            key = tuple(round(float(x), 9) for x in v)
-            if key not in vid:
-                vid[key] = len(vid) + 1
-                lines.append(f"v {fmt(v[0])} {fmt(v[1])} {fmt(v[2])}")
-            local.append(vid[key])
-        for loop in P.face_loops:
-            lines.append("f " + " ".join(str(local[i]) for i in loop))
+    seen = 0
+    for tip, local, last in zip(lat.labels[tip_rows].tolist(), ids,
+                                ids.max(axis=1).tolist()):
+        lines.append("o cell_" + "_".join(map(str, tip)))
+        # the ids past those of the cells before are this cell's new vertices
+        lines += v_lines[seen:last]
+        seen = max(seen, last)
+        lines.append(faces % tuple(local[face_corners].tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,7 @@ from .geometry import (DEFAULT_EPS, PHI, ProjectionBasis, make_basis,
                        polygon_halfplanes)
 from .window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, DecagonQ,
                      GridShift, d_test_points, enumerate_accepted_3d, key_member,
-                     label_keys, label_rows, points_in_convex_polygon)
+                     label_extent, label_keys, label_rows, points_in_convex_polygon)
 
 #: overlap classes keyed by (neighbor count, K count, J count)
 OVERLAP_SIGNATURES = {
@@ -109,19 +109,11 @@ def tip_triangle(tip_label, shift: GridShift, Q: DecagonQ,
         f"tip test point {tuple(pt.tolist())} lies on a triangle boundary of the inner decagon")
 
 
-@dataclass(frozen=True)
-class CellInstance:
-    """One 26-atom unit cell: a translated polytope anchored at a tip."""
-
-    tip_label: np.ndarray       # (5,)
-    tip_point: np.ndarray       # (3,)
-    hull_atoms: np.ndarray      # (22, 5) labels on the translated hull
-    interior_atoms: np.ndarray  # (4, 5) labels strictly inside, sorted
-
-
-def build_cells(tips, lat: Lattice3) -> list[CellInstance]:
+def build_cells(tips, lat: Lattice3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble the cells of many tips by one lookup of tip + cube vertices.
 
+    Returns the lattice rows of each cell's atoms: (tip rows (n,), hull rows
+    (n, 22) in P.vertices order, interior rows (n, 4) in label order).
     All 22 hull translates must be lattice points.  The only offsets that
     can carry an interior atom are the ten interior cube vertices (no other
     m has m.W strictly inside the polytope with m.D short enough for both
@@ -147,11 +139,7 @@ def build_cells(tips, lat: Lattice3) -> list[CellInstance]:
             f"cell at {tuple(tips[i].tolist())} has {found[i]} interior atoms, "
             "expected 4")
     # misses are -1, so the four hits sort last, in label order
-    inner = np.sort(inner, axis=1)[:, -4:]
-    hull = atoms[:, HULL_INDICES]
-    return [CellInstance(tip_label=tips[i], tip_point=lat.points[rows[i, 0]],
-                         hull_atoms=hull[i], interior_atoms=lat.labels[inner[i]])
-            for i in range(len(tips))]
+    return rows[:, 0], rows[:, HULL_INDICES], np.sort(inner, axis=1)[:, -4:]
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +192,8 @@ def shared_atom_count(tip_a, tip_b, lat: Lattice3) -> int:
     intersection; reported as a statistic only, no published values exist
     to assert against.
     """
-    a, b = (label_keys(np.vstack([c.hull_atoms, c.interior_atoms]), lat.radius)
-            for c in build_cells(np.vstack([tip_a, tip_b]), lat))
+    _, hull, interior = build_cells(np.vstack([tip_a, tip_b]), lat)
+    a, b = np.hstack([hull, interior])
     return len(np.intersect1d(a, b))
 
 
@@ -229,7 +217,7 @@ def overlap_census(lat: Lattice3, shift: GridShift, Q: DecagonQ,
     sampled tips per class.
     """
     tips = find_tips(lat, Q, eps)
-    inner = tips[np.abs(tips).max(axis=1) <= lat.radius - margin]
+    inner = tips[label_extent(tips) <= lat.radius - margin]
     if len(inner) == 0:
         raise ConfigError("no boundary-complete tips in the lattice box")
 
@@ -247,7 +235,7 @@ def overlap_census(lat: Lattice3, shift: GridShift, Q: DecagonQ,
         tip_keys = label_keys(tips, lat.radius)
         overlapping = np.vstack(list(OVERLAP_OFFSETS.values()))
         # shared-atom cells need one more label ring
-        safe = np.abs(inner).max(axis=1) <= lat.radius - margin - 2
+        safe = label_extent(inner) <= lat.radius - margin - 2
         for j, label in enumerate(_CLASSES):
             for tip in inner[(cls == j) & safe]:
                 if len(shared_sums[label]) >= shared_atom_sample:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CensusViolationError, ConfigError
 from .geometry import PHI, ProjectionBasis, make_basis
 from .window import (GridShift, WindowSet, enumerate_accepted_2d, key_member,
-                     label_keys)
+                     label_extent, label_keys)
 
 _P = PHI
 
@@ -247,7 +247,7 @@ def empirical_frequencies(radius: int, shift: GridShift, wset: WindowSet,
     """
     basis = basis or make_basis()
     labels, _, keys = enumerate_accepted_2d(radius, shift, wset, basis)
-    labels = labels[np.abs(labels).max(axis=1) <= radius - margin]
+    labels = labels[label_extent(labels) <= radius - margin]
     if len(labels) == 0:
         raise ConfigError("label box too small: no boundary-complete vertices")
 

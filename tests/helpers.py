@@ -4,7 +4,8 @@ The mesh-condition oracles solve the defining linear feasibility problem
 directly (does some point r and some lambda in the open unit 5-cube satisfy
 grid-projection + gamma + lambda = k?) with an LP, bypassing the window
 construction entirely.  The overlap oracle intersects translated copies of
-the polytope numerically, with an LP and Qhull.
+the polytope numerically, with an LP and Qhull.  The reference writers are
+the tuple-based SVG and dict-based OBJ serialisers the array writers replaced.
 """
 
 import numpy as np
@@ -12,6 +13,8 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from quasiproj.geometry import PHI
+from quasiproj.io import fmt
+from quasiproj.window import enumerate_accepted_2d, step_rows
 
 
 def mesh_margin_2d(k, shift, basis) -> float:
@@ -243,3 +246,71 @@ def lambda_box_candidates_3d(radius, shift):
         cand = cand.reshape(-1, 5)
         chunks.append(cand[np.abs(cand).max(axis=1) <= M])
     return np.vstack(chunks)
+
+
+# ---------------------------------------------------------------------------
+# reference writers: one Python tuple per vertex and edge, a dict of rounded
+# coordinates per OBJ vertex
+# ---------------------------------------------------------------------------
+
+_REFERENCE_SVG_STYLES = {
+    "1-2": 'stroke="#000" stroke-width="0.03" stroke-dasharray="0.12 0.08"',
+    "4-5": 'stroke="#000" stroke-width="0.08" stroke-dasharray="0.12 0.08"',
+    "2-3": 'stroke="#000" stroke-width="0.08"',
+    "3-4": 'stroke="#000" stroke-width="0.03"',
+}
+
+
+def tiling_svg_reference(radius, shift, wset, basis, pad=1.0):
+    """The SVG of `qc tiling2d`, from (label, index, (x, y)) vertex tuples."""
+    labels, xy, keys = enumerate_accepted_2d(radius, shift, wset, basis)
+    index = labels.sum(axis=1).tolist()
+    step = step_rows(labels, keys, radius)
+    rows, _ = np.nonzero(step >= 0)
+    styles = {1: "1-2", 2: "2-3", 3: "3-4", 4: "4-5"}
+    edges = tuple((i, j, styles[index[i]])
+                  for i, j in zip(rows.tolist(), step[step >= 0].tolist()))
+    vertices = tuple((tuple(lab), i, tuple(p))
+                     for lab, i, p in zip(labels.tolist(), index, xy.tolist()))
+
+    if vertices:
+        xs = [v[2][0] for v in vertices]
+        ys = [-v[2][1] for v in vertices]
+        x0, x1 = min(xs) - pad, max(xs) + pad
+        y0, y1 = min(ys) - pad, max(ys) + pad
+    else:
+        x0, y0, x1, y1 = -1.0, -1.0, 1.0, 1.0
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        "<!-- tiling patch; y axis flipped so the plane's orientation matches the screen -->",
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{fmt(x0)} {fmt(y0)} {fmt(x1 - x0)} {fmt(y1 - y0)}">',
+        '<g fill="none">',
+    ]
+    for e in sorted(edges, key=lambda e: (vertices[e[0]][0], vertices[e[1]][0])):
+        (ax, ay) = vertices[e[0]][2]
+        (bx, by) = vertices[e[1]][2]
+        lines.append(f'<path {_REFERENCE_SVG_STYLES[e[2]]} '
+                     f'd="M {fmt(ax)} {fmt(-ay)} L {fmt(bx)} {fmt(-by)}"/>')
+    lines.append("</g>")
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def cells_obj_reference(tips, lat, P):
+    """The OBJ of `qc lattice3d` for these tips, deduplicating rounded coordinates."""
+    lines = ["# quasiperiodic unit cells (one object per cell)"]
+    vid = {}
+    for tip in tips:
+        tip_point = lat.points[lat.rows(tip)]
+        lines.append("o cell_" + "_".join(str(int(x)) for x in tip))
+        local = []
+        for v in P.vertices + tip_point:
+            key = tuple(round(float(x), 9) for x in v)
+            if key not in vid:
+                vid[key] = len(vid) + 1
+                lines.append(f"v {fmt(v[0])} {fmt(v[1])} {fmt(v[2])}")
+            local.append(vid[key])
+        for loop in P.face_loops:
+            lines.append("f " + " ".join(str(local[i]) for i in loop))
+    return "\n".join(lines) + "\n"

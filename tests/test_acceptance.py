@@ -16,8 +16,7 @@ from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
 from quasiproj.pentagrid import mesh_locator, tiling_from_pentagrid
 from quasiproj.tiling2d import (CENSUS, analytic_A, analytic_probability,
                                 census_support, empirical_frequencies)
-from quasiproj.window import (Acceptance, accept_3d, enumerate_accepted_2d,
-                              random_shift)
+from quasiproj.window import accept_3d_bulk, enumerate_accepted_2d, random_shift
 
 from helpers import VOLUME_FLOOR, overlap_table
 
@@ -165,15 +164,16 @@ def test_criterion_6_cell_census(P, Q, basis):
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     assert len(inner) >= 1000
     violations = 0
-    cells = build_cells(inner, lat)  # raises unless 22 + 4 atoms per tip
-    for tip, cell in zip(inner, cells):
+    # raises unless 22 + 4 atoms per tip
+    _, hull_rows, interior_rows = build_cells(inner, lat)
+    for tip, hull, interior in zip(inner, hull_rows, interior_rows):
         for m in range(5):
             for s in (1, -1):
                 nb = tip.copy()
                 nb[m] += s
                 if nb not in lat:
                     violations += 1
-        if len(cell.hull_atoms) + len(cell.interior_atoms) != 26:
+        if len(lat.labels[hull]) + len(lat.labels[interior]) != 26:
             violations += 1
     elapsed = time.perf_counter() - t0
     assert violations == 0
@@ -215,12 +215,12 @@ def test_criterion_8_z_periodicity(Q, basis):
     inner = lat.labels[np.abs(lat.labels).max(axis=1) <= lat.radius - 1]
     ones = np.ones(5, dtype=np.int64)
     violations = 0
-    for k, i in zip(inner, lat.rows(inner)):
-        res = accept_3d(k + ones, shift, Q, basis)
-        if res.status is not Acceptance.ACCEPT:
+    up = inner + ones
+    for k, i, status in zip(up, lat.rows(inner), accept_3d_bulk(up, shift, Q, basis)):
+        if status != 1:
             violations += 1
             continue
-        if not np.allclose(res.vertex, lat.points[i] + [0, 0, 5], atol=1e-9):
+        if not np.allclose(k.astype(float) @ basis.W, lat.points[i] + [0, 0, 5], atol=1e-9):
             violations += 1
     elapsed = time.perf_counter() - t0
     assert violations == 0

@@ -39,19 +39,23 @@ def test_basis_orthogonality_and_sums(basis):
 
 
 def test_projections(basis):
-    assert np.allclose(qp.project_2d([0, 0, 0, 0, 0], basis), [0, 0])
-    assert np.allclose(qp.project_2d([1, 1, 1, 1, 1], basis), [0, 0], atol=1e-12)
-    assert np.allclose(qp.project_2d([1, 0, 0, 0, 0], basis), [1, 0], atol=1e-12)
-    assert np.allclose(qp.project_3d([0, 0, 0, 0, 0], basis), [0, 0, 0])
-    assert np.allclose(qp.project_3d([1, 1, 1, 1, 1], basis), [0, 0, 5], atol=1e-12)
-    assert np.allclose(qp.project_3d([1, 0, 0, 0, 0], basis), [1, 0, 1], atol=1e-12)
+    # the images the enumerators compute: labels.astype(float) @ D and @ W
+    zero, ones, e0 = np.array([[0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]])
+    assert np.allclose(zero.astype(float) @ basis.D, [0, 0])
+    assert np.allclose(ones.astype(float) @ basis.D, [0, 0], atol=1e-12)
+    assert np.allclose(e0.astype(float) @ basis.D, [1, 0], atol=1e-12)
+    assert np.allclose(zero.astype(float) @ basis.W, [0, 0, 0])
+    assert np.allclose(ones.astype(float) @ basis.W, [0, 0, 5], atol=1e-12)
+    assert np.allclose(e0.astype(float) @ basis.W, [1, 0, 1], atol=1e-12)
 
 
 def test_projection_z_is_exact_index(basis):
+    # the z component equals the index exactly, because every w_j has third
+    # component 1
     rng = np.random.default_rng(0)
     for _ in range(50):
         k = rng.integers(-40, 40, 5)
-        assert qp.project_3d(k, basis)[2] == float(k.sum())
+        assert (k.astype(float) @ basis.W)[2] == float(k.sum())
 
 
 def _rot(angle):
@@ -66,9 +70,9 @@ def test_fivefold_rotational_covariance(basis):
     for _ in range(20):
         k = rng.integers(-5, 6, 5)
         kr = k[(np.arange(5) + 3) % 5]
-        assert np.allclose(qp.project_2d(kr, basis),
-                           _rot(2 * qp.THETA) @ qp.project_2d(k, basis), atol=1e-9)
-        p, pr = qp.project_3d(k, basis), qp.project_3d(kr, basis)
+        assert np.allclose(kr.astype(float) @ basis.D,
+                           _rot(2 * qp.THETA) @ (k.astype(float) @ basis.D), atol=1e-9)
+        p, pr = k.astype(float) @ basis.W, kr.astype(float) @ basis.W
         assert np.allclose(pr[:2], _rot(4 * qp.THETA) @ p[:2], atol=1e-9)
         assert pr[2] == p[2]
 

@@ -5,13 +5,15 @@ import pytest
 
 import quasiproj as qp
 from quasiproj.errors import ConfigError
-from quasiproj.io import (RunConfig, TilingDocument, build_tiling_document,
-                          cells_obj, frequency_csv, overlap_csv, render_svg,
-                          resolve_shift, window_document, write_json,
-                          write_text)
+from quasiproj.io import (SVG_STYLES, RunConfig, TilingDocument,
+                          build_tiling_document, cells_obj, frequency_csv,
+                          overlap_csv, render_svg, resolve_shift,
+                          window_document, write_json, write_text)
 from quasiproj.lattice3d import OverlapCensus, build_cells, find_tips
 from quasiproj.tiling2d import FrequencyReport, FrequencyRow
 from quasiproj.window import random_shift
+
+from helpers import cells_obj_reference, tiling_svg_reference
 
 
 def test_runconfig_json_roundtrip():
@@ -34,7 +36,9 @@ def test_resolve_shift_explicit_vs_auto():
 
 
 def test_empty_document_svg():
-    doc = TilingDocument(vertices=(), edges=())
+    doc = TilingDocument(labels=np.empty((0, 5), dtype=np.int64),
+                         points=np.empty((0, 2)),
+                         edges=np.empty((0, 2), dtype=np.int64))
     svg = render_svg(doc)
     assert svg.startswith("<?xml")
     assert "<svg" in svg and "</svg>" in svg
@@ -42,9 +46,9 @@ def test_empty_document_svg():
 
 
 def test_single_edge_svg():
-    doc = TilingDocument(
-        vertices=(((0, 0, 0, 1, 0), 1, (0.0, 0.5)), ((1, 0, 0, 1, 0), 2, (1.0, 0.5))),
-        edges=((0, 1, "1-2"),))
+    doc = TilingDocument(labels=np.array([(0, 0, 0, 1, 0), (1, 0, 0, 1, 0)]),
+                         points=np.array([(0.0, 0.5), (1.0, 0.5)]),
+                         edges=np.array([(0, 1)]))
     svg = render_svg(doc)
     assert svg.count("<path") == 1
     assert 'stroke-dasharray="0.12 0.08"' in svg
@@ -68,21 +72,48 @@ def test_svg_deterministic(basis, windows_for):
 def test_document_edges_consistent(basis, windows_for):
     shift = random_shift(0.5, 7)
     doc = build_tiling_document(6, shift, windows_for(0.5), basis)
-    labels = {v[0] for v in doc.vertices}
-    assert len(labels) == len(doc.vertices)
+    labels = {tuple(lab) for lab in doc.labels.tolist()}
+    assert len(labels) == len(doc.labels) == len(doc.points)
+    index = doc.labels.sum(axis=1)
+    paths = [line for line in render_svg(doc).splitlines() if line.startswith("<path")]
+    assert len(paths) == len(doc.edges)
     pos_ends = 0
     neg_ends = 0
-    for (i, j, style) in doc.edges:
-        vi, vj = doc.vertices[i], doc.vertices[j]
-        assert vj[1] == vi[1] + 1  # stored in the positive direction
-        assert style == f"{vi[1]}-{vj[1]}"
+    for (i, j), path in zip(doc.edges.tolist(), paths):
+        assert index[j] == index[i] + 1  # stored in the positive direction
+        # the stroke class is the one of the lower end's index
+        assert path.startswith(f'<path {SVG_STYLES[index[i]]} d=')
         # unit step in exactly one lattice coordinate
-        diff = np.array(vj[0]) - np.array(vi[0])
+        diff = doc.labels[j] - doc.labels[i]
         assert np.abs(diff).sum() == 1
         pos_ends += 1
         neg_ends += 1
     # handshake: every edge has one positive and one negative endpoint
     assert pos_ends == neg_ends == len(doc.edges)
+
+
+@pytest.mark.parametrize("c", [0.0, qp.PHI ** -2, 0.5])
+def test_svg_matches_reference_writer(c, basis, windows_for):
+    # c = 0 has the degenerate top window
+    for seed in (1, 2):
+        shift = random_shift(c, seed)
+        for radius in (6, 7, 8):
+            doc = build_tiling_document(radius, shift, windows_for(c), basis)
+            assert render_svg(doc) == tiling_svg_reference(radius, shift,
+                                                           windows_for(c), basis)
+
+
+@pytest.mark.parametrize("c,seed", [(0.4, 3), (0.7, 5)])
+def test_cells_obj_matches_reference_writer(c, seed, P, Q, basis):
+    shift = random_shift(c, seed)
+    for radius in (8, 10):
+        lat = qp.build_lattice3(radius, shift, Q, basis)
+        tips = find_tips(lat, Q)
+        inner = tips[np.abs(tips).max(axis=1) <= radius - 3]
+        assert len(inner) > 0
+        for chosen in (inner, inner[:0]):
+            assert (cells_obj(build_cells(chosen, lat), lat, P)
+                    == cells_obj_reference(chosen, lat, P))
 
 
 def test_frequency_csv_format():
@@ -139,7 +170,7 @@ def test_cells_obj_dedupes_shared_vertices(P, Q, basis):
             break
     assert pair is not None
     cells = build_cells(np.vstack(pair), lat)
-    text = cells_obj(cells, P)
+    text = cells_obj(cells, lat, P)
     n_v = text.count("\nv ")
     n_f = text.count("\nf ")
     assert n_f == 40  # 20 faces per cell

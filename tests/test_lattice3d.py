@@ -10,9 +10,9 @@ from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
                                  OVERLAP_SIGNATURES, build_cells, find_tips,
                                  overlap_census, overlap_signatures,
                                  shared_atom_count, tip_triangle)
-from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, Acceptance,
-                              accept_3d, d_test_points, label_keys,
-                              normalize_shift, random_shift)
+from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, accept_3d_bulk,
+                              d_test_points, label_keys, normalize_shift,
+                              random_shift)
 
 from helpers import (VOLUME_FLOOR, convex_intersection, interior_atoms_sweep,
                      overlap_signature_loop, overlap_table)
@@ -103,8 +103,8 @@ def test_non_tip_with_missing_neighbor(lat_env, Q, basis):
             missing += 1
             assert tuple(k) not in tipset
             t = d_test_points(k[None, :], shift, basis)[0]
-            from quasiproj.window import point_in_inner_decagon
-            assert point_in_inner_decagon(t, Q) != 1
+            assert points_in_convex_polygon(t[None, :], Q._inner_normals,
+                                            Q._inner_offsets, 1e-9)[0] != 1
             assert np.linalg.norm(t) > np.cos(np.pi / 10) / PHI - 1e-9  # inradius
     assert missing > 50
 
@@ -113,11 +113,14 @@ def test_cells_26_atoms(lat_env, P):
     shift, lat, tips = lat_env
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     rng = np.random.default_rng(1)
-    for cell in build_cells(inner[rng.choice(len(inner), 150, replace=False)], lat):
-        assert len(cell.hull_atoms) == 22
-        assert len(cell.interior_atoms) == 4
+    _, hull_rows, interior_rows = build_cells(
+        inner[rng.choice(len(inner), 150, replace=False)], lat)
+    for hull, interior in zip(hull_rows, interior_rows):
+        assert len(lat.labels[hull]) == 22
+        assert len(lat.labels[interior]) == 4
         # atoms really are lattice points and sit where they should
-        for a in cell.interior_atoms:
+        assert np.all(hull >= 0) and np.all(interior >= 0)
+        for a in lat.labels[interior]:
             assert a in lat
 
 
@@ -129,8 +132,9 @@ def test_same_triangle_same_interior_offsets(lat_env, P, Q, basis):
     for i in rng.choice(len(inner), 120, replace=False):
         tip = inner[i]
         tri = tip_triangle(tip, shift, Q, basis)
+        _, _, interior = build_cells(tip, lat)
         offsets = frozenset(tuple(int(x) for x in (a - tip))
-                            for a in build_cells(tip, lat)[0].interior_atoms)
+                            for a in lat.labels[interior[0]])
         by_triangle.setdefault(tri, set()).add(offsets)
     assert len(by_triangle) >= 8  # most triangles sampled
     for tri, offset_sets in by_triangle.items():
@@ -152,10 +156,11 @@ def test_z_translated_cells_are_translates(lat_env, P):
         up = t + ones
         if tuple(up) not in tipset or np.abs(up).max() > lat.radius - 3:
             continue
-        a, b = build_cells(np.vstack([t, up]), lat)
-        assert np.allclose(b.tip_point - a.tip_point, [0, 0, 5], atol=1e-9)
-        assert np.array_equal(b.interior_atoms, a.interior_atoms + ones)
-        assert np.array_equal(b.hull_atoms, a.hull_atoms + ones)
+        tip_rows, hull, interior = build_cells(np.vstack([t, up]), lat)
+        a, b = lat.points[tip_rows]
+        assert np.allclose(b - a, [0, 0, 5], atol=1e-9)
+        assert np.array_equal(lat.labels[interior[1]], lat.labels[interior[0]] + ones)
+        assert np.array_equal(lat.labels[hull[1]], lat.labels[hull[0]] + ones)
         checked += 1
         if checked >= 40:
             break
@@ -197,9 +202,9 @@ def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, basis, oracle_
     tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     assert len(inner) > 1000
-    cells = build_cells(inner, lat)
-    for cell, expected in zip(cells, interior_atoms_sweep(inner, lat, P)):
-        assert np.array_equal(cell.interior_atoms, expected)
+    _, _, interior_rows = build_cells(inner, lat)
+    for rows, expected in zip(interior_rows, interior_atoms_sweep(inner, lat, P)):
+        assert np.array_equal(lat.labels[rows], expected)
     tip_set = {tuple(r) for r in tips.tolist()}
     sigs = overlap_signatures(inner, tips, lat.radius).tolist()
     assert sigs == [list(overlap_signature_loop(t, tip_set, oracle_table))
@@ -304,10 +309,10 @@ def test_z_periodicity_of_accepted_points(Q, basis):
     lat = qp.build_lattice3(6, shift, Q, basis)
     ones = np.ones(5, dtype=np.int64)
     inner = lat.labels[np.abs(lat.labels).max(axis=1) <= 5]
-    for k, i in zip(inner, lat.rows(inner)):
-        res = accept_3d(k + ones, shift, Q, basis)
-        assert res.status is Acceptance.ACCEPT
-        assert np.allclose(res.vertex, lat.points[i] + [0, 0, 5], atol=1e-9)
+    up = inner + ones
+    for k, i, status in zip(up, lat.rows(inner), accept_3d_bulk(up, shift, Q, basis)):
+        assert status == 1
+        assert np.allclose(k.astype(float) @ basis.W, lat.points[i] + [0, 0, 5], atol=1e-9)
 
 
 def test_analytic_class_frequencies_normalized():

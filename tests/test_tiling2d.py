@@ -6,8 +6,8 @@ from quasiproj.errors import CensusViolationError
 from quasiproj.tiling2d import (CENSUS, VertexType, analytic_A,
                                 analytic_probability, census_support,
                                 empirical_frequencies, neighbor_counts)
-from quasiproj.window import (Acceptance, accept_2d, enumerate_accepted_2d,
-                              label_keys, random_shift)
+from quasiproj.window import (accept_2d_bulk, enumerate_accepted_2d, label_keys,
+                              random_shift)
 
 P = qp.PHI
 PINV2 = P ** -2
@@ -129,20 +129,19 @@ def test_neighbor_counts_basic(patch, basis):
     # unit neighbors
     rng = np.random.default_rng(5)
     for i in rng.choice(len(inner), 30, replace=False):
-        here = accept_2d(inner[i], shift, ws, basis)
-        assert here.status is Acceptance.ACCEPT
+        here = inner[i]
+        assert accept_2d_bulk(here, shift, ws, basis)[0] == 1
         found = {1: 0, -1: 0}
         for m in range(5):
             for sign in (1, -1):
-                nb = inner[i].copy()
+                nb = here.copy()
                 nb[m] += sign
-                res = accept_2d(nb, shift, ws, basis)
-                if res.status is not Acceptance.ACCEPT:
+                if accept_2d_bulk(nb, shift, ws, basis)[0] != 1:
                     continue
                 found[sign] += 1
-                assert res.index - here.index == sign
+                assert nb.sum() - here.sum() == sign
                 # step +-e_m moves the plane image by +-d_m
-                assert np.allclose(res.vertex - here.vertex,
+                assert np.allclose(nb.astype(float) @ basis.D - here.astype(float) @ basis.D,
                                    sign * basis.D[m], atol=1e-12)
         assert found[1] == n_pos[i]
         assert found[-1] == n_neg[i]

@@ -9,8 +9,8 @@ from quasiproj.errors import (DegenerateWindowError, EmptyWindowError,
                               PolygonError)
 from quasiproj.geometry import max_edge_distance, points_in_convex_polygon
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
-                              INTERIOR_INDICES, Acceptance, accept_2d, accept_2d_bulk, accept_3d,
-                              accept_3d_bulk, d_test_points, enumerate_accepted_2d,
+                              INTERIOR_INDICES, accept_2d_bulk, accept_3d_bulk,
+                              d_test_points, enumerate_accepted_2d,
                               enumerate_accepted_3d, key_member, label_keys,
                               label_rows, normalize_shift, random_shift,
                               slice_window, step_rows)
@@ -60,8 +60,8 @@ def test_normalize_shift_relabels_pattern(basis, windows_for):
         m_raw = mesh_margin_2d(k_raw, RawShift(), basis)
         assert m_norm == pytest.approx(m_raw, abs=1e-9)
         if abs(m_norm) > 1e-7:
-            res = accept_2d(k, s, ws, basis)
-            assert (res.status is Acceptance.ACCEPT) == (m_norm > 0)
+            status = accept_2d_bulk(k, s, ws, basis)[0]
+            assert (status == 1) == (m_norm > 0)
 
 
 def test_random_shift_sum_pinned():
@@ -240,32 +240,34 @@ def test_slice_area_central_symmetry(P):
 def test_accept_2d_trivial_rejects(P, basis, windows_for):
     shift = random_shift(0.5, 1)
     ws = windows_for(0.5)
-    assert accept_2d([0, 0, 0, 0, 0], shift, ws, basis).status is Acceptance.REJECT
-    assert accept_2d([2, 0, 0, 0, 0], shift, ws, basis).status is Acceptance.REJECT
+    assert accept_2d_bulk([0, 0, 0, 0, 0], shift, ws, basis)[0] == 0
+    assert accept_2d_bulk([2, 0, 0, 0, 0], shift, ws, basis)[0] == 0
 
 
 def test_accept_2d_against_lp_oracle(P, basis, windows_for):
     shift = normalize_shift([0.1] * 5)
     ws = windows_for(shift.c)
-    r = accept_2d([1, 0, 0, 0, 0], shift, ws, basis)
+    status = accept_2d_bulk([1, 0, 0, 0, 0], shift, ws, basis)[0]
     m = mesh_margin_2d([1, 0, 0, 0, 0], shift, basis)
-    assert (r.status is Acceptance.ACCEPT) == (m > 0)
+    assert (status == 1) == (m > 0)
 
     rng = np.random.default_rng(4)
-    accepted, _, _ = enumerate_accepted_2d(3, shift, ws, basis)
+    accepted, verts, keys = enumerate_accepted_2d(3, shift, ws, basis)
     pool = [rng.integers(-3, 4, 5) for _ in range(200)]
     pool += [accepted[i] for i in rng.choice(len(accepted), 25, replace=False)]
+    statuses = accept_2d_bulk(np.array(pool), shift, ws, basis)
     checked_accepts = 0
-    for k in pool:
-        res = accept_2d(k, shift, ws, basis)
+    for k, status in zip(pool, statuses):
         margin = mesh_margin_2d(k, shift, basis)
         if abs(margin) < 1e-7:
             continue  # boundary cases are Singular territory
-        assert (res.status is Acceptance.ACCEPT) == (margin > 0), (k, margin)
-        if res.status is Acceptance.ACCEPT:
+        assert (status == 1) == (margin > 0), (k, margin)
+        if status == 1:
             checked_accepts += 1
-            assert res.index == k.sum()
-            assert np.allclose(res.vertex, qp.project_2d(k, basis))
+            # the enumerator holds the label, with its index and tiling vertex
+            row = label_rows(keys, label_keys(k, 3))
+            assert row >= 0 and accepted[row].sum() == k.sum()
+            assert np.allclose(verts[row], k.astype(float) @ basis.D)
     assert checked_accepts >= 25
 
 
@@ -284,21 +286,19 @@ def test_accept_2d_singular_at_exact_zero_shift(P, basis, windows_for):
     # gamma = 0 puts the test point of e_0 exactly on a window vertex
     shift = normalize_shift([0.0] * 5)
     ws = windows_for(0.0)
-    res = accept_2d([1, 0, 0, 0, 0], shift, ws, basis)
-    assert res.status is Acceptance.SINGULAR
+    assert accept_2d_bulk([1, 0, 0, 0, 0], shift, ws, basis)[0] == -1
 
 
 def test_accept_3d_examples(Q, basis):
     shift = normalize_shift([0.13, 0.07, 0.11, 0.05, 0.09])
-    res = accept_3d([0, 0, 0, 0, 0], shift, Q, basis)
-    assert res.status is Acceptance.ACCEPT
-    assert np.allclose(res.vertex, [0, 0, 0])
+    assert accept_3d_bulk([0, 0, 0, 0, 0], shift, Q, basis)[0] == 1
+    _, points, keys, _ = enumerate_accepted_3d(1, shift, Q, basis)
+    assert np.allclose(points[label_rows(keys, label_keys(np.zeros(5), 1))], [0, 0, 0])
     # the test point is tiny compared to the decagon inradius
     t = qp.window.d_test_points(np.zeros((1, 5)), shift, basis)[0]
     assert np.linalg.norm(t) < P_GOLD * np.cos(np.pi / 10)
 
-    far = accept_3d([3, 0, 0, 0, 0], shift, Q, basis)
-    assert far.status is Acceptance.REJECT
+    assert accept_3d_bulk([3, 0, 0, 0, 0], shift, Q, basis)[0] == 0
     t3 = qp.window.d_test_points(np.array([[3, 0, 0, 0, 0]]), shift, basis)[0]
     assert np.linalg.norm(t3) > P_GOLD
 
@@ -307,13 +307,15 @@ def test_accept_3d_translation_invariance(Q, basis):
     shift = random_shift(0.45, 9)
     ones = np.ones(5, dtype=np.int64)
     rng = np.random.default_rng(10)
-    for _ in range(60):
-        k = rng.integers(-6, 7, 5)
-        r1 = accept_3d(k, shift, Q, basis)
-        r2 = accept_3d(k + ones, shift, Q, basis)
-        assert r1.status is r2.status
-        if r1.status is Acceptance.ACCEPT:
-            assert np.allclose(r2.vertex - r1.vertex, [0, 0, 5], atol=1e-9)
+    ks = np.array([rng.integers(-6, 7, 5) for _ in range(60)])
+    status = accept_3d_bulk(ks, shift, Q, basis)
+    assert np.array_equal(accept_3d_bulk(ks + ones, shift, Q, basis), status)
+    # the lattice points of accepted labels, read off the enumerator
+    _, points, keys, _ = enumerate_accepted_3d(7, shift, Q, basis)
+    r1 = label_rows(keys, label_keys(ks[status == 1], 7))
+    r2 = label_rows(keys, label_keys(ks[status == 1] + ones, 7))
+    assert np.all(r1 >= 0) and np.all(r2 >= 0)
+    assert np.allclose(points[r2] - points[r1], [0, 0, 5], atol=1e-9)
 
 
 def test_accept_3d_against_lp_oracle(Q, basis):
@@ -324,8 +326,8 @@ def test_accept_3d_against_lp_oracle(Q, basis):
         margin = mesh_margin_3d(k, shift, basis)
         if abs(margin) < 1e-7:
             continue
-        res = accept_3d(k, shift, Q, basis)
-        assert (res.status is Acceptance.ACCEPT) == (margin > 0), (k, margin)
+        status = accept_3d_bulk(k, shift, Q, basis)[0]
+        assert (status == 1) == (margin > 0), (k, margin)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -344,11 +346,9 @@ def test_enumerate_2d_matches_naive(P, basis, windows_for):
     shift = random_shift(0.5, 7)
     ws = windows_for(0.5)
     M = 3
-    naive = set()
-    for k in product(range(-M, M + 1), repeat=5):
-        if 1 <= sum(k) <= 5:
-            if accept_2d(np.array(k), shift, ws, basis).status is Acceptance.ACCEPT:
-                naive.add(k)
+    box = np.array(list(product(range(-M, M + 1), repeat=5)))
+    box = box[(box.sum(axis=1) >= 1) & (box.sum(axis=1) <= 5)]
+    naive = {tuple(k) for k in box[accept_2d_bulk(box, shift, ws, basis) == 1].tolist()}
     chain, verts, _ = enumerate_accepted_2d(M, shift, ws, basis)
     assert {tuple(r) for r in chain} == naive
     assert np.allclose(verts, chain.astype(float) @ basis.D)
@@ -360,10 +360,8 @@ def test_enumerate_3d_matches_naive(Q, basis):
     from itertools import product
     shift = random_shift(0.31, 8)
     M = 2
-    naive = set()
-    for k in product(range(-M, M + 1), repeat=5):
-        if accept_3d(np.array(k), shift, Q, basis).status is Acceptance.ACCEPT:
-            naive.add(k)
+    box = np.array(list(product(range(-M, M + 1), repeat=5)))
+    naive = {tuple(k) for k in box[accept_3d_bulk(box, shift, Q, basis) == 1].tolist()}
     chain, *_ = enumerate_accepted_3d(M, shift, Q, basis)
     assert {tuple(r) for r in chain} == naive
 
