@@ -6,9 +6,10 @@ Two independent constructions of the same objects: the de Bruijn pentagrid
 validates analytic vertex-type and cell-overlap frequencies against counts.
 """
 
-from .geometry import DEFAULT_EPS, PHI, THETA, ProjectionBasis, make_basis
-from .window import (CUBE_VERTICES, DecagonQ, GridShift, PolytopeP, SliceWindow,
-                     WindowSet, build_decagon_Q, build_polytope_P, build_windows,
+from .geometry import (DEFAULT_EPS, PHI, THETA, ConvexWindow, ProjectionBasis,
+                       make_basis)
+from .window import (CUBE_VERTICES, DecagonQ, GridShift, PolytopeP, WindowSet,
+                     build_decagon_Q, build_polytope_P, build_windows,
                      enumerate_accepted_2d, enumerate_accepted_3d, label_keys,
                      label_rows, normalize_shift, random_shift, slice_window)
 from .pentagrid import (Intersection, PentagridTiling, enumerate_intersections,

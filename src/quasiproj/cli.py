@@ -52,8 +52,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--index", type=int, default=None,
                         help="restrict 'windows' output to one slice index")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", default="auto",
-                        help="output format override (default by mode)")
     return parser
 
 
@@ -78,7 +76,7 @@ def _config_from_args(args) -> RunConfig:
         raise ConfigError(f"--index must lie in [1, 5], got {args.index}")
     return RunConfig(mode=args.mode, c=args.c, gamma=gamma, seed=args.seed,
                      radius=args.radius, tol=args.tol, index=args.index,
-                     out=args.out, format=args.format)
+                     out=args.out)
 
 
 def _emit(config: RunConfig, content: str) -> None:
@@ -95,11 +93,11 @@ def _check_tol(tol: float, wset=None, Q=None) -> None:
     A test point within tol of a window's edge is singular, so such a
     window would have no point left to decide.
     """
-    widths = {f"V_{i}": w.half_width for i, w in (wset.slices.items() if wset else ())}
+    windows = {f"V_{i}": w for i, w in (wset.slices.items() if wset else ())}
     if Q is not None:
-        widths["Q"] = float(Q._offsets.min())
-        widths["the inner decagon"] = float(Q._inner_offsets.min())
-    name, width = min(widths.items(), key=lambda item: item[1])
+        windows.update({"Q": Q.window, "the inner decagon": Q.inner})
+    name = min(windows, key=lambda n: windows[n].half_width)
+    width = windows[name].half_width
     if tol >= width:
         raise ConfigError(
             f"--tol {tol} is not below {width:.6g}, the distance from the centre of "
@@ -117,8 +115,8 @@ def _run_mode(config: RunConfig) -> None:
         _check_tol(config.tol, wset, Q)
         if config.index is not None:
             win = slice_window(P, config.index, config.c)
-            doc = {"c": config.c, "index": config.index, "height": win.height,
-                   "polygon": win.polygon.tolist()}
+            doc = {"c": config.c, "index": config.index,
+                   "height": config.index - config.c, "polygon": win.polygon.tolist()}
         else:
             doc = window_document(P, Q, wset)
         _emit(config, write_json(doc))

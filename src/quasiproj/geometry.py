@@ -66,6 +66,42 @@ def polygon_halfplanes(polygon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normals, offsets
 
 
+@dataclass(frozen=True)
+class ConvexWindow:
+    """A CCW convex polygon and its outward unit edge normals and offsets.
+
+    A point x is strictly inside iff normals @ x < offsets componentwise.
+    Every acceptance decision tests points against one of these.
+    """
+
+    polygon: np.ndarray  # (n, 2) CCW
+    normals: np.ndarray  # (m, 2)
+    offsets: np.ndarray  # (m,)
+
+    @classmethod
+    def of(cls, polygon) -> "ConvexWindow":
+        """The window of a CCW convex polygon, with its half-planes computed once."""
+        poly = np.array(polygon, dtype=float)
+        normals, offsets = polygon_halfplanes(poly)
+        for arr in (poly, normals, offsets):
+            arr.setflags(write=False)
+        return cls(poly, normals, offsets)
+
+    @property
+    def area(self) -> float:
+        p, q = self.polygon, np.roll(self.polygon, -1, axis=0)
+        return 0.5 * float(np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
+
+    @property
+    def half_width(self) -> float:
+        """Distance from the origin, the centre of every window here, to the nearest edge."""
+        return float(self.offsets.min())
+
+    def classify(self, pts: np.ndarray, eps: float) -> np.ndarray:
+        """+1 inside, 0 outside, -1 within eps of the boundary, per point."""
+        return points_in_convex_polygon(pts, self.normals, self.offsets, eps)
+
+
 def max_edge_distance(pts: np.ndarray, normals: np.ndarray,
                       offsets: np.ndarray) -> np.ndarray:
     """Largest signed distance of each point past an edge line; < 0 strictly inside."""

@@ -42,7 +42,6 @@ class RunConfig:
     tol: float = DEFAULT_EPS
     index: int | None = None
     out: str | None = None
-    format: str = "auto"
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -201,12 +200,12 @@ def window_document(P: PolytopeP, Q: DecagonQ, wset: WindowSet) -> dict:
             "interior_points": P.interior_points.tolist(),
         },
         "decagon": {
-            "vertices": Q.vertices.tolist(),
+            "vertices": Q.window.polygon.tolist(),
             "interior_points": Q.interior_points.tolist(),
-            "inner_decagon": Q.inner_decagon.tolist(),
+            "inner_decagon": Q.inner.polygon.tolist(),
         },
         "slices": {
-            str(i): {"height": w.height, "polygon": w.polygon.tolist()}
+            str(i): {"height": i - wset.c, "polygon": w.polygon.tolist()}
             for i, w in sorted(wset.slices.items())
         },
         "degenerate_top": wset.degenerate_top,

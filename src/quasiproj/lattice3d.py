@@ -17,11 +17,10 @@ import numpy as np
 
 from .errors import (CensusViolationError, ConfigError, ConsistencyError,
                      SingularityError)
-from .geometry import (DEFAULT_EPS, PHI, ProjectionBasis, make_basis,
-                       polygon_halfplanes)
+from .geometry import DEFAULT_EPS, PHI, ProjectionBasis, make_basis
 from .window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, DecagonQ,
-                     GridShift, d_test_points, enumerate_accepted_3d, key_member,
-                     label_extent, label_keys, label_rows, points_in_convex_polygon)
+                     GridShift, _key_weights, enumerate_accepted_3d, key_member,
+                     label_extent, label_keys, label_rows)
 
 #: overlap classes keyed by (neighbor count, K count, J count)
 OVERLAP_SIGNATURES = {
@@ -65,9 +64,6 @@ class Lattice3:
         """Row of each label (last axis 5), -1 where it is not a lattice point."""
         return label_rows(self.keys, label_keys(labels, self.radius))
 
-    def __contains__(self, label) -> bool:
-        return bool(self.rows(label) >= 0)
-
 
 def build_lattice3(radius: int, shift: GridShift, Q: DecagonQ,
                    basis: ProjectionBasis | None = None,
@@ -84,29 +80,13 @@ def find_tips(lat: Lattice3, Q: DecagonQ, eps: float = DEFAULT_EPS) -> np.ndarra
     Every tip is connected to all ten unit neighbors and anchors a unit cell.
     The test points are the ones the lattice's acceptance test decided on.
     """
-    status = points_in_convex_polygon(lat.test_points, Q._inner_normals,
-                                      Q._inner_offsets, eps)
+    status = Q.inner.classify(lat.test_points, eps)
     if np.any(status == -1):
         bad = lat.labels[status == -1][0]
         raise SingularityError(
             f"label {tuple(int(x) for x in bad)} lies within eps of the inner "
             "decagon boundary; perturb the shift")
     return lat.labels[status == 1]
-
-
-def tip_triangle(tip_label, shift: GridShift, Q: DecagonQ,
-                 basis: ProjectionBasis | None = None,
-                 eps: float = DEFAULT_EPS) -> int:
-    """Which of the ten inner-decagon triangles holds this tip's test point."""
-    basis = basis or make_basis()
-    pt = d_test_points(np.asarray(tip_label)[None, :], shift, basis)[0]
-    for t in range(10):
-        tri = Q.triangles[t]
-        status = points_in_convex_polygon(pt[None, :], *polygon_halfplanes(tri), eps)
-        if status[0] == 1:
-            return t
-    raise SingularityError(
-        f"tip test point {tuple(pt.tolist())} lies on a triangle boundary of the inner decagon")
 
 
 def build_cells(tips, lat: Lattice3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,12 +156,11 @@ def overlap_signatures(inner: np.ndarray, tips: np.ndarray, radius: int) -> np.n
     """
     tip_keys = label_keys(tips, radius)
     inner_keys = label_keys(inner, radius)
-    origin = label_keys(np.zeros(5, dtype=np.int64), radius)
     hits = {}
     for shape, m in OVERLAP_OFFSETS.items():
         # inner tips in key order make each offset's queries one sorted run
         hits[shape] = sum(key_member(tip_keys, inner_keys + delta)
-                          for delta in label_keys(m, radius) - origin)
+                          for delta in m @ _key_weights(radius))
     return np.column_stack([hits["K"] + hits["J"], hits["K"], hits["J"]])
 
 
@@ -213,8 +192,10 @@ def overlap_census(lat: Lattice3, shift: GridShift, Q: DecagonQ,
     """Classify every boundary-complete tip and tally the five overlap classes.
 
     With shared_atom_sample > 0, also reports the mean number of atoms a
-    cell shares with its overlapping neighbors, averaged over that many
-    sampled tips per class.
+    cell shares with its overlapping neighbors, per class.  The mean runs
+    over (tip, overlapping neighbor) pairs: the class's tips at least two
+    label steps further inside the box are taken whole, in label order,
+    until at least that many pairs are collected.
     """
     tips = find_tips(lat, Q, eps)
     inner = tips[label_extent(tips) <= lat.radius - margin]

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import CensusViolationError, ConfigError
 from .geometry import PHI, ProjectionBasis, make_basis
-from .window import (GridShift, WindowSet, enumerate_accepted_2d, key_member,
-                     label_extent, label_keys)
+from .window import (GridShift, WindowSet, _key_weights, enumerate_accepted_2d,
+                     key_member, label_extent, label_keys)
 
 _P = PHI
 
@@ -45,8 +45,8 @@ def neighbor_counts(labels: np.ndarray, keys: np.ndarray,
     base = label_keys(labels, radius)
     if np.any(base[1:] <= base[:-1]):
         raise ValueError("labels must be distinct and in key order")
-    # key(k + e_m) - key(k) is the key of e_m less the key of 0
-    steps = label_keys(np.eye(5, dtype=np.int64), radius) - label_keys(np.zeros(5), radius)
+    # key(k + m) - key(k) is m @ _key_weights, here for the steps m = e_j
+    steps = np.eye(5, dtype=np.int64) @ _key_weights(radius)
     return tuple(sum(key_member(keys, base + sign * step) for step in steps)
                  for sign in (1, -1))
 

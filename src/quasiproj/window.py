@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import (ConfigError, ConsistencyError, DegenerateWindowError,
                      EmptyWindowError, SingularityError)
-from .geometry import (DEFAULT_EPS, PHI, ProjectionBasis, make_basis,
-                       points_in_convex_polygon, polygon_halfplanes)
+from .geometry import DEFAULT_EPS, PHI, ConvexWindow, ProjectionBasis, make_basis
 
 # the 32 vertices of the 5-d unit cube, in the fixed order used throughout:
 # one point of index 0, then five of index 1, ten of index 2, ten of index 3,
@@ -182,23 +181,9 @@ class DecagonQ:
     """Plane window: regular decagon of circumradius p with 22 interior images."""
 
     projections: np.ndarray      # (32, 2) images of all cube vertices
-    vertices: np.ndarray         # (10, 2) hull, CCW
+    window: ConvexWindow         # the decagon hull: accepts 3-d lattice points
     interior_points: np.ndarray  # (22, 2) the non-hull images
-    inner_decagon: np.ndarray    # (10, 2) hull of the radius-1/p images, CCW
-    triangles: np.ndarray        # (10, 3, 2) fan (origin, v_i, v_{i+1})
-
-    def __post_init__(self):
-        n, o = polygon_halfplanes(self.vertices)
-        object.__setattr__(self, "_normals", n)
-        object.__setattr__(self, "_offsets", o)
-        ni, oi = polygon_halfplanes(self.inner_decagon)
-        object.__setattr__(self, "_inner_normals", ni)
-        object.__setattr__(self, "_inner_offsets", oi)
-
-
-def _polygon_area(p: np.ndarray) -> float:
-    q = np.roll(p, -1, axis=0)
-    return 0.5 * float(np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
+    inner: ConvexWindow          # hull of the radius-1/p images: accepts tips
 
 
 def _ccw_by_angle(points: np.ndarray) -> np.ndarray:
@@ -217,10 +202,9 @@ def build_decagon_Q(basis: ProjectionBasis | None = None) -> DecagonQ:
     """
     basis = basis or make_basis()
     proj = CUBE_VERTICES.astype(float) @ basis.D
-    vertices = _ccw_by_angle(proj[list(INTERIOR_INDICES)])
+    window = ConvexWindow.of(_ccw_by_angle(proj[list(INTERIOR_INDICES)]))
     interior = proj[[i for i in range(32) if i not in INTERIOR_INDICES]]
-    inside = points_in_convex_polygon(interior, *polygon_halfplanes(vertices),
-                                      CONSTRUCTION_TOL)
+    inside = window.classify(interior, CONSTRUCTION_TOL)
     if np.any(inside != 1):
         raise ConsistencyError(
             f"{int(np.sum(inside != 1))} cube-vertex images are not strictly inside "
@@ -230,47 +214,19 @@ def build_decagon_Q(basis: ProjectionBasis | None = None) -> DecagonQ:
     inner_mask = np.abs(radii - 1.0 / PHI) < CONSTRUCTION_TOL
     if int(inner_mask.sum()) != 10:
         raise ConsistencyError(f"expected 10 radius-1/p points, got {int(inner_mask.sum())}")
-    inner = _ccw_by_angle(interior[inner_mask])
-
-    tri = np.zeros((10, 3, 2))
-    tri[:, 1, :] = inner
-    tri[:, 2, :] = np.roll(inner, -1, axis=0)
-
-    for arr in (proj, vertices, interior, inner, tri):
+    inner = ConvexWindow.of(_ccw_by_angle(interior[inner_mask]))
+    for arr in (proj, interior):
         arr.setflags(write=False)
-    return DecagonQ(projections=proj, vertices=vertices, interior_points=interior,
-                    inner_decagon=inner, triangles=tri)
+    return DecagonQ(projections=proj, window=window, interior_points=interior,
+                    inner=inner)
 
 
 # ---------------------------------------------------------------------------
 # slice windows V_I
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SliceWindow:
-    """Cross-section of the polytope at height I - c: the window for index I."""
-
-    index: int
-    height: float
-    polygon: np.ndarray  # (5 or 10, 2) CCW
-
-    def __post_init__(self):
-        n, o = polygon_halfplanes(self.polygon)
-        object.__setattr__(self, "normals", n)
-        object.__setattr__(self, "offsets", o)
-
-    @property
-    def area(self) -> float:
-        return _polygon_area(self.polygon)
-
-    @property
-    def half_width(self) -> float:
-        """Distance from the polytope's axis, the slice's centre, to its nearest edge."""
-        return float(self.offsets.min())
-
-
-def slice_window(P: PolytopeP, index: int, c: float) -> SliceWindow:
-    """Clip the polytope faces against the plane z = index - c.
+def slice_window(P: PolytopeP, index: int, c: float) -> ConvexWindow:
+    """Clip the polytope faces against the plane z = index - c: the window V_index.
 
     Collects face/plane intersection segments, deduplicates endpoints within
     CONSTRUCTION_TOL and orders them by angle.  The result is a pentagon
@@ -316,8 +272,7 @@ def slice_window(P: PolytopeP, index: int, c: float) -> SliceWindow:
     if len(poly) not in (5, 10):
         raise ConsistencyError(
             f"slice window at height {h} has {len(poly)} vertices, expected 5 or 10")
-    poly.setflags(write=False)
-    return SliceWindow(index=index, height=h, polygon=poly)
+    return ConvexWindow.of(poly)
 
 
 @dataclass(frozen=True)
@@ -326,7 +281,7 @@ class WindowSet:
 
     c: float
     eps: float
-    slices: dict
+    slices: dict  # index -> ConvexWindow
     degenerate_top: bool
 
 
@@ -375,8 +330,7 @@ def accept_2d_bulk(labels: np.ndarray, shift: GridShift, wset: WindowSet,
             sub[r <= wset.eps] = -1
             status[m] = sub
             continue
-        win = wset.slices[index]
-        status[m] = points_in_convex_polygon(pts[m], win.normals, win.offsets, wset.eps)
+        status[m] = wset.slices[index].classify(pts[m], wset.eps)
     return status
 
 
@@ -391,7 +345,7 @@ def accept_3d_bulk(labels: np.ndarray, shift: GridShift, Q: DecagonQ,
     if test_points is None:
         labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
         test_points = d_test_points(labels, shift, basis)
-    return points_in_convex_polygon(test_points, Q._normals, Q._offsets, eps)
+    return Q.window.classify(test_points, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +367,9 @@ _SCAN_SLACK = 1e-6
 
 #: the c = 0 index-5 window is the point 0, given as a square of zero size:
 #: widened by eps and the slack, it holds the singular disk |t| <= eps
-_POINT_WINDOW = (np.zeros((1, 2)),
-                 np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
-                 np.zeros(4))
+_POINT_WINDOW = ConvexWindow(np.zeros((1, 2)),
+                             np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                             np.zeros(4))
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,8 +387,8 @@ def _integer_span(lo: np.ndarray, hi: np.ndarray, box_lo, box_hi):
     return lo, hi
 
 
-def _scan(t0: np.ndarray, a: np.ndarray, b: np.ndarray, window, reach: float,
-          radius: int):
+def _scan(t0: np.ndarray, a: np.ndarray, b: np.ndarray, window: ConvexWindow,
+          reach: float, radius: int):
     """Scan-convert a convex window, widened by `reach`, in label coordinates.
 
     Row r of t0 is the test point of (u, v) = (0, 0); (u, v) moves it by
@@ -442,20 +396,20 @@ def _scan(t0: np.ndarray, a: np.ndarray, b: np.ndarray, window, reach: float,
     whose line can meet the widened window, with the real v interval where
     it does (empty when v_lo > v_hi).
     """
-    vertices, normals, offsets = window
+    normals = window.normals
     inv_u = np.linalg.inv(np.column_stack([a, b]))[0]  # u = inv_u . (t - t0)
     # widening moves a vertex out by reach / cos(half its turning angle)
     turn = np.einsum("ij,ij->i", normals, np.roll(normals, -1, axis=0))
     push = reach / np.sqrt((1.0 + turn.min()) / 2.0) * np.linalg.norm(inv_u)
     u0 = t0 @ inv_u
-    vertex_u = vertices @ inv_u
+    vertex_u = window.polygon @ inv_u
     u_lo, u_hi = _integer_span(vertex_u.min() - push - u0, vertex_u.max() + push - u0,
                                -radius, radius)
     row, u = _expand(u_lo, u_hi)
     t = t0[row] + u[:, None] * a
     v_lo = np.full(len(row), -np.inf)
     v_hi = np.full(len(row), np.inf)
-    for n, o in zip(normals, offsets):
+    for n, o in zip(normals, window.offsets):
         nb = float(n @ b)
         room = (o + reach) - t @ n            # nb * v must not exceed this
         if abs(nb) < 1e-12:                   # edge parallel to b: all or nothing
@@ -489,13 +443,6 @@ def _accepted(blocks, describe, shift: GridShift, radius: int):
     return labels, label_keys(labels, radius), *extra
 
 
-def _window_2d(wset: WindowSet, index: int):
-    if index == 5 and wset.degenerate_top:
-        return _POINT_WINDOW
-    win = wset.slices[index]
-    return win.polygon, win.normals, win.offsets
-
-
 #: memory an enumeration may plan for, and what a qc run holds at its peak per
 #: accepted label (measured above a ~30 MB start: ~205 B at `qc freq
 #: --radius 200`, ~320 B at `qc overlap-census --radius 35`)
@@ -503,16 +450,16 @@ MEMORY_BUDGET = 4 * 10 ** 9
 BYTES_PER_LABEL = 320
 
 
-def _check_budget(radius: int, rows: int, area: float, a: np.ndarray,
+def _check_budget(radius: int, rows: int, windows, a: np.ndarray,
                   b: np.ndarray) -> None:
     """Refuse a box whose accepted labels would not fit in MEMORY_BUDGET.
 
     The scan meets `rows` lines of fixed label coordinates, and on each it
-    tests the integer (u, v) of a window of this total area, where a unit
-    step in u and in v moves the test point by a and b.  So rows times the
-    area over |a x b| estimates the accepted count before anything is
-    allocated.
+    tests the integer (u, v) of the windows, where a unit step in u and in v
+    moves the test point by a and b.  So rows times their total area over
+    |a x b| estimates the accepted count before anything is allocated.
     """
+    area = sum(w.area for w in windows)
     estimate = rows * area / abs(float(a[0] * b[1] - a[1] * b[0]))
     if estimate * BYTES_PER_LABEL > MEMORY_BUDGET:
         raise ConfigError(
@@ -536,15 +483,15 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet,
     M = int(radius)
     w = basis.W[:, :2]
     a, b = w[2] - w[4], w[3] - w[4]
-    _check_budget(M, (2 * M + 1) ** 2, sum(win.area for win in wset.slices.values()),
-                  a, b)
+    _check_budget(M, (2 * M + 1) ** 2, wset.slices.values(), a, b)
     k = np.arange(-M, M + 1, dtype=np.int64)
     k01 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
     reach = wset.eps + _SCAN_SLACK
     blocks = []
     for index in range(1, 6):
         t0 = k01 @ (w[:2] - w[4]) + index * w[4] - shift.gamma @ w
-        row, k2, v_lo, v_hi = _scan(t0, a, b, _window_2d(wset, index), reach, M)
+        window = _POINT_WINDOW if index == 5 and wset.degenerate_top else wset.slices[index]
+        row, k2, v_lo, v_hi = _scan(t0, a, b, window, reach, M)
         k34 = index - k01[row].sum(axis=1) - k2
         sub, k3 = _expand(*_integer_span(v_lo, v_hi, np.maximum(k34 - M, -M),
                                          np.minimum(k34 + M, M)))
@@ -573,16 +520,15 @@ def enumerate_accepted_3d(radius: int, shift: GridShift, Q: DecagonQ,
     basis = basis or make_basis()
     M = int(radius)
     d = basis.D
-    _check_budget(M, (2 * M + 1) ** 3, _polygon_area(Q.vertices), d[3], d[4])
+    _check_budget(M, (2 * M + 1) ** 3, [Q.window], d[3], d[4])
     k = np.arange(-M, M + 1, dtype=np.int64)
     k12 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
-    window = (Q.vertices, Q._normals, Q._offsets)
     base = k12 @ d[1:3] - shift.gamma @ d
     blocks = []
     # k0 ascends over the blocks, and (k1, k2), k3, k4 within each, so the
     # candidates come out in key order
     for k0 in range(-M, M + 1):
-        row, k3, v_lo, v_hi = _scan(base + k0 * d[0], d[3], d[4], window,
+        row, k3, v_lo, v_hi = _scan(base + k0 * d[0], d[3], d[4], Q.window,
                                     eps + _SCAN_SLACK, M)
         sub, k4 = _expand(*_integer_span(v_lo, v_hi, -M, M))
         cand = np.column_stack([np.full(len(sub), k0), k12[row[sub]], k3[sub], k4])
@@ -619,8 +565,8 @@ def label_keys(labels, radius: int) -> np.ndarray:
     """Mixed-radix int64 key (k + R) . (2R+1)^(4..0) of each label, -1 outside the box.
 
     Inside the box [-R, R]^5 the key order is the enumerators' lexicographic
-    label order, and key(k + m) = key(k) + key(m) - key(0) while k + m stays
-    in the box.
+    label order, and key(k + m) = key(k) + m @ _key_weights(R) while k + m
+    stays in the box.
     """
     labels = np.asarray(labels, dtype=np.int64)
     radius = int(radius)
@@ -664,5 +610,6 @@ def step_rows(labels: np.ndarray, keys: np.ndarray, radius: int,
     inside = (base >= 0) & (np.abs(labels.T + sign) <= radius)
     # one row of queries per step: sorted labels give sorted rows, which
     # searchsorted walks about twice as fast as interleaved queries
-    query = np.where(inside, base + sign * _key_weights(radius)[:, None], -1)
+    steps = (sign * np.eye(5, dtype=np.int64)) @ _key_weights(radius)
+    query = np.where(inside, base + steps[:, None], -1)
     return label_rows(keys, query).T

@@ -65,6 +65,14 @@ def polygon_area(poly) -> float:
     return 0.5 * float(np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
 
 
+def fan_triangles(poly) -> np.ndarray:
+    """(n, 3, 2) fan of a polygon around the origin: (0, v_i, v_{i+1})."""
+    p = np.asarray(poly, dtype=float)
+    tri = np.zeros((len(p), 3, 2))
+    tri[:, 1], tri[:, 2] = p, np.roll(p, -1, axis=0)
+    return tri
+
+
 def interior_atoms_sweep(tips, lat, P, eps=1e-9):
     """Brute-force interior atoms: sweep the four lattice layers above each tip.
 

@@ -54,8 +54,8 @@ def test_criterion_1_window_combinatorics(basis):
     assert len(P.edges) == 40
     assert len(P.face_loops) == 20
 
-    assert len(Q.vertices) == 10
-    assert np.allclose(np.linalg.norm(Q.vertices, axis=1), PHI, atol=1e-9)
+    assert len(Q.window.polygon) == 10
+    assert np.allclose(np.linalg.norm(Q.window.polygon, axis=1), PHI, atol=1e-9)
     radii = np.sort(np.linalg.norm(Q.interior_points, axis=1))
     assert len(radii) == 22
     assert np.allclose(radii[:2], 0.0, atol=1e-9)
@@ -171,7 +171,7 @@ def test_criterion_6_cell_census(P, Q, basis):
             for s in (1, -1):
                 nb = tip.copy()
                 nb[m] += s
-                if nb not in lat:
+                if lat.rows(nb) < 0:
                     violations += 1
         if len(lat.labels[hull]) + len(lat.labels[interior]) != 26:
             violations += 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -43,6 +44,20 @@ def test_windows_full_document(tmp_path):
     assert len(doc["polygon"]) == 10
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["--c", "0"], "28f859a65625b6870a75e6250f93d4934d99aa3220454f717c8fa2aab0174ff9"),
+    (["--c", "0.3819660112501051"],
+     "99fc8f64304b11788e574f0e2900aa92469192810f402c3b64092b613c591934"),
+    (["--c", "0.5"], "1969f3a56b0bedeb3ad1d1ccc8dda6ca22f258ef00e4a32b5ba8521ab34d4dfc"),
+    (["--c", "0.3", "--index", "3"],
+     "7dd4738b114fe817cd3ea2787a79792e799fd705ec79c0a82adc94320866e122"),
+])
+def test_windows_stdout_is_pinned(args, digest, capsys):
+    # the acceptance geometry as written at c = 0, p^-2 and 0.5, and one slice
+    assert run(["windows", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_tiling_svg(tmp_path):
     out = tmp_path / "tiling.svg"
     code = run(["tiling2d", "--c", "0.3819660113", "--seed", "3",
@@ -77,6 +92,7 @@ def test_config_errors():
     assert run(["freq", "--gamma", "a,b,c,d,e"]) == 2
     assert run(["freq", "--radius", "0"]) == 2
     assert run(["nonsense"]) == 2
+    assert run(["freq", "--format", "csv"]) == 2  # no such flag
 
 
 def test_explicit_gamma_passthrough(tmp_path):

@@ -98,8 +98,8 @@ def test_point_in_polygon_basic():
 def test_point_in_polygon_against_decagon(Q):
     # circumradius of the plane window is p, so 2p is far outside
     pt = np.array([2 * qp.PHI, 0.0])
-    assert _status(pt, Q.vertices) == [OUTSIDE]
-    assert _status([0, 0], Q.vertices) == [INSIDE]
+    assert _status(pt, Q.window.polygon) == [OUTSIDE]
+    assert _status([0, 0], Q.window.polygon) == [INSIDE]
 
 
 def test_point_in_polygon_vertex_list_rotation():

@@ -19,7 +19,7 @@ from helpers import cells_obj_reference, tiling_svg_reference
 def test_runconfig_json_roundtrip():
     cfg = RunConfig(mode="freq", c=0.25, gamma=[0.1, 0.2, -0.3, 0.15, 0.1],
                     seed=42, radius=30, tol=1e-10, index=None,
-                    out="x.csv", format="csv")
+                    out="x.csv")
     assert RunConfig.from_json(cfg.to_json()) == cfg
     auto = RunConfig()
     assert RunConfig.from_json(auto.to_json()) == auto

@@ -5,17 +5,17 @@ import pytest
 
 import quasiproj as qp
 from quasiproj.errors import ConsistencyError
-from quasiproj.geometry import points_in_convex_polygon
+from quasiproj.geometry import ConvexWindow, points_in_convex_polygon
 from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
                                  OVERLAP_SIGNATURES, build_cells, find_tips,
                                  overlap_census, overlap_signatures,
-                                 shared_atom_count, tip_triangle)
+                                 shared_atom_count)
 from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, accept_3d_bulk,
                               d_test_points, label_keys, normalize_shift,
                               random_shift)
 
-from helpers import (VOLUME_FLOOR, convex_intersection, interior_atoms_sweep,
-                     overlap_signature_loop, overlap_table)
+from helpers import (VOLUME_FLOOR, convex_intersection, fan_triangles,
+                     interior_atoms_sweep, overlap_signature_loop, overlap_table)
 
 PHI = qp.PHI
 
@@ -39,13 +39,13 @@ def test_lattice_contains_z_translates(lat_env):
     inner = lat.labels[np.abs(lat.labels).max(axis=1) <= lat.radius - 1]
     rng = np.random.default_rng(0)
     for i in rng.choice(len(inner), 200, replace=False):
-        assert (inner[i] + ones) in lat
+        assert lat.rows(inner[i] + ones) >= 0
 
 
 def test_lattice_contains_origin_for_example_shift(Q, basis):
     shift = normalize_shift([0.13, 0.07, 0.11, 0.05, 0.09])
     lat = qp.build_lattice3(2, shift, Q, basis)
-    assert np.zeros(5, dtype=np.int64) in lat
+    assert lat.rows(np.zeros(5, dtype=np.int64)) >= 0
     i = int(lat.rows(np.zeros(5, dtype=np.int64)))
     assert np.allclose(lat.points[i], [0, 0, 0])
 
@@ -77,7 +77,7 @@ def test_tips_have_ten_neighbors(lat_env):
             for s in (1, -1):
                 nb = t.copy()
                 nb[m] += s
-                assert nb in lat
+                assert lat.rows(nb) >= 0
 
 
 def test_tip_set_z_periodic(lat_env):
@@ -97,14 +97,14 @@ def test_non_tip_with_missing_neighbor(lat_env, Q, basis):
     inner = lat.labels[np.abs(lat.labels).max(axis=1) <= lat.radius - 2]
     missing = 0
     for k in inner[:2000]:
-        has_all = all((lambda nb: nb in lat)(k + s * np.eye(5, dtype=np.int64)[m])
+        has_all = all(lat.rows(k + s * np.eye(5, dtype=np.int64)[m]) >= 0
                       for m in range(5) for s in (1, -1))
         if not has_all:
             missing += 1
             assert tuple(k) not in tipset
             t = d_test_points(k[None, :], shift, basis)[0]
-            assert points_in_convex_polygon(t[None, :], Q._inner_normals,
-                                            Q._inner_offsets, 1e-9)[0] != 1
+            assert points_in_convex_polygon(t[None, :], Q.inner.normals,
+                                            Q.inner.offsets, 1e-9)[0] != 1
             assert np.linalg.norm(t) > np.cos(np.pi / 10) / PHI - 1e-9  # inradius
     assert missing > 50
 
@@ -121,7 +121,7 @@ def test_cells_26_atoms(lat_env, P):
         # atoms really are lattice points and sit where they should
         assert np.all(hull >= 0) and np.all(interior >= 0)
         for a in lat.labels[interior]:
-            assert a in lat
+            assert lat.rows(a) >= 0
 
 
 def test_same_triangle_same_interior_offsets(lat_env, P, Q, basis):
@@ -129,9 +129,13 @@ def test_same_triangle_same_interior_offsets(lat_env, P, Q, basis):
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     by_triangle = {}
     rng = np.random.default_rng(2)
-    for i in rng.choice(len(inner), 120, replace=False):
-        tip = inner[i]
-        tri = tip_triangle(tip, shift, Q, basis)
+    sample = inner[rng.choice(len(inner), 120, replace=False)]
+    # one pass of all tips against the ten fan triangles (0, v_i, v_{i+1})
+    pts = d_test_points(sample, shift, basis)
+    status = np.array([ConvexWindow.of(t).classify(pts, 1e-9)
+                       for t in fan_triangles(Q.inner.polygon)])
+    assert np.all((status == 1).sum(axis=0) == 1)  # no tip on a triangle edge
+    for tip, tri in zip(sample, np.argmax(status == 1, axis=0).tolist()):
         _, _, interior = build_cells(tip, lat)
         offsets = frozenset(tuple(int(x) for x in (a - tip))
                             for a in lat.labels[interior[0]])
@@ -175,7 +179,7 @@ def test_label_keys_follow_label_order(lat_env):
     outside = lat.labels[:3].copy()
     outside[:, 0] = lat.radius + 1
     assert np.all(lat.rows(outside) == -1)
-    assert lat.labels[0] in lat and outside[0] not in lat
+    assert lat.rows(lat.labels[0]) >= 0 and lat.rows(outside[0]) < 0
     with pytest.raises(ValueError, match="too large"):
         label_keys(np.zeros(5, dtype=np.int64), 3200)
 
@@ -331,8 +335,8 @@ def test_find_tips_reads_the_acceptance_test_points(Q, basis):
         lat = qp.build_lattice3(8, shift, Q, basis)
         recomputed = d_test_points(lat.labels, shift, basis)
         assert np.array_equal(lat.test_points, recomputed)
-        status = points_in_convex_polygon(recomputed, Q._inner_normals,
-                                          Q._inner_offsets, 1e-9)
+        status = points_in_convex_polygon(recomputed, Q.inner.normals,
+                                          Q.inner.offsets, 1e-9)
         assert np.array_equal(find_tips(lat, Q), lat.labels[status == 1])
 
 

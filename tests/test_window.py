@@ -15,8 +15,9 @@ from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               label_rows, normalize_shift, random_shift,
                               slice_window, step_rows)
 
-from helpers import (lambda_box_candidates_2d, lambda_box_candidates_3d,
-                     mesh_margin_2d, mesh_margin_3d, mesh_solution_2d, polygon_area)
+from helpers import (fan_triangles, lambda_box_candidates_2d,
+                     lambda_box_candidates_3d, mesh_margin_2d, mesh_margin_3d,
+                     mesh_solution_2d, polygon_area)
 
 P_GOLD = qp.PHI
 
@@ -168,8 +169,8 @@ def test_decagon_closed_forms(Q, basis):
 
 
 def test_decagon_radii(Q):
-    assert len(Q.vertices) == 10
-    assert np.allclose(np.linalg.norm(Q.vertices, axis=1), P_GOLD, atol=1e-9)
+    assert len(Q.window.polygon) == 10
+    assert np.allclose(np.linalg.norm(Q.window.polygon, axis=1), P_GOLD, atol=1e-9)
     radii = np.sort(np.linalg.norm(Q.interior_points, axis=1))
     assert len(radii) == 22
     assert np.allclose(radii[:2], 0.0, atol=1e-9)
@@ -178,12 +179,13 @@ def test_decagon_radii(Q):
 
 
 def test_inner_decagon(Q):
-    assert len(Q.inner_decagon) == 10
-    assert np.allclose(np.linalg.norm(Q.inner_decagon, axis=1), 1 / P_GOLD, atol=1e-9)
+    assert len(Q.inner.polygon) == 10
+    assert np.allclose(np.linalg.norm(Q.inner.polygon, axis=1), 1 / P_GOLD, atol=1e-9)
     # the ten fan triangles tile the inner decagon
-    tri_area = sum(polygon_area(t) for t in Q.triangles)
-    assert tri_area == pytest.approx(polygon_area(Q.inner_decagon), abs=1e-9)
-    for t in Q.triangles:
+    triangles = fan_triangles(Q.inner.polygon)
+    tri_area = sum(polygon_area(t) for t in triangles)
+    assert tri_area == pytest.approx(polygon_area(Q.inner.polygon), abs=1e-9)
+    for t in triangles:
         assert polygon_area(t) > 0  # CCW and nondegenerate
 
 
@@ -222,7 +224,8 @@ def test_slice_windows_nest_in_shadow(P, Q):
     for c in (0.0, 0.25, 0.5, 0.8):
         ws = qp.build_windows(P, c)
         for w in ws.slices.values():
-            status = points_in_convex_polygon(w.polygon, Q._normals, Q._offsets, 1e-9)
+            status = points_in_convex_polygon(w.polygon, Q.window.normals,
+                                              Q.window.offsets, 1e-9)
             assert np.all(status != 0)
 
 
@@ -477,8 +480,8 @@ def test_enumerate_3d_raises_just_outside_a_decagon_edge(eps, Q, basis, monkeypa
     tested = _record(monkeypatch, "accept_3d_bulk")
     for edge in (0, 3, 7):
         k = np.array([1, -1, 2, 0, -2])
-        mid = (Q.vertices[edge] + Q.vertices[(edge + 1) % 10]) / 2
-        target = mid + 0.9 * eps * Q._normals[edge]
+        mid = (Q.window.polygon[edge] + Q.window.polygon[(edge + 1) % 10]) / 2
+        target = mid + 0.9 * eps * Q.window.normals[edge]
         shift = _moved_shift(random_shift(0.3, 5), basis.D, k, target)
         tested.clear()
         _assert_singular(lambda: enumerate_accepted_3d(4, shift, Q, basis, eps),
