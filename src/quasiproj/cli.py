@@ -133,8 +133,8 @@ def _run_mode(config: RunConfig) -> None:
             report = empirical_frequencies(config.radius, shift, wset, basis)
             return frequency_csv(report), []
         _check_tol(config.tol, Q=Q)
-        lat = build_lattice3(config.radius, shift, Q, basis, config.tol)
         if config.mode == "lattice3d":
+            lat = build_lattice3(config.radius, shift, Q, basis, config.tol)
             tips = find_tips(lat, Q, config.tol)
             inner = tips[label_extent(tips) <= config.radius - 3]
             cells = build_cells(inner, lat)
@@ -145,7 +145,8 @@ def _run_mode(config: RunConfig) -> None:
                               "no complete cells: every tip lies within 3 label "
                               "steps of the box edge; raise --radius"))
             return cells_obj(cells, lat, P), notes
-        census = overlap_census(lat, shift, Q, config.tol, shared_atom_sample=20)
+        census = overlap_census(config.radius, shift, Q, basis, config.tol,
+                                shared_atom_sample=20)
         notes = []
         if census.shared_atoms:
             shared = {k: round(v, 2) for k, v in census.shared_atoms.items()}

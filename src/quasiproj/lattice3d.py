@@ -7,6 +7,12 @@ cell holding 26 atoms (22 hull sites plus 4 interior).  Neighboring cells
 overlap in one of two convex polyhedra, a 6-faced J or a 12-faced K, and
 each tip falls in one of five overlap classes with c-independent
 frequencies.
+
+A tip's class depends only on the tips around it, so overlap_census never
+builds the lattice: it scans the inner decagon for tips
+(window.enumerate_tips) and, of the decagon, tests only the band along its
+boundary, where a label could be singular.  The whole lattice, Lattice3,
+is built for the unit cells that build_cells assembles by lookup.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ from .errors import (CensusViolationError, ConfigError, ConsistencyError,
                      SingularityError)
 from .geometry import DEFAULT_EPS, PHI, ProjectionBasis, make_basis
 from .window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, DecagonQ,
-                     GridShift, _key_weights, enumerate_accepted_3d, key_member,
-                     label_extent, label_keys, label_rows)
+                     GridShift, _key_weights, accept_3d_bulk, enumerate_accepted_3d,
+                     enumerate_tips, key_member, label_extent, label_keys,
+                     label_rows)
 
 #: overlap classes keyed by (neighbor count, K count, J count)
 OVERLAP_SIGNATURES = {
@@ -105,21 +112,28 @@ def build_cells(tips, lat: Lattice3) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if np.any(rows[:, 0] < 0):
         bad = tips[np.argmax(rows[:, 0] < 0)]
         raise ValueError(f"{tuple(bad.tolist())} is not a lattice point")
-    missing = (rows[:, HULL_INDICES] < 0).sum(axis=1)
+    _check_cells(tips, rows >= 0)
+    # misses are -1, so the four hits sort last, in label order
+    inner = np.sort(rows[:, INTERIOR_INDICES], axis=1)[:, -4:]
+    return rows[:, 0], rows[:, HULL_INDICES], inner
+
+
+def _check_cells(tips: np.ndarray, present: np.ndarray) -> None:
+    """Raise ConsistencyError unless each cell, tip + the 32 cube vertices with
+    `present` (n, 32) marking its lattice points, has all 22 hull atoms and
+    exactly 4 of the 10 interior ones."""
+    missing = (~present[:, HULL_INDICES]).sum(axis=1)
     if np.any(missing):
         i = int(np.argmax(missing))
         raise ConsistencyError(
             f"cell at {tuple(tips[i].tolist())}: {missing[i]} hull atoms are not "
             "lattice points (is the tip too close to the enumeration boundary?)")
-    inner = rows[:, INTERIOR_INDICES]
-    found = (inner >= 0).sum(axis=1)
+    found = present[:, INTERIOR_INDICES].sum(axis=1)
     if np.any(found != 4):
         i = int(np.argmax(found != 4))
         raise ConsistencyError(
             f"cell at {tuple(tips[i].tolist())} has {found[i]} interior atoms, "
             "expected 4")
-    # misses are -1, so the four hits sort last, in label order
-    return rows[:, 0], rows[:, HULL_INDICES], np.sort(inner, axis=1)[:, -4:]
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +178,6 @@ def overlap_signatures(inner: np.ndarray, tips: np.ndarray, radius: int) -> np.n
     return np.column_stack([hits["K"] + hits["J"], hits["K"], hits["J"]])
 
 
-def shared_atom_count(tip_a, tip_b, lat: Lattice3) -> int:
-    """Number of atoms the two tips' 26-atom cells have in common.
-
-    Overlapping neighbor cells share the lattice points inside their
-    intersection; reported as a statistic only, no published values exist
-    to assert against.
-    """
-    _, hull, interior = build_cells(np.vstack([tip_a, tip_b]), lat)
-    a, b = np.hstack([hull, interior])
-    return len(np.intersect1d(a, b))
-
-
 @dataclass(frozen=True)
 class OverlapCensus:
     c: float
@@ -183,13 +185,42 @@ class OverlapCensus:
     counts: dict      # class label -> count
     frequencies: dict  # class label -> empirical frequency
     analytic: dict    # class label -> analytic frequency
-    shared_atoms: dict = None  # class label -> mean atoms shared with neighbors
+    shared_atoms: dict | None = None  # class label -> mean atoms shared with neighbors
 
 
-def overlap_census(lat: Lattice3, shift: GridShift, Q: DecagonQ,
-                   eps: float = DEFAULT_EPS, margin: int = 3,
-                   shared_atom_sample: int = 0) -> OverlapCensus:
-    """Classify every boundary-complete tip and tally the five overlap classes.
+def _shared_atoms(pairs: np.ndarray, shift: GridShift, Q: DecagonQ,
+                  basis: ProjectionBasis, eps: float, radius: int) -> np.ndarray:
+    """Atoms the two 26-atom cells of each (tip, neighbor) pair have in common.
+
+    Overlapping neighbor cells share the lattice points inside their
+    intersection; reported as a statistic only, no published values exist
+    to assert against.  Each cell atom, tip + cube vertex, is decided by the
+    decagon test on its test point, in one call for all pairs, and the cells
+    get build_cells' checks.
+    """
+    atoms = pairs[:, :, None, :] + CUBE_VERTICES          # (pairs, 2, 32, 5)
+    status = accept_3d_bulk(atoms.reshape(-1, 5), shift, Q, basis, eps)
+    if np.any(status == -1):
+        bad = atoms.reshape(-1, 5)[np.argmax(status == -1)]
+        raise SingularityError(
+            f"cell atom {tuple(bad.tolist())} lands within eps of the decagon boundary "
+            f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
+    accepted = status.reshape(atoms.shape[:3]) == 1
+    _check_cells(pairs.reshape(-1, 5), accepted.reshape(-1, 32))
+    # the keys of a cell's atoms are distinct; absent atoms get -1 and -2,
+    # which match nothing in the other cell
+    keys = np.where(accepted, label_keys(atoms, radius), -1 - np.arange(2)[:, None])
+    return (keys[:, 0, :, None] == keys[:, 1, None, :]).sum(axis=(1, 2))
+
+
+def overlap_census(radius: int, shift: GridShift, Q: DecagonQ,
+                   basis: ProjectionBasis | None = None, eps: float = DEFAULT_EPS,
+                   margin: int = 3, shared_atom_sample: int = 0) -> OverlapCensus:
+    """Classify every boundary-complete tip of the box and tally the five overlap classes.
+
+    The tips come from enumerate_tips, which scans only the inner decagon:
+    the class of a tip depends on its neighboring tips alone.  Tips within
+    `margin` label steps of the box edge are not classified.
 
     With shared_atom_sample > 0, also reports the mean number of atoms a
     cell shares with its overlapping neighbors, per class.  The mean runs
@@ -197,12 +228,13 @@ def overlap_census(lat: Lattice3, shift: GridShift, Q: DecagonQ,
     label steps further inside the box are taken whole, in label order,
     until at least that many pairs are collected.
     """
-    tips = find_tips(lat, Q, eps)
-    inner = tips[label_extent(tips) <= lat.radius - margin]
+    basis = basis or make_basis()
+    tips, tip_keys = enumerate_tips(radius, shift, Q, basis, eps)
+    inner = tips[label_extent(tips) <= radius - margin]
     if len(inner) == 0:
         raise ConfigError("no boundary-complete tips in the lattice box")
 
-    sigs = overlap_signatures(inner, tips, lat.radius)
+    sigs = overlap_signatures(inner, tips, radius)
     cls = _CLASS_OF_CODE[11 * sigs[:, 1] + sigs[:, 2]]
     if np.any(cls < 0):
         i = int(np.argmax(cls < 0))
@@ -211,24 +243,28 @@ def overlap_census(lat: Lattice3, shift: GridShift, Q: DecagonQ,
             f"{tuple(sigs[i].tolist())}, outside the five known classes")
     counts = dict(zip(_CLASSES, np.bincount(cls, minlength=len(_CLASSES)).tolist()))
 
-    shared_sums: dict[str, list] = {lab: [] for lab in _CLASSES}
-    if shared_atom_sample:
-        tip_keys = label_keys(tips, lat.radius)
-        overlapping = np.vstack(list(OVERLAP_OFFSETS.values()))
-        # shared-atom cells need one more label ring
-        safe = label_extent(inner) <= lat.radius - margin - 2
-        for j, label in enumerate(_CLASSES):
-            for tip in inner[(cls == j) & safe]:
-                if len(shared_sums[label]) >= shared_atom_sample:
-                    break
-                others = tip + overlapping
-                for other in others[label_rows(tip_keys, label_keys(others, lat.radius)) >= 0]:
-                    shared_sums[label].append(shared_atom_count(tip, other, lat))
-    total = len(inner)
     shared = None
     if shared_atom_sample:
-        shared = {lab: (float(np.mean(v)) if v else float("nan"))
-                  for lab, v in shared_sums.items()}
+        # shared-atom cells need one more label ring
+        safe = label_extent(inner) <= radius - margin - 2
+        taken = np.zeros(len(inner), dtype=bool)
+        for j in range(len(_CLASSES)):
+            rows = np.flatnonzero((cls == j) & safe)
+            # whole tips, while fewer pairs than the sample are collected
+            before = np.cumsum(sigs[rows, 0]) - sigs[rows, 0]
+            taken[rows[before < shared_atom_sample]] = True
+        overlapping = np.vstack(list(OVERLAP_OFFSETS.values()))
+        sampled = inner[taken]
+        query = label_keys(sampled, radius)[:, None] + overlapping @ _key_weights(radius)
+        tip_row, offset = np.nonzero(label_rows(tip_keys, query) >= 0)
+        pairs = np.stack([sampled[tip_row], sampled[tip_row] + overlapping[offset]],
+                         axis=1)
+        n_shared = _shared_atoms(pairs, shift, Q, basis, eps, radius)
+        pair_class = cls[taken][tip_row]
+        shared = {lab: (float(np.mean(n_shared[pair_class == j]))
+                        if np.any(pair_class == j) else float("nan"))
+                  for j, lab in enumerate(_CLASSES)}
+    total = len(inner)
     return OverlapCensus(c=shift.c, n_tips=total, counts=counts,
                          frequencies={lab: n / total for lab, n in counts.items()},
                          analytic=dict(ANALYTIC_CLASS_FREQUENCIES),

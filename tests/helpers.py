@@ -4,17 +4,24 @@ The mesh-condition oracles solve the defining linear feasibility problem
 directly (does some point r and some lambda in the open unit 5-cube satisfy
 grid-projection + gamma + lambda = k?) with an LP, bypassing the window
 construction entirely.  The overlap oracle intersects translated copies of
-the polytope numerically, with an LP and Qhull.  The reference writers are
-the tuple-based SVG and dict-based OBJ serialisers the array writers replaced.
+the polytope numerically, with an LP and Qhull.  The lattice-route census
+classifies the tips of the whole 3-d lattice and counts shared atoms one
+pair of cells at a time.  The reference writers are the tuple-based SVG and
+dict-based OBJ serialisers the array writers replaced.
 """
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
+from quasiproj.errors import CensusViolationError, ConfigError
 from quasiproj.geometry import PHI
 from quasiproj.io import fmt
-from quasiproj.window import enumerate_accepted_2d, step_rows
+from quasiproj.lattice3d import (_CLASS_OF_CODE, _CLASSES, ANALYTIC_CLASS_FREQUENCIES,
+                                 OVERLAP_OFFSETS, OverlapCensus, build_cells,
+                                 find_tips, overlap_signatures)
+from quasiproj.window import (enumerate_accepted_2d, label_extent, label_keys,
+                              label_rows, step_rows)
 
 
 def mesh_margin_2d(k, shift, basis) -> float:
@@ -175,6 +182,57 @@ def overlap_signature_loop(tip, tip_set, table):
             k_shares += faces == 12
             j_shares += faces == 6
     return neighbors, k_shares, j_shares
+
+
+# ---------------------------------------------------------------------------
+# the overlap census over the whole lattice, one pair of cells at a time
+# ---------------------------------------------------------------------------
+
+def shared_atom_count(tip_a, tip_b, lat):
+    """Number of atoms the two tips' 26-atom cells have in common."""
+    _, hull, interior = build_cells(np.vstack([tip_a, tip_b]), lat)
+    a, b = np.hstack([hull, interior])
+    return len(np.intersect1d(a, b))
+
+
+def overlap_census_lattice(lat, shift, Q, eps=1e-9, margin=3, shared_atom_sample=0):
+    """The overlap census from the whole lattice's tips, and shared atoms pair by pair."""
+    tips = find_tips(lat, Q, eps)
+    inner = tips[label_extent(tips) <= lat.radius - margin]
+    if len(inner) == 0:
+        raise ConfigError("no boundary-complete tips in the lattice box")
+
+    sigs = overlap_signatures(inner, tips, lat.radius)
+    cls = _CLASS_OF_CODE[11 * sigs[:, 1] + sigs[:, 2]]
+    if np.any(cls < 0):
+        i = int(np.argmax(cls < 0))
+        raise CensusViolationError(
+            f"tip {tuple(inner[i].tolist())} has overlap signature "
+            f"{tuple(sigs[i].tolist())}, outside the five known classes")
+    counts = dict(zip(_CLASSES, np.bincount(cls, minlength=len(_CLASSES)).tolist()))
+
+    shared_sums = {lab: [] for lab in _CLASSES}
+    if shared_atom_sample:
+        tip_keys = label_keys(tips, lat.radius)
+        overlapping = np.vstack(list(OVERLAP_OFFSETS.values()))
+        # shared-atom cells need one more label ring
+        safe = label_extent(inner) <= lat.radius - margin - 2
+        for j, label in enumerate(_CLASSES):
+            for tip in inner[(cls == j) & safe]:
+                if len(shared_sums[label]) >= shared_atom_sample:
+                    break
+                others = tip + overlapping
+                for other in others[label_rows(tip_keys, label_keys(others, lat.radius)) >= 0]:
+                    shared_sums[label].append(shared_atom_count(tip, other, lat))
+    total = len(inner)
+    shared = None
+    if shared_atom_sample:
+        shared = {lab: (float(np.mean(v)) if v else float("nan"))
+                  for lab, v in shared_sums.items()}
+    return OverlapCensus(c=shift.c, n_tips=total, counts=counts,
+                         frequencies={lab: n / total for lab, n in counts.items()},
+                         analytic=dict(ANALYTIC_CLASS_FREQUENCIES),
+                         shared_atoms=shared)
 
 
 # ---------------------------------------------------------------------------

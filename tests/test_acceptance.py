@@ -193,8 +193,8 @@ def test_criterion_7_overlap_classes(P, Q, basis):
 
     results = {}
     for c, seed in ((0.2, 3), (0.7, 4)):
-        shift, lat = _lattice(Q, basis, c, seed, 16)
-        census = overlap_census(lat, shift, Q)
+        shift = random_shift(c, seed)
+        census = overlap_census(16, shift, Q, basis)
         assert census.n_tips >= 1000
         for label, freq in census.frequencies.items():
             assert abs(freq - ANALYTIC_CLASS_FREQUENCIES[label]) <= 0.01, \

@@ -110,6 +110,25 @@ def test_deterministic_outputs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_singular_census_names_a_label_off_the_tips(caplog):
+    # the label lies on the decagon boundary, in the band the census checks
+    # though it scans only the tips
+    with caplog.at_level(logging.ERROR, logger="qc"):
+        assert run(["overlap-census", "--gamma=1,-1,0,0,0", "--radius", "8"]) == 3
+    assert ("label (-8, -8, -8, -7, -8) lands within eps of the decagon boundary"
+            in caplog.text)
+
+
+def test_census_redraw_echoes_the_second_draw(caplog):
+    # the seed-1 draw at tol 1e-3 is singular; the next draw, seed 1 + 1009, is not
+    with caplog.at_level(logging.INFO, logger="qc"):
+        assert run(["overlap-census", "--c", "0.3", "--seed", "1", "--radius", "10",
+                    "--tol", "1e-3"]) == 0
+    assert caplog.text.count("redrawing") == 1
+    echoed = json.loads(caplog.text.split("resolved config: ")[1].splitlines()[0])
+    assert echoed["gamma"] == random_shift(0.3, 1 + 1009).gamma.tolist()
+
+
 def test_singular_gamma_message_prints_plain_numbers(caplog):
     with caplog.at_level(logging.ERROR, logger="qc"):
         assert run(["lattice3d", "--gamma=1,-1,0,0,0", "--radius", "3"]) == 3

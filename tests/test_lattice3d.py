@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 import quasiproj as qp
-from quasiproj.errors import ConsistencyError
+from quasiproj.errors import ConsistencyError, SingularityError
 from quasiproj.geometry import ConvexWindow, points_in_convex_polygon
 from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
-                                 OVERLAP_SIGNATURES, build_cells, find_tips,
-                                 overlap_census, overlap_signatures,
-                                 shared_atom_count)
+                                 OVERLAP_SIGNATURES, _shared_atoms, build_cells,
+                                 find_tips, overlap_census, overlap_signatures)
 from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, accept_3d_bulk,
-                              d_test_points, label_keys, normalize_shift,
-                              random_shift)
+                              d_test_points, enumerate_tips, label_keys,
+                              normalize_shift, random_shift)
 
 from helpers import (VOLUME_FLOOR, convex_intersection, fan_triangles,
-                     interior_atoms_sweep, overlap_signature_loop, overlap_table)
+                     interior_atoms_sweep, overlap_census_lattice,
+                     overlap_signature_loop, overlap_table, shared_atom_count)
 
 PHI = qp.PHI
 
@@ -215,6 +215,15 @@ def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, basis, oracle_
                     for t in inner.tolist()]
 
 
+def test_shared_atoms_keep_the_cell_checks(lat_env, Q, basis):
+    # as build_cells, the batched cells must hold their 22 hull atoms
+    shift, lat, tips = lat_env
+    pairs = np.stack([tips[:1], np.full((1, 5), 3) * [1, -1, 1, -1, 1]], axis=1)
+    with pytest.raises(ConsistencyError, match=r"cell at \(3, -3, 3, -3, 3\): "
+                                               r"\d+ hull atoms are not lattice points"):
+        _shared_atoms(pairs, shift, Q, basis, 1e-9, lat.radius)
+
+
 def test_build_cells_rejects_non_lattice_tip(lat_env):
     shift, lat, tips = lat_env
     with pytest.raises(ValueError, match="not a lattice point"):
@@ -274,8 +283,7 @@ def test_classify_overlap_signatures(lat_env, Q, P, basis):
 
 def test_overlap_census_matches_analytic(Q, basis):
     shift = random_shift(0.3, 29)
-    lat = qp.build_lattice3(12, shift, Q, basis)
-    census = overlap_census(lat, shift, Q, shared_atom_sample=5)
+    census = overlap_census(12, shift, Q, basis, shared_atom_sample=5)
     assert census.n_tips > 1000
     assert sum(census.counts.values()) == census.n_tips
     assert sum(census.frequencies.values()) == pytest.approx(1.0, abs=1e-12)
@@ -356,4 +364,67 @@ def test_overlap_violation_names_the_first_offending_tip(Q, basis, monkeypatch):
     with pytest.raises(qp.errors.CensusViolationError,
                        match=rf"tip {re.escape(str(tuple(inner[2].tolist())))} has "
                              r"overlap signature \(3, 0, 3\)"):
-        overlap_census(lat, shift, Q)
+        overlap_census(10, shift, Q, basis)
+
+
+@pytest.mark.parametrize("radius", [8, 12])
+@pytest.mark.parametrize("c", [0.05, 0.2, PHI ** -2, 0.5, 0.9])
+def test_overlap_census_matches_the_lattice_route(c, radius, Q, basis):
+    # the tips of the inner-decagon scan are the lattice's tips, and the
+    # census over them is the lattice-route census, shared atoms included
+    shift = random_shift(c, 5)
+    lat = qp.build_lattice3(radius, shift, Q, basis)
+    tips, keys = enumerate_tips(radius, shift, Q, basis)
+    assert np.array_equal(tips, find_tips(lat, Q))
+    assert np.array_equal(keys, label_keys(tips, radius))
+    census = overlap_census(radius, shift, Q, basis, shared_atom_sample=20)
+    oracle = overlap_census_lattice(lat, shift, Q, shared_atom_sample=20)
+    assert census.n_tips == oracle.n_tips
+    assert census.counts == oracle.counts
+    assert list(census.shared_atoms) == list(oracle.shared_atoms)
+    assert np.array_equal(list(census.shared_atoms.values()),
+                          list(oracle.shared_atoms.values()), equal_nan=True)
+
+
+def _named_label(exc) -> str:
+    return re.search(r"label (\([-\d, ]+\))", str(exc))[1]
+
+
+def test_tip_scan_is_singular_where_the_lattice_is(Q, basis):
+    # at a coarse eps many draws put some label of the box within eps of the
+    # decagon boundary; the band scan must raise for exactly those draws and
+    # name the same label, and the tip scan must agree on the rest
+    singular = 0
+    for seed in range(12):
+        shift = random_shift(0.5, seed)
+        try:
+            lat = qp.build_lattice3(6, shift, Q, basis, 1e-3)
+            expected = find_tips(lat, Q, 1e-3)
+        except SingularityError as exc:
+            expected = exc
+        try:
+            got = enumerate_tips(6, shift, Q, basis, 1e-3)[0]
+        except SingularityError as exc:
+            got = exc
+        if isinstance(expected, SingularityError):
+            assert isinstance(got, SingularityError), seed
+            assert _named_label(got) == _named_label(expected)
+            singular += 1
+        else:
+            assert np.array_equal(got, expected), seed
+    assert 0 < singular < 12
+
+
+def test_tip_scan_raises_on_the_inner_decagon_boundary_alone(Q, basis):
+    # at this draw no label of the box is within eps of the decagon, but
+    # (-1, -1, 1, -1, 1) is within eps of the inner decagon; its neighbours
+    # that would lie on the decagon boundary are outside the box
+    shift, eps = random_shift(0.5, 30), 0.01
+    qp.enumerate_accepted_3d(1, shift, Q, basis, eps)
+    for run in (lambda: find_tips(qp.build_lattice3(1, shift, Q, basis, eps), Q, eps),
+                lambda: enumerate_tips(1, shift, Q, basis, eps),
+                lambda: overlap_census(1, shift, Q, basis, eps)):
+        with pytest.raises(SingularityError,
+                           match=r"label \(-1, -1, 1, -1, 1\) \w+ within eps of the "
+                                 r"inner decagon boundary"):
+            run()
