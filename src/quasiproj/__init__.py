@@ -10,9 +10,8 @@ from .geometry import (DEFAULT_EPS, PHI, THETA, ConvexWindow, ProjectionBasis,
                        make_basis)
 from .window import (CUBE_VERTICES, DecagonQ, GridShift, PolytopeP, WindowSet,
                      build_decagon_Q, build_polytope_P, build_windows,
-                     enumerate_accepted_2d, enumerate_accepted_3d, enumerate_tips,
-                     label_keys, label_rows, normalize_shift, random_shift,
-                     slice_window)
+                     enumerate_accepted_2d, enumerate_accepted_3d, label_keys,
+                     label_rows, normalize_shift, random_shift, slice_window)
 from .pentagrid import (Intersection, PentagridTiling, enumerate_intersections,
                         k_vector_2d, k_vector_3d, tiling_from_pentagrid)
 from .tiling2d import (CENSUS, FrequencyReport, VertexType, analytic_A,

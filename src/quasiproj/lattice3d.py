@@ -9,10 +9,10 @@ each tip falls in one of five overlap classes with c-independent
 frequencies.
 
 A tip's class depends only on the tips around it, so overlap_census never
-builds the lattice: it scans the inner decagon for tips
-(window.enumerate_tips) and, of the decagon, tests only the band along its
-boundary, where a label could be singular.  The whole lattice, Lattice3,
-is built for the unit cells that build_cells assembles by lookup.
+holds the lattice: the decagon scan keeps only the tips of each layer it
+tests, and still raises for a singular label that is not a tip.  The whole
+lattice, Lattice3, is built for the unit cells that build_cells assembles
+by lookup.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .errors import (CensusViolationError, ConfigError, ConsistencyError,
                      SingularityError)
 from .geometry import DEFAULT_EPS, PHI, ProjectionBasis, make_basis
 from .window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, DecagonQ,
-                     GridShift, _key_weights, accept_3d_bulk, enumerate_accepted_3d,
-                     enumerate_tips, key_member, label_extent, label_keys,
+                     GridShift, _enumerate_tips, _key_weights, accept_3d_bulk,
+                     enumerate_accepted_3d, key_member, label_extent, label_keys,
                      label_rows)
 
 #: overlap classes keyed by (neighbor count, K count, J count)
@@ -218,8 +218,8 @@ def overlap_census(radius: int, shift: GridShift, Q: DecagonQ,
                    margin: int = 3, shared_atom_sample: int = 0) -> OverlapCensus:
     """Classify every boundary-complete tip of the box and tally the five overlap classes.
 
-    The tips come from enumerate_tips, which scans only the inner decagon:
-    the class of a tip depends on its neighboring tips alone.  Tips within
+    The tips come from the decagon scan, which keeps only the tips: the
+    class of a tip depends on its neighboring tips alone.  Tips within
     `margin` label steps of the box edge are not classified.
 
     With shared_atom_sample > 0, also reports the mean number of atoms a
@@ -229,7 +229,7 @@ def overlap_census(radius: int, shift: GridShift, Q: DecagonQ,
     until at least that many pairs are collected.
     """
     basis = basis or make_basis()
-    tips, tip_keys = enumerate_tips(radius, shift, Q, basis, eps)
+    tips, tip_keys = _enumerate_tips(radius, shift, Q, basis, eps)
     inner = tips[label_extent(tips) <= radius - margin]
     if len(inner) == 0:
         raise ConfigError("no boundary-complete tips in the lattice box")

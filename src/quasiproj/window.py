@@ -360,17 +360,10 @@ def accept_3d_bulk(labels: np.ndarray, shift: GridShift, Q: DecagonQ,
 # slack of the window, and singular labels, which raise.
 #   2-d:  fix (k0, k1, I) and scan (k2, k3); k4 = I - k0 - k1 - k2 - k3.
 #   3-d:  fix (k0, k1, k2) and scan (k3, k4).
-# The tips scan the inner decagon the same way.  A label near the decagon
-# boundary is singular whether or not it is a tip, so they also scan the
-# decagon's band: on each line, the integers of the widened span that are
-# not in the span of the decagon shrunk by as much.
 # ---------------------------------------------------------------------------
 
 #: how far past eps a scan reaches, far above the float error of its bounds
 _SCAN_SLACK = 1e-6
-#: lines of fixed (k0, k1, k2) a 3-d scan block starts from: whole k0 layers,
-#: enough of them that numpy, not the interpreter, sets the pace
-_BLOCK_ROWS = 2 ** 12
 
 #: the c = 0 index-5 window is the point 0, given as a square of zero size:
 #: widened by eps and the slack, it holds the singular disk |t| <= eps
@@ -396,11 +389,12 @@ def _integer_span(lo: np.ndarray, hi: np.ndarray, box_lo, box_hi):
 
 def _scan(t0: np.ndarray, a: np.ndarray, b: np.ndarray, window: ConvexWindow,
           reach: float, radius: int):
-    """The lines of fixed label coordinate u that can meet a widened window.
+    """Scan-convert a convex window, widened by `reach`, in label coordinates.
 
     Row r of t0 is the test point of (u, v) = (0, 0); (u, v) moves it by
-    u a + v b.  Returns (row, u, t): every u in [-radius, radius] whose line
-    can meet the window widened by `reach`, with the test point t of (u, 0).
+    u a + v b.  Returns (row, u, v_lo, v_hi): every u in [-radius, radius]
+    whose line can meet the widened window, with the real v interval where
+    it does (empty when v_lo > v_hi).
     """
     normals = window.normals
     inv_u = np.linalg.inv(np.column_stack([a, b]))[0]  # u = inv_u . (t - t0)
@@ -412,15 +406,10 @@ def _scan(t0: np.ndarray, a: np.ndarray, b: np.ndarray, window: ConvexWindow,
     u_lo, u_hi = _integer_span(vertex_u.min() - push - u0, vertex_u.max() + push - u0,
                                -radius, radius)
     row, u = _expand(u_lo, u_hi)
-    return row, u, t0[row] + u[:, None] * a
-
-
-def _v_span(t: np.ndarray, b: np.ndarray, window: ConvexWindow, reach: float):
-    """(v_lo, v_hi): the real v where each line t + v b meets the window
-    widened by `reach` (shrunk, when reach < 0); empty when v_lo > v_hi."""
-    v_lo = np.full(len(t), -np.inf)
-    v_hi = np.full(len(t), np.inf)
-    for n, o in zip(window.normals, window.offsets):
+    t = t0[row] + u[:, None] * a
+    v_lo = np.full(len(row), -np.inf)
+    v_hi = np.full(len(row), np.inf)
+    for n, o in zip(normals, window.offsets):
         nb = float(n @ b)
         room = (o + reach) - t @ n            # nb * v must not exceed this
         if abs(nb) < 1e-12:                   # edge parallel to b: all or nothing
@@ -429,7 +418,19 @@ def _v_span(t: np.ndarray, b: np.ndarray, window: ConvexWindow, reach: float):
             np.minimum(v_hi, room / nb, out=v_hi)
         else:
             np.maximum(v_lo, room / nb, out=v_lo)
-    return v_lo, v_hi
+    return row, u, v_lo, v_hi
+
+
+def _raise_singular(cand: np.ndarray, status: np.ndarray, describe: str,
+                    shift: GridShift, radius: int) -> None:
+    """Raise SingularityError naming the lexicographically first candidate
+    whose status is -1, if there is one."""
+    bad = cand[status == -1]
+    if len(bad):
+        first = bad[np.argmin(label_keys(bad, radius))]
+        raise SingularityError(
+            f"label {tuple(int(x) for x in first)} lands within eps of {describe} "
+            f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
 
 
 def _accepted(blocks, describe, shift: GridShift, radius: int):
@@ -441,12 +442,7 @@ def _accepted(blocks, describe, shift: GridShift, radius: int):
     """
     cand = np.vstack([b[0] for b in blocks])
     status = np.concatenate([b[1] for b in blocks])
-    bad = cand[status == -1]
-    if len(bad):
-        first = bad[np.argmin(label_keys(bad, radius))]
-        raise SingularityError(
-            f"label {tuple(int(x) for x in first)} lands within eps of {describe} "
-            f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
+    _raise_singular(cand, status, describe, shift, radius)
     keep = status == 1
     labels = cand[keep]
     extra = [np.concatenate([b[i] for b in blocks])[keep]
@@ -456,9 +452,8 @@ def _accepted(blocks, describe, shift: GridShift, radius: int):
 
 #: memory an enumeration may plan for, and what a qc run holds at its peak per
 #: accepted label (measured above a ~30 MB start: ~205 B at `qc freq
-#: --radius 200`, ~320 B at `qc overlap-census --radius 35` when the census
-#: still built the whole lattice, as `qc lattice3d` does).  The tip scan is
-#: held to the lattice's estimate, so both 3-d modes refuse the same radii.
+#: --radius 200`, ~320 B for the whole 3-d lattice at radius 35).  Both 3-d
+#: modes check the lattice's estimate, so they refuse the same radii.
 MEMORY_BUDGET = 4 * 10 ** 9
 BYTES_PER_LABEL = 320
 
@@ -504,10 +499,10 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet,
     for index in range(1, 6):
         t0 = k01 @ (w[:2] - w[4]) + index * w[4] - shift.gamma @ w
         window = _POINT_WINDOW if index == 5 and wset.degenerate_top else wset.slices[index]
-        row, k2, t = _scan(t0, a, b, window, reach, M)
+        row, k2, v_lo, v_hi = _scan(t0, a, b, window, reach, M)
         k34 = index - k01[row].sum(axis=1) - k2
-        sub, k3 = _expand(*_integer_span(*_v_span(t, b, window, reach),
-                                         np.maximum(k34 - M, -M), np.minimum(k34 + M, M)))
+        sub, k3 = _expand(*_integer_span(v_lo, v_hi, np.maximum(k34 - M, -M),
+                                         np.minimum(k34 + M, M)))
         cand = np.column_stack([k01[row[sub]], k2[sub], k3, k34[sub] - k3])
         blocks.append((cand, accept_2d_bulk(cand, shift, wset, basis)))
     labels, keys = _accepted(blocks, "a window boundary", shift, M)
@@ -517,41 +512,29 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet,
     return labels, labels.astype(float) @ basis.D, keys
 
 
-def _scan_3d(radius: int, shift: GridShift, window: ConvexWindow,
-             basis: ProjectionBasis, eps: float, band: bool = False):
-    """The labels of the box a scan of `window` meets, as (labels, test
-    points) blocks of whole k0 layers, in key order.
+def _scan_3d(radius: int, shift: GridShift, Q: DecagonQ, basis: ProjectionBasis,
+             eps: float):
+    """The decagon scan of the box, as (candidates, decagon status, test
+    points) blocks of one k0 layer each, in key order.
 
-    The scan meets every label whose plane test point lies in the window or
-    within eps of its boundary.  With `band`, it meets only the labels
-    outside the window shrunk by as much as it is widened: those that can
-    lie within eps of the boundary.
+    Raises ConfigError, before the first block, if the lattice would not fit
+    in MEMORY_BUDGET.
     """
     M = int(radius)
     d = basis.D
+    _check_budget(M, (2 * M + 1) ** 3, [Q.window], d[3], d[4])
     k = np.arange(-M, M + 1, dtype=np.int64)
     k12 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
     base = k12 @ d[1:3] - shift.gamma @ d
-    reach = eps + _SCAN_SLACK
-    step = max(1, _BLOCK_ROWS // len(k12))
-    # k0 ascends over the blocks, and (k0, k1, k2), k3, k4 within each, so
-    # the labels come out in key order
-    for first in range(-M, M + 1, step):
-        k0 = np.arange(first, min(first + step, M + 1), dtype=np.int64)
-        k012 = np.column_stack([np.repeat(k0, len(k12)), np.tile(k12, (len(k0), 1))])
-        t0 = (base + k0[:, None, None] * d[0]).reshape(-1, 2)
-        row, k3, t = _scan(t0, d[3], d[4], window, reach, M)
-        lo, hi = _integer_span(*_v_span(t, d[4], window, reach), -M, M)
-        if band:
-            in_lo, in_hi = _integer_span(*_v_span(t, d[4], window, -reach), -M, M)
-            split = in_lo <= in_hi
-            # the part of each line's span below the shrunk one, then above it
-            lo = np.column_stack([lo, np.where(split, in_hi + 1, hi + 1)]).ravel()
-            hi = np.column_stack([np.where(split, in_lo - 1, hi), hi]).ravel()
-            row, k3 = np.repeat(row, 2), np.repeat(k3, 2)
-        sub, k4 = _expand(lo, hi)
-        labels = np.column_stack([k012[row[sub]], k3[sub], k4])
-        yield labels, d_test_points(labels, shift, basis)
+    # k0 ascends over the blocks, and (k1, k2), k3, k4 within each, so the
+    # candidates come out in key order
+    for k0 in range(-M, M + 1):
+        row, k3, v_lo, v_hi = _scan(base + k0 * d[0], d[3], d[4], Q.window,
+                                    eps + _SCAN_SLACK, M)
+        sub, k4 = _expand(*_integer_span(v_lo, v_hi, -M, M))
+        cand = np.column_stack([np.full(len(sub), k0), k12[row[sub]], k3[sub], k4])
+        pts = d_test_points(cand, shift, basis)
+        yield cand, accept_3d_bulk(cand, shift, Q, basis, eps, pts), pts
 
 
 def enumerate_accepted_3d(radius: int, shift: GridShift, Q: DecagonQ,
@@ -569,36 +552,30 @@ def enumerate_accepted_3d(radius: int, shift: GridShift, Q: DecagonQ,
     """
     basis = basis or make_basis()
     M = int(radius)
-    _check_budget(M, (2 * M + 1) ** 3, [Q.window], basis.D[3], basis.D[4])
-    blocks = [(cand, accept_3d_bulk(cand, shift, Q, basis, eps, pts), pts)
-              for cand, pts in _scan_3d(M, shift, Q.window, basis, eps)]
-    labels, keys, pts = _accepted(blocks, "the decagon boundary", shift, M)
+    labels, keys, pts = _accepted(list(_scan_3d(M, shift, Q, basis, eps)),
+                                  "the decagon boundary", shift, M)
     return labels, labels.astype(float) @ basis.W, keys, pts
 
 
-def enumerate_tips(radius: int, shift: GridShift, Q: DecagonQ,
-                   basis: ProjectionBasis | None = None,
-                   eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """The tips of the box [-radius, radius]^5, in key order.
+def _enumerate_tips(radius: int, shift: GridShift, Q: DecagonQ,
+                    basis: ProjectionBasis, eps: float = DEFAULT_EPS
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The tips of the box [-radius, radius]^5, in key order: (labels, keys).
 
-    Returns (labels (N,5) int64, keys (N,) int64): the labels whose plane
-    test point falls strictly inside the inner decagon, which are exactly
-    the tips find_tips takes from the whole lattice.  Only the inner
-    decagon is scanned, and of the decagon only the band within eps and
-    the scan slack of its edges, so it raises as enumerate_accepted_3d then
-    find_tips would: ConfigError if the lattice would not fit in
-    MEMORY_BUDGET, then SingularityError for the first label within eps of
-    the decagon boundary, then for the first within eps of the inner
-    decagon boundary.
+    Tips are the lattice points whose test point falls strictly inside the
+    inner decagon.  The decagon scan runs as in enumerate_accepted_3d, but
+    each layer keeps only its tips, so the lattice is never held whole.  It
+    raises as enumerate_accepted_3d then find_tips would: ConfigError,
+    then SingularityError for the first label within eps of the decagon
+    boundary, then for the first within eps of the inner decagon boundary.
     """
-    basis = basis or make_basis()
     M = int(radius)
-    _check_budget(M, (2 * M + 1) ** 3, [Q.window], basis.D[3], basis.D[4])
-    band = [(cand, accept_3d_bulk(cand, shift, Q, basis, eps, pts))
-            for cand, pts in _scan_3d(M, shift, Q.window, basis, eps, band=True)]
-    _accepted(band, "the decagon boundary", shift, M)
-    blocks = [(cand, Q.inner.classify(pts, eps))
-              for cand, pts in _scan_3d(M, shift, Q.inner, basis, eps)]
+    blocks = []
+    for cand, status, pts in _scan_3d(M, shift, Q, basis, eps):
+        _raise_singular(cand, status, "the decagon boundary", shift, M)
+        inner = Q.inner.classify(pts, eps)
+        near = inner != 0
+        blocks.append((cand[near], inner[near]))
     return _accepted(blocks, "the inner decagon boundary", shift, M)
 
 

@@ -111,8 +111,8 @@ def test_deterministic_outputs(tmp_path):
 
 
 def test_singular_census_names_a_label_off_the_tips(caplog):
-    # the label lies on the decagon boundary, in the band the census checks
-    # though it scans only the tips
+    # the label lies on the decagon boundary and is not a tip; the census
+    # keeps only the tips but still raises for it
     with caplog.at_level(logging.ERROR, logger="qc"):
         assert run(["overlap-census", "--gamma=1,-1,0,0,0", "--radius", "8"]) == 3
     assert ("label (-8, -8, -8, -7, -8) lands within eps of the decagon boundary"

@@ -9,8 +9,8 @@ from quasiproj.geometry import ConvexWindow, points_in_convex_polygon
 from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
                                  OVERLAP_SIGNATURES, _shared_atoms, build_cells,
                                  find_tips, overlap_census, overlap_signatures)
-from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, accept_3d_bulk,
-                              d_test_points, enumerate_tips, label_keys,
+from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, _enumerate_tips,
+                              accept_3d_bulk, d_test_points, label_keys,
                               normalize_shift, random_shift)
 
 from helpers import (VOLUME_FLOOR, convex_intersection, fan_triangles,
@@ -370,11 +370,11 @@ def test_overlap_violation_names_the_first_offending_tip(Q, basis, monkeypatch):
 @pytest.mark.parametrize("radius", [8, 12])
 @pytest.mark.parametrize("c", [0.05, 0.2, PHI ** -2, 0.5, 0.9])
 def test_overlap_census_matches_the_lattice_route(c, radius, Q, basis):
-    # the tips of the inner-decagon scan are the lattice's tips, and the
-    # census over them is the lattice-route census, shared atoms included
+    # the tips the scan keeps are the lattice's tips, and the census over
+    # them is the lattice-route census, shared atoms included
     shift = random_shift(c, 5)
     lat = qp.build_lattice3(radius, shift, Q, basis)
-    tips, keys = enumerate_tips(radius, shift, Q, basis)
+    tips, keys = _enumerate_tips(radius, shift, Q, basis)
     assert np.array_equal(tips, find_tips(lat, Q))
     assert np.array_equal(keys, label_keys(tips, radius))
     census = overlap_census(radius, shift, Q, basis, shared_atom_sample=20)
@@ -392,8 +392,8 @@ def _named_label(exc) -> str:
 
 def test_tip_scan_is_singular_where_the_lattice_is(Q, basis):
     # at a coarse eps many draws put some label of the box within eps of the
-    # decagon boundary; the band scan must raise for exactly those draws and
-    # name the same label, and the tip scan must agree on the rest
+    # decagon boundary; the tip scan must raise for exactly those draws and
+    # name the same label, and agree on the tips of the rest
     singular = 0
     for seed in range(12):
         shift = random_shift(0.5, seed)
@@ -403,7 +403,7 @@ def test_tip_scan_is_singular_where_the_lattice_is(Q, basis):
         except SingularityError as exc:
             expected = exc
         try:
-            got = enumerate_tips(6, shift, Q, basis, 1e-3)[0]
+            got = _enumerate_tips(6, shift, Q, basis, 1e-3)[0]
         except SingularityError as exc:
             got = exc
         if isinstance(expected, SingularityError):
@@ -422,7 +422,7 @@ def test_tip_scan_raises_on_the_inner_decagon_boundary_alone(Q, basis):
     shift, eps = random_shift(0.5, 30), 0.01
     qp.enumerate_accepted_3d(1, shift, Q, basis, eps)
     for run in (lambda: find_tips(qp.build_lattice3(1, shift, Q, basis, eps), Q, eps),
-                lambda: enumerate_tips(1, shift, Q, basis, eps),
+                lambda: _enumerate_tips(1, shift, Q, basis, eps),
                 lambda: overlap_census(1, shift, Q, basis, eps)):
         with pytest.raises(SingularityError,
                            match=r"label \(-1, -1, 1, -1, 1\) \w+ within eps of the "
