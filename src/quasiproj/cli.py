@@ -13,10 +13,10 @@ from .geometry import make_basis
 from .io import (RunConfig, build_tiling_document, cells_obj, frequency_csv,
                  overlap_csv, render_svg, resolve_shift, window_document,
                  write_json, write_text)
-from .lattice3d import build_cells, build_lattice3, find_tips, overlap_census
+from .lattice3d import build_cells, overlap_census
 from .tiling2d import empirical_frequencies
 from .window import (MAX_KEY_RADIUS, build_decagon_Q, build_polytope_P,
-                     build_windows, label_extent, slice_window)
+                     build_windows, enumerate_tips, label_extent, slice_window)
 
 log = logging.getLogger("qc")
 
@@ -134,17 +134,16 @@ def _run_mode(config: RunConfig) -> None:
             return frequency_csv(report), []
         _check_tol(config.tol, Q=Q)
         if config.mode == "lattice3d":
-            lat = build_lattice3(config.radius, shift, Q, basis, config.tol)
-            tips = find_tips(lat, Q, config.tol)
+            tips, _, n_points = enumerate_tips(config.radius, shift, Q, basis, config.tol)
             inner = tips[label_extent(tips) <= config.radius - 3]
-            cells = build_cells(inner, lat)
-            notes = [(logging.INFO, f"lattice: {len(lat.labels)} points, "
+            cells = build_cells(inner, shift, Q, basis, config.tol)
+            notes = [(logging.INFO, f"lattice: {n_points} points, "
                                     f"{len(tips)} tips, {len(inner)} complete cells")]
             if not len(inner):
                 notes.append((logging.WARNING,
                               "no complete cells: every tip lies within 3 label "
                               "steps of the box edge; raise --radius"))
-            return cells_obj(cells, lat, P), notes
+            return cells_obj(cells, P, basis), notes
         census = overlap_census(config.radius, shift, Q, basis, config.tol,
                                 shared_atom_sample=20)
         notes = []

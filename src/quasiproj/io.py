@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import ConfigError, SingularityError
 from .geometry import DEFAULT_EPS, ProjectionBasis, make_basis
-from .lattice3d import OVERLAP_SIGNATURES, Lattice3, OverlapCensus
+from .lattice3d import OVERLAP_SIGNATURES, OverlapCensus
 from .tiling2d import FrequencyReport
 from .window import (DecagonQ, GridShift, PolytopeP, WindowSet,
-                     enumerate_accepted_2d, normalize_shift, random_shift,
-                     step_rows)
+                     enumerate_accepted_2d, label_extent, label_keys,
+                     normalize_shift, random_shift, step_rows)
 
 
 def fmt(x: float) -> str:
@@ -51,14 +51,18 @@ class RunConfig:
         return cls(**json.loads(text))
 
 
-def resolve_shift(config: RunConfig, probe=None, max_retries: int = 20) -> GridShift:
+#: how many seeded draws --gamma auto tries before giving up
+MAX_SHIFT_DRAWS = 20
+
+
+def resolve_shift(config: RunConfig, probe=None) -> GridShift:
     """Produce the grid shift for a run.
 
     Explicit gamma is normalized as given (its sum wins over config.c), and
     the optional probe runs on it once; a SingularityError it raises is the
     caller's.  "auto" draws gamma_1..4 uniformly from the seed and pins the
     sum to config.c; while the probe raises SingularityError for a draw, the
-    draw is retried with an incremented seed, a bounded number of times.
+    draw is retried with an incremented seed, up to MAX_SHIFT_DRAWS draws.
     """
     if config.gamma != "auto":
         gamma = [float(g) for g in config.gamma]
@@ -71,7 +75,7 @@ def resolve_shift(config: RunConfig, probe=None, max_retries: int = 20) -> GridS
     if not 0.0 <= config.c < 1.0:
         raise ConfigError(f"c must lie in [0, 1), got {config.c}")
     last_error = None
-    for attempt in range(max_retries):
+    for attempt in range(MAX_SHIFT_DRAWS):
         shift = random_shift(config.c, config.seed + 1009 * attempt)
         if probe is None:
             return shift
@@ -81,7 +85,7 @@ def resolve_shift(config: RunConfig, probe=None, max_retries: int = 20) -> GridS
         except SingularityError as exc:
             last_error = exc
     raise SingularityError(
-        f"no regular shift found after {max_retries} draws: every draw was singular "
+        f"no regular shift found after {MAX_SHIFT_DRAWS} draws: every draw was singular "
         f"at tol={config.tol}; last draw: {last_error}")
 
 
@@ -220,21 +224,23 @@ def write_json(obj: dict) -> str:
 # OBJ export
 # ---------------------------------------------------------------------------
 
-def cells_obj(cells, lat: Lattice3, P: PolytopeP) -> str:
+def cells_obj(cells, P: PolytopeP, basis: ProjectionBasis) -> str:
     """Wavefront OBJ of unit cells, one object per cell, vertices deduplicated.
 
     `cells` is what build_cells returns.  Each vertex is a lattice point, so
-    its row identifies it; ids follow first appearance, and a vertex's
+    its label key identifies it; ids follow first appearance, and a vertex's
     coordinates are those of the cell it first appears in.
     """
-    tip_rows, hull_rows, _ = cells
-    _, first, inverse = np.unique(hull_rows, return_index=True, return_inverse=True)
+    hull, _ = cells
+    tips = hull[:, 0]
+    keys = label_keys(hull, int(label_extent(hull).max(initial=0)))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(1, len(first) + 1)
-    ids = rank[inverse].reshape(hull_rows.shape)
+    ids = rank[inverse].reshape(keys.shape)
     # vertex id n + 1 first appears in cell_of[n], as its hull vertex hull_of[n]
-    cell_of, hull_of = np.divmod(np.sort(first), hull_rows.shape[1])
-    coords = P.vertices[hull_of] + lat.points[tip_rows[cell_of]]
+    cell_of, hull_of = np.divmod(np.sort(first), keys.shape[1])
+    coords = P.vertices[hull_of] + (tips.astype(float) @ basis.W)[cell_of]
     v_lines = [f"v {fmt(x)} {fmt(y)} {fmt(z)}" for x, y, z in coords.tolist()]
     # the cell's face lines, to be filled with its vertex ids at the face corners
     faces = "\n".join("f" + " %d" * len(loop) for loop in P.face_loops)
@@ -242,8 +248,7 @@ def cells_obj(cells, lat: Lattice3, P: PolytopeP) -> str:
 
     lines = ["# quasiperiodic unit cells (one object per cell)"]
     seen = 0
-    for tip, local, last in zip(lat.labels[tip_rows].tolist(), ids,
-                                ids.max(axis=1).tolist()):
+    for tip, local, last in zip(tips.tolist(), ids, ids.max(axis=1).tolist()):
         lines.append("o cell_" + "_".join(map(str, tip)))
         # the ids past those of the cells before are this cell's new vertices
         lines += v_lines[seen:last]

@@ -8,11 +8,11 @@ overlap in one of two convex polyhedra, a 6-faced J or a 12-faced K, and
 each tip falls in one of five overlap classes with c-independent
 frequencies.
 
-A tip's class depends only on the tips around it, so overlap_census never
-holds the lattice: the decagon scan keeps only the tips of each layer it
-tests, and still raises for a singular label that is not a tip.  The whole
-lattice, Lattice3, is built for the unit cells that build_cells assembles
-by lookup.
+Both the cells and the classes are properties of the tips, so nothing here
+holds the lattice.  The decagon scan keeps only the tips of each layer it
+tests, and still raises for a singular label that is not a tip.  A cell is
+its tip plus the 32 cube vertices, and build_cells decides each of those
+atoms by the decagon test on its test point.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from .errors import (CensusViolationError, ConfigError, ConsistencyError,
                      SingularityError)
 from .geometry import DEFAULT_EPS, PHI, ProjectionBasis, make_basis
 from .window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, DecagonQ,
-                     GridShift, _enumerate_tips, _key_weights, accept_3d_bulk,
-                     enumerate_accepted_3d, key_member, label_extent, label_keys,
-                     label_rows)
+                     GridShift, _key_weights, accept_3d_bulk, enumerate_tips,
+                     key_member, label_extent, label_keys, label_rows)
 
 #: overlap classes keyed by (neighbor count, K count, J count)
 OVERLAP_SIGNATURES = {
@@ -57,65 +56,41 @@ ANALYTIC_CLASS_FREQUENCIES = {
 }
 
 
-@dataclass(frozen=True)
-class Lattice3:
-    """Accepted labels in a box, as enumerate_accepted_3d returns them."""
-
-    labels: np.ndarray       # (N, 5) int64, in key order
-    points: np.ndarray       # (N, 3)
-    keys: np.ndarray         # (N,) label_keys(labels, radius), strictly increasing
-    test_points: np.ndarray  # (N, 2) plane test points
-    radius: int
-
-    def rows(self, labels) -> np.ndarray:
-        """Row of each label (last axis 5), -1 where it is not a lattice point."""
-        return label_rows(self.keys, label_keys(labels, self.radius))
+#: the ten interior cube vertices in label order, which is the order of the
+#: interior atoms tip + m of every cell
+_INTERIOR_BY_LABEL = np.array(INTERIOR_INDICES)[
+    np.lexsort(CUBE_VERTICES[list(INTERIOR_INDICES)].T[::-1])]
 
 
-def build_lattice3(radius: int, shift: GridShift, Q: DecagonQ,
-                   basis: ProjectionBasis | None = None,
-                   eps: float = DEFAULT_EPS) -> Lattice3:
-    basis = basis or make_basis()
-    labels, points, keys, test_points = enumerate_accepted_3d(radius, shift, Q, basis, eps)
-    return Lattice3(labels=labels, points=points, keys=keys, test_points=test_points,
-                    radius=radius)
+def build_cells(tips, shift: GridShift, Q: DecagonQ, basis: ProjectionBasis,
+                eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms of each tip's cell, decided by one decagon test of tip + cube vertices.
 
-
-def find_tips(lat: Lattice3, Q: DecagonQ, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Labels whose plane test point falls strictly inside the inner decagon.
-
-    Every tip is connected to all ten unit neighbors and anchors a unit cell.
-    The test points are the ones the lattice's acceptance test decided on.
-    """
-    status = Q.inner.classify(lat.test_points, eps)
-    if np.any(status == -1):
-        bad = lat.labels[status == -1][0]
-        raise SingularityError(
-            f"label {tuple(int(x) for x in bad)} lies within eps of the inner "
-            "decagon boundary; perturb the shift")
-    return lat.labels[status == 1]
-
-
-def build_cells(tips, lat: Lattice3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble the cells of many tips by one lookup of tip + cube vertices.
-
-    Returns the lattice rows of each cell's atoms: (tip rows (n,), hull rows
-    (n, 22) in P.vertices order, interior rows (n, 4) in label order).
-    All 22 hull translates must be lattice points.  The only offsets that
-    can carry an interior atom are the ten interior cube vertices (no other
-    m has m.W strictly inside the polytope with m.D short enough for both
-    ends to pass the decagon test), and exactly four of them must hit.
+    Returns (hull (n, 22, 5) in P.vertices order, the tip first, interior
+    (n, 4, 5) in label order).  Raises SingularityError for an atom within
+    eps of the decagon boundary and ValueError for a tip that is not a
+    lattice point.  All 22 hull translates must be lattice points.  The only
+    offsets that can carry an interior atom are the ten interior cube
+    vertices (no other m has m.W strictly inside the polytope with m.D short
+    enough for both ends to pass the decagon test), and exactly four of
+    them must hit.
     """
     tips = np.asarray(tips, dtype=np.int64).reshape(-1, 5)
     atoms = tips[:, None, :] + CUBE_VERTICES             # (n, 32, 5)
-    rows = lat.rows(atoms)
-    if np.any(rows[:, 0] < 0):
-        bad = tips[np.argmax(rows[:, 0] < 0)]
+    status = accept_3d_bulk(atoms.reshape(-1, 5), shift, Q, basis,
+                            eps).reshape(atoms.shape[:2])
+    if np.any(status == -1):
+        bad = atoms[status == -1][0]
+        raise SingularityError(
+            f"cell atom {tuple(bad.tolist())} lands within eps of the decagon boundary "
+            f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
+    if np.any(status[:, 0] != 1):
+        bad = tips[np.argmax(status[:, 0] != 1)]
         raise ValueError(f"{tuple(bad.tolist())} is not a lattice point")
-    _check_cells(tips, rows >= 0)
-    # misses are -1, so the four hits sort last, in label order
-    inner = np.sort(rows[:, INTERIOR_INDICES], axis=1)[:, -4:]
-    return rows[:, 0], rows[:, HULL_INDICES], inner
+    present = status == 1
+    _check_cells(tips, present)
+    interior = atoms[:, _INTERIOR_BY_LABEL][present[:, _INTERIOR_BY_LABEL]]
+    return atoms[:, HULL_INDICES], interior.reshape(-1, 4, 5)
 
 
 def _check_cells(tips: np.ndarray, present: np.ndarray) -> None:
@@ -127,7 +102,7 @@ def _check_cells(tips: np.ndarray, present: np.ndarray) -> None:
         i = int(np.argmax(missing))
         raise ConsistencyError(
             f"cell at {tuple(tips[i].tolist())}: {missing[i]} hull atoms are not "
-            "lattice points (is the tip too close to the enumeration boundary?)")
+            f"lattice points, so {tuple(tips[i].tolist())} is not a tip")
     found = present[:, INTERIOR_INDICES].sum(axis=1)
     if np.any(found != 4):
         i = int(np.argmax(found != 4))
@@ -165,8 +140,8 @@ def overlap_signatures(inner: np.ndarray, tips: np.ndarray, radius: int) -> np.n
 
     `tips` must hold every tip within reach of an inner tip, and inner tips
     must lie two label steps inside the box, so the key of tip + m is the
-    tip's key plus the offset's.  Both must be in key order, as find_tips
-    returns them.
+    tip's key plus the offset's.  Both must be in key order, as
+    enumerate_tips returns them.
     """
     tip_keys = label_keys(tips, radius)
     inner_keys = label_keys(inner, radius)
@@ -194,22 +169,11 @@ def _shared_atoms(pairs: np.ndarray, shift: GridShift, Q: DecagonQ,
 
     Overlapping neighbor cells share the lattice points inside their
     intersection; reported as a statistic only, no published values exist
-    to assert against.  Each cell atom, tip + cube vertex, is decided by the
-    decagon test on its test point, in one call for all pairs, and the cells
-    get build_cells' checks.
+    to assert against.  The cells of all pairs come from one build_cells.
     """
-    atoms = pairs[:, :, None, :] + CUBE_VERTICES          # (pairs, 2, 32, 5)
-    status = accept_3d_bulk(atoms.reshape(-1, 5), shift, Q, basis, eps)
-    if np.any(status == -1):
-        bad = atoms.reshape(-1, 5)[np.argmax(status == -1)]
-        raise SingularityError(
-            f"cell atom {tuple(bad.tolist())} lands within eps of the decagon boundary "
-            f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
-    accepted = status.reshape(atoms.shape[:3]) == 1
-    _check_cells(pairs.reshape(-1, 5), accepted.reshape(-1, 32))
-    # the keys of a cell's atoms are distinct; absent atoms get -1 and -2,
-    # which match nothing in the other cell
-    keys = np.where(accepted, label_keys(atoms, radius), -1 - np.arange(2)[:, None])
+    hull, interior = build_cells(pairs.reshape(-1, 5), shift, Q, basis, eps)
+    keys = label_keys(np.concatenate([hull, interior], axis=1), radius)
+    keys = keys.reshape(len(pairs), 2, 26)
     return (keys[:, 0, :, None] == keys[:, 1, None, :]).sum(axis=(1, 2))
 
 
@@ -229,7 +193,7 @@ def overlap_census(radius: int, shift: GridShift, Q: DecagonQ,
     until at least that many pairs are collected.
     """
     basis = basis or make_basis()
-    tips, tip_keys = _enumerate_tips(radius, shift, Q, basis, eps)
+    tips, tip_keys, _ = enumerate_tips(radius, shift, Q, basis, eps)
     inner = tips[label_extent(tips) <= radius - margin]
     if len(inner) == 0:
         raise ConfigError("no boundary-complete tips in the lattice box")

@@ -537,46 +537,29 @@ def _scan_3d(radius: int, shift: GridShift, Q: DecagonQ, basis: ProjectionBasis,
         yield cand, accept_3d_bulk(cand, shift, Q, basis, eps, pts), pts
 
 
-def enumerate_accepted_3d(radius: int, shift: GridShift, Q: DecagonQ,
-                          basis: ProjectionBasis | None = None,
-                          eps: float = DEFAULT_EPS
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All 3-d accepted labels in the box [-radius, radius]^5, in key order.
-
-    Returns (labels (N,5) int64, 3-d points (N,3), keys (N,) int64, plane
-    test points (N,2)): the keys are label_keys(labels, radius), strictly
-    increasing, and the test points are the d_test_points the acceptance
-    test decided on.  Raises SingularityError for a label within eps of the
-    decagon boundary, and ConfigError if the box would not fit in
-    MEMORY_BUDGET.
-    """
-    basis = basis or make_basis()
-    M = int(radius)
-    labels, keys, pts = _accepted(list(_scan_3d(M, shift, Q, basis, eps)),
-                                  "the decagon boundary", shift, M)
-    return labels, labels.astype(float) @ basis.W, keys, pts
-
-
-def _enumerate_tips(radius: int, shift: GridShift, Q: DecagonQ,
-                    basis: ProjectionBasis, eps: float = DEFAULT_EPS
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The tips of the box [-radius, radius]^5, in key order: (labels, keys).
+def enumerate_tips(radius: int, shift: GridShift, Q: DecagonQ,
+                   basis: ProjectionBasis, eps: float = DEFAULT_EPS
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """The tips of the box [-radius, radius]^5, in key order: (labels, keys,
+    number of lattice points in the box).
 
     Tips are the lattice points whose test point falls strictly inside the
-    inner decagon.  The decagon scan runs as in enumerate_accepted_3d, but
-    each layer keeps only its tips, so the lattice is never held whole.  It
-    raises as enumerate_accepted_3d then find_tips would: ConfigError,
-    then SingularityError for the first label within eps of the decagon
-    boundary, then for the first within eps of the inner decagon boundary.
+    inner decagon.  The decagon scan tests every label of the box, one k0
+    layer at a time, and each layer keeps only its tips, so the lattice is
+    never held whole.  Raises ConfigError if the lattice would not fit in
+    MEMORY_BUDGET, then SingularityError for the first label within eps of
+    the decagon boundary, then for the first within eps of the inner
+    decagon boundary.
     """
     M = int(radius)
-    blocks = []
+    blocks, n_points = [], 0
     for cand, status, pts in _scan_3d(M, shift, Q, basis, eps):
         _raise_singular(cand, status, "the decagon boundary", shift, M)
+        n_points += int(np.count_nonzero(status == 1))
         inner = Q.inner.classify(pts, eps)
         near = inner != 0
         blocks.append((cand[near], inner[near]))
-    return _accepted(blocks, "the inner decagon boundary", shift, M)
+    return *_accepted(blocks, "the inner decagon boundary", shift, M), n_points
 
 
 #: largest box half-width whose label keys fit in int64, (2R+1)^5 < 2^63

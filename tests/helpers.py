@@ -4,24 +4,28 @@ The mesh-condition oracles solve the defining linear feasibility problem
 directly (does some point r and some lambda in the open unit 5-cube satisfy
 grid-projection + gamma + lambda = k?) with an LP, bypassing the window
 construction entirely.  The overlap oracle intersects translated copies of
-the polytope numerically, with an LP and Qhull.  The lattice-route census
-classifies the tips of the whole 3-d lattice and counts shared atoms one
-pair of cells at a time.  The reference writers are the tuple-based SVG and
-dict-based OBJ serialisers the array writers replaced.
+the polytope numerically, with an LP and Qhull.  The lattice route builds
+the whole 3-d lattice of the box, finds its tips, assembles cells by lookup
+of lattice rows, and counts shared atoms one pair of cells at a time.  The
+reference writers are the tuple-based SVG and dict-based OBJ serialisers
+the array writers replaced.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from quasiproj.errors import CensusViolationError, ConfigError
-from quasiproj.geometry import PHI
+from quasiproj.errors import CensusViolationError, ConfigError, SingularityError
+from quasiproj.geometry import DEFAULT_EPS, PHI, make_basis
 from quasiproj.io import fmt
 from quasiproj.lattice3d import (_CLASS_OF_CODE, _CLASSES, ANALYTIC_CLASS_FREQUENCIES,
-                                 OVERLAP_OFFSETS, OverlapCensus, build_cells,
-                                 find_tips, overlap_signatures)
-from quasiproj.window import (enumerate_accepted_2d, label_extent, label_keys,
-                              label_rows, step_rows)
+                                 OVERLAP_OFFSETS, OverlapCensus, _check_cells,
+                                 overlap_signatures)
+from quasiproj.window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES,
+                              _accepted, _scan_3d, enumerate_accepted_2d,
+                              label_extent, label_keys, label_rows, step_rows)
 
 
 def mesh_margin_2d(k, shift, basis) -> float:
@@ -101,6 +105,76 @@ def interior_atoms_sweep(tips, lat, P, eps=1e-9):
             found.extend(rows[inside].tolist())
         out.append(lat.labels[sorted(found)])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the lattice route: the whole 3-d lattice of the box, its tips, and cells
+# assembled by lookup of lattice rows
+# ---------------------------------------------------------------------------
+
+def enumerate_accepted_3d(radius, shift, Q, basis=None, eps=DEFAULT_EPS):
+    """All 3-d accepted labels in the box [-radius, radius]^5, in key order.
+
+    Returns (labels (N,5) int64, 3-d points (N,3), keys (N,) int64, plane
+    test points (N,2)), from the decagon scan that enumerate_tips filters.
+    Raises SingularityError for a label within eps of the decagon boundary.
+    """
+    basis = basis or make_basis()
+    M = int(radius)
+    labels, keys, pts = _accepted(list(_scan_3d(M, shift, Q, basis, eps)),
+                                  "the decagon boundary", shift, M)
+    return labels, labels.astype(float) @ basis.W, keys, pts
+
+
+@dataclass(frozen=True)
+class Lattice3:
+    """Accepted labels in a box, as enumerate_accepted_3d returns them."""
+
+    labels: np.ndarray       # (N, 5) int64, in key order
+    points: np.ndarray       # (N, 3)
+    keys: np.ndarray         # (N,) label_keys(labels, radius), strictly increasing
+    test_points: np.ndarray  # (N, 2) plane test points
+    radius: int
+
+    def rows(self, labels):
+        """Row of each label (last axis 5), -1 where it is not a lattice point."""
+        return label_rows(self.keys, label_keys(labels, self.radius))
+
+
+def build_lattice3(radius, shift, Q, basis=None, eps=DEFAULT_EPS):
+    labels, points, keys, test_points = enumerate_accepted_3d(radius, shift, Q, basis, eps)
+    return Lattice3(labels=labels, points=points, keys=keys, test_points=test_points,
+                    radius=radius)
+
+
+def find_tips(lat, Q, eps=DEFAULT_EPS):
+    """Labels whose test point, as the lattice's acceptance test decided on
+    it, falls strictly inside the inner decagon."""
+    status = Q.inner.classify(lat.test_points, eps)
+    if np.any(status == -1):
+        bad = lat.labels[status == -1][0]
+        raise SingularityError(
+            f"label {tuple(int(x) for x in bad)} lies within eps of the inner "
+            "decagon boundary; perturb the shift")
+    return lat.labels[status == 1]
+
+
+def lattice_cells(tips, lat):
+    """The cells of many tips by one row lookup of tip + cube vertices.
+
+    Returns the lattice rows of each cell's atoms: (tip rows (n,), hull rows
+    (n, 22) in P.vertices order, interior rows (n, 4) in label order), with
+    build_cells' checks.
+    """
+    tips = np.asarray(tips, dtype=np.int64).reshape(-1, 5)
+    rows = lat.rows(tips[:, None, :] + CUBE_VERTICES)    # (n, 32)
+    if np.any(rows[:, 0] < 0):
+        bad = tips[np.argmax(rows[:, 0] < 0)]
+        raise ValueError(f"{tuple(bad.tolist())} is not a lattice point")
+    _check_cells(tips, rows >= 0)
+    # misses are -1, so the four hits sort last, in label order
+    inner = np.sort(rows[:, INTERIOR_INDICES], axis=1)[:, -4:]
+    return rows[:, 0], rows[:, HULL_INDICES], inner
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +264,7 @@ def overlap_signature_loop(tip, tip_set, table):
 
 def shared_atom_count(tip_a, tip_b, lat):
     """Number of atoms the two tips' 26-atom cells have in common."""
-    _, hull, interior = build_cells(np.vstack([tip_a, tip_b]), lat)
+    _, hull, interior = lattice_cells(np.vstack([tip_a, tip_b]), lat)
     a, b = np.hstack([hull, interior])
     return len(np.intersect1d(a, b))
 

@@ -12,13 +12,13 @@ import pytest
 import quasiproj as qp
 from quasiproj.cli import run as cli_run
 from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
-                                 build_cells, find_tips, overlap_census)
+                                 build_cells, overlap_census)
 from quasiproj.pentagrid import mesh_locator, tiling_from_pentagrid
 from quasiproj.tiling2d import (CENSUS, analytic_A, analytic_probability,
                                 census_support, empirical_frequencies)
 from quasiproj.window import accept_3d_bulk, enumerate_accepted_2d, random_shift
 
-from helpers import VOLUME_FLOOR, overlap_table
+from helpers import VOLUME_FLOOR, build_lattice3, find_tips, overlap_table
 
 PHI = qp.PHI
 PINV2 = PHI ** -2
@@ -42,7 +42,7 @@ def _lattice(Q, basis, c, seed, radius):
     key = ("lat", round(c, 12), seed, radius)
     if key not in _cache:
         shift = random_shift(c, seed)
-        _cache[key] = (shift, qp.build_lattice3(radius, shift, Q, basis))
+        _cache[key] = (shift, build_lattice3(radius, shift, Q, basis))
     return _cache[key]
 
 
@@ -165,15 +165,15 @@ def test_criterion_6_cell_census(P, Q, basis):
     assert len(inner) >= 1000
     violations = 0
     # raises unless 22 + 4 atoms per tip
-    _, hull_rows, interior_rows = build_cells(inner, lat)
-    for tip, hull, interior in zip(inner, hull_rows, interior_rows):
+    hull_atoms, interior_atoms = build_cells(inner, shift, Q, basis, 1e-9)
+    for tip, hull, interior in zip(inner, hull_atoms, interior_atoms):
         for m in range(5):
             for s in (1, -1):
                 nb = tip.copy()
                 nb[m] += s
                 if lat.rows(nb) < 0:
                     violations += 1
-        if len(lat.labels[hull]) + len(lat.labels[interior]) != 26:
+        if len(hull) + len(interior) != 26:
             violations += 1
     elapsed = time.perf_counter() - t0
     assert violations == 0

@@ -58,6 +58,20 @@ def test_windows_stdout_is_pinned(args, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["--c", "0.05", "--radius", "8"],
+     "0b8a273390eef0837789cf9af142dbdf28f4bda0c13dad579c7775e1a50faf69"),
+    (["--c", "0.4", "--radius", "10"],
+     "257f1c5e3d5c52fd21e770cfd254f3ddbb6522ad860d123479cfd0fe394aaa45"),
+    (["--c", "0.9", "--seed", "3", "--radius", "8"],
+     "c50f6155b8c1f4ba6b4d00216e08f529ab9799bbf3c355a936be712ec12d9a1d"),
+])
+def test_lattice3d_stdout_is_pinned(args, digest, capsys):
+    # the unit cells as written when they were looked up in the whole lattice
+    assert run(["lattice3d", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_tiling_svg(tmp_path):
     out = tmp_path / "tiling.svg"
     code = run(["tiling2d", "--c", "0.3819660113", "--seed", "3",

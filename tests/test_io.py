@@ -9,11 +9,11 @@ from quasiproj.io import (SVG_STYLES, RunConfig, TilingDocument,
                           build_tiling_document, cells_obj, frequency_csv,
                           overlap_csv, render_svg, resolve_shift,
                           window_document, write_json, write_text)
-from quasiproj.lattice3d import OverlapCensus, build_cells, find_tips
+from quasiproj.lattice3d import OverlapCensus, build_cells
 from quasiproj.tiling2d import FrequencyReport, FrequencyRow
 from quasiproj.window import random_shift
 
-from helpers import cells_obj_reference, tiling_svg_reference
+from helpers import build_lattice3, cells_obj_reference, find_tips, tiling_svg_reference
 
 
 def test_runconfig_json_roundtrip():
@@ -107,12 +107,12 @@ def test_svg_matches_reference_writer(c, basis, windows_for):
 def test_cells_obj_matches_reference_writer(c, seed, P, Q, basis):
     shift = random_shift(c, seed)
     for radius in (8, 10):
-        lat = qp.build_lattice3(radius, shift, Q, basis)
+        lat = build_lattice3(radius, shift, Q, basis)
         tips = find_tips(lat, Q)
         inner = tips[np.abs(tips).max(axis=1) <= radius - 3]
         assert len(inner) > 0
         for chosen in (inner, inner[:0]):
-            assert (cells_obj(build_cells(chosen, lat), lat, P)
+            assert (cells_obj(build_cells(chosen, shift, Q, basis, 1e-9), P, basis)
                     == cells_obj_reference(chosen, lat, P))
 
 
@@ -157,7 +157,7 @@ def test_window_document_structure(P, Q, windows_for):
 
 def test_cells_obj_dedupes_shared_vertices(P, Q, basis):
     shift = random_shift(0.5, 11)
-    lat = qp.build_lattice3(8, shift, Q, basis)
+    lat = build_lattice3(8, shift, Q, basis)
     tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= 5]
     # find two tips one z-period apart: their cells share the touching tip
@@ -169,8 +169,8 @@ def test_cells_obj_dedupes_shared_vertices(P, Q, basis):
             pair = (t, np.array(other))
             break
     assert pair is not None
-    cells = build_cells(np.vstack(pair), lat)
-    text = cells_obj(cells, lat, P)
+    cells = build_cells(np.vstack(pair), shift, Q, basis, 1e-9)
+    text = cells_obj(cells, P, basis)
     n_v = text.count("\nv ")
     n_f = text.count("\nf ")
     assert n_f == 40  # 20 faces per cell

@@ -8,13 +8,14 @@ from quasiproj.errors import ConsistencyError, SingularityError
 from quasiproj.geometry import ConvexWindow, points_in_convex_polygon
 from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
                                  OVERLAP_SIGNATURES, _shared_atoms, build_cells,
-                                 find_tips, overlap_census, overlap_signatures)
-from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, _enumerate_tips,
-                              accept_3d_bulk, d_test_points, label_keys,
+                                 overlap_census, overlap_signatures)
+from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, accept_3d_bulk,
+                              d_test_points, enumerate_tips, label_keys,
                               normalize_shift, random_shift)
 
-from helpers import (VOLUME_FLOOR, convex_intersection, fan_triangles,
-                     interior_atoms_sweep, overlap_census_lattice,
+from helpers import (VOLUME_FLOOR, build_lattice3, convex_intersection,
+                     enumerate_accepted_3d, fan_triangles, find_tips,
+                     interior_atoms_sweep, lattice_cells, overlap_census_lattice,
                      overlap_signature_loop, overlap_table, shared_atom_count)
 
 PHI = qp.PHI
@@ -23,7 +24,7 @@ PHI = qp.PHI
 @pytest.fixture(scope="module")
 def lat_env(basis, Q):
     shift = random_shift(0.5, 11)
-    lat = qp.build_lattice3(10, shift, Q, basis)
+    lat = build_lattice3(10, shift, Q, basis)
     tips = find_tips(lat, Q)
     return shift, lat, tips
 
@@ -44,7 +45,7 @@ def test_lattice_contains_z_translates(lat_env):
 
 def test_lattice_contains_origin_for_example_shift(Q, basis):
     shift = normalize_shift([0.13, 0.07, 0.11, 0.05, 0.09])
-    lat = qp.build_lattice3(2, shift, Q, basis)
+    lat = build_lattice3(2, shift, Q, basis)
     assert lat.rows(np.zeros(5, dtype=np.int64)) >= 0
     i = int(lat.rows(np.zeros(5, dtype=np.int64)))
     assert np.allclose(lat.points[i], [0, 0, 0])
@@ -55,7 +56,7 @@ def test_point_density_converges(Q, basis):
     # covers; the density tends to area(Q) / det of the projection map
     shift = random_shift(0.4, 19)
     R = 12
-    lat = qp.build_lattice3(R, shift, Q, basis)
+    lat = build_lattice3(R, shift, Q, basis)
     area_q = 5.0 * PHI ** 2 * np.sin(np.pi / 5)   # decagon of circumradius p
     expected = area_q / (25 * np.sqrt(5) / 4)     # / |det (D^T; W^T)|
     errors = []
@@ -109,18 +110,18 @@ def test_non_tip_with_missing_neighbor(lat_env, Q, basis):
     assert missing > 50
 
 
-def test_cells_26_atoms(lat_env, P):
+def test_cells_26_atoms(lat_env, P, Q, basis):
     shift, lat, tips = lat_env
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     rng = np.random.default_rng(1)
-    _, hull_rows, interior_rows = build_cells(
-        inner[rng.choice(len(inner), 150, replace=False)], lat)
-    for hull, interior in zip(hull_rows, interior_rows):
-        assert len(lat.labels[hull]) == 22
-        assert len(lat.labels[interior]) == 4
+    hull_atoms, interior_atoms = build_cells(
+        inner[rng.choice(len(inner), 150, replace=False)], shift, Q, basis, 1e-9)
+    for hull, interior in zip(hull_atoms, interior_atoms):
+        assert len(hull) == 22
+        assert len(interior) == 4
         # atoms really are lattice points and sit where they should
-        assert np.all(hull >= 0) and np.all(interior >= 0)
-        for a in lat.labels[interior]:
+        assert np.all(lat.rows(hull) >= 0) and np.all(lat.rows(interior) >= 0)
+        for a in interior:
             assert lat.rows(a) >= 0
 
 
@@ -136,9 +137,8 @@ def test_same_triangle_same_interior_offsets(lat_env, P, Q, basis):
                        for t in fan_triangles(Q.inner.polygon)])
     assert np.all((status == 1).sum(axis=0) == 1)  # no tip on a triangle edge
     for tip, tri in zip(sample, np.argmax(status == 1, axis=0).tolist()):
-        _, _, interior = build_cells(tip, lat)
-        offsets = frozenset(tuple(int(x) for x in (a - tip))
-                            for a in lat.labels[interior[0]])
+        _, interior = build_cells(tip, shift, Q, basis, 1e-9)
+        offsets = frozenset(tuple(int(x) for x in (a - tip)) for a in interior[0])
         by_triangle.setdefault(tri, set()).add(offsets)
     assert len(by_triangle) >= 8  # most triangles sampled
     for tri, offset_sets in by_triangle.items():
@@ -148,7 +148,7 @@ def test_same_triangle_same_interior_offsets(lat_env, P, Q, basis):
     assert len(set(all_sets)) == len(all_sets)
 
 
-def test_z_translated_cells_are_translates(lat_env, P):
+def test_z_translated_cells_are_translates(lat_env, P, Q, basis):
     # the cell of tip k + (1,..,1) is the cell of k shifted by (0,0,5),
     # atom labels included
     shift, lat, tips = lat_env
@@ -160,11 +160,11 @@ def test_z_translated_cells_are_translates(lat_env, P):
         up = t + ones
         if tuple(up) not in tipset or np.abs(up).max() > lat.radius - 3:
             continue
-        tip_rows, hull, interior = build_cells(np.vstack([t, up]), lat)
-        a, b = lat.points[tip_rows]
+        hull, interior = build_cells(np.vstack([t, up]), shift, Q, basis, 1e-9)
+        a, b = lat.points[lat.rows(hull[:, 0])]
         assert np.allclose(b - a, [0, 0, 5], atol=1e-9)
-        assert np.array_equal(lat.labels[interior[1]], lat.labels[interior[0]] + ones)
-        assert np.array_equal(lat.labels[hull[1]], lat.labels[hull[0]] + ones)
+        assert np.array_equal(interior[1], interior[0] + ones)
+        assert np.array_equal(hull[1], hull[0] + ones)
         checked += 1
         if checked >= 40:
             break
@@ -202,32 +202,94 @@ def test_interior_offsets_are_the_interior_cube_vertices(P, basis):
 @pytest.mark.parametrize("c,seed", [(0.5, 11), (0.2, 3)])
 def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, basis, oracle_table):
     shift = random_shift(c, seed)
-    lat = qp.build_lattice3(10, shift, Q, basis)
+    lat = build_lattice3(10, shift, Q, basis)
     tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     assert len(inner) > 1000
-    _, _, interior_rows = build_cells(inner, lat)
-    for rows, expected in zip(interior_rows, interior_atoms_sweep(inner, lat, P)):
-        assert np.array_equal(lat.labels[rows], expected)
+    _, interior = build_cells(inner, shift, Q, basis, 1e-9)
+    for atoms, expected in zip(interior, interior_atoms_sweep(inner, lat, P)):
+        assert np.array_equal(atoms, expected)
     tip_set = {tuple(r) for r in tips.tolist()}
     sigs = overlap_signatures(inner, tips, lat.radius).tolist()
     assert sigs == [list(overlap_signature_loop(t, tip_set, oracle_table))
                     for t in inner.tolist()]
 
 
+def _non_tips(lat, Q):
+    """The lattice points whose test point is outside the inner decagon."""
+    return lat.labels[Q.inner.classify(lat.test_points, 1e-9) == 0]
+
+
 def test_shared_atoms_keep_the_cell_checks(lat_env, Q, basis):
-    # as build_cells, the batched cells must hold their 22 hull atoms
+    # as build_cells, the batched cells must hold their 22 hull atoms; the
+    # second cell of the pair sits on a lattice point that is not a tip
     shift, lat, tips = lat_env
-    pairs = np.stack([tips[:1], np.full((1, 5), 3) * [1, -1, 1, -1, 1]], axis=1)
-    with pytest.raises(ConsistencyError, match=r"cell at \(3, -3, 3, -3, 3\): "
-                                               r"\d+ hull atoms are not lattice points"):
+    non_tip = _non_tips(lat, Q)[0]
+    pairs = np.stack([tips[:1], non_tip[None]], axis=1)
+    with pytest.raises(ConsistencyError,
+                       match=rf"cell at {re.escape(str(tuple(non_tip.tolist())))}: "
+                             r"\d+ hull atoms are not lattice points"):
         _shared_atoms(pairs, shift, Q, basis, 1e-9, lat.radius)
 
 
-def test_build_cells_rejects_non_lattice_tip(lat_env):
+def test_build_cells_rejects_non_lattice_tip(lat_env, Q, basis):
     shift, lat, tips = lat_env
     with pytest.raises(ValueError, match="not a lattice point"):
-        build_cells(np.full(5, lat.radius + 1), lat)
+        build_cells(np.array([lat.radius + 1, 0, 0, 0, 0]), shift, Q, basis, 1e-9)
+
+
+def test_build_cells_rejects_a_lattice_point_that_is_not_a_tip(lat_env, Q, basis):
+    # every hull atom of a tip is a lattice point, and some hull atom of
+    # every other lattice point is not
+    shift, lat, tips = lat_env
+    non_tips = _non_tips(lat, Q)
+    assert len(non_tips) > len(tips)
+    for k in non_tips[:: len(non_tips) // 40]:
+        label = re.escape(str(tuple(k.tolist())))
+        with pytest.raises(ConsistencyError,
+                           match=rf"cell at {label}: \d+ hull atoms are not lattice "
+                                 rf"points, so {label} is not a tip"):
+            build_cells(k, shift, Q, basis, 1e-9)
+
+
+def test_build_cells_names_the_singular_atom(Q, basis):
+    # put the origin's test point where its atom at the decagon vertex m.D
+    # lands just outside decagon edge 0, within eps, and the origin is still
+    # a tip.  The same step moves the atom at the opposite vertex along the
+    # parallel edge 5, so two atoms are singular; m comes first in the cell
+    eps = 1e-9
+    poly, normals = Q.window.polygon, Q.window.normals
+    interior = CUBE_VERTICES[list(INTERIOR_INDICES)]
+    m = interior[np.argmin(np.linalg.norm(interior @ basis.D - poly[0], axis=1))]
+    target = 0.3 * (poly[1] - poly[0]) + 0.5 * eps * normals[0]
+    base = random_shift(0.4, 2)
+    gamma = base.gamma + basis.D @ (-base.gamma @ basis.D - target) / 2.5
+    shift = qp.GridShift(gamma=gamma, c=base.c)
+    tip = np.zeros(5, dtype=np.int64)
+    assert np.allclose(d_test_points(tip[None], shift, basis), target, atol=1e-12)
+    assert Q.inner.classify(d_test_points(tip[None], shift, basis), eps)[0] == 1
+    with pytest.raises(SingularityError,
+                       match=rf"cell atom {re.escape(str(tuple(m.tolist())))} lands within "
+                             r"eps of the decagon boundary"):
+        build_cells(tip, shift, Q, basis, eps)
+    singular = CUBE_VERTICES[accept_3d_bulk(tip + CUBE_VERTICES, shift, Q, basis, eps) == -1]
+    assert len(singular) == 2 and np.array_equal(singular[0], m)
+
+
+@pytest.mark.parametrize("radius", [8, 12])
+@pytest.mark.parametrize("c", [0.05, 0.2, PHI ** -2, 0.5, 0.9])
+def test_build_cells_matches_the_lattice_lookup(c, radius, Q, basis):
+    # atom for atom: the hull in P.vertices order, the interior in label order
+    shift = random_shift(c, 5)
+    lat = build_lattice3(radius, shift, Q, basis)
+    tips = find_tips(lat, Q)
+    inner = tips[np.abs(tips).max(axis=1) <= radius - 3]
+    assert len(inner) > 0
+    hull, interior = build_cells(inner, shift, Q, basis, 1e-9)
+    tip_rows, hull_rows, interior_rows = lattice_cells(inner, lat)
+    assert np.array_equal(hull[:, 0], lat.labels[tip_rows])
+    assert np.array_equal(hull, lat.labels[hull_rows])
+    assert np.array_equal(interior, lat.labels[interior_rows])
 
 
 def test_convex_intersection_identity(P):
@@ -318,7 +380,7 @@ def test_shared_atom_count_symmetric(lat_env, oracle_table):
 
 def test_z_periodicity_of_accepted_points(Q, basis):
     shift = random_shift(0.7, 31)
-    lat = qp.build_lattice3(6, shift, Q, basis)
+    lat = build_lattice3(6, shift, Q, basis)
     ones = np.ones(5, dtype=np.int64)
     inner = lat.labels[np.abs(lat.labels).max(axis=1) <= 5]
     up = inner + ones
@@ -340,7 +402,7 @@ def test_analytic_class_frequencies_normalized():
 def test_find_tips_reads_the_acceptance_test_points(Q, basis):
     for c, seed in ((0.0, 1), (0.2, 3), (0.7, 5)):
         shift = random_shift(c, seed)
-        lat = qp.build_lattice3(8, shift, Q, basis)
+        lat = build_lattice3(8, shift, Q, basis)
         recomputed = d_test_points(lat.labels, shift, basis)
         assert np.array_equal(lat.test_points, recomputed)
         status = points_in_convex_polygon(recomputed, Q.inner.normals,
@@ -350,7 +412,7 @@ def test_find_tips_reads_the_acceptance_test_points(Q, basis):
 
 def test_overlap_violation_names_the_first_offending_tip(Q, basis, monkeypatch):
     shift = random_shift(0.3, 4)
-    lat = qp.build_lattice3(10, shift, Q, basis)
+    lat = build_lattice3(10, shift, Q, basis)
     tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= 7]
     original = qp.lattice3d.overlap_signatures
@@ -373,9 +435,10 @@ def test_overlap_census_matches_the_lattice_route(c, radius, Q, basis):
     # the tips the scan keeps are the lattice's tips, and the census over
     # them is the lattice-route census, shared atoms included
     shift = random_shift(c, 5)
-    lat = qp.build_lattice3(radius, shift, Q, basis)
-    tips, keys = _enumerate_tips(radius, shift, Q, basis)
+    lat = build_lattice3(radius, shift, Q, basis)
+    tips, keys, n_points = enumerate_tips(radius, shift, Q, basis)
     assert np.array_equal(tips, find_tips(lat, Q))
+    assert n_points == len(lat.labels)
     assert np.array_equal(keys, label_keys(tips, radius))
     census = overlap_census(radius, shift, Q, basis, shared_atom_sample=20)
     oracle = overlap_census_lattice(lat, shift, Q, shared_atom_sample=20)
@@ -398,12 +461,12 @@ def test_tip_scan_is_singular_where_the_lattice_is(Q, basis):
     for seed in range(12):
         shift = random_shift(0.5, seed)
         try:
-            lat = qp.build_lattice3(6, shift, Q, basis, 1e-3)
+            lat = build_lattice3(6, shift, Q, basis, 1e-3)
             expected = find_tips(lat, Q, 1e-3)
         except SingularityError as exc:
             expected = exc
         try:
-            got = _enumerate_tips(6, shift, Q, basis, 1e-3)[0]
+            got = enumerate_tips(6, shift, Q, basis, 1e-3)[0]
         except SingularityError as exc:
             got = exc
         if isinstance(expected, SingularityError):
@@ -420,9 +483,9 @@ def test_tip_scan_raises_on_the_inner_decagon_boundary_alone(Q, basis):
     # (-1, -1, 1, -1, 1) is within eps of the inner decagon; its neighbours
     # that would lie on the decagon boundary are outside the box
     shift, eps = random_shift(0.5, 30), 0.01
-    qp.enumerate_accepted_3d(1, shift, Q, basis, eps)
-    for run in (lambda: find_tips(qp.build_lattice3(1, shift, Q, basis, eps), Q, eps),
-                lambda: _enumerate_tips(1, shift, Q, basis, eps),
+    enumerate_accepted_3d(1, shift, Q, basis, eps)
+    for run in (lambda: find_tips(build_lattice3(1, shift, Q, basis, eps), Q, eps),
+                lambda: enumerate_tips(1, shift, Q, basis, eps),
                 lambda: overlap_census(1, shift, Q, basis, eps)):
         with pytest.raises(SingularityError,
                            match=r"label \(-1, -1, 1, -1, 1\) \w+ within eps of the "

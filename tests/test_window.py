@@ -10,14 +10,14 @@ from quasiproj.errors import (DegenerateWindowError, EmptyWindowError,
 from quasiproj.geometry import max_edge_distance, points_in_convex_polygon
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               INTERIOR_INDICES, accept_2d_bulk, accept_3d_bulk,
-                              d_test_points, enumerate_accepted_2d,
-                              enumerate_accepted_3d, key_member, label_keys,
-                              label_rows, normalize_shift, random_shift,
-                              slice_window, step_rows)
+                              d_test_points, enumerate_accepted_2d, key_member,
+                              label_keys, label_rows, normalize_shift,
+                              random_shift, slice_window, step_rows)
 
-from helpers import (fan_triangles, lambda_box_candidates_2d,
-                     lambda_box_candidates_3d, mesh_margin_2d, mesh_margin_3d,
-                     mesh_solution_2d, polygon_area)
+from helpers import (build_lattice3, enumerate_accepted_3d, fan_triangles,
+                     find_tips, lambda_box_candidates_2d, lambda_box_candidates_3d,
+                     mesh_margin_2d, mesh_margin_3d, mesh_solution_2d,
+                     polygon_area)
 
 P_GOLD = qp.PHI
 
@@ -569,7 +569,7 @@ def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, Q, basis, monkey
     shift = normalize_shift(_benchmark_gamma(0.5, 0))
     enumerate_accepted_2d(80, shift, qp.build_windows(P, shift.c), basis)
     shift = normalize_shift(_benchmark_gamma(0.2, 0))
-    qp.find_tips(qp.build_lattice3(20, shift, Q, basis), Q)
+    find_tips(build_lattice3(20, shift, Q, basis), Q)
     assert sum(len(pts) for pts, _, _ in seen) == 161833 + 2 * 351437
     for pts, normals, offsets in seen:
         old = np.max(pts @ normals.T - offsets, axis=1)
