@@ -5,7 +5,15 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
+
+# The BLAS products here are (N, 5) @ (5, 2) and smaller, so a second BLAS
+# thread only spins.  Pin one before the imports below load numpy, unless
+# the caller has set a thread count of their own.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 from .errors import (ConfigError, EmptyWindowError, QcError, SingularConfigError,
                      SingularityError)

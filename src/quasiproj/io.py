@@ -17,8 +17,8 @@ from .geometry import DEFAULT_EPS, ProjectionBasis, make_basis
 from .lattice3d import OVERLAP_SIGNATURES, OverlapCensus
 from .tiling2d import FrequencyReport
 from .window import (DecagonQ, GridShift, PolytopeP, WindowSet,
-                     enumerate_accepted_2d, label_extent, label_keys,
-                     normalize_shift, random_shift, step_rows)
+                     enumerate_accepted_2d, label_extent, label_index,
+                     label_keys, normalize_shift, random_shift, step_rows)
 
 
 def fmt(x: float) -> str:
@@ -150,7 +150,7 @@ def render_svg(doc: TilingDocument, pad: float = 1.0) -> str:
         '<g fill="none">',
     ]
     at = [f"{fmt(x)} {fmt(y)}" for x, y in zip(xs.tolist(), ys.tolist())]
-    index = doc.labels.sum(axis=1)[doc.edges[:, 0]]
+    index = label_index(doc.labels)[doc.edges[:, 0]]
     lines += [f'<path {SVG_STYLES[s]} d="M {at[i]} L {at[j]}"/>'
               for (i, j), s in zip(doc.edges.tolist(), index.tolist())]
     lines.append("</g>")

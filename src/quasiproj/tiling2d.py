@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CensusViolationError, ConfigError
 from .geometry import PHI, ProjectionBasis, make_basis
 from .window import (GridShift, WindowSet, _key_weights, enumerate_accepted_2d,
-                     key_member, label_extent, label_keys)
+                     key_member, label_extent, label_index, label_keys)
 
 _P = PHI
 
@@ -253,7 +253,7 @@ def empirical_frequencies(radius: int, shift: GridShift, wset: WindowSet,
 
     n_pos, n_neg = neighbor_counts(labels, keys, radius)
     # type [n, n']_I as the code 36 I + 6 n + n'
-    code = 36 * labels.sum(axis=1) + 6 * n_pos + n_neg
+    code = 36 * label_index(labels) + 6 * n_pos + n_neg
     counts = np.bincount(code, minlength=6 * 36)
 
     total = len(labels)

@@ -317,7 +317,7 @@ def accept_2d_bulk(labels: np.ndarray, shift: GridShift, wset: WindowSet,
                    basis: ProjectionBasis) -> np.ndarray:
     """Vectorized 2-d acceptance: +1 accept, 0 reject, -1 singular."""
     labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
-    idx = labels.sum(axis=1)
+    idx = label_index(labels)
     pts = w_test_points(labels, shift, basis)
     status = np.zeros(len(labels), dtype=np.int8)
     for index in range(1, 6):
@@ -583,6 +583,18 @@ def label_extent(labels) -> np.ndarray:
     for j in range(1, labels.shape[-1]):
         extent = np.maximum(extent, np.abs(labels[..., j]))
     return extent
+
+
+def label_index(labels) -> np.ndarray:
+    """sum_j k_j of each label (last axis 5): its slice index in 2-d.
+
+    A column-wise sum chain, like `label_extent`.
+    """
+    labels = np.asarray(labels)
+    index = labels[..., 0].copy()
+    for j in range(1, labels.shape[-1]):
+        index += labels[..., j]
+    return index
 
 
 def label_keys(labels, radius: int) -> np.ndarray:

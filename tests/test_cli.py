@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -12,6 +13,7 @@ import pytest
 
 from quasiproj import cli
 from quasiproj.cli import run
+from quasiproj.errors import QcError
 from quasiproj.io import RunConfig
 from quasiproj.window import random_shift
 
@@ -230,6 +232,7 @@ _WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None
 from quasiproj.cli import run
+from quasiproj.errors import QcError
 out = sys.argv[1]
 codes = [run([mode, "--c", "0.4", "--radius", radius, "--out", f"{out}/{mode}"])
          for mode, radius in [("windows", "1"), ("tiling2d", "4"), ("freq", "4"),
@@ -246,6 +249,87 @@ def test_every_mode_runs_without_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.iterdir())) == 5
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+_RUN_AND_REPORT = """
+import json, os, sys
+from quasiproj.cli import run
+from quasiproj.errors import QcError
+code = run(["freq", "--radius", "12", "--out", sys.argv[1]])
+print(json.dumps({"code": code, "threads": len(os.listdir("/proc/self/task")),
+                  "env": {v: os.environ.get(v) for v in sys.argv[2:]},
+                  "pentagrid": "quasiproj.pentagrid" in sys.modules}))
+"""
+
+
+def _fresh_python(code, *args, **env_vars):
+    """JSON printed by `code` in a new interpreter with no BLAS thread variables but env_vars."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env.update(env_vars, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_qc_runs_on_one_blas_thread(tmp_path):
+    # numpy's OpenBLAS would otherwise start a second thread that spins
+    report = _fresh_python(_RUN_AND_REPORT, tmp_path / "f.csv", *_BLAS_THREAD_VARS)
+    assert report == {"code": 0, "threads": 1, "pentagrid": False,
+                      "env": dict.fromkeys(_BLAS_THREAD_VARS, "1")}
+
+
+def test_a_preset_blas_thread_count_is_kept(tmp_path):
+    report = _fresh_python(_RUN_AND_REPORT, tmp_path / "f.csv", *_BLAS_THREAD_VARS,
+                           OPENBLAS_NUM_THREADS="2")
+    assert report["code"] == 0
+    assert report["env"] == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None,
+                             "MKL_NUM_THREADS": None}
+
+
+def test_importing_the_package_loads_no_numpy():
+    report = _fresh_python(
+        "import json, os, sys\n"
+        "before = dict(os.environ)\n"
+        "import quasiproj\n"
+        "print(json.dumps(['numpy' in sys.modules, dict(os.environ) == before]))")
+    assert report == [False, True]
+
+
+_OLD_EXPORTS = {
+    "geometry": ["DEFAULT_EPS", "PHI", "THETA", "ConvexWindow", "ProjectionBasis",
+                 "make_basis"],
+    "window": ["CUBE_VERTICES", "DecagonQ", "GridShift", "PolytopeP", "WindowSet",
+               "build_decagon_Q", "build_polytope_P", "build_windows",
+               "enumerate_accepted_2d", "enumerate_tips", "label_keys", "label_rows",
+               "normalize_shift", "random_shift", "slice_window"],
+    "pentagrid": ["Intersection", "PentagridTiling", "enumerate_intersections",
+                  "k_vector_2d", "k_vector_3d", "tiling_from_pentagrid"],
+    "tiling2d": ["CENSUS", "FrequencyReport", "VertexType", "analytic_A",
+                 "analytic_probability", "census_support", "empirical_frequencies",
+                 "neighbor_counts"],
+    "lattice3d": ["ANALYTIC_CLASS_FREQUENCIES", "OVERLAP_OFFSETS", "OverlapCensus",
+                  "build_cells", "overlap_census", "overlap_signatures"],
+}
+
+
+def test_lazy_namespace_keeps_every_export():
+    import quasiproj as qp
+    listed = dir(qp)
+    for module_name, names in _OLD_EXPORTS.items():
+        module = getattr(qp, module_name)
+        assert module is importlib.import_module(f"quasiproj.{module_name}")
+        for name in names:
+            assert getattr(qp, name) is getattr(module, name)
+            assert name in listed and name in qp.__all__
+    assert qp.errors.QcError is QcError
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        qp.missing
 
 
 @pytest.mark.parametrize("tol", ["0.3", "0.45", "0.6"])

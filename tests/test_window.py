@@ -11,8 +11,9 @@ from quasiproj.geometry import max_edge_distance, points_in_convex_polygon
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               INTERIOR_INDICES, accept_2d_bulk, accept_3d_bulk,
                               d_test_points, enumerate_accepted_2d, key_member,
-                              label_keys, label_rows, normalize_shift,
-                              random_shift, slice_window, step_rows)
+                              label_extent, label_index, label_keys, label_rows,
+                              normalize_shift, random_shift, slice_window,
+                              step_rows)
 
 from helpers import (build_lattice3, enumerate_accepted_3d, fan_triangles,
                      find_tips, lambda_box_candidates_2d, lambda_box_candidates_3d,
@@ -546,6 +547,14 @@ def test_neighbor_counts_needs_labels_in_key_order(basis, windows_for):
     for bad in (inner[::-1], np.vstack([inner[:1], inner])):
         with pytest.raises(ValueError, match="distinct and in key order"):
             qp.neighbor_counts(bad, keys, 6)
+
+
+def test_label_axis_chains_equal_the_axis_reductions():
+    rng = np.random.default_rng(3)
+    for shape in ((0, 5), (1, 5), (1000, 5), (4, 7, 5)):
+        labels = rng.integers(-3000, 3001, size=shape)
+        assert np.array_equal(label_index(labels), labels.sum(axis=-1))
+        assert np.array_equal(label_extent(labels), np.abs(labels).max(axis=-1, initial=0))
 
 
 def _benchmark_gamma(c, seed):
