@@ -152,14 +152,10 @@ def _run_mode(config: RunConfig) -> None:
                               "no complete cells: every tip lies within 3 label "
                               "steps of the box edge; raise --radius"))
             return cells_obj(cells, P, basis), notes
-        census = overlap_census(config.radius, shift, Q, basis, config.tol,
-                                shared_atom_sample=20)
-        notes = []
-        if census.shared_atoms:
-            shared = {k: round(v, 2) for k, v in census.shared_atoms.items()}
-            notes.append((logging.INFO,
-                          f"mean shared atoms with overlapping neighbors: {shared}"))
-        return overlap_csv(census), notes
+        census = overlap_census(config.radius, shift, Q, basis, config.tol)
+        shared = {k: round(v, 2) for k, v in census.shared_atoms.items()}
+        return overlap_csv(census), [
+            (logging.INFO, f"mean shared atoms with overlapping neighbors: {shared}")]
 
     produced = []
 

@@ -6,7 +6,8 @@ tips: each carries a translated copy of the 22-vertex polytope as a unit
 cell holding 26 atoms (22 hull sites plus 4 interior).  Neighboring cells
 overlap in one of two convex polyhedra, a 6-faced J or a 12-faced K, and
 each tip falls in one of five overlap classes with c-independent
-frequencies.
+frequencies.  A K neighbor's cell shares 15 atoms with the tip's and a J
+neighbor's 8, so the class also fixes the mean atoms a cell shares.
 
 Both the cells and the classes are properties of the tips, so nothing here
 holds the lattice.  The decagon scan keeps only the tips of each layer it
@@ -26,7 +27,7 @@ from .errors import (CensusViolationError, ConfigError, ConsistencyError,
 from .geometry import DEFAULT_EPS, PHI, ProjectionBasis, make_basis
 from .window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, DecagonQ,
                      GridShift, _key_weights, accept_3d_bulk, enumerate_tips,
-                     key_member, label_extent, label_keys, label_rows)
+                     key_member, label_extent, label_keys)
 
 #: overlap classes keyed by (neighbor count, K count, J count)
 OVERLAP_SIGNATURES = {
@@ -134,6 +135,12 @@ OVERLAP_OFFSETS = {
 OVERLAP_OFFSETS["K"].setflags(write=False)
 OVERLAP_OFFSETS["J"].setflags(write=False)
 
+#: the 20 overlapping offsets that can join two tips: the e0 orbit of K and
+#: the J orbit.  For the e0 - e4 orbit |m.D| is the inner decagon's width
+#: along m.D, so two test points strictly inside it cannot differ by m.D,
+#: and the tip scan raises for any label within eps of its boundary.
+_TIP_OFFSETS = {"K": OVERLAP_OFFSETS["K"][:10], "J": OVERLAP_OFFSETS["J"]}
+
 
 def overlap_signatures(inner: np.ndarray, tips: np.ndarray, radius: int) -> np.ndarray:
     """(neighbors, K, J) of each inner tip: its overlapping neighbor cells by shape.
@@ -146,7 +153,7 @@ def overlap_signatures(inner: np.ndarray, tips: np.ndarray, radius: int) -> np.n
     tip_keys = label_keys(tips, radius)
     inner_keys = label_keys(inner, radius)
     hits = {}
-    for shape, m in OVERLAP_OFFSETS.items():
+    for shape, m in _TIP_OFFSETS.items():
         # inner tips in key order make each offset's queries one sorted run
         hits[shape] = sum(key_member(tip_keys, inner_keys + delta)
                           for delta in m @ _key_weights(radius))
@@ -160,40 +167,24 @@ class OverlapCensus:
     counts: dict      # class label -> count
     frequencies: dict  # class label -> empirical frequency
     analytic: dict    # class label -> analytic frequency
-    shared_atoms: dict | None = None  # class label -> mean atoms shared with neighbors
-
-
-def _shared_atoms(pairs: np.ndarray, shift: GridShift, Q: DecagonQ,
-                  basis: ProjectionBasis, eps: float, radius: int) -> np.ndarray:
-    """Atoms the two 26-atom cells of each (tip, neighbor) pair have in common.
-
-    Overlapping neighbor cells share the lattice points inside their
-    intersection; reported as a statistic only, no published values exist
-    to assert against.  The cells of all pairs come from one build_cells.
-    """
-    hull, interior = build_cells(pairs.reshape(-1, 5), shift, Q, basis, eps)
-    keys = label_keys(np.concatenate([hull, interior], axis=1), radius)
-    keys = keys.reshape(len(pairs), 2, 26)
-    return (keys[:, 0, :, None] == keys[:, 1, None, :]).sum(axis=(1, 2))
+    shared_atoms: dict  # class label -> mean atoms shared with neighbors, nan if no tips
 
 
 def overlap_census(radius: int, shift: GridShift, Q: DecagonQ,
                    basis: ProjectionBasis | None = None, eps: float = DEFAULT_EPS,
-                   margin: int = 3, shared_atom_sample: int = 0) -> OverlapCensus:
+                   margin: int = 3) -> OverlapCensus:
     """Classify every boundary-complete tip of the box and tally the five overlap classes.
 
     The tips come from the decagon scan, which keeps only the tips: the
     class of a tip depends on its neighboring tips alone.  Tips within
     `margin` label steps of the box edge are not classified.
 
-    With shared_atom_sample > 0, also reports the mean number of atoms a
-    cell shares with its overlapping neighbors, per class.  The mean runs
-    over (tip, overlapping neighbor) pairs: the class's tips at least two
-    label steps further inside the box are taken whole, in label order,
-    until at least that many pairs are collected.
+    Also reports the mean number of atoms a cell shares with its
+    overlapping neighbors, per class: (15 K + 8 J) / (K + J) from the
+    class's signature, nan for a class with no tips.
     """
     basis = basis or make_basis()
-    tips, tip_keys, _ = enumerate_tips(radius, shift, Q, basis, eps)
+    tips, _, _ = enumerate_tips(radius, shift, Q, basis, eps)
     inner = tips[label_extent(tips) <= radius - margin]
     if len(inner) == 0:
         raise ConfigError("no boundary-complete tips in the lattice box")
@@ -206,28 +197,9 @@ def overlap_census(radius: int, shift: GridShift, Q: DecagonQ,
             f"tip {tuple(inner[i].tolist())} has overlap signature "
             f"{tuple(sigs[i].tolist())}, outside the five known classes")
     counts = dict(zip(_CLASSES, np.bincount(cls, minlength=len(_CLASSES)).tolist()))
-
-    shared = None
-    if shared_atom_sample:
-        # shared-atom cells need one more label ring
-        safe = label_extent(inner) <= radius - margin - 2
-        taken = np.zeros(len(inner), dtype=bool)
-        for j in range(len(_CLASSES)):
-            rows = np.flatnonzero((cls == j) & safe)
-            # whole tips, while fewer pairs than the sample are collected
-            before = np.cumsum(sigs[rows, 0]) - sigs[rows, 0]
-            taken[rows[before < shared_atom_sample]] = True
-        overlapping = np.vstack(list(OVERLAP_OFFSETS.values()))
-        sampled = inner[taken]
-        query = label_keys(sampled, radius)[:, None] + overlapping @ _key_weights(radius)
-        tip_row, offset = np.nonzero(label_rows(tip_keys, query) >= 0)
-        pairs = np.stack([sampled[tip_row], sampled[tip_row] + overlapping[offset]],
-                         axis=1)
-        n_shared = _shared_atoms(pairs, shift, Q, basis, eps, radius)
-        pair_class = cls[taken][tip_row]
-        shared = {lab: (float(np.mean(n_shared[pair_class == j]))
-                        if np.any(pair_class == j) else float("nan"))
-                  for j, lab in enumerate(_CLASSES)}
+    # a K neighbor's cell shares 15 atoms with the tip's, a J neighbor's 8
+    shared = {lab: (15 * k + 8 * j) / n if counts[lab] else float("nan")
+              for (n, k, j), lab in OVERLAP_SIGNATURES.items()}
     total = len(inner)
     return OverlapCensus(c=shift.c, n_tips=total, counts=counts,
                          frequencies={lab: n / total for lab, n in counts.items()},

@@ -102,6 +102,26 @@ def test_lattice_obj_and_census(tmp_path):
     assert len(lines) >= 6
 
 
+_CLOSED_FORM = ("mean shared atoms with overlapping neighbors: "
+                "{'A1': 8.0, 'A23': 9.4, 'A46': 9.75, 'A57': 10.8, 'A8': 10.33}")
+
+
+@pytest.mark.parametrize("args,line", [
+    # the line a sampled mean gave at this radius
+    (["--c", "0.4", "--radius", "8"], _CLOSED_FORM),
+    # every class has tips, though too few label rings for a sample
+    (["--c", "0.2", "--radius", "5"], _CLOSED_FORM),
+    # no tip of this box is in A23
+    (["--radius", "5"], _CLOSED_FORM.replace("9.4", "nan")),
+], ids=["radius-8", "radius-5-every-class", "radius-5-no-A23"])
+def test_census_logs_the_shared_atoms_of_each_class(args, line, caplog, capsys):
+    with caplog.at_level(logging.INFO, logger="qc"):
+        assert run(["overlap-census", *args]) == 0
+    shared = [r.getMessage() for r in caplog.records if "shared atoms" in r.getMessage()]
+    assert shared == [line]
+    assert ("A23,5,1,4,0," in capsys.readouterr().out) == ("nan" in line)
+
+
 def test_config_errors():
     assert run(["freq", "--c", "1.5"]) == 2
     assert run(["freq", "--gamma", "1,2,3"]) == 2

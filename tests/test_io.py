@@ -132,7 +132,8 @@ def test_overlap_csv_format():
         c=0.2, n_tips=10,
         counts={"A1": 5, "A23": 1, "A46": 2, "A57": 1, "A8": 1},
         frequencies={"A1": 0.5, "A23": 0.1, "A46": 0.2, "A57": 0.1, "A8": 0.1},
-        analytic=dict(qp.ANALYTIC_CLASS_FREQUENCIES))
+        analytic=dict(qp.ANALYTIC_CLASS_FREQUENCIES),
+        shared_atoms={"A1": 8.0, "A23": 9.4, "A46": 9.75, "A57": 10.8, "A8": 31 / 3})
     text = overlap_csv(census)
     lines = text.strip().split("\n")
     assert lines[0] == "class,neighbors,K,J,count,frequency,analytic_ratio"

@@ -7,11 +7,11 @@ import quasiproj as qp
 from quasiproj.errors import ConsistencyError, SingularityError
 from quasiproj.geometry import ConvexWindow, points_in_convex_polygon
 from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
-                                 OVERLAP_SIGNATURES, _shared_atoms, build_cells,
-                                 overlap_census, overlap_signatures)
+                                 OVERLAP_SIGNATURES, build_cells, overlap_census,
+                                 overlap_signatures)
 from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, accept_3d_bulk,
-                              d_test_points, enumerate_tips, label_keys,
-                              normalize_shift, random_shift)
+                              d_test_points, enumerate_tips, label_extent, label_keys,
+                              label_rows, normalize_shift, random_shift)
 
 from helpers import (VOLUME_FLOOR, build_lattice3, convex_intersection,
                      enumerate_accepted_3d, fan_triangles, find_tips,
@@ -73,12 +73,8 @@ def test_tips_have_ten_neighbors(lat_env):
     shift, lat, tips = lat_env
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 2]
     assert len(inner) > 300
-    for t in inner:
-        for m in range(5):
-            for s in (1, -1):
-                nb = t.copy()
-                nb[m] += s
-                assert lat.rows(nb) >= 0
+    steps = np.vstack([np.eye(5, dtype=np.int64), -np.eye(5, dtype=np.int64)])
+    assert np.all(lat.rows(inner[:, None, :] + steps) >= 0)
 
 
 def test_tip_set_z_periodic(lat_env):
@@ -220,18 +216,6 @@ def _non_tips(lat, Q):
     return lat.labels[Q.inner.classify(lat.test_points, 1e-9) == 0]
 
 
-def test_shared_atoms_keep_the_cell_checks(lat_env, Q, basis):
-    # as build_cells, the batched cells must hold their 22 hull atoms; the
-    # second cell of the pair sits on a lattice point that is not a tip
-    shift, lat, tips = lat_env
-    non_tip = _non_tips(lat, Q)[0]
-    pairs = np.stack([tips[:1], non_tip[None]], axis=1)
-    with pytest.raises(ConsistencyError,
-                       match=rf"cell at {re.escape(str(tuple(non_tip.tolist())))}: "
-                             r"\d+ hull atoms are not lattice points"):
-        _shared_atoms(pairs, shift, Q, basis, 1e-9, lat.radius)
-
-
 def test_build_cells_rejects_non_lattice_tip(lat_env, Q, basis):
     shift, lat, tips = lat_env
     with pytest.raises(ValueError, match="not a lattice point"):
@@ -345,7 +329,7 @@ def test_classify_overlap_signatures(lat_env, Q, P, basis):
 
 def test_overlap_census_matches_analytic(Q, basis):
     shift = random_shift(0.3, 29)
-    census = overlap_census(12, shift, Q, basis, shared_atom_sample=5)
+    census = overlap_census(12, shift, Q, basis)
     assert census.n_tips > 1000
     assert sum(census.counts.values()) == census.n_tips
     assert sum(census.frequencies.values()) == pytest.approx(1.0, abs=1e-12)
@@ -429,6 +413,24 @@ def test_overlap_violation_names_the_first_offending_tip(Q, basis, monkeypatch):
         overlap_census(10, shift, Q, basis)
 
 
+#: the orbit of e0 - e4 among the K offsets: |m.D| is the inner decagon's
+#: width along m.D, so no two tips differ by one of them
+_EDGE_ORBIT = OVERLAP_OFFSETS["K"][np.abs(OVERLAP_OFFSETS["K"]).sum(axis=1) == 2]
+
+
+def test_the_edge_orbit_spans_the_inner_decagon(Q, basis):
+    assert len(_EDGE_ORBIT) == 10
+    for shape, offsets in OVERLAP_OFFSETS.items():
+        for m in offsets:
+            step = m @ basis.D
+            along = Q.inner.polygon @ (step / np.linalg.norm(step))
+            width = along.max() - along.min()
+            if any(np.array_equal(m, e) for e in _EDGE_ORBIT):
+                assert abs(np.linalg.norm(step) - width) < 1e-12, m
+            else:
+                assert np.linalg.norm(step) < width - 0.2, (shape, m)
+
+
 @pytest.mark.parametrize("radius", [8, 12])
 @pytest.mark.parametrize("c", [0.05, 0.2, PHI ** -2, 0.5, 0.9])
 def test_overlap_census_matches_the_lattice_route(c, radius, Q, basis):
@@ -440,13 +442,31 @@ def test_overlap_census_matches_the_lattice_route(c, radius, Q, basis):
     assert np.array_equal(tips, find_tips(lat, Q))
     assert n_points == len(lat.labels)
     assert np.array_equal(keys, label_keys(tips, radius))
-    census = overlap_census(radius, shift, Q, basis, shared_atom_sample=20)
+    census = overlap_census(radius, shift, Q, basis)
     oracle = overlap_census_lattice(lat, shift, Q, shared_atom_sample=20)
     assert census.n_tips == oracle.n_tips
     assert census.counts == oracle.counts
     assert list(census.shared_atoms) == list(oracle.shared_atoms)
     assert np.array_equal(list(census.shared_atoms.values()),
                           list(oracle.shared_atoms.values()), equal_nan=True)
+
+    # every (inner tip, neighbor tip) pair: a K pair's cells share 15 atoms,
+    # a J pair's 8, and no tip sits at an offset of the edge orbit
+    inner = tips[label_extent(tips) <= radius - 3]
+
+    def pairs(offsets):
+        others = inner[:, None] + offsets
+        row, col = np.nonzero(label_rows(keys, label_keys(others, radius)) >= 0)
+        return inner[row], others[row, col]
+
+    assert len(pairs(_EDGE_ORBIT)[0]) == 0
+    for column, (shape, shared) in enumerate((("K", 15), ("J", 8)), start=1):
+        tip, other = pairs(OVERLAP_OFFSETS[shape])
+        assert len(tip) == sum(census.counts[lab] * sig[column]
+                               for sig, lab in OVERLAP_SIGNATURES.items())
+        hull, interior = build_cells(np.concatenate([tip, other]), shift, Q, basis, 1e-9)
+        a, b = np.split(label_keys(np.concatenate([hull, interior], axis=1), radius), 2)
+        assert np.all((a[:, :, None] == b[:, None, :]).sum(axis=(1, 2)) == shared), shape
 
 
 def _named_label(exc) -> str:
