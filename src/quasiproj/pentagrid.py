@@ -16,18 +16,7 @@ import numpy as np
 
 from .errors import SingularityError
 from .geometry import DEFAULT_EPS, ProjectionBasis, make_basis
-from .window import GridShift
-
-#: probe displacement used to land in the four meshes around an intersection;
-#: much larger than eps, much smaller than the mesh scale
-PROBE_DELTA = 1e-4
-
-
-@dataclass(frozen=True)
-class Intersection:
-    r: np.ndarray          # (2,) intersection point
-    families: tuple        # (s, t) with s < t
-    line_labels: tuple     # (k_s, k_t)
+from .window import GridShift, label_extent, label_keys
 
 
 def grid_values_2d(points: np.ndarray, shift: GridShift,
@@ -84,7 +73,10 @@ def mesh_locator(labels: np.ndarray, shift: GridShift,
 
 def _pair_intersections(s: int, t: int, box, shift: GridShift,
                         basis: ProjectionBasis):
-    """All intersections of families s and t inside the box, vectorized."""
+    """Intersections of families s and t inside the box, ordered by (k_s, k_t).
+
+    Returns (points (n, 2), families (n, 2), line_labels (n, 2)).
+    """
     xmin, xmax, ymin, ymax = box
     corners = np.array([[xmin, ymin], [xmin, ymax], [xmax, ymin], [xmax, ymax]])
     ds, dt = basis.D[s], basis.D[t]
@@ -93,59 +85,46 @@ def _pair_intersections(s: int, t: int, box, shift: GridShift,
         vals = corners @ d + gamma
         return np.arange(np.ceil(vals.min()), np.floor(vals.max()) + 1, dtype=np.int64)
 
-    ks = label_range(ds, shift.gamma[s])
-    kt = label_range(dt, shift.gamma[t])
-    if len(ks) == 0 or len(kt) == 0:
-        return (np.empty((0, 2)), np.empty((0,), np.int64), np.empty((0,), np.int64))
-
     det = ds[0] * dt[1] - ds[1] * dt[0]
-    KS, KT = np.meshgrid(ks, kt, indexing="ij")
+    KS, KT = np.meshgrid(label_range(ds, shift.gamma[s]),
+                         label_range(dt, shift.gamma[t]), indexing="ij")
     cs = KS - shift.gamma[s]
     ct = KT - shift.gamma[t]
     x = (cs * dt[1] - ct * ds[1]) / det
     y = (ct * ds[0] - cs * dt[0]) / det
     inside = (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
-    return (np.column_stack([x[inside], y[inside]]),
-            KS[inside].ravel(), KT[inside].ravel())
+    line_labels = np.column_stack([KS[inside], KT[inside]])
+    families = np.tile(np.array([s, t], dtype=np.int64), (len(line_labels), 1))
+    return np.column_stack([x[inside], y[inside]]), families, line_labels
 
 
 def enumerate_intersections(box, shift: GridShift,
                             basis: ProjectionBasis | None = None,
-                            eps: float = DEFAULT_EPS) -> list[Intersection]:
+                            eps: float = DEFAULT_EPS
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pairwise grid-line intersection in an axis-aligned box, each once.
 
-    box is (xmin, xmax, ymin, ymax) in pentagrid parameter space.  Raises
-    SingularityError if a third grid line passes within eps of any
-    intersection (a singular pentagrid).
+    box is (xmin, xmax, ymin, ymax) in pentagrid parameter space.  Returns
+    (points (n, 2), families (n, 2), line_labels (n, 2)), ordered by family
+    pair (s, t) with s < t, then by (k_s, k_t).  Raises SingularityError if
+    a third grid line passes within eps of any intersection (a singular
+    pentagrid).
     """
     basis = basis or make_basis()
-    out: list[Intersection] = []
-    for s in range(5):
-        for t in range(s + 1, 5):
-            pts, ks, kt = _pair_intersections(s, t, box, shift, basis)
-            if len(pts) == 0:
-                continue
-            others = [u for u in range(5) if u not in (s, t)]
-            vals = grid_values_2d(pts, shift, basis)[:, others]
-            dist = np.abs(vals - np.round(vals))
-            if np.any(dist <= eps):
-                i = int(np.argwhere(dist <= eps)[0, 0])
-                u = others[int(np.argwhere(dist <= eps)[0, 1])]
-                raise SingularityError(
-                    f"singular pentagrid: line (family {u}, "
-                    f"label {int(round(vals[i][int(np.argwhere(dist <= eps)[0, 1])]))}) "
-                    f"passes through the intersection of (family {s}, label {int(ks[i])}) "
-                    f"and (family {t}, label {int(kt[i])}) at r={tuple(pts[i].tolist())}")
-            order = np.lexsort((kt, ks))
-            for i in order:
-                out.append(Intersection(r=pts[i], families=(s, t),
-                                        line_labels=(int(ks[i]), int(kt[i]))))
-    return out
-
-
-#: probe sign pattern walking CCW-style around an intersection; consecutive
-#: probes differ in exactly one sign, so consecutive meshes share a grid line
-_PROBE_SIGNS = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)], dtype=float)
+    pairs = [_pair_intersections(s, t, box, shift, basis)
+             for s in range(5) for t in range(s + 1, 5)]
+    points, families, line_labels = (np.concatenate(part) for part in zip(*pairs))
+    vals = grid_values_2d(points, shift, basis)
+    dist = np.abs(vals - np.round(vals))
+    dist[np.arange(len(points))[:, None], families] = np.inf
+    if np.any(dist <= eps):
+        i, u = np.argwhere(dist <= eps)[0]
+        (s, t), (ks, kt) = families[i].tolist(), line_labels[i].tolist()
+        raise SingularityError(
+            f"singular pentagrid: line (family {int(u)}, label {int(round(vals[i, u]))}) "
+            f"passes through the intersection of (family {s}, label {ks}) "
+            f"and (family {t}, label {kt}) at r={tuple(points[i].tolist())}")
+    return points, families, line_labels
 
 
 @dataclass(frozen=True)
@@ -154,67 +133,38 @@ class PentagridTiling:
 
     labels: np.ndarray     # (M, 5) int64, lexicographically sorted
     vertices: np.ndarray   # (M, 2) plane images
-    rhombi: np.ndarray     # (N, 4) rows of indices into labels, loop order
+    rhombi: np.ndarray     # (N, 4) rows of indices into labels, corner order
     families: np.ndarray   # (N, 2) grid families of the generating intersection
     line_labels: np.ndarray  # (N, 2)
 
 
 def tiling_from_pentagrid(box, shift: GridShift,
                           basis: ProjectionBasis | None = None,
-                          eps: float = DEFAULT_EPS,
-                          delta: float = PROBE_DELTA) -> PentagridTiling:
+                          eps: float = DEFAULT_EPS) -> PentagridTiling:
     """The dual tiling of every grid intersection in the box, vertices deduplicated.
 
-    Each intersection of families s and t is probed in its four adjacent
-    meshes; their labels, which differ by one unit in k_s and k_t only, are
-    the corners of a unit rhombus with edges along d_s and d_t.
+    The four meshes around the crossing of line k_s (family s) and line k_t
+    (family t) keep K_j = ceil(d_j . r + gamma_j) of the crossing point r in
+    every other family, and take k_s or k_s + 1 and k_t or k_t + 1 in the two
+    crossing families.  Their labels are the corners of a unit rhombus with
+    edges along d_s and d_t, walked as (k_s, k_t), (k_s + 1, k_t),
+    (k_s + 1, k_t + 1), (k_s, k_t + 1): consecutive corners share a grid line.
     """
     basis = basis or make_basis()
-    inters = enumerate_intersections(box, shift, basis, eps)
-    n = len(inters)
-    if n == 0:
-        return PentagridTiling(labels=np.empty((0, 5), np.int64),
-                               vertices=np.empty((0, 2)),
-                               rhombi=np.empty((0, 4), np.int64),
-                               families=np.empty((0, 2), np.int64),
-                               line_labels=np.empty((0, 2), np.int64))
+    points, families, line_labels = enumerate_intersections(box, shift, basis, eps)
+    rows = np.arange(len(points))[:, None]
+    base = np.ceil(grid_values_2d(points, shift, basis)).astype(np.int64)
+    base[rows, families] = line_labels
+    unit = np.zeros((len(points), 2, 5), np.int64)
+    unit[rows, [0, 1], families] = 1
+    steps = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=np.int64)
+    flat = (base[:, None, :] + steps @ unit).reshape(-1, 5)
 
-    pts = np.vstack([i.r for i in inters])
-    fams = np.array([i.families for i in inters], dtype=np.int64)
-    labs = np.array([i.line_labels for i in inters], dtype=np.int64)
-
-    # adaptive probe displacement, vectorized over all intersections
-    vals = grid_values_2d(pts, shift, basis)
-    dist = np.abs(vals - np.round(vals))
-    dist[np.arange(n)[:, None], fams] = np.inf
-    third = dist.min(axis=1)
-    if np.any(third <= 10 * eps):
-        i = int(np.argmin(third))
-        raise SingularityError(
-            f"near-singular intersection of families {tuple(fams[i].tolist())} "
-            f"at r={tuple(pts[i].tolist())}")
-    d_eff = np.minimum(delta, 0.45 * third)
-
-    ds = basis.D[fams[:, 0]]
-    dt = basis.D[fams[:, 1]]
-    probes = (pts[:, None, :]
-              + d_eff[:, None, None] * (_PROBE_SIGNS[None, :, :1] * ds[:, None, :]
-                                        + _PROBE_SIGNS[None, :, 1:] * dt[:, None, :]))
-    all_vals = grid_values_2d(probes.reshape(-1, 2), shift, basis)
-    all_labels = _ceil_checked(all_vals, eps, "probe point").reshape(n, 4, 5)
-
-    spread = all_labels.max(axis=1) - all_labels.min(axis=1)
-    expected = np.zeros((n, 5), np.int64)
-    expected[np.arange(n)[:, None], fams] = 1
-    bad = np.any(spread != expected, axis=1)
-    if np.any(bad):
-        i = int(np.argwhere(bad)[0])
-        raise SingularityError(
-            f"probes around intersection {tuple(fams[i].tolist())}/{tuple(labs[i].tolist())} "
-            "straddle a third grid family")
-
-    flat = all_labels.reshape(-1, 5)
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-    rhombi = inverse.reshape(n, 4).astype(np.int64)
-    return PentagridTiling(labels=uniq, vertices=uniq.astype(float) @ basis.D,
-                           rhombi=rhombi, families=fams, line_labels=labs)
+    # label_keys only encodes labels here (its key order is lexicographic
+    # label order); no window acceptance test enters this route
+    keys = label_keys(flat, label_extent(flat).max(initial=0))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    labels = flat[first]
+    return PentagridTiling(labels=labels, vertices=labels.astype(float) @ basis.D,
+                           rhombi=inverse.reshape(-1, 4).astype(np.int64),
+                           families=families, line_labels=line_labels)

@@ -328,7 +328,7 @@ _OLD_EXPORTS = {
                "build_decagon_Q", "build_polytope_P", "build_windows",
                "enumerate_accepted_2d", "enumerate_tips", "label_keys", "label_rows",
                "normalize_shift", "random_shift", "slice_window"],
-    "pentagrid": ["Intersection", "PentagridTiling", "enumerate_intersections",
+    "pentagrid": ["PentagridTiling", "enumerate_intersections",
                   "k_vector_2d", "k_vector_3d", "tiling_from_pentagrid"],
     "tiling2d": ["CENSUS", "FrequencyReport", "VertexType", "analytic_A",
                  "analytic_probability", "census_support", "empirical_frequencies",

@@ -88,28 +88,24 @@ def test_enumerate_intersections_residuals(basis):
     # c = sum(j/10) = 1.0 normalizes to 0 by relabeling family 0
     shift = normalize_shift([j / 10 for j in range(5)])
     assert shift.c == pytest.approx(0.0, abs=1e-12)
-    inters = enumerate_intersections((-4, 4, -4, 4), shift, basis)
-    assert len(inters) > 100
-    seen = set()
-    for it in inters:
-        key = (it.families, it.line_labels)
-        assert key not in seen, "duplicate intersection"
-        seen.add(key)
-        s, t = it.families
-        ks, kt = it.line_labels
-        assert abs(basis.D[s] @ it.r + shift.gamma[s] - ks) < 1e-9
-        assert abs(basis.D[t] @ it.r + shift.gamma[t] - kt) < 1e-9
+    points, families, line_labels = enumerate_intersections((-4, 4, -4, 4), shift, basis)
+    assert len(points) > 100
+    keys = np.column_stack([families, line_labels])
+    assert len(np.unique(keys, axis=0)) == len(keys), "duplicate intersection"
+    rows = np.arange(len(points))[:, None]
+    residuals = np.abs(grid_values_2d(points, shift, basis)[rows, families] - line_labels)
+    assert residuals.max() < 1e-9
 
-    pair01 = [it for it in inters if it.families == (0, 1)
-              and it.line_labels == (0, 0)]
-    assert len(pair01) == 1
+    pair01 = np.all(keys == [0, 1, 0, 0], axis=1)
+    assert pair01.sum() == 1
 
 
 def test_intersection_count_scales_quadratically(basis):
     shift = random_shift(0.45, 5)
     counts = []
     for L in (4.0, 8.0, 16.0):
-        counts.append(len(enumerate_intersections((-L, L, -L, L), shift, basis)))
+        points, _, _ = enumerate_intersections((-L, L, -L, L), shift, basis)
+        counts.append(len(points))
     # density*area + O(L) boundary terms: successive ratios approach 4
     r1 = counts[1] / counts[0]
     r2 = counts[2] / counts[1]
@@ -118,8 +114,54 @@ def test_intersection_count_scales_quadratically(basis):
 
 
 def test_singular_pentagrid_detected(basis):
-    with pytest.raises(SingularityError):
+    with pytest.raises(SingularityError,
+                       match=r"line \(family [2-4], label -?\d+\) passes through the "
+                             r"intersection of \(family 0, label -?\d+\) and "
+                             r"\(family 1, label -?\d+\) at r=\(-?\d"):
         enumerate_intersections((-2, 2, -2, 2), normalize_shift([0.0] * 5), basis)
+
+
+#: sign pattern of (d_s, d_t) walking once around an intersection
+_PROBE_SIGNS = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+
+
+def _assert_corners_are_probed_meshes(box, shift, basis):
+    """Check each rhombus corner against k_vector_2d just beside its intersection.
+
+    The probe steps delta = 0.45 min(third-line distance, 1e-4) along
+    +-d_s +-d_t, so it lands in one of the four meshes and crosses no third
+    line.  Beside a near-singular crossing the probe sits closer than the
+    default eps to a crossing line, so the labels are read with a tighter eps.
+    Returns each intersection's distance to its nearest third line.
+    """
+    points, families, _ = enumerate_intersections(box, shift, basis)
+    tiling = tiling_from_pentagrid(box, shift, basis)
+    assert np.array_equal(tiling.families, families)
+    vals = grid_values_2d(points, shift, basis)
+    third = np.abs(vals - np.round(vals))
+    third[np.arange(len(points))[:, None], families] = np.inf
+    third = third.min(axis=1)
+    delta = 0.45 * np.minimum(third, 1e-4)
+    for i, (r, (s, t)) in enumerate(zip(points, families)):
+        probed = [k_vector_2d(r + delta[i] * (a * basis.D[s] + b * basis.D[t]),
+                              shift, basis, eps=1e-13)
+                  for a, b in _PROBE_SIGNS]
+        assert np.array_equal(probed, tiling.labels[tiling.rhombi[i]]), (s, t, r)
+    return third
+
+
+@pytest.mark.parametrize("c,seed", [(0.0, 11), (qp.PHI ** -2, 7), (0.5, 3)])
+def test_rhombus_corners_are_the_meshes_beside_each_intersection(basis, c, seed):
+    third = _assert_corners_are_probed_meshes((-6, 6, -6, 6), random_shift(c, seed), basis)
+    assert len(third) > 1000
+
+
+def test_tiling_inside_a_third_line_band_of_ten_eps(basis):
+    # family 2's line k = 0 passes 5e-9 from the crossing of families 0 and 1
+    # at the origin: farther than eps, nearer than 10 eps
+    shift = qp.GridShift(gamma=[0, 0, 5e-9, 0.3, 0.45], c=0.75 + 5e-9)
+    third = _assert_corners_are_probed_meshes((-4, 4, -4, 4), shift, basis)
+    assert np.any((third > qp.DEFAULT_EPS) & (third <= 10 * qp.DEFAULT_EPS))
 
 
 def test_tiling_from_pentagrid_rhombi(basis):
