@@ -10,10 +10,13 @@ frequencies.  A K neighbor's cell shares 15 atoms with the tip's and a J
 neighbor's 8, so the class also fixes the mean atoms a cell shares.
 
 Both the cells and the classes are properties of the tips, so nothing here
-holds the lattice.  The decagon scan keeps only the tips of each layer it
-tests, and still raises for a singular label that is not a tip.  A cell is
-its tip plus the 32 cube vertices, and build_cells decides each of those
-atoms by the decagon test on its test point.
+holds the lattice.  Since sum_j d_j = 0, the labels k + n (1,1,1,1,1) of a
+column share one test point and so one decision; the decagon scan tests each
+column once, keeps only the tip columns, and still raises for a singular
+label that is not a tip.  The census classifies each tip column once and
+counts it as many times as it has boundary-complete tips.  A cell is its tip
+plus the 32 cube vertices, and build_cells decides each of those atoms by
+the decagon test on its test point.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .errors import (CensusViolationError, ConfigError, ConsistencyError,
                      SingularityError)
 from .geometry import DEFAULT_EPS, PHI, ProjectionBasis, make_basis
 from .window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, DecagonQ,
-                     GridShift, _key_weights, accept_3d_bulk, enumerate_tips,
-                     key_member, label_extent, label_keys)
+                     GridShift, _key_weights, accept_3d_bulk, key_member,
+                     label_keys, tip_columns)
 
 #: overlap classes keyed by (neighbor count, K count, J count)
 OVERLAP_SIGNATURES = {
@@ -175,32 +178,49 @@ def overlap_census(radius: int, shift: GridShift, Q: DecagonQ,
                    margin: int = 3) -> OverlapCensus:
     """Classify every boundary-complete tip of the box and tally the five overlap classes.
 
-    The tips come from the decagon scan, which keeps only the tips: the
-    class of a tip depends on its neighboring tips alone.  Tips within
-    `margin` label steps of the box edge are not classified.
+    Tips within `margin` label steps of the box edge are not classified.
+    The tips k + n (1,1,1,1,1) of a column share their test point, so their
+    neighboring tips are translates of each other and they have one class.
+    So each tip column of tip_columns is classified once, and its class
+    counted once per boundary-complete tip: 2 (radius - margin) + 1 - s,
+    s the column's spread.  A tip of representative a has the tip k + m for
+    neighbor when a + m lies in a tip column, that is, among the tip
+    representatives moved by m4 (1,1,1,1,1) with m4 in {-1, 0, 1}.
 
     Also reports the mean number of atoms a cell shares with its
     overlapping neighbors, per class: (15 K + 8 J) / (K + J) from the
     class's signature, nan for a class with no tips.
     """
     basis = basis or make_basis()
-    tips, _, _ = enumerate_tips(radius, shift, Q, basis, eps)
-    inner = tips[label_extent(tips) <= radius - margin]
+    M = int(radius)
+    reps, _ = tip_columns(M, shift, Q, basis, eps)
+    spread = reps.max(axis=1) - reps.min(axis=1)
+    weight = 2 * (M - margin) + 1 - spread
+    inner, weight = reps[weight > 0], weight[weight > 0]
     if len(inner) == 0:
         raise ConfigError("no boundary-complete tips in the lattice box")
 
-    sigs = overlap_signatures(inner, tips, radius)
+    # representatives lie in [-2R, 2R]^5, and overlap_signatures needs its
+    # queries two label steps inside the box
+    wide = 2 * M + 3
+    moved = (reps + np.arange(-1, 2)[:, None, None]).reshape(-1, 5)
+    moved = moved[np.argsort(label_keys(moved, wide))]
+    sigs = overlap_signatures(inner, moved, wide)
     cls = _CLASS_OF_CODE[11 * sigs[:, 1] + sigs[:, 2]]
     if np.any(cls < 0):
-        i = int(np.argmax(cls < 0))
+        # the first boundary-complete tip of each offending column
+        bad = np.flatnonzero(cls < 0)
+        first = inner[bad] - (M - margin + inner[bad].min(axis=1))[:, None]
+        i = int(np.argmin(label_keys(first, M)))
         raise CensusViolationError(
-            f"tip {tuple(inner[i].tolist())} has overlap signature "
-            f"{tuple(sigs[i].tolist())}, outside the five known classes")
-    counts = dict(zip(_CLASSES, np.bincount(cls, minlength=len(_CLASSES)).tolist()))
+            f"tip {tuple(first[i].tolist())} has overlap signature "
+            f"{tuple(sigs[bad[i]].tolist())}, outside the five known classes")
+    tally = np.bincount(cls, weights=weight, minlength=len(_CLASSES))
+    counts = dict(zip(_CLASSES, tally.astype(np.int64).tolist()))
     # a K neighbor's cell shares 15 atoms with the tip's, a J neighbor's 8
     shared = {lab: (15 * k + 8 * j) / n if counts[lab] else float("nan")
               for (n, k, j), lab in OVERLAP_SIGNATURES.items()}
-    total = len(inner)
+    total = int(weight.sum())
     return OverlapCensus(c=shift.c, n_tips=total, counts=counts,
                          frequencies={lab: n / total for lab, n in counts.items()},
                          analytic=dict(ANALYTIC_CLASS_FREQUENCIES),

@@ -138,7 +138,8 @@ def build_polytope_P(basis: ProjectionBasis | None = None) -> PolytopeP:
     basis = basis or make_basis()
     proj = CUBE_VERTICES.astype(float) @ basis.W
 
-    hull_cube = np.unique(np.array(FACE_LOOPS))
+    # a sorted set, not np.unique, which loads numpy.ma on first use
+    hull_cube = np.array(sorted({i for loop in FACE_LOOPS for i in loop}), dtype=np.int64)
     if len(hull_cube) != 22:
         raise ConsistencyError(f"expected 22 hull vertices, got {len(hull_cube)}")
     vertices = proj[hull_cube]
@@ -335,17 +336,10 @@ def accept_2d_bulk(labels: np.ndarray, shift: GridShift, wset: WindowSet,
 
 
 def accept_3d_bulk(labels: np.ndarray, shift: GridShift, Q: DecagonQ,
-                   basis: ProjectionBasis, eps: float = DEFAULT_EPS,
-                   test_points: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized 3-d acceptance against the decagon window.
-
-    `test_points`, when given, are the labels' d_test_points, computed by
-    the caller so that it can keep them.
-    """
-    if test_points is None:
-        labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
-        test_points = d_test_points(labels, shift, basis)
-    return Q.window.classify(test_points, eps)
+                   basis: ProjectionBasis, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Vectorized 3-d acceptance against the decagon window."""
+    labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
+    return Q.window.classify(d_test_points(labels, shift, basis), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +353,9 @@ def accept_3d_bulk(labels: np.ndarray, shift: GridShift, Q: DecagonQ,
 # acceptance test.  Candidates are then accepted labels, rejects within the
 # slack of the window, and singular labels, which raise.
 #   2-d:  fix (k0, k1, I) and scan (k2, k3); k4 = I - k0 - k1 - k2 - k3.
-#   3-d:  fix (k0, k1, k2) and scan (k3, k4).
+#   3-d:  the labels k + n (1,1,1,1,1) of a column share one test point, so
+#         the scan runs over column representatives a = k - k4 (1,1,1,1,1):
+#         fix (a0, a1) and scan (a2, a3).
 # ---------------------------------------------------------------------------
 
 #: how far past eps a scan reaches, far above the float error of its bounds
@@ -512,29 +508,54 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet,
     return labels, labels.astype(float) @ basis.D, keys
 
 
-def _scan_3d(radius: int, shift: GridShift, Q: DecagonQ, basis: ProjectionBasis,
-             eps: float):
-    """The decagon scan of the box, as (candidates, decagon status, test
-    points) blocks of one k0 layer each, in key order.
+def tip_columns(radius: int, shift: GridShift, Q: DecagonQ, basis: ProjectionBasis,
+                eps: float = DEFAULT_EPS) -> tuple[np.ndarray, int]:
+    """The tip columns of the box [-radius, radius]^5, in key order:
+    (representatives (n, 5), number of lattice points in the box).
 
-    Raises ConfigError, before the first block, if the lattice would not fit
-    in MEMORY_BUDGET.
+    Since sum_j d_j = 0, the labels k + n (1,1,1,1,1) of a column share one
+    test point, so one decagon test and one inner-decagon test decide the
+    whole column.  That holds in exact arithmetic; the float test points of
+    a column's labels differ by about 1e-14 at radius 20.  A column is named
+    by its representative a = k - k4 (1,1,1,1,1), whose a4 is 0.  With
+    spread s = max(a) - min(a), both taken with 0, it meets the box when
+    s <= 2 radius, in the 2 radius + 1 - s labels a + n (1,1,1,1,1),
+    -radius - min(a) <= n <= radius - max(a).  The scan fixes (a0, a1) and
+    scan-converts (a2, a3).
+
+    Raises ConfigError if the lattice would not fit in MEMORY_BUDGET, then
+    SingularityError naming the first label within eps of the decagon
+    boundary, then the first within eps of the inner decagon boundary.
     """
-    M = int(radius)
+    M, S = int(radius), 2 * int(radius)
     d = basis.D
     _check_budget(M, (2 * M + 1) ** 3, [Q.window], d[3], d[4])
-    k = np.arange(-M, M + 1, dtype=np.int64)
-    k12 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
-    base = k12 @ d[1:3] - shift.gamma @ d
-    # k0 ascends over the blocks, and (k1, k2), k3, k4 within each, so the
-    # candidates come out in key order
-    for k0 in range(-M, M + 1):
-        row, k3, v_lo, v_hi = _scan(base + k0 * d[0], d[3], d[4], Q.window,
-                                    eps + _SCAN_SLACK, M)
-        sub, k4 = _expand(*_integer_span(v_lo, v_hi, -M, M))
-        cand = np.column_stack([np.full(len(sub), k0), k12[row[sub]], k3[sub], k4])
-        pts = d_test_points(cand, shift, basis)
-        yield cand, accept_3d_bulk(cand, shift, Q, basis, eps, pts), pts
+    k = np.arange(-S, S + 1, dtype=np.int64)
+    a0, a1 = (g.ravel() for g in np.meshgrid(k, k, indexing="ij"))
+    # hi and lo: the largest and least coordinate so far, 0 included
+    hi, lo = np.maximum(np.maximum(a0, a1), 0), np.minimum(np.minimum(a0, a1), 0)
+    meets = hi - lo <= S
+    a0, a1, hi, lo = a0[meets], a1[meets], hi[meets], lo[meets]
+    t0 = np.outer(a0, d[0]) + np.outer(a1, d[1]) - shift.gamma @ d
+    row, a2, v_lo, v_hi = _scan(t0, d[2], d[3], Q.window, eps + _SCAN_SLACK, S)
+    hi, lo = np.maximum(hi[row], a2), np.minimum(lo[row], a2)
+    meets = hi - lo <= S
+    row, a2, v_lo, v_hi, hi, lo = (x[meets] for x in (row, a2, v_lo, v_hi, hi, lo))
+    # a3 keeps the spread within 2 radius; (a0, a1) ascend over the rows
+    # and a2, a3 within each, so the columns come out in key order
+    sub, a3 = _expand(*_integer_span(v_lo, v_hi, hi - S, lo + S))
+    row = row[sub]
+    reps = np.column_stack([a0[row], a1[row], a2[sub], a3, np.zeros_like(a3)])
+    hi, lo = np.maximum(hi[sub], a3), np.minimum(lo[sub], a3)
+    # a column's first member has the least key of its labels
+    first = reps - (M + lo)[:, None]
+    pts = d_test_points(reps, shift, basis)
+    status = Q.window.classify(pts, eps)
+    _raise_singular(first, status, "the decagon boundary", shift, M)
+    inner = Q.inner.classify(pts, eps)
+    _raise_singular(first, inner, "the inner decagon boundary", shift, M)
+    n_points = int(np.sum((2 * M + 1 - (hi - lo))[status == 1]))
+    return reps[inner == 1], n_points
 
 
 def enumerate_tips(radius: int, shift: GridShift, Q: DecagonQ,
@@ -544,22 +565,20 @@ def enumerate_tips(radius: int, shift: GridShift, Q: DecagonQ,
     number of lattice points in the box).
 
     Tips are the lattice points whose test point falls strictly inside the
-    inner decagon.  The decagon scan tests every label of the box, one k0
-    layer at a time, and each layer keeps only its tips, so the lattice is
-    never held whole.  Raises ConfigError if the lattice would not fit in
-    MEMORY_BUDGET, then SingularityError for the first label within eps of
-    the decagon boundary, then for the first within eps of the inner
-    decagon boundary.
+    inner decagon.  The labels of a column k + n (1,1,1,1,1) share one test
+    point, so tip_columns decides each column once and the tips are the
+    members of its tip columns; the lattice is never held.  Raises
+    ConfigError if the lattice would not fit in MEMORY_BUDGET, then
+    SingularityError for the first label within eps of the decagon
+    boundary, then for the first within eps of the inner decagon boundary.
     """
     M = int(radius)
-    blocks, n_points = [], 0
-    for cand, status, pts in _scan_3d(M, shift, Q, basis, eps):
-        _raise_singular(cand, status, "the decagon boundary", shift, M)
-        n_points += int(np.count_nonzero(status == 1))
-        inner = Q.inner.classify(pts, eps)
-        near = inner != 0
-        blocks.append((cand[near], inner[near]))
-    return *_accepted(blocks, "the inner decagon boundary", shift, M), n_points
+    reps, n_points = tip_columns(M, shift, Q, basis, eps)
+    row, n = _expand(-M - reps.min(axis=1), M - reps.max(axis=1))
+    tips = reps[row] + n[:, None]
+    keys = label_keys(tips, M)
+    order = np.argsort(keys)
+    return tips[order], keys[order], n_points
 
 
 #: largest box half-width whose label keys fit in int64, (2R+1)^5 < 2^63

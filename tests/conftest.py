@@ -1,6 +1,7 @@
 import pytest
 
 import quasiproj as qp
+from quasiproj.geometry import DEFAULT_EPS
 
 
 @pytest.fixture(scope="session")
@@ -30,5 +31,25 @@ def windows_for(P):
         if key not in _window_cache:
             _window_cache[key] = qp.build_windows(P, float(c))
         return _window_cache[key]
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def lattice_for(Q, basis):
+    """Shared oracle lattices, helpers.build_lattice3 cached per (radius,
+    shift, eps) and read-only, so that each is built once per session."""
+    from helpers import build_lattice3
+
+    cache = {}
+
+    def build(radius, shift, eps=DEFAULT_EPS):
+        key = (int(radius), tuple(shift.gamma.tolist()), shift.c, float(eps))
+        if key not in cache:
+            lat = build_lattice3(radius, shift, Q, basis, eps)
+            for arr in (lat.labels, lat.points, lat.keys, lat.test_points):
+                arr.setflags(write=False)
+            cache[key] = lat
+        return cache[key]
 
     return build

@@ -11,6 +11,7 @@ reference writers are the tuple-based SVG and dict-based OBJ serialisers
 the array writers replaced.
 """
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,12 @@ from quasiproj.io import fmt
 from quasiproj.lattice3d import (_CLASS_OF_CODE, _CLASSES, ANALYTIC_CLASS_FREQUENCIES,
                                  OVERLAP_OFFSETS, OverlapCensus, _check_cells,
                                  overlap_signatures)
-from quasiproj.window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES,
-                              _accepted, _scan_3d, enumerate_accepted_2d,
-                              label_extent, label_keys, label_rows, step_rows)
+from quasiproj import window
+from quasiproj.window import (_SCAN_SLACK, CUBE_VERTICES, HULL_INDICES,
+                              INTERIOR_INDICES, _accepted, _check_budget, _expand,
+                              _integer_span, _scan, d_test_points,
+                              enumerate_accepted_2d, label_extent, label_keys,
+                              label_rows, step_rows)
 
 
 def mesh_margin_2d(k, shift, basis) -> float:
@@ -88,23 +92,48 @@ def interior_atoms_sweep(tips, lat, P, eps=1e-9):
     """Brute-force interior atoms: sweep the four lattice layers above each tip.
 
     A lattice point is an interior atom when its 3-d point lies strictly
-    inside the polytope translated to the tip.  Returns one (4, 5) label
-    array per tip, in label order; no lookup tables are involved.
+    inside the polytope translated to the tip.  Each tip tests every point
+    of those layers whose x lies within the polytope's x extent of its own,
+    found by bisection of the points sorted by layer, then by x.  Returns
+    one (4, 5) label array per tip, in label order; no lookup tables are
+    involved.
     """
     z = lat.labels.sum(axis=1)
-    layers = {int(v): np.flatnonzero(z == v) for v in np.unique(z)}
-    tip_rows = {tuple(int(x) for x in row): i for i, row in enumerate(lat.labels)}
+    x = lat.points[:, 0]
+    # layer first, then x: |x| stays far below the 1e4 spacing of the layers
+    by_x = np.lexsort((x, z))
+    layer_x = z[by_x] * 1e4 + x[by_x]
+    tip_rows = {row: i for i, row in enumerate(map(tuple, lat.labels.tolist()))}
+    tips = np.asarray(tips)
+    tip_points = lat.points[[tip_rows[t] for t in map(tuple, tips.tolist())]]
+    above = (tips.sum(axis=1) + np.arange(1, 5)[:, None]) * 1e4 + tip_points[:, 0]
+    slack = 1e-6  # wider than the float error of the combined key
+    lo = np.searchsorted(layer_x, above + P.vertices[:, 0].min() - slack)
+    hi = np.searchsorted(layer_x, above + P.vertices[:, 0].max() + slack)
     out = []
-    for tip in tips:
-        tip_point = lat.points[tip_rows[tuple(int(x) for x in tip)]]
-        found = []
-        for dz in range(1, 5):
-            rows = layers.get(int(tip.sum()) + dz, np.empty(0, dtype=np.int64))
-            rel = lat.points[rows] - tip_point
-            inside = np.max(rel @ P.face_normals.T - P.face_offsets, axis=1) < -eps
-            found.extend(rows[inside].tolist())
-        out.append(lat.labels[sorted(found)])
+    for i, tip_point in enumerate(tip_points):
+        rows = np.concatenate([by_x[a:b] for a, b in zip(lo[:, i], hi[:, i])])
+        rel = lat.points[rows] - tip_point
+        inside = np.max(rel @ P.face_normals.T - P.face_offsets, axis=1) < -eps
+        out.append(lat.labels[np.sort(rows[inside])])
     return out
+
+
+def benchmark_gamma(c, seed):
+    """The shift the benchmark draws: gamma_1..4 uniform, gamma_0 fixing the sum."""
+    rng = random.Random(seed)
+    tail = [rng.random() for _ in range(4)]
+    return [c - sum(tail)] + tail
+
+
+def moved_shift(shift, gen, k, target):
+    """shift with its sum kept and label k's test point moved onto target.
+
+    gen is the (5, 2) generator block of the test point (W[:, :2] or D);
+    both blocks have orthogonal columns of squared length 5/2 that sum to 0.
+    """
+    delta = gen @ (np.asarray(k, dtype=float) @ gen - shift.gamma @ gen - target) / 2.5
+    return window.GridShift(gamma=shift.gamma + delta, c=shift.c)
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +141,43 @@ def interior_atoms_sweep(tips, lat, P, eps=1e-9):
 # assembled by lookup of lattice rows
 # ---------------------------------------------------------------------------
 
+def scan_3d(radius, shift, Q, basis, eps):
+    """The decagon scan of the box label by label, as (candidates, decagon
+    status, test points) blocks of one k0 layer each, in key order.
+
+    Fix (k0, k1, k2) and scan-convert (k3, k4).  Each label is tested on its
+    own test point, with no use of the z-periodicity that enumerate_tips
+    rests on.  Raises ConfigError, before the first block, if the lattice
+    would not fit in MEMORY_BUDGET.
+    """
+    M = int(radius)
+    d = basis.D
+    _check_budget(M, (2 * M + 1) ** 3, [Q.window], d[3], d[4])
+    k = np.arange(-M, M + 1, dtype=np.int64)
+    k12 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
+    base = k12 @ d[1:3] - shift.gamma @ d
+    # k0 ascends over the blocks, and (k1, k2), k3, k4 within each, so the
+    # candidates come out in key order
+    for k0 in range(-M, M + 1):
+        row, k3, v_lo, v_hi = _scan(base + k0 * d[0], d[3], d[4], Q.window,
+                                    eps + _SCAN_SLACK, M)
+        sub, k4 = _expand(*_integer_span(v_lo, v_hi, -M, M))
+        cand = np.column_stack([np.full(len(sub), k0), k12[row[sub]], k3[sub], k4])
+        # through the module, so that a test can record what it tests
+        status = window.accept_3d_bulk(cand, shift, Q, basis, eps)
+        yield cand, status, d_test_points(cand, shift, basis)
+
+
 def enumerate_accepted_3d(radius, shift, Q, basis=None, eps=DEFAULT_EPS):
     """All 3-d accepted labels in the box [-radius, radius]^5, in key order.
 
     Returns (labels (N,5) int64, 3-d points (N,3), keys (N,) int64, plane
-    test points (N,2)), from the decagon scan that enumerate_tips filters.
-    Raises SingularityError for a label within eps of the decagon boundary.
+    test points (N,2)), from the per-label decagon scan.  Raises
+    SingularityError for a label within eps of the decagon boundary.
     """
     basis = basis or make_basis()
     M = int(radius)
-    labels, keys, pts = _accepted(list(_scan_3d(M, shift, Q, basis, eps)),
+    labels, keys, pts = _accepted(list(scan_3d(M, shift, Q, basis, eps)),
                                   "the decagon boundary", shift, M)
     return labels, labels.astype(float) @ basis.W, keys, pts
 
@@ -250,8 +306,10 @@ def overlap_signature_loop(tip, tip_set, table):
     """(neighbors, K, J) of one tip by probing every table offset in a Python set."""
     neighbors = k_shares = j_shares = 0
     for m, (volume, faces) in table.items():
+        if volume <= VOLUME_FLOOR:
+            continue
         other = tuple(int(a) + b for a, b in zip(tip, m))
-        if other in tip_set and volume > VOLUME_FLOOR:
+        if other in tip_set:
             neighbors += 1
             k_shares += faces == 12
             j_shares += faces == 6

@@ -18,7 +18,7 @@ from quasiproj.tiling2d import (CENSUS, analytic_A, analytic_probability,
                                 census_support, empirical_frequencies)
 from quasiproj.window import accept_3d_bulk, enumerate_accepted_2d, random_shift
 
-from helpers import VOLUME_FLOOR, build_lattice3, find_tips, overlap_table
+from helpers import VOLUME_FLOOR, find_tips, overlap_table
 
 PHI = qp.PHI
 PINV2 = PHI ** -2
@@ -35,14 +35,6 @@ def _freq_report(basis, windows_for, c, radius=67, seed=7):
     if key not in _cache:
         shift = random_shift(c, seed)
         _cache[key] = empirical_frequencies(radius, shift, windows_for(c), basis)
-    return _cache[key]
-
-
-def _lattice(Q, basis, c, seed, radius):
-    key = ("lat", round(c, 12), seed, radius)
-    if key not in _cache:
-        shift = random_shift(c, seed)
-        _cache[key] = (shift, build_lattice3(radius, shift, Q, basis))
     return _cache[key]
 
 
@@ -157,22 +149,20 @@ def test_criterion_5_census_structure(basis, windows_for):
     _report(5, elapsed, "I=2 census: 8 (low c) / 5 (at p^-2) / 6 (high c) types")
 
 
-def test_criterion_6_cell_census(P, Q, basis):
+def test_criterion_6_cell_census(P, Q, basis, lattice_for):
     t0 = time.perf_counter()
-    shift, lat = _lattice(Q, basis, 0.5, 11, 10)
+    shift = random_shift(0.5, 11)
+    lat = lattice_for(10, shift)
     tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     assert len(inner) >= 1000
     violations = 0
     # raises unless 22 + 4 atoms per tip
     hull_atoms, interior_atoms = build_cells(inner, shift, Q, basis, 1e-9)
-    for tip, hull, interior in zip(inner, hull_atoms, interior_atoms):
-        for m in range(5):
-            for s in (1, -1):
-                nb = tip.copy()
-                nb[m] += s
-                if lat.rows(nb) < 0:
-                    violations += 1
+    # the ten neighbours k +- e_m of every tip, in one lookup
+    steps = np.vstack([np.eye(5, dtype=np.int64), -np.eye(5, dtype=np.int64)])
+    violations += int(np.count_nonzero(lat.rows(inner[:, None, :] + steps) < 0))
+    for hull, interior in zip(hull_atoms, interior_atoms):
         if len(hull) + len(interior) != 26:
             violations += 1
     elapsed = time.perf_counter() - t0
@@ -209,19 +199,18 @@ def test_criterion_7_overlap_classes(P, Q, basis):
     _report(7, elapsed, f"{n} tips over c=0.2/0.7, all five classes within 0.01")
 
 
-def test_criterion_8_z_periodicity(Q, basis):
+def test_criterion_8_z_periodicity(Q, basis, lattice_for):
     t0 = time.perf_counter()
-    shift, lat = _lattice(Q, basis, 0.5, 11, 10)
+    shift = random_shift(0.5, 11)
+    lat = lattice_for(10, shift)
     inner = lat.labels[np.abs(lat.labels).max(axis=1) <= lat.radius - 1]
     ones = np.ones(5, dtype=np.int64)
-    violations = 0
     up = inner + ones
-    for k, i, status in zip(up, lat.rows(inner), accept_3d_bulk(up, shift, Q, basis)):
-        if status != 1:
-            violations += 1
-            continue
-        if not np.allclose(k.astype(float) @ basis.W, lat.points[i] + [0, 0, 5], atol=1e-9):
-            violations += 1
+    accepted = accept_3d_bulk(up, shift, Q, basis) == 1
+    # np.allclose of each accepted row's two points
+    moved = np.all(np.isclose(up.astype(float) @ basis.W,
+                              lat.points[lat.rows(inner)] + [0, 0, 5], atol=1e-9), axis=1)
+    violations = int(np.count_nonzero(~accepted | ~moved))
     elapsed = time.perf_counter() - t0
     assert violations == 0
     _report(8, elapsed, f"{len(inner)} interior points translate by (0,0,5)")

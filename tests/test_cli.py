@@ -312,6 +312,22 @@ def test_a_preset_blas_thread_count_is_kept(tmp_path):
                              "MKL_NUM_THREADS": None}
 
 
+_RUN_AND_LIST_MODULES = """
+import json, sys
+from quasiproj.cli import run
+codes = [run([mode, "--radius", "8", "--out", f"{sys.argv[1]}/{mode}"])
+         for mode in ("freq", "overlap-census")]
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_qc_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma on its first call, which is about half the
+    # time of a small run
+    report = _fresh_python(_RUN_AND_LIST_MODULES, tmp_path)
+    assert report == {"codes": [0, 0], "numpy.ma": False}
+
+
 def test_importing_the_package_loads_no_numpy():
     report = _fresh_python(
         "import json, os, sys\n"

@@ -13,7 +13,7 @@ from quasiproj.lattice3d import OverlapCensus, build_cells
 from quasiproj.tiling2d import FrequencyReport, FrequencyRow
 from quasiproj.window import random_shift
 
-from helpers import build_lattice3, cells_obj_reference, find_tips, tiling_svg_reference
+from helpers import cells_obj_reference, find_tips, tiling_svg_reference
 
 
 def test_runconfig_json_roundtrip():
@@ -104,10 +104,10 @@ def test_svg_matches_reference_writer(c, basis, windows_for):
 
 
 @pytest.mark.parametrize("c,seed", [(0.4, 3), (0.7, 5)])
-def test_cells_obj_matches_reference_writer(c, seed, P, Q, basis):
+def test_cells_obj_matches_reference_writer(c, seed, P, Q, basis, lattice_for):
     shift = random_shift(c, seed)
     for radius in (8, 10):
-        lat = build_lattice3(radius, shift, Q, basis)
+        lat = lattice_for(radius, shift)
         tips = find_tips(lat, Q)
         inner = tips[np.abs(tips).max(axis=1) <= radius - 3]
         assert len(inner) > 0
@@ -156,9 +156,9 @@ def test_window_document_structure(P, Q, windows_for):
     assert write_json(doc) == write_json(json.loads(write_json(doc)))
 
 
-def test_cells_obj_dedupes_shared_vertices(P, Q, basis):
+def test_cells_obj_dedupes_shared_vertices(P, Q, basis, lattice_for):
     shift = random_shift(0.5, 11)
-    lat = build_lattice3(8, shift, Q, basis)
+    lat = lattice_for(8, shift)
     tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= 5]
     # find two tips one z-period apart: their cells share the touching tip

@@ -13,18 +13,19 @@ from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, accept_3d_bulk,
                               d_test_points, enumerate_tips, label_extent, label_keys,
                               label_rows, normalize_shift, random_shift)
 
-from helpers import (VOLUME_FLOOR, build_lattice3, convex_intersection,
-                     enumerate_accepted_3d, fan_triangles, find_tips,
-                     interior_atoms_sweep, lattice_cells, overlap_census_lattice,
-                     overlap_signature_loop, overlap_table, shared_atom_count)
+from helpers import (VOLUME_FLOOR, benchmark_gamma, build_lattice3,
+                     convex_intersection, enumerate_accepted_3d, fan_triangles,
+                     find_tips, interior_atoms_sweep, lattice_cells, moved_shift,
+                     overlap_census_lattice, overlap_signature_loop, overlap_table,
+                     scan_3d, shared_atom_count)
 
 PHI = qp.PHI
 
 
 @pytest.fixture(scope="module")
-def lat_env(basis, Q):
+def lat_env(Q, lattice_for):
     shift = random_shift(0.5, 11)
-    lat = build_lattice3(10, shift, Q, basis)
+    lat = lattice_for(10, shift)
     tips = find_tips(lat, Q)
     return shift, lat, tips
 
@@ -43,20 +44,20 @@ def test_lattice_contains_z_translates(lat_env):
         assert lat.rows(inner[i] + ones) >= 0
 
 
-def test_lattice_contains_origin_for_example_shift(Q, basis):
+def test_lattice_contains_origin_for_example_shift(lattice_for):
     shift = normalize_shift([0.13, 0.07, 0.11, 0.05, 0.09])
-    lat = build_lattice3(2, shift, Q, basis)
+    lat = lattice_for(2, shift)
     assert lat.rows(np.zeros(5, dtype=np.int64)) >= 0
     i = int(lat.rows(np.zeros(5, dtype=np.int64)))
     assert np.allclose(lat.points[i], [0, 0, 0])
 
 
-def test_point_density_converges(Q, basis):
+def test_point_density_converges(lattice_for):
     # count lattice points inside growing cubes that the label box fully
     # covers; the density tends to area(Q) / det of the projection map
     shift = random_shift(0.4, 19)
     R = 12
-    lat = build_lattice3(R, shift, Q, basis)
+    lat = lattice_for(R, shift)
     area_q = 5.0 * PHI ** 2 * np.sin(np.pi / 5)   # decagon of circumradius p
     expected = area_q / (25 * np.sqrt(5) / 4)     # / |det (D^T; W^T)|
     errors = []
@@ -196,9 +197,10 @@ def test_interior_offsets_are_the_interior_cube_vertices(P, basis):
 
 
 @pytest.mark.parametrize("c,seed", [(0.5, 11), (0.2, 3)])
-def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, basis, oracle_table):
+def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, basis, oracle_table,
+                                                  lattice_for):
     shift = random_shift(c, seed)
-    lat = build_lattice3(10, shift, Q, basis)
+    lat = lattice_for(10, shift)
     tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     assert len(inner) > 1000
@@ -262,10 +264,10 @@ def test_build_cells_names_the_singular_atom(Q, basis):
 
 @pytest.mark.parametrize("radius", [8, 12])
 @pytest.mark.parametrize("c", [0.05, 0.2, PHI ** -2, 0.5, 0.9])
-def test_build_cells_matches_the_lattice_lookup(c, radius, Q, basis):
+def test_build_cells_matches_the_lattice_lookup(c, radius, Q, basis, lattice_for):
     # atom for atom: the hull in P.vertices order, the interior in label order
     shift = random_shift(c, 5)
-    lat = build_lattice3(radius, shift, Q, basis)
+    lat = lattice_for(radius, shift)
     tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= radius - 3]
     assert len(inner) > 0
@@ -362,9 +364,9 @@ def test_shared_atom_count_symmetric(lat_env, oracle_table):
     assert pairs >= 12
 
 
-def test_z_periodicity_of_accepted_points(Q, basis):
+def test_z_periodicity_of_accepted_points(Q, basis, lattice_for):
     shift = random_shift(0.7, 31)
-    lat = build_lattice3(6, shift, Q, basis)
+    lat = lattice_for(6, shift)
     ones = np.ones(5, dtype=np.int64)
     inner = lat.labels[np.abs(lat.labels).max(axis=1) <= 5]
     up = inner + ones
@@ -383,10 +385,10 @@ def test_analytic_class_frequencies_normalized():
     assert r["A8"] / r["A1"] == pytest.approx((PHI ** -2 + PHI ** -4) / 2, abs=1e-12)
 
 
-def test_find_tips_reads_the_acceptance_test_points(Q, basis):
+def test_find_tips_reads_the_acceptance_test_points(Q, basis, lattice_for):
     for c, seed in ((0.0, 1), (0.2, 3), (0.7, 5)):
         shift = random_shift(c, seed)
-        lat = build_lattice3(8, shift, Q, basis)
+        lat = lattice_for(8, shift)
         recomputed = d_test_points(lat.labels, shift, basis)
         assert np.array_equal(lat.test_points, recomputed)
         status = points_in_convex_polygon(recomputed, Q.inner.normals,
@@ -394,16 +396,25 @@ def test_find_tips_reads_the_acceptance_test_points(Q, basis):
         assert np.array_equal(find_tips(lat, Q), lat.labels[status == 1])
 
 
-def test_overlap_violation_names_the_first_offending_tip(Q, basis, monkeypatch):
+def test_overlap_violation_names_the_first_offending_tip(Q, basis, monkeypatch,
+                                                        lattice_for):
     shift = random_shift(0.3, 4)
-    lat = build_lattice3(10, shift, Q, basis)
+    lat = lattice_for(10, shift)
     tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= 7]
     original = qp.lattice3d.overlap_signatures
+    # both tips lie in the first k0 layer of the boundary-complete tips, so
+    # no other tip of their columns comes before inner[2] in key order
+    assert inner[2][0] == inner[5][0] == -7
 
-    def doctored(*args):
-        sigs = original(*args)
-        sigs[[2, 5]] = [(3, 0, 3), (7, 3, 4)]
+    def doctored(reps, *args):
+        # the census classifies tip columns, by their representatives
+        # k - k4 (1,1,1,1,1): doctor the columns of inner[2] and inner[5]
+        sigs = original(reps, *args)
+        for tip, sig in ((inner[2], (3, 0, 3)), (inner[5], (7, 3, 4))):
+            row = np.all(reps == tip - tip[4], axis=1)
+            assert row.sum() == 1
+            sigs[row] = sig
         return sigs
 
     monkeypatch.setattr(qp.lattice3d, "overlap_signatures", doctored)
@@ -433,11 +444,11 @@ def test_the_edge_orbit_spans_the_inner_decagon(Q, basis):
 
 @pytest.mark.parametrize("radius", [8, 12])
 @pytest.mark.parametrize("c", [0.05, 0.2, PHI ** -2, 0.5, 0.9])
-def test_overlap_census_matches_the_lattice_route(c, radius, Q, basis):
+def test_overlap_census_matches_the_lattice_route(c, radius, Q, basis, lattice_for):
     # the tips the scan keeps are the lattice's tips, and the census over
     # them is the lattice-route census, shared atoms included
     shift = random_shift(c, 5)
-    lat = build_lattice3(radius, shift, Q, basis)
+    lat = lattice_for(radius, shift)
     tips, keys, n_points = enumerate_tips(radius, shift, Q, basis)
     assert np.array_equal(tips, find_tips(lat, Q))
     assert n_points == len(lat.labels)
@@ -511,3 +522,72 @@ def test_tip_scan_raises_on_the_inner_decagon_boundary_alone(Q, basis):
                            match=r"label \(-1, -1, 1, -1, 1\) \w+ within eps of the "
                                  r"inner decagon boundary"):
             run()
+
+
+# ---------------------------------------------------------------------------
+# the column scan against the per-label scan
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 8, 12])
+@pytest.mark.parametrize("c", [0.0, 0.05, 0.2, PHI ** -2, 0.5, 0.9])
+def test_tips_by_column_are_the_tips_of_the_per_label_scan(c, radius, Q, basis,
+                                                           lattice_for):
+    for seed in (5, 6):
+        shift = random_shift(c, seed)
+        lat = lattice_for(radius, shift)
+        tips, keys, n_points = enumerate_tips(radius, shift, Q, basis)
+        assert np.array_equal(tips, find_tips(lat, Q)), seed
+        assert np.array_equal(keys, label_keys(tips, radius)), seed
+        assert n_points == len(lat.labels), seed
+
+
+def test_tips_by_column_at_the_benchmark_box(Q, basis, lattice_for):
+    shift = normalize_shift(benchmark_gamma(0.2, 0))
+    lat = lattice_for(20, shift)
+    tips, keys, n_points = enumerate_tips(20, shift, Q, basis)
+    assert np.array_equal(tips, find_tips(lat, Q))
+    assert np.array_equal(keys, label_keys(tips, 20))
+    assert n_points == len(lat.labels) == 351437
+
+
+@pytest.mark.parametrize("shift,radius", [
+    (random_shift(0.2, 5), 8),
+    (random_shift(0.9, 6), 12),
+    (normalize_shift(benchmark_gamma(0.2, 0)), 20),
+])
+def test_the_members_of_a_column_share_one_decision(shift, radius, Q, basis):
+    # k and k + n (1,1,1,1,1) have one test point, since sum_j d_j = 0: every
+    # label the per-label scan tests agrees with its column's representative
+    # k - k4 (1,1,1,1,1) to 1e-12, in its decagon and inner-decagon status,
+    # and the scan tests every member in the box of each column it meets
+    # (the labels it does not test are outside the decagon by more than eps)
+    blocks = list(scan_3d(radius, shift, Q, basis, 1e-9))
+    labels = np.vstack([b[0] for b in blocks])
+    status = np.concatenate([b[1] for b in blocks])
+    pts = np.vstack([b[2] for b in blocks])
+    reps = labels - labels[:, 4:]
+    at_rep = d_test_points(reps, shift, basis)
+    assert np.max(np.abs(pts - at_rep)) < 1e-12
+    assert np.array_equal(status, Q.window.classify(at_rep, 1e-9))
+    assert np.array_equal(Q.inner.classify(pts, 1e-9), Q.inner.classify(at_rep, 1e-9))
+    assert np.count_nonzero(status == 1) > 1000
+    _, column, members = np.unique(label_keys(reps, 2 * radius), return_inverse=True,
+                                   return_counts=True)
+    spread = reps.max(axis=1) - reps.min(axis=1)
+    assert np.array_equal(members[column], 2 * radius + 1 - spread)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_tip_scan_names_a_label_just_outside_a_decagon_edge(eps, Q, basis):
+    # the whole column of k is singular; the first label of the first
+    # singular column is the first singular label of the per-label scan
+    for edge in (0, 3, 7):
+        k = np.array([1, -1, 2, 0, -2])
+        mid = (Q.window.polygon[edge] + Q.window.polygon[(edge + 1) % 10]) / 2
+        target = mid + 0.9 * eps * Q.window.normals[edge]
+        shift = moved_shift(random_shift(0.3, 5), basis.D, k, target)
+        with pytest.raises(SingularityError) as expected:
+            enumerate_accepted_3d(4, shift, Q, basis, eps)
+        with pytest.raises(SingularityError, match="the decagon boundary") as got:
+            enumerate_tips(4, shift, Q, basis, eps)
+        assert _named_label(got.value) == _named_label(expected.value)

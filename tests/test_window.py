@@ -1,5 +1,3 @@
-import random
-
 import numpy as np
 import pytest
 
@@ -15,10 +13,10 @@ from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               normalize_shift, random_shift, slice_window,
                               step_rows)
 
-from helpers import (build_lattice3, enumerate_accepted_3d, fan_triangles,
-                     find_tips, lambda_box_candidates_2d, lambda_box_candidates_3d,
-                     mesh_margin_2d, mesh_margin_3d, mesh_solution_2d,
-                     polygon_area)
+from helpers import (benchmark_gamma, build_lattice3, enumerate_accepted_3d,
+                     fan_triangles, find_tips, lambda_box_candidates_2d,
+                     lambda_box_candidates_3d, mesh_margin_2d, mesh_margin_3d,
+                     mesh_solution_2d, moved_shift, polygon_area)
 
 P_GOLD = qp.PHI
 
@@ -441,16 +439,6 @@ def test_enumeration_tests_at_most_twice_what_it_accepts(Q, basis, windows_for,
         assert sum(len(t) for t, _ in tested3) <= 2 * len(labels)
 
 
-def _moved_shift(shift, gen, k, target):
-    """shift with its sum kept and label k's test point moved onto target.
-
-    gen is the (5, 2) generator block of the test point (W[:, :2] or D);
-    both blocks have orthogonal columns of squared length 5/2 that sum to 0.
-    """
-    delta = gen @ (np.asarray(k, dtype=float) @ gen - shift.gamma @ gen - target) / 2.5
-    return qp.GridShift(gamma=shift.gamma + delta, c=shift.c)
-
-
 def _assert_singular(enumerate_call, tested, k):
     with pytest.raises(qp.errors.SingularityError) as info:
         enumerate_call()
@@ -471,7 +459,7 @@ def test_enumerate_2d_raises_just_outside_a_window_edge(eps, P, basis, monkeypat
         edge = index % len(win.polygon)
         mid = (win.polygon[edge] + win.polygon[(edge + 1) % len(win.polygon)]) / 2
         target = mid + 0.9 * eps * win.normals[edge]
-        shift = _moved_shift(random_shift(0.5, 11), basis.W[:, :2], k, target)
+        shift = moved_shift(random_shift(0.5, 11), basis.W[:, :2], k, target)
         tested.clear()
         _assert_singular(lambda: enumerate_accepted_2d(5, shift, ws, basis), tested, k)
 
@@ -483,7 +471,7 @@ def test_enumerate_3d_raises_just_outside_a_decagon_edge(eps, Q, basis, monkeypa
         k = np.array([1, -1, 2, 0, -2])
         mid = (Q.window.polygon[edge] + Q.window.polygon[(edge + 1) % 10]) / 2
         target = mid + 0.9 * eps * Q.window.normals[edge]
-        shift = _moved_shift(random_shift(0.3, 5), basis.D, k, target)
+        shift = moved_shift(random_shift(0.3, 5), basis.D, k, target)
         tested.clear()
         _assert_singular(lambda: enumerate_accepted_3d(4, shift, Q, basis, eps),
                          tested, k)
@@ -496,7 +484,7 @@ def test_enumerate_2d_raises_at_the_c0_index5_point_window(P, basis, monkeypatch
     tested = _record(monkeypatch, "accept_2d_bulk")
     generic = qp.GridShift(gamma=basis.D @ np.array([0.31, -0.17]), c=0.0)
     k = np.array([3, -1, 2, 0, 1])
-    shift = _moved_shift(generic, basis.W[:, :2], k, np.array([0.6e-9, -0.3e-9]))
+    shift = moved_shift(generic, basis.W[:, :2], k, np.array([0.6e-9, -0.3e-9]))
     _assert_singular(lambda: enumerate_accepted_2d(4, shift, ws, basis), tested, k)
 
 
@@ -557,13 +545,6 @@ def test_label_axis_chains_equal_the_axis_reductions():
         assert np.array_equal(label_extent(labels), np.abs(labels).max(axis=-1, initial=0))
 
 
-def _benchmark_gamma(c, seed):
-    """The shift the benchmark draws: gamma_1..4 uniform, gamma_0 fixing the sum."""
-    rng = random.Random(seed)
-    tail = [rng.random() for _ in range(4)]
-    return [c - sum(tail)] + tail
-
-
 def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, Q, basis, monkeypatch):
     # every point set the acceptance tests see in `qc freq --c 0.5 --radius 80`
     # and `qc overlap-census --c 0.2 --radius 20` at the benchmark's seed 0
@@ -575,9 +556,9 @@ def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, Q, basis, monkey
         return original(pts, normals, offsets)
 
     monkeypatch.setattr(geometry, "max_edge_distance", recorded)
-    shift = normalize_shift(_benchmark_gamma(0.5, 0))
+    shift = normalize_shift(benchmark_gamma(0.5, 0))
     enumerate_accepted_2d(80, shift, qp.build_windows(P, shift.c), basis)
-    shift = normalize_shift(_benchmark_gamma(0.2, 0))
+    shift = normalize_shift(benchmark_gamma(0.2, 0))
     find_tips(build_lattice3(20, shift, Q, basis), Q)
     assert sum(len(pts) for pts, _, _ in seen) == 161833 + 2 * 351437
     for pts, normals, offsets in seen:
