@@ -13,10 +13,13 @@ Both the cells and the classes are properties of the tips, so nothing here
 holds the lattice.  Since sum_j d_j = 0, the labels k + n (1,1,1,1,1) of a
 column share one test point and so one decision; the decagon scan tests each
 column once, keeps only the tip columns, and still raises for a singular
-label that is not a tip.  The census classifies each tip column once and
-counts it as many times as it has boundary-complete tips.  A cell is its tip
-plus the 32 cube vertices, and build_cells decides each of those atoms by
-the decagon test on its test point.
+label that is not a tip.  A tip's overlap class is fixed by which of the
+test points t + m.D of its 30 overlapping neighbors k + m fall in the inner
+decagon, so it is read off the tip's test point t by point location.  The
+census classifies each tip column once and counts it as many times as it
+has boundary-complete tips.  A cell is its tip plus the 32 cube vertices,
+and build_cells decides each of those atoms by the decagon test on its
+test point.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .errors import (CensusViolationError, ConfigError, ConsistencyError,
                      SingularityError)
 from .geometry import DEFAULT_EPS, PHI, ProjectionBasis, make_basis
 from .window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, DecagonQ,
-                     GridShift, _key_weights, accept_3d_bulk, key_member,
-                     label_keys, tip_columns)
+                     GridShift, accept_3d_bulk, d_test_points, label_keys,
+                     tip_columns)
 
 #: overlap classes keyed by (neighbor count, K count, J count)
 OVERLAP_SIGNATURES = {
@@ -138,28 +141,32 @@ OVERLAP_OFFSETS = {
 OVERLAP_OFFSETS["K"].setflags(write=False)
 OVERLAP_OFFSETS["J"].setflags(write=False)
 
-#: the 20 overlapping offsets that can join two tips: the e0 orbit of K and
-#: the J orbit.  For the e0 - e4 orbit |m.D| is the inner decagon's width
-#: along m.D, so two test points strictly inside it cannot differ by m.D,
-#: and the tip scan raises for any label within eps of its boundary.
-_TIP_OFFSETS = {"K": OVERLAP_OFFSETS["K"][:10], "J": OVERLAP_OFFSETS["J"]}
 
+def overlap_signatures(points: np.ndarray, Q: DecagonQ, basis: ProjectionBasis,
+                       eps: float = DEFAULT_EPS) -> np.ndarray:
+    """(neighbors, K, J) of each tip, from its plane test point t (n, 2).
 
-def overlap_signatures(inner: np.ndarray, tips: np.ndarray, radius: int) -> np.ndarray:
-    """(neighbors, K, J) of each inner tip: its overlapping neighbor cells by shape.
-
-    `tips` must hold every tip within reach of an inner tip, and inner tips
-    must lie two label steps inside the box, so the key of tip + m is the
-    tip's key plus the offset's.  Both must be in key order, as
-    enumerate_tips returns them.
+    The cell of k + m overlaps the tip k's for every m of OVERLAP_OFFSETS,
+    and k + m is a tip when its test point t + m.D lies strictly inside the
+    inner decagon, so the signature is a property of t alone.  Raises
+    SingularityError for a neighbor test point within eps of the inner
+    decagon boundary.
     """
-    tip_keys = label_keys(tips, radius)
-    inner_keys = label_keys(inner, radius)
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
     hits = {}
-    for shape, m in _TIP_OFFSETS.items():
-        # inner tips in key order make each offset's queries one sorted run
-        hits[shape] = sum(key_member(tip_keys, inner_keys + delta)
-                          for delta in m @ _key_weights(radius))
+    for shape, offsets in OVERLAP_OFFSETS.items():
+        hits[shape] = np.zeros(len(points), dtype=np.int64)
+        # one offset at a time keeps the temporaries at the size of points
+        for m in offsets:
+            moved = points + m @ basis.D
+            status = Q.inner.classify(moved, eps)
+            if np.any(status == -1):
+                i = int(np.argmax(status == -1))
+                raise SingularityError(
+                    f"neighbor test point {tuple(moved[i].tolist())} of the tip at "
+                    f"{tuple(points[i].tolist())}, offset {tuple(m.tolist())}, lies "
+                    "within eps of the inner decagon boundary; perturb the shift")
+            hits[shape] += status == 1
     return np.column_stack([hits["K"] + hits["J"], hits["K"], hits["J"]])
 
 
@@ -183,9 +190,9 @@ def overlap_census(radius: int, shift: GridShift, Q: DecagonQ,
     neighboring tips are translates of each other and they have one class.
     So each tip column of tip_columns is classified once, and its class
     counted once per boundary-complete tip: 2 (radius - margin) + 1 - s,
-    s the column's spread.  A tip of representative a has the tip k + m for
-    neighbor when a + m lies in a tip column, that is, among the tip
-    representatives moved by m4 (1,1,1,1,1) with m4 in {-1, 0, 1}.
+    s the column's spread.  The class is read off the column's test point
+    by overlap_signatures, which raises SingularityError for a neighbor
+    test point within eps of the inner decagon boundary.
 
     Also reports the mean number of atoms a cell shares with its
     overlapping neighbors, per class: (15 K + 8 J) / (K + J) from the
@@ -200,12 +207,7 @@ def overlap_census(radius: int, shift: GridShift, Q: DecagonQ,
     if len(inner) == 0:
         raise ConfigError("no boundary-complete tips in the lattice box")
 
-    # representatives lie in [-2R, 2R]^5, and overlap_signatures needs its
-    # queries two label steps inside the box
-    wide = 2 * M + 3
-    moved = (reps + np.arange(-1, 2)[:, None, None]).reshape(-1, 5)
-    moved = moved[np.argsort(label_keys(moved, wide))]
-    sigs = overlap_signatures(inner, moved, wide)
+    sigs = overlap_signatures(d_test_points(inner, shift, basis), Q, basis, eps)
     cls = _CLASS_OF_CODE[11 * sigs[:, 1] + sigs[:, 2]]
     if np.any(cls < 0):
         # the first boundary-complete tip of each offending column

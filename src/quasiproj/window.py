@@ -430,20 +430,15 @@ def _raise_singular(cand: np.ndarray, status: np.ndarray, describe: str,
 
 
 def _accepted(blocks, describe, shift: GridShift, radius: int):
-    """Accepted rows of the (candidates, status, *per-candidate arrays) blocks.
-
-    Returns the accepted labels, their keys and the accepted rows of each
-    per-candidate array, in block order.  Raises SingularityError naming the
-    lexicographically first singular candidate, if there is one.
+    """The accepted labels of the (candidates, status) blocks and their keys,
+    in block order.  Raises SingularityError naming the lexicographically
+    first singular candidate, if there is one.
     """
     cand = np.vstack([b[0] for b in blocks])
     status = np.concatenate([b[1] for b in blocks])
     _raise_singular(cand, status, describe, shift, radius)
-    keep = status == 1
-    labels = cand[keep]
-    extra = [np.concatenate([b[i] for b in blocks])[keep]
-             for i in range(2, len(blocks[0]))]
-    return labels, label_keys(labels, radius), *extra
+    labels = cand[status == 1]
+    return labels, label_keys(labels, radius)
 
 
 #: memory an enumeration may plan for, and what a qc run holds at its peak per

@@ -6,9 +6,10 @@ grid-projection + gamma + lambda = k?) with an LP, bypassing the window
 construction entirely.  The overlap oracle intersects translated copies of
 the polytope numerically, with an LP and Qhull.  The lattice route builds
 the whole 3-d lattice of the box, finds its tips, assembles cells by lookup
-of lattice rows, and counts shared atoms one pair of cells at a time.  The
-reference writers are the tuple-based SVG and dict-based OBJ serialisers
-the array writers replaced.
+of lattice rows, finds overlapping neighbor tips by merging label keys, and
+counts shared atoms one pair of cells at a time.  The reference writers are
+the tuple-based SVG and dict-based OBJ serialisers the array writers
+replaced.
 """
 
 import random
@@ -22,14 +23,13 @@ from quasiproj.errors import CensusViolationError, ConfigError, SingularityError
 from quasiproj.geometry import DEFAULT_EPS, PHI, make_basis
 from quasiproj.io import fmt
 from quasiproj.lattice3d import (_CLASS_OF_CODE, _CLASSES, ANALYTIC_CLASS_FREQUENCIES,
-                                 OVERLAP_OFFSETS, OverlapCensus, _check_cells,
-                                 overlap_signatures)
+                                 OVERLAP_OFFSETS, OverlapCensus, _check_cells)
 from quasiproj import window
 from quasiproj.window import (_SCAN_SLACK, CUBE_VERTICES, HULL_INDICES,
-                              INTERIOR_INDICES, _accepted, _check_budget, _expand,
-                              _integer_span, _scan, d_test_points,
-                              enumerate_accepted_2d, label_extent, label_keys,
-                              label_rows, step_rows)
+                              INTERIOR_INDICES, _check_budget, _expand,
+                              _integer_span, _key_weights, _raise_singular, _scan,
+                              d_test_points, enumerate_accepted_2d, key_member,
+                              label_extent, label_keys, label_rows, step_rows)
 
 
 def mesh_margin_2d(k, shift, basis) -> float:
@@ -177,9 +177,11 @@ def enumerate_accepted_3d(radius, shift, Q, basis=None, eps=DEFAULT_EPS):
     """
     basis = basis or make_basis()
     M = int(radius)
-    labels, keys, pts = _accepted(list(scan_3d(M, shift, Q, basis, eps)),
-                                  "the decagon boundary", shift, M)
-    return labels, labels.astype(float) @ basis.W, keys, pts
+    cand, status, pts = (np.concatenate(arrays)
+                         for arrays in zip(*scan_3d(M, shift, Q, basis, eps)))
+    _raise_singular(cand, status, "the decagon boundary", shift, M)
+    labels = cand[status == 1]
+    return labels, labels.astype(float) @ basis.W, label_keys(labels, M), pts[status == 1]
 
 
 @dataclass(frozen=True)
@@ -320,6 +322,25 @@ def overlap_signature_loop(tip, tip_set, table):
 # the overlap census over the whole lattice, one pair of cells at a time
 # ---------------------------------------------------------------------------
 
+def overlap_signatures_by_keys(inner, tips, radius):
+    """(neighbors, K, J) of each inner tip, by merging label keys: the tips
+    tip + m, m in OVERLAP_OFFSETS, found in the tip set.
+
+    `tips` must hold every tip within reach of an inner tip, and inner tips
+    must lie one label step inside the box, so the key of tip + m is the
+    tip's key plus the offset's.  Both must be in key order, as
+    enumerate_tips returns them.
+    """
+    tip_keys = label_keys(tips, radius)
+    inner_keys = label_keys(inner, radius)
+    hits = {}
+    for shape, m in OVERLAP_OFFSETS.items():
+        # inner tips in key order make each offset's queries one sorted run
+        hits[shape] = sum(key_member(tip_keys, inner_keys + delta)
+                          for delta in m @ _key_weights(radius))
+    return np.column_stack([hits["K"] + hits["J"], hits["K"], hits["J"]])
+
+
 def shared_atom_count(tip_a, tip_b, lat):
     """Number of atoms the two tips' 26-atom cells have in common."""
     _, hull, interior = lattice_cells(np.vstack([tip_a, tip_b]), lat)
@@ -334,7 +355,7 @@ def overlap_census_lattice(lat, shift, Q, eps=1e-9, margin=3, shared_atom_sample
     if len(inner) == 0:
         raise ConfigError("no boundary-complete tips in the lattice box")
 
-    sigs = overlap_signatures(inner, tips, lat.radius)
+    sigs = overlap_signatures_by_keys(inner, tips, lat.radius)
     cls = _CLASS_OF_CODE[11 * sigs[:, 1] + sigs[:, 2]]
     if np.any(cls < 0):
         i = int(np.argmax(cls < 0))

@@ -11,13 +11,14 @@ from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
                                  overlap_signatures)
 from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, accept_3d_bulk,
                               d_test_points, enumerate_tips, label_extent, label_keys,
-                              label_rows, normalize_shift, random_shift)
+                              label_rows, normalize_shift, random_shift, tip_columns)
 
 from helpers import (VOLUME_FLOOR, benchmark_gamma, build_lattice3,
                      convex_intersection, enumerate_accepted_3d, fan_triangles,
                      find_tips, interior_atoms_sweep, lattice_cells, moved_shift,
-                     overlap_census_lattice, overlap_signature_loop, overlap_table,
-                     scan_3d, shared_atom_count)
+                     overlap_census_lattice, overlap_signature_loop,
+                     overlap_signatures_by_keys, overlap_table, scan_3d,
+                     shared_atom_count)
 
 PHI = qp.PHI
 
@@ -208,9 +209,10 @@ def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, basis, oracle_
     for atoms, expected in zip(interior, interior_atoms_sweep(inner, lat, P)):
         assert np.array_equal(atoms, expected)
     tip_set = {tuple(r) for r in tips.tolist()}
-    sigs = overlap_signatures(inner, tips, lat.radius).tolist()
+    sigs = overlap_signatures(d_test_points(inner, shift, basis), Q, basis).tolist()
     assert sigs == [list(overlap_signature_loop(t, tip_set, oracle_table))
                     for t in inner.tolist()]
+    assert sigs == overlap_signatures_by_keys(inner, tips, lat.radius).tolist()
 
 
 def _non_tips(lat, Q):
@@ -323,7 +325,7 @@ def test_classify_overlap_signatures(lat_env, Q, P, basis):
     shift, lat, tips = lat_env
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     seen = set()
-    for sig in overlap_signatures(inner, tips, lat.radius).tolist():
+    for sig in overlap_signatures(d_test_points(inner, shift, basis), Q, basis).tolist():
         assert tuple(sig) in OVERLAP_SIGNATURES
         seen.add(OVERLAP_SIGNATURES[tuple(sig)])
     assert seen == {"A1", "A23", "A46", "A57", "A8"}
@@ -407,12 +409,13 @@ def test_overlap_violation_names_the_first_offending_tip(Q, basis, monkeypatch,
     # no other tip of their columns comes before inner[2] in key order
     assert inner[2][0] == inner[5][0] == -7
 
-    def doctored(reps, *args):
-        # the census classifies tip columns, by their representatives
-        # k - k4 (1,1,1,1,1): doctor the columns of inner[2] and inner[5]
-        sigs = original(reps, *args)
+    def doctored(points, *args):
+        # the census classifies tip columns, by the test point their tips
+        # share: doctor the columns of inner[2] and inner[5]
+        sigs = original(points, *args)
         for tip, sig in ((inner[2], (3, 0, 3)), (inner[5], (7, 3, 4))):
-            row = np.all(reps == tip - tip[4], axis=1)
+            at = d_test_points(tip[None], shift, basis)
+            row = np.all(np.abs(points - at) < 1e-12, axis=1)
             assert row.sum() == 1
             sigs[row] = sig
         return sigs
@@ -591,3 +594,63 @@ def test_tip_scan_names_a_label_just_outside_a_decagon_edge(eps, Q, basis):
         with pytest.raises(SingularityError, match="the decagon boundary") as got:
             enumerate_tips(4, shift, Q, basis, eps)
         assert _named_label(got.value) == _named_label(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# overlap classes by point location
+# ---------------------------------------------------------------------------
+
+def test_overlap_signatures_match_the_key_oracle_at_the_benchmark_box(Q, basis):
+    # every boundary-complete tip column of the census's box (spread at most
+    # 2 (R - margin), R - margin = 17), classified by its test point and by
+    # merging the key of its first boundary-complete tip with the keys of
+    # every tip of the box
+    shift = normalize_shift(benchmark_gamma(0.2, 0))
+    reps, _ = tip_columns(20, shift, Q, basis)
+    tips, _, _ = enumerate_tips(20, shift, Q, basis)
+    inner = reps[reps.max(axis=1) - reps.min(axis=1) <= 2 * 17]
+    assert len(inner) == 2673
+    first = inner - (17 + inner.min(axis=1))[:, None]
+    assert label_extent(first).max() == 17
+    assert np.array_equal(overlap_signatures(d_test_points(inner, shift, basis), Q, basis),
+                          overlap_signatures_by_keys(first, tips, 20))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+@pytest.mark.parametrize("shape", ["K", "J"])
+def test_overlap_signatures_at_the_inner_decagon_boundary(shape, eps, Q, basis,
+                                                         lattice_for):
+    # put the test point of k + m at the midpoint of the inner-decagon edge
+    # whose normal is most aligned with m.D, moved f eps along that normal:
+    # within eps the census raises, and outside it k + m is a tip exactly
+    # when f < 0 and the census is the lattice route's
+    k = np.array([1, 0, -1, 0, 0])
+    m = OVERLAP_OFFSETS[shape][0]
+    step = m @ basis.D
+    edge = int(np.argmax(Q.inner.normals @ step))
+    mid = (Q.inner.polygon[edge] + Q.inner.polygon[(edge + 1) % 10]) / 2
+    for f in (-2, -0.9, 0.9, 2):
+        target = mid + f * eps * Q.inner.normals[edge] - step
+        shift = moved_shift(random_shift(0.3, 5), basis.D, k, target)
+        at_k = d_test_points(k[None], shift, basis)
+        assert Q.inner.classify(at_k, eps)[0] == 1
+        if abs(f) < 1:
+            with pytest.raises(SingularityError, match="the inner decagon boundary"):
+                overlap_signatures(at_k, Q, basis, eps)
+            # the tip scan raises first, for the label the per-label scan names
+            with pytest.raises(SingularityError) as expected:
+                find_tips(build_lattice3(8, shift, Q, basis, eps), Q, eps)
+            with pytest.raises(SingularityError) as got:
+                overlap_census(8, shift, Q, basis, eps)
+            assert _named_label(got.value) == _named_label(expected.value)
+            continue
+        lat = lattice_for(8, shift, eps)
+        tips = find_tips(lat, Q, eps)
+        assert np.all(tips == k + m, axis=1).any() == (f < 0)
+        census = overlap_census(8, shift, Q, basis, eps)
+        oracle = overlap_census_lattice(lat, shift, Q, eps)
+        assert census.n_tips == oracle.n_tips
+        assert census.counts == oracle.counts
+        if shape == "K":
+            expected_sig = [6, 2, 4] if f < 0 else [5, 1, 4]
+            assert overlap_signatures(at_k, Q, basis, eps).tolist() == [expected_sig]

@@ -6,6 +6,7 @@ from quasiproj import geometry
 from quasiproj.errors import (DegenerateWindowError, EmptyWindowError,
                               PolygonError)
 from quasiproj.geometry import max_edge_distance, points_in_convex_polygon
+from quasiproj.lattice3d import overlap_census
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               INTERIOR_INDICES, accept_2d_bulk, accept_3d_bulk,
                               d_test_points, enumerate_accepted_2d, key_member,
@@ -13,10 +14,10 @@ from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               normalize_shift, random_shift, slice_window,
                               step_rows)
 
-from helpers import (benchmark_gamma, build_lattice3, enumerate_accepted_3d,
-                     fan_triangles, find_tips, lambda_box_candidates_2d,
-                     lambda_box_candidates_3d, mesh_margin_2d, mesh_margin_3d,
-                     mesh_solution_2d, moved_shift, polygon_area)
+from helpers import (benchmark_gamma, enumerate_accepted_3d, fan_triangles,
+                     lambda_box_candidates_2d, lambda_box_candidates_3d,
+                     mesh_margin_2d, mesh_margin_3d, mesh_solution_2d, moved_shift,
+                     polygon_area)
 
 P_GOLD = qp.PHI
 
@@ -559,8 +560,11 @@ def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, Q, basis, monkey
     shift = normalize_shift(benchmark_gamma(0.5, 0))
     enumerate_accepted_2d(80, shift, qp.build_windows(P, shift.c), basis)
     shift = normalize_shift(benchmark_gamma(0.2, 0))
-    find_tips(build_lattice3(20, shift, Q, basis), Q)
-    assert sum(len(pts) for pts, _, _ in seen) == 161833 + 2 * 351437
+    overlap_census(20, shift, Q, basis)
+    # the 2-d scan's 161,833 candidates; the census's 25,258 tip-scan columns,
+    # each tested against the decagon and the inner decagon; and the 20 K and
+    # 10 J neighbor points of each of its 2,673 boundary-complete tip columns
+    assert sum(len(pts) for pts, _, _ in seen) == 161833 + 2 * 25258 + 30 * 2673
     for pts, normals, offsets in seen:
         old = np.max(pts @ normals.T - offsets, axis=1)
         assert np.array_equal(max_edge_distance(pts, normals, offsets), old)
