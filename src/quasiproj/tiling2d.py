@@ -15,9 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CensusViolationError, ConfigError
-from .geometry import PHI, ProjectionBasis, make_basis
-from .window import (GridShift, WindowSet, _key_weights, enumerate_accepted_2d,
-                     key_member, label_extent, label_index, label_keys)
+from .geometry import PHI, ProjectionBasis
+from .window import GridShift, WindowSet, _key_weights, accepted_2d_blocks, key_member
 
 _P = PHI
 
@@ -28,27 +27,26 @@ class VertexType(NamedTuple):
     n_neg: int
 
 
-def neighbor_counts(labels: np.ndarray, keys: np.ndarray,
+def neighbor_counts(keys: np.ndarray, above: np.ndarray, below: np.ndarray,
                     radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n_pos, n_neg) of each label: how many of its k + e_m and k - e_m are vertices.
+    """(n_pos, n_neg) of each vertex of index I: how many of its k + e_m and
+    k - e_m are vertices.
 
-    `keys` are the sorted label keys of every accepted label in the box
-    [-radius, radius]^5.  The enumeration behind them has tested every label
-    in the box, so a step that stays in the box is a vertex exactly when its
-    key is present; labels must therefore lie one step inside the box.  They
-    must also be distinct and in key order, as the enumerator returns them,
-    so that each step's queries are one sorted run to merge with the keys.
+    `keys` are the vertices' label keys in the box [-radius, radius]^5, and
+    `above` and `below` the sorted keys of every accepted label of index
+    I + 1 and I - 1.  The enumeration behind them has tested every label in
+    the box, so a step that stays in the box is a vertex exactly when its
+    key is present; the vertices must therefore lie one step inside the box.
+    Their keys must also be distinct and increasing, as the enumerator
+    returns them, so that each step's queries are one sorted run to merge.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if np.any(np.abs(labels) >= radius):
-        raise ValueError(f"labels must lie inside the box [{1 - radius}, {radius - 1}]^5")
-    base = label_keys(labels, radius)
-    if np.any(base[1:] <= base[:-1]):
-        raise ValueError("labels must be distinct and in key order")
+    keys = np.asarray(keys, dtype=np.int64)
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError("keys must be distinct and in key order")
     # key(k + m) - key(k) is m @ _key_weights, here for the steps m = e_j
-    steps = np.eye(5, dtype=np.int64) @ _key_weights(radius)
-    return tuple(sum(key_member(keys, base + sign * step) for step in steps)
-                 for sign in (1, -1))
+    steps = _key_weights(radius)
+    return (sum(key_member(above, keys + step) for step in steps),
+            sum(key_member(below, keys - step) for step in steps))
 
 
 # ---------------------------------------------------------------------------
@@ -242,27 +240,36 @@ def empirical_frequencies(radius: int, shift: GridShift, wset: WindowSet,
     """Classify every boundary-complete vertex in the label box and tally types.
 
     Vertices within `margin` label steps of the box edge are discarded so no
-    neighborhood is truncated.  Raises CensusViolationError if a classified
-    type falls outside the analytic support at this c.
+    neighborhood is truncated.  The vertices of index I are classified one
+    index block at a time, against the accepted keys of indices I +- 1.
+    Raises CensusViolationError, naming the first vertex in label order, if
+    a classified type falls outside the analytic support at this c.
     """
-    basis = basis or make_basis()
-    labels, _, keys = enumerate_accepted_2d(radius, shift, wset, basis)
-    labels = labels[label_extent(labels) <= radius - margin]
-    if len(labels) == 0:
-        raise ConfigError("label box too small: no boundary-complete vertices")
-
-    n_pos, n_neg = neighbor_counts(labels, keys, radius)
-    # type [n, n']_I as the code 36 I + 6 n + n'
-    code = 36 * label_index(labels) + 6 * n_pos + n_neg
-    counts = np.bincount(code, minlength=6 * 36)
-
-    total = len(labels)
+    blocks = accepted_2d_blocks(radius, shift, wset, basis)
     support = [(vt.index, vt.n_pos, vt.n_neg) for vt in census_support(shift.c)]
-    allowed = np.zeros(len(counts), dtype=bool)
+    # type [n, n']_I as the code 36 I + 6 n + n'
+    allowed = np.zeros(6 * 36, dtype=bool)
     allowed[[36 * i + 6 * n + nn for i, n, nn in support]] = True
-    if not np.all(allowed[code]):
-        # the first vertex, in label order, of a type outside the support
-        i, n, nn = map(int, np.unravel_index(code[np.argmin(allowed[code])], (6, 6, 6)))
+    counts = np.zeros(6 * 36, dtype=np.int64)
+    none = np.empty(0, dtype=np.int64)
+    keys = [none] + [block.keys for block in blocks] + [none]
+    outside = []  # (key, code) of the first vertex of each index outside the support
+    for index, block in enumerate(blocks, start=1):
+        inside = np.ones(len(block.keys), dtype=bool)
+        for k in block.columns:
+            inside &= np.abs(k) <= radius - margin
+        vertices = block.keys[inside]
+        n_pos, n_neg = neighbor_counts(vertices, keys[index + 1], keys[index - 1], radius)
+        code = 36 * index + 6 * n_pos + n_neg
+        counts += np.bincount(code, minlength=6 * 36)
+        bad = np.flatnonzero(~allowed[code])
+        if len(bad):
+            outside.append((vertices[bad[0]], code[bad[0]]))
+    total = int(counts.sum())
+    if total == 0:
+        raise ConfigError("label box too small: no boundary-complete vertices")
+    if outside:
+        i, n, nn = map(int, np.unravel_index(min(outside)[1], (6, 6, 6)))
         if (n, nn) not in CENSUS[i]:
             raise CensusViolationError(
                 f"observed type [{n},{nn}]_{i} is outside the census")

@@ -11,6 +11,7 @@ projection falls strictly inside the decagon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -302,37 +303,10 @@ def build_windows(P: PolytopeP, c: float, eps: float = DEFAULT_EPS) -> WindowSet
 # acceptance tests
 # ---------------------------------------------------------------------------
 
-def w_test_points(labels: np.ndarray, shift: GridShift,
-                  basis: ProjectionBasis) -> np.ndarray:
-    """Orthogonal-space xy test points sum_j (k_j - gamma_j) d_{2j} for 2-d acceptance."""
-    return (np.asarray(labels, dtype=float) - shift.gamma) @ basis.W[:, :2]
-
-
 def d_test_points(labels: np.ndarray, shift: GridShift,
                   basis: ProjectionBasis) -> np.ndarray:
     """Plane test points sum_j (k_j - gamma_j) d_j for 3-d acceptance."""
     return (np.asarray(labels, dtype=float) - shift.gamma) @ basis.D
-
-
-def accept_2d_bulk(labels: np.ndarray, shift: GridShift, wset: WindowSet,
-                   basis: ProjectionBasis) -> np.ndarray:
-    """Vectorized 2-d acceptance: +1 accept, 0 reject, -1 singular."""
-    labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
-    idx = label_index(labels)
-    pts = w_test_points(labels, shift, basis)
-    status = np.zeros(len(labels), dtype=np.int8)
-    for index in range(1, 6):
-        m = idx == index
-        if not np.any(m):
-            continue
-        if index == 5 and wset.degenerate_top:
-            r = np.linalg.norm(pts[m], axis=1)
-            sub = np.zeros(int(m.sum()), dtype=np.int8)
-            sub[r <= wset.eps] = -1
-            status[m] = sub
-            continue
-        status[m] = wset.slices[index].classify(pts[m], wset.eps)
-    return status
 
 
 def accept_3d_bulk(labels: np.ndarray, shift: GridShift, Q: DecagonQ,
@@ -349,9 +323,9 @@ def accept_3d_bulk(labels: np.ndarray, shift: GridShift, Q: DecagonQ,
 # them, t0 + u a + v b, and one-to-one, so the labels a window accepts are the
 # integer points of a convex polygon in the (u, v) plane.  Each enumerator
 # scans that polygon, widened by eps plus a float slack so the whole singular
-# band |d| <= eps is inside it, and passes every point it finds to the bulk
-# acceptance test.  Candidates are then accepted labels, rejects within the
-# slack of the window, and singular labels, which raise.
+# band |d| <= eps is inside it, and tests every point it finds against the
+# window.  Candidates are then accepted labels, rejects within the slack of
+# the window, and singular labels, which raise.
 #   2-d:  fix (k0, k1, I) and scan (k2, k3); k4 = I - k0 - k1 - k2 - k3.
 #   3-d:  the labels k + n (1,1,1,1,1) of a column share one test point, so
 #         the scan runs over column representatives a = k - k4 (1,1,1,1,1):
@@ -429,20 +403,8 @@ def _raise_singular(cand: np.ndarray, status: np.ndarray, describe: str,
             f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
 
 
-def _accepted(blocks, describe, shift: GridShift, radius: int):
-    """The accepted labels of the (candidates, status) blocks and their keys,
-    in block order.  Raises SingularityError naming the lexicographically
-    first singular candidate, if there is one.
-    """
-    cand = np.vstack([b[0] for b in blocks])
-    status = np.concatenate([b[1] for b in blocks])
-    _raise_singular(cand, status, describe, shift, radius)
-    labels = cand[status == 1]
-    return labels, label_keys(labels, radius)
-
-
 #: memory an enumeration may plan for, and what a qc run holds at its peak per
-#: accepted label (measured above a ~30 MB start: ~205 B at `qc freq
+#: accepted label (measured above a ~30 MB start: ~130 B at `qc freq
 #: --radius 200`, ~320 B for the whole 3-d lattice at radius 35).  Both 3-d
 #: modes check the lattice's estimate, so they refuse the same radii.
 MEMORY_BUDGET = 4 * 10 ** 9
@@ -467,6 +429,81 @@ def _check_budget(radius: int, rows: int, windows, a: np.ndarray,
             f"above the {MEMORY_BUDGET / 1e9:g} GB budget; use a smaller radius")
 
 
+class IndexBlock(NamedTuple):
+    """The accepted labels of one index I in the box, in key order."""
+
+    columns: tuple     # the label components k_0 .. k_4, five (n,) int64 arrays
+    keys: np.ndarray   # (n,) int64 label_keys of the labels, increasing
+
+
+def accepted_2d_blocks(radius: int, shift: GridShift, wset: WindowSet,
+                       basis: ProjectionBasis | None = None) -> list[IndexBlock]:
+    """The accepted labels of the box [-radius, radius]^5, one block per index
+    I = 1 .. 5, each in key order.
+
+    The scan fixes (k0, k1) and scan-converts (k2, k3), with k4 = I - k0 -
+    k1 - k2 - k3.  Along a scan line both a label's key and its test point
+    are affine in k3, so both are read off the line: the test point is
+    t0 + k2 a + k3 b, which differs from sum_j (k_j - gamma_j) w_j by up to
+    about 5e-14 at radius 80, far inside eps.  Each block is tested
+    against its own window only.
+
+    Raises ConfigError, before anything is allocated, if the box would not
+    fit in MEMORY_BUDGET.  After all five scans, raises SingularityError
+    naming the lexicographically first label, of any index, whose test
+    point lies within eps of its window boundary, the c = 0 index-5 point
+    window included.
+    """
+    basis = basis or make_basis()
+    M = int(radius)
+    w = basis.W[:, :2]
+    a, b = w[2] - w[4], w[3] - w[4]
+    _check_budget(M, (2 * M + 1) ** 2, wset.slices.values(), a, b)
+    k = np.arange(-M, M + 1, dtype=np.int64)
+    k01 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
+    k01_sum = k01.sum(axis=1)
+    weights = _key_weights(M)
+    # the key (k + M) . weights of (k0, k1, k2, k3, k34 - k3) is the key of
+    # its line, (k0, k1, k2, 0, k34), plus k3 (weights[3] - weights[4])
+    row_key = (k01 + M) @ weights[:2] + M * weights[3]
+    t01 = k01 @ (w[:2] - w[4])
+    reach = wset.eps + _SCAN_SLACK
+    blocks, singular = [], []
+    for index in range(1, 6):
+        t0 = t01 + index * w[4] - shift.gamma @ w
+        point = index == 5 and wset.degenerate_top
+        window = _POINT_WINDOW if point else wset.slices[index]
+        row, k2, v_lo, v_hi = _scan(t0, a, b, window, reach, M)
+        k34 = index - k01_sum[row] - k2
+        line, k3 = _expand(*_integer_span(v_lo, v_hi, np.maximum(k34 - M, -M),
+                                          np.minimum(k34 + M, M)))
+        line_key = row_key[row] + (k2 + M) * weights[2] + (k34 + M) * weights[4]
+        keys = line_key[line] + k3 * (weights[3] - weights[4])
+        line_t = t0[row] + k2[:, None] * a
+        # built as x and y rows, which the predicate's (edges, n) product reads fastest
+        pts = np.array([line_t[line, j] + k3 * b[j] for j in range(2)]).T
+        if point:
+            # nothing is accepted, and a test point within eps of 0 is singular
+            status = np.where(np.linalg.norm(pts, axis=1) <= wset.eps, -1, 0)
+        else:
+            status = window.classify(pts, wset.eps)
+
+        def columns(mask):
+            on, k3_on = line[mask], k3[mask]
+            rows = row[on]
+            return (k01[rows, 0], k01[rows, 1], k2[on], k3_on, k34[on] - k3_on)
+
+        bad = status == -1
+        if bad.any():
+            singular.append(np.column_stack(columns(bad)))
+        accepted = status == 1
+        blocks.append(IndexBlock(columns(accepted), keys[accepted]))
+    if singular:
+        bad = np.vstack(singular)
+        _raise_singular(bad, np.full(len(bad), -1), "a window boundary", shift, M)
+    return blocks
+
+
 def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet,
                           basis: ProjectionBasis | None = None
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -479,24 +516,9 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet,
     MEMORY_BUDGET.
     """
     basis = basis or make_basis()
-    M = int(radius)
-    w = basis.W[:, :2]
-    a, b = w[2] - w[4], w[3] - w[4]
-    _check_budget(M, (2 * M + 1) ** 2, wset.slices.values(), a, b)
-    k = np.arange(-M, M + 1, dtype=np.int64)
-    k01 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
-    reach = wset.eps + _SCAN_SLACK
-    blocks = []
-    for index in range(1, 6):
-        t0 = k01 @ (w[:2] - w[4]) + index * w[4] - shift.gamma @ w
-        window = _POINT_WINDOW if index == 5 and wset.degenerate_top else wset.slices[index]
-        row, k2, v_lo, v_hi = _scan(t0, a, b, window, reach, M)
-        k34 = index - k01[row].sum(axis=1) - k2
-        sub, k3 = _expand(*_integer_span(v_lo, v_hi, np.maximum(k34 - M, -M),
-                                         np.minimum(k34 + M, M)))
-        cand = np.column_stack([k01[row[sub]], k2[sub], k3, k34[sub] - k3])
-        blocks.append((cand, accept_2d_bulk(cand, shift, wset, basis)))
-    labels, keys = _accepted(blocks, "a window boundary", shift, M)
+    blocks = accepted_2d_blocks(radius, shift, wset, basis)
+    labels = np.concatenate([np.column_stack(block.columns) for block in blocks])
+    keys = np.concatenate([block.keys for block in blocks])
     # each index block is in key order; a stable sort merges the five runs
     order = np.argsort(keys, kind="stable")
     labels, keys = labels[order], keys[order]

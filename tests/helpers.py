@@ -3,8 +3,11 @@
 The mesh-condition oracles solve the defining linear feasibility problem
 directly (does some point r and some lambda in the open unit 5-cube satisfy
 grid-projection + gamma + lambda = k?) with an LP, bypassing the window
-construction entirely.  The overlap oracle intersects translated copies of
-the polytope numerically, with an LP and Qhull.  The lattice route builds
+construction entirely.  The whole-box 2-d route tests any labels against
+their index windows on test points multiplied out from the labels, and
+counts a vertex's neighbours by key lookup in the whole box's key array.
+The overlap oracle intersects translated copies of the polytope
+numerically, with an LP and Qhull.  The lattice route builds
 the whole 3-d lattice of the box, finds its tips, assembles cells by lookup
 of lattice rows, finds overlapping neighbor tips by merging label keys, and
 counts shared atoms one pair of cells at a time.  The reference writers are
@@ -29,7 +32,8 @@ from quasiproj.window import (_SCAN_SLACK, CUBE_VERTICES, HULL_INDICES,
                               INTERIOR_INDICES, _check_budget, _expand,
                               _integer_span, _key_weights, _raise_singular, _scan,
                               d_test_points, enumerate_accepted_2d, key_member,
-                              label_extent, label_keys, label_rows, step_rows)
+                              label_extent, label_index, label_keys, label_rows,
+                              step_rows)
 
 
 def mesh_margin_2d(k, shift, basis) -> float:
@@ -134,6 +138,53 @@ def moved_shift(shift, gen, k, target):
     """
     delta = gen @ (np.asarray(k, dtype=float) @ gen - shift.gamma @ gen - target) / 2.5
     return window.GridShift(gamma=shift.gamma + delta, c=shift.c)
+
+
+# ---------------------------------------------------------------------------
+# the whole-box 2-d route: acceptance of any labels, and neighbour counts by
+# lookup in the key array of every accepted label in the box
+# ---------------------------------------------------------------------------
+
+def accept_2d_bulk(labels, shift, wset, basis):
+    """Vectorized 2-d acceptance: +1 accept, 0 reject, -1 singular.
+
+    The test point of each label is sum_j (k_j - gamma_j) w_j, multiplied
+    out, and each label is tested against the window of its own index.
+    """
+    labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
+    idx = label_index(labels)
+    pts = (labels.astype(float) - shift.gamma) @ basis.W[:, :2]
+    status = np.zeros(len(labels), dtype=np.int8)
+    for index in range(1, 6):
+        m = idx == index
+        if not np.any(m):
+            continue
+        if index == 5 and wset.degenerate_top:
+            r = np.linalg.norm(pts[m], axis=1)
+            sub = np.zeros(int(m.sum()), dtype=np.int8)
+            sub[r <= wset.eps] = -1
+            status[m] = sub
+            continue
+        status[m] = wset.slices[index].classify(pts[m], wset.eps)
+    return status
+
+
+def neighbor_counts(labels, keys, radius):
+    """(n_pos, n_neg) of each label: how many of its k + e_m and k - e_m are vertices.
+
+    `keys` are the sorted label keys of every accepted label in the box
+    [-radius, radius]^5, and the labels must lie one step inside the box,
+    distinct and in key order.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if np.any(np.abs(labels) >= radius):
+        raise ValueError(f"labels must lie inside the box [{1 - radius}, {radius - 1}]^5")
+    base = label_keys(labels, radius)
+    if np.any(base[1:] <= base[:-1]):
+        raise ValueError("labels must be distinct and in key order")
+    steps = np.eye(5, dtype=np.int64) @ _key_weights(radius)
+    return tuple(sum(key_member(keys, base + sign * step) for step in steps)
+                 for sign in (1, -1))
 
 
 # ---------------------------------------------------------------------------

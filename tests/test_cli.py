@@ -11,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
+import quasiproj as qp
 from quasiproj import cli
 from quasiproj.cli import run
-from quasiproj.errors import QcError
+from quasiproj.errors import QcError, SingularityError
 from quasiproj.io import RunConfig
-from quasiproj.window import random_shift
+from quasiproj.tiling2d import empirical_frequencies
+from quasiproj.window import build_windows, enumerate_accepted_2d, random_shift
 
 
 def test_freq_end_to_end(tmp_path):
@@ -57,6 +59,20 @@ def test_windows_full_document(tmp_path):
 def test_windows_stdout_is_pinned(args, digest, capsys):
     # the acceptance geometry as written at c = 0, p^-2 and 0.5, and one slice
     assert run(["windows", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["--radius", "12"], "5c052d21cdc3bf3cfc9e9fcce64fbaf25238556fb6cc68a807eceb667510258b"),
+    (["--c", "0", "--radius", "10"],
+     "b6770f8ea081b965afba670819da42f3264bd607a5bb0413b99d6ee096f8a118"),
+    (["--c", "0.2360679775", "--radius", "10"],
+     "96ed83f7d75a749f6762ef783805cf3bcd6e29fed0c31b7b0c4f3afedfcafe32"),
+])
+def test_freq_stdout_is_pinned(args, digest, capsys):
+    # the frequency table as written when the vertices were classified
+    # against the whole box's key array, at c = 0.5, at c = 0 and at p^-3
+    assert run(["freq", *args]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
@@ -209,6 +225,24 @@ def test_explicit_singular_gamma_exits_3(caplog):
         assert run(["freq", "--radius", "10", "--tol", "1e-4", f"--gamma={gamma}"]) == 3
     assert "redrawing" not in caplog.text
     assert "lands within eps of a window boundary" in caplog.text
+
+
+def test_freq_names_the_enumerators_singular_label_before_classifying(P, basis,
+                                                                     monkeypatch):
+    # the REDRAW_ARGS draw: the first singular label is found across all
+    # five index blocks before any vertex is classified
+    shift = random_shift(0.5, 8)
+    ws = build_windows(P, shift.c, 1e-4)
+    with pytest.raises(SingularityError) as expected:
+        enumerate_accepted_2d(10, shift, ws, basis)
+
+    def unreachable(*args):
+        raise AssertionError("a vertex was classified before the singular label raised")
+
+    monkeypatch.setattr(qp.tiling2d, "neighbor_counts", unreachable)
+    with pytest.raises(SingularityError) as got:
+        empirical_frequencies(10, shift, ws, basis)
+    assert str(got.value) == str(expected.value)
 
 
 def test_user_errors_exit_2_before_running(caplog):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,11 @@ from quasiproj.errors import CensusViolationError
 from quasiproj.tiling2d import (CENSUS, VertexType, analytic_A,
                                 analytic_probability, census_support,
                                 empirical_frequencies, neighbor_counts)
-from quasiproj.window import (accept_2d_bulk, enumerate_accepted_2d, label_keys,
-                              random_shift)
+from quasiproj.window import (accepted_2d_blocks, enumerate_accepted_2d, label_keys,
+                              label_rows, random_shift)
+
+from helpers import accept_2d_bulk
+from helpers import neighbor_counts as whole_box_neighbor_counts
 
 P = qp.PHI
 PINV2 = P ** -2
@@ -112,18 +117,33 @@ def test_boundary_values_are_continuous_limits():
 
 # -- edges and classification -------------------------------------------------
 
+def classified(radius, shift, ws, basis, edge):
+    """The vertices within `edge` of the box centre, in key order, with the
+    (n_pos, n_neg) neighbor_counts gives them one index block at a time."""
+    blocks = accepted_2d_blocks(radius, shift, ws, basis)
+    none = np.empty(0, dtype=np.int64)
+    keys = [none] + [block.keys for block in blocks] + [none]
+    parts = []
+    for index, block in enumerate(blocks, start=1):
+        labels = np.column_stack(block.columns)
+        inside = np.abs(labels).max(axis=1) <= edge
+        n_pos, n_neg = neighbor_counts(keys[index][inside], keys[index + 1],
+                                       keys[index - 1], radius)
+        parts.append((keys[index][inside], labels[inside], n_pos, n_neg))
+    keys, labels, n_pos, n_neg = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(keys)
+    return labels[order], n_pos[order], n_neg[order]
+
+
 @pytest.fixture(scope="module")
 def patch(basis, windows_for):
     shift = random_shift(0.5, 7)
     ws = windows_for(0.5)
-    labels, _, _ = enumerate_accepted_2d(12, shift, ws, basis)
-    inner = labels[np.abs(labels).max(axis=1) <= 10]
-    return shift, ws, labels, inner
+    return (shift, ws) + classified(12, shift, ws, basis, 10)
 
 
 def test_neighbor_counts_basic(patch, basis):
-    shift, ws, labels, inner = patch
-    n_pos, n_neg = neighbor_counts(inner, label_keys(labels, 12), 12)
+    shift, ws, inner, n_pos, n_neg = patch
 
     # spot check the vectorized counts against scalar probes of the ten
     # unit neighbors
@@ -148,8 +168,7 @@ def test_neighbor_counts_basic(patch, basis):
 
 
 def test_star_vertex_has_five_positive_edges(patch, basis):
-    shift, ws, labels, inner = patch
-    n_pos, n_neg = neighbor_counts(inner, label_keys(labels, 12), 12)
+    shift, ws, inner, n_pos, n_neg = patch
     index = inner.sum(axis=1)
     stars = np.flatnonzero((index == 1) & (n_pos == 5) & (n_neg == 0))
     assert len(stars) > 0
@@ -160,8 +179,7 @@ def test_star_vertex_has_five_positive_edges(patch, basis):
 
 
 def test_observed_types_within_census(patch, basis):
-    shift, ws, labels, inner = patch
-    n_pos, n_neg = neighbor_counts(inner, label_keys(labels, 12), 12)
+    shift, ws, inner, n_pos, n_neg = patch
     index = inner.sum(axis=1)
     for i in range(len(inner)):
         assert (int(n_pos[i]), int(n_neg[i])) in CENSUS[int(index[i])]
@@ -174,10 +192,7 @@ def test_observed_types_within_census(patch, basis):
 
 def test_type_4_0_absent_below_breakpoint(basis, windows_for):
     shift = random_shift(0.2, 13)
-    ws = windows_for(0.2)
-    labels, _, _ = enumerate_accepted_2d(12, shift, ws, basis)
-    inner = labels[np.abs(labels).max(axis=1) <= 10]
-    n_pos, n_neg = neighbor_counts(inner, label_keys(labels, 12), 12)
+    inner, n_pos, n_neg = classified(12, shift, windows_for(0.2), basis, 10)
     index = inner.sum(axis=1)
     mask = (index == 2) & (n_pos == 4) & (n_neg == 0)
     assert not mask.any()
@@ -247,6 +262,29 @@ def test_index_population_shifts_with_c(basis, windows_for):
     assert a1 < b1
 
 
+@pytest.mark.parametrize("c, seed, radius, emptied", [
+    (0.0, 1, 14, set()),          # V_5 is the point window: no index-5 vertex
+    (P ** -3, 2, 14, set()),
+    (PINV2, 3, 14, set()),
+    (0.5, 4, 14, set()),
+    (0.9, 5, 14, set()),
+    (0.5, 1, 3, {1, 4, 5}),       # the margin leaves these blocks no vertex
+])
+def test_empirical_frequencies_match_the_whole_box_oracle(c, seed, radius, emptied,
+                                                          basis, windows_for):
+    # the per-block tally against neighbour counts looked up in the key
+    # array of the whole box
+    shift = random_shift(c, seed)
+    labels, _, keys = enumerate_accepted_2d(radius, shift, windows_for(c), basis)
+    inner = labels[np.abs(labels).max(axis=1) <= radius - 2]
+    assert set(labels.sum(axis=1).tolist()) - set(inner.sum(axis=1).tolist()) == emptied
+    n_pos, n_neg = whole_box_neighbor_counts(inner, keys, radius)
+    expected = Counter(zip(inner.sum(axis=1).tolist(), n_pos.tolist(), n_neg.tolist()))
+    rep = empirical_frequencies(radius, shift, windows_for(c), basis)
+    assert rep.n_vertices == len(inner)
+    assert {(r.index, r.n_pos, r.n_neg): r.count for r in rep.rows if r.count} == expected
+
+
 def test_census_violation_names_the_first_offending_type(basis, windows_for,
                                                          monkeypatch):
     # at c = 0.2 the type [4,0]_2 is in the census but has zero frequency
@@ -256,11 +294,16 @@ def test_census_violation_names_the_first_offending_type(basis, windows_for,
     first2 = int(np.argmax(inner.sum(axis=1) == 2))
     original = qp.tiling2d.neighbor_counts
 
-    def doctored(rows, types):
-        def counts(*args):
-            n_pos, n_neg = original(*args)
-            for row, (n, nn) in zip(rows, types):
-                n_pos[row], n_neg[row] = n, nn
+    def doctored(vertices, types):
+        # the counts of these vertices, in whichever index block holds them
+        doctor = dict(zip(label_keys(inner[vertices], 8).tolist(), types))
+
+        def counts(keys, *args):
+            n_pos, n_neg = original(keys, *args)
+            for key, (n, nn) in doctor.items():
+                row = label_rows(keys, key)
+                if row >= 0:
+                    n_pos[row], n_neg[row] = n, nn
             return n_pos, n_neg
         monkeypatch.setattr(qp.tiling2d, "neighbor_counts", counts)
 
@@ -272,4 +315,10 @@ def test_census_violation_names_the_first_offending_type(basis, windows_for,
     doctored([first2 + 3, first2], [(4, 0), (1, 1)])
     with pytest.raises(CensusViolationError,
                        match=rf"type \[1,1\]_{index[first2]} is outside the census"):
+        empirical_frequencies(8, shift, windows_for(0.2), basis)
+    # label order across the index blocks: an index-1 vertex after first2
+    later1 = first2 + int(np.argmax(index[first2:] == 1))
+    doctored([later1, first2], [(1, 1), (4, 0)])
+    with pytest.raises(CensusViolationError,
+                       match=r"type \[4,0\]_2 has zero analytic frequency at c=0.2"):
         empirical_frequencies(8, shift, windows_for(0.2), basis)

@@ -8,14 +8,14 @@ from quasiproj.errors import (DegenerateWindowError, EmptyWindowError,
 from quasiproj.geometry import max_edge_distance, points_in_convex_polygon
 from quasiproj.lattice3d import overlap_census
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
-                              INTERIOR_INDICES, accept_2d_bulk, accept_3d_bulk,
+                              INTERIOR_INDICES, accept_3d_bulk, accepted_2d_blocks,
                               d_test_points, enumerate_accepted_2d, key_member,
                               label_extent, label_index, label_keys, label_rows,
                               normalize_shift, random_shift, slice_window,
                               step_rows)
 
-from helpers import (benchmark_gamma, enumerate_accepted_3d, fan_triangles,
-                     lambda_box_candidates_2d, lambda_box_candidates_3d,
+from helpers import (accept_2d_bulk, benchmark_gamma, enumerate_accepted_3d,
+                     fan_triangles, lambda_box_candidates_2d, lambda_box_candidates_3d,
                      mesh_margin_2d, mesh_margin_3d, mesh_solution_2d, moved_shift,
                      polygon_area)
 
@@ -412,23 +412,26 @@ def test_enumerate_matches_lambda_box_oracle(c, Q, basis, windows_for):
             assert np.array_equal(labels, _lex_sorted(cand[status == 1])), (seed, R)
 
 
-def _record(monkeypatch, name):
-    """Wrap window.<name> so every (candidates, status) it sees is kept."""
+def _record(monkeypatch, name, module=qp.window):
+    """Wrap module.<name> so every (points or candidates, status) it sees is kept."""
     tested = []
-    original = getattr(qp.window, name)
+    original = getattr(module, name)
 
     def recorded(labels, *args, **kwargs):
         status = original(labels, *args, **kwargs)
         tested.append((np.atleast_2d(labels), status))
         return status
 
-    monkeypatch.setattr(qp.window, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return tested
 
 
 def test_enumeration_tests_at_most_twice_what_it_accepts(Q, basis, windows_for,
                                                           monkeypatch):
-    tested2 = _record(monkeypatch, "accept_2d_bulk")
+    # the 2-d scan tests its candidates' test points against the index
+    # windows; the c = 0 index-5 point window, which accepts nothing, is
+    # tested by the norm of the point instead
+    tested2 = _record(monkeypatch, "points_in_convex_polygon", geometry)
     tested3 = _record(monkeypatch, "accept_3d_bulk")
     for c, seed in ((0.0, 1), (0.5, 7), (0.9, 2)):
         shift = random_shift(c, seed)
@@ -450,10 +453,20 @@ def _assert_singular(enumerate_call, tested, k):
     assert f"label {tuple(first.tolist())} lands" in str(info.value)
 
 
+def _box_2d(radius, shift, ws, basis):
+    """Every label of index 1..5 in the box, in key order, with its status
+    from the whole-box acceptance oracle."""
+    n = 2 * radius + 1
+    box = np.indices((n,) * 5).reshape(5, -1).T - radius
+    box = box[(box.sum(axis=1) >= 1) & (box.sum(axis=1) <= 5)]
+    return [(box, accept_2d_bulk(box, shift, ws, basis))]
+
+
 @pytest.mark.parametrize("eps", [1e-9, 1e-3])
-def test_enumerate_2d_raises_just_outside_a_window_edge(eps, P, basis, monkeypatch):
+def test_enumerate_2d_raises_just_outside_a_window_edge(eps, P, basis):
+    # the label named is the first singular one of the whole box, in every
+    # index block
     ws = qp.build_windows(P, 0.5, eps)
-    tested = _record(monkeypatch, "accept_2d_bulk")
     for index in range(1, 6):
         k = CUBE_VERTICES[[0, 1, 6, 16, 26, 31][index]]
         win = ws.slices[index]
@@ -461,8 +474,9 @@ def test_enumerate_2d_raises_just_outside_a_window_edge(eps, P, basis, monkeypat
         mid = (win.polygon[edge] + win.polygon[(edge + 1) % len(win.polygon)]) / 2
         target = mid + 0.9 * eps * win.normals[edge]
         shift = moved_shift(random_shift(0.5, 11), basis.W[:, :2], k, target)
-        tested.clear()
-        _assert_singular(lambda: enumerate_accepted_2d(5, shift, ws, basis), tested, k)
+        box = _box_2d(5, shift, ws, basis)
+        _assert_singular(lambda: enumerate_accepted_2d(5, shift, ws, basis), box, k)
+        _assert_singular(lambda: accepted_2d_blocks(5, shift, ws, basis), box, k)
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3])
@@ -478,15 +492,15 @@ def test_enumerate_3d_raises_just_outside_a_decagon_edge(eps, Q, basis, monkeypa
                          tested, k)
 
 
-def test_enumerate_2d_raises_at_the_c0_index5_point_window(P, basis, monkeypatch):
+def test_enumerate_2d_raises_at_the_c0_index5_point_window(P, basis):
     # at c = 0 the index-5 window is the single point 0; put the test point
     # of an index-5 label just off it, keeping the other labels generic
     ws = qp.build_windows(P, 0.0)
-    tested = _record(monkeypatch, "accept_2d_bulk")
     generic = qp.GridShift(gamma=basis.D @ np.array([0.31, -0.17]), c=0.0)
     k = np.array([3, -1, 2, 0, 1])
     shift = moved_shift(generic, basis.W[:, :2], k, np.array([0.6e-9, -0.3e-9]))
-    _assert_singular(lambda: enumerate_accepted_2d(4, shift, ws, basis), tested, k)
+    _assert_singular(lambda: enumerate_accepted_2d(4, shift, ws, basis),
+                     _box_2d(4, shift, ws, basis), k)
 
 
 # -- the key stream: enumerator order, merge membership, polygon reduction ----
@@ -531,11 +545,11 @@ def test_key_member_matches_binary_search(basis, windows_for):
 
 
 def test_neighbor_counts_needs_labels_in_key_order(basis, windows_for):
-    labels, _, keys = enumerate_accepted_2d(6, random_shift(0.5, 4), windows_for(0.5), basis)
-    inner = labels[np.abs(labels).max(axis=1) <= 5]
-    for bad in (inner[::-1], np.vstack([inner[:1], inner])):
+    blocks = accepted_2d_blocks(6, random_shift(0.5, 4), windows_for(0.5), basis)
+    keys = blocks[2].keys[np.abs(np.column_stack(blocks[2].columns)).max(axis=1) <= 5]
+    for bad in (keys[::-1], np.concatenate([keys[:1], keys])):
         with pytest.raises(ValueError, match="distinct and in key order"):
-            qp.neighbor_counts(bad, keys, 6)
+            qp.neighbor_counts(bad, blocks[3].keys, blocks[1].keys, 6)
 
 
 def test_label_axis_chains_equal_the_axis_reductions():
