@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import CensusViolationError, ConfigError
 from .geometry import PHI, ProjectionBasis
-from .window import GridShift, WindowSet, _key_weights, accepted_2d_blocks, key_member
+from .window import (GridShift, WindowSet, _key_weights, accepted_2d_blocks, key_member,
+                     label_columns)
 
 _P = PHI
 
@@ -252,15 +253,18 @@ def empirical_frequencies(radius: int, shift: GridShift, wset: WindowSet,
     allowed[[36 * i + 6 * n + nn for i, n, nn in support]] = True
     counts = np.zeros(6 * 36, dtype=np.int64)
     none = np.empty(0, dtype=np.int64)
-    keys = [none] + [block.keys for block in blocks] + [none]
+    keys = [none] + blocks + [none]
     outside = []  # (key, code) of the first vertex of each index outside the support
-    for index, block in enumerate(blocks, start=1):
-        inside = np.ones(len(block.keys), dtype=bool)
-        for k in block.columns:
+    for index in range(1, 6):
+        inside = np.ones(len(keys[index]), dtype=bool)
+        for k in label_columns(keys[index], radius):
             inside &= np.abs(k) <= radius - margin
-        vertices = block.keys[inside]
+        vertices = keys[index][inside]
+        # free what the probes of this index and the next do not read
+        del inside, k
         n_pos, n_neg = neighbor_counts(vertices, keys[index + 1], keys[index - 1], radius)
         code = 36 * index + 6 * n_pos + n_neg
+        del n_pos, n_neg
         counts += np.bincount(code, minlength=6 * 36)
         bad = np.flatnonzero(~allowed[code])
         if len(bad):

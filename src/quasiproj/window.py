@@ -11,7 +11,6 @@ projection falls strictly inside the decagon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -404,7 +403,7 @@ def _raise_singular(cand: np.ndarray, status: np.ndarray, describe: str,
 
 
 #: memory an enumeration may plan for, and what a qc run holds at its peak per
-#: accepted label (measured above a ~30 MB start: ~130 B at `qc freq
+#: accepted label (ru_maxrss above a ~30 MB start: ~59 B at `qc freq
 #: --radius 200`, ~320 B for the whole 3-d lattice at radius 35).  Both 3-d
 #: modes check the lattice's estimate, so they refuse the same radii.
 MEMORY_BUDGET = 4 * 10 ** 9
@@ -429,24 +428,19 @@ def _check_budget(radius: int, rows: int, windows, a: np.ndarray,
             f"above the {MEMORY_BUDGET / 1e9:g} GB budget; use a smaller radius")
 
 
-class IndexBlock(NamedTuple):
-    """The accepted labels of one index I in the box, in key order."""
-
-    columns: tuple     # the label components k_0 .. k_4, five (n,) int64 arrays
-    keys: np.ndarray   # (n,) int64 label_keys of the labels, increasing
-
-
 def accepted_2d_blocks(radius: int, shift: GridShift, wset: WindowSet,
-                       basis: ProjectionBasis | None = None) -> list[IndexBlock]:
-    """The accepted labels of the box [-radius, radius]^5, one block per index
-    I = 1 .. 5, each in key order.
+                       basis: ProjectionBasis | None = None) -> list[np.ndarray]:
+    """The accepted labels of the box [-radius, radius]^5 as their keys: one
+    increasing int64 array of label_keys per index I = 1 .. 5.
 
-    The scan fixes (k0, k1) and scan-converts (k2, k3), with k4 = I - k0 -
-    k1 - k2 - k3.  Along a scan line both a label's key and its test point
-    are affine in k3, so both are read off the line: the test point is
-    t0 + k2 a + k3 b, which differs from sum_j (k_j - gamma_j) w_j by up to
-    about 5e-14 at radius 80, far inside eps.  Each block is tested
-    against its own window only.
+    `label_columns` recovers the components of any of them.  The scan fixes
+    (k0, k1) and scan-converts (k2, k3), with k4 = I - k0 - k1 - k2 - k3.
+    Along a scan line both a label's key and its test point are affine in
+    k3, so both are read off the line: the test point is t0 + k2 a + k3 b,
+    which differs from sum_j (k_j - gamma_j) w_j by up to about 5e-14 at
+    radius 80, far inside eps.  Each index is tested against its own window
+    only, and each line quantity is freed once it has been used, so what
+    outlives a scan is its 8 B per accepted label.
 
     Raises ConfigError, before anything is allocated, if the box would not
     fit in MEMORY_BUDGET.  After all five scans, raises SingularityError
@@ -467,6 +461,7 @@ def accepted_2d_blocks(radius: int, shift: GridShift, wset: WindowSet,
     # its line, (k0, k1, k2, 0, k34), plus k3 (weights[3] - weights[4])
     row_key = (k01 + M) @ weights[:2] + M * weights[3]
     t01 = k01 @ (w[:2] - w[4])
+    del k01
     reach = wset.eps + _SCAN_SLACK
     blocks, singular = [], []
     for index in range(1, 6):
@@ -475,31 +470,35 @@ def accepted_2d_blocks(radius: int, shift: GridShift, wset: WindowSet,
         window = _POINT_WINDOW if point else wset.slices[index]
         row, k2, v_lo, v_hi = _scan(t0, a, b, window, reach, M)
         k34 = index - k01_sum[row] - k2
-        line, k3 = _expand(*_integer_span(v_lo, v_hi, np.maximum(k34 - M, -M),
-                                          np.minimum(k34 + M, M)))
-        line_key = row_key[row] + (k2 + M) * weights[2] + (k34 + M) * weights[4]
-        keys = line_key[line] + k3 * (weights[3] - weights[4])
-        line_t = t0[row] + k2[:, None] * a
-        # built as x and y rows, which the predicate's (edges, n) product reads fastest
-        pts = np.array([line_t[line, j] + k3 * b[j] for j in range(2)]).T
+        lo, hi = _integer_span(v_lo, v_hi, np.maximum(k34 - M, -M),
+                               np.minimum(k34 + M, M))
+        del v_lo, v_hi
+        # drop the lines whose k3 span holds no label of the box
+        held = lo <= hi
+        row, k2, k34, lo, hi = (x[held] for x in (row, k2, k34, lo, hi))
+        line, k3 = _expand(lo, hi)
+        del lo, hi, held
+        keys = (row_key[row] + (k2 + M) * weights[2] + (k34 + M) * weights[4])[line]
+        del k34
+        keys += k3 * (weights[3] - weights[4])
+        # x and y rows, which the predicate's (edges, n) product reads fastest
+        pts = np.empty((2, len(k3)))
+        for j, xy in enumerate(pts):
+            np.multiply(k3, b[j], out=xy)
+            xy += (t0[row, j] + k2 * a[j])[line]
+        del row, k2, line, k3
         if point:
             # nothing is accepted, and a test point within eps of 0 is singular
-            status = np.where(np.linalg.norm(pts, axis=1) <= wset.eps, -1, 0)
+            status = np.where(np.linalg.norm(pts, axis=0) <= wset.eps, -1, 0)
         else:
-            status = window.classify(pts, wset.eps)
-
-        def columns(mask):
-            on, k3_on = line[mask], k3[mask]
-            rows = row[on]
-            return (k01[rows, 0], k01[rows, 1], k2[on], k3_on, k34[on] - k3_on)
-
-        bad = status == -1
-        if bad.any():
-            singular.append(np.column_stack(columns(bad)))
-        accepted = status == 1
-        blocks.append(IndexBlock(columns(accepted), keys[accepted]))
-    if singular:
-        bad = np.vstack(singular)
+            status = window.classify(pts.T, wset.eps)
+        del pts
+        singular.append(keys[status == -1])
+        blocks.append(keys[status == 1])
+        del keys, status
+    bad = np.concatenate(singular)
+    if len(bad):
+        bad = np.column_stack(label_columns(bad, M))
         _raise_singular(bad, np.full(len(bad), -1), "a window boundary", shift, M)
     return blocks
 
@@ -510,18 +509,17 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet,
     """All accepted labels in the box [-radius, radius]^5, in key order.
 
     Returns (labels (N,5) int64, tiling vertices (N,2), keys (N,) int64):
-    the keys are label_keys(labels, radius), strictly increasing.  Raises
-    SingularityError if any label in the box has its test point within eps
-    of a window boundary, and ConfigError if the box would not fit in
-    MEMORY_BUDGET.
+    the keys are label_keys(labels, radius), strictly increasing.  The five
+    index blocks of `accepted_2d_blocks` are each in key order, so one
+    stable sort merges them, and the labels are decoded from the keys.
+    Raises SingularityError if any label in the box has its test point
+    within eps of a window boundary, and ConfigError if the box would not
+    fit in MEMORY_BUDGET.
     """
     basis = basis or make_basis()
-    blocks = accepted_2d_blocks(radius, shift, wset, basis)
-    labels = np.concatenate([np.column_stack(block.columns) for block in blocks])
-    keys = np.concatenate([block.keys for block in blocks])
-    # each index block is in key order; a stable sort merges the five runs
-    order = np.argsort(keys, kind="stable")
-    labels, keys = labels[order], keys[order]
+    keys = np.concatenate(accepted_2d_blocks(radius, shift, wset, basis))
+    keys.sort(kind="stable")
+    labels = np.column_stack(label_columns(keys, radius))
     return labels, labels.astype(float) @ basis.D, keys
 
 
@@ -647,6 +645,22 @@ def label_keys(labels, radius: int) -> np.ndarray:
     return np.where(inside, (labels + radius) @ weights, -1)
 
 
+def label_columns(keys, radius: int) -> tuple:
+    """The components k_0 .. k_4, five int64 arrays, of the labels whose
+    label_keys in the box [-radius, radius]^5 are `keys`: its inverse."""
+    keys = np.asarray(keys, dtype=np.int64)
+    radius = int(radius)
+    base = 2 * radius + 1
+    columns = []
+    for _ in range(4):
+        # floor division by a scalar runs about twice as fast as np.divmod
+        rest = keys // base
+        columns.append(keys - rest * base - radius)
+        keys = rest
+    columns.append(keys - radius)
+    return tuple(columns[::-1])
+
+
 def label_rows(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Row of each query key in the sorted key array, -1 where it is absent."""
     query = np.asarray(query, dtype=np.int64)
@@ -659,15 +673,18 @@ def label_rows(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
 def key_member(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Whether each query key is in the sorted key array; -1 never is.
 
-    `keys` must be distinct, and so must the query's other keys.  When both
-    are increasing, as for the step queries of labels in key order, one
-    stable sort merges the two runs in linear time, where label_rows would
-    binary-search each query.
+    A binary search per query, which allocates two int64 arrays the size of
+    the query.  A merge of the two sorted runs (np.isin) allocates about four
+    times the queries and keys together, and in a fresh process the pages it
+    frees are faulted in again on every call, which costs more than the
+    merge saves.
     """
     query = np.asarray(query, dtype=np.int64)
-    found = query >= 0
-    found[found] = np.isin(query[found], keys, assume_unique=True, kind="sort")
-    return found
+    if len(keys) == 0:
+        return np.zeros(query.shape, dtype=bool)
+    rows = np.searchsorted(keys, query)
+    np.minimum(rows, len(keys) - 1, out=rows)
+    return keys[rows] == query
 
 
 def step_rows(labels: np.ndarray, keys: np.ndarray, radius: int,

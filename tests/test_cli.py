@@ -77,6 +77,20 @@ def test_freq_stdout_is_pinned(args, digest, capsys):
 
 
 @pytest.mark.parametrize("args, digest", [
+    (["--radius", "8"], "2775440c0da878d940a3ec5c37e0b6bb117039a1066aa4de06f47dd074903f81"),
+    (["--c", "0", "--radius", "8"],
+     "3d81c6663bc11e3d360d5a2f01bedc828ba8456d32dc663479c5fc45c6c8d3e6"),
+    (["--c", "0.3819660113", "--seed", "3", "--radius", "8"],
+     "074e2313bb45043311c677e57c1ff7be37096138af6815b83fd3461d528f223c"),
+])
+def test_tiling2d_stdout_is_pinned(args, digest, capsys):
+    # the tiling document as written when the labels were stacked from
+    # per-index component columns, not decoded from their keys
+    assert run(["tiling2d", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, digest", [
     (["--c", "0.05", "--radius", "8"],
      "0b8a273390eef0837789cf9af142dbdf28f4bda0c13dad579c7775e1a50faf69"),
     (["--c", "0.4", "--radius", "10"],

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,8 +9,8 @@ from quasiproj.errors import CensusViolationError
 from quasiproj.tiling2d import (CENSUS, VertexType, analytic_A,
                                 analytic_probability, census_support,
                                 empirical_frequencies, neighbor_counts)
-from quasiproj.window import (accepted_2d_blocks, enumerate_accepted_2d, label_keys,
-                              label_rows, random_shift)
+from quasiproj.window import (accepted_2d_blocks, enumerate_accepted_2d, label_columns,
+                              label_keys, label_rows, random_shift)
 
 from helpers import accept_2d_bulk
 from helpers import neighbor_counts as whole_box_neighbor_counts
@@ -120,12 +121,11 @@ def test_boundary_values_are_continuous_limits():
 def classified(radius, shift, ws, basis, edge):
     """The vertices within `edge` of the box centre, in key order, with the
     (n_pos, n_neg) neighbor_counts gives them one index block at a time."""
-    blocks = accepted_2d_blocks(radius, shift, ws, basis)
     none = np.empty(0, dtype=np.int64)
-    keys = [none] + [block.keys for block in blocks] + [none]
+    keys = [none] + accepted_2d_blocks(radius, shift, ws, basis) + [none]
     parts = []
-    for index, block in enumerate(blocks, start=1):
-        labels = np.column_stack(block.columns)
+    for index in range(1, 6):
+        labels = np.column_stack(label_columns(keys[index], radius))
         inside = np.abs(labels).max(axis=1) <= edge
         n_pos, n_neg = neighbor_counts(keys[index][inside], keys[index + 1],
                                        keys[index - 1], radius)
@@ -322,3 +322,24 @@ def test_census_violation_names_the_first_offending_type(basis, windows_for,
     with pytest.raises(CensusViolationError,
                        match=r"type \[4,0\]_2 has zero analytic frequency at c=0.2"):
         empirical_frequencies(8, shift, windows_for(0.2), basis)
+
+
+def test_freq_working_set_per_accepted_label(basis, windows_for):
+    # the scan keeps 8 B, one int64 key, per accepted label, and the tally,
+    # scan included, peaks within 64 B per label
+    shift = random_shift(0.5, 0)
+    ws = windows_for(0.5)
+    tracemalloc.start()
+    try:
+        blocks = accepted_2d_blocks(60, shift, ws, basis)
+        n = sum(len(keys) for keys in blocks)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        empirical_frequencies(60, shift, ws, basis)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert n > 90000
+    assert sum(keys.nbytes for keys in blocks) == 8 * n
+    assert all(keys.base is None and keys.dtype == np.int64 for keys in blocks)
+    assert peak <= 64 * n

@@ -5,14 +5,15 @@ import quasiproj as qp
 from quasiproj import geometry
 from quasiproj.errors import (DegenerateWindowError, EmptyWindowError,
                               PolygonError)
-from quasiproj.geometry import max_edge_distance, points_in_convex_polygon
+from quasiproj.geometry import (PREDICATE_CHUNK, max_edge_distance,
+                                points_in_convex_polygon)
 from quasiproj.lattice3d import overlap_census
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
-                              INTERIOR_INDICES, accept_3d_bulk, accepted_2d_blocks,
-                              d_test_points, enumerate_accepted_2d, key_member,
-                              label_extent, label_index, label_keys, label_rows,
-                              normalize_shift, random_shift, slice_window,
-                              step_rows)
+                              INTERIOR_INDICES, MAX_KEY_RADIUS, accept_3d_bulk,
+                              accepted_2d_blocks, d_test_points, enumerate_accepted_2d,
+                              key_member, label_columns, label_extent, label_index,
+                              label_keys, label_rows, normalize_shift, random_shift,
+                              slice_window, step_rows)
 
 from helpers import (accept_2d_bulk, benchmark_gamma, enumerate_accepted_3d,
                      fan_triangles, lambda_box_candidates_2d, lambda_box_candidates_3d,
@@ -546,10 +547,39 @@ def test_key_member_matches_binary_search(basis, windows_for):
 
 def test_neighbor_counts_needs_labels_in_key_order(basis, windows_for):
     blocks = accepted_2d_blocks(6, random_shift(0.5, 4), windows_for(0.5), basis)
-    keys = blocks[2].keys[np.abs(np.column_stack(blocks[2].columns)).max(axis=1) <= 5]
+    labels = np.column_stack(label_columns(blocks[2], 6))
+    keys = blocks[2][np.abs(labels).max(axis=1) <= 5]
     for bad in (keys[::-1], np.concatenate([keys[:1], keys])):
         with pytest.raises(ValueError, match="distinct and in key order"):
-            qp.neighbor_counts(bad, blocks[3].keys, blocks[1].keys, 6)
+            qp.neighbor_counts(bad, blocks[3], blocks[1], 6)
+
+
+@pytest.mark.parametrize("R", [1, 80, MAX_KEY_RADIUS])
+def test_label_columns_inverts_label_keys(R):
+    rng = np.random.default_rng(R)
+    corners = R * (2 * CUBE_VERTICES - 1)
+    for labels in (rng.integers(-R, R + 1, size=(1000, 5)), corners,
+                   np.empty((0, 5), dtype=np.int64)):
+        keys = label_keys(labels, R)
+        assert np.array_equal(np.column_stack(label_columns(keys, R)), labels)
+        assert np.array_equal(label_keys(np.column_stack(label_columns(keys, R)), R),
+                              keys)
+    keys = np.sort(rng.integers(0, (2 * R + 1) ** 5, size=1000))
+    assert np.array_equal(label_keys(np.column_stack(label_columns(keys, R)), R), keys)
+    assert all(c.dtype == np.int64 for c in label_columns(keys, R))
+
+
+def test_max_edge_distance_is_bitwise_equal_across_chunks(Q, P):
+    # a last chunk of one point would go through gemv and differ in the last bit
+    rng = np.random.default_rng(5)
+    windows = [Q.window, Q.inner, *qp.build_windows(P, 0.5).slices.values()]
+    for n in (1, PREDICATE_CHUNK - 1, PREDICATE_CHUNK + 1, 2 * PREDICATE_CHUNK + 1):
+        pts = rng.uniform(-2.0, 2.0, size=(n, 2))
+        for win in windows:
+            for layout in (pts, np.asfortranarray(pts)):
+                want = np.max(layout @ win.normals.T - win.offsets, axis=1)
+                got = max_edge_distance(layout, win.normals, win.offsets)
+                assert np.array_equal(got, want), (n, len(win.normals))
 
 
 def test_label_axis_chains_equal_the_axis_reductions():
