@@ -25,7 +25,7 @@ _EXPORTS = {
                   "k_vector_2d", "k_vector_3d", "tiling_from_pentagrid"),
     "tiling2d": ("CENSUS", "FrequencyReport", "VertexType", "analytic_A",
                  "analytic_probability", "census_support", "empirical_frequencies",
-                 "neighbor_counts"),
+                 "neighbor_masks"),
     "lattice3d": ("ANALYTIC_CLASS_FREQUENCIES", "OVERLAP_OFFSETS", "OverlapCensus",
                   "build_cells", "overlap_census", "overlap_signatures"),
 }

@@ -10,7 +10,9 @@ projection falls strictly inside the decagon.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -351,43 +353,66 @@ def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _integer_span(lo: np.ndarray, hi: np.ndarray, box_lo, box_hi):
     """Integer bounds of the real intervals [lo, hi] within [box_lo, box_hi]."""
-    lo = np.ceil(np.clip(lo, box_lo, box_hi + 1)).astype(np.int64)
-    hi = np.floor(np.clip(hi, box_lo - 1, box_hi)).astype(np.int64)
+    # np.minimum of np.maximum, which is np.clip without its Python wrapper
+    lo = np.ceil(np.minimum(np.maximum(lo, box_lo), box_hi + 1)).astype(np.int64)
+    hi = np.floor(np.minimum(np.maximum(hi, box_lo - 1), box_hi)).astype(np.int64)
     return lo, hi
 
 
-def _scan(t0: np.ndarray, a: np.ndarray, b: np.ndarray, window: ConvexWindow,
-          reach: float, radius: int):
-    """Scan-convert a convex window, widened by `reach`, in label coordinates.
+class _LineScan(NamedTuple):
+    """Scan conversion of a convex window, widened by `reach`, in label
+    coordinates (u, v), where (u, v) moves a test point by u a + v b.
 
-    Row r of t0 is the test point of (u, v) = (0, 0); (u, v) moves it by
-    u a + v b.  Returns (row, u, v_lo, v_hi): every u in [-radius, radius]
-    whose line can meet the widened window, with the real v interval where
-    it does (empty when v_lo > v_hi).
+    What depends only on the window and the steps is fixed once, by `of`;
+    each call scans the rows of one t0.
     """
-    normals = window.normals
-    inv_u = np.linalg.inv(np.column_stack([a, b]))[0]  # u = inv_u . (t - t0)
-    # widening moves a vertex out by reach / cos(half its turning angle)
-    turn = np.einsum("ij,ij->i", normals, np.roll(normals, -1, axis=0))
-    push = reach / np.sqrt((1.0 + turn.min()) / 2.0) * np.linalg.norm(inv_u)
-    u0 = t0 @ inv_u
-    vertex_u = window.polygon @ inv_u
-    u_lo, u_hi = _integer_span(vertex_u.min() - push - u0, vertex_u.max() + push - u0,
-                               -radius, radius)
-    row, u = _expand(u_lo, u_hi)
-    t = t0[row] + u[:, None] * a
-    v_lo = np.full(len(row), -np.inf)
-    v_hi = np.full(len(row), np.inf)
-    for n, o in zip(normals, window.offsets):
-        nb = float(n @ b)
-        room = (o + reach) - t @ n            # nb * v must not exceed this
-        if abs(nb) < 1e-12:                   # edge parallel to b: all or nothing
-            v_hi[room < 0] = -np.inf
-        elif nb > 0:
-            np.minimum(v_hi, room / nb, out=v_hi)
-        else:
-            np.maximum(v_lo, room / nb, out=v_lo)
-    return row, u, v_lo, v_hi
+
+    a: np.ndarray
+    inv_u: np.ndarray    # u = inv_u . (t - t0)
+    u_lo: float          # the widened window's extent in u
+    u_hi: float
+    normals: np.ndarray  # edges bounding v from above, from below, then parallel to b
+    room: np.ndarray     # offsets + reach, as a column
+    slope: np.ndarray    # normals . b, as a column
+    up: int              # the number of edges that bound v from above
+    down: int            # ... and the number that bound it from either side
+
+    @classmethod
+    def of(cls, a: np.ndarray, b: np.ndarray, window: ConvexWindow,
+           reach: float) -> "_LineScan":
+        normals = window.normals
+        inv_u = np.linalg.inv(np.column_stack([a, b]))[0]
+        # widening moves a vertex out by reach / cos(half its turning angle)
+        turn = np.einsum("ij,ij->i", normals, np.roll(normals, -1, axis=0))
+        push = reach / np.sqrt((1.0 + turn.min()) / 2.0) * np.linalg.norm(inv_u)
+        vertex_u = window.polygon @ inv_u
+        slope = normals @ b
+        up, down = slope >= 1e-12, slope <= -1e-12
+        order = np.concatenate([np.flatnonzero(up), np.flatnonzero(down),
+                                np.flatnonzero(~(up | down))])
+        return cls(a, inv_u, vertex_u.min() - push, vertex_u.max() + push,
+                   normals[order], (window.offsets + reach)[order, None],
+                   slope[order, None], int(up.sum()), int(up.sum() + down.sum()))
+
+    def __call__(self, t0: np.ndarray, radius: int):
+        """(row, u, v_lo, v_hi): for each row of t0, the test point of
+        (u, v) = (0, 0), every u in [-radius, radius] whose line can meet the
+        widened window, with the real v interval where it does (empty when
+        v_lo > v_hi)."""
+        u0 = t0 @ self.inv_u
+        u_lo, u_hi = _integer_span(self.u_lo - u0, self.u_hi - u0, -radius, radius)
+        row, u = _expand(u_lo, u_hi)
+        t = t0[row] + u[:, None] * self.a
+        # slope * v must not exceed room, per (edge, line)
+        room = self.normals @ t.T
+        np.subtract(self.room, room, out=room)
+        limit = room[:self.down]
+        limit /= self.slope[:self.down]
+        v_hi = limit[:self.up].min(axis=0)
+        v_lo = limit[self.up:].max(axis=0)
+        if self.down < len(room):  # an edge parallel to b: all or nothing
+            v_hi[(room[self.down:] < 0).any(axis=0)] = -np.inf
+        return row, u, v_lo, v_hi
 
 
 def _raise_singular(cand: np.ndarray, status: np.ndarray, describe: str,
@@ -403,9 +428,11 @@ def _raise_singular(cand: np.ndarray, status: np.ndarray, describe: str,
 
 
 #: memory an enumeration may plan for, and what a qc run holds at its peak per
-#: accepted label (ru_maxrss above a ~30 MB start: ~59 B at `qc freq
-#: --radius 200`, ~320 B for the whole 3-d lattice at radius 35).  Both 3-d
-#: modes check the lattice's estimate, so they refuse the same radii.
+#: accepted label (ru_maxrss above the start: ~320 B for the whole 3-d lattice
+#: at radius 35).  `qc freq` holds one chunk of its scan, not its labels: at
+#: radius 200 it peaks ~1.4 MB above its radius-5 run, and its refusal radii
+#: still follow BYTES_PER_LABEL.  Both 3-d modes check the lattice's estimate,
+#: so they refuse the same radii.
 MEMORY_BUDGET = 4 * 10 ** 9
 BYTES_PER_LABEL = 320
 
@@ -428,19 +455,137 @@ def _check_budget(radius: int, rows: int, windows, a: np.ndarray,
             f"above the {MEMORY_BUDGET / 1e9:g} GB budget; use a smaller radius")
 
 
+#: (k0, k1) rows per chunk of the 2-d scan.  Everything the scan holds per
+#: row, line or label lives for one chunk, so its working set does not grow
+#: with the radius: a chunk of this size tests at most ~8,300 labels at
+#: c = 0.5, and the traced peak of `qc freq`'s tally stays under 1 MB.
+SCAN_ROWS = 1024
+
+
+class ScanPiece(NamedTuple):
+    """The labels of one index that one chunk of the 2-d scan tested, in key order.
+
+    Label i lies on scan line line[i], on which k0, k1 and k2 are fixed and
+    k3 + k4 is line_k4 (k4 at k3 = 0); its key is line_key[line[i]] +
+    k3[i] * k3_step.
+    """
+
+    index: int
+    status: np.ndarray       # +1 accepted, 0 rejected, -1 singular
+    points: np.ndarray       # (2, n) test points, as x and y rows
+    line: np.ndarray
+    k3: np.ndarray
+    line_key: np.ndarray     # key of the line's label with k3 = 0
+    line_k4: np.ndarray
+    line_extent: np.ndarray  # max(|k0|, |k1|, |k2|) of each line
+    k3_step: int
+
+    def keys(self, which) -> np.ndarray:
+        """label_keys of the labels that `which` selects."""
+        return self.line_key[self.line[which]] + self.k3[which] * self.k3_step
+
+    def extent(self) -> np.ndarray:
+        """max_j |k_j| of each label: its distance from the box centre."""
+        k4 = self.line_k4[self.line]
+        k4 -= self.k3
+        extent = np.maximum(self.line_extent[self.line], np.abs(self.k3))
+        return np.maximum(extent, np.abs(k4, out=k4), out=extent)
+
+
+def scan_2d(radius: int, shift: GridShift, wset: WindowSet,
+            basis: ProjectionBasis | None = None) -> Iterator[tuple[ScanPiece, ...]]:
+    """Test every label of the box [-radius, radius]^5 against its index
+    window, SCAN_ROWS rows of (k0, k1) at a time.
+
+    Yields, per chunk, one ScanPiece per index I = 1 .. 5.  The pieces of
+    an index come in key order, chunk after chunk.  The scan fixes (k0, k1)
+    and scan-converts (k2, k3), with k4 = I - k0 - k1 - k2 - k3.  Along a
+    scan line both a label's key and its test point are affine in k3, so
+    both are read off the line: the test point is t0 + k2 a + k3 b, which
+    differs from sum_j (k_j - gamma_j) w_j by up to about 5e-14 at radius
+    80, far inside eps.  Each index is tested against its own window only.
+
+    Raises ConfigError, before anything is allocated, if the box would not
+    fit in MEMORY_BUDGET.  A chunk that holds a singular label is not
+    yielded, nor is any after it; the scan runs on, and after the last
+    chunk raises SingularityError naming the lexicographically first label,
+    of any index, whose test point lies within eps of its window boundary,
+    the c = 0 index-5 point window included.
+    """
+    basis = basis or make_basis()
+    M = int(radius)
+    side = 2 * M + 1
+    w = basis.W[:, :2]
+    a, b = w[2] - w[4], w[3] - w[4]
+    _check_budget(M, side ** 2, wset.slices.values(), a, b)
+    weights = _key_weights(M)
+    reach = wset.eps + _SCAN_SLACK
+    windows = [wset.slices[index] for index in range(1, 5)]
+    windows.append(_POINT_WINDOW if wset.degenerate_top else wset.slices[5])
+    scans = [_LineScan.of(a, b, window, reach) for window in windows]
+    gamma_w = shift.gamma @ w
+    singular = []
+    for start in range(0, side ** 2, SCAN_ROWS):
+        rows = np.arange(start, min(start + SCAN_ROWS, side ** 2))
+        k01 = np.column_stack([rows // side - M, rows % side - M])
+        k01_sum = k01.sum(axis=1)
+        row_extent = np.maximum(np.abs(k01[:, 0]), np.abs(k01[:, 1]))
+        # the key (k + M) . weights of (k0, k1, k2, k3, k34 - k3) is the key of
+        # its line, (k0, k1, k2, 0, k34), plus k3 (weights[3] - weights[4])
+        row_key = (k01 + M) @ weights[:2] + M * weights[3]
+        t01 = k01 @ (w[:2] - w[4])
+        del rows, k01
+        pieces = []
+        for index in range(1, 6):
+            t0 = t01 + index * w[4]
+            t0 -= gamma_w
+            row, k2, v_lo, v_hi = scans[index - 1](t0, M)
+            k34 = index - k01_sum[row] - k2
+            lo, hi = _integer_span(v_lo, v_hi, np.maximum(k34 - M, -M),
+                                   np.minimum(k34 + M, M))
+            del v_lo, v_hi
+            # drop the lines whose k3 span holds no label of the box
+            held = lo <= hi
+            row, k2, k34, lo, hi = (x[held] for x in (row, k2, k34, lo, hi))
+            line, k3 = _expand(lo, hi)
+            del lo, hi, held
+            line_key = row_key[row] + (k2 + M) * weights[2] + (k34 + M) * weights[4]
+            # x and y rows, which the predicate's (edges, n) product reads fastest
+            pts = np.empty((2, len(k3)))
+            for j, xy in enumerate(pts):
+                np.multiply(k3, b[j], out=xy)
+                xy += (t0[row, j] + k2 * a[j])[line]
+            if index == 5 and wset.degenerate_top:
+                # nothing is accepted, and a test point within eps of 0 is singular
+                status = np.where(np.linalg.norm(pts, axis=0) <= wset.eps, -1, 0)
+            else:
+                status = windows[index - 1].classify(pts.T, wset.eps)
+            piece = ScanPiece(index, status, pts, line, k3, line_key, k34,
+                              np.maximum(row_extent[row], np.abs(k2)),
+                              weights[3] - weights[4])
+            del row, k2, k34, line, k3, line_key, pts, status
+            bad = piece.status == -1
+            if singular or bad.any():
+                singular.append(piece.keys(bad))
+            else:
+                pieces.append(piece)
+            del piece, bad
+        if not singular:
+            yield tuple(pieces)
+        del pieces
+    if singular:
+        bad = np.column_stack(label_columns(np.concatenate(singular), M))
+        _raise_singular(bad, np.full(len(bad), -1), "a window boundary", shift, M)
+
+
 def accepted_2d_blocks(radius: int, shift: GridShift, wset: WindowSet,
                        basis: ProjectionBasis | None = None) -> list[np.ndarray]:
     """The accepted labels of the box [-radius, radius]^5 as their keys: one
     increasing int64 array of label_keys per index I = 1 .. 5.
 
-    `label_columns` recovers the components of any of them.  The scan fixes
-    (k0, k1) and scan-converts (k2, k3), with k4 = I - k0 - k1 - k2 - k3.
-    Along a scan line both a label's key and its test point are affine in
-    k3, so both are read off the line: the test point is t0 + k2 a + k3 b,
-    which differs from sum_j (k_j - gamma_j) w_j by up to about 5e-14 at
-    radius 80, far inside eps.  Each index is tested against its own window
-    only, and each line quantity is freed once it has been used, so what
-    outlives a scan is its 8 B per accepted label.
+    `label_columns` recovers the components of any of them.  The keys are
+    those of `scan_2d`'s accepted labels, chunk after chunk, which is key
+    order, and they are all the scan keeps: 8 B per accepted label.
 
     Raises ConfigError, before anything is allocated, if the box would not
     fit in MEMORY_BUDGET.  After all five scans, raises SingularityError
@@ -448,59 +593,11 @@ def accepted_2d_blocks(radius: int, shift: GridShift, wset: WindowSet,
     point lies within eps of its window boundary, the c = 0 index-5 point
     window included.
     """
-    basis = basis or make_basis()
-    M = int(radius)
-    w = basis.W[:, :2]
-    a, b = w[2] - w[4], w[3] - w[4]
-    _check_budget(M, (2 * M + 1) ** 2, wset.slices.values(), a, b)
-    k = np.arange(-M, M + 1, dtype=np.int64)
-    k01 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
-    k01_sum = k01.sum(axis=1)
-    weights = _key_weights(M)
-    # the key (k + M) . weights of (k0, k1, k2, k3, k34 - k3) is the key of
-    # its line, (k0, k1, k2, 0, k34), plus k3 (weights[3] - weights[4])
-    row_key = (k01 + M) @ weights[:2] + M * weights[3]
-    t01 = k01 @ (w[:2] - w[4])
-    del k01
-    reach = wset.eps + _SCAN_SLACK
-    blocks, singular = [], []
-    for index in range(1, 6):
-        t0 = t01 + index * w[4] - shift.gamma @ w
-        point = index == 5 and wset.degenerate_top
-        window = _POINT_WINDOW if point else wset.slices[index]
-        row, k2, v_lo, v_hi = _scan(t0, a, b, window, reach, M)
-        k34 = index - k01_sum[row] - k2
-        lo, hi = _integer_span(v_lo, v_hi, np.maximum(k34 - M, -M),
-                               np.minimum(k34 + M, M))
-        del v_lo, v_hi
-        # drop the lines whose k3 span holds no label of the box
-        held = lo <= hi
-        row, k2, k34, lo, hi = (x[held] for x in (row, k2, k34, lo, hi))
-        line, k3 = _expand(lo, hi)
-        del lo, hi, held
-        keys = (row_key[row] + (k2 + M) * weights[2] + (k34 + M) * weights[4])[line]
-        del k34
-        keys += k3 * (weights[3] - weights[4])
-        # x and y rows, which the predicate's (edges, n) product reads fastest
-        pts = np.empty((2, len(k3)))
-        for j, xy in enumerate(pts):
-            np.multiply(k3, b[j], out=xy)
-            xy += (t0[row, j] + k2 * a[j])[line]
-        del row, k2, line, k3
-        if point:
-            # nothing is accepted, and a test point within eps of 0 is singular
-            status = np.where(np.linalg.norm(pts, axis=0) <= wset.eps, -1, 0)
-        else:
-            status = window.classify(pts.T, wset.eps)
-        del pts
-        singular.append(keys[status == -1])
-        blocks.append(keys[status == 1])
-        del keys, status
-    bad = np.concatenate(singular)
-    if len(bad):
-        bad = np.column_stack(label_columns(bad, M))
-        _raise_singular(bad, np.full(len(bad), -1), "a window boundary", shift, M)
-    return blocks
+    blocks = [[] for _ in range(5)]
+    for pieces in scan_2d(radius, shift, wset, basis):
+        for piece in pieces:
+            blocks[piece.index - 1].append(piece.keys(piece.status == 1))
+    return [np.concatenate(keys) for keys in blocks]
 
 
 def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet,
@@ -552,7 +649,7 @@ def tip_columns(radius: int, shift: GridShift, Q: DecagonQ, basis: ProjectionBas
     meets = hi - lo <= S
     a0, a1, hi, lo = a0[meets], a1[meets], hi[meets], lo[meets]
     t0 = np.outer(a0, d[0]) + np.outer(a1, d[1]) - shift.gamma @ d
-    row, a2, v_lo, v_hi = _scan(t0, d[2], d[3], Q.window, eps + _SCAN_SLACK, S)
+    row, a2, v_lo, v_hi = _LineScan.of(d[2], d[3], Q.window, eps + _SCAN_SLACK)(t0, S)
     hi, lo = np.maximum(hi[row], a2), np.minimum(lo[row], a2)
     meets = hi - lo <= S
     row, a2, v_lo, v_hi, hi, lo = (x[meets] for x in (row, a2, v_lo, v_hi, hi, lo))
@@ -668,23 +765,6 @@ def label_rows(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
         return np.full(query.shape, -1, dtype=np.int64)
     rows = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
     return np.where(keys[rows] == query, rows, -1)
-
-
-def key_member(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Whether each query key is in the sorted key array; -1 never is.
-
-    A binary search per query, which allocates two int64 arrays the size of
-    the query.  A merge of the two sorted runs (np.isin) allocates about four
-    times the queries and keys together, and in a fresh process the pages it
-    frees are faulted in again on every call, which costs more than the
-    merge saves.
-    """
-    query = np.asarray(query, dtype=np.int64)
-    if len(keys) == 0:
-        return np.zeros(query.shape, dtype=bool)
-    rows = np.searchsorted(keys, query)
-    np.minimum(rows, len(keys) - 1, out=rows)
-    return keys[rows] == query
 
 
 def step_rows(labels: np.ndarray, keys: np.ndarray, radius: int,

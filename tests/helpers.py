@@ -30,10 +30,9 @@ from quasiproj.lattice3d import (_CLASS_OF_CODE, _CLASSES, ANALYTIC_CLASS_FREQUE
 from quasiproj import window
 from quasiproj.window import (_SCAN_SLACK, CUBE_VERTICES, HULL_INDICES,
                               INTERIOR_INDICES, _check_budget, _expand,
-                              _integer_span, _key_weights, _raise_singular, _scan,
-                              d_test_points, enumerate_accepted_2d, key_member,
-                              label_extent, label_index, label_keys, label_rows,
-                              step_rows)
+                              _LineScan, _integer_span, _key_weights, _raise_singular,
+                              d_test_points, enumerate_accepted_2d, label_extent,
+                              label_index, label_keys, label_rows, step_rows)
 
 
 def mesh_margin_2d(k, shift, basis) -> float:
@@ -169,6 +168,17 @@ def accept_2d_bulk(labels, shift, wset, basis):
     return status
 
 
+def key_member(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Whether each query key is in the sorted key array, by a binary search
+    per query; -1 never is."""
+    query = np.asarray(query, dtype=np.int64)
+    if len(keys) == 0:
+        return np.zeros(query.shape, dtype=bool)
+    rows = np.searchsorted(keys, query)
+    np.minimum(rows, len(keys) - 1, out=rows)
+    return keys[rows] == query
+
+
 def neighbor_counts(labels, keys, radius):
     """(n_pos, n_neg) of each label: how many of its k + e_m and k - e_m are vertices.
 
@@ -207,11 +217,11 @@ def scan_3d(radius, shift, Q, basis, eps):
     k = np.arange(-M, M + 1, dtype=np.int64)
     k12 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
     base = k12 @ d[1:3] - shift.gamma @ d
+    scan = _LineScan.of(d[3], d[4], Q.window, eps + _SCAN_SLACK)
     # k0 ascends over the blocks, and (k1, k2), k3, k4 within each, so the
     # candidates come out in key order
     for k0 in range(-M, M + 1):
-        row, k3, v_lo, v_hi = _scan(base + k0 * d[0], d[3], d[4], Q.window,
-                                    eps + _SCAN_SLACK, M)
+        row, k3, v_lo, v_hi = scan(base + k0 * d[0], M)
         sub, k4 = _expand(*_integer_span(v_lo, v_hi, -M, M))
         cand = np.column_stack([np.full(len(sub), k0), k12[row[sub]], k3[sub], k4])
         # through the module, so that a test can record what it tests

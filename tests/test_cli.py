@@ -253,7 +253,7 @@ def test_freq_names_the_enumerators_singular_label_before_classifying(P, basis,
     def unreachable(*args):
         raise AssertionError("a vertex was classified before the singular label raised")
 
-    monkeypatch.setattr(qp.tiling2d, "neighbor_counts", unreachable)
+    monkeypatch.setattr(qp.tiling2d, "neighbor_masks", unreachable)
     with pytest.raises(SingularityError) as got:
         empirical_frequencies(10, shift, ws, basis)
     assert str(got.value) == str(expected.value)
@@ -396,7 +396,7 @@ _OLD_EXPORTS = {
                   "k_vector_2d", "k_vector_3d", "tiling_from_pentagrid"],
     "tiling2d": ["CENSUS", "FrequencyReport", "VertexType", "analytic_A",
                  "analytic_probability", "census_support", "empirical_frequencies",
-                 "neighbor_counts"],
+                 "neighbor_masks"],
     "lattice3d": ["ANALYTIC_CLASS_FREQUENCIES", "OVERLAP_OFFSETS", "OverlapCensus",
                   "build_cells", "overlap_census", "overlap_signatures"],
 }

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import quasiproj as qp
-from quasiproj.errors import CensusViolationError
-from quasiproj.tiling2d import (CENSUS, VertexType, analytic_A,
-                                analytic_probability, census_support,
-                                empirical_frequencies, neighbor_counts)
-from quasiproj.window import (accepted_2d_blocks, enumerate_accepted_2d, label_columns,
-                              label_keys, label_rows, random_shift)
+from quasiproj.errors import CensusViolationError, SingularityError
+from quasiproj.tiling2d import (CENSUS, EDGE_AXES, VertexType, _band_tables, _halfplanes,
+                                analytic_A, analytic_probability, census_support,
+                                empirical_frequencies, neighbor_masks)
+from quasiproj.window import (SCAN_ROWS, accepted_2d_blocks, enumerate_accepted_2d,
+                              random_shift, step_rows)
 
 from helpers import accept_2d_bulk
 from helpers import neighbor_counts as whole_box_neighbor_counts
@@ -120,19 +120,10 @@ def test_boundary_values_are_continuous_limits():
 
 def classified(radius, shift, ws, basis, edge):
     """The vertices within `edge` of the box centre, in key order, with the
-    (n_pos, n_neg) neighbor_counts gives them one index block at a time."""
-    none = np.empty(0, dtype=np.int64)
-    keys = [none] + accepted_2d_blocks(radius, shift, ws, basis) + [none]
-    parts = []
-    for index in range(1, 6):
-        labels = np.column_stack(label_columns(keys[index], radius))
-        inside = np.abs(labels).max(axis=1) <= edge
-        n_pos, n_neg = neighbor_counts(keys[index][inside], keys[index + 1],
-                                       keys[index - 1], radius)
-        parts.append((keys[index][inside], labels[inside], n_pos, n_neg))
-    keys, labels, n_pos, n_neg = (np.concatenate(p) for p in zip(*parts))
-    order = np.argsort(keys)
-    return labels[order], n_pos[order], n_neg[order]
+    (n_pos, n_neg) the whole-box oracle looks up for them."""
+    labels, _, keys = enumerate_accepted_2d(radius, shift, ws, basis)
+    inner = labels[np.abs(labels).max(axis=1) <= edge]
+    return (inner,) + whole_box_neighbor_counts(inner, keys, radius)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +202,12 @@ def test_empirical_report_structure(basis, windows_for):
     assert len(keys) == len(set(keys))
 
 
+def test_empirical_frequencies_need_a_margin(basis, windows_for):
+    # a vertex on the box edge has neighbours that the scan never tested
+    with pytest.raises(ValueError, match="margin must be at least 1"):
+        empirical_frequencies(14, random_shift(0.5, 7), windows_for(0.5), basis, margin=0)
+
+
 def test_empirical_symmetric_at_half(basis, windows_for):
     # at the fixed point c = 1/2 the construction is symmetric under
     # (I, n, n') -> (6-I, n', n)
@@ -285,6 +282,23 @@ def test_empirical_frequencies_match_the_whole_box_oracle(c, seed, radius, empti
     assert {(r.index, r.n_pos, r.n_neg): r.count for r in rep.rows if r.count} == expected
 
 
+def doctor_masks(monkeypatch, shift, basis, labels, types):
+    """Make neighbor_masks give each of these vertices the mask of its
+    (n, n'), finding it by index and test point in whichever chunk of the
+    scan holds it."""
+    index = labels.sum(axis=1)
+    proj = (labels - shift.gamma) @ basis.W[:, :2] @ EDGE_AXES.T
+    forged = [(1 << n) - 1 | ((1 << nn) - 1) << 5 for n, nn in types]
+
+    def masks(points, at, *args):
+        found = neighbor_masks(points, at, *args)
+        for i, p, mask in zip(index, proj, forged):
+            if i == at:
+                found[np.abs(points.T - p).max(axis=1) < 1e-9] = mask
+        return found
+    monkeypatch.setattr(qp.tiling2d, "neighbor_masks", masks)
+
+
 def test_census_violation_names_the_first_offending_type(basis, windows_for,
                                                          monkeypatch):
     # at c = 0.2 the type [4,0]_2 is in the census but has zero frequency
@@ -292,20 +306,9 @@ def test_census_violation_names_the_first_offending_type(basis, windows_for,
     labels, _, _ = enumerate_accepted_2d(8, shift, windows_for(0.2), basis)
     inner = labels[np.abs(labels).max(axis=1) <= 6]
     first2 = int(np.argmax(inner.sum(axis=1) == 2))
-    original = qp.tiling2d.neighbor_counts
 
     def doctored(vertices, types):
-        # the counts of these vertices, in whichever index block holds them
-        doctor = dict(zip(label_keys(inner[vertices], 8).tolist(), types))
-
-        def counts(keys, *args):
-            n_pos, n_neg = original(keys, *args)
-            for key, (n, nn) in doctor.items():
-                row = label_rows(keys, key)
-                if row >= 0:
-                    n_pos[row], n_neg[row] = n, nn
-            return n_pos, n_neg
-        monkeypatch.setattr(qp.tiling2d, "neighbor_counts", counts)
+        doctor_masks(monkeypatch, shift, basis, inner[vertices], types)
 
     index = inner.sum(axis=1)
     doctored([first2 + 3, first2], [(1, 1), (4, 0)])
@@ -322,6 +325,30 @@ def test_census_violation_names_the_first_offending_type(basis, windows_for,
     with pytest.raises(CensusViolationError,
                        match=r"type \[4,0\]_2 has zero analytic frequency at c=0.2"):
         empirical_frequencies(8, shift, windows_for(0.2), basis)
+
+
+def test_census_violation_order_spans_the_scan_chunks(basis, windows_for, monkeypatch):
+    # an index-2 vertex of the first chunk and an index-1 vertex of a later
+    # one: whichever comes first in label order is named
+    shift = random_shift(0.2, 13)
+    radius = 24
+    labels, _, _ = enumerate_accepted_2d(radius, shift, windows_for(0.2), basis)
+    inner = labels[np.abs(labels).max(axis=1) <= radius - 2]
+    chunk = ((inner[:, 0] + radius) * (2 * radius + 1) + inner[:, 1] + radius) // SCAN_ROWS
+    index = inner.sum(axis=1)
+    early2 = int(np.argmax((index == 2) & (chunk == 0)))
+    late1 = int(np.argmax((index == 1) & (chunk == chunk.max())))
+    early1 = int(np.argmax((index == 1) & (chunk == 0)))
+    late2 = int(np.argmax((index == 2) & (chunk == chunk.max())))
+    assert chunk.max() > 0 and chunk[late1] > 0 and chunk[late2] > 0
+    assert chunk[early2] == 0 and chunk[early1] == 0
+    doctor_masks(monkeypatch, shift, basis, inner[[late1, early2]], [(1, 1), (4, 0)])
+    with pytest.raises(CensusViolationError,
+                       match=r"type \[4,0\]_2 has zero analytic frequency at c=0.2"):
+        empirical_frequencies(radius, shift, windows_for(0.2), basis)
+    doctor_masks(monkeypatch, shift, basis, inner[[late2, early1]], [(4, 0), (1, 1)])
+    with pytest.raises(CensusViolationError, match=r"type \[1,1\]_1 is outside the census"):
+        empirical_frequencies(radius, shift, windows_for(0.2), basis)
 
 
 def test_freq_working_set_per_accepted_label(basis, windows_for):
@@ -343,3 +370,128 @@ def test_freq_working_set_per_accepted_label(basis, windows_for):
     assert sum(keys.nbytes for keys in blocks) == 8 * n
     assert all(keys.base is None and keys.dtype == np.int64 for keys in blocks)
     assert peak <= 64 * n
+
+
+def test_freq_peak_does_not_grow_with_the_radius(basis, windows_for):
+    # the scan's chunks are classified as they come and nothing is kept per
+    # vertex, so the traced peak, band tables included, is one chunk's
+    # working set at any radius
+    shift = random_shift(0.5, 0)
+    ws = windows_for(0.5)
+    peaks = {}
+    for radius in (40, 100):
+        _band_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            empirical_frequencies(radius, shift, ws, basis)
+            peaks[radius] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[100] <= 2e6
+    assert peaks[100] <= peaks[40] + 0.5e6
+
+
+# -- neighbour masks ------------------------------------------------------------
+
+BREAKPOINTS = (P ** -3, PINV2, 2 * P ** -3, PINV2 + P ** -4, 1 / P)
+
+
+def test_scan_chunks_leave_every_result_unchanged(basis, windows_for, monkeypatch):
+    shift = random_shift(0.5, 7)
+    ws = windows_for(0.5)
+    blocks = accepted_2d_blocks(20, shift, ws, basis)
+    report = empirical_frequencies(20, shift, ws, basis)
+    # the REDRAW_ARGS draw, whose labels within eps of a window are many
+    singular_shift = random_shift(0.5, 8)
+    singular_ws = qp.build_windows(qp.build_polytope_P(basis), 0.5, 1e-4)
+    with pytest.raises(SingularityError) as singular:
+        empirical_frequencies(10, singular_shift, singular_ws, basis)
+    for rows in (37, 400):
+        monkeypatch.setattr(qp.window, "SCAN_ROWS", rows)
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(accepted_2d_blocks(20, shift, ws, basis), blocks))
+        assert empirical_frequencies(20, shift, ws, basis) == report
+        with pytest.raises(SingularityError) as got:
+            empirical_frequencies(10, singular_shift, singular_ws, basis)
+        assert str(got.value) == str(singular.value)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5] + [b + s for b in BREAKPOINTS for s in (-1e-6, 1e-6)])
+def test_neighbor_masks_match_the_key_lookups(c, basis, windows_for):
+    # at every boundary-complete vertex, the bits are the steps k +- e_m that
+    # the whole box's keys hold, and the popcounts the oracle's counts
+    radius = 20
+    ws = windows_for(c)
+    for seed in range(3):
+        shift = random_shift(c, seed)
+        labels, _, keys = enumerate_accepted_2d(radius, shift, ws, basis)
+        inner = labels[np.abs(labels).max(axis=1) <= radius - 2]
+        steps = np.hstack([step_rows(inner, keys, radius, sign) >= 0 for sign in (1, -1)])
+        expected = steps @ (1 << np.arange(10))
+        n_pos, n_neg = whole_box_neighbor_counts(inner, keys, radius)
+        index = inner.sum(axis=1)
+        proj = (inner - shift.gamma) @ basis.W[:, :2] @ EDGE_AXES.T
+        masks = np.zeros(len(inner), dtype=np.int64)
+        for i in range(1, 6):
+            at = index == i
+            masks[at] = neighbor_masks(proj[at].T, i, ws, basis)
+        assert np.array_equal(masks, expected)
+        assert np.array_equal([bin(m & 31).count("1") for m in masks], n_pos)
+        assert np.array_equal([bin(m >> 5).count("1") for m in masks], n_neg)
+
+
+def test_neighbor_masks_refuse_a_bad_index_or_shape(basis, windows_for):
+    ws = windows_for(0.5)
+    for index in (0, 6):
+        with pytest.raises(ValueError, match="index must be in"):
+            neighbor_masks(np.zeros((5, 1)), index, ws, basis)
+    with pytest.raises(ValueError, match=r"shape \(5, n\)"):
+        neighbor_masks(np.zeros((1, 5)), 3, ws, basis)
+
+
+def direct_masks(proj, index, ws, basis):
+    """Neighbour masks by testing every edge of V_{I+1} and V_{I-1}.
+
+    Edge (n, o) of a window, n = sigma u_j, holds at t + v when
+    sigma u_j . t < o - n . v, written on the axis as s_j < sigma o - u_j . v
+    for sigma = 1 and s_j > sigma o - u_j . v for sigma = -1, so that a point
+    on that value is on the edge.
+    """
+    w = basis.W[:, :2]
+    out = np.zeros(proj.shape[1], dtype=np.int64)
+    for first, other, side in ((0, index + 1, 1.0), (5, index - 1, -1.0)):
+        window = ws.slices.get(other)
+        if window is None:
+            continue
+        for m in range(5):
+            v = side * w[m]
+            inside = np.ones(proj.shape[1], dtype=bool)
+            for n, o in zip(window.normals, window.offsets):
+                turn = int(round(np.arctan2(n[1], n[0]) / (np.pi / 5))) % 10
+                j, sigma = turn % 5, (1.0 if turn < 5 else -1.0)
+                u = EDGE_AXES[j]
+                beta = sigma * o - (u[0] * v[0] + u[1] * v[1])
+                inside &= proj[j] < beta if sigma > 0 else proj[j] > beta
+            out[inside] |= 1 << (first + m)
+    return out
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, PINV2])
+def test_neighbor_masks_on_and_beside_every_break(c, basis, windows_for):
+    # projections exactly on each break, 1e-12 to either side of it, and
+    # past both ends of the axis, with the other axes at random test points
+    ws = windows_for(c)
+    rng = np.random.default_rng(3)
+    for index in range(1, 6):
+        _, _, _, breaks, _ = _band_tables(_halfplanes(ws, index + 1),
+                                          _halfplanes(ws, index - 1), basis.W.tobytes())
+        columns = []
+        for j in range(5):
+            b = breaks[j][np.isfinite(breaks[j])]
+            values = np.concatenate([b, b - 1e-12, b + 1e-12, [b[0] - 5, b[-1] + 5]])
+            proj = (rng.uniform(-1, 1, (len(values), 2)) @ EDGE_AXES.T).T
+            proj[j] = values
+            columns.append(proj)
+        proj = np.hstack(columns)
+        assert np.array_equal(neighbor_masks(proj, index, ws, basis),
+                              direct_masks(proj, index, ws, basis))

@@ -11,14 +11,14 @@ from quasiproj.lattice3d import overlap_census
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               INTERIOR_INDICES, MAX_KEY_RADIUS, accept_3d_bulk,
                               accepted_2d_blocks, d_test_points, enumerate_accepted_2d,
-                              key_member, label_columns, label_extent, label_index,
+                              label_columns, label_extent, label_index,
                               label_keys, label_rows, normalize_shift, random_shift,
                               slice_window, step_rows)
 
 from helpers import (accept_2d_bulk, benchmark_gamma, enumerate_accepted_3d,
-                     fan_triangles, lambda_box_candidates_2d, lambda_box_candidates_3d,
-                     mesh_margin_2d, mesh_margin_3d, mesh_solution_2d, moved_shift,
-                     polygon_area)
+                     fan_triangles, key_member, lambda_box_candidates_2d,
+                     lambda_box_candidates_3d, mesh_margin_2d, mesh_margin_3d,
+                     mesh_solution_2d, moved_shift, neighbor_counts, polygon_area)
 
 P_GOLD = qp.PHI
 
@@ -546,12 +546,12 @@ def test_key_member_matches_binary_search(basis, windows_for):
 
 
 def test_neighbor_counts_needs_labels_in_key_order(basis, windows_for):
-    blocks = accepted_2d_blocks(6, random_shift(0.5, 4), windows_for(0.5), basis)
-    labels = np.column_stack(label_columns(blocks[2], 6))
-    keys = blocks[2][np.abs(labels).max(axis=1) <= 5]
-    for bad in (keys[::-1], np.concatenate([keys[:1], keys])):
+    # the oracle's lookups rely on it
+    labels, _, keys = enumerate_accepted_2d(6, random_shift(0.5, 4), windows_for(0.5), basis)
+    inner = labels[np.abs(labels).max(axis=1) <= 5]
+    for bad in (inner[::-1], np.concatenate([inner[:1], inner])):
         with pytest.raises(ValueError, match="distinct and in key order"):
-            qp.neighbor_counts(bad, blocks[3], blocks[1], 6)
+            neighbor_counts(bad, keys, 6)
 
 
 @pytest.mark.parametrize("R", [1, 80, MAX_KEY_RADIUS])
