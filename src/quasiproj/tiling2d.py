@@ -10,14 +10,13 @@ shift sum c.  The full census holds 3 + 9 + 20 + 9 + 3 types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CensusViolationError, ConfigError, ConsistencyError
+from .errors import CensusViolationError, ConfigError
 from .geometry import PHI, ProjectionBasis, make_basis
-from .window import CONSTRUCTION_TOL, GridShift, WindowSet, scan_2d
+from .window import GridShift, WindowSet, scan_2d
 
 _P = PHI
 
@@ -28,153 +27,45 @@ class VertexType(NamedTuple):
     n_neg: int
 
 
-#: the five edge axes u_j = (cos 36j deg, sin 36j deg).  Every edge of a
-#: slice window lies across one of them: its outward normal is +u_j or -u_j.
-EDGE_AXES = np.column_stack([np.cos(np.arange(5) * np.pi / 5),
-                             np.sin(np.arange(5) * np.pi / 5)])
-EDGE_AXES.setflags(write=False)
-#: uniform buckets per axis in the band tables
-_BUCKETS = 4096
-#: a bucket closer than this to a break is decided by search on the breaks;
-#: far above the float error of a bucket index, ~1e-15 in projection units
-_BREAK_GUARD = 1e-9
-#: the table entry of such a bucket; a mask has 10 bits, so it is never one
-_SEARCH = 0xFFFF
-#: where each axis starts in the flat bucket table
-_AXIS_START = _BUCKETS * np.arange(5)[:, None]
-
-
-def _halfplanes(wset: WindowSet, index: int) -> bytes | None:
-    """The (normal, offset) rows of window V_index as bytes, or None where
-    no vertex has that index."""
-    window = wset.slices.get(index)
-    if window is None:
-        return None
-    return np.column_stack([window.normals, window.offsets]).tobytes()
-
-
-@lru_cache(maxsize=16)
-def _band_tables(above: bytes | None, below: bytes | None, w: bytes) -> tuple:
-    """The band tables of neighbour masks: (lo, scale, buckets, breaks,
-    masks), from the half-planes of V_{I+1} and V_{I-1} (`_halfplanes`) and
-    the five w_m of `basis.W`.
-
-    Neighbour m of a point t is inside its window when sigma_e u_j . (t + v)
-    < o_e on every edge e, normal sigma_e u_j, of the window, with v = w_m
-    for V_{I+1} and -w_m for V_{I-1}.  So on axis j, with s = u_j . t, each
-    (edge, m) is one break beta = sigma_e o_e - u_j . v, and the edge holds
-    where s < beta (sigma_e = 1) or s > beta (sigma_e = -1).  On axis j the
-    distinct breaks b_0 < .. < b_{n-1} cut the line into 2n + 1 positions:
-    2i between b_{i-1} and b_i, 2i + 1 on b_i.  masks[j, p] holds the bits
-    of the neighbours whose axis-j edges all hold at position p, and
-    breaks[j] the b_i, padded with inf.  The _BUCKETS buckets of axis j,
-    lo[j] + [i, i + 1) / scale[j] over [b_0 - 1, b_{n-1} + 1], each hold the
-    mask of the one position they lie in, or _SEARCH if a break is within
-    _BREAK_GUARD of them; buckets[j * _BUCKETS + i] is bucket i of axis j.
-    """
-    w = np.frombuffer(w).reshape(5, 3)[:, :2]
-    bits, axes, signs, breaks = [], [], [], []
-    present = 0
-    for first, halfplanes, steps in ((0, above, w), (5, below, -w)):
-        if halfplanes is None:
-            continue
-        present |= 31 << first
-        rows = np.frombuffer(halfplanes).reshape(-1, 3)
-        normals, offsets = rows[:, :2], rows[:, 2]
-        turn = np.rint(np.arctan2(normals[:, 1], normals[:, 0]) / (np.pi / 5))
-        turn = turn.astype(np.int64) % 10
-        axis, sign = turn % 5, np.where(turn < 5, 1.0, -1.0)
-        if np.abs(normals - sign[:, None] * EDGE_AXES[axis]).max() > CONSTRUCTION_TOL:
-            raise ConsistencyError("a window edge lies across none of the five axes")
-        # u_j . v multiplied out, so that a test can form the same break
-        uv = EDGE_AXES[axis, :1] * steps[:, 0] + EDGE_AXES[axis, 1:] * steps[:, 1]
-        breaks.append(((sign * offsets)[:, None] - uv).ravel())
-        bits.append(np.tile(1 << (first + np.arange(5)), len(axis)))
-        axes.append(np.repeat(axis, 5))
-        signs.append(np.repeat(sign, 5))
-    order = np.argsort(np.concatenate(axes), kind="stable")
-    bits, axes, signs, breaks = (np.concatenate(x)[order] for x in (bits, axes, signs, breaks))
-
-    distinct = [sorted(set(breaks[axes == j].tolist())) for j in range(5)]
-    width = max(map(len, distinct))
-    padded = np.full((5, width), np.inf)
-    ends = np.full((5, width + 2), np.inf)  # b_0 - 1, the breaks, b_{n-1} + 1
-    for j, b in enumerate(distinct):
-        padded[j, :len(b)] = b
-        ends[j, :len(b) + 2] = [b[0] - 1] + b + [b[-1] + 1]
-    # a point at each position: on each break, and halfway between two
-    at = np.empty((5, 2 * width + 1))
-    at[:, 1::2] = padded
-    at[:, ::2] = (ends[:, :-1] + ends[:, 1:]) / 2
-    at = at[axes]
-    holds = np.where(signs[:, None] > 0, at < breaks[:, None], at > breaks[:, None])
-    fails = np.where(holds, 0, bits[:, None])
-    starts = np.searchsorted(axes, np.arange(5))
-    masks = (present & ~np.bitwise_or.reduceat(fails, starts, axis=0)).astype(np.uint16)
-
-    lo = ends[:, :1]
-    step = (np.array([[b[-1] + 1] for b in distinct]) - lo) / _BUCKETS
-    # bucket i of an axis holds position 2k, k the number of its breaks in
-    # lower buckets, so the table is a run of each even position's mask
-    real = np.isfinite(padded)
-    cell = np.where(real, (padded - lo) / step, _BUCKETS - 1).astype(np.intp)
-    runs = np.diff(cell, axis=1, prepend=-1, append=_BUCKETS - 1)
-    buckets = masks[:, ::2].ravel().repeat(runs.ravel()).reshape(5, _BUCKETS)
-    for guard in (-_BREAK_GUARD, _BREAK_GUARD):
-        near = ((padded + guard - lo) / step)[real].astype(np.intp)
-        buckets[np.nonzero(real)[0], near] = _SEARCH
-    scale = 1 / step
-    for arr in (lo, scale, buckets, padded, masks):
-        arr.setflags(write=False)
-    return lo, scale, buckets.ravel(), padded, masks
-
-
-def neighbor_masks(proj: np.ndarray, index: int, wset: WindowSet,
+def neighbor_masks(points: np.ndarray, index: int, wset: WindowSet,
                    basis: ProjectionBasis) -> np.ndarray:
-    """The 10-bit neighbour mask of each point of index I, from the
-    projections proj[j] = u_j . t, shape (5, n), of its test point t on the
-    five edge axes.
+    """The 10-bit neighbour mask of each test point t of index I, given as
+    x and y rows, shape (2, n).
 
-    Bit m is set when t + w_m lies in V_{I+1}, and bit 5 + m when t - w_m
-    lies in V_{I-1}: the steps k + e_m and k - e_m of a vertex k that are
+    Bit m is set when t + w_m lies inside V_{I+1}, and bit 5 + m when t - w_m
+    lies inside V_{I-1}: the steps k + e_m and k - e_m of a vertex k that are
     vertices, so its type [n, n']_I is (popcount(mask & 31),
-    popcount(mask >> 5)).  Each axis reads its bits off a band table, built
-    once per index from the windows' half-planes; a point within
-    _BREAK_GUARD of a break is placed by comparison with the breaks, so a
-    point on a break fails the edge there, as it fails the half-plane.
+    popcount(mask >> 5)).  Inside is strictly inside every edge line of the
+    window, n . t < o - n . v for each of its edges (n, o), with v = w_m or
+    -w_m, and the window's own normals and offsets.
 
-    Why it is exact for a boundary-complete vertex: its neighbours lie in
-    the box, the scan has tested every label in the box, and a label within
-    eps of its window raises before anything is classified.  So each
-    neighbour's test point is more than eps inside its window, where every
-    half-plane holds by more than eps, or more than eps outside it, where
-    one fails by more than eps.  t + w_m is within about 1e-13 of the
-    scan's own test point of k + e_m, and the breaks use the exact axes,
-    within 1e-15 of the window normals; so while eps is far above 1e-13,
-    each of those half-planes gets the sign the scan gave it, and the mask
-    agrees with a lookup of the scan's accepted labels.
+    Why it is exact for a boundary-complete vertex of a regular scan: its
+    neighbours lie in the box, and the scan has tested each against its
+    window, or passed it by as more than eps outside, and raises if any lies
+    within eps of the boundary.  So at the scan's test point p of each
+    neighbour, n . p - o is below -eps on every edge of an accepted one and
+    above eps on some edge of a rejected one.  t + v lies within the float
+    error of the scan's points from p, which `_POINT_DRIFT` bounds and
+    `empirical_frequencies` keeps below eps, so every difference keeps its
+    sign against 0, and each bit is the scan's own decision.
     """
     if not 1 <= index <= 5:
         raise ValueError(f"index must be in [1, 5], got {index}")
-    proj = np.asarray(proj, dtype=float)
-    if proj.ndim != 2 or len(proj) != 5:
-        raise ValueError(f"proj must have shape (5, n), got {proj.shape}")
-    lo, scale, buckets, breaks, masks = _band_tables(
-        _halfplanes(wset, index + 1), _halfplanes(wset, index - 1), basis.W.tobytes())
-    cell = proj - lo
-    cell *= scale
-    np.maximum(cell, 0, out=cell)
-    np.minimum(cell, _BUCKETS - 1, out=cell)
-    cell = cell.astype(np.intp)
-    cell += _AXIS_START
-    found = buckets[cell]
-    del cell
-    axis, col = np.nonzero(found == _SEARCH)
-    if len(axis):
-        s = proj[axis, col][:, None]
-        at = breaks[axis]
-        found[axis, col] = masks[axis, (at < s).sum(axis=1) + (at <= s).sum(axis=1)]
-    return np.bitwise_and.reduce(found, axis=0)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or len(points) != 2:
+        raise ValueError(f"points must have shape (2, n), got {points.shape}")
+    w = basis.W[:, :2]
+    masks = np.zeros(points.shape[1], dtype=np.int64)
+    for first, other, steps in ((0, index + 1, w), (5, index - 1, -w)):
+        window = wset.slices.get(other)
+        if window is None:  # no vertex has that index
+            continue
+        # (edges, n) against (edges, 5 steps): bit first + m where every edge holds
+        along = window.normals @ points
+        room = window.offsets[:, None] - window.normals @ steps.T
+        inside = (along[:, None, :] < room[:, :, None]).all(axis=0)
+        masks |= (1 << (first + np.arange(5))) @ inside
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +253,13 @@ class FrequencyReport:
         return max((abs(r.analytic - r.empirical) for r in self.rows), default=0.0)
 
 
+#: a bound, per unit of radius, on how far t + w_m lies from the scan's own
+#: test point of k + e_m.  `scan_2d` forms each coordinate with about ten
+#: roundings of terms below ~5 radius, so the two differ by at most ~1.2e-14
+#: radius, and by ~1e-15 more in n . t - o; measured, 7.1e-16 radius at most
+#: (radius 10 to 160, three shifts)
+_POINT_DRIFT = 2e-14
+
 #: the type code 6 n + n' of each neighbour mask
 _TYPE_OF_MASK = np.array([6 * bin(m & 31).count("1") + bin(m >> 5).count("1")
                           for m in range(1024)], dtype=np.intp)
@@ -376,13 +274,24 @@ def empirical_frequencies(radius: int, shift: GridShift, wset: WindowSet,
     neighborhood is truncated.  Each chunk of `scan_2d` is classified as it
     comes: the type of a vertex is read off its test point by
     `neighbor_masks`, so nothing is kept per vertex and the working set does
-    not grow with the radius.  The scan raises SingularityError, once all
-    its chunks are done, before any type is counted.  Raises
-    CensusViolationError, naming the first vertex in label order, if a
-    classified type falls outside the analytic support at this c.
+    not grow with the radius.
+
+    Raises ConfigError if eps is not above _POINT_DRIFT (radius + 1), where
+    the masks could differ from the scan's decisions.  The scan raises
+    SingularityError after its last chunk, so a singular label is named
+    before any result or CensusViolationError, though the chunks before its
+    own have been classified.  Raises CensusViolationError, naming the
+    first vertex in label order, if a classified type falls outside the
+    analytic support at this c.
     """
     if margin < 1:
         raise ValueError(f"margin must be at least 1, got {margin}")
+    drift = _POINT_DRIFT * (radius + 1)
+    if not wset.eps > drift:
+        raise ConfigError(
+            f"eps {wset.eps:g} is not above {drift:.2g}, the float error of the test "
+            f"points at radius {radius}, so vertex types cannot be read off them; "
+            f"use a larger tolerance")
     basis = basis or make_basis()
     support = [(vt.index, vt.n_pos, vt.n_neg) for vt in census_support(shift.c)]
     # type [n, n']_I as the code 36 I + 6 n + n'
@@ -394,8 +303,7 @@ def empirical_frequencies(radius: int, shift: GridShift, wset: WindowSet,
         for piece in pieces:
             inner = piece.status == 1
             inner &= piece.extent() <= radius - margin
-            masks = neighbor_masks(EDGE_AXES @ piece.points[:, inner], piece.index,
-                                   wset, basis)
+            masks = neighbor_masks(piece.points[:, inner], piece.index, wset, basis)
             code = _TYPE_OF_MASK[masks]
             found = np.bincount(code, minlength=36)
             counts[piece.index] += found

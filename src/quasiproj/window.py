@@ -458,7 +458,7 @@ def _check_budget(radius: int, rows: int, windows, a: np.ndarray,
 #: (k0, k1) rows per chunk of the 2-d scan.  Everything the scan holds per
 #: row, line or label lives for one chunk, so its working set does not grow
 #: with the radius: a chunk of this size tests at most ~8,300 labels at
-#: c = 0.5, and the traced peak of `qc freq`'s tally stays under 1 MB.
+#: c = 0.5, and the traced peak of `qc freq`'s tally stays under 1.2 MB.
 SCAN_ROWS = 1024
 
 

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import quasiproj as qp
-from quasiproj.errors import CensusViolationError, SingularityError
-from quasiproj.tiling2d import (CENSUS, EDGE_AXES, VertexType, _band_tables, _halfplanes,
-                                analytic_A, analytic_probability, census_support,
-                                empirical_frequencies, neighbor_masks)
+from quasiproj.errors import CensusViolationError, ConfigError, SingularityError
+from quasiproj.tiling2d import (CENSUS, VertexType, analytic_A, analytic_probability,
+                                census_support, empirical_frequencies, neighbor_masks)
 from quasiproj.window import (SCAN_ROWS, accepted_2d_blocks, enumerate_accepted_2d,
                               random_shift, step_rows)
 
@@ -287,12 +286,12 @@ def doctor_masks(monkeypatch, shift, basis, labels, types):
     (n, n'), finding it by index and test point in whichever chunk of the
     scan holds it."""
     index = labels.sum(axis=1)
-    proj = (labels - shift.gamma) @ basis.W[:, :2] @ EDGE_AXES.T
+    test_points = (labels - shift.gamma) @ basis.W[:, :2]
     forged = [(1 << n) - 1 | ((1 << nn) - 1) << 5 for n, nn in types]
 
     def masks(points, at, *args):
         found = neighbor_masks(points, at, *args)
-        for i, p, mask in zip(index, proj, forged):
+        for i, p, mask in zip(index, test_points, forged):
             if i == at:
                 found[np.abs(points.T - p).max(axis=1) < 1e-9] = mask
         return found
@@ -374,13 +373,11 @@ def test_freq_working_set_per_accepted_label(basis, windows_for):
 
 def test_freq_peak_does_not_grow_with_the_radius(basis, windows_for):
     # the scan's chunks are classified as they come and nothing is kept per
-    # vertex, so the traced peak, band tables included, is one chunk's
-    # working set at any radius
+    # vertex, so the traced peak is one chunk's working set at any radius
     shift = random_shift(0.5, 0)
     ws = windows_for(0.5)
     peaks = {}
     for radius in (40, 100):
-        _band_tables.cache_clear()
         tracemalloc.start()
         try:
             empirical_frequencies(radius, shift, ws, basis)
@@ -416,12 +413,40 @@ def test_scan_chunks_leave_every_result_unchanged(basis, windows_for, monkeypatc
         assert str(got.value) == str(singular.value)
 
 
-@pytest.mark.parametrize("c", [0.0, 0.5] + [b + s for b in BREAKPOINTS for s in (-1e-6, 1e-6)])
-def test_neighbor_masks_match_the_key_lookups(c, basis, windows_for):
+def test_a_singular_label_in_a_later_chunk_comes_before_any_result(P, basis,
+                                                                   monkeypatch):
+    # at tol 1e-3 and 37 rows per chunk, this draw has its first singular
+    # label in the eleventh of twelve chunks.  Masks of type [0,0], outside
+    # every census, are tallied in the ten before it, and still the tally
+    # raises the scan's SingularityError, with the label the whole-box scan names
+    shift = random_shift(0.5, 22)
+    ws = qp.build_windows(P, 0.5, 1e-3)
+    with pytest.raises(SingularityError) as expected:
+        enumerate_accepted_2d(10, shift, ws, basis)
+    classified = []
+
+    def zero_masks(points, *args):
+        classified.append(points.shape[1])
+        return np.zeros(points.shape[1], dtype=np.int64)
+
+    monkeypatch.setattr(qp.window, "SCAN_ROWS", 37)
+    monkeypatch.setattr(qp.tiling2d, "neighbor_masks", zero_masks)
+    with pytest.raises(SingularityError) as got:
+        empirical_frequencies(10, shift, ws, basis)
+    assert str(got.value) == str(expected.value)
+    assert sum(classified) > 0
+
+
+@pytest.mark.parametrize("c, eps", [(0.0, 1e-9), (0.5, 1e-9)]
+                         + [(b + s, 1e-9) for b in BREAKPOINTS
+                            for s in (-1e-6, 1e-6, -1e-8, 1e-8)]
+                         + [(0.5, 1e-12), (PINV2 + 1e-8, 1e-12)])
+def test_neighbor_masks_match_the_key_lookups(c, eps, P, basis):
     # at every boundary-complete vertex, the bits are the steps k +- e_m that
-    # the whole box's keys hold, and the popcounts the oracle's counts
+    # the whole box's keys hold, and the popcounts the oracle's counts: near
+    # a breakpoint, where a slice has a short edge, and at an eps of 1e-12
     radius = 20
-    ws = windows_for(c)
+    ws = qp.build_windows(P, c, eps)
     for seed in range(3):
         shift = random_shift(c, seed)
         labels, _, keys = enumerate_accepted_2d(radius, shift, ws, basis)
@@ -430,68 +455,72 @@ def test_neighbor_masks_match_the_key_lookups(c, basis, windows_for):
         expected = steps @ (1 << np.arange(10))
         n_pos, n_neg = whole_box_neighbor_counts(inner, keys, radius)
         index = inner.sum(axis=1)
-        proj = (inner - shift.gamma) @ basis.W[:, :2] @ EDGE_AXES.T
+        points = (inner - shift.gamma) @ basis.W[:, :2]
         masks = np.zeros(len(inner), dtype=np.int64)
         for i in range(1, 6):
             at = index == i
-            masks[at] = neighbor_masks(proj[at].T, i, ws, basis)
+            masks[at] = neighbor_masks(points[at].T, i, ws, basis)
         assert np.array_equal(masks, expected)
         assert np.array_equal([bin(m & 31).count("1") for m in masks], n_pos)
         assert np.array_equal([bin(m >> 5).count("1") for m in masks], n_neg)
+
+
+def test_freq_refuses_an_eps_within_the_float_error_of_the_points(P, basis):
+    # the error bound grows with the radius: eps 1e-13 is above it at
+    # radius 3 and below it at radius 20
+    shift = random_shift(0.5, 0)
+    ws = qp.build_windows(P, 0.5, 1e-13)
+    assert empirical_frequencies(3, shift, ws, basis).n_vertices > 0
+    with pytest.raises(ConfigError, match="float error of the test points at radius 20"):
+        empirical_frequencies(20, shift, ws, basis)
 
 
 def test_neighbor_masks_refuse_a_bad_index_or_shape(basis, windows_for):
     ws = windows_for(0.5)
     for index in (0, 6):
         with pytest.raises(ValueError, match="index must be in"):
-            neighbor_masks(np.zeros((5, 1)), index, ws, basis)
-    with pytest.raises(ValueError, match=r"shape \(5, n\)"):
-        neighbor_masks(np.zeros((1, 5)), 3, ws, basis)
+            neighbor_masks(np.zeros((2, 1)), index, ws, basis)
+    with pytest.raises(ValueError, match=r"shape \(2, n\)"):
+        neighbor_masks(np.zeros((1, 2)), 3, ws, basis)
 
 
-def direct_masks(proj, index, ws, basis):
-    """Neighbour masks by testing every edge of V_{I+1} and V_{I-1}.
-
-    Edge (n, o) of a window, n = sigma u_j, holds at t + v when
-    sigma u_j . t < o - n . v, written on the axis as s_j < sigma o - u_j . v
-    for sigma = 1 and s_j > sigma o - u_j . v for sigma = -1, so that a point
-    on that value is on the edge.
-    """
+def direct_masks(points, index, ws, basis):
+    """Neighbour masks by testing each t +- w_m against every edge of
+    V_{I+1} and V_{I-1} in turn."""
     w = basis.W[:, :2]
-    out = np.zeros(proj.shape[1], dtype=np.int64)
+    out = np.zeros(points.shape[1], dtype=np.int64)
     for first, other, side in ((0, index + 1, 1.0), (5, index - 1, -1.0)):
         window = ws.slices.get(other)
         if window is None:
             continue
         for m in range(5):
-            v = side * w[m]
-            inside = np.ones(proj.shape[1], dtype=bool)
+            p = points + side * w[m][:, None]
+            inside = np.ones(points.shape[1], dtype=bool)
             for n, o in zip(window.normals, window.offsets):
-                turn = int(round(np.arctan2(n[1], n[0]) / (np.pi / 5))) % 10
-                j, sigma = turn % 5, (1.0 if turn < 5 else -1.0)
-                u = EDGE_AXES[j]
-                beta = sigma * o - (u[0] * v[0] + u[1] * v[1])
-                inside &= proj[j] < beta if sigma > 0 else proj[j] > beta
+                inside &= n[0] * p[0] + n[1] * p[1] < o
             out[inside] |= 1 << (first + m)
     return out
 
 
-@pytest.mark.parametrize("c", [0.0, 0.5, PINV2])
-def test_neighbor_masks_on_and_beside_every_break(c, basis, windows_for):
-    # projections exactly on each break, 1e-12 to either side of it, and
-    # past both ends of the axis, with the other axes at random test points
+@pytest.mark.parametrize("c", [0.0, 0.5, PINV2, PINV2 + 1e-8])
+def test_neighbor_masks_beside_and_beyond_every_edge(c, basis, windows_for):
+    # each step t +- w_m that reaches V_{I+-1} at a point 1e-12 inside or
+    # outside one of its edges, at either end of the edge or its middle, or
+    # 5 beyond it on either side
     ws = windows_for(c)
-    rng = np.random.default_rng(3)
+    w = basis.W[:, :2]
     for index in range(1, 6):
-        _, _, _, breaks, _ = _band_tables(_halfplanes(ws, index + 1),
-                                          _halfplanes(ws, index - 1), basis.W.tobytes())
-        columns = []
-        for j in range(5):
-            b = breaks[j][np.isfinite(breaks[j])]
-            values = np.concatenate([b, b - 1e-12, b + 1e-12, [b[0] - 5, b[-1] + 5]])
-            proj = (rng.uniform(-1, 1, (len(values), 2)) @ EDGE_AXES.T).T
-            proj[j] = values
-            columns.append(proj)
-        proj = np.hstack(columns)
-        assert np.array_equal(neighbor_masks(proj, index, ws, basis),
-                              direct_masks(proj, index, ws, basis))
+        points = []
+        for other, side in ((index + 1, 1.0), (index - 1, -1.0)):
+            window = ws.slices.get(other)
+            if window is None:
+                continue
+            start = window.polygon
+            stop = np.roll(start, -1, axis=0)
+            for n, on_edge in zip(window.normals, zip(start, (start + stop) / 2, stop)):
+                for p in on_edge:
+                    for d in (-1e-12, 1e-12, -5.0, 5.0):
+                        points.extend(p + d * n - side * w)
+        points = np.array(points).T
+        assert np.array_equal(neighbor_masks(points, index, ws, basis),
+                              direct_masks(points, index, ws, basis))
