@@ -5,6 +5,10 @@ Two independent constructions of the same objects: the de Bruijn pentagrid
 (the projected 5-cube).  The package builds both, cross-checks them, and
 validates analytic vertex-type and cell-overlap frequencies against counts.
 
+The projection is fixed: its basis, polytope P and decagon Q are built once
+on import, as BASIS, POLYTOPE and DECAGON, and every function reads them.
+Only the slice windows, a WindowSet, depend on the shift sum c.
+
 The names below load their submodule on first use (PEP 562), so importing
 the package loads no numpy and leaves the caller's thread settings alone.
 `quasiproj.cli` is not among them: importing it pins BLAS to one thread.
@@ -15,12 +19,13 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "geometry": ("DEFAULT_EPS", "PHI", "THETA", "ConvexWindow", "ProjectionBasis",
-                 "make_basis"),
-    "window": ("CUBE_VERTICES", "DecagonQ", "GridShift", "PolytopeP", "WindowSet",
-               "build_decagon_Q", "build_polytope_P", "build_windows",
-               "enumerate_accepted_2d", "enumerate_tips", "label_keys",
-               "label_rows", "normalize_shift", "random_shift", "slice_window"),
+    "geometry": ("BASIS", "DEFAULT_EPS", "PHI", "THETA", "ConvexWindow",
+                 "ProjectionBasis", "make_basis"),
+    "window": ("CUBE_VERTICES", "DECAGON", "POLYTOPE", "DecagonQ", "GridShift",
+               "PolytopeP", "WindowSet", "build_decagon_Q", "build_polytope_P",
+               "build_windows", "enumerate_accepted_2d", "enumerate_tips",
+               "label_keys", "label_rows", "normalize_shift", "random_shift",
+               "slice_window"),
     "pentagrid": ("PentagridTiling", "enumerate_intersections",
                   "k_vector_2d", "k_vector_3d", "tiling_from_pentagrid"),
     "tiling2d": ("CENSUS", "FrequencyReport", "VertexType", "analytic_A",

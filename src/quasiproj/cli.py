@@ -17,14 +17,13 @@ if not any(var in os.environ for var in _BLAS_THREAD_VARS):
 
 from .errors import (ConfigError, EmptyWindowError, QcError, SingularConfigError,
                      SingularityError)
-from .geometry import make_basis
 from .io import (RunConfig, build_tiling_document, cells_obj, frequency_csv,
                  overlap_csv, render_svg, resolve_shift, window_document,
                  write_json, write_text)
-from .lattice3d import build_cells, overlap_census
+from .lattice3d import TIP_MARGIN, build_cells, overlap_census
 from .tiling2d import empirical_frequencies
-from .window import (MAX_KEY_RADIUS, build_decagon_Q, build_polytope_P,
-                     build_windows, enumerate_tips, label_extent, slice_window)
+from .window import (DECAGON, MAX_KEY_RADIUS, POLYTOPE, build_windows,
+                     enumerate_tips, label_extent, slice_window)
 
 log = logging.getLogger("qc")
 
@@ -95,15 +94,16 @@ def _emit(config: RunConfig, content: str) -> None:
         sys.stdout.write(content)
 
 
-def _check_tol(tol: float, wset=None, Q=None) -> None:
-    """Refuse a --tol that reaches the centre of a window the run decides against.
+def _check_tol(tol: float, wset=None, decagons: bool = False) -> None:
+    """Refuse a --tol that reaches the centre of a window the run decides against:
+    the slice windows of wset, and the decagon and inner decagon if asked.
 
     A test point within tol of a window's edge is singular, so such a
     window would have no point left to decide.
     """
     windows = {f"V_{i}": w for i, w in (wset.slices.items() if wset else ())}
-    if Q is not None:
-        windows.update({"Q": Q.window, "the inner decagon": Q.inner})
+    if decagons:
+        windows.update({"Q": DECAGON.window, "the inner decagon": DECAGON.inner})
     name = min(windows, key=lambda n: windows[n].half_width)
     width = windows[name].half_width
     if tol >= width:
@@ -113,46 +113,42 @@ def _check_tol(tol: float, wset=None, Q=None) -> None:
 
 
 def _run_mode(config: RunConfig) -> None:
-    basis = make_basis()
-    P = build_polytope_P(basis)
-    Q = build_decagon_Q(basis)
-
     if config.mode == "windows":
         log.info("resolved config: %s", config.to_json())
-        wset = build_windows(P, config.c, config.tol)
-        _check_tol(config.tol, wset, Q)
+        wset = build_windows(POLYTOPE, config.c, config.tol)
+        _check_tol(config.tol, wset, decagons=True)
         if config.index is not None:
-            win = slice_window(P, config.index, config.c)
+            win = slice_window(POLYTOPE, config.index, config.c)
             doc = {"c": config.c, "index": config.index,
                    "height": config.index - config.c, "polygon": win.polygon.tolist()}
         else:
-            doc = window_document(P, Q, wset)
+            doc = window_document(wset)
         _emit(config, write_json(doc))
         return
 
     def produce(shift) -> tuple[str, list]:
         """The mode's output for one shift, and the (level, line)s to log after it."""
         if config.mode in ("tiling2d", "freq"):
-            wset = build_windows(P, shift.c, config.tol)
+            wset = build_windows(POLYTOPE, shift.c, config.tol)
             _check_tol(config.tol, wset)
             if config.mode == "tiling2d":
-                doc = build_tiling_document(config.radius, shift, wset, basis)
+                doc = build_tiling_document(config.radius, shift, wset)
                 return render_svg(doc), []
-            report = empirical_frequencies(config.radius, shift, wset, basis)
+            report = empirical_frequencies(config.radius, shift, wset)
             return frequency_csv(report), []
-        _check_tol(config.tol, Q=Q)
+        _check_tol(config.tol, decagons=True)
         if config.mode == "lattice3d":
-            tips, _, n_points = enumerate_tips(config.radius, shift, Q, basis, config.tol)
-            inner = tips[label_extent(tips) <= config.radius - 3]
-            cells = build_cells(inner, shift, Q, basis, config.tol)
+            tips, _, n_points = enumerate_tips(config.radius, shift, config.tol)
+            inner = tips[label_extent(tips) <= config.radius - TIP_MARGIN]
+            cells = build_cells(inner, shift, config.tol)
             notes = [(logging.INFO, f"lattice: {n_points} points, "
                                     f"{len(tips)} tips, {len(inner)} complete cells")]
             if not len(inner):
                 notes.append((logging.WARNING,
-                              "no complete cells: every tip lies within 3 label "
-                              "steps of the box edge; raise --radius"))
-            return cells_obj(cells, P, basis), notes
-        census = overlap_census(config.radius, shift, Q, basis, config.tol)
+                              f"no complete cells: every tip lies within {TIP_MARGIN} "
+                              "label steps of the box edge; raise --radius"))
+            return cells_obj(cells), notes
+        census = overlap_census(config.radius, shift, config.tol)
         shared = {k: round(v, 2) for k, v in census.shared_atoms.items()}
         return overlap_csv(census), [
             (logging.INFO, f"mean shared atoms with overlapping neighbors: {shared}")]

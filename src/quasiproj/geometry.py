@@ -1,10 +1,10 @@
 """Numeric kernel: golden-ratio constants, projection bases, convex predicates.
 
 Everything downstream projects the 5-d integer lattice through the two
-matrices built here: D (5x2) maps to the tiling plane, W (5x3) to the
-orthogonal space that carries the acceptance windows.  All arithmetic is
-double precision with a single absolute tolerance ``eps`` for boundary
-decisions.
+matrices of BASIS, built once here: D (5x2) maps to the tiling plane, W
+(5x3) to the orthogonal space that carries the acceptance windows.  All
+arithmetic is double precision with a single absolute tolerance ``eps`` for
+boundary decisions.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ def make_basis() -> ProjectionBasis:
     D.setflags(write=False)
     W.setflags(write=False)
     return ProjectionBasis(D=D, W=W)
+
+
+#: the one projection of the paper, which every construction reads
+BASIS = make_basis()
 
 
 def polygon_halfplanes(polygon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,10 +13,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, SingularityError
-from .geometry import DEFAULT_EPS, ProjectionBasis, make_basis
+from .geometry import BASIS, DEFAULT_EPS
 from .lattice3d import OVERLAP_SIGNATURES, OverlapCensus
 from .tiling2d import FrequencyReport
-from .window import (DecagonQ, GridShift, PolytopeP, WindowSet,
+from .window import (DECAGON, POLYTOPE, GridShift, WindowSet,
                      enumerate_accepted_2d, label_extent, label_index,
                      label_keys, normalize_shift, random_shift, step_rows)
 
@@ -102,15 +102,14 @@ class TilingDocument:
     edges: np.ndarray   # (E, 2) rows (i, j), j the +e_m step of i, sorted by (i, j)
 
 
-def build_tiling_document(radius: int, shift: GridShift, wset: WindowSet,
-                          basis: ProjectionBasis | None = None) -> TilingDocument:
+def build_tiling_document(radius: int, shift: GridShift,
+                          wset: WindowSet) -> TilingDocument:
     """Window-accepted vertices in the label box plus all edges between them.
 
     The rows are in label order, so sorting the edges by row pair sorts them
     by their end labels.
     """
-    basis = basis or make_basis()
-    labels, points, keys = enumerate_accepted_2d(radius, shift, wset, basis)
+    labels, points, keys = enumerate_accepted_2d(radius, shift, wset)
     # row of the +e_m neighbor of every vertex, -1 where it is not accepted
     step = step_rows(labels, keys, radius)
     i, m = np.nonzero(step >= 0)
@@ -187,26 +186,26 @@ def overlap_csv(census: OverlapCensus) -> str:
     return "\n".join(lines) + "\n"
 
 
-def window_document(P: PolytopeP, Q: DecagonQ, wset: WindowSet) -> dict:
+def window_document(wset: WindowSet) -> dict:
     """JSON-able description of the acceptance geometry, polygons CCW."""
     return {
         "c": wset.c,
         "eps": wset.eps,
         "polytope": {
-            "vertices": P.vertices.tolist(),
-            "edges": P.edges.tolist(),
+            "vertices": POLYTOPE.vertices.tolist(),
+            "edges": POLYTOPE.edges.tolist(),
             "faces": [
-                {"normal": P.face_normals[i].tolist(),
-                 "offset": float(P.face_offsets[i]),
-                 "loop": list(P.face_loops[i])}
-                for i in range(len(P.face_loops))
+                {"normal": POLYTOPE.face_normals[i].tolist(),
+                 "offset": float(POLYTOPE.face_offsets[i]),
+                 "loop": list(POLYTOPE.face_loops[i])}
+                for i in range(len(POLYTOPE.face_loops))
             ],
-            "interior_points": P.interior_points.tolist(),
+            "interior_points": POLYTOPE.interior_points.tolist(),
         },
         "decagon": {
-            "vertices": Q.window.polygon.tolist(),
-            "interior_points": Q.interior_points.tolist(),
-            "inner_decagon": Q.inner.polygon.tolist(),
+            "vertices": DECAGON.window.polygon.tolist(),
+            "interior_points": DECAGON.interior_points.tolist(),
+            "inner_decagon": DECAGON.inner.polygon.tolist(),
         },
         "slices": {
             str(i): {"height": i - wset.c, "polygon": w.polygon.tolist()}
@@ -224,7 +223,7 @@ def write_json(obj: dict) -> str:
 # OBJ export
 # ---------------------------------------------------------------------------
 
-def cells_obj(cells, P: PolytopeP, basis: ProjectionBasis) -> str:
+def cells_obj(cells) -> str:
     """Wavefront OBJ of unit cells, one object per cell, vertices deduplicated.
 
     `cells` is what build_cells returns.  Each vertex is a lattice point, so
@@ -240,11 +239,11 @@ def cells_obj(cells, P: PolytopeP, basis: ProjectionBasis) -> str:
     ids = rank[inverse].reshape(keys.shape)
     # vertex id n + 1 first appears in cell_of[n], as its hull vertex hull_of[n]
     cell_of, hull_of = np.divmod(np.sort(first), keys.shape[1])
-    coords = P.vertices[hull_of] + (tips.astype(float) @ basis.W)[cell_of]
+    coords = POLYTOPE.vertices[hull_of] + (tips.astype(float) @ BASIS.W)[cell_of]
     v_lines = [f"v {fmt(x)} {fmt(y)} {fmt(z)}" for x, y, z in coords.tolist()]
     # the cell's face lines, to be filled with its vertex ids at the face corners
-    faces = "\n".join("f" + " %d" * len(loop) for loop in P.face_loops)
-    face_corners = np.concatenate(P.face_loops)
+    faces = "\n".join("f" + " %d" * len(loop) for loop in POLYTOPE.face_loops)
+    face_corners = np.concatenate(POLYTOPE.face_loops)
 
     lines = ["# quasiperiodic unit cells (one object per cell)"]
     seen = 0

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import (CensusViolationError, ConfigError, ConsistencyError,
                      SingularityError)
-from .geometry import DEFAULT_EPS, PHI, ProjectionBasis, make_basis
-from .window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, DecagonQ,
+from .geometry import BASIS, DEFAULT_EPS, PHI
+from .window import (CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES,
                      GridShift, accept_3d_bulk, d_test_points, label_keys,
                      tip_columns)
 
@@ -69,12 +69,11 @@ _INTERIOR_BY_LABEL = np.array(INTERIOR_INDICES)[
     np.lexsort(CUBE_VERTICES[list(INTERIOR_INDICES)].T[::-1])]
 
 
-def build_cells(tips, shift: GridShift, Q: DecagonQ, basis: ProjectionBasis,
-                eps: float) -> tuple[np.ndarray, np.ndarray]:
+def build_cells(tips, shift: GridShift, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """The atoms of each tip's cell, decided by one decagon test of tip + cube vertices.
 
-    Returns (hull (n, 22, 5) in P.vertices order, the tip first, interior
-    (n, 4, 5) in label order).  Raises SingularityError for an atom within
+    Returns (hull (n, 22, 5) in POLYTOPE.vertices order, the tip first,
+    interior (n, 4, 5) in label order).  Raises SingularityError for an atom within
     eps of the decagon boundary and ValueError for a tip that is not a
     lattice point.  All 22 hull translates must be lattice points.  The only
     offsets that can carry an interior atom are the ten interior cube
@@ -84,8 +83,7 @@ def build_cells(tips, shift: GridShift, Q: DecagonQ, basis: ProjectionBasis,
     """
     tips = np.asarray(tips, dtype=np.int64).reshape(-1, 5)
     atoms = tips[:, None, :] + CUBE_VERTICES             # (n, 32, 5)
-    status = accept_3d_bulk(atoms.reshape(-1, 5), shift, Q, basis,
-                            eps).reshape(atoms.shape[:2])
+    status = accept_3d_bulk(atoms.reshape(-1, 5), shift, eps).reshape(atoms.shape[:2])
     if np.any(status == -1):
         bad = atoms[status == -1][0]
         raise SingularityError(
@@ -142,8 +140,7 @@ OVERLAP_OFFSETS["K"].setflags(write=False)
 OVERLAP_OFFSETS["J"].setflags(write=False)
 
 
-def overlap_signatures(points: np.ndarray, Q: DecagonQ, basis: ProjectionBasis,
-                       eps: float = DEFAULT_EPS) -> np.ndarray:
+def overlap_signatures(points: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     """(neighbors, K, J) of each tip, from its plane test point t (n, 2).
 
     The cell of k + m overlaps the tip k's for every m of OVERLAP_OFFSETS,
@@ -158,8 +155,8 @@ def overlap_signatures(points: np.ndarray, Q: DecagonQ, basis: ProjectionBasis,
         hits[shape] = np.zeros(len(points), dtype=np.int64)
         # one offset at a time keeps the temporaries at the size of points
         for m in offsets:
-            moved = points + m @ basis.D
-            status = Q.inner.classify(moved, eps)
+            moved = points + m @ BASIS.D
+            status = DECAGON.inner.classify(moved, eps)
             if np.any(status == -1):
                 i = int(np.argmax(status == -1))
                 raise SingularityError(
@@ -180,16 +177,20 @@ class OverlapCensus:
     shared_atoms: dict  # class label -> mean atoms shared with neighbors, nan if no tips
 
 
-def overlap_census(radius: int, shift: GridShift, Q: DecagonQ,
-                   basis: ProjectionBasis | None = None, eps: float = DEFAULT_EPS,
-                   margin: int = 3) -> OverlapCensus:
+#: label steps from the box edge within which a tip is not classified or
+#: given a cell, so that none of its neighbours or atoms lies outside the box
+TIP_MARGIN = 3
+
+
+def overlap_census(radius: int, shift: GridShift,
+                   eps: float = DEFAULT_EPS) -> OverlapCensus:
     """Classify every boundary-complete tip of the box and tally the five overlap classes.
 
-    Tips within `margin` label steps of the box edge are not classified.
+    Tips within TIP_MARGIN label steps of the box edge are not classified.
     The tips k + n (1,1,1,1,1) of a column share their test point, so their
     neighboring tips are translates of each other and they have one class.
     So each tip column of tip_columns is classified once, and its class
-    counted once per boundary-complete tip: 2 (radius - margin) + 1 - s,
+    counted once per boundary-complete tip: 2 (radius - TIP_MARGIN) + 1 - s,
     s the column's spread.  The class is read off the column's test point
     by overlap_signatures, which raises SingularityError for a neighbor
     test point within eps of the inner decagon boundary.
@@ -198,21 +199,20 @@ def overlap_census(radius: int, shift: GridShift, Q: DecagonQ,
     overlapping neighbors, per class: (15 K + 8 J) / (K + J) from the
     class's signature, nan for a class with no tips.
     """
-    basis = basis or make_basis()
     M = int(radius)
-    reps, _ = tip_columns(M, shift, Q, basis, eps)
+    reps, _ = tip_columns(M, shift, eps)
     spread = reps.max(axis=1) - reps.min(axis=1)
-    weight = 2 * (M - margin) + 1 - spread
+    weight = 2 * (M - TIP_MARGIN) + 1 - spread
     inner, weight = reps[weight > 0], weight[weight > 0]
     if len(inner) == 0:
         raise ConfigError("no boundary-complete tips in the lattice box")
 
-    sigs = overlap_signatures(d_test_points(inner, shift, basis), Q, basis, eps)
+    sigs = overlap_signatures(d_test_points(inner, shift), eps)
     cls = _CLASS_OF_CODE[11 * sigs[:, 1] + sigs[:, 2]]
     if np.any(cls < 0):
         # the first boundary-complete tip of each offending column
         bad = np.flatnonzero(cls < 0)
-        first = inner[bad] - (M - margin + inner[bad].min(axis=1))[:, None]
+        first = inner[bad] - (M - TIP_MARGIN + inner[bad].min(axis=1))[:, None]
         i = int(np.argmin(label_keys(first, M)))
         raise CensusViolationError(
             f"tip {tuple(first[i].tolist())} has overlap signature "

@@ -15,20 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError
-from .geometry import DEFAULT_EPS, ProjectionBasis, make_basis
+from .geometry import BASIS, DEFAULT_EPS
 from .window import GridShift, label_extent, label_keys
 
 
-def grid_values_2d(points: np.ndarray, shift: GridShift,
-                   basis: ProjectionBasis) -> np.ndarray:
+def grid_values_2d(points: np.ndarray, shift: GridShift) -> np.ndarray:
     """d_j . r + gamma_j for each point and family; shape (N, 5)."""
-    return np.atleast_2d(points) @ basis.D.T + shift.gamma
+    return np.atleast_2d(points) @ BASIS.D.T + shift.gamma
 
 
-def grid_values_3d(points: np.ndarray, shift: GridShift,
-                   basis: ProjectionBasis) -> np.ndarray:
+def grid_values_3d(points: np.ndarray, shift: GridShift) -> np.ndarray:
     """w_j . R + gamma_j for each point and family; shape (N, 5)."""
-    return np.atleast_2d(points) @ basis.W.T + shift.gamma
+    return np.atleast_2d(points) @ BASIS.W.T + shift.gamma
 
 
 def _ceil_checked(vals: np.ndarray, eps: float, what: str) -> np.ndarray:
@@ -41,45 +39,39 @@ def _ceil_checked(vals: np.ndarray, eps: float, what: str) -> np.ndarray:
     return np.ceil(vals).astype(np.int64)
 
 
-def k_vector_2d(r, shift: GridShift, basis: ProjectionBasis | None = None,
-                eps: float = DEFAULT_EPS) -> np.ndarray:
+def k_vector_2d(r, shift: GridShift, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Mesh label of a plane point: K_j = ceil(d_j . r + gamma_j)."""
-    basis = basis or make_basis()
-    vals = grid_values_2d(np.asarray(r, dtype=float), shift, basis)
+    vals = grid_values_2d(np.asarray(r, dtype=float), shift)
     return _ceil_checked(vals, eps, f"point {tuple(np.asarray(r, float).tolist())}")[0]
 
 
-def k_vector_3d(R, shift: GridShift, basis: ProjectionBasis | None = None,
-                eps: float = DEFAULT_EPS) -> np.ndarray:
+def k_vector_3d(R, shift: GridShift, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Mesh label of a space point: K_j = ceil(w_j . R + gamma_j)."""
-    basis = basis or make_basis()
-    vals = grid_values_3d(np.asarray(R, dtype=float), shift, basis)
+    vals = grid_values_3d(np.asarray(R, dtype=float), shift)
     return _ceil_checked(vals, eps, f"point {tuple(np.asarray(R, float).tolist())}")[0]
 
 
-def mesh_locator(labels: np.ndarray, shift: GridShift,
-                 basis: ProjectionBasis) -> np.ndarray:
+def mesh_locator(labels: np.ndarray, shift: GridShift) -> np.ndarray:
     """Approximate r-space location of each label's mesh: (2/5) D^T (k - gamma).
 
     Lies within (2/5) p of every point of the actual mesh, which itself has
     diameter below 1.8; useful for trimming region boundaries.
     """
-    return 0.4 * ((np.atleast_2d(labels) - shift.gamma) @ basis.D)
+    return 0.4 * ((np.atleast_2d(labels) - shift.gamma) @ BASIS.D)
 
 
 # ---------------------------------------------------------------------------
 # intersections and the dual map
 # ---------------------------------------------------------------------------
 
-def _pair_intersections(s: int, t: int, box, shift: GridShift,
-                        basis: ProjectionBasis):
+def _pair_intersections(s: int, t: int, box, shift: GridShift):
     """Intersections of families s and t inside the box, ordered by (k_s, k_t).
 
     Returns (points (n, 2), families (n, 2), line_labels (n, 2)).
     """
     xmin, xmax, ymin, ymax = box
     corners = np.array([[xmin, ymin], [xmin, ymax], [xmax, ymin], [xmax, ymax]])
-    ds, dt = basis.D[s], basis.D[t]
+    ds, dt = BASIS.D[s], BASIS.D[t]
 
     def label_range(d, gamma):
         vals = corners @ d + gamma
@@ -98,9 +90,7 @@ def _pair_intersections(s: int, t: int, box, shift: GridShift,
     return np.column_stack([x[inside], y[inside]]), families, line_labels
 
 
-def enumerate_intersections(box, shift: GridShift,
-                            basis: ProjectionBasis | None = None,
-                            eps: float = DEFAULT_EPS
+def enumerate_intersections(box, shift: GridShift, eps: float = DEFAULT_EPS
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pairwise grid-line intersection in an axis-aligned box, each once.
 
@@ -110,11 +100,10 @@ def enumerate_intersections(box, shift: GridShift,
     a third grid line passes within eps of any intersection (a singular
     pentagrid).
     """
-    basis = basis or make_basis()
-    pairs = [_pair_intersections(s, t, box, shift, basis)
+    pairs = [_pair_intersections(s, t, box, shift)
              for s in range(5) for t in range(s + 1, 5)]
     points, families, line_labels = (np.concatenate(part) for part in zip(*pairs))
-    vals = grid_values_2d(points, shift, basis)
+    vals = grid_values_2d(points, shift)
     dist = np.abs(vals - np.round(vals))
     dist[np.arange(len(points))[:, None], families] = np.inf
     if np.any(dist <= eps):
@@ -139,7 +128,6 @@ class PentagridTiling:
 
 
 def tiling_from_pentagrid(box, shift: GridShift,
-                          basis: ProjectionBasis | None = None,
                           eps: float = DEFAULT_EPS) -> PentagridTiling:
     """The dual tiling of every grid intersection in the box, vertices deduplicated.
 
@@ -150,10 +138,9 @@ def tiling_from_pentagrid(box, shift: GridShift,
     edges along d_s and d_t, walked as (k_s, k_t), (k_s + 1, k_t),
     (k_s + 1, k_t + 1), (k_s, k_t + 1): consecutive corners share a grid line.
     """
-    basis = basis or make_basis()
-    points, families, line_labels = enumerate_intersections(box, shift, basis, eps)
+    points, families, line_labels = enumerate_intersections(box, shift, eps)
     rows = np.arange(len(points))[:, None]
-    base = np.ceil(grid_values_2d(points, shift, basis)).astype(np.int64)
+    base = np.ceil(grid_values_2d(points, shift)).astype(np.int64)
     base[rows, families] = line_labels
     unit = np.zeros((len(points), 2, 5), np.int64)
     unit[rows, [0, 1], families] = 1
@@ -165,6 +152,6 @@ def tiling_from_pentagrid(box, shift: GridShift,
     keys = label_keys(flat, label_extent(flat).max(initial=0))
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     labels = flat[first]
-    return PentagridTiling(labels=labels, vertices=labels.astype(float) @ basis.D,
+    return PentagridTiling(labels=labels, vertices=labels.astype(float) @ BASIS.D,
                            rhombi=inverse.reshape(-1, 4).astype(np.int64),
                            families=families, line_labels=line_labels)

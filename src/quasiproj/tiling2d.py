@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CensusViolationError, ConfigError
-from .geometry import PHI, ProjectionBasis, make_basis
+from .geometry import BASIS, PHI
 from .window import GridShift, WindowSet, scan_2d
 
 _P = PHI
@@ -27,8 +27,7 @@ class VertexType(NamedTuple):
     n_neg: int
 
 
-def neighbor_masks(points: np.ndarray, index: int, wset: WindowSet,
-                   basis: ProjectionBasis) -> np.ndarray:
+def neighbor_masks(points: np.ndarray, index: int, wset: WindowSet) -> np.ndarray:
     """The 10-bit neighbour mask of each test point t of index I, given as
     x and y rows, shape (2, n).
 
@@ -54,7 +53,7 @@ def neighbor_masks(points: np.ndarray, index: int, wset: WindowSet,
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or len(points) != 2:
         raise ValueError(f"points must have shape (2, n), got {points.shape}")
-    w = basis.W[:, :2]
+    w = BASIS.W[:, :2]
     masks = np.zeros(points.shape[1], dtype=np.int64)
     for first, other, steps in ((0, index + 1, w), (5, index - 1, -w)):
         window = wset.slices.get(other)
@@ -260,21 +259,23 @@ class FrequencyReport:
 #: (radius 10 to 160, three shifts)
 _POINT_DRIFT = 2e-14
 
+#: label steps from the box edge within which a vertex's type is not counted
+VERTEX_MARGIN = 2
+
 #: the type code 6 n + n' of each neighbour mask
 _TYPE_OF_MASK = np.array([6 * bin(m & 31).count("1") + bin(m >> 5).count("1")
                           for m in range(1024)], dtype=np.intp)
 
 
-def empirical_frequencies(radius: int, shift: GridShift, wset: WindowSet,
-                          basis: ProjectionBasis | None = None,
-                          margin: int = 2) -> FrequencyReport:
+def empirical_frequencies(radius: int, shift: GridShift,
+                          wset: WindowSet) -> FrequencyReport:
     """Classify every boundary-complete vertex in the label box and tally types.
 
-    Vertices within `margin` label steps of the box edge are discarded so no
-    neighborhood is truncated.  Each chunk of `scan_2d` is classified as it
-    comes: the type of a vertex is read off its test point by
-    `neighbor_masks`, so nothing is kept per vertex and the working set does
-    not grow with the radius.
+    Vertices within VERTEX_MARGIN label steps of the box edge are discarded
+    so no neighborhood is truncated.  Each chunk of `scan_2d` is classified
+    as it comes: the type of a vertex is read off its test point by
+    `neighbor_masks`, so nothing is kept per vertex and the working set
+    does not grow with the radius.
 
     Raises ConfigError if eps is not above _POINT_DRIFT (radius + 1), where
     the masks could differ from the scan's decisions.  The scan raises
@@ -284,26 +285,23 @@ def empirical_frequencies(radius: int, shift: GridShift, wset: WindowSet,
     first vertex in label order, if a classified type falls outside the
     analytic support at this c.
     """
-    if margin < 1:
-        raise ValueError(f"margin must be at least 1, got {margin}")
     drift = _POINT_DRIFT * (radius + 1)
     if not wset.eps > drift:
         raise ConfigError(
             f"eps {wset.eps:g} is not above {drift:.2g}, the float error of the test "
             f"points at radius {radius}, so vertex types cannot be read off them; "
             f"use a larger tolerance")
-    basis = basis or make_basis()
     support = [(vt.index, vt.n_pos, vt.n_neg) for vt in census_support(shift.c)]
     # type [n, n']_I as the code 36 I + 6 n + n'
     allowed = np.zeros((6, 36), dtype=bool)
     allowed.flat[[36 * i + 6 * n + nn for i, n, nn in support]] = True
     counts = np.zeros((6, 36), dtype=np.int64)
     outside = []  # (key, code) of the first vertex of a piece outside the support
-    for pieces in scan_2d(radius, shift, wset, basis):
+    for pieces in scan_2d(radius, shift, wset):
         for piece in pieces:
             inner = piece.status == 1
-            inner &= piece.extent() <= radius - margin
-            masks = neighbor_masks(piece.points[:, inner], piece.index, wset, basis)
+            inner &= piece.extent() <= radius - VERTEX_MARGIN
+            masks = neighbor_masks(piece.points[:, inner], piece.index, wset)
             code = _TYPE_OF_MASK[masks]
             found = np.bincount(code, minlength=36)
             counts[piece.index] += found

@@ -5,7 +5,9 @@ rhombic icosahedron) in the 3-d orthogonal space and to a regular decagon
 in the tiling plane.  A 5-d integer point is a tiling vertex iff its
 orthogonal projection falls strictly inside the slice window V_I of the
 polytope at height I - c; it is a 3-d lattice point iff its plane
-projection falls strictly inside the decagon.
+projection falls strictly inside the decagon.  The polytope and the decagon
+are fixed figures, built once on import as POLYTOPE and DECAGON; only the
+slice windows depend on c.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import (ConfigError, ConsistencyError, DegenerateWindowError,
                      EmptyWindowError, SingularityError)
-from .geometry import DEFAULT_EPS, PHI, ConvexWindow, ProjectionBasis, make_basis
+from .geometry import BASIS, DEFAULT_EPS, PHI, ConvexWindow, ProjectionBasis, make_basis
 
 # the 32 vertices of the 5-d unit cube, in the fixed order used throughout:
 # one point of index 0, then five of index 1, ten of index 2, ten of index 3,
@@ -224,6 +226,11 @@ def build_decagon_Q(basis: ProjectionBasis | None = None) -> DecagonQ:
                     inner=inner)
 
 
+#: the 3-d window and the plane window of BASIS, which every enumerator reads
+POLYTOPE = build_polytope_P(BASIS)
+DECAGON = build_decagon_Q(BASIS)
+
+
 # ---------------------------------------------------------------------------
 # slice windows V_I
 # ---------------------------------------------------------------------------
@@ -304,17 +311,16 @@ def build_windows(P: PolytopeP, c: float, eps: float = DEFAULT_EPS) -> WindowSet
 # acceptance tests
 # ---------------------------------------------------------------------------
 
-def d_test_points(labels: np.ndarray, shift: GridShift,
-                  basis: ProjectionBasis) -> np.ndarray:
+def d_test_points(labels: np.ndarray, shift: GridShift) -> np.ndarray:
     """Plane test points sum_j (k_j - gamma_j) d_j for 3-d acceptance."""
-    return (np.asarray(labels, dtype=float) - shift.gamma) @ basis.D
+    return (np.asarray(labels, dtype=float) - shift.gamma) @ BASIS.D
 
 
-def accept_3d_bulk(labels: np.ndarray, shift: GridShift, Q: DecagonQ,
-                   basis: ProjectionBasis, eps: float = DEFAULT_EPS) -> np.ndarray:
+def accept_3d_bulk(labels: np.ndarray, shift: GridShift,
+                   eps: float = DEFAULT_EPS) -> np.ndarray:
     """Vectorized 3-d acceptance against the decagon window."""
     labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
-    return Q.window.classify(d_test_points(labels, shift, basis), eps)
+    return DECAGON.window.classify(d_test_points(labels, shift), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +498,8 @@ class ScanPiece(NamedTuple):
         return np.maximum(extent, np.abs(k4, out=k4), out=extent)
 
 
-def scan_2d(radius: int, shift: GridShift, wset: WindowSet,
-            basis: ProjectionBasis | None = None) -> Iterator[tuple[ScanPiece, ...]]:
+def scan_2d(radius: int, shift: GridShift,
+            wset: WindowSet) -> Iterator[tuple[ScanPiece, ...]]:
     """Test every label of the box [-radius, radius]^5 against its index
     window, SCAN_ROWS rows of (k0, k1) at a time.
 
@@ -505,17 +511,20 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet,
     differs from sum_j (k_j - gamma_j) w_j by up to about 5e-14 at radius
     80, far inside eps.  Each index is tested against its own window only.
 
-    Raises ConfigError, before anything is allocated, if the box would not
-    fit in MEMORY_BUDGET.  A chunk that holds a singular label is not
-    yielded, nor is any after it; the scan runs on, and after the last
-    chunk raises SingularityError naming the lexicographically first label,
-    of any index, whose test point lies within eps of its window boundary,
-    the c = 0 index-5 point window included.
+    Raises ValueError unless wset was built for shift.c, then ConfigError,
+    before anything is allocated, if the box would not fit in
+    MEMORY_BUDGET.  A chunk that holds a singular label is not yielded, nor
+    is any after it; the scan runs on, and after the last chunk raises
+    SingularityError naming the lexicographically first label, of any
+    index, whose test point lies within eps of its window boundary, the
+    c = 0 index-5 point window included.
     """
-    basis = basis or make_basis()
+    if wset.c != shift.c:
+        raise ValueError(f"the windows are built for c = {wset.c!r}, "
+                         f"the shift has c = {shift.c!r}")
     M = int(radius)
     side = 2 * M + 1
-    w = basis.W[:, :2]
+    w = BASIS.W[:, :2]
     a, b = w[2] - w[4], w[3] - w[4]
     _check_budget(M, side ** 2, wset.slices.values(), a, b)
     weights = _key_weights(M)
@@ -578,8 +587,8 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet,
         _raise_singular(bad, np.full(len(bad), -1), "a window boundary", shift, M)
 
 
-def accepted_2d_blocks(radius: int, shift: GridShift, wset: WindowSet,
-                       basis: ProjectionBasis | None = None) -> list[np.ndarray]:
+def accepted_2d_blocks(radius: int, shift: GridShift,
+                       wset: WindowSet) -> list[np.ndarray]:
     """The accepted labels of the box [-radius, radius]^5 as their keys: one
     increasing int64 array of label_keys per index I = 1 .. 5.
 
@@ -594,14 +603,13 @@ def accepted_2d_blocks(radius: int, shift: GridShift, wset: WindowSet,
     window included.
     """
     blocks = [[] for _ in range(5)]
-    for pieces in scan_2d(radius, shift, wset, basis):
+    for pieces in scan_2d(radius, shift, wset):
         for piece in pieces:
             blocks[piece.index - 1].append(piece.keys(piece.status == 1))
     return [np.concatenate(keys) for keys in blocks]
 
 
-def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet,
-                          basis: ProjectionBasis | None = None
+def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All accepted labels in the box [-radius, radius]^5, in key order.
 
@@ -613,14 +621,13 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet,
     within eps of a window boundary, and ConfigError if the box would not
     fit in MEMORY_BUDGET.
     """
-    basis = basis or make_basis()
-    keys = np.concatenate(accepted_2d_blocks(radius, shift, wset, basis))
+    keys = np.concatenate(accepted_2d_blocks(radius, shift, wset))
     keys.sort(kind="stable")
     labels = np.column_stack(label_columns(keys, radius))
-    return labels, labels.astype(float) @ basis.D, keys
+    return labels, labels.astype(float) @ BASIS.D, keys
 
 
-def tip_columns(radius: int, shift: GridShift, Q: DecagonQ, basis: ProjectionBasis,
+def tip_columns(radius: int, shift: GridShift,
                 eps: float = DEFAULT_EPS) -> tuple[np.ndarray, int]:
     """The tip columns of the box [-radius, radius]^5, in key order:
     (representatives (n, 5), number of lattice points in the box).
@@ -640,8 +647,8 @@ def tip_columns(radius: int, shift: GridShift, Q: DecagonQ, basis: ProjectionBas
     boundary, then the first within eps of the inner decagon boundary.
     """
     M, S = int(radius), 2 * int(radius)
-    d = basis.D
-    _check_budget(M, (2 * M + 1) ** 3, [Q.window], d[3], d[4])
+    d = BASIS.D
+    _check_budget(M, (2 * M + 1) ** 3, [DECAGON.window], d[3], d[4])
     k = np.arange(-S, S + 1, dtype=np.int64)
     a0, a1 = (g.ravel() for g in np.meshgrid(k, k, indexing="ij"))
     # hi and lo: the largest and least coordinate so far, 0 included
@@ -649,7 +656,7 @@ def tip_columns(radius: int, shift: GridShift, Q: DecagonQ, basis: ProjectionBas
     meets = hi - lo <= S
     a0, a1, hi, lo = a0[meets], a1[meets], hi[meets], lo[meets]
     t0 = np.outer(a0, d[0]) + np.outer(a1, d[1]) - shift.gamma @ d
-    row, a2, v_lo, v_hi = _LineScan.of(d[2], d[3], Q.window, eps + _SCAN_SLACK)(t0, S)
+    row, a2, v_lo, v_hi = _LineScan.of(d[2], d[3], DECAGON.window, eps + _SCAN_SLACK)(t0, S)
     hi, lo = np.maximum(hi[row], a2), np.minimum(lo[row], a2)
     meets = hi - lo <= S
     row, a2, v_lo, v_hi, hi, lo = (x[meets] for x in (row, a2, v_lo, v_hi, hi, lo))
@@ -661,17 +668,16 @@ def tip_columns(radius: int, shift: GridShift, Q: DecagonQ, basis: ProjectionBas
     hi, lo = np.maximum(hi[sub], a3), np.minimum(lo[sub], a3)
     # a column's first member has the least key of its labels
     first = reps - (M + lo)[:, None]
-    pts = d_test_points(reps, shift, basis)
-    status = Q.window.classify(pts, eps)
+    pts = d_test_points(reps, shift)
+    status = DECAGON.window.classify(pts, eps)
     _raise_singular(first, status, "the decagon boundary", shift, M)
-    inner = Q.inner.classify(pts, eps)
+    inner = DECAGON.inner.classify(pts, eps)
     _raise_singular(first, inner, "the inner decagon boundary", shift, M)
     n_points = int(np.sum((2 * M + 1 - (hi - lo))[status == 1]))
     return reps[inner == 1], n_points
 
 
-def enumerate_tips(radius: int, shift: GridShift, Q: DecagonQ,
-                   basis: ProjectionBasis, eps: float = DEFAULT_EPS
+def enumerate_tips(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
                    ) -> tuple[np.ndarray, np.ndarray, int]:
     """The tips of the box [-radius, radius]^5, in key order: (labels, keys,
     number of lattice points in the box).
@@ -685,7 +691,7 @@ def enumerate_tips(radius: int, shift: GridShift, Q: DecagonQ,
     boundary, then for the first within eps of the inner decagon boundary.
     """
     M = int(radius)
-    reps, n_points = tip_columns(M, shift, Q, basis, eps)
+    reps, n_points = tip_columns(M, shift, eps)
     row, n = _expand(-M - reps.min(axis=1), M - reps.max(axis=1))
     tips = reps[row] + n[:, None]
     keys = label_keys(tips, M)

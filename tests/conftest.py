@@ -6,17 +6,17 @@ from quasiproj.geometry import DEFAULT_EPS
 
 @pytest.fixture(scope="session")
 def basis():
-    return qp.make_basis()
+    return qp.BASIS
 
 
 @pytest.fixture(scope="session")
-def P(basis):
-    return qp.build_polytope_P(basis)
+def P():
+    return qp.POLYTOPE
 
 
 @pytest.fixture(scope="session")
-def Q(basis):
-    return qp.build_decagon_Q(basis)
+def Q():
+    return qp.DECAGON
 
 
 _window_cache = {}

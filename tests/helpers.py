@@ -225,8 +225,8 @@ def scan_3d(radius, shift, Q, basis, eps):
         sub, k4 = _expand(*_integer_span(v_lo, v_hi, -M, M))
         cand = np.column_stack([np.full(len(sub), k0), k12[row[sub]], k3[sub], k4])
         # through the module, so that a test can record what it tests
-        status = window.accept_3d_bulk(cand, shift, Q, basis, eps)
-        yield cand, status, d_test_points(cand, shift, basis)
+        status = window.accept_3d_bulk(cand, shift, eps)
+        yield cand, status, d_test_points(cand, shift)
 
 
 def enumerate_accepted_3d(radius, shift, Q, basis=None, eps=DEFAULT_EPS):
@@ -543,7 +543,7 @@ _REFERENCE_SVG_STYLES = {
 
 def tiling_svg_reference(radius, shift, wset, basis, pad=1.0):
     """The SVG of `qc tiling2d`, from (label, index, (x, y)) vertex tuples."""
-    labels, xy, keys = enumerate_accepted_2d(radius, shift, wset, basis)
+    labels, xy, keys = enumerate_accepted_2d(radius, shift, wset)
     index = labels.sum(axis=1).tolist()
     step = step_rows(labels, keys, radius)
     rows, _ = np.nonzero(step >= 0)

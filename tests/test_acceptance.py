@@ -34,7 +34,7 @@ def _freq_report(basis, windows_for, c, radius=67, seed=7):
     key = ("freq", round(c, 12), radius, seed)
     if key not in _cache:
         shift = random_shift(c, seed)
-        _cache[key] = empirical_frequencies(radius, shift, windows_for(c), basis)
+        _cache[key] = empirical_frequencies(radius, shift, windows_for(c))
     return _cache[key]
 
 
@@ -74,19 +74,19 @@ def test_criterion_2_slice_shapes(P):
 
 
 @pytest.mark.parametrize("c", [0.25, 0.5, PINV2])
-def test_criterion_3_dual_construction_equivalence(P, basis, windows_for, c):
+def test_criterion_3_dual_construction_equivalence(windows_for, c):
     t0 = time.perf_counter()
     shift = random_shift(c, 7)
     ws = windows_for(c)
     R = 30.0
-    tiling = tiling_from_pentagrid((-R, R, -R, R), shift, basis)
+    tiling = tiling_from_pentagrid((-R, R, -R, R), shift)
     # label box wide enough for every mesh within the trim radius
     box = int(np.ceil(R - 3.0 + 2.4 + np.abs(shift.gamma).max() + 1)) + 1
-    window_labels, _, _ = enumerate_accepted_2d(box, shift, ws, basis)
+    window_labels, _, _ = enumerate_accepted_2d(box, shift, ws)
 
     trim = R - 3.0
-    pk = np.linalg.norm(mesh_locator(tiling.labels, shift, basis), axis=1)
-    wk = np.linalg.norm(mesh_locator(window_labels, shift, basis), axis=1)
+    pk = np.linalg.norm(mesh_locator(tiling.labels, shift), axis=1)
+    wk = np.linalg.norm(mesh_locator(window_labels, shift), axis=1)
     pset = {tuple(r) for r in tiling.labels[pk <= trim]}
     wset = {tuple(r) for r in window_labels[wk <= trim]}
     mismatches = len(pset ^ wset)
@@ -149,7 +149,7 @@ def test_criterion_5_census_structure(basis, windows_for):
     _report(5, elapsed, "I=2 census: 8 (low c) / 5 (at p^-2) / 6 (high c) types")
 
 
-def test_criterion_6_cell_census(P, Q, basis, lattice_for):
+def test_criterion_6_cell_census(Q, lattice_for):
     t0 = time.perf_counter()
     shift = random_shift(0.5, 11)
     lat = lattice_for(10, shift)
@@ -158,7 +158,7 @@ def test_criterion_6_cell_census(P, Q, basis, lattice_for):
     assert len(inner) >= 1000
     violations = 0
     # raises unless 22 + 4 atoms per tip
-    hull_atoms, interior_atoms = build_cells(inner, shift, Q, basis, 1e-9)
+    hull_atoms, interior_atoms = build_cells(inner, shift, 1e-9)
     # the ten neighbours k +- e_m of every tip, in one lookup
     steps = np.vstack([np.eye(5, dtype=np.int64), -np.eye(5, dtype=np.int64)])
     violations += int(np.count_nonzero(lat.rows(inner[:, None, :] + steps) < 0))
@@ -170,7 +170,7 @@ def test_criterion_6_cell_census(P, Q, basis, lattice_for):
     _report(6, elapsed, f"{len(inner)} tips: 10 neighbors, 4 interior, 26 atoms")
 
 
-def test_criterion_7_overlap_classes(P, Q, basis):
+def test_criterion_7_overlap_classes(P, basis):
     t0 = time.perf_counter()
     # the census counts tips at OVERLAP_OFFSETS; the numerical oracle
     # intersects every tip-to-tip translate of the polytope
@@ -184,7 +184,7 @@ def test_criterion_7_overlap_classes(P, Q, basis):
     results = {}
     for c, seed in ((0.2, 3), (0.7, 4)):
         shift = random_shift(c, seed)
-        census = overlap_census(16, shift, Q, basis)
+        census = overlap_census(16, shift)
         assert census.n_tips >= 1000
         for label, freq in census.frequencies.items():
             assert abs(freq - ANALYTIC_CLASS_FREQUENCIES[label]) <= 0.01, \
@@ -199,14 +199,14 @@ def test_criterion_7_overlap_classes(P, Q, basis):
     _report(7, elapsed, f"{n} tips over c=0.2/0.7, all five classes within 0.01")
 
 
-def test_criterion_8_z_periodicity(Q, basis, lattice_for):
+def test_criterion_8_z_periodicity(basis, lattice_for):
     t0 = time.perf_counter()
     shift = random_shift(0.5, 11)
     lat = lattice_for(10, shift)
     inner = lat.labels[np.abs(lat.labels).max(axis=1) <= lat.radius - 1]
     ones = np.ones(5, dtype=np.int64)
     up = inner + ones
-    accepted = accept_3d_bulk(up, shift, Q, basis) == 1
+    accepted = accept_3d_bulk(up, shift) == 1
     # np.allclose of each accepted row's two points
     moved = np.all(np.isclose(up.astype(float) @ basis.W,
                               lat.points[lat.rows(inner)] + [0, 0, 5], atol=1e-9), axis=1)

@@ -104,6 +104,17 @@ def test_lattice3d_stdout_is_pinned(args, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["--radius", "8"], "262bd7a9d65da4f742c7c14dc52b660d3a9f3e3aaba2b51b75ea10a4eaea8965"),
+    (["--c", "0.2", "--radius", "5"],
+     "782514d25270b9752d18b980dd7e77414163c6bf9f2d203ec5f81141f95bdcc3"),
+])
+def test_overlap_census_stdout_is_pinned(args, digest, capsys):
+    # the census table at c = 0.5 and at c = 0.2, the digests the CI run pins
+    assert run(["overlap-census", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_tiling_svg(tmp_path):
     out = tmp_path / "tiling.svg"
     code = run(["tiling2d", "--c", "0.3819660113", "--seed", "3",
@@ -241,21 +252,20 @@ def test_explicit_singular_gamma_exits_3(caplog):
     assert "lands within eps of a window boundary" in caplog.text
 
 
-def test_freq_names_the_enumerators_singular_label_before_classifying(P, basis,
-                                                                     monkeypatch):
+def test_freq_names_the_enumerators_singular_label_before_classifying(P, monkeypatch):
     # the REDRAW_ARGS draw: the first singular label is found across all
     # five index blocks before any vertex is classified
     shift = random_shift(0.5, 8)
     ws = build_windows(P, shift.c, 1e-4)
     with pytest.raises(SingularityError) as expected:
-        enumerate_accepted_2d(10, shift, ws, basis)
+        enumerate_accepted_2d(10, shift, ws)
 
     def unreachable(*args):
         raise AssertionError("a vertex was classified before the singular label raised")
 
     monkeypatch.setattr(qp.tiling2d, "neighbor_masks", unreachable)
     with pytest.raises(SingularityError) as got:
-        empirical_frequencies(10, shift, ws, basis)
+        empirical_frequencies(10, shift, ws)
     assert str(got.value) == str(expected.value)
 
 
@@ -414,6 +424,17 @@ def test_lazy_namespace_keeps_every_export():
     assert qp.errors.QcError is QcError
     with pytest.raises(AttributeError, match="no attribute 'missing'"):
         qp.missing
+
+
+def test_the_readme_library_example_runs():
+    # the first python block under "## Library", so the documented calls
+    # cannot drift from the signatures
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].n_vertices > 0 and namespace["census"].n_tips > 0
 
 
 @pytest.mark.parametrize("tol", ["0.3", "0.45", "0.6"])

@@ -57,11 +57,11 @@ def test_single_edge_svg():
     assert "M 0 -0.5 L 1 -0.5" in svg
 
 
-def test_svg_deterministic(basis, windows_for):
+def test_svg_deterministic(windows_for):
     shift = random_shift(0.5, 7)
     ws = windows_for(0.5)
-    doc1 = build_tiling_document(6, shift, ws, basis)
-    doc2 = build_tiling_document(6, shift, ws, basis)
+    doc1 = build_tiling_document(6, shift, ws)
+    doc2 = build_tiling_document(6, shift, ws)
     assert render_svg(doc1) == render_svg(doc2)
     # all four stroke classes appear in a decent patch
     svg = render_svg(doc1)
@@ -69,9 +69,9 @@ def test_svg_deterministic(basis, windows_for):
         assert cls in svg
 
 
-def test_document_edges_consistent(basis, windows_for):
+def test_document_edges_consistent(windows_for):
     shift = random_shift(0.5, 7)
-    doc = build_tiling_document(6, shift, windows_for(0.5), basis)
+    doc = build_tiling_document(6, shift, windows_for(0.5))
     labels = {tuple(lab) for lab in doc.labels.tolist()}
     assert len(labels) == len(doc.labels) == len(doc.points)
     index = doc.labels.sum(axis=1)
@@ -98,13 +98,13 @@ def test_svg_matches_reference_writer(c, basis, windows_for):
     for seed in (1, 2):
         shift = random_shift(c, seed)
         for radius in (6, 7, 8):
-            doc = build_tiling_document(radius, shift, windows_for(c), basis)
+            doc = build_tiling_document(radius, shift, windows_for(c))
             assert render_svg(doc) == tiling_svg_reference(radius, shift,
                                                            windows_for(c), basis)
 
 
 @pytest.mark.parametrize("c,seed", [(0.4, 3), (0.7, 5)])
-def test_cells_obj_matches_reference_writer(c, seed, P, Q, basis, lattice_for):
+def test_cells_obj_matches_reference_writer(c, seed, P, Q, lattice_for):
     shift = random_shift(c, seed)
     for radius in (8, 10):
         lat = lattice_for(radius, shift)
@@ -112,7 +112,7 @@ def test_cells_obj_matches_reference_writer(c, seed, P, Q, basis, lattice_for):
         inner = tips[np.abs(tips).max(axis=1) <= radius - 3]
         assert len(inner) > 0
         for chosen in (inner, inner[:0]):
-            assert (cells_obj(build_cells(chosen, shift, Q, basis, 1e-9), P, basis)
+            assert (cells_obj(build_cells(chosen, shift, 1e-9))
                     == cells_obj_reference(chosen, lat, P))
 
 
@@ -141,8 +141,8 @@ def test_overlap_csv_format():
     assert lines[3].startswith("A46,4,1,3,2,0.2,")
 
 
-def test_window_document_structure(P, Q, windows_for):
-    doc = window_document(P, Q, windows_for(0.5))
+def test_window_document_structure(windows_for):
+    doc = window_document(windows_for(0.5))
     assert len(doc["polytope"]["vertices"]) == 22
     assert len(doc["polytope"]["edges"]) == 40
     assert len(doc["polytope"]["faces"]) == 20
@@ -156,7 +156,7 @@ def test_window_document_structure(P, Q, windows_for):
     assert write_json(doc) == write_json(json.loads(write_json(doc)))
 
 
-def test_cells_obj_dedupes_shared_vertices(P, Q, basis, lattice_for):
+def test_cells_obj_dedupes_shared_vertices(Q, lattice_for):
     shift = random_shift(0.5, 11)
     lat = lattice_for(8, shift)
     tips = find_tips(lat, Q)
@@ -170,8 +170,8 @@ def test_cells_obj_dedupes_shared_vertices(P, Q, basis, lattice_for):
             pair = (t, np.array(other))
             break
     assert pair is not None
-    cells = build_cells(np.vstack(pair), shift, Q, basis, 1e-9)
-    text = cells_obj(cells, P, basis)
+    cells = build_cells(np.vstack(pair), shift, 1e-9)
+    text = cells_obj(cells)
     n_v = text.count("\nv ")
     n_f = text.count("\nf ")
     assert n_f == 40  # 20 faces per cell

@@ -88,7 +88,7 @@ def test_tip_set_z_periodic(lat_env):
         assert tuple(t + ones) in tipset
 
 
-def test_non_tip_with_missing_neighbor(lat_env, Q, basis):
+def test_non_tip_with_missing_neighbor(lat_env, Q):
     # a lattice point missing some neighbor always tests outside the inner
     # decagon (the contrapositive of the tip property)
     shift, lat, tips = lat_env
@@ -101,19 +101,19 @@ def test_non_tip_with_missing_neighbor(lat_env, Q, basis):
         if not has_all:
             missing += 1
             assert tuple(k) not in tipset
-            t = d_test_points(k[None, :], shift, basis)[0]
+            t = d_test_points(k[None, :], shift)[0]
             assert points_in_convex_polygon(t[None, :], Q.inner.normals,
                                             Q.inner.offsets, 1e-9)[0] != 1
             assert np.linalg.norm(t) > np.cos(np.pi / 10) / PHI - 1e-9  # inradius
     assert missing > 50
 
 
-def test_cells_26_atoms(lat_env, P, Q, basis):
+def test_cells_26_atoms(lat_env):
     shift, lat, tips = lat_env
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     rng = np.random.default_rng(1)
     hull_atoms, interior_atoms = build_cells(
-        inner[rng.choice(len(inner), 150, replace=False)], shift, Q, basis, 1e-9)
+        inner[rng.choice(len(inner), 150, replace=False)], shift, 1e-9)
     for hull, interior in zip(hull_atoms, interior_atoms):
         assert len(hull) == 22
         assert len(interior) == 4
@@ -123,19 +123,19 @@ def test_cells_26_atoms(lat_env, P, Q, basis):
             assert lat.rows(a) >= 0
 
 
-def test_same_triangle_same_interior_offsets(lat_env, P, Q, basis):
+def test_same_triangle_same_interior_offsets(lat_env, Q):
     shift, lat, tips = lat_env
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     by_triangle = {}
     rng = np.random.default_rng(2)
     sample = inner[rng.choice(len(inner), 120, replace=False)]
     # one pass of all tips against the ten fan triangles (0, v_i, v_{i+1})
-    pts = d_test_points(sample, shift, basis)
+    pts = d_test_points(sample, shift)
     status = np.array([ConvexWindow.of(t).classify(pts, 1e-9)
                        for t in fan_triangles(Q.inner.polygon)])
     assert np.all((status == 1).sum(axis=0) == 1)  # no tip on a triangle edge
     for tip, tri in zip(sample, np.argmax(status == 1, axis=0).tolist()):
-        _, interior = build_cells(tip, shift, Q, basis, 1e-9)
+        _, interior = build_cells(tip, shift, 1e-9)
         offsets = frozenset(tuple(int(x) for x in (a - tip)) for a in interior[0])
         by_triangle.setdefault(tri, set()).add(offsets)
     assert len(by_triangle) >= 8  # most triangles sampled
@@ -146,7 +146,7 @@ def test_same_triangle_same_interior_offsets(lat_env, P, Q, basis):
     assert len(set(all_sets)) == len(all_sets)
 
 
-def test_z_translated_cells_are_translates(lat_env, P, Q, basis):
+def test_z_translated_cells_are_translates(lat_env):
     # the cell of tip k + (1,..,1) is the cell of k shifted by (0,0,5),
     # atom labels included
     shift, lat, tips = lat_env
@@ -158,7 +158,7 @@ def test_z_translated_cells_are_translates(lat_env, P, Q, basis):
         up = t + ones
         if tuple(up) not in tipset or np.abs(up).max() > lat.radius - 3:
             continue
-        hull, interior = build_cells(np.vstack([t, up]), shift, Q, basis, 1e-9)
+        hull, interior = build_cells(np.vstack([t, up]), shift, 1e-9)
         a, b = lat.points[lat.rows(hull[:, 0])]
         assert np.allclose(b - a, [0, 0, 5], atol=1e-9)
         assert np.array_equal(interior[1], interior[0] + ones)
@@ -198,18 +198,18 @@ def test_interior_offsets_are_the_interior_cube_vertices(P, basis):
 
 
 @pytest.mark.parametrize("c,seed", [(0.5, 11), (0.2, 3)])
-def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, basis, oracle_table,
+def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, oracle_table,
                                                   lattice_for):
     shift = random_shift(c, seed)
     lat = lattice_for(10, shift)
     tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     assert len(inner) > 1000
-    _, interior = build_cells(inner, shift, Q, basis, 1e-9)
+    _, interior = build_cells(inner, shift, 1e-9)
     for atoms, expected in zip(interior, interior_atoms_sweep(inner, lat, P)):
         assert np.array_equal(atoms, expected)
     tip_set = {tuple(r) for r in tips.tolist()}
-    sigs = overlap_signatures(d_test_points(inner, shift, basis), Q, basis).tolist()
+    sigs = overlap_signatures(d_test_points(inner, shift)).tolist()
     assert sigs == [list(overlap_signature_loop(t, tip_set, oracle_table))
                     for t in inner.tolist()]
     assert sigs == overlap_signatures_by_keys(inner, tips, lat.radius).tolist()
@@ -220,13 +220,13 @@ def _non_tips(lat, Q):
     return lat.labels[Q.inner.classify(lat.test_points, 1e-9) == 0]
 
 
-def test_build_cells_rejects_non_lattice_tip(lat_env, Q, basis):
+def test_build_cells_rejects_non_lattice_tip(lat_env):
     shift, lat, tips = lat_env
     with pytest.raises(ValueError, match="not a lattice point"):
-        build_cells(np.array([lat.radius + 1, 0, 0, 0, 0]), shift, Q, basis, 1e-9)
+        build_cells(np.array([lat.radius + 1, 0, 0, 0, 0]), shift, 1e-9)
 
 
-def test_build_cells_rejects_a_lattice_point_that_is_not_a_tip(lat_env, Q, basis):
+def test_build_cells_rejects_a_lattice_point_that_is_not_a_tip(lat_env, Q):
     # every hull atom of a tip is a lattice point, and some hull atom of
     # every other lattice point is not
     shift, lat, tips = lat_env
@@ -237,7 +237,7 @@ def test_build_cells_rejects_a_lattice_point_that_is_not_a_tip(lat_env, Q, basis
         with pytest.raises(ConsistencyError,
                            match=rf"cell at {label}: \d+ hull atoms are not lattice "
                                  rf"points, so {label} is not a tip"):
-            build_cells(k, shift, Q, basis, 1e-9)
+            build_cells(k, shift, 1e-9)
 
 
 def test_build_cells_names_the_singular_atom(Q, basis):
@@ -254,26 +254,26 @@ def test_build_cells_names_the_singular_atom(Q, basis):
     gamma = base.gamma + basis.D @ (-base.gamma @ basis.D - target) / 2.5
     shift = qp.GridShift(gamma=gamma, c=base.c)
     tip = np.zeros(5, dtype=np.int64)
-    assert np.allclose(d_test_points(tip[None], shift, basis), target, atol=1e-12)
-    assert Q.inner.classify(d_test_points(tip[None], shift, basis), eps)[0] == 1
+    assert np.allclose(d_test_points(tip[None], shift), target, atol=1e-12)
+    assert Q.inner.classify(d_test_points(tip[None], shift), eps)[0] == 1
     with pytest.raises(SingularityError,
                        match=rf"cell atom {re.escape(str(tuple(m.tolist())))} lands within "
                              r"eps of the decagon boundary"):
-        build_cells(tip, shift, Q, basis, eps)
-    singular = CUBE_VERTICES[accept_3d_bulk(tip + CUBE_VERTICES, shift, Q, basis, eps) == -1]
+        build_cells(tip, shift, eps)
+    singular = CUBE_VERTICES[accept_3d_bulk(tip + CUBE_VERTICES, shift, eps) == -1]
     assert len(singular) == 2 and np.array_equal(singular[0], m)
 
 
 @pytest.mark.parametrize("radius", [8, 12])
 @pytest.mark.parametrize("c", [0.05, 0.2, PHI ** -2, 0.5, 0.9])
-def test_build_cells_matches_the_lattice_lookup(c, radius, Q, basis, lattice_for):
+def test_build_cells_matches_the_lattice_lookup(c, radius, Q, lattice_for):
     # atom for atom: the hull in P.vertices order, the interior in label order
     shift = random_shift(c, 5)
     lat = lattice_for(radius, shift)
     tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= radius - 3]
     assert len(inner) > 0
-    hull, interior = build_cells(inner, shift, Q, basis, 1e-9)
+    hull, interior = build_cells(inner, shift, 1e-9)
     tip_rows, hull_rows, interior_rows = lattice_cells(inner, lat)
     assert np.array_equal(hull[:, 0], lat.labels[tip_rows])
     assert np.array_equal(hull, lat.labels[hull_rows])
@@ -321,19 +321,19 @@ def test_overlap_volume_symmetry(oracle_table):
             assert fa == fb
 
 
-def test_classify_overlap_signatures(lat_env, Q, P, basis):
+def test_classify_overlap_signatures(lat_env):
     shift, lat, tips = lat_env
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     seen = set()
-    for sig in overlap_signatures(d_test_points(inner, shift, basis), Q, basis).tolist():
+    for sig in overlap_signatures(d_test_points(inner, shift)).tolist():
         assert tuple(sig) in OVERLAP_SIGNATURES
         seen.add(OVERLAP_SIGNATURES[tuple(sig)])
     assert seen == {"A1", "A23", "A46", "A57", "A8"}
 
 
-def test_overlap_census_matches_analytic(Q, basis):
+def test_overlap_census_matches_analytic():
     shift = random_shift(0.3, 29)
-    census = overlap_census(12, shift, Q, basis)
+    census = overlap_census(12, shift)
     assert census.n_tips > 1000
     assert sum(census.counts.values()) == census.n_tips
     assert sum(census.frequencies.values()) == pytest.approx(1.0, abs=1e-12)
@@ -366,13 +366,13 @@ def test_shared_atom_count_symmetric(lat_env, oracle_table):
     assert pairs >= 12
 
 
-def test_z_periodicity_of_accepted_points(Q, basis, lattice_for):
+def test_z_periodicity_of_accepted_points(basis, lattice_for):
     shift = random_shift(0.7, 31)
     lat = lattice_for(6, shift)
     ones = np.ones(5, dtype=np.int64)
     inner = lat.labels[np.abs(lat.labels).max(axis=1) <= 5]
     up = inner + ones
-    for k, i, status in zip(up, lat.rows(inner), accept_3d_bulk(up, shift, Q, basis)):
+    for k, i, status in zip(up, lat.rows(inner), accept_3d_bulk(up, shift)):
         assert status == 1
         assert np.allclose(k.astype(float) @ basis.W, lat.points[i] + [0, 0, 5], atol=1e-9)
 
@@ -387,19 +387,18 @@ def test_analytic_class_frequencies_normalized():
     assert r["A8"] / r["A1"] == pytest.approx((PHI ** -2 + PHI ** -4) / 2, abs=1e-12)
 
 
-def test_find_tips_reads_the_acceptance_test_points(Q, basis, lattice_for):
+def test_find_tips_reads_the_acceptance_test_points(Q, lattice_for):
     for c, seed in ((0.0, 1), (0.2, 3), (0.7, 5)):
         shift = random_shift(c, seed)
         lat = lattice_for(8, shift)
-        recomputed = d_test_points(lat.labels, shift, basis)
+        recomputed = d_test_points(lat.labels, shift)
         assert np.array_equal(lat.test_points, recomputed)
         status = points_in_convex_polygon(recomputed, Q.inner.normals,
                                           Q.inner.offsets, 1e-9)
         assert np.array_equal(find_tips(lat, Q), lat.labels[status == 1])
 
 
-def test_overlap_violation_names_the_first_offending_tip(Q, basis, monkeypatch,
-                                                        lattice_for):
+def test_overlap_violation_names_the_first_offending_tip(Q, monkeypatch, lattice_for):
     shift = random_shift(0.3, 4)
     lat = lattice_for(10, shift)
     tips = find_tips(lat, Q)
@@ -414,7 +413,7 @@ def test_overlap_violation_names_the_first_offending_tip(Q, basis, monkeypatch,
         # share: doctor the columns of inner[2] and inner[5]
         sigs = original(points, *args)
         for tip, sig in ((inner[2], (3, 0, 3)), (inner[5], (7, 3, 4))):
-            at = d_test_points(tip[None], shift, basis)
+            at = d_test_points(tip[None], shift)
             row = np.all(np.abs(points - at) < 1e-12, axis=1)
             assert row.sum() == 1
             sigs[row] = sig
@@ -424,7 +423,7 @@ def test_overlap_violation_names_the_first_offending_tip(Q, basis, monkeypatch,
     with pytest.raises(qp.errors.CensusViolationError,
                        match=rf"tip {re.escape(str(tuple(inner[2].tolist())))} has "
                              r"overlap signature \(3, 0, 3\)"):
-        overlap_census(10, shift, Q, basis)
+        overlap_census(10, shift)
 
 
 #: the orbit of e0 - e4 among the K offsets: |m.D| is the inner decagon's
@@ -447,16 +446,16 @@ def test_the_edge_orbit_spans_the_inner_decagon(Q, basis):
 
 @pytest.mark.parametrize("radius", [8, 12])
 @pytest.mark.parametrize("c", [0.05, 0.2, PHI ** -2, 0.5, 0.9])
-def test_overlap_census_matches_the_lattice_route(c, radius, Q, basis, lattice_for):
+def test_overlap_census_matches_the_lattice_route(c, radius, Q, lattice_for):
     # the tips the scan keeps are the lattice's tips, and the census over
     # them is the lattice-route census, shared atoms included
     shift = random_shift(c, 5)
     lat = lattice_for(radius, shift)
-    tips, keys, n_points = enumerate_tips(radius, shift, Q, basis)
+    tips, keys, n_points = enumerate_tips(radius, shift)
     assert np.array_equal(tips, find_tips(lat, Q))
     assert n_points == len(lat.labels)
     assert np.array_equal(keys, label_keys(tips, radius))
-    census = overlap_census(radius, shift, Q, basis)
+    census = overlap_census(radius, shift)
     oracle = overlap_census_lattice(lat, shift, Q, shared_atom_sample=20)
     assert census.n_tips == oracle.n_tips
     assert census.counts == oracle.counts
@@ -478,7 +477,7 @@ def test_overlap_census_matches_the_lattice_route(c, radius, Q, basis, lattice_f
         tip, other = pairs(OVERLAP_OFFSETS[shape])
         assert len(tip) == sum(census.counts[lab] * sig[column]
                                for sig, lab in OVERLAP_SIGNATURES.items())
-        hull, interior = build_cells(np.concatenate([tip, other]), shift, Q, basis, 1e-9)
+        hull, interior = build_cells(np.concatenate([tip, other]), shift, 1e-9)
         a, b = np.split(label_keys(np.concatenate([hull, interior], axis=1), radius), 2)
         assert np.all((a[:, :, None] == b[:, None, :]).sum(axis=(1, 2)) == shared), shape
 
@@ -500,7 +499,7 @@ def test_tip_scan_is_singular_where_the_lattice_is(Q, basis):
         except SingularityError as exc:
             expected = exc
         try:
-            got = enumerate_tips(6, shift, Q, basis, 1e-3)[0]
+            got = enumerate_tips(6, shift, 1e-3)[0]
         except SingularityError as exc:
             got = exc
         if isinstance(expected, SingularityError):
@@ -519,8 +518,8 @@ def test_tip_scan_raises_on_the_inner_decagon_boundary_alone(Q, basis):
     shift, eps = random_shift(0.5, 30), 0.01
     enumerate_accepted_3d(1, shift, Q, basis, eps)
     for run in (lambda: find_tips(build_lattice3(1, shift, Q, basis, eps), Q, eps),
-                lambda: enumerate_tips(1, shift, Q, basis, eps),
-                lambda: overlap_census(1, shift, Q, basis, eps)):
+                lambda: enumerate_tips(1, shift, eps),
+                lambda: overlap_census(1, shift, eps)):
         with pytest.raises(SingularityError,
                            match=r"label \(-1, -1, 1, -1, 1\) \w+ within eps of the "
                                  r"inner decagon boundary"):
@@ -533,21 +532,20 @@ def test_tip_scan_raises_on_the_inner_decagon_boundary_alone(Q, basis):
 
 @pytest.mark.parametrize("radius", [1, 2, 3, 8, 12])
 @pytest.mark.parametrize("c", [0.0, 0.05, 0.2, PHI ** -2, 0.5, 0.9])
-def test_tips_by_column_are_the_tips_of_the_per_label_scan(c, radius, Q, basis,
-                                                           lattice_for):
+def test_tips_by_column_are_the_tips_of_the_per_label_scan(c, radius, Q, lattice_for):
     for seed in (5, 6):
         shift = random_shift(c, seed)
         lat = lattice_for(radius, shift)
-        tips, keys, n_points = enumerate_tips(radius, shift, Q, basis)
+        tips, keys, n_points = enumerate_tips(radius, shift)
         assert np.array_equal(tips, find_tips(lat, Q)), seed
         assert np.array_equal(keys, label_keys(tips, radius)), seed
         assert n_points == len(lat.labels), seed
 
 
-def test_tips_by_column_at_the_benchmark_box(Q, basis, lattice_for):
+def test_tips_by_column_at_the_benchmark_box(Q, lattice_for):
     shift = normalize_shift(benchmark_gamma(0.2, 0))
     lat = lattice_for(20, shift)
-    tips, keys, n_points = enumerate_tips(20, shift, Q, basis)
+    tips, keys, n_points = enumerate_tips(20, shift)
     assert np.array_equal(tips, find_tips(lat, Q))
     assert np.array_equal(keys, label_keys(tips, 20))
     assert n_points == len(lat.labels) == 351437
@@ -569,7 +567,7 @@ def test_the_members_of_a_column_share_one_decision(shift, radius, Q, basis):
     status = np.concatenate([b[1] for b in blocks])
     pts = np.vstack([b[2] for b in blocks])
     reps = labels - labels[:, 4:]
-    at_rep = d_test_points(reps, shift, basis)
+    at_rep = d_test_points(reps, shift)
     assert np.max(np.abs(pts - at_rep)) < 1e-12
     assert np.array_equal(status, Q.window.classify(at_rep, 1e-9))
     assert np.array_equal(Q.inner.classify(pts, 1e-9), Q.inner.classify(at_rep, 1e-9))
@@ -592,7 +590,7 @@ def test_tip_scan_names_a_label_just_outside_a_decagon_edge(eps, Q, basis):
         with pytest.raises(SingularityError) as expected:
             enumerate_accepted_3d(4, shift, Q, basis, eps)
         with pytest.raises(SingularityError, match="the decagon boundary") as got:
-            enumerate_tips(4, shift, Q, basis, eps)
+            enumerate_tips(4, shift, eps)
         assert _named_label(got.value) == _named_label(expected.value)
 
 
@@ -600,19 +598,19 @@ def test_tip_scan_names_a_label_just_outside_a_decagon_edge(eps, Q, basis):
 # overlap classes by point location
 # ---------------------------------------------------------------------------
 
-def test_overlap_signatures_match_the_key_oracle_at_the_benchmark_box(Q, basis):
+def test_overlap_signatures_match_the_key_oracle_at_the_benchmark_box():
     # every boundary-complete tip column of the census's box (spread at most
     # 2 (R - margin), R - margin = 17), classified by its test point and by
     # merging the key of its first boundary-complete tip with the keys of
     # every tip of the box
     shift = normalize_shift(benchmark_gamma(0.2, 0))
-    reps, _ = tip_columns(20, shift, Q, basis)
-    tips, _, _ = enumerate_tips(20, shift, Q, basis)
+    reps, _ = tip_columns(20, shift)
+    tips, _, _ = enumerate_tips(20, shift)
     inner = reps[reps.max(axis=1) - reps.min(axis=1) <= 2 * 17]
     assert len(inner) == 2673
     first = inner - (17 + inner.min(axis=1))[:, None]
     assert label_extent(first).max() == 17
-    assert np.array_equal(overlap_signatures(d_test_points(inner, shift, basis), Q, basis),
+    assert np.array_equal(overlap_signatures(d_test_points(inner, shift)),
                           overlap_signatures_by_keys(first, tips, 20))
 
 
@@ -632,25 +630,25 @@ def test_overlap_signatures_at_the_inner_decagon_boundary(shape, eps, Q, basis,
     for f in (-2, -0.9, 0.9, 2):
         target = mid + f * eps * Q.inner.normals[edge] - step
         shift = moved_shift(random_shift(0.3, 5), basis.D, k, target)
-        at_k = d_test_points(k[None], shift, basis)
+        at_k = d_test_points(k[None], shift)
         assert Q.inner.classify(at_k, eps)[0] == 1
         if abs(f) < 1:
             with pytest.raises(SingularityError, match="the inner decagon boundary"):
-                overlap_signatures(at_k, Q, basis, eps)
+                overlap_signatures(at_k, eps)
             # the tip scan raises first, for the label the per-label scan names
             with pytest.raises(SingularityError) as expected:
                 find_tips(build_lattice3(8, shift, Q, basis, eps), Q, eps)
             with pytest.raises(SingularityError) as got:
-                overlap_census(8, shift, Q, basis, eps)
+                overlap_census(8, shift, eps)
             assert _named_label(got.value) == _named_label(expected.value)
             continue
         lat = lattice_for(8, shift, eps)
         tips = find_tips(lat, Q, eps)
         assert np.all(tips == k + m, axis=1).any() == (f < 0)
-        census = overlap_census(8, shift, Q, basis, eps)
+        census = overlap_census(8, shift, eps)
         oracle = overlap_census_lattice(lat, shift, Q, eps)
         assert census.n_tips == oracle.n_tips
         assert census.counts == oracle.counts
         if shape == "K":
             expected_sig = [6, 2, 4] if f < 0 else [5, 1, 4]
-            assert overlap_signatures(at_k, Q, basis, eps).tolist() == [expected_sig]
+            assert overlap_signatures(at_k, eps).tolist() == [expected_sig]

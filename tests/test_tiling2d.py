@@ -120,7 +120,7 @@ def test_boundary_values_are_continuous_limits():
 def classified(radius, shift, ws, basis, edge):
     """The vertices within `edge` of the box centre, in key order, with the
     (n_pos, n_neg) the whole-box oracle looks up for them."""
-    labels, _, keys = enumerate_accepted_2d(radius, shift, ws, basis)
+    labels, _, keys = enumerate_accepted_2d(radius, shift, ws)
     inner = labels[np.abs(labels).max(axis=1) <= edge]
     return (inner,) + whole_box_neighbor_counts(inner, keys, radius)
 
@@ -157,7 +157,7 @@ def test_neighbor_counts_basic(patch, basis):
         assert found[-1] == n_neg[i]
 
 
-def test_star_vertex_has_five_positive_edges(patch, basis):
+def test_star_vertex_has_five_positive_edges(patch):
     shift, ws, inner, n_pos, n_neg = patch
     index = inner.sum(axis=1)
     stars = np.flatnonzero((index == 1) & (n_pos == 5) & (n_neg == 0))
@@ -168,7 +168,7 @@ def test_star_vertex_has_five_positive_edges(patch, basis):
     assert vt == VertexType(1, 5, 0)
 
 
-def test_observed_types_within_census(patch, basis):
+def test_observed_types_within_census(patch):
     shift, ws, inner, n_pos, n_neg = patch
     index = inner.sum(axis=1)
     for i in range(len(inner)):
@@ -190,9 +190,9 @@ def test_type_4_0_absent_below_breakpoint(basis, windows_for):
 
 # -- empirical frequencies ----------------------------------------------------
 
-def test_empirical_report_structure(basis, windows_for):
+def test_empirical_report_structure(windows_for):
     shift = random_shift(0.5, 7)
-    rep = empirical_frequencies(14, shift, windows_for(0.5), basis)
+    rep = empirical_frequencies(14, shift, windows_for(0.5))
     assert rep.n_vertices == sum(r.count for r in rep.rows)
     assert rep.analytic_total == pytest.approx(1.0, abs=1e-9)
     # rows sorted and unique
@@ -201,37 +201,31 @@ def test_empirical_report_structure(basis, windows_for):
     assert len(keys) == len(set(keys))
 
 
-def test_empirical_frequencies_need_a_margin(basis, windows_for):
-    # a vertex on the box edge has neighbours that the scan never tested
-    with pytest.raises(ValueError, match="margin must be at least 1"):
-        empirical_frequencies(14, random_shift(0.5, 7), windows_for(0.5), basis, margin=0)
-
-
-def test_empirical_symmetric_at_half(basis, windows_for):
+def test_empirical_symmetric_at_half(windows_for):
     # at the fixed point c = 1/2 the construction is symmetric under
     # (I, n, n') -> (6-I, n', n)
     shift = random_shift(0.5, 21)
-    rep = empirical_frequencies(22, shift, windows_for(0.5), basis)
+    rep = empirical_frequencies(22, shift, windows_for(0.5))
     emp = {(r.index, r.n_pos, r.n_neg): r.empirical for r in rep.rows}
     for (i, n, nn), v in emp.items():
         assert emp.get((6 - i, nn, n), 0.0) == pytest.approx(v, abs=0.02)
 
 
-def test_empirical_five_types_at_breakpoint(basis, windows_for):
+def test_empirical_five_types_at_breakpoint(windows_for):
     shift = random_shift(PINV2, 17)
-    rep = empirical_frequencies(18, shift, windows_for(PINV2), basis)
+    rep = empirical_frequencies(18, shift, windows_for(PINV2))
     observed2 = {(r.n_pos, r.n_neg) for r in rep.rows if r.index == 2 and r.count}
     assert observed2 <= {(5, 0), (4, 1), (3, 1), (3, 0), (2, 1)}
     assert len(observed2) == 5
 
 
-def test_census_closure_statistical(basis, windows_for):
+def test_census_closure_statistical(windows_for):
     # every type with positive analytic frequency shows up in a patch large
     # enough that its expected count is comfortably above zero (radius 22,
     # about 2.4e4 boundary-complete vertices; rarest expected count ~ freq*N)
     for c, seed in ((0.5, 7), (0.15, 7)):
         shift = random_shift(c, seed)
-        rep = empirical_frequencies(22, shift, windows_for(c), basis)
+        rep = empirical_frequencies(22, shift, windows_for(c))
         counts = {(r.index, r.n_pos, r.n_neg): r.count for r in rep.rows}
         for vt in census_support(c):
             expected = analytic_probability(*vt, c) * rep.n_vertices
@@ -239,13 +233,13 @@ def test_census_closure_statistical(basis, windows_for):
                 assert counts.get(tuple(vt), 0) > 0, (c, vt, expected)
 
 
-def test_index_population_shifts_with_c(basis, windows_for):
+def test_index_population_shifts_with_c(windows_for):
     # the window V_1 is the slice at height 1 - c, which shrinks toward the
     # bottom tip as c grows, while V_5 (height 5 - c) grows away from the top
     # tip: index-1 vertices thin out and index-5 vertices appear.  (Consistent
     # with index 5 being absent at c = 0 and with the c -> 1 - c mirror.)
-    lo = empirical_frequencies(16, random_shift(0.2, 23), windows_for(0.2), basis)
-    hi = empirical_frequencies(16, random_shift(0.8, 23), windows_for(0.8), basis)
+    lo = empirical_frequencies(16, random_shift(0.2, 23), windows_for(0.2))
+    hi = empirical_frequencies(16, random_shift(0.8, 23), windows_for(0.8))
 
     def index_share(rep, index):
         return sum(r.empirical for r in rep.rows if r.index == index)
@@ -267,16 +261,16 @@ def test_index_population_shifts_with_c(basis, windows_for):
     (0.5, 1, 3, {1, 4, 5}),       # the margin leaves these blocks no vertex
 ])
 def test_empirical_frequencies_match_the_whole_box_oracle(c, seed, radius, emptied,
-                                                          basis, windows_for):
+                                                          windows_for):
     # the per-block tally against neighbour counts looked up in the key
     # array of the whole box
     shift = random_shift(c, seed)
-    labels, _, keys = enumerate_accepted_2d(radius, shift, windows_for(c), basis)
+    labels, _, keys = enumerate_accepted_2d(radius, shift, windows_for(c))
     inner = labels[np.abs(labels).max(axis=1) <= radius - 2]
     assert set(labels.sum(axis=1).tolist()) - set(inner.sum(axis=1).tolist()) == emptied
     n_pos, n_neg = whole_box_neighbor_counts(inner, keys, radius)
     expected = Counter(zip(inner.sum(axis=1).tolist(), n_pos.tolist(), n_neg.tolist()))
-    rep = empirical_frequencies(radius, shift, windows_for(c), basis)
+    rep = empirical_frequencies(radius, shift, windows_for(c))
     assert rep.n_vertices == len(inner)
     assert {(r.index, r.n_pos, r.n_neg): r.count for r in rep.rows if r.count} == expected
 
@@ -302,7 +296,7 @@ def test_census_violation_names_the_first_offending_type(basis, windows_for,
                                                          monkeypatch):
     # at c = 0.2 the type [4,0]_2 is in the census but has zero frequency
     shift = random_shift(0.2, 13)
-    labels, _, _ = enumerate_accepted_2d(8, shift, windows_for(0.2), basis)
+    labels, _, _ = enumerate_accepted_2d(8, shift, windows_for(0.2))
     inner = labels[np.abs(labels).max(axis=1) <= 6]
     first2 = int(np.argmax(inner.sum(axis=1) == 2))
 
@@ -313,17 +307,17 @@ def test_census_violation_names_the_first_offending_type(basis, windows_for,
     doctored([first2 + 3, first2], [(1, 1), (4, 0)])
     with pytest.raises(CensusViolationError,
                        match=r"type \[4,0\]_2 has zero analytic frequency at c=0.2"):
-        empirical_frequencies(8, shift, windows_for(0.2), basis)
+        empirical_frequencies(8, shift, windows_for(0.2))
     doctored([first2 + 3, first2], [(4, 0), (1, 1)])
     with pytest.raises(CensusViolationError,
                        match=rf"type \[1,1\]_{index[first2]} is outside the census"):
-        empirical_frequencies(8, shift, windows_for(0.2), basis)
+        empirical_frequencies(8, shift, windows_for(0.2))
     # label order across the index blocks: an index-1 vertex after first2
     later1 = first2 + int(np.argmax(index[first2:] == 1))
     doctored([later1, first2], [(1, 1), (4, 0)])
     with pytest.raises(CensusViolationError,
                        match=r"type \[4,0\]_2 has zero analytic frequency at c=0.2"):
-        empirical_frequencies(8, shift, windows_for(0.2), basis)
+        empirical_frequencies(8, shift, windows_for(0.2))
 
 
 def test_census_violation_order_spans_the_scan_chunks(basis, windows_for, monkeypatch):
@@ -331,7 +325,7 @@ def test_census_violation_order_spans_the_scan_chunks(basis, windows_for, monkey
     # one: whichever comes first in label order is named
     shift = random_shift(0.2, 13)
     radius = 24
-    labels, _, _ = enumerate_accepted_2d(radius, shift, windows_for(0.2), basis)
+    labels, _, _ = enumerate_accepted_2d(radius, shift, windows_for(0.2))
     inner = labels[np.abs(labels).max(axis=1) <= radius - 2]
     chunk = ((inner[:, 0] + radius) * (2 * radius + 1) + inner[:, 1] + radius) // SCAN_ROWS
     index = inner.sum(axis=1)
@@ -344,24 +338,24 @@ def test_census_violation_order_spans_the_scan_chunks(basis, windows_for, monkey
     doctor_masks(monkeypatch, shift, basis, inner[[late1, early2]], [(1, 1), (4, 0)])
     with pytest.raises(CensusViolationError,
                        match=r"type \[4,0\]_2 has zero analytic frequency at c=0.2"):
-        empirical_frequencies(radius, shift, windows_for(0.2), basis)
+        empirical_frequencies(radius, shift, windows_for(0.2))
     doctor_masks(monkeypatch, shift, basis, inner[[late2, early1]], [(4, 0), (1, 1)])
     with pytest.raises(CensusViolationError, match=r"type \[1,1\]_1 is outside the census"):
-        empirical_frequencies(radius, shift, windows_for(0.2), basis)
+        empirical_frequencies(radius, shift, windows_for(0.2))
 
 
-def test_freq_working_set_per_accepted_label(basis, windows_for):
+def test_freq_working_set_per_accepted_label(windows_for):
     # the scan keeps 8 B, one int64 key, per accepted label, and the tally,
     # scan included, peaks within 64 B per label
     shift = random_shift(0.5, 0)
     ws = windows_for(0.5)
     tracemalloc.start()
     try:
-        blocks = accepted_2d_blocks(60, shift, ws, basis)
+        blocks = accepted_2d_blocks(60, shift, ws)
         n = sum(len(keys) for keys in blocks)
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        empirical_frequencies(60, shift, ws, basis)
+        empirical_frequencies(60, shift, ws)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -371,7 +365,7 @@ def test_freq_working_set_per_accepted_label(basis, windows_for):
     assert peak <= 64 * n
 
 
-def test_freq_peak_does_not_grow_with_the_radius(basis, windows_for):
+def test_freq_peak_does_not_grow_with_the_radius(windows_for):
     # the scan's chunks are classified as they come and nothing is kept per
     # vertex, so the traced peak is one chunk's working set at any radius
     shift = random_shift(0.5, 0)
@@ -380,7 +374,7 @@ def test_freq_peak_does_not_grow_with_the_radius(basis, windows_for):
     for radius in (40, 100):
         tracemalloc.start()
         try:
-            empirical_frequencies(radius, shift, ws, basis)
+            empirical_frequencies(radius, shift, ws)
             peaks[radius] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -396,25 +390,24 @@ BREAKPOINTS = (P ** -3, PINV2, 2 * P ** -3, PINV2 + P ** -4, 1 / P)
 def test_scan_chunks_leave_every_result_unchanged(basis, windows_for, monkeypatch):
     shift = random_shift(0.5, 7)
     ws = windows_for(0.5)
-    blocks = accepted_2d_blocks(20, shift, ws, basis)
-    report = empirical_frequencies(20, shift, ws, basis)
+    blocks = accepted_2d_blocks(20, shift, ws)
+    report = empirical_frequencies(20, shift, ws)
     # the REDRAW_ARGS draw, whose labels within eps of a window are many
     singular_shift = random_shift(0.5, 8)
     singular_ws = qp.build_windows(qp.build_polytope_P(basis), 0.5, 1e-4)
     with pytest.raises(SingularityError) as singular:
-        empirical_frequencies(10, singular_shift, singular_ws, basis)
+        empirical_frequencies(10, singular_shift, singular_ws)
     for rows in (37, 400):
         monkeypatch.setattr(qp.window, "SCAN_ROWS", rows)
         assert all(np.array_equal(x, y)
-                   for x, y in zip(accepted_2d_blocks(20, shift, ws, basis), blocks))
-        assert empirical_frequencies(20, shift, ws, basis) == report
+                   for x, y in zip(accepted_2d_blocks(20, shift, ws), blocks))
+        assert empirical_frequencies(20, shift, ws) == report
         with pytest.raises(SingularityError) as got:
-            empirical_frequencies(10, singular_shift, singular_ws, basis)
+            empirical_frequencies(10, singular_shift, singular_ws)
         assert str(got.value) == str(singular.value)
 
 
-def test_a_singular_label_in_a_later_chunk_comes_before_any_result(P, basis,
-                                                                   monkeypatch):
+def test_a_singular_label_in_a_later_chunk_comes_before_any_result(P, monkeypatch):
     # at tol 1e-3 and 37 rows per chunk, this draw has its first singular
     # label in the eleventh of twelve chunks.  Masks of type [0,0], outside
     # every census, are tallied in the ten before it, and still the tally
@@ -422,7 +415,7 @@ def test_a_singular_label_in_a_later_chunk_comes_before_any_result(P, basis,
     shift = random_shift(0.5, 22)
     ws = qp.build_windows(P, 0.5, 1e-3)
     with pytest.raises(SingularityError) as expected:
-        enumerate_accepted_2d(10, shift, ws, basis)
+        enumerate_accepted_2d(10, shift, ws)
     classified = []
 
     def zero_masks(points, *args):
@@ -432,7 +425,7 @@ def test_a_singular_label_in_a_later_chunk_comes_before_any_result(P, basis,
     monkeypatch.setattr(qp.window, "SCAN_ROWS", 37)
     monkeypatch.setattr(qp.tiling2d, "neighbor_masks", zero_masks)
     with pytest.raises(SingularityError) as got:
-        empirical_frequencies(10, shift, ws, basis)
+        empirical_frequencies(10, shift, ws)
     assert str(got.value) == str(expected.value)
     assert sum(classified) > 0
 
@@ -449,7 +442,7 @@ def test_neighbor_masks_match_the_key_lookups(c, eps, P, basis):
     ws = qp.build_windows(P, c, eps)
     for seed in range(3):
         shift = random_shift(c, seed)
-        labels, _, keys = enumerate_accepted_2d(radius, shift, ws, basis)
+        labels, _, keys = enumerate_accepted_2d(radius, shift, ws)
         inner = labels[np.abs(labels).max(axis=1) <= radius - 2]
         steps = np.hstack([step_rows(inner, keys, radius, sign) >= 0 for sign in (1, -1)])
         expected = steps @ (1 << np.arange(10))
@@ -459,29 +452,39 @@ def test_neighbor_masks_match_the_key_lookups(c, eps, P, basis):
         masks = np.zeros(len(inner), dtype=np.int64)
         for i in range(1, 6):
             at = index == i
-            masks[at] = neighbor_masks(points[at].T, i, ws, basis)
+            masks[at] = neighbor_masks(points[at].T, i, ws)
         assert np.array_equal(masks, expected)
         assert np.array_equal([bin(m & 31).count("1") for m in masks], n_pos)
         assert np.array_equal([bin(m >> 5).count("1") for m in masks], n_neg)
 
 
-def test_freq_refuses_an_eps_within_the_float_error_of_the_points(P, basis):
+def test_freq_refuses_an_eps_within_the_float_error_of_the_points(P):
     # the error bound grows with the radius: eps 1e-13 is above it at
     # radius 3 and below it at radius 20
     shift = random_shift(0.5, 0)
     ws = qp.build_windows(P, 0.5, 1e-13)
-    assert empirical_frequencies(3, shift, ws, basis).n_vertices > 0
+    assert empirical_frequencies(3, shift, ws).n_vertices > 0
     with pytest.raises(ConfigError, match="float error of the test points at radius 20"):
-        empirical_frequencies(20, shift, ws, basis)
+        empirical_frequencies(20, shift, ws)
 
 
-def test_neighbor_masks_refuse_a_bad_index_or_shape(basis, windows_for):
+def test_neighbor_masks_refuse_a_bad_index_or_shape(windows_for):
     ws = windows_for(0.5)
     for index in (0, 6):
         with pytest.raises(ValueError, match="index must be in"):
-            neighbor_masks(np.zeros((2, 1)), index, ws, basis)
+            neighbor_masks(np.zeros((2, 1)), index, ws)
     with pytest.raises(ValueError, match=r"shape \(2, n\)"):
-        neighbor_masks(np.zeros((1, 2)), 3, ws, basis)
+        neighbor_masks(np.zeros((1, 2)), 3, ws)
+
+
+def test_the_scan_refuses_windows_built_for_another_c(windows_for):
+    # windows for c = 0.5 would otherwise accept a wrong set of vertices for
+    # a c = 0.2 shift, and the tally would blame the census
+    shift = random_shift(0.2, 3)
+    for run in (lambda: enumerate_accepted_2d(10, shift, windows_for(0.5)),
+                lambda: empirical_frequencies(30, shift, windows_for(0.5))):
+        with pytest.raises(ValueError, match=r"built for c = 0\.5, .* c = 0\.2"):
+            run()
 
 
 def direct_masks(points, index, ws, basis):
@@ -522,5 +525,5 @@ def test_neighbor_masks_beside_and_beyond_every_edge(c, basis, windows_for):
                     for d in (-1e-12, 1e-12, -5.0, 5.0):
                         points.extend(p + d * n - side * w)
         points = np.array(points).T
-        assert np.array_equal(neighbor_masks(points, index, ws, basis),
+        assert np.array_equal(neighbor_masks(points, index, ws),
                               direct_masks(points, index, ws, basis))

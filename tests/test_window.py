@@ -241,14 +241,14 @@ def test_slice_area_central_symmetry(P):
 
 # -- acceptance --------------------------------------------------------------
 
-def test_accept_2d_trivial_rejects(P, basis, windows_for):
+def test_accept_2d_trivial_rejects(basis, windows_for):
     shift = random_shift(0.5, 1)
     ws = windows_for(0.5)
     assert accept_2d_bulk([0, 0, 0, 0, 0], shift, ws, basis)[0] == 0
     assert accept_2d_bulk([2, 0, 0, 0, 0], shift, ws, basis)[0] == 0
 
 
-def test_accept_2d_against_lp_oracle(P, basis, windows_for):
+def test_accept_2d_against_lp_oracle(basis, windows_for):
     shift = normalize_shift([0.1] * 5)
     ws = windows_for(shift.c)
     status = accept_2d_bulk([1, 0, 0, 0, 0], shift, ws, basis)[0]
@@ -256,7 +256,7 @@ def test_accept_2d_against_lp_oracle(P, basis, windows_for):
     assert (status == 1) == (m > 0)
 
     rng = np.random.default_rng(4)
-    accepted, verts, keys = enumerate_accepted_2d(3, shift, ws, basis)
+    accepted, verts, keys = enumerate_accepted_2d(3, shift, ws)
     pool = [rng.integers(-3, 4, 5) for _ in range(200)]
     pool += [accepted[i] for i in rng.choice(len(accepted), 25, replace=False)]
     statuses = accept_2d_bulk(np.array(pool), shift, ws, basis)
@@ -275,18 +275,18 @@ def test_accept_2d_against_lp_oracle(P, basis, windows_for):
     assert checked_accepts >= 25
 
 
-def test_accepted_labels_recover_unit_cube_lambda(P, basis, windows_for):
+def test_accepted_labels_recover_unit_cube_lambda(basis, windows_for):
     # mesh condition: the recovered lambda lies strictly inside the unit cube
     shift = random_shift(0.5, 5)
     ws = windows_for(0.5)
-    labels, _, _ = enumerate_accepted_2d(4, shift, ws, basis)
+    labels, _, _ = enumerate_accepted_2d(4, shift, ws)
     rng = np.random.default_rng(6)
     for i in rng.choice(len(labels), size=25, replace=False):
         _, lam = mesh_solution_2d(labels[i], shift, basis)
         assert np.all(lam > 0) and np.all(lam < 1)
 
 
-def test_accept_2d_singular_at_exact_zero_shift(P, basis, windows_for):
+def test_accept_2d_singular_at_exact_zero_shift(basis, windows_for):
     # gamma = 0 puts the test point of e_0 exactly on a window vertex
     shift = normalize_shift([0.0] * 5)
     ws = windows_for(0.0)
@@ -295,15 +295,15 @@ def test_accept_2d_singular_at_exact_zero_shift(P, basis, windows_for):
 
 def test_accept_3d_examples(Q, basis):
     shift = normalize_shift([0.13, 0.07, 0.11, 0.05, 0.09])
-    assert accept_3d_bulk([0, 0, 0, 0, 0], shift, Q, basis)[0] == 1
+    assert accept_3d_bulk([0, 0, 0, 0, 0], shift)[0] == 1
     _, points, keys, _ = enumerate_accepted_3d(1, shift, Q, basis)
     assert np.allclose(points[label_rows(keys, label_keys(np.zeros(5), 1))], [0, 0, 0])
     # the test point is tiny compared to the decagon inradius
-    t = qp.window.d_test_points(np.zeros((1, 5)), shift, basis)[0]
+    t = qp.window.d_test_points(np.zeros((1, 5)), shift)[0]
     assert np.linalg.norm(t) < P_GOLD * np.cos(np.pi / 10)
 
-    assert accept_3d_bulk([3, 0, 0, 0, 0], shift, Q, basis)[0] == 0
-    t3 = qp.window.d_test_points(np.array([[3, 0, 0, 0, 0]]), shift, basis)[0]
+    assert accept_3d_bulk([3, 0, 0, 0, 0], shift)[0] == 0
+    t3 = qp.window.d_test_points(np.array([[3, 0, 0, 0, 0]]), shift)[0]
     assert np.linalg.norm(t3) > P_GOLD
 
 
@@ -312,8 +312,8 @@ def test_accept_3d_translation_invariance(Q, basis):
     ones = np.ones(5, dtype=np.int64)
     rng = np.random.default_rng(10)
     ks = np.array([rng.integers(-6, 7, 5) for _ in range(60)])
-    status = accept_3d_bulk(ks, shift, Q, basis)
-    assert np.array_equal(accept_3d_bulk(ks + ones, shift, Q, basis), status)
+    status = accept_3d_bulk(ks, shift)
+    assert np.array_equal(accept_3d_bulk(ks + ones, shift), status)
     # the lattice points of accepted labels, read off the enumerator
     _, points, keys, _ = enumerate_accepted_3d(7, shift, Q, basis)
     r1 = label_rows(keys, label_keys(ks[status == 1], 7))
@@ -322,7 +322,7 @@ def test_accept_3d_translation_invariance(Q, basis):
     assert np.allclose(points[r2] - points[r1], [0, 0, 5], atol=1e-9)
 
 
-def test_accept_3d_against_lp_oracle(Q, basis):
+def test_accept_3d_against_lp_oracle(basis):
     shift = random_shift(0.3, 12)
     rng = np.random.default_rng(13)
     for _ in range(150):
@@ -330,7 +330,7 @@ def test_accept_3d_against_lp_oracle(Q, basis):
         margin = mesh_margin_3d(k, shift, basis)
         if abs(margin) < 1e-7:
             continue
-        status = accept_3d_bulk(k, shift, Q, basis)[0]
+        status = accept_3d_bulk(k, shift)[0]
         assert (status == 1) == (margin > 0), (k, margin)
 
 
@@ -345,7 +345,7 @@ def test_chain_relations(basis):
     assert np.allclose(w[4], -pinv * w[0] + pinv * w[1] + w[2], atol=1e-12)
 
 
-def test_enumerate_2d_matches_naive(P, basis, windows_for):
+def test_enumerate_2d_matches_naive(basis, windows_for):
     from itertools import product
     shift = random_shift(0.5, 7)
     ws = windows_for(0.5)
@@ -353,7 +353,7 @@ def test_enumerate_2d_matches_naive(P, basis, windows_for):
     box = np.array(list(product(range(-M, M + 1), repeat=5)))
     box = box[(box.sum(axis=1) >= 1) & (box.sum(axis=1) <= 5)]
     naive = {tuple(k) for k in box[accept_2d_bulk(box, shift, ws, basis) == 1].tolist()}
-    chain, verts, _ = enumerate_accepted_2d(M, shift, ws, basis)
+    chain, verts, _ = enumerate_accepted_2d(M, shift, ws)
     assert {tuple(r) for r in chain} == naive
     assert np.allclose(verts, chain.astype(float) @ basis.D)
     # sorted lexicographically
@@ -365,7 +365,7 @@ def test_enumerate_3d_matches_naive(Q, basis):
     shift = random_shift(0.31, 8)
     M = 2
     box = np.array(list(product(range(-M, M + 1), repeat=5)))
-    naive = {tuple(k) for k in box[accept_3d_bulk(box, shift, Q, basis) == 1].tolist()}
+    naive = {tuple(k) for k in box[accept_3d_bulk(box, shift) == 1].tolist()}
     chain, *_ = enumerate_accepted_3d(M, shift, Q, basis)
     assert {tuple(r) for r in chain} == naive
 
@@ -374,15 +374,15 @@ def _lex_sorted(labels):
     return labels[np.lexsort(labels.T[::-1])]
 
 
-def test_enumerate_repeat_and_nested_box_deterministic(P, Q, basis, windows_for):
+def test_enumerate_repeat_and_nested_box_deterministic(Q, basis, windows_for):
     # repeated runs agree exactly, and a bigger box restricted to a smaller
     # one gives the smaller box's labels in the same order
     shift = random_shift(0.5, 7)
     ws = windows_for(0.5)
-    l1, v1, _ = enumerate_accepted_2d(6, shift, ws, basis)
-    l2, v2, _ = enumerate_accepted_2d(6, shift, ws, basis)
+    l1, v1, _ = enumerate_accepted_2d(6, shift, ws)
+    l2, v2, _ = enumerate_accepted_2d(6, shift, ws)
     assert np.array_equal(l1, l2) and np.array_equal(v1, v2)
-    big, _, _ = enumerate_accepted_2d(9, shift, ws, basis)
+    big, _, _ = enumerate_accepted_2d(9, shift, ws)
     assert np.array_equal(big[np.abs(big).max(axis=1) <= 6], l1)
 
     m1, *_ = enumerate_accepted_3d(4, shift, Q, basis)
@@ -403,11 +403,11 @@ def test_enumerate_matches_lambda_box_oracle(c, Q, basis, windows_for):
             cand = lambda_box_candidates_2d(R, shift)
             status = accept_2d_bulk(cand, shift, ws, basis)
             assert not np.any(status == -1)
-            labels, _, _ = enumerate_accepted_2d(R, shift, ws, basis)
+            labels, _, _ = enumerate_accepted_2d(R, shift, ws)
             assert np.array_equal(labels, _lex_sorted(cand[status == 1])), (seed, R)
 
             cand = lambda_box_candidates_3d(R, shift)
-            status = accept_3d_bulk(cand, shift, Q, basis)
+            status = accept_3d_bulk(cand, shift)
             assert not np.any(status == -1)
             labels, *_ = enumerate_accepted_3d(R, shift, Q, basis)
             assert np.array_equal(labels, _lex_sorted(cand[status == 1])), (seed, R)
@@ -437,7 +437,7 @@ def test_enumeration_tests_at_most_twice_what_it_accepts(Q, basis, windows_for,
     for c, seed in ((0.0, 1), (0.5, 7), (0.9, 2)):
         shift = random_shift(c, seed)
         tested2.clear()
-        labels, _, _ = enumerate_accepted_2d(12, shift, windows_for(c), basis)
+        labels, _, _ = enumerate_accepted_2d(12, shift, windows_for(c))
         assert sum(len(t) for t, _ in tested2) <= 2 * len(labels)
         tested3.clear()
         labels, *_ = enumerate_accepted_3d(8, shift, Q, basis)
@@ -476,8 +476,8 @@ def test_enumerate_2d_raises_just_outside_a_window_edge(eps, P, basis):
         target = mid + 0.9 * eps * win.normals[edge]
         shift = moved_shift(random_shift(0.5, 11), basis.W[:, :2], k, target)
         box = _box_2d(5, shift, ws, basis)
-        _assert_singular(lambda: enumerate_accepted_2d(5, shift, ws, basis), box, k)
-        _assert_singular(lambda: accepted_2d_blocks(5, shift, ws, basis), box, k)
+        _assert_singular(lambda: enumerate_accepted_2d(5, shift, ws), box, k)
+        _assert_singular(lambda: accepted_2d_blocks(5, shift, ws), box, k)
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3])
@@ -500,7 +500,7 @@ def test_enumerate_2d_raises_at_the_c0_index5_point_window(P, basis):
     generic = qp.GridShift(gamma=basis.D @ np.array([0.31, -0.17]), c=0.0)
     k = np.array([3, -1, 2, 0, 1])
     shift = moved_shift(generic, basis.W[:, :2], k, np.array([0.6e-9, -0.3e-9]))
-    _assert_singular(lambda: enumerate_accepted_2d(4, shift, ws, basis),
+    _assert_singular(lambda: enumerate_accepted_2d(4, shift, ws),
                      _box_2d(4, shift, ws, basis), k)
 
 
@@ -510,23 +510,23 @@ def test_enumerate_2d_raises_at_the_c0_index5_point_window(P, basis):
 def test_enumerators_return_strictly_increasing_keys(c, Q, basis, windows_for):
     for R in (2, 5, 9):
         shift = random_shift(c, R)
-        labels, _, keys = enumerate_accepted_2d(R, shift, windows_for(c), basis)
+        labels, _, keys = enumerate_accepted_2d(R, shift, windows_for(c))
         assert np.all(np.diff(keys) > 0)
         assert np.array_equal(keys, label_keys(labels, R))
 
         labels, _, keys, test_points = enumerate_accepted_3d(R, shift, Q, basis)
         assert np.all(np.diff(keys) > 0)
         assert np.array_equal(keys, label_keys(labels, R))
-        assert np.array_equal(test_points, d_test_points(labels, shift, basis))
+        assert np.array_equal(test_points, d_test_points(labels, shift))
 
 
-def test_key_member_matches_binary_search(basis, windows_for):
+def test_key_member_matches_binary_search(windows_for):
     unit = np.eye(5, dtype=np.int64)
     left_box = 0
     for c in (0.0, 0.5):
         for R in (3, 6):
             labels, _, keys = enumerate_accepted_2d(R, random_shift(c, 4),
-                                                    windows_for(c), basis)
+                                                    windows_for(c))
             assert np.any(np.abs(labels).max(axis=1) == R)  # box-edge labels
             for sign in (1, -1):
                 steps = step_rows(labels, keys, R, sign)
@@ -545,9 +545,9 @@ def test_key_member_matches_binary_search(basis, windows_for):
     assert key_member(empty, empty).shape == (0,)
 
 
-def test_neighbor_counts_needs_labels_in_key_order(basis, windows_for):
+def test_neighbor_counts_needs_labels_in_key_order(windows_for):
     # the oracle's lookups rely on it
-    labels, _, keys = enumerate_accepted_2d(6, random_shift(0.5, 4), windows_for(0.5), basis)
+    labels, _, keys = enumerate_accepted_2d(6, random_shift(0.5, 4), windows_for(0.5))
     inner = labels[np.abs(labels).max(axis=1) <= 5]
     for bad in (inner[::-1], np.concatenate([inner[:1], inner])):
         with pytest.raises(ValueError, match="distinct and in key order"):
@@ -590,7 +590,7 @@ def test_label_axis_chains_equal_the_axis_reductions():
         assert np.array_equal(label_extent(labels), np.abs(labels).max(axis=-1, initial=0))
 
 
-def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, Q, basis, monkeypatch):
+def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, monkeypatch):
     # every point set the acceptance tests see in `qc freq --c 0.5 --radius 80`
     # and `qc overlap-census --c 0.2 --radius 20` at the benchmark's seed 0
     seen = []
@@ -602,9 +602,9 @@ def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, Q, basis, monkey
 
     monkeypatch.setattr(geometry, "max_edge_distance", recorded)
     shift = normalize_shift(benchmark_gamma(0.5, 0))
-    enumerate_accepted_2d(80, shift, qp.build_windows(P, shift.c), basis)
+    enumerate_accepted_2d(80, shift, qp.build_windows(P, shift.c))
     shift = normalize_shift(benchmark_gamma(0.2, 0))
-    overlap_census(20, shift, Q, basis)
+    overlap_census(20, shift)
     # the 2-d scan's 161,833 candidates; the census's 25,258 tip-scan columns,
     # each tested against the decagon and the inner decagon; and the 20 K and
     # 10 J neighbor points of each of its 2,673 boundary-complete tip columns
