@@ -17,9 +17,9 @@ if not any(var in os.environ for var in _BLAS_THREAD_VARS):
 
 from .errors import (ConfigError, EmptyWindowError, QcError, SingularConfigError,
                      SingularityError)
-from .io import (RunConfig, build_tiling_document, cells_obj, frequency_csv,
-                 overlap_csv, render_svg, resolve_shift, window_document,
-                 write_json, write_text)
+from .io import (MAX_SHIFT_DRAWS, RunConfig, build_tiling_document, cells_obj,
+                 frequency_csv, overlap_csv, render_svg, shift_draws,
+                 window_document, write_json, write_text)
 from .lattice3d import TIP_MARGIN, build_cells, overlap_census
 from .tiling2d import empirical_frequencies
 from .window import (DECAGON, MAX_KEY_RADIUS, POLYTOPE, build_windows,
@@ -153,21 +153,22 @@ def _run_mode(config: RunConfig) -> None:
         return overlap_csv(census), [
             (logging.INFO, f"mean shared atoms with overlapping neighbors: {shared}")]
 
-    produced = []
-
-    def attempt(shift):
+    for shift in shift_draws(config):
         try:
-            produced.append(produce(shift))
+            content, notes = produce(shift)
+            break
         except SingularityError as exc:
-            if config.gamma == "auto":
-                log.info("gamma draw is singular, redrawing: %s", exc)
-            raise
-
-    shift = resolve_shift(config, probe=attempt)
+            if config.gamma != "auto":
+                raise
+            log.info("gamma draw is singular, redrawing: %s", exc)
+            last_error = exc
+    else:
+        raise SingularityError(
+            f"no regular shift found after {MAX_SHIFT_DRAWS} draws: every draw was singular "
+            f"at tol={config.tol}; last draw: {last_error}")
     resolved = RunConfig(**{**config.__dict__, "gamma": shift.gamma.tolist(),
                             "c": shift.c})
     log.info("resolved config: %s", resolved.to_json())
-    (content, notes), = produced
     _emit(config, content)
     for level, line in notes:
         log.log(level, "%s", line)

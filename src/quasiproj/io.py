@@ -8,11 +8,12 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SingularityError
+from .errors import ConfigError
 from .geometry import BASIS, DEFAULT_EPS
 from .lattice3d import OVERLAP_SIGNATURES, OverlapCensus
 from .tiling2d import FrequencyReport
@@ -55,38 +56,24 @@ class RunConfig:
 MAX_SHIFT_DRAWS = 20
 
 
-def resolve_shift(config: RunConfig, probe=None) -> GridShift:
-    """Produce the grid shift for a run.
+def shift_draws(config: RunConfig) -> Iterator[GridShift]:
+    """The grid shifts a run may try, in order.
 
-    Explicit gamma is normalized as given (its sum wins over config.c), and
-    the optional probe runs on it once; a SingularityError it raises is the
-    caller's.  "auto" draws gamma_1..4 uniformly from the seed and pins the
-    sum to config.c; while the probe raises SingularityError for a draw, the
-    draw is retried with an incremented seed, up to MAX_SHIFT_DRAWS draws.
+    Explicit gamma yields one shift, normalized as given (its sum wins over
+    config.c).  "auto" yields up to MAX_SHIFT_DRAWS draws, each with
+    gamma_1..4 uniform from an incremented seed and the sum pinned to
+    config.c; the caller takes the next one while a draw is singular.
     """
     if config.gamma != "auto":
         gamma = [float(g) for g in config.gamma]
         if len(gamma) != 5:
             raise ConfigError(f"gamma needs 5 components, got {len(gamma)}")
-        shift = normalize_shift(gamma)
-        if probe is not None:
-            probe(shift)
-        return shift
+        yield normalize_shift(gamma)
+        return
     if not 0.0 <= config.c < 1.0:
         raise ConfigError(f"c must lie in [0, 1), got {config.c}")
-    last_error = None
     for attempt in range(MAX_SHIFT_DRAWS):
-        shift = random_shift(config.c, config.seed + 1009 * attempt)
-        if probe is None:
-            return shift
-        try:
-            probe(shift)
-            return shift
-        except SingularityError as exc:
-            last_error = exc
-    raise SingularityError(
-        f"no regular shift found after {MAX_SHIFT_DRAWS} draws: every draw was singular "
-        f"at tol={config.tol}; last draw: {last_error}")
+        yield random_shift(config.c, config.seed + 1009 * attempt)
 
 
 # ---------------------------------------------------------------------------

@@ -247,10 +247,6 @@ class FrequencyReport:
     def analytic_total(self) -> float:
         return sum(r.analytic for r in self.rows)
 
-    @property
-    def max_abs_err(self) -> float:
-        return max((abs(r.analytic - r.empirical) for r in self.rows), default=0.0)
-
 
 #: a bound, per unit of radius, on how far t + w_m lies from the scan's own
 #: test point of k + e_m.  `scan_2d` forms each coordinate with about ten
@@ -300,14 +296,14 @@ def empirical_frequencies(radius: int, shift: GridShift,
     for pieces in scan_2d(radius, shift, wset):
         for piece in pieces:
             inner = piece.status == 1
-            inner &= piece.extent() <= radius - VERTEX_MARGIN
+            inner &= piece.extent <= radius - VERTEX_MARGIN
             masks = neighbor_masks(piece.points[:, inner], piece.index, wset)
             code = _TYPE_OF_MASK[masks]
             found = np.bincount(code, minlength=36)
             counts[piece.index] += found
             if found[~allowed[piece.index]].any():
                 bad = np.argmax(~allowed[piece.index][code])
-                key = piece.keys(np.flatnonzero(inner)[bad])
+                key = piece.keys[np.flatnonzero(inner)[bad]]
                 outside.append((int(key), 36 * piece.index + int(code[bad])))
         # free this chunk before the scan makes the next
         del pieces, piece, inner, masks, code

@@ -436,9 +436,9 @@ def _raise_singular(cand: np.ndarray, status: np.ndarray, describe: str,
 #: memory an enumeration may plan for, and what a qc run holds at its peak per
 #: accepted label (ru_maxrss above the start: ~320 B for the whole 3-d lattice
 #: at radius 35).  `qc freq` holds one chunk of its scan, not its labels: at
-#: radius 200 it peaks ~1.4 MB above its radius-5 run, and its refusal radii
-#: still follow BYTES_PER_LABEL.  Both 3-d modes check the lattice's estimate,
-#: so they refuse the same radii.
+#: radius 200 it peaks ~0.6 MB above its radius-5 run (39.0 against 38.4 MB,
+#: medians of 5), and its refusal radii still follow BYTES_PER_LABEL.  Both
+#: 3-d modes check the lattice's estimate, so they refuse the same radii.
 MEMORY_BUDGET = 4 * 10 ** 9
 BYTES_PER_LABEL = 320
 
@@ -463,39 +463,20 @@ def _check_budget(radius: int, rows: int, windows, a: np.ndarray,
 
 #: (k0, k1) rows per chunk of the 2-d scan.  Everything the scan holds per
 #: row, line or label lives for one chunk, so its working set does not grow
-#: with the radius: a chunk of this size tests at most ~8,300 labels at
-#: c = 0.5, and the traced peak of `qc freq`'s tally stays under 1.2 MB.
+#: with the radius: a chunk of this size tests at most ~8,400 labels at
+#: c = 0.5 (8,357 at radius 200), and the traced peak of `qc freq`'s tally
+#: is about 1.0 MB at radius 100.
 SCAN_ROWS = 1024
 
 
 class ScanPiece(NamedTuple):
-    """The labels of one index that one chunk of the 2-d scan tested, in key order.
-
-    Label i lies on scan line line[i], on which k0, k1 and k2 are fixed and
-    k3 + k4 is line_k4 (k4 at k3 = 0); its key is line_key[line[i]] +
-    k3[i] * k3_step.
-    """
+    """The labels of one index that one chunk of the 2-d scan tested, in key order."""
 
     index: int
-    status: np.ndarray       # +1 accepted, 0 rejected, -1 singular
-    points: np.ndarray       # (2, n) test points, as x and y rows
-    line: np.ndarray
-    k3: np.ndarray
-    line_key: np.ndarray     # key of the line's label with k3 = 0
-    line_k4: np.ndarray
-    line_extent: np.ndarray  # max(|k0|, |k1|, |k2|) of each line
-    k3_step: int
-
-    def keys(self, which) -> np.ndarray:
-        """label_keys of the labels that `which` selects."""
-        return self.line_key[self.line[which]] + self.k3[which] * self.k3_step
-
-    def extent(self) -> np.ndarray:
-        """max_j |k_j| of each label: its distance from the box centre."""
-        k4 = self.line_k4[self.line]
-        k4 -= self.k3
-        extent = np.maximum(self.line_extent[self.line], np.abs(self.k3))
-        return np.maximum(extent, np.abs(k4, out=k4), out=extent)
+    status: np.ndarray  # +1 accepted, 0 rejected, -1 singular
+    points: np.ndarray  # (2, n) test points, as x and y rows
+    keys: np.ndarray    # label_keys of the labels
+    extent: np.ndarray  # label_extent of the labels: max_j |k_j|
 
 
 def scan_2d(radius: int, shift: GridShift,
@@ -506,10 +487,11 @@ def scan_2d(radius: int, shift: GridShift,
     Yields, per chunk, one ScanPiece per index I = 1 .. 5.  The pieces of
     an index come in key order, chunk after chunk.  The scan fixes (k0, k1)
     and scan-converts (k2, k3), with k4 = I - k0 - k1 - k2 - k3.  Along a
-    scan line both a label's key and its test point are affine in k3, so
-    both are read off the line: the test point is t0 + k2 a + k3 b, which
-    differs from sum_j (k_j - gamma_j) w_j by up to about 5e-14 at radius
-    80, far inside eps.  Each index is tested against its own window only.
+    scan line a label's key, its extent and its test point all follow from
+    the line and k3, so no label array is multiplied out: the test point is
+    t0 + k2 a + k3 b, which differs from sum_j (k_j - gamma_j) w_j by up to
+    about 5e-14 at radius 80, far inside eps.  Each index is tested against
+    its own window only.
 
     Raises ValueError unless wset was built for shift.c, then ConfigError,
     before anything is allocated, if the box would not fit in
@@ -558,27 +540,30 @@ def scan_2d(radius: int, shift: GridShift,
             row, k2, k34, lo, hi = (x[held] for x in (row, k2, k34, lo, hi))
             line, k3 = _expand(lo, hi)
             del lo, hi, held
-            line_key = row_key[row] + (k2 + M) * weights[2] + (k34 + M) * weights[4]
+            keys = (row_key[row] + (k2 + M) * weights[2] + (k34 + M) * weights[4])[line]
+            keys += k3 * (weights[3] - weights[4])
+            extent = np.maximum(row_extent[row], np.abs(k2))[line]
+            np.maximum(extent, np.abs(k3), out=extent)
+            k4 = k34[line]
+            k4 -= k3
+            np.maximum(extent, np.abs(k4, out=k4), out=extent)
             # x and y rows, which the predicate's (edges, n) product reads fastest
             pts = np.empty((2, len(k3)))
             for j, xy in enumerate(pts):
                 np.multiply(k3, b[j], out=xy)
                 xy += (t0[row, j] + k2 * a[j])[line]
+            del row, k2, k34, line, k3, k4
             if index == 5 and wset.degenerate_top:
                 # nothing is accepted, and a test point within eps of 0 is singular
                 status = np.where(np.linalg.norm(pts, axis=0) <= wset.eps, -1, 0)
             else:
                 status = windows[index - 1].classify(pts.T, wset.eps)
-            piece = ScanPiece(index, status, pts, line, k3, line_key, k34,
-                              np.maximum(row_extent[row], np.abs(k2)),
-                              weights[3] - weights[4])
-            del row, k2, k34, line, k3, line_key, pts, status
-            bad = piece.status == -1
+            bad = status == -1
             if singular or bad.any():
-                singular.append(piece.keys(bad))
+                singular.append(keys[bad])
             else:
-                pieces.append(piece)
-            del piece, bad
+                pieces.append(ScanPiece(index, status, pts, keys, extent))
+            del status, pts, keys, extent, bad
         if not singular:
             yield tuple(pieces)
         del pieces
@@ -587,41 +572,21 @@ def scan_2d(radius: int, shift: GridShift,
         _raise_singular(bad, np.full(len(bad), -1), "a window boundary", shift, M)
 
 
-def accepted_2d_blocks(radius: int, shift: GridShift,
-                       wset: WindowSet) -> list[np.ndarray]:
-    """The accepted labels of the box [-radius, radius]^5 as their keys: one
-    increasing int64 array of label_keys per index I = 1 .. 5.
-
-    `label_columns` recovers the components of any of them.  The keys are
-    those of `scan_2d`'s accepted labels, chunk after chunk, which is key
-    order, and they are all the scan keeps: 8 B per accepted label.
-
-    Raises ConfigError, before anything is allocated, if the box would not
-    fit in MEMORY_BUDGET.  After all five scans, raises SingularityError
-    naming the lexicographically first label, of any index, whose test
-    point lies within eps of its window boundary, the c = 0 index-5 point
-    window included.
-    """
-    blocks = [[] for _ in range(5)]
-    for pieces in scan_2d(radius, shift, wset):
-        for piece in pieces:
-            blocks[piece.index - 1].append(piece.keys(piece.status == 1))
-    return [np.concatenate(keys) for keys in blocks]
-
-
 def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All accepted labels in the box [-radius, radius]^5, in key order.
 
     Returns (labels (N,5) int64, tiling vertices (N,2), keys (N,) int64):
-    the keys are label_keys(labels, radius), strictly increasing.  The five
-    index blocks of `accepted_2d_blocks` are each in key order, so one
-    stable sort merges them, and the labels are decoded from the keys.
+    the keys are label_keys(labels, radius), strictly increasing.  The
+    accepted keys of `scan_2d`'s pieces are in key order within each index,
+    so one stable sort merges them, and the labels are decoded from the keys.
     Raises SingularityError if any label in the box has its test point
     within eps of a window boundary, and ConfigError if the box would not
     fit in MEMORY_BUDGET.
     """
-    keys = np.concatenate(accepted_2d_blocks(radius, shift, wset))
+    keys = np.concatenate([piece.keys[piece.status == 1]
+                           for pieces in scan_2d(radius, shift, wset)
+                           for piece in pieces])
     keys.sort(kind="stable")
     labels = np.column_stack(label_columns(keys, radius))
     return labels, labels.astype(float) @ BASIS.D, keys

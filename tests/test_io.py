@@ -5,9 +5,9 @@ import pytest
 
 import quasiproj as qp
 from quasiproj.errors import ConfigError
-from quasiproj.io import (SVG_STYLES, RunConfig, TilingDocument,
+from quasiproj.io import (MAX_SHIFT_DRAWS, SVG_STYLES, RunConfig, TilingDocument,
                           build_tiling_document, cells_obj, frequency_csv,
-                          overlap_csv, render_svg, resolve_shift,
+                          overlap_csv, render_svg, shift_draws,
                           window_document, write_json, write_text)
 from quasiproj.lattice3d import OverlapCensus, build_cells
 from quasiproj.tiling2d import FrequencyReport, FrequencyRow
@@ -25,14 +25,20 @@ def test_runconfig_json_roundtrip():
     assert RunConfig.from_json(auto.to_json()) == auto
 
 
-def test_resolve_shift_explicit_vs_auto():
-    explicit = resolve_shift(RunConfig(gamma=[0.1, 0.1, 0.1, 0.1, 0.1]))
+def test_shift_draws_explicit_vs_auto():
+    explicit = next(shift_draws(RunConfig(gamma=[0.1, 0.1, 0.1, 0.1, 0.1])))
     assert explicit.c == pytest.approx(0.5, abs=1e-12)
-    auto1 = resolve_shift(RunConfig(c=0.3, seed=5))
-    auto2 = resolve_shift(RunConfig(c=0.3, seed=5))
+    auto1 = next(shift_draws(RunConfig(c=0.3, seed=5)))
+    auto2 = next(shift_draws(RunConfig(c=0.3, seed=5)))
     assert np.array_equal(auto1.gamma, auto2.gamma)
     with pytest.raises(ConfigError):
-        resolve_shift(RunConfig(gamma=[0.1, 0.2]))
+        next(shift_draws(RunConfig(gamma=[0.1, 0.2])))
+    # an explicit shift is tried once, and auto draws MAX_SHIFT_DRAWS at most
+    assert len(list(shift_draws(RunConfig(gamma=[0.1, 0.1, 0.1, 0.1, 0.1])))) == 1
+    draws = list(shift_draws(RunConfig(c=0.3, seed=5)))
+    assert len(draws) == MAX_SHIFT_DRAWS
+    assert all(d.c == 0.3 for d in draws)
+    assert len({tuple(d.gamma.tolist()) for d in draws}) == MAX_SHIFT_DRAWS
 
 
 def test_empty_document_svg():

@@ -8,8 +8,7 @@ import quasiproj as qp
 from quasiproj.errors import CensusViolationError, ConfigError, SingularityError
 from quasiproj.tiling2d import (CENSUS, VertexType, analytic_A, analytic_probability,
                                 census_support, empirical_frequencies, neighbor_masks)
-from quasiproj.window import (SCAN_ROWS, accepted_2d_blocks, enumerate_accepted_2d,
-                              random_shift, step_rows)
+from quasiproj.window import SCAN_ROWS, enumerate_accepted_2d, random_shift, step_rows
 
 from helpers import accept_2d_bulk
 from helpers import neighbor_counts as whole_box_neighbor_counts
@@ -345,14 +344,12 @@ def test_census_violation_order_spans_the_scan_chunks(basis, windows_for, monkey
 
 
 def test_freq_working_set_per_accepted_label(windows_for):
-    # the scan keeps 8 B, one int64 key, per accepted label, and the tally,
-    # scan included, peaks within 64 B per label
+    # the tally, scan included, peaks within 64 B per accepted label
     shift = random_shift(0.5, 0)
     ws = windows_for(0.5)
     tracemalloc.start()
     try:
-        blocks = accepted_2d_blocks(60, shift, ws)
-        n = sum(len(keys) for keys in blocks)
+        n = len(enumerate_accepted_2d(60, shift, ws)[2])
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         empirical_frequencies(60, shift, ws)
@@ -360,8 +357,6 @@ def test_freq_working_set_per_accepted_label(windows_for):
     finally:
         tracemalloc.stop()
     assert n > 90000
-    assert sum(keys.nbytes for keys in blocks) == 8 * n
-    assert all(keys.base is None and keys.dtype == np.int64 for keys in blocks)
     assert peak <= 64 * n
 
 
@@ -390,7 +385,7 @@ BREAKPOINTS = (P ** -3, PINV2, 2 * P ** -3, PINV2 + P ** -4, 1 / P)
 def test_scan_chunks_leave_every_result_unchanged(basis, windows_for, monkeypatch):
     shift = random_shift(0.5, 7)
     ws = windows_for(0.5)
-    blocks = accepted_2d_blocks(20, shift, ws)
+    keys = enumerate_accepted_2d(20, shift, ws)[2]
     report = empirical_frequencies(20, shift, ws)
     # the REDRAW_ARGS draw, whose labels within eps of a window are many
     singular_shift = random_shift(0.5, 8)
@@ -399,8 +394,7 @@ def test_scan_chunks_leave_every_result_unchanged(basis, windows_for, monkeypatc
         empirical_frequencies(10, singular_shift, singular_ws)
     for rows in (37, 400):
         monkeypatch.setattr(qp.window, "SCAN_ROWS", rows)
-        assert all(np.array_equal(x, y)
-                   for x, y in zip(accepted_2d_blocks(20, shift, ws), blocks))
+        assert np.array_equal(enumerate_accepted_2d(20, shift, ws)[2], keys)
         assert empirical_frequencies(20, shift, ws) == report
         with pytest.raises(SingularityError) as got:
             empirical_frequencies(10, singular_shift, singular_ws)

@@ -10,7 +10,7 @@ from quasiproj.geometry import (PREDICATE_CHUNK, max_edge_distance,
 from quasiproj.lattice3d import overlap_census
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               INTERIOR_INDICES, MAX_KEY_RADIUS, accept_3d_bulk,
-                              accepted_2d_blocks, d_test_points, enumerate_accepted_2d,
+                              d_test_points, enumerate_accepted_2d,
                               label_columns, label_extent, label_index,
                               label_keys, label_rows, normalize_shift, random_shift,
                               slice_window, step_rows)
@@ -360,6 +360,38 @@ def test_enumerate_2d_matches_naive(basis, windows_for):
     assert np.array_equal(chain, chain[np.lexsort(chain.T[::-1])])
 
 
+@pytest.mark.parametrize("c", [0.0, 0.5])
+def test_scan_2d_pieces_describe_their_labels(c, basis, windows_for, monkeypatch):
+    # 37 rows per chunk, so the 25^2 rows of R = 12 span 17 chunks
+    monkeypatch.setattr(qp.window, "SCAN_ROWS", 37)
+    R, ws = 12, windows_for(c)
+    shift = random_shift(c, 3)
+    last = {index: -1 for index in range(1, 6)}
+    chunks = 0
+    for pieces in qp.window.scan_2d(R, shift, ws):
+        chunks += 1
+        assert [piece.index for piece in pieces] == [1, 2, 3, 4, 5]
+        for piece in pieces:
+            labels = np.column_stack(label_columns(piece.keys, R))
+            assert np.array_equal(label_keys(labels, R), piece.keys)
+            assert np.array_equal(label_extent(labels), piece.extent)
+            assert np.all(label_index(labels) == piece.index)
+            t = (labels - shift.gamma) @ basis.W[:, :2]
+            assert np.allclose(piece.points.T, t, rtol=0, atol=1e-12)
+            if piece.index == 5 and ws.degenerate_top:
+                status = np.where(np.linalg.norm(t, axis=1) <= ws.eps, -1, 0)
+            else:
+                status = ws.slices[piece.index].classify(t, ws.eps)
+            assert np.array_equal(piece.status, status)
+            # each index's keys increase strictly, within and across chunks
+            assert np.all(np.diff(piece.keys) > 0)
+            assert len(piece.keys) == 0 or piece.keys[0] > last[piece.index]
+            if len(piece.keys):
+                last[piece.index] = piece.keys[-1]
+    assert chunks == 17
+    assert (c == 0) == ws.degenerate_top
+
+
 def test_enumerate_3d_matches_naive(Q, basis):
     from itertools import product
     shift = random_shift(0.31, 8)
@@ -465,8 +497,8 @@ def _box_2d(radius, shift, ws, basis):
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3])
 def test_enumerate_2d_raises_just_outside_a_window_edge(eps, P, basis):
-    # the label named is the first singular one of the whole box, in every
-    # index block
+    # the label named is the first singular one of the whole box, for every
+    # index
     ws = qp.build_windows(P, 0.5, eps)
     for index in range(1, 6):
         k = CUBE_VERTICES[[0, 1, 6, 16, 26, 31][index]]
@@ -477,7 +509,6 @@ def test_enumerate_2d_raises_just_outside_a_window_edge(eps, P, basis):
         shift = moved_shift(random_shift(0.5, 11), basis.W[:, :2], k, target)
         box = _box_2d(5, shift, ws, basis)
         _assert_singular(lambda: enumerate_accepted_2d(5, shift, ws), box, k)
-        _assert_singular(lambda: accepted_2d_blocks(5, shift, ws), box, k)
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3])
