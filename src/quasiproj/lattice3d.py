@@ -16,10 +16,11 @@ column once, keeps only the tip columns, and still raises for a singular
 label that is not a tip.  A tip's overlap class is fixed by which of the
 test points t + m.D of its 30 overlapping neighbors k + m fall in the inner
 decagon, so it is read off the tip's test point t by point location.  The
-census classifies each tip column once and counts it as many times as it
-has boundary-complete tips.  A cell is its tip plus the 32 cube vertices,
-and build_cells decides each of those atoms by the decagon test on its
-test point.
+census classifies each chunk of the scan's tip columns as it comes, each
+column once, counts it as many times as it has boundary-complete tips, and
+keeps only the five class tallies, so its memory does not grow with the
+radius.  A cell is its tip plus the 32 cube vertices, and build_cells
+decides each of those atoms by the decagon test on its test point.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (CensusViolationError, ConfigError, ConsistencyError,
 from .geometry import BASIS, DEFAULT_EPS, PHI
 from .window import (CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES,
                      GridShift, accept_3d_bulk, d_test_points, label_keys,
-                     tip_columns)
+                     scan_tip_columns)
 
 #: overlap classes keyed by (neighbor count, K count, J count)
 OVERLAP_SIGNATURES = {
@@ -189,40 +190,64 @@ def overlap_census(radius: int, shift: GridShift,
     Tips within TIP_MARGIN label steps of the box edge are not classified.
     The tips k + n (1,1,1,1,1) of a column share their test point, so their
     neighboring tips are translates of each other and they have one class.
-    So each tip column of tip_columns is classified once, and its class
-    counted once per boundary-complete tip: 2 (radius - TIP_MARGIN) + 1 - s,
-    s the column's spread.  The class is read off the column's test point
-    by overlap_signatures, which raises SingularityError for a neighbor
-    test point within eps of the inner decagon boundary.
+    So each tip column of scan_tip_columns is classified once, as its chunk
+    comes, and its class counted once per boundary-complete tip:
+    2 (radius - TIP_MARGIN) + 1 - s, s the column's spread.  The class is
+    read off the column's test point by overlap_signatures.  Only the class
+    tallies outlive a chunk.
+
+    The scan's SingularityError comes first, after its last chunk, though
+    the chunks before the singular one have been classified.  Then, in
+    this order: ConfigError if no tip is boundary-complete; the first
+    chunk's SingularityError from overlap_signatures, for a neighbor test
+    point within eps of the inner decagon boundary; and
+    CensusViolationError, naming the least-key boundary-complete tip whose
+    signature is outside the five classes.
 
     Also reports the mean number of atoms a cell shares with its
     overlapping neighbors, per class: (15 K + 8 J) / (K + J) from the
     class's signature, nan for a class with no tips.
     """
     M = int(radius)
-    reps, _ = tip_columns(M, shift, eps)
-    spread = reps.max(axis=1) - reps.min(axis=1)
-    weight = 2 * (M - TIP_MARGIN) + 1 - spread
-    inner, weight = reps[weight > 0], weight[weight > 0]
-    if len(inner) == 0:
+    tally = np.zeros(len(_CLASSES))
+    total = 0
+    neighbor_error = None
+    outside = []  # (key, message) of the least-key offending tip of a chunk
+    for reps, _ in scan_tip_columns(M, shift, eps):
+        spread = reps.max(axis=1) - reps.min(axis=1)
+        weight = 2 * (M - TIP_MARGIN) + 1 - spread
+        inner, weight = reps[weight > 0], weight[weight > 0]
+        total += int(weight.sum())
+        if neighbor_error or not len(inner):
+            continue
+        try:
+            sigs = overlap_signatures(d_test_points(inner, shift), eps)
+        except SingularityError as exc:
+            # the scan may still raise for a later chunk, which comes first
+            neighbor_error = exc
+            continue
+        cls = _CLASS_OF_CODE[11 * sigs[:, 1] + sigs[:, 2]]
+        if np.any(cls < 0):
+            # the first boundary-complete tip of each offending column
+            bad = np.flatnonzero(cls < 0)
+            first = inner[bad] - (M - TIP_MARGIN + inner[bad].min(axis=1))[:, None]
+            keys = label_keys(first, M)
+            i = int(np.argmin(keys))
+            outside.append((int(keys[i]),
+                            f"tip {tuple(first[i].tolist())} has overlap signature "
+                            f"{tuple(sigs[bad[i]].tolist())}, outside the five known classes"))
+            continue
+        tally += np.bincount(cls, weights=weight, minlength=len(_CLASSES))
+    if total == 0:
         raise ConfigError("no boundary-complete tips in the lattice box")
-
-    sigs = overlap_signatures(d_test_points(inner, shift), eps)
-    cls = _CLASS_OF_CODE[11 * sigs[:, 1] + sigs[:, 2]]
-    if np.any(cls < 0):
-        # the first boundary-complete tip of each offending column
-        bad = np.flatnonzero(cls < 0)
-        first = inner[bad] - (M - TIP_MARGIN + inner[bad].min(axis=1))[:, None]
-        i = int(np.argmin(label_keys(first, M)))
-        raise CensusViolationError(
-            f"tip {tuple(first[i].tolist())} has overlap signature "
-            f"{tuple(sigs[bad[i]].tolist())}, outside the five known classes")
-    tally = np.bincount(cls, weights=weight, minlength=len(_CLASSES))
+    if neighbor_error:
+        raise neighbor_error
+    if outside:
+        raise CensusViolationError(min(outside)[1])
     counts = dict(zip(_CLASSES, tally.astype(np.int64).tolist()))
     # a K neighbor's cell shares 15 atoms with the tip's, a J neighbor's 8
     shared = {lab: (15 * k + 8 * j) / n if counts[lab] else float("nan")
               for (n, k, j), lab in OVERLAP_SIGNATURES.items()}
-    total = int(weight.sum())
     return OverlapCensus(c=shift.c, n_tips=total, counts=counts,
                          frequencies={lab: n / total for lab, n in counts.items()},
                          analytic=dict(ANALYTIC_CLASS_FREQUENCIES),

@@ -73,6 +73,8 @@ class GridShift:
         g = g.copy()
         g.setflags(write=False)
         object.__setattr__(self, "gamma", g)
+        # a plain float, so that messages print 0.5 and not np.float64(0.5)
+        object.__setattr__(self, "c", float(self.c))
         if not (0.0 <= self.c < 1.0):
             raise ValueError(f"c must lie in [0, 1), got {self.c}")
 
@@ -435,10 +437,12 @@ def _raise_singular(cand: np.ndarray, status: np.ndarray, describe: str,
 
 #: memory an enumeration may plan for, and what a qc run holds at its peak per
 #: accepted label (ru_maxrss above the start: ~320 B for the whole 3-d lattice
-#: at radius 35).  `qc freq` holds one chunk of its scan, not its labels: at
-#: radius 200 it peaks ~0.6 MB above its radius-5 run (39.0 against 38.4 MB,
-#: medians of 5), and its refusal radii still follow BYTES_PER_LABEL.  Both
-#: 3-d modes check the lattice's estimate, so they refuse the same radii.
+#: at radius 35).  `qc freq` and `qc overlap-census` hold one chunk of their
+#: scan, not its labels: `qc freq` peaks ~0.6 MB higher at radius 200 than
+#: at radius 5 (39.0 against 38.4 MB, medians of 5), and the census at
+#: 33.4 to 33.5 MB from radius 20 to 57 (32.9 MB at radius 5).  Their
+#: refusal radii still follow BYTES_PER_LABEL, and both 3-d modes check the
+#: lattice's estimate, so they refuse the same radii.
 MEMORY_BUDGET = 4 * 10 ** 9
 BYTES_PER_LABEL = 320
 
@@ -461,12 +465,41 @@ def _check_budget(radius: int, rows: int, windows, a: np.ndarray,
             f"above the {MEMORY_BUDGET / 1e9:g} GB budget; use a smaller radius")
 
 
-#: (k0, k1) rows per chunk of the 2-d scan.  Everything the scan holds per
-#: row, line or label lives for one chunk, so its working set does not grow
-#: with the radius: a chunk of this size tests at most ~8,400 labels at
-#: c = 0.5 (8,357 at radius 200), and the traced peak of `qc freq`'s tally
-#: is about 1.0 MB at radius 100.
+#: rows per chunk of a scan: (k0, k1) rows in 2-d, (a0, a1) rows of column
+#: representatives in 3-d.  Everything a scan holds per row, line or label
+#: lives for one chunk, so its working set does not grow with the radius: a
+#: 2-d chunk tests at most ~8,400 labels at c = 0.5 (8,357 at radius 200),
+#: and the traced peak of `qc freq`'s tally is about 1.0 MB at radius 100,
+#: that of the overlap census about 1.4 MB at radius 57.
 SCAN_ROWS = 1024
+
+
+def _scan_chunks(n_rows: int, scan_rows, boundaries: tuple, shift: GridShift,
+                 radius: int) -> Iterator:
+    """Run scan_rows on range(n_rows), SCAN_ROWS rows at a time, and yield
+    what it finds in each chunk.
+
+    scan_rows(rows) returns (found, singular), where singular holds, per
+    boundary of `boundaries`, the keys of the labels of those rows within
+    eps of it.  A chunk with a singular label is not yielded, nor is any
+    after it; the scan runs on, and after the last chunk raises
+    SingularityError naming the least such label of the first boundary
+    that has one.
+    """
+    held = [[] for _ in boundaries]
+    for start in range(0, n_rows, SCAN_ROWS):
+        found, singular = scan_rows(np.arange(start, min(start + SCAN_ROWS, n_rows)))
+        for keys, bad in zip(held, singular):
+            if len(bad):
+                keys.append(bad)
+        if not any(held):
+            yield found
+        # free this chunk before the next is made
+        del found, singular
+    for keys, describe in zip(held, boundaries):
+        if keys:
+            bad = np.column_stack(label_columns(np.concatenate(keys), radius))
+            _raise_singular(bad, np.full(len(bad), -1), describe, shift, radius)
 
 
 class ScanPiece(NamedTuple):
@@ -515,9 +548,8 @@ def scan_2d(radius: int, shift: GridShift,
     windows.append(_POINT_WINDOW if wset.degenerate_top else wset.slices[5])
     scans = [_LineScan.of(a, b, window, reach) for window in windows]
     gamma_w = shift.gamma @ w
-    singular = []
-    for start in range(0, side ** 2, SCAN_ROWS):
-        rows = np.arange(start, min(start + SCAN_ROWS, side ** 2))
+
+    def scan_rows(rows):
         k01 = np.column_stack([rows // side - M, rows % side - M])
         k01_sum = k01.sum(axis=1)
         row_extent = np.maximum(np.abs(k01[:, 0]), np.abs(k01[:, 1]))
@@ -525,8 +557,8 @@ def scan_2d(radius: int, shift: GridShift,
         # its line, (k0, k1, k2, 0, k34), plus k3 (weights[3] - weights[4])
         row_key = (k01 + M) @ weights[:2] + M * weights[3]
         t01 = k01 @ (w[:2] - w[4])
-        del rows, k01
-        pieces = []
+        del k01
+        pieces, singular = [], []
         for index in range(1, 6):
             t0 = t01 + index * w[4]
             t0 -= gamma_w
@@ -558,18 +590,12 @@ def scan_2d(radius: int, shift: GridShift,
                 status = np.where(np.linalg.norm(pts, axis=0) <= wset.eps, -1, 0)
             else:
                 status = windows[index - 1].classify(pts.T, wset.eps)
-            bad = status == -1
-            if singular or bad.any():
-                singular.append(keys[bad])
-            else:
-                pieces.append(ScanPiece(index, status, pts, keys, extent))
-            del status, pts, keys, extent, bad
-        if not singular:
-            yield tuple(pieces)
-        del pieces
-    if singular:
-        bad = np.column_stack(label_columns(np.concatenate(singular), M))
-        _raise_singular(bad, np.full(len(bad), -1), "a window boundary", shift, M)
+            singular.append(keys[status == -1])
+            pieces.append(ScanPiece(index, status, pts, keys, extent))
+            del status, pts, keys, extent
+        return tuple(pieces), (np.concatenate(singular),)
+
+    yield from _scan_chunks(side ** 2, scan_rows, ("a window boundary",), shift, M)
 
 
 def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet
@@ -592,54 +618,78 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet
     return labels, labels.astype(float) @ BASIS.D, keys
 
 
+def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
+                     ) -> Iterator[tuple[np.ndarray, int]]:
+    """Decide every column of the box [-radius, radius]^5 against the
+    decagon and the inner decagon, SCAN_ROWS rows of (a0, a1) at a time.
+
+    Yields, per chunk, (its tip columns' representatives (n, 5), the number
+    of lattice points in its columns).  The representatives come in key
+    order, chunk after chunk.  Since sum_j d_j = 0, the labels
+    k + n (1,1,1,1,1) of a column share one test point, so one decagon test
+    and one inner-decagon test decide the whole column.  That holds in
+    exact arithmetic; the float test points of a column's labels differ by
+    about 1e-14 at radius 20.  A column is named by its representative
+    a = k - k4 (1,1,1,1,1), whose a4 is 0.  With spread s = max(a) - min(a),
+    both taken with 0, it meets the box when s <= 2 radius, in the
+    2 radius + 1 - s labels a + n (1,1,1,1,1),
+    -radius - min(a) <= n <= radius - max(a).  The scan fixes (a0, a1) in
+    [-2 radius, 2 radius]^2 and scan-converts (a2, a3).
+
+    Raises ConfigError, before anything is allocated, if the lattice would
+    not fit in MEMORY_BUDGET.  A chunk that holds a singular label is not
+    yielded, nor is any after it; the scan runs on, and after the last
+    chunk raises SingularityError naming the first label within eps of the
+    decagon boundary, then the first within eps of the inner decagon
+    boundary.
+    """
+    M, S = int(radius), 2 * int(radius)
+    side = 2 * S + 1
+    d = BASIS.D
+    _check_budget(M, (2 * M + 1) ** 3, [DECAGON.window], d[3], d[4])
+    scan = _LineScan.of(d[2], d[3], DECAGON.window, eps + _SCAN_SLACK)
+    gamma_d = shift.gamma @ d
+
+    def scan_rows(rows):
+        a0, a1 = rows // side - S, rows % side - S
+        # hi and lo: the largest and least coordinate so far, 0 included
+        hi, lo = np.maximum(np.maximum(a0, a1), 0), np.minimum(np.minimum(a0, a1), 0)
+        meets = hi - lo <= S
+        a0, a1, hi, lo = a0[meets], a1[meets], hi[meets], lo[meets]
+        t0 = np.outer(a0, d[0]) + np.outer(a1, d[1]) - gamma_d
+        row, a2, v_lo, v_hi = scan(t0, S)
+        hi, lo = np.maximum(hi[row], a2), np.minimum(lo[row], a2)
+        meets = hi - lo <= S
+        row, a2, v_lo, v_hi, hi, lo = (x[meets] for x in (row, a2, v_lo, v_hi, hi, lo))
+        # a3 keeps the spread within 2 radius; (a0, a1) ascend over the rows
+        # and a2, a3 within each, so the columns come out in key order
+        sub, a3 = _expand(*_integer_span(v_lo, v_hi, hi - S, lo + S))
+        row = row[sub]
+        reps = np.column_stack([a0[row], a1[row], a2[sub], a3, np.zeros_like(a3)])
+        hi, lo = np.maximum(hi[sub], a3), np.minimum(lo[sub], a3)
+        # a column's first member has the least key of its labels
+        first = reps - (M + lo)[:, None]
+        pts = d_test_points(reps, shift)
+        status = DECAGON.window.classify(pts, eps)
+        inner = DECAGON.inner.classify(pts, eps)
+        n_points = int(np.sum((2 * M + 1 - (hi - lo))[status == 1]))
+        singular = (label_keys(first[status == -1], M), label_keys(first[inner == -1], M))
+        return (reps[inner == 1], n_points), singular
+
+    yield from _scan_chunks(side ** 2, scan_rows,
+                            ("the decagon boundary", "the inner decagon boundary"),
+                            shift, M)
+
+
 def tip_columns(radius: int, shift: GridShift,
                 eps: float = DEFAULT_EPS) -> tuple[np.ndarray, int]:
     """The tip columns of the box [-radius, radius]^5, in key order:
     (representatives (n, 5), number of lattice points in the box).
 
-    Since sum_j d_j = 0, the labels k + n (1,1,1,1,1) of a column share one
-    test point, so one decagon test and one inner-decagon test decide the
-    whole column.  That holds in exact arithmetic; the float test points of
-    a column's labels differ by about 1e-14 at radius 20.  A column is named
-    by its representative a = k - k4 (1,1,1,1,1), whose a4 is 0.  With
-    spread s = max(a) - min(a), both taken with 0, it meets the box when
-    s <= 2 radius, in the 2 radius + 1 - s labels a + n (1,1,1,1,1),
-    -radius - min(a) <= n <= radius - max(a).  The scan fixes (a0, a1) and
-    scan-converts (a2, a3).
-
-    Raises ConfigError if the lattice would not fit in MEMORY_BUDGET, then
-    SingularityError naming the first label within eps of the decagon
-    boundary, then the first within eps of the inner decagon boundary.
+    Collects the chunks of scan_tip_columns, and raises as it does.
     """
-    M, S = int(radius), 2 * int(radius)
-    d = BASIS.D
-    _check_budget(M, (2 * M + 1) ** 3, [DECAGON.window], d[3], d[4])
-    k = np.arange(-S, S + 1, dtype=np.int64)
-    a0, a1 = (g.ravel() for g in np.meshgrid(k, k, indexing="ij"))
-    # hi and lo: the largest and least coordinate so far, 0 included
-    hi, lo = np.maximum(np.maximum(a0, a1), 0), np.minimum(np.minimum(a0, a1), 0)
-    meets = hi - lo <= S
-    a0, a1, hi, lo = a0[meets], a1[meets], hi[meets], lo[meets]
-    t0 = np.outer(a0, d[0]) + np.outer(a1, d[1]) - shift.gamma @ d
-    row, a2, v_lo, v_hi = _LineScan.of(d[2], d[3], DECAGON.window, eps + _SCAN_SLACK)(t0, S)
-    hi, lo = np.maximum(hi[row], a2), np.minimum(lo[row], a2)
-    meets = hi - lo <= S
-    row, a2, v_lo, v_hi, hi, lo = (x[meets] for x in (row, a2, v_lo, v_hi, hi, lo))
-    # a3 keeps the spread within 2 radius; (a0, a1) ascend over the rows
-    # and a2, a3 within each, so the columns come out in key order
-    sub, a3 = _expand(*_integer_span(v_lo, v_hi, hi - S, lo + S))
-    row = row[sub]
-    reps = np.column_stack([a0[row], a1[row], a2[sub], a3, np.zeros_like(a3)])
-    hi, lo = np.maximum(hi[sub], a3), np.minimum(lo[sub], a3)
-    # a column's first member has the least key of its labels
-    first = reps - (M + lo)[:, None]
-    pts = d_test_points(reps, shift)
-    status = DECAGON.window.classify(pts, eps)
-    _raise_singular(first, status, "the decagon boundary", shift, M)
-    inner = DECAGON.inner.classify(pts, eps)
-    _raise_singular(first, inner, "the inner decagon boundary", shift, M)
-    n_points = int(np.sum((2 * M + 1 - (hi - lo))[status == 1]))
-    return reps[inner == 1], n_points
+    reps, counts = zip(*scan_tip_columns(radius, shift, eps))
+    return np.concatenate(reps), sum(counts)
 
 
 def enumerate_tips(radius: int, shift: GridShift, eps: float = DEFAULT_EPS

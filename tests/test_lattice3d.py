@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,32 +399,70 @@ def test_find_tips_reads_the_acceptance_test_points(Q, lattice_for):
         assert np.array_equal(find_tips(lat, Q), lat.labels[status == 1])
 
 
-def test_overlap_violation_names_the_first_offending_tip(Q, monkeypatch, lattice_for):
-    shift = random_shift(0.3, 4)
-    lat = lattice_for(10, shift)
-    tips = find_tips(lat, Q)
-    inner = tips[np.abs(tips).max(axis=1) <= 7]
+def _doctor_signatures(monkeypatch, shift, doctored):
+    """Give the tip column of each (tip, signature) of `doctored` that
+    signature, wherever the census classifies it; returns, per tip, how
+    often its column was classified."""
     original = qp.lattice3d.overlap_signatures
-    # both tips lie in the first k0 layer of the boundary-complete tips, so
-    # no other tip of their columns comes before inner[2] in key order
-    assert inner[2][0] == inner[5][0] == -7
+    seen = [0] * len(doctored)
 
-    def doctored(points, *args):
-        # the census classifies tip columns, by the test point their tips
-        # share: doctor the columns of inner[2] and inner[5]
+    def signatures(points, *args):
+        # the census classifies tip columns, chunk by chunk, by the test
+        # point their tips share
         sigs = original(points, *args)
-        for tip, sig in ((inner[2], (3, 0, 3)), (inner[5], (7, 3, 4))):
+        for n, (tip, sig) in enumerate(doctored):
             at = d_test_points(tip[None], shift)
             row = np.all(np.abs(points - at) < 1e-12, axis=1)
-            assert row.sum() == 1
+            assert row.sum() <= 1
+            seen[n] += int(row.sum())
             sigs[row] = sig
         return sigs
 
-    monkeypatch.setattr(qp.lattice3d, "overlap_signatures", doctored)
+    monkeypatch.setattr(qp.lattice3d, "overlap_signatures", signatures)
+    return seen
+
+
+def _violation_tips(Q, lattice_for):
+    """The boundary-complete tips of the violation tests' box, in key order:
+    the first k0 layer of them, so no other tip of their columns comes
+    before them in key order."""
+    shift = random_shift(0.3, 4)
+    tips = find_tips(lattice_for(10, shift), Q)
+    inner = tips[np.abs(tips).max(axis=1) <= 7]
+    assert np.all(inner[:6, 0] == -7)
+    return shift, inner
+
+
+def _named_tip(tip):
+    return rf"tip {re.escape(str(tuple(tip.tolist())))} has overlap signature"
+
+
+def test_overlap_violation_names_the_first_offending_tip(Q, monkeypatch, lattice_for):
+    shift, inner = _violation_tips(Q, lattice_for)
+    seen = _doctor_signatures(monkeypatch, shift, [(inner[2], (3, 0, 3)),
+                                                   (inner[5], (7, 3, 4))])
     with pytest.raises(qp.errors.CensusViolationError,
-                       match=rf"tip {re.escape(str(tuple(inner[2].tolist())))} has "
-                             r"overlap signature \(3, 0, 3\)"):
+                       match=_named_tip(inner[2]) + r" \(3, 0, 3\)"):
         overlap_census(10, shift)
+    assert seen == [1, 1]
+
+
+def test_census_violation_names_the_least_key_tip_across_chunks(Q, monkeypatch,
+                                                                lattice_for):
+    # at 37 rows per chunk the doctored columns come in different chunks,
+    # and the least-key tip is named whichever of them comes first
+    shift, inner = _violation_tips(Q, lattice_for)
+    monkeypatch.setattr(qp.window, "SCAN_ROWS", 37)
+    rep = inner - inner[:, 4:]
+    chunk = ((rep[:, 0] + 20) * 41 + rep[:, 1] + 20) // 37
+    assert chunk[2] < chunk[5] and chunk[2] < chunk[0]
+    for first, later in ((2, 5), (0, 2)):
+        seen = _doctor_signatures(monkeypatch, shift, [(inner[first], (3, 0, 3)),
+                                                       (inner[later], (7, 3, 4))])
+        with pytest.raises(qp.errors.CensusViolationError,
+                           match=_named_tip(inner[first]) + r" \(3, 0, 3\)"):
+            overlap_census(10, shift)
+        assert seen == [1, 1]
 
 
 #: the orbit of e0 - e4 among the K offsets: |m.D| is the inner decagon's
@@ -576,6 +615,95 @@ def test_the_members_of_a_column_share_one_decision(shift, radius, Q, basis):
                                    return_counts=True)
     spread = reps.max(axis=1) - reps.min(axis=1)
     assert np.array_equal(members[column], 2 * radius + 1 - spread)
+
+
+def test_tip_scan_chunks_leave_every_result_unchanged(Q, basis, monkeypatch):
+    shift = normalize_shift(benchmark_gamma(0.2, 0))
+    reps, n_points = tip_columns(20, shift)
+    census = overlap_census(20, shift)
+    # at tol 1e-3 this draw has a label within eps of the inner decagon in
+    # an earlier chunk of 37 rows than the first within eps of the decagon,
+    # which is still the one named
+    singular_shift = random_shift(0.2, 7)
+    with pytest.raises(SingularityError, match="the decagon boundary") as singular:
+        overlap_census(10, singular_shift, 1e-3)
+    with pytest.raises(SingularityError) as expected:
+        enumerate_accepted_3d(10, singular_shift, Q, basis, 1e-3)
+    assert _named_label(singular.value) == _named_label(expected.value)
+    for rows in (37, 400):
+        monkeypatch.setattr(qp.window, "SCAN_ROWS", rows)
+        got, got_points = tip_columns(20, shift)
+        assert np.array_equal(got, reps) and got_points == n_points
+        assert overlap_census(20, shift) == census
+        for run in (lambda: tip_columns(10, singular_shift, 1e-3),
+                    lambda: overlap_census(10, singular_shift, 1e-3)):
+            with pytest.raises(SingularityError) as got_error:
+                run()
+            assert str(got_error.value) == str(singular.value)
+
+
+def test_a_singular_label_in_a_later_chunk_comes_before_any_census_result(
+        Q, basis, monkeypatch):
+    # at tol 1e-3 and 37 rows per chunk, this draw's singular columns are all
+    # in the 44th of 46 chunks.  The chunks before it are classified, with
+    # signatures outside the five classes or with a neighbour singularity,
+    # and still the census raises the scan's SingularityError, with the
+    # label the per-label scan names
+    shift, eps = random_shift(0.5, 26), 1e-3
+    with pytest.raises(SingularityError) as expected:
+        enumerate_accepted_3d(10, shift, Q, basis, eps)
+    classified = []
+
+    def outside(points, *args):
+        classified.append(len(points))
+        return np.zeros((len(points), 3), dtype=np.int64)
+
+    def neighbor(points, *args):
+        classified.append(len(points))
+        raise SingularityError("a neighbor test point")
+
+    monkeypatch.setattr(qp.window, "SCAN_ROWS", 37)
+    for doctored in (outside, neighbor):
+        monkeypatch.setattr(qp.lattice3d, "overlap_signatures", doctored)
+        classified.clear()
+        with pytest.raises(SingularityError) as got:
+            overlap_census(10, shift, eps)
+        assert _named_label(got.value) == _named_label(expected.value)
+        assert sum(classified) > 0
+
+
+def test_a_neighbor_singularity_comes_before_a_census_violation(monkeypatch):
+    # signatures outside the five classes in the first chunks, then a
+    # neighbour singularity in a later one: the singularity is raised
+    monkeypatch.setattr(qp.window, "SCAN_ROWS", 37)
+    calls = []
+
+    def doctored(points, *args):
+        calls.append(len(points))
+        if len(calls) == 3:
+            raise SingularityError("a neighbor test point")
+        return np.zeros((len(points), 3), dtype=np.int64)
+
+    monkeypatch.setattr(qp.lattice3d, "overlap_signatures", doctored)
+    with pytest.raises(SingularityError, match="a neighbor test point"):
+        overlap_census(10, random_shift(0.3, 4))
+    assert len(calls) == 3
+
+
+def test_census_peak_does_not_grow_with_the_radius():
+    # each chunk of the tip scan is classified as it comes and only the
+    # class tallies are kept, so the traced peak is one chunk's working set
+    shift = normalize_shift(benchmark_gamma(0.2, 0))
+    peaks = {}
+    for radius in (20, 57):
+        tracemalloc.start()
+        try:
+            overlap_census(radius, shift)
+            peaks[radius] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[57] <= 2e6
+    assert peaks[57] <= peaks[20] + 0.5e6
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3])

@@ -360,6 +360,15 @@ def test_enumerate_2d_matches_naive(basis, windows_for):
     assert np.array_equal(chain, chain[np.lexsort(chain.T[::-1])])
 
 
+def test_a_window_mismatch_names_plain_numbers(windows_for):
+    # normalize_shift sums gamma in numpy, but the shift keeps c as a float
+    shift = normalize_shift([0.25, 0.25, 0.0, 0.0, 0.0])
+    assert type(shift.c) is float
+    with pytest.raises(ValueError, match=r"^the windows are built for c = 0\.2, "
+                                         r"the shift has c = 0\.5$"):
+        next(qp.window.scan_2d(8, shift, windows_for(0.2)))
+
+
 @pytest.mark.parametrize("c", [0.0, 0.5])
 def test_scan_2d_pieces_describe_their_labels(c, basis, windows_for, monkeypatch):
     # 37 rows per chunk, so the 25^2 rows of R = 12 span 17 chunks
