@@ -20,10 +20,11 @@ from .errors import (ConfigError, EmptyWindowError, QcError, SingularConfigError
 from .io import (MAX_SHIFT_DRAWS, RunConfig, build_tiling_document, cells_obj,
                  frequency_csv, overlap_csv, render_svg, shift_draws,
                  window_document, write_json, write_text)
-from .lattice3d import TIP_MARGIN, build_cells, overlap_census
-from .tiling2d import empirical_frequencies
 from .window import (DECAGON, MAX_KEY_RADIUS, POLYTOPE, build_windows,
                      enumerate_tips, label_extent, slice_window)
+
+# tiling2d and lattice3d are imported in their modes' branches of _run_mode,
+# so a run neither compiles nor loads the module of another mode
 
 log = logging.getLogger("qc")
 
@@ -134,10 +135,12 @@ def _run_mode(config: RunConfig) -> None:
             if config.mode == "tiling2d":
                 doc = build_tiling_document(config.radius, shift, wset)
                 return render_svg(doc), []
+            from .tiling2d import empirical_frequencies
             report = empirical_frequencies(config.radius, shift, wset)
             return frequency_csv(report), []
         _check_tol(config.tol, decagons=True)
         if config.mode == "lattice3d":
+            from .lattice3d import TIP_MARGIN, build_cells
             tips, _, n_points = enumerate_tips(config.radius, shift, config.tol)
             inner = tips[label_extent(tips) <= config.radius - TIP_MARGIN]
             cells = build_cells(inner, shift, config.tol)
@@ -148,6 +151,7 @@ def _run_mode(config: RunConfig) -> None:
                               f"no complete cells: every tip lies within {TIP_MARGIN} "
                               "label steps of the box edge; raise --radius"))
             return cells_obj(cells), notes
+        from .lattice3d import overlap_census
         census = overlap_census(config.radius, shift, config.tol)
         shared = {k: round(v, 2) for k, v in census.shared_atoms.items()}
         return overlap_csv(census), [
@@ -166,8 +170,7 @@ def _run_mode(config: RunConfig) -> None:
         raise SingularityError(
             f"no regular shift found after {MAX_SHIFT_DRAWS} draws: every draw was singular "
             f"at tol={config.tol}; last draw: {last_error}")
-    resolved = RunConfig(**{**config.__dict__, "gamma": shift.gamma.tolist(),
-                            "c": shift.c})
+    resolved = config._replace(gamma=shift.gamma.tolist(), c=shift.c)
     log.info("resolved config: %s", resolved.to_json())
     _emit(config, content)
     for level, line in notes:

@@ -9,7 +9,7 @@ boundary decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ THETA = 2.0 * np.pi / 5.0
 DEFAULT_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class ProjectionBasis:
+class ProjectionBasis(NamedTuple):
     """Row generators of the tiling plane and its 3-d orthogonal space.
 
     Row j of ``D`` is d_j = (cos j*theta, sin j*theta); row j of ``W`` is
@@ -70,8 +69,7 @@ def polygon_halfplanes(polygon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normals, offsets
 
 
-@dataclass(frozen=True)
-class ConvexWindow:
+class ConvexWindow(NamedTuple):
     """A CCW convex polygon and its outward unit edge normals and offsets.
 
     A point x is strictly inside iff normals @ x < offsets componentwise.

@@ -9,17 +9,19 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
 from .geometry import BASIS, DEFAULT_EPS
-from .lattice3d import OVERLAP_SIGNATURES, OverlapCensus
-from .tiling2d import FrequencyReport
 from .window import (DECAGON, POLYTOPE, GridShift, WindowSet,
                      enumerate_accepted_2d, label_extent, label_index,
                      label_keys, normalize_shift, random_shift, step_rows)
+
+if TYPE_CHECKING:  # each mode loads only the module it runs
+    from .lattice3d import OverlapCensus
+    from .tiling2d import FrequencyReport
 
 
 def fmt(x: float) -> str:
@@ -31,8 +33,7 @@ def fmt(x: float) -> str:
 # run configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything needed to reproduce a run; round-trips losslessly via JSON."""
 
     mode: str = "tiling2d"
@@ -45,7 +46,7 @@ class RunConfig:
     out: str | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -80,8 +81,7 @@ def shift_draws(config: RunConfig) -> Iterator[GridShift]:
 # tiling documents and SVG
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TilingDocument:
+class TilingDocument(NamedTuple):
     """A tiling patch as arrays, ready for rendering."""
 
     labels: np.ndarray  # (N, 5) int64, in key order
@@ -162,6 +162,8 @@ def frequency_csv(report: FrequencyReport) -> str:
 
 
 def overlap_csv(census: OverlapCensus) -> str:
+    from .lattice3d import OVERLAP_SIGNATURES
+
     lines = ["class,neighbors,K,J,count,frequency,analytic_ratio"]
     for (nb, kk, jj), label in OVERLAP_SIGNATURES.items():
         lines.append(",".join([

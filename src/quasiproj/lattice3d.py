@@ -25,7 +25,7 @@ decides each of those atoms by the decagon test on its test point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,35 +141,48 @@ OVERLAP_OFFSETS["K"].setflags(write=False)
 OVERLAP_OFFSETS["J"].setflags(write=False)
 
 
+#: the 30 offsets m in OVERLAP_OFFSETS order, and how far each moves a test
+#: point past each edge line of the inner decagon: normals . (m.D), (30, edges)
+_OFFSETS = np.vstack([OVERLAP_OFFSETS["K"], OVERLAP_OFFSETS["J"]])
+_OFFSET_STEPS = (_OFFSETS @ BASIS.D) @ DECAGON.inner.normals.T
+_OFFSET_STEPS.setflags(write=False)
+
+
 def overlap_signatures(points: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     """(neighbors, K, J) of each tip, from its plane test point t (n, 2).
 
     The cell of k + m overlaps the tip k's for every m of OVERLAP_OFFSETS,
     and k + m is a tip when its test point t + m.D lies strictly inside the
-    inner decagon, so the signature is a property of t alone.  Raises
-    SingularityError for a neighbor test point within eps of the inner
-    decagon boundary.
+    inner decagon, so the signature is a property of t alone.  The points
+    are projected on the edge normals once; each offset then moves every
+    edge distance by its row of _OFFSET_STEPS.  Raises SingularityError
+    for a neighbor test point within eps of the inner decagon boundary,
+    naming the first offset in OVERLAP_OFFSETS order that has one.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    hits = {}
-    for shape, offsets in OVERLAP_OFFSETS.items():
-        hits[shape] = np.zeros(len(points), dtype=np.int64)
-        # one offset at a time keeps the temporaries at the size of points
-        for m in offsets:
-            moved = points + m @ BASIS.D
-            status = DECAGON.inner.classify(moved, eps)
-            if np.any(status == -1):
-                i = int(np.argmax(status == -1))
-                raise SingularityError(
-                    f"neighbor test point {tuple(moved[i].tolist())} of the tip at "
-                    f"{tuple(points[i].tolist())}, offset {tuple(m.tolist())}, lies "
-                    "within eps of the inner decagon boundary; perturb the shift")
-            hits[shape] += status == 1
-    return np.column_stack([hits["K"] + hits["J"], hits["K"], hits["J"]])
+    inner = DECAGON.inner
+    along = inner.normals @ points.T
+    along -= inner.offsets[:, None]
+    moved = np.empty_like(along)
+    d_max = np.empty(len(points))
+    hits = np.zeros((len(_OFFSETS), len(points)), dtype=bool)
+    for i, (m, step) in enumerate(zip(_OFFSETS, _OFFSET_STEPS)):
+        np.add(along, step[:, None], out=moved)
+        moved.max(axis=0, out=d_max)
+        singular = np.abs(d_max) <= eps
+        if singular.any():
+            first = int(np.argmax(singular))
+            raise SingularityError(
+                f"neighbor test point {tuple((points[first] + m @ BASIS.D).tolist())} of "
+                f"the tip at {tuple(points[first].tolist())}, offset {tuple(m.tolist())}, lies "
+                "within eps of the inner decagon boundary; perturb the shift")
+        np.less(d_max, -eps, out=hits[i])
+    n_k = len(OVERLAP_OFFSETS["K"])
+    k, j = hits[:n_k].sum(axis=0), hits[n_k:].sum(axis=0)
+    return np.column_stack([k + j, k, j])
 
 
-@dataclass(frozen=True)
-class OverlapCensus:
+class OverlapCensus(NamedTuple):
     c: float
     n_tips: int
     counts: dict      # class label -> count

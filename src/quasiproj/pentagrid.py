@@ -10,7 +10,7 @@ cross-checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,8 +116,7 @@ def enumerate_intersections(box, shift: GridShift, eps: float = DEFAULT_EPS
     return points, families, line_labels
 
 
-@dataclass(frozen=True)
-class PentagridTiling:
+class PentagridTiling(NamedTuple):
     """Dual tiling of a pentagrid patch: vertex table plus rhombus index quads."""
 
     labels: np.ndarray     # (M, 5) int64, lexicographically sorted

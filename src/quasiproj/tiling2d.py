@@ -9,7 +9,6 @@ shift sum c.  The full census holds 3 + 9 + 20 + 9 + 3 types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -237,8 +236,7 @@ class FrequencyRow(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
-class FrequencyReport:
+class FrequencyReport(NamedTuple):
     c: float
     rows: tuple
     n_vertices: int

@@ -13,7 +13,6 @@ slice windows depend on c.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -59,24 +58,21 @@ FACE_LOOPS = (
 )
 
 
-@dataclass(frozen=True)
-class GridShift:
+class GridShift(NamedTuple("GridShift", [("gamma", np.ndarray), ("c", float)])):
     """The five real grid offsets gamma_j and their sum c, normalized to [0, 1)."""
 
-    gamma: np.ndarray
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float)
+    def __new__(cls, gamma, c):
+        g = np.array(gamma, dtype=float)
         if g.shape != (5,):
             raise ValueError(f"gamma must have 5 components, got shape {g.shape}")
-        g = g.copy()
         g.setflags(write=False)
-        object.__setattr__(self, "gamma", g)
         # a plain float, so that messages print 0.5 and not np.float64(0.5)
-        object.__setattr__(self, "c", float(self.c))
-        if not (0.0 <= self.c < 1.0):
-            raise ValueError(f"c must lie in [0, 1), got {self.c}")
+        c = float(c)
+        if not (0.0 <= c < 1.0):
+            raise ValueError(f"c must lie in [0, 1), got {c}")
+        return super().__new__(cls, g, c)
 
 
 def normalize_shift(gamma) -> GridShift:
@@ -120,8 +116,7 @@ def random_shift(c: float, seed: int) -> GridShift:
 CONSTRUCTION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PolytopeP:
+class PolytopeP(NamedTuple):
     """Hull data of the 3-d window: 22 vertices, 40 edges, 20 rhombic faces."""
 
     projections: np.ndarray        # (32, 3) images of all cube vertices
@@ -183,8 +178,7 @@ def build_polytope_P(basis: ProjectionBasis | None = None) -> PolytopeP:
                      interior_points=interior)
 
 
-@dataclass(frozen=True)
-class DecagonQ:
+class DecagonQ(NamedTuple):
     """Plane window: regular decagon of circumradius p with 22 interior images."""
 
     projections: np.ndarray      # (32, 2) images of all cube vertices
@@ -287,8 +281,7 @@ def slice_window(P: PolytopeP, index: int, c: float) -> ConvexWindow:
     return ConvexWindow.of(poly)
 
 
-@dataclass(frozen=True)
-class WindowSet:
+class WindowSet(NamedTuple):
     """The five index windows for one value of c (V_5 is absent when c = 0)."""
 
     c: float
@@ -389,7 +382,8 @@ class _LineScan(NamedTuple):
     def of(cls, a: np.ndarray, b: np.ndarray, window: ConvexWindow,
            reach: float) -> "_LineScan":
         normals = window.normals
-        inv_u = np.linalg.inv(np.column_stack([a, b]))[0]
+        # row 0 of the inverse of [a b], which needs no LAPACK call
+        inv_u = np.array([b[1], -b[0]]) / (a[0] * b[1] - a[1] * b[0])
         # widening moves a vertex out by reach / cos(half its turning angle)
         turn = np.einsum("ij,ij->i", normals, np.roll(normals, -1, axis=0))
         push = reach / np.sqrt((1.0 + turn.min()) / 2.0) * np.linalg.norm(inv_u)
@@ -438,9 +432,9 @@ def _raise_singular(cand: np.ndarray, status: np.ndarray, describe: str,
 #: memory an enumeration may plan for, and what a qc run holds at its peak per
 #: accepted label (ru_maxrss above the start: ~320 B for the whole 3-d lattice
 #: at radius 35).  `qc freq` and `qc overlap-census` hold one chunk of their
-#: scan, not its labels: `qc freq` peaks ~0.6 MB higher at radius 200 than
-#: at radius 5 (39.0 against 38.4 MB, medians of 5), and the census at
-#: 33.4 to 33.5 MB from radius 20 to 57 (32.9 MB at radius 5).  Their
+#: scan, not its labels: `qc freq` peaks ~0.5 MB higher at radius 200 than
+#: at radius 5 (38.7 against 38.2 MB, medians of 7), and the census at
+#: 33.0 MB from radius 20 to 57 (32.5 MB at radius 5).  Their
 #: refusal radii still follow BYTES_PER_LABEL, and both 3-d modes check the
 #: lattice's estimate, so they refuse the same radii.
 MEMORY_BUDGET = 4 * 10 ** 9

@@ -402,6 +402,30 @@ def overlap_signatures_by_keys(inner, tips, radius):
     return np.column_stack([hits["K"] + hits["J"], hits["K"], hits["J"]])
 
 
+def overlap_signatures_by_offset(points, eps=DEFAULT_EPS):
+    """(neighbors, K, J) of each tip's test point (n, 2), by one inner-decagon
+    classify of the moved points t + m.D per offset m of OVERLAP_OFFSETS.
+
+    Raises SingularityError, with the census's text, for the first offset
+    that moves some point within eps of the inner decagon boundary.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    hits = {}
+    for shape, offsets in OVERLAP_OFFSETS.items():
+        hits[shape] = np.zeros(len(points), dtype=np.int64)
+        for m in offsets:
+            moved = points + m @ window.BASIS.D
+            status = window.DECAGON.inner.classify(moved, eps)
+            if np.any(status == -1):
+                i = int(np.argmax(status == -1))
+                raise SingularityError(
+                    f"neighbor test point {tuple(moved[i].tolist())} of the tip at "
+                    f"{tuple(points[i].tolist())}, offset {tuple(m.tolist())}, lies "
+                    "within eps of the inner decagon boundary; perturb the shift")
+            hits[shape] += status == 1
+    return np.column_stack([hits["K"] + hits["J"], hits["K"], hits["J"]])
+
+
 def shared_atom_count(tip_a, tip_b, lat):
     """Number of atoms the two tips' 26-atom cells have in common."""
     _, hull, interior = lattice_cells(np.vstack([tip_a, tip_b]), lat)

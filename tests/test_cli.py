@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import quasiproj as qp
-from quasiproj import cli
 from quasiproj.cli import run
 from quasiproj.errors import QcError, SingularityError
 from quasiproj.io import RunConfig
@@ -285,7 +284,7 @@ def test_internal_value_error_is_not_a_configuration_error(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli, "empirical_frequencies", broken)
+    monkeypatch.setattr("quasiproj.tiling2d.empirical_frequencies", broken)
     with pytest.raises(ValueError, match="internal fault"):
         run(["freq", "--radius", "4"])
 
@@ -384,6 +383,37 @@ def test_qc_leaves_numpy_ma_unloaded(tmp_path):
     # time of a small run
     report = _fresh_python(_RUN_AND_LIST_MODULES, tmp_path)
     assert report == {"codes": [0, 0], "numpy.ma": False}
+
+
+_RUN_AND_LIST_LOADED = """
+import json, sys
+import numpy.linalg
+
+def lapack(*args, **kwargs):
+    raise AssertionError("a LAPACK routine was called")
+
+for name in ("inv", "solve", "det", "lstsq", "eig", "svd"):
+    setattr(numpy.linalg, name, lapack)
+from quasiproj.cli import run
+out, modes = sys.argv[1], json.loads(sys.argv[2])
+codes = [run([mode, "--c", "0.4", "--radius", radius, "--out", f"{out}/{mode}"])
+         for mode, radius in modes]
+print(json.dumps({"codes": codes, "loaded": sorted(
+    name for name in ("dataclasses", "quasiproj.lattice3d", "quasiproj.pentagrid",
+                      "quasiproj.tiling2d") if name in sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize("modes, loaded", [
+    ([("windows", "1"), ("tiling2d", "4"), ("freq", "4")], ["quasiproj.tiling2d"]),
+    ([("lattice3d", "5"), ("overlap-census", "6")], ["quasiproj.lattice3d"]),
+], ids=["2-d", "3-d"])
+def test_each_mode_loads_only_what_it_runs(modes, loaded, tmp_path):
+    # the 2-d modes never load lattice3d, the 3-d modes never load tiling2d,
+    # no mode loads pentagrid or dataclasses, and none calls into LAPACK
+    report = _fresh_python(_RUN_AND_LIST_LOADED, tmp_path, json.dumps(modes),
+                           OPENBLAS_NUM_THREADS="1")
+    assert report == {"codes": [0] * len(modes), "loaded": loaded}
 
 
 def test_importing_the_package_loads_no_numpy():

@@ -18,8 +18,8 @@ from helpers import (VOLUME_FLOOR, benchmark_gamma, build_lattice3,
                      convex_intersection, enumerate_accepted_3d, fan_triangles,
                      find_tips, interior_atoms_sweep, lattice_cells, moved_shift,
                      overlap_census_lattice, overlap_signature_loop,
-                     overlap_signatures_by_keys, overlap_table, scan_3d,
-                     shared_atom_count)
+                     overlap_signatures_by_keys, overlap_signatures_by_offset,
+                     overlap_table, scan_3d, shared_atom_count)
 
 PHI = qp.PHI
 
@@ -740,6 +740,54 @@ def test_overlap_signatures_match_the_key_oracle_at_the_benchmark_box():
     assert label_extent(first).max() == 17
     assert np.array_equal(overlap_signatures(d_test_points(inner, shift)),
                           overlap_signatures_by_keys(first, tips, 20))
+
+
+def _signatures_or_error(signatures, points, eps):
+    try:
+        return signatures(points, eps).tolist()
+    except SingularityError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_overlap_signatures_match_one_classify_per_offset(eps):
+    # the tip columns' test points at several shifts, and random points
+    # around the inner decagon; at eps 1e-3 some of them are singular, and
+    # both versions must then name the same neighbour
+    rng = np.random.default_rng(5)
+    batches = [d_test_points(tip_columns(8, shift, 1e-9)[0], shift)
+               for shift in (random_shift(0.2, 0), random_shift(0.5, 3),
+                             random_shift(0.9, 7))]
+    batches += [rng.uniform(-0.7, 0.7, (n, 2)) for n in (1, 2, 50, 400, 3000)]
+    outcomes = set()
+    for points in batches:
+        got = _signatures_or_error(overlap_signatures, points, eps)
+        assert got == _signatures_or_error(overlap_signatures_by_offset, points, eps)
+        outcomes.add(type(got))
+    assert outcomes == ({list} if eps == 1e-9 else {list, str})
+
+
+@pytest.mark.parametrize("f", [-0.9, -0.3, 0.0, 0.4, 0.9])
+def test_overlap_signatures_name_the_first_singular_offset(f, Q, basis):
+    # two points put f eps from an inner-decagon edge by different offsets:
+    # the first offset in OVERLAP_OFFSETS order is named, whatever the
+    # order of the points, with the text of one classify per offset
+    eps = 1e-9
+    offsets = np.vstack([OVERLAP_OFFSETS["K"], OVERLAP_OFFSETS["J"]])
+    rng = np.random.default_rng(11)
+    points = rng.uniform(-0.3, 0.3, (40, 2))
+    for at, i in ((3, 25), (30, 10)):
+        step = offsets[i] @ basis.D
+        edge = int(np.argmax(Q.inner.normals @ step))
+        mid = (Q.inner.polygon[edge] + Q.inner.polygon[(edge + 1) % 10]) / 2
+        points[at] = mid + f * eps * Q.inner.normals[edge] - step
+    with pytest.raises(SingularityError) as expected:
+        overlap_signatures_by_offset(points, eps)
+    with pytest.raises(SingularityError) as got:
+        overlap_signatures(points, eps)
+    assert str(got.value) == str(expected.value)
+    assert f"offset {tuple(offsets[10].tolist())}" in str(got.value)
+    assert f"tip at {tuple(points[30].tolist())}" in str(got.value)
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3])
