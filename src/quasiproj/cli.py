@@ -76,6 +76,8 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"--gamma components must be finite, got {args.gamma!r}")
     if not 0.0 <= args.c < 1.0:
         raise ConfigError(f"--c must lie in [0, 1), got {args.c}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     if not 1 <= args.radius <= MAX_KEY_RADIUS:
         raise ConfigError(f"--radius must lie in [1, {MAX_KEY_RADIUS}], got {args.radius}")
     if not 0.0 < args.tol < math.inf:

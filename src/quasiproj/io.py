@@ -13,11 +13,11 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ConsistencyError
 from .geometry import BASIS, DEFAULT_EPS
-from .window import (DECAGON, POLYTOPE, GridShift, WindowSet,
-                     enumerate_accepted_2d, label_extent, label_index,
-                     label_keys, normalize_shift, random_shift, step_rows)
+from .window import (DECAGON, POLYTOPE, GridShift, WindowSet, _key_weights,
+                     label_columns, label_extent, label_index, label_keys,
+                     normalize_shift, random_shift, scan_2d)
 
 if TYPE_CHECKING:  # each mode loads only the module it runs
     from .lattice3d import OverlapCensus
@@ -93,17 +93,42 @@ def build_tiling_document(radius: int, shift: GridShift,
                           wset: WindowSet) -> TilingDocument:
     """Window-accepted vertices in the label box plus all edges between them.
 
-    The rows are in label order, so sorting the edges by row pair sorts them
-    by their end labels.
+    A vertex's +e_m edges are read off its test point, as bits 0-4 of
+    `neighbor_masks`, chunk by chunk of the scan; the steps that leave the
+    box's top face (k_m = radius) are dropped.  The rows are in label order,
+    and the upper end of a step has the key of its lower end plus
+    _key_weights(radius)[m], so one search of the sorted accepted keys
+    gives the rows of the upper ends.  Raises ConfigError, by `check_eps`,
+    if eps is too small for the masks to be the scan's decisions, and
+    ConsistencyError if an upper end is not an accepted label.
     """
-    labels, points, keys = enumerate_accepted_2d(radius, shift, wset)
-    # row of the +e_m neighbor of every vertex, -1 where it is not accepted
-    step = step_rows(labels, keys, radius)
-    i, m = np.nonzero(step >= 0)
-    j = step[i, m]
-    order = np.lexsort((j, i))
-    return TilingDocument(labels=labels, points=points,
-                          edges=np.column_stack([i[order], j[order]]))
+    from .tiling2d import check_eps, neighbor_masks
+
+    check_eps(radius, wset)
+    keys, masks = [], []
+    for pieces in scan_2d(radius, shift, wset):
+        for piece in pieces:
+            keys.append(piece.keys)
+            masks.append(neighbor_masks(piece.points, piece.index, wset))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    labels = np.column_stack(label_columns(keys, radius))
+    # the steps e_4 .. e_0, whose key steps increase, so that the upper ends
+    # of each vertex come in key order and the edges sorted by row pair
+    m = np.arange(4, -1, -1)
+    up = (np.concatenate(masks)[order, None] & (1 << m)) != 0
+    up &= labels[:, m] < radius
+    i, step = np.nonzero(up)
+    upper = keys[i] + _key_weights(radius)[m[step]]
+    j = np.searchsorted(keys, upper)
+    found = keys[np.minimum(j, len(keys) - 1)] == upper
+    if not found.all():
+        label = tuple(int(x) for x in label_columns(upper[~found].min(), radius))
+        raise ConsistencyError(f"label {label} is a step of a vertex by its neighbour "
+                               "mask, but the scan did not accept it")
+    return TilingDocument(labels=labels, points=labels.astype(float) @ BASIS.D,
+                          edges=np.column_stack([i, j]))
 
 
 #: stroke classes for the four edge kinds, keyed by the index of the lower end

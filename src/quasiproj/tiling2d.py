@@ -44,8 +44,8 @@ def neighbor_masks(points: np.ndarray, index: int, wset: WindowSet) -> np.ndarra
     neighbour, n . p - o is below -eps on every edge of an accepted one and
     above eps on some edge of a rejected one.  t + v lies within the float
     error of the scan's points from p, which `_POINT_DRIFT` bounds and
-    `empirical_frequencies` keeps below eps, so every difference keeps its
-    sign against 0, and each bit is the scan's own decision.
+    `check_eps` keeps below eps, so every difference keeps its sign against
+    0, and each bit is the scan's own decision.
     """
     if not 1 <= index <= 5:
         raise ValueError(f"index must be in [1, 5], got {index}")
@@ -253,6 +253,18 @@ class FrequencyReport(NamedTuple):
 #: (radius 10 to 160, three shifts)
 _POINT_DRIFT = 2e-14
 
+
+def check_eps(radius: int, wset: WindowSet) -> None:
+    """Raise ConfigError unless eps is above _POINT_DRIFT (radius + 1), so
+    that each bit of `neighbor_masks` is the scan's own decision."""
+    drift = _POINT_DRIFT * (radius + 1)
+    if not wset.eps > drift:
+        raise ConfigError(
+            f"eps {wset.eps:g} is not above {drift:.2g}, the float error of the test "
+            f"points at radius {radius}, so vertex types cannot be read off them; "
+            f"use a larger tolerance")
+
+
 #: label steps from the box edge within which a vertex's type is not counted
 VERTEX_MARGIN = 2
 
@@ -271,20 +283,15 @@ def empirical_frequencies(radius: int, shift: GridShift,
     `neighbor_masks`, so nothing is kept per vertex and the working set
     does not grow with the radius.
 
-    Raises ConfigError if eps is not above _POINT_DRIFT (radius + 1), where
-    the masks could differ from the scan's decisions.  The scan raises
-    SingularityError after its last chunk, so a singular label is named
-    before any result or CensusViolationError, though the chunks before its
-    own have been classified.  Raises CensusViolationError, naming the
-    first vertex in label order, if a classified type falls outside the
-    analytic support at this c.
+    Raises ConfigError, by `check_eps`, if eps is too small for the masks
+    to be the scan's decisions.  The scan raises SingularityError after its
+    last chunk, so a singular label is named before any result or
+    CensusViolationError, though the chunks before its own have been
+    classified.  Raises CensusViolationError, naming the first vertex in
+    label order, if a classified type falls outside the analytic support at
+    this c.
     """
-    drift = _POINT_DRIFT * (radius + 1)
-    if not wset.eps > drift:
-        raise ConfigError(
-            f"eps {wset.eps:g} is not above {drift:.2g}, the float error of the test "
-            f"points at radius {radius}, so vertex types cannot be read off them; "
-            f"use a larger tolerance")
+    check_eps(radius, wset)
     support = [(vt.index, vt.n_pos, vt.n_neg) for vt in census_support(shift.c)]
     # type [n, n']_I as the code 36 I + 6 n + n'
     allowed = np.zeros((6, 36), dtype=bool)
@@ -293,8 +300,7 @@ def empirical_frequencies(radius: int, shift: GridShift,
     outside = []  # (key, code) of the first vertex of a piece outside the support
     for pieces in scan_2d(radius, shift, wset):
         for piece in pieces:
-            inner = piece.status == 1
-            inner &= piece.extent <= radius - VERTEX_MARGIN
+            inner = piece.extent <= radius - VERTEX_MARGIN
             masks = neighbor_masks(piece.points[:, inner], piece.index, wset)
             code = _TYPE_OF_MASK[masks]
             found = np.bincount(code, minlength=36)

@@ -417,18 +417,6 @@ class _LineScan(NamedTuple):
         return row, u, v_lo, v_hi
 
 
-def _raise_singular(cand: np.ndarray, status: np.ndarray, describe: str,
-                    shift: GridShift, radius: int) -> None:
-    """Raise SingularityError naming the lexicographically first candidate
-    whose status is -1, if there is one."""
-    bad = cand[status == -1]
-    if len(bad):
-        first = bad[np.argmin(label_keys(bad, radius))]
-        raise SingularityError(
-            f"label {tuple(int(x) for x in first)} lands within eps of {describe} "
-            f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
-
-
 #: memory an enumeration may plan for, and what a qc run holds at its peak per
 #: accepted label (ru_maxrss above the start: ~320 B for the whole 3-d lattice
 #: at radius 35).  `qc freq` and `qc overlap-census` hold one chunk of their
@@ -492,15 +480,16 @@ def _scan_chunks(n_rows: int, scan_rows, boundaries: tuple, shift: GridShift,
         del found, singular
     for keys, describe in zip(held, boundaries):
         if keys:
-            bad = np.column_stack(label_columns(np.concatenate(keys), radius))
-            _raise_singular(bad, np.full(len(bad), -1), describe, shift, radius)
+            first = label_columns(min(map(np.min, keys)), radius)
+            raise SingularityError(
+                f"label {tuple(int(x) for x in first)} lands within eps of {describe} "
+                f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
 
 
 class ScanPiece(NamedTuple):
-    """The labels of one index that one chunk of the 2-d scan tested, in key order."""
+    """The labels of one index that one chunk of the 2-d scan accepted, in key order."""
 
     index: int
-    status: np.ndarray  # +1 accepted, 0 rejected, -1 singular
     points: np.ndarray  # (2, n) test points, as x and y rows
     keys: np.ndarray    # label_keys of the labels
     extent: np.ndarray  # label_extent of the labels: max_j |k_j|
@@ -511,14 +500,16 @@ def scan_2d(radius: int, shift: GridShift,
     """Test every label of the box [-radius, radius]^5 against its index
     window, SCAN_ROWS rows of (k0, k1) at a time.
 
-    Yields, per chunk, one ScanPiece per index I = 1 .. 5.  The pieces of
-    an index come in key order, chunk after chunk.  The scan fixes (k0, k1)
-    and scan-converts (k2, k3), with k4 = I - k0 - k1 - k2 - k3.  Along a
+    Yields, per chunk, one ScanPiece per index I = 1 .. 5, which holds the
+    labels of that index the chunk accepted.  The pieces of an index come
+    in key order, chunk after chunk.  The scan fixes (k0, k1) and
+    scan-converts (k2, k3), with k4 = I - k0 - k1 - k2 - k3.  Along a
     scan line a label's key, its extent and its test point all follow from
     the line and k3, so no label array is multiplied out: the test point is
     t0 + k2 a + k3 b, which differs from sum_j (k_j - gamma_j) w_j by up to
     about 5e-14 at radius 80, far inside eps.  Each index is tested against
-    its own window only.
+    its own window only; nearly every label tested is accepted (all 161,833
+    of the `freq_census` benchmark box, c = 0.5 and radius 80).
 
     Raises ValueError unless wset was built for shift.c, then ConfigError,
     before anything is allocated, if the box would not fit in
@@ -585,8 +576,10 @@ def scan_2d(radius: int, shift: GridShift,
             else:
                 status = windows[index - 1].classify(pts.T, wset.eps)
             singular.append(keys[status == -1])
-            pieces.append(ScanPiece(index, status, pts, keys, extent))
-            del status, pts, keys, extent
+            accepted = status == 1
+            pieces.append(ScanPiece(index, pts[:, accepted], keys[accepted],
+                                    extent[accepted]))
+            del status, accepted, pts, keys, extent
         return tuple(pieces), (np.concatenate(singular),)
 
     yield from _scan_chunks(side ** 2, scan_rows, ("a window boundary",), shift, M)
@@ -598,14 +591,13 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet
 
     Returns (labels (N,5) int64, tiling vertices (N,2), keys (N,) int64):
     the keys are label_keys(labels, radius), strictly increasing.  The
-    accepted keys of `scan_2d`'s pieces are in key order within each index,
-    so one stable sort merges them, and the labels are decoded from the keys.
+    keys of `scan_2d`'s pieces are in key order within each index, so one
+    stable sort merges them, and the labels are decoded from the keys.
     Raises SingularityError if any label in the box has its test point
     within eps of a window boundary, and ConfigError if the box would not
     fit in MEMORY_BUDGET.
     """
-    keys = np.concatenate([piece.keys[piece.status == 1]
-                           for pieces in scan_2d(radius, shift, wset)
+    keys = np.concatenate([piece.keys for pieces in scan_2d(radius, shift, wset)
                            for piece in pieces])
     keys.sort(kind="stable")
     labels = np.column_stack(label_columns(keys, radius))
@@ -771,29 +763,3 @@ def label_columns(keys, radius: int) -> tuple:
         keys = rest
     columns.append(keys - radius)
     return tuple(columns[::-1])
-
-
-def label_rows(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Row of each query key in the sorted key array, -1 where it is absent."""
-    query = np.asarray(query, dtype=np.int64)
-    if len(keys) == 0:
-        return np.full(query.shape, -1, dtype=np.int64)
-    rows = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    return np.where(keys[rows] == query, rows, -1)
-
-
-def step_rows(labels: np.ndarray, keys: np.ndarray, radius: int,
-              sign: int = 1) -> np.ndarray:
-    """(N, 5) row of each label's k + sign e_m in the sorted key array.
-
-    -1 where the step is not a key, or leaves the box [-radius, radius]^5.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    radius = int(radius)
-    base = label_keys(labels, radius)
-    inside = (base >= 0) & (np.abs(labels.T + sign) <= radius)
-    # one row of queries per step: sorted labels give sorted rows, which
-    # searchsorted walks about twice as fast as interleaved queries
-    steps = (sign * np.eye(5, dtype=np.int64)) @ _key_weights(radius)
-    query = np.where(inside, base + steps[:, None], -1)
-    return label_rows(keys, query).T

@@ -5,7 +5,8 @@ directly (does some point r and some lambda in the open unit 5-cube satisfy
 grid-projection + gamma + lambda = k?) with an LP, bypassing the window
 construction entirely.  The whole-box 2-d route tests any labels against
 their index windows on test points multiplied out from the labels, and
-counts a vertex's neighbours by key lookup in the whole box's key array.
+finds and counts a vertex's neighbours by key lookup in the whole box's
+key array.
 The overlap oracle intersects translated copies of the polytope
 numerically, with an LP and Qhull.  The lattice route builds
 the whole 3-d lattice of the box, finds its tips, assembles cells by lookup
@@ -30,9 +31,9 @@ from quasiproj.lattice3d import (_CLASS_OF_CODE, _CLASSES, ANALYTIC_CLASS_FREQUE
 from quasiproj import window
 from quasiproj.window import (_SCAN_SLACK, CUBE_VERTICES, HULL_INDICES,
                               INTERIOR_INDICES, _check_budget, _expand,
-                              _LineScan, _integer_span, _key_weights, _raise_singular,
+                              _LineScan, _integer_span, _key_weights,
                               d_test_points, enumerate_accepted_2d, label_extent,
-                              label_index, label_keys, label_rows, step_rows)
+                              label_index, label_keys)
 
 
 def mesh_margin_2d(k, shift, basis) -> float:
@@ -140,8 +141,8 @@ def moved_shift(shift, gen, k, target):
 
 
 # ---------------------------------------------------------------------------
-# the whole-box 2-d route: acceptance of any labels, and neighbour counts by
-# lookup in the key array of every accepted label in the box
+# the whole-box 2-d route: acceptance of any labels, and neighbour rows and
+# counts by lookup in the key array of every accepted label in the box
 # ---------------------------------------------------------------------------
 
 def accept_2d_bulk(labels, shift, wset, basis):
@@ -177,6 +178,32 @@ def key_member(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     rows = np.searchsorted(keys, query)
     np.minimum(rows, len(keys) - 1, out=rows)
     return keys[rows] == query
+
+
+def label_rows(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Row of each query key in the sorted key array, -1 where it is absent."""
+    query = np.asarray(query, dtype=np.int64)
+    if len(keys) == 0:
+        return np.full(query.shape, -1, dtype=np.int64)
+    rows = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[rows] == query, rows, -1)
+
+
+def step_rows(labels: np.ndarray, keys: np.ndarray, radius: int,
+              sign: int = 1) -> np.ndarray:
+    """(N, 5) row of each label's k + sign e_m in the sorted key array.
+
+    -1 where the step is not a key, or leaves the box [-radius, radius]^5.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    radius = int(radius)
+    base = label_keys(labels, radius)
+    inside = (base >= 0) & (np.abs(labels.T + sign) <= radius)
+    # one row of queries per step: sorted labels give sorted rows, which
+    # searchsorted walks about twice as fast as interleaved queries
+    steps = (sign * np.eye(5, dtype=np.int64)) @ _key_weights(radius)
+    query = np.where(inside, base + steps[:, None], -1)
+    return label_rows(keys, query).T
 
 
 def neighbor_counts(labels, keys, radius):
@@ -227,6 +254,17 @@ def scan_3d(radius, shift, Q, basis, eps):
         # through the module, so that a test can record what it tests
         status = window.accept_3d_bulk(cand, shift, eps)
         yield cand, status, d_test_points(cand, shift)
+
+
+def _raise_singular(cand, status, describe, shift, radius):
+    """Raise SingularityError naming the lexicographically first candidate
+    whose status is -1, if there is one."""
+    bad = cand[status == -1]
+    if len(bad):
+        first = bad[np.argmin(label_keys(bad, radius))]
+        raise SingularityError(
+            f"label {tuple(int(x) for x in first)} lands within eps of {describe} "
+            f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
 
 
 def enumerate_accepted_3d(radius, shift, Q, basis=None, eps=DEFAULT_EPS):

@@ -81,10 +81,12 @@ def test_freq_stdout_is_pinned(args, digest, capsys):
      "3d81c6663bc11e3d360d5a2f01bedc828ba8456d32dc663479c5fc45c6c8d3e6"),
     (["--c", "0.3819660113", "--seed", "3", "--radius", "8"],
      "074e2313bb45043311c677e57c1ff7be37096138af6815b83fd3461d528f223c"),
+    (["--radius", "20"], "5467c380b1c36709ee807ca4e5c9f7870c08bc04e9f22650c92058a2ee3cc26a"),
 ])
 def test_tiling2d_stdout_is_pinned(args, digest, capsys):
     # the tiling document as written when the labels were stacked from
-    # per-index component columns, not decoded from their keys
+    # per-index component columns, not decoded from their keys, and its
+    # edges found by key lookup; radius 20 spans two chunks of SCAN_ROWS
     assert run(["tiling2d", *args]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -167,6 +169,7 @@ def test_config_errors():
     assert run(["freq", "--gamma", "1,2,3"]) == 2
     assert run(["freq", "--gamma", "a,b,c,d,e"]) == 2
     assert run(["freq", "--radius", "0"]) == 2
+    assert run(["freq", "--seed=-1"]) == 2  # numpy's generator would raise ValueError
     assert run(["nonsense"]) == 2
     assert run(["freq", "--format", "csv"]) == 2  # no such flag
 
@@ -430,7 +433,7 @@ _OLD_EXPORTS = {
                  "make_basis"],
     "window": ["CUBE_VERTICES", "DecagonQ", "GridShift", "PolytopeP", "WindowSet",
                "build_decagon_Q", "build_polytope_P", "build_windows",
-               "enumerate_accepted_2d", "enumerate_tips", "label_keys", "label_rows",
+               "enumerate_accepted_2d", "enumerate_tips", "label_keys",
                "normalize_shift", "random_shift", "slice_window"],
     "pentagrid": ["PentagridTiling", "enumerate_intersections",
                   "k_vector_2d", "k_vector_3d", "tiling_from_pentagrid"],

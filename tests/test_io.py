@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quasiproj as qp
-from quasiproj.errors import ConfigError
+from quasiproj.errors import ConfigError, ConsistencyError
 from quasiproj.io import (MAX_SHIFT_DRAWS, SVG_STYLES, RunConfig, TilingDocument,
                           build_tiling_document, cells_obj, frequency_csv,
                           overlap_csv, render_svg, shift_draws,
@@ -96,6 +96,26 @@ def test_document_edges_consistent(windows_for):
         neg_ends += 1
     # handshake: every edge has one positive and one negative endpoint
     assert pos_ends == neg_ends == len(doc.edges)
+
+
+def test_a_mask_step_to_an_unaccepted_label_is_inconsistent(windows_for, monkeypatch):
+    # with every bit set, the masks name steps k + e_m in the box that the
+    # scan did not accept, and the least of them is named
+    shift, ws = random_shift(0.5, 7), windows_for(0.5)
+    labels, _, keys = qp.enumerate_accepted_2d(6, shift, ws)
+    ups = (labels[:, None, :] + np.eye(5, dtype=np.int64)).reshape(-1, 5)
+    ups = ups[np.abs(ups).max(axis=1) <= 6]
+    missing = ups[~np.isin(qp.label_keys(ups, 6), keys)]
+    least = missing[np.argmin(qp.label_keys(missing, 6))]
+
+    def all_steps(points, *args):
+        return np.full(points.shape[1], 1023, dtype=np.int64)
+
+    monkeypatch.setattr(qp.tiling2d, "neighbor_masks", all_steps)
+    with pytest.raises(ConsistencyError) as err:
+        build_tiling_document(6, shift, ws)
+    assert str(err.value) == (f"label {tuple(least.tolist())} is a step of a vertex by "
+                              "its neighbour mask, but the scan did not accept it")
 
 
 @pytest.mark.parametrize("c", [0.0, qp.PHI ** -2, 0.5])

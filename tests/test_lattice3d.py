@@ -12,12 +12,12 @@ from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
                                  overlap_signatures)
 from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, accept_3d_bulk,
                               d_test_points, enumerate_tips, label_extent, label_keys,
-                              label_rows, normalize_shift, random_shift, tip_columns)
+                              normalize_shift, random_shift, tip_columns)
 
 from helpers import (VOLUME_FLOOR, benchmark_gamma, build_lattice3,
                      convex_intersection, enumerate_accepted_3d, fan_triangles,
-                     find_tips, interior_atoms_sweep, lattice_cells, moved_shift,
-                     overlap_census_lattice, overlap_signature_loop,
+                     find_tips, interior_atoms_sweep, label_rows, lattice_cells,
+                     moved_shift, overlap_census_lattice, overlap_signature_loop,
                      overlap_signatures_by_keys, overlap_signatures_by_offset,
                      overlap_table, scan_3d, shared_atom_count)
 

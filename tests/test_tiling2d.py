@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import quasiproj as qp
+from quasiproj.cli import run
 from quasiproj.errors import CensusViolationError, ConfigError, SingularityError
+from quasiproj.io import build_tiling_document
 from quasiproj.tiling2d import (CENSUS, VertexType, analytic_A, analytic_probability,
                                 census_support, empirical_frequencies, neighbor_masks)
-from quasiproj.window import SCAN_ROWS, enumerate_accepted_2d, random_shift, step_rows
+from quasiproj.window import SCAN_ROWS, enumerate_accepted_2d, random_shift
 
-from helpers import accept_2d_bulk
+from helpers import accept_2d_bulk, step_rows
 from helpers import neighbor_counts as whole_box_neighbor_counts
 
 P = qp.PHI
@@ -387,6 +389,7 @@ def test_scan_chunks_leave_every_result_unchanged(basis, windows_for, monkeypatc
     ws = windows_for(0.5)
     keys = enumerate_accepted_2d(20, shift, ws)[2]
     report = empirical_frequencies(20, shift, ws)
+    doc = build_tiling_document(20, shift, ws)
     # the REDRAW_ARGS draw, whose labels within eps of a window are many
     singular_shift = random_shift(0.5, 8)
     singular_ws = qp.build_windows(qp.build_polytope_P(basis), 0.5, 1e-4)
@@ -396,6 +399,8 @@ def test_scan_chunks_leave_every_result_unchanged(basis, windows_for, monkeypatc
         monkeypatch.setattr(qp.window, "SCAN_ROWS", rows)
         assert np.array_equal(enumerate_accepted_2d(20, shift, ws)[2], keys)
         assert empirical_frequencies(20, shift, ws) == report
+        got = build_tiling_document(20, shift, ws)
+        assert all(np.array_equal(a, b) for a, b in zip(got, doc))
         with pytest.raises(SingularityError) as got:
             empirical_frequencies(10, singular_shift, singular_ws)
         assert str(got.value) == str(singular.value)
@@ -460,6 +465,23 @@ def test_freq_refuses_an_eps_within_the_float_error_of_the_points(P):
     assert empirical_frequencies(3, shift, ws).n_vertices > 0
     with pytest.raises(ConfigError, match="float error of the test points at radius 20"):
         empirical_frequencies(20, shift, ws)
+
+
+def test_tiling_refuses_an_eps_within_the_float_error_of_the_points(P, caplog):
+    # the edges are read off the same masks, so the same bound holds, with
+    # the same message as qc freq's
+    shift = random_shift(0.5, 0)
+    ws = qp.build_windows(P, 0.5, 1e-13)
+    assert len(build_tiling_document(3, shift, ws).edges) > 0
+    with pytest.raises(ConfigError, match="float error of the test points at radius 20"):
+        build_tiling_document(20, shift, ws)
+    message = ("configuration error: eps 1e-13 is not above 4.2e-13, the float error of "
+               "the test points at radius 20, so vertex types cannot be read off them; "
+               "use a larger tolerance")
+    for mode in ("freq", "tiling2d"):
+        caplog.clear()
+        assert run([mode, "--radius", "20", "--tol", "1e-13"]) == 2
+        assert [r.getMessage() for r in caplog.records] == [message]
 
 
 def test_neighbor_masks_refuse_a_bad_index_or_shape(windows_for):

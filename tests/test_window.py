@@ -12,13 +12,14 @@ from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               INTERIOR_INDICES, MAX_KEY_RADIUS, accept_3d_bulk,
                               d_test_points, enumerate_accepted_2d,
                               label_columns, label_extent, label_index,
-                              label_keys, label_rows, normalize_shift, random_shift,
-                              slice_window, step_rows)
+                              label_keys, normalize_shift, random_shift,
+                              slice_window)
 
 from helpers import (accept_2d_bulk, benchmark_gamma, enumerate_accepted_3d,
-                     fan_triangles, key_member, lambda_box_candidates_2d,
+                     fan_triangles, key_member, label_rows, lambda_box_candidates_2d,
                      lambda_box_candidates_3d, mesh_margin_2d, mesh_margin_3d,
-                     mesh_solution_2d, moved_shift, neighbor_counts, polygon_area)
+                     mesh_solution_2d, moved_shift, neighbor_counts, polygon_area,
+                     step_rows)
 
 P_GOLD = qp.PHI
 
@@ -375,7 +376,10 @@ def test_scan_2d_pieces_describe_their_labels(c, basis, windows_for, monkeypatch
     monkeypatch.setattr(qp.window, "SCAN_ROWS", 37)
     R, ws = 12, windows_for(c)
     shift = random_shift(c, 3)
-    last = {index: -1 for index in range(1, 6)}
+    # the oracle: the accepted labels of the whole box, on multiplied-out points
+    cand = lambda_box_candidates_2d(R, shift)
+    cand = cand[accept_2d_bulk(cand, shift, ws, basis) == 1]
+    found = {index: [] for index in range(1, 6)}
     chunks = 0
     for pieces in qp.window.scan_2d(R, shift, ws):
         chunks += 1
@@ -387,18 +391,18 @@ def test_scan_2d_pieces_describe_their_labels(c, basis, windows_for, monkeypatch
             assert np.all(label_index(labels) == piece.index)
             t = (labels - shift.gamma) @ basis.W[:, :2]
             assert np.allclose(piece.points.T, t, rtol=0, atol=1e-12)
-            if piece.index == 5 and ws.degenerate_top:
-                status = np.where(np.linalg.norm(t, axis=1) <= ws.eps, -1, 0)
-            else:
-                status = ws.slices[piece.index].classify(t, ws.eps)
-            assert np.array_equal(piece.status, status)
-            # each index's keys increase strictly, within and across chunks
-            assert np.all(np.diff(piece.keys) > 0)
-            assert len(piece.keys) == 0 or piece.keys[0] > last[piece.index]
-            if len(piece.keys):
-                last[piece.index] = piece.keys[-1]
+            # every label a piece holds is accepted by its own window
+            assert np.all(accept_2d_bulk(labels, shift, ws, basis) == 1)
+            found[piece.index].append(piece.keys)
     assert chunks == 17
     assert (c == 0) == ws.degenerate_top
+    for index in range(1, 6):
+        # each index's keys, chunk after chunk, are the box's accepted keys,
+        # strictly increasing
+        expected = np.unique(label_keys(cand[label_index(cand) == index], R))
+        assert np.array_equal(np.concatenate(found[index]), expected)
+    # the c = 0 index-5 window is a point, which accepts nothing
+    assert (len(np.concatenate(found[5])) == 0) == (c == 0)
 
 
 def test_enumerate_3d_matches_naive(Q, basis):
