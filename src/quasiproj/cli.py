@@ -57,8 +57,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="label-box half-width (default 20)")
         sp.add_argument("--tol", type=float, default=1e-9,
                         help="absolute boundary tolerance (default 1e-9)")
-        sp.add_argument("--index", type=int, default=None,
-                        help="restrict 'windows' output to one slice index")
+        if mode == "windows":
+            sp.add_argument("--index", type=int, default=None,
+                            help="restrict the output to one slice index")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
@@ -82,11 +83,11 @@ def _config_from_args(args) -> RunConfig:
         raise ConfigError(f"--radius must lie in [1, {MAX_KEY_RADIUS}], got {args.radius}")
     if not 0.0 < args.tol < math.inf:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
-    if args.index is not None and not 1 <= args.index <= 5:
-        raise ConfigError(f"--index must lie in [1, 5], got {args.index}")
+    index = getattr(args, "index", None)  # only the windows mode takes one
+    if index is not None and not 1 <= index <= 5:
+        raise ConfigError(f"--index must lie in [1, 5], got {index}")
     return RunConfig(mode=args.mode, c=args.c, gamma=gamma, seed=args.seed,
-                     radius=args.radius, tol=args.tol, index=args.index,
-                     out=args.out)
+                     radius=args.radius, tol=args.tol, index=index, out=args.out)
 
 
 def _emit(config: RunConfig, content: str) -> None:

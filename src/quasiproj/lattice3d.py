@@ -33,7 +33,7 @@ from .errors import (CensusViolationError, ConfigError, ConsistencyError,
                      SingularityError)
 from .geometry import BASIS, DEFAULT_EPS, PHI
 from .window import (CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES,
-                     GridShift, accept_3d_bulk, d_test_points, label_keys,
+                     GridShift, _key_weights, accept_3d_bulk, label_columns,
                      scan_tip_columns)
 
 #: overlap classes keyed by (neighbor count, K count, J count)
@@ -226,28 +226,28 @@ def overlap_census(radius: int, shift: GridShift,
     total = 0
     neighbor_error = None
     outside = []  # (key, message) of the least-key offending tip of a chunk
-    for reps, _ in scan_tip_columns(M, shift, eps):
-        spread = reps.max(axis=1) - reps.min(axis=1)
+    for points, keys, spread, _ in scan_tip_columns(M, shift, eps):
         weight = 2 * (M - TIP_MARGIN) + 1 - spread
-        inner, weight = reps[weight > 0], weight[weight > 0]
+        points, keys, weight = points[:, weight > 0], keys[weight > 0], weight[weight > 0]
         total += int(weight.sum())
-        if neighbor_error or not len(inner):
+        if neighbor_error or not len(weight):
             continue
         try:
-            sigs = overlap_signatures(d_test_points(inner, shift), eps)
+            sigs = overlap_signatures(points.T, eps)
         except SingularityError as exc:
             # the scan may still raise for a later chunk, which comes first
             neighbor_error = exc
             continue
         cls = _CLASS_OF_CODE[11 * sigs[:, 1] + sigs[:, 2]]
         if np.any(cls < 0):
-            # the first boundary-complete tip of each offending column
+            # the first boundary-complete tip of each offending column, TIP_MARGIN
+            # steps k -> k + (1,1,1,1,1) after the column's first member
             bad = np.flatnonzero(cls < 0)
-            first = inner[bad] - (M - TIP_MARGIN + inner[bad].min(axis=1))[:, None]
-            keys = label_keys(first, M)
-            i = int(np.argmin(keys))
-            outside.append((int(keys[i]),
-                            f"tip {tuple(first[i].tolist())} has overlap signature "
+            first = keys[bad] + TIP_MARGIN * _key_weights(M).sum()
+            i = int(np.argmin(first))
+            tip = tuple(int(k) for k in label_columns(first[i], M))
+            outside.append((int(first[i]),
+                            f"tip {tip} has overlap signature "
                             f"{tuple(sigs[bad[i]].tolist())}, outside the five known classes"))
             continue
         tally += np.bincount(cls, weights=weight, minlength=len(_CLASSES))

@@ -422,9 +422,9 @@ class _LineScan(NamedTuple):
 #: at radius 35).  `qc freq` and `qc overlap-census` hold one chunk of their
 #: scan, not its labels: `qc freq` peaks ~0.5 MB higher at radius 200 than
 #: at radius 5 (38.7 against 38.2 MB, medians of 7), and the census at
-#: 33.0 MB from radius 20 to 57 (32.5 MB at radius 5).  Their
-#: refusal radii still follow BYTES_PER_LABEL, and both 3-d modes check the
-#: lattice's estimate, so they refuse the same radii.
+#: 38.1 MB at radius 20 and 38.5 MB at radius 57 (37.8 MB at radius 5,
+#: medians of 7).  Their refusal radii still follow BYTES_PER_LABEL, and
+#: both 3-d modes check the lattice's estimate, so they refuse the same radii.
 MEMORY_BUDGET = 4 * 10 ** 9
 BYTES_PER_LABEL = 320
 
@@ -452,7 +452,11 @@ def _check_budget(radius: int, rows: int, windows, a: np.ndarray,
 #: lives for one chunk, so its working set does not grow with the radius: a
 #: 2-d chunk tests at most ~8,400 labels at c = 0.5 (8,357 at radius 200),
 #: and the traced peak of `qc freq`'s tally is about 1.0 MB at radius 100,
-#: that of the overlap census about 1.4 MB at radius 57.
+#: that of the overlap census about 0.75 MB at radius 57.  At 256, 1024 and
+#: 4096 rows, `qc freq --radius 80` peaks at 37.9, 38.2 and 41.4 MB in 0.51,
+#: 0.39 and 0.34 s, and `qc overlap-census --radius 20` at 37.4, 37.8 and
+#: 39.2 MB in 0.28-0.29 s (ru_maxrss, medians of 11, 2 vCPUs): fewer rows
+#: save little memory, and more cost it.
 SCAN_ROWS = 1024
 
 
@@ -605,29 +609,30 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet
 
 
 def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
-                     ) -> Iterator[tuple[np.ndarray, int]]:
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
     """Decide every column of the box [-radius, radius]^5 against the
     decagon and the inner decagon, SCAN_ROWS rows of (a0, a1) at a time.
 
-    Yields, per chunk, (its tip columns' representatives (n, 5), the number
-    of lattice points in its columns).  The representatives come in key
-    order, chunk after chunk.  Since sum_j d_j = 0, the labels
-    k + n (1,1,1,1,1) of a column share one test point, so one decagon test
-    and one inner-decagon test decide the whole column.  That holds in
-    exact arithmetic; the float test points of a column's labels differ by
-    about 1e-14 at radius 20.  A column is named by its representative
-    a = k - k4 (1,1,1,1,1), whose a4 is 0.  With spread s = max(a) - min(a),
-    both taken with 0, it meets the box when s <= 2 radius, in the
+    Yields, per chunk, (points (2, n), keys, spread, n_points): the test
+    point (as x and y rows), first member's key and spread of each of its
+    tip columns, and the number of lattice points in all its columns.
+    Since sum_j d_j = 0, the labels k + n (1,1,1,1,1) of a column share one
+    test point (in floats, to about 1e-14 at radius 20), so one test
+    against each decagon decides the whole column.  A column is named by
+    its representative a = k - k4 (1,1,1,1,1).  With spread
+    s = max(a) - min(a), both taken with 0, it meets the box in the
     2 radius + 1 - s labels a + n (1,1,1,1,1),
-    -radius - min(a) <= n <= radius - max(a).  The scan fixes (a0, a1) in
-    [-2 radius, 2 radius]^2 and scan-converts (a2, a3).
+    -radius - min(a) <= n <= radius - max(a).  The first has the key
+    a . w - min(a) sum(w), w = _key_weights(radius), and each next one
+    sum(w) more.  The scan fixes (a0, a1) in [-2 radius, 2 radius]^2 and
+    scan-converts (a2, a3); as in scan_2d, a column's test point
+    t0 + a2 d2 + a3 d3 and its key follow from its scan line and a3.
 
     Raises ConfigError, before anything is allocated, if the lattice would
     not fit in MEMORY_BUDGET.  A chunk that holds a singular label is not
-    yielded, nor is any after it; the scan runs on, and after the last
-    chunk raises SingularityError naming the first label within eps of the
-    decagon boundary, then the first within eps of the inner decagon
-    boundary.
+    yielded, nor is any after it; after the last chunk the scan raises
+    SingularityError naming the first label within eps of the decagon
+    boundary, then the first within eps of the inner decagon boundary.
     """
     M, S = int(radius), 2 * int(radius)
     side = 2 * S + 1
@@ -635,6 +640,7 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
     _check_budget(M, (2 * M + 1) ** 3, [DECAGON.window], d[3], d[4])
     scan = _LineScan.of(d[2], d[3], DECAGON.window, eps + _SCAN_SLACK)
     gamma_d = shift.gamma @ d
+    weights = _key_weights(M)
 
     def scan_rows(rows):
         a0, a1 = rows // side - S, rows % side - S
@@ -643,39 +649,31 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
         meets = hi - lo <= S
         a0, a1, hi, lo = a0[meets], a1[meets], hi[meets], lo[meets]
         t0 = np.outer(a0, d[0]) + np.outer(a1, d[1]) - gamma_d
+        row_key = a0 * weights[0] + a1 * weights[1]
         row, a2, v_lo, v_hi = scan(t0, S)
         hi, lo = np.maximum(hi[row], a2), np.minimum(lo[row], a2)
         meets = hi - lo <= S
         row, a2, v_lo, v_hi, hi, lo = (x[meets] for x in (row, a2, v_lo, v_hi, hi, lo))
-        # a3 keeps the spread within 2 radius; (a0, a1) ascend over the rows
-        # and a2, a3 within each, so the columns come out in key order
-        sub, a3 = _expand(*_integer_span(v_lo, v_hi, hi - S, lo + S))
-        row = row[sub]
-        reps = np.column_stack([a0[row], a1[row], a2[sub], a3, np.zeros_like(a3)])
-        hi, lo = np.maximum(hi[sub], a3), np.minimum(lo[sub], a3)
-        # a column's first member has the least key of its labels
-        first = reps - (M + lo)[:, None]
-        pts = d_test_points(reps, shift)
-        status = DECAGON.window.classify(pts, eps)
-        inner = DECAGON.inner.classify(pts, eps)
-        n_points = int(np.sum((2 * M + 1 - (hi - lo))[status == 1]))
-        singular = (label_keys(first[status == -1], M), label_keys(first[inner == -1], M))
-        return (reps[inner == 1], n_points), singular
+        # a3 keeps the spread within 2 radius
+        line, a3 = _expand(*_integer_span(v_lo, v_hi, hi - S, lo + S))
+        lo = np.minimum(lo[line], a3)
+        spread = np.maximum(hi[line], a3) - lo
+        keys = (row_key[row] + a2 * weights[2])[line] + a3 * weights[3] - lo * weights.sum()
+        pts = np.empty((2, len(a3)))
+        for j, xy in enumerate(pts):
+            np.multiply(a3, d[3, j], out=xy)
+            xy += (t0[row, j] + a2 * d[2, j])[line]
+        del row, a2, hi, lo, line, a3
+        status = DECAGON.window.classify(pts.T, eps)
+        inner = DECAGON.inner.classify(pts.T, eps)
+        n_points = int(np.sum((2 * M + 1 - spread)[status == 1]))
+        tip = inner == 1
+        return ((pts[:, tip], keys[tip], spread[tip], n_points),
+                (keys[status == -1], keys[inner == -1]))
 
     yield from _scan_chunks(side ** 2, scan_rows,
                             ("the decagon boundary", "the inner decagon boundary"),
                             shift, M)
-
-
-def tip_columns(radius: int, shift: GridShift,
-                eps: float = DEFAULT_EPS) -> tuple[np.ndarray, int]:
-    """The tip columns of the box [-radius, radius]^5, in key order:
-    (representatives (n, 5), number of lattice points in the box).
-
-    Collects the chunks of scan_tip_columns, and raises as it does.
-    """
-    reps, counts = zip(*scan_tip_columns(radius, shift, eps))
-    return np.concatenate(reps), sum(counts)
 
 
 def enumerate_tips(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
@@ -684,20 +682,19 @@ def enumerate_tips(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
     number of lattice points in the box).
 
     Tips are the lattice points whose test point falls strictly inside the
-    inner decagon.  The labels of a column k + n (1,1,1,1,1) share one test
-    point, so tip_columns decides each column once and the tips are the
-    members of its tip columns; the lattice is never held.  Raises
-    ConfigError if the lattice would not fit in MEMORY_BUDGET, then
-    SingularityError for the first label within eps of the decagon
-    boundary, then for the first within eps of the inner decagon boundary.
+    inner decagon: the members of the tip columns of scan_tip_columns,
+    whose keys follow from their first member's.  One sort puts the keys in
+    order, and the labels are decoded from them; the lattice is never held.
+    Raises as scan_tip_columns does.
     """
     M = int(radius)
-    reps, n_points = tip_columns(M, shift, eps)
-    row, n = _expand(-M - reps.min(axis=1), M - reps.max(axis=1))
-    tips = reps[row] + n[:, None]
-    keys = label_keys(tips, M)
-    order = np.argsort(keys)
-    return tips[order], keys[order], n_points
+    keys, n_points = [], 0
+    for _, first, spread, count in scan_tip_columns(M, shift, eps):
+        column, n = _expand(np.zeros_like(spread), 2 * M - spread)
+        keys.append(first[column] + n * _key_weights(M).sum())
+        n_points += count
+    keys = np.sort(np.concatenate(keys))
+    return np.column_stack(label_columns(keys, M)), keys, n_points
 
 
 #: largest box half-width whose label keys fit in int64, (2R+1)^5 < 2^63

@@ -169,17 +169,6 @@ def accept_2d_bulk(labels, shift, wset, basis):
     return status
 
 
-def key_member(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Whether each query key is in the sorted key array, by a binary search
-    per query; -1 never is."""
-    query = np.asarray(query, dtype=np.int64)
-    if len(keys) == 0:
-        return np.zeros(query.shape, dtype=bool)
-    rows = np.searchsorted(keys, query)
-    np.minimum(rows, len(keys) - 1, out=rows)
-    return keys[rows] == query
-
-
 def label_rows(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Row of each query key in the sorted key array, -1 where it is absent."""
     query = np.asarray(query, dtype=np.int64)
@@ -220,7 +209,7 @@ def neighbor_counts(labels, keys, radius):
     if np.any(base[1:] <= base[:-1]):
         raise ValueError("labels must be distinct and in key order")
     steps = np.eye(5, dtype=np.int64) @ _key_weights(radius)
-    return tuple(sum(key_member(keys, base + sign * step) for step in steps)
+    return tuple(sum(label_rows(keys, base + sign * step) >= 0 for step in steps)
                  for sign in (1, -1))
 
 
@@ -435,7 +424,7 @@ def overlap_signatures_by_keys(inner, tips, radius):
     hits = {}
     for shape, m in OVERLAP_OFFSETS.items():
         # inner tips in key order make each offset's queries one sorted run
-        hits[shape] = sum(key_member(tip_keys, inner_keys + delta)
+        hits[shape] = sum(label_rows(tip_keys, inner_keys + delta) >= 0
                           for delta in m @ _key_weights(radius))
     return np.column_stack([hits["K"] + hits["J"], hits["K"], hits["J"]])
 

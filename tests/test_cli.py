@@ -174,6 +174,19 @@ def test_config_errors():
     assert run(["freq", "--format", "csv"]) == 2  # no such flag
 
 
+@pytest.mark.parametrize("mode", ["tiling2d", "freq", "lattice3d", "overlap-census"])
+def test_only_the_windows_mode_takes_an_index(mode, caplog):
+    # an --index the mode would ignore is refused, not echoed back
+    with caplog.at_level(logging.INFO, logger="qc"):
+        assert run([mode, "--radius", "5", "--index", "2"]) == 2
+    assert "resolved config" not in caplog.text
+    with caplog.at_level(logging.INFO, logger="qc"):
+        assert run([mode, "--radius", "5"]) == 0
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("resolved config: ")]
+    assert json.loads(lines[0].partition(": ")[2])["index"] is None
+
+
 def test_explicit_gamma_passthrough(tmp_path):
     out = tmp_path / "freq.csv"
     code = run(["freq", "--gamma", "0.1,0.1,0.1,0.1,0.1", "--radius", "8",

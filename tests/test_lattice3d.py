@@ -11,8 +11,9 @@ from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
                                  OVERLAP_SIGNATURES, build_cells, overlap_census,
                                  overlap_signatures)
 from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, accept_3d_bulk,
-                              d_test_points, enumerate_tips, label_extent, label_keys,
-                              normalize_shift, random_shift, tip_columns)
+                              _key_weights, d_test_points, enumerate_tips, label_columns,
+                              label_extent, label_keys, normalize_shift, random_shift,
+                              scan_tip_columns)
 
 from helpers import (VOLUME_FLOOR, benchmark_gamma, build_lattice3,
                      convex_intersection, enumerate_accepted_3d, fan_triangles,
@@ -617,9 +618,34 @@ def test_the_members_of_a_column_share_one_decision(shift, radius, Q, basis):
     assert np.array_equal(members[column], 2 * radius + 1 - spread)
 
 
+def _tip_scan(radius, shift, eps=1e-9):
+    """scan_tip_columns's chunks joined: (points (2, n), keys, spread, n_points)."""
+    points, keys, spread, counts = zip(*scan_tip_columns(radius, shift, eps))
+    return (np.concatenate(points, axis=1), np.concatenate(keys),
+            np.concatenate(spread), sum(counts))
+
+
+@pytest.mark.parametrize("shift", [normalize_shift(benchmark_gamma(0.2, 0)),
+                                   random_shift(0.9, 6)])
+def test_tip_scan_yields_each_columns_test_point_first_member_and_spread(shift):
+    # the keys decode to each tip column's least member in the box: one
+    # more step down its column, k - (1,1,1,1,1), leaves the box
+    radius = 20
+    points, keys, spread, n_points = _tip_scan(radius, shift)
+    first = np.column_stack(label_columns(keys, radius))
+    assert len(first) > 1000 and n_points > len(first)
+    assert np.array_equal(label_keys(first, radius), keys)
+    assert np.all(first.min(axis=1) == -radius)
+    assert np.max(np.abs(points.T - d_test_points(first, shift))) < 1e-12
+    # the spread is that of the representative a = k - k4 (1,1,1,1,1), 0 included
+    rep = first - first[:, 4:]
+    assert np.array_equal(spread, np.maximum(rep.max(axis=1), 0) - np.minimum(rep.min(axis=1), 0))
+
+
 def test_tip_scan_chunks_leave_every_result_unchanged(Q, basis, monkeypatch):
     shift = normalize_shift(benchmark_gamma(0.2, 0))
-    reps, n_points = tip_columns(20, shift)
+    columns = _tip_scan(20, shift)
+    tips = enumerate_tips(20, shift)
     census = overlap_census(20, shift)
     # at tol 1e-3 this draw has a label within eps of the inner decagon in
     # an earlier chunk of 37 rows than the first within eps of the decagon,
@@ -632,10 +658,11 @@ def test_tip_scan_chunks_leave_every_result_unchanged(Q, basis, monkeypatch):
     assert _named_label(singular.value) == _named_label(expected.value)
     for rows in (37, 400):
         monkeypatch.setattr(qp.window, "SCAN_ROWS", rows)
-        got, got_points = tip_columns(20, shift)
-        assert np.array_equal(got, reps) and got_points == n_points
+        got = _tip_scan(20, shift)
+        assert all(np.array_equal(a, b) for a, b in zip(got, columns))
+        assert all(np.array_equal(a, b) for a, b in zip(enumerate_tips(20, shift), tips))
         assert overlap_census(20, shift) == census
-        for run in (lambda: tip_columns(10, singular_shift, 1e-3),
+        for run in (lambda: enumerate_tips(10, singular_shift, 1e-3),
                     lambda: overlap_census(10, singular_shift, 1e-3)):
             with pytest.raises(SingularityError) as got_error:
                 run()
@@ -732,13 +759,14 @@ def test_overlap_signatures_match_the_key_oracle_at_the_benchmark_box():
     # merging the key of its first boundary-complete tip with the keys of
     # every tip of the box
     shift = normalize_shift(benchmark_gamma(0.2, 0))
-    reps, _ = tip_columns(20, shift)
+    points, keys, spread, _ = _tip_scan(20, shift)
     tips, _, _ = enumerate_tips(20, shift)
-    inner = reps[reps.max(axis=1) - reps.min(axis=1) <= 2 * 17]
-    assert len(inner) == 2673
-    first = inner - (17 + inner.min(axis=1))[:, None]
+    inner = spread <= 2 * 17
+    assert np.count_nonzero(inner) == 2673
+    # three steps along the column from its first member in the box
+    first = np.column_stack(label_columns(keys[inner] + 3 * _key_weights(20).sum(), 20))
     assert label_extent(first).max() == 17
-    assert np.array_equal(overlap_signatures(d_test_points(inner, shift)),
+    assert np.array_equal(overlap_signatures(points[:, inner].T),
                           overlap_signatures_by_keys(first, tips, 20))
 
 
@@ -755,7 +783,7 @@ def test_overlap_signatures_match_one_classify_per_offset(eps):
     # around the inner decagon; at eps 1e-3 some of them are singular, and
     # both versions must then name the same neighbour
     rng = np.random.default_rng(5)
-    batches = [d_test_points(tip_columns(8, shift, 1e-9)[0], shift)
+    batches = [_tip_scan(8, shift)[0].T
                for shift in (random_shift(0.2, 0), random_shift(0.5, 3),
                              random_shift(0.9, 7))]
     batches += [rng.uniform(-0.7, 0.7, (n, 2)) for n in (1, 2, 50, 400, 3000)]

@@ -16,7 +16,7 @@ from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               slice_window)
 
 from helpers import (accept_2d_bulk, benchmark_gamma, enumerate_accepted_3d,
-                     fan_triangles, key_member, label_rows, lambda_box_candidates_2d,
+                     fan_triangles, label_rows, lambda_box_candidates_2d,
                      lambda_box_candidates_3d, mesh_margin_2d, mesh_margin_3d,
                      mesh_solution_2d, moved_shift, neighbor_counts, polygon_area,
                      step_rows)
@@ -564,7 +564,7 @@ def test_enumerators_return_strictly_increasing_keys(c, Q, basis, windows_for):
         assert np.array_equal(test_points, d_test_points(labels, shift))
 
 
-def test_key_member_matches_binary_search(windows_for):
+def test_label_rows_match_a_set_of_the_keys(windows_for):
     unit = np.eye(5, dtype=np.int64)
     left_box = 0
     for c in (0.0, 0.5):
@@ -572,21 +572,24 @@ def test_key_member_matches_binary_search(windows_for):
             labels, _, keys = enumerate_accepted_2d(R, random_shift(c, 4),
                                                     windows_for(c))
             assert np.any(np.abs(labels).max(axis=1) == R)  # box-edge labels
+            members = set(keys.tolist())
             for sign in (1, -1):
                 steps = step_rows(labels, keys, R, sign)
                 for m in range(5):
                     # -1 where the step leaves the box
                     query = label_keys(labels + sign * unit[m], R)
                     left_box += np.sum(query == -1)
-                    member = key_member(keys, query)
-                    assert np.array_equal(member, label_rows(keys, query) >= 0)
-                    assert np.array_equal(member, steps[:, m] >= 0)
+                    member = np.array([q in members for q in query.tolist()])
+                    rows = label_rows(keys, query)
+                    assert np.array_equal(rows >= 0, member)
+                    assert np.array_equal(keys[rows[member]], query[member])
+                    assert np.array_equal(steps[:, m] >= 0, member)
     assert left_box > 0
     empty = np.empty(0, dtype=np.int64)
-    assert not np.any(key_member(empty, keys))
-    assert key_member(empty, keys).shape == keys.shape
-    assert key_member(keys, empty).shape == (0,)
-    assert key_member(empty, empty).shape == (0,)
+    assert np.all(label_rows(empty, keys) == -1)
+    assert label_rows(empty, keys).shape == keys.shape
+    assert label_rows(keys, empty).shape == (0,)
+    assert label_rows(empty, empty).shape == (0,)
 
 
 def test_neighbor_counts_needs_labels_in_key_order(windows_for):
