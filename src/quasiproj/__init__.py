@@ -22,9 +22,11 @@ _EXPORTS = {
     "geometry": ("BASIS", "DEFAULT_EPS", "PHI", "THETA", "ConvexWindow",
                  "ProjectionBasis", "make_basis"),
     "window": ("CUBE_VERTICES", "DECAGON", "POLYTOPE", "DecagonQ", "GridShift",
-               "PolytopeP", "WindowSet", "build_decagon_Q", "build_polytope_P",
-               "build_windows", "enumerate_accepted_2d", "enumerate_tips",
-               "label_keys", "normalize_shift", "random_shift", "slice_window"),
+               "PolytopeP", "build_decagon_Q", "build_polytope_P", "normalize_shift",
+               "random_shift"),
+    "scan": ("label_keys",),
+    "scan2d": ("WindowSet", "build_windows", "enumerate_accepted_2d", "slice_window"),
+    "tipscan": ("enumerate_tips",),
     "pentagrid": ("PentagridTiling", "enumerate_intersections",
                   "k_vector_2d", "k_vector_3d", "tiling_from_pentagrid"),
     "tiling2d": ("CENSUS", "FrequencyReport", "VertexType", "analytic_A",

@@ -20,11 +20,12 @@ from .errors import (ConfigError, EmptyWindowError, QcError, SingularConfigError
 from .io import (MAX_SHIFT_DRAWS, RunConfig, build_tiling_document, cells_obj,
                  frequency_csv, overlap_csv, render_svg, shift_draws,
                  window_document, write_json, write_text)
-from .window import (DECAGON, MAX_KEY_RADIUS, POLYTOPE, build_windows,
-                     enumerate_tips, label_extent, slice_window)
+from .scan import MAX_KEY_RADIUS, label_extent
+from .window import DECAGON, POLYTOPE
 
-# tiling2d and lattice3d are imported in their modes' branches of _run_mode,
-# so a run neither compiles nor loads the module of another mode
+# scan2d, tiling2d, tipscan and lattice3d are imported in their modes'
+# branches of _run_mode, so a run neither compiles nor loads the scan or the
+# module of another mode
 
 log = logging.getLogger("qc")
 
@@ -83,6 +84,18 @@ def _config_from_args(args) -> RunConfig:
         raise ConfigError(f"--radius must lie in [1, {MAX_KEY_RADIUS}], got {args.radius}")
     if not 0.0 < args.tol < math.inf:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
+    if gamma != "auto":
+        # the windows are cut at c = sum(gamma) mod 1, which must be known
+        # to within the boundary tolerance
+        total = sum(gamma)
+        if not math.isfinite(total):
+            raise ConfigError(f"--gamma {args.gamma!r} sums to {total}, so c is unknown")
+        coarsest = max(gamma, key=math.ulp)
+        if math.ulp(coarsest) > args.tol:
+            raise ConfigError(
+                f"--gamma component {coarsest!r} has a float spacing of "
+                f"{math.ulp(coarsest):.3g}, above --tol {args.tol}, so c is unknown "
+                "to within the tolerance")
     index = getattr(args, "index", None)  # only the windows mode takes one
     if index is not None and not 1 <= index <= 5:
         raise ConfigError(f"--index must lie in [1, 5], got {index}")
@@ -118,6 +131,7 @@ def _check_tol(tol: float, wset=None, decagons: bool = False) -> None:
 
 def _run_mode(config: RunConfig) -> None:
     if config.mode == "windows":
+        from .scan2d import build_windows, slice_window
         log.info("resolved config: %s", config.to_json())
         wset = build_windows(POLYTOPE, config.c, config.tol)
         _check_tol(config.tol, wset, decagons=True)
@@ -133,6 +147,7 @@ def _run_mode(config: RunConfig) -> None:
     def produce(shift) -> tuple[str, list]:
         """The mode's output for one shift, and the (level, line)s to log after it."""
         if config.mode in ("tiling2d", "freq"):
+            from .scan2d import build_windows
             wset = build_windows(POLYTOPE, shift.c, config.tol)
             _check_tol(config.tol, wset)
             if config.mode == "tiling2d":
@@ -144,6 +159,7 @@ def _run_mode(config: RunConfig) -> None:
         _check_tol(config.tol, decagons=True)
         if config.mode == "lattice3d":
             from .lattice3d import TIP_MARGIN, build_cells
+            from .tipscan import enumerate_tips
             tips, _, n_points = enumerate_tips(config.radius, shift, config.tol)
             inner = tips[label_extent(tips) <= config.radius - TIP_MARGIN]
             cells = build_cells(inner, shift, config.tol)

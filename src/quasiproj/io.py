@@ -15,12 +15,12 @@ import numpy as np
 
 from .errors import ConfigError, ConsistencyError
 from .geometry import BASIS, DEFAULT_EPS
-from .window import (DECAGON, POLYTOPE, GridShift, WindowSet, _key_weights,
-                     label_columns, label_extent, label_index, label_keys,
-                     normalize_shift, random_shift, scan_2d)
+from .scan import _key_weights, label_columns, label_extent, label_index, label_keys
+from .window import DECAGON, POLYTOPE, GridShift, normalize_shift, random_shift
 
-if TYPE_CHECKING:  # each mode loads only the module it runs
+if TYPE_CHECKING:  # each mode loads only the modules it runs
     from .lattice3d import OverlapCensus
+    from .scan2d import WindowSet
     from .tiling2d import FrequencyReport
 
 
@@ -102,6 +102,7 @@ def build_tiling_document(radius: int, shift: GridShift,
     if eps is too small for the masks to be the scan's decisions, and
     ConsistencyError if an upper end is not an accepted label.
     """
+    from .scan2d import scan_2d
     from .tiling2d import check_eps, neighbor_masks
 
     check_eps(radius, wset)

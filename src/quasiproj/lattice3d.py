@@ -32,9 +32,10 @@ import numpy as np
 from .errors import (CensusViolationError, ConfigError, ConsistencyError,
                      SingularityError)
 from .geometry import BASIS, DEFAULT_EPS, PHI
+from .scan import _key_weights, label_columns
+from .tipscan import scan_tip_columns
 from .window import (CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES,
-                     GridShift, _key_weights, accept_3d_bulk, label_columns,
-                     scan_tip_columns)
+                     GridShift, accept_3d_bulk)
 
 #: overlap classes keyed by (neighbor count, K count, J count)
 OVERLAP_SIGNATURES = {

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import SingularityError
 from .geometry import BASIS, DEFAULT_EPS
-from .window import GridShift, label_extent, label_keys
+from .scan import label_extent, label_keys
+from .window import GridShift
 
 
 def grid_values_2d(points: np.ndarray, shift: GridShift) -> np.ndarray:

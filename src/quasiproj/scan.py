@@ -1,0 +1,240 @@
+"""Label-box enumeration by scan conversion: the line scan, chunking, the
+memory budget and the label keys that the 2-d scan and the tip scan share.
+
+Fix all but two label coordinates (u, v).  The test point is then affine in
+them, t0 + u a + v b, and one-to-one, so the labels a window accepts are the
+integer points of a convex polygon in the (u, v) plane.  Each enumerator
+scans that polygon, widened by eps plus a float slack so the whole singular
+band |d| <= eps is inside it, and tests every point it finds against the
+window.  Candidates are then accepted labels, rejects within the slack of
+the window, and singular labels, which raise.
+  2-d (`scan2d`):  fix (k0, k1, I) and scan (k2, k3);
+                   k4 = I - k0 - k1 - k2 - k3.
+  3-d (`tipscan`): the labels k + n (1,1,1,1,1) of a column share one test
+                   point, so the scan runs over column representatives
+                   a = k - k4 (1,1,1,1,1): fix (a0, a1) and scan (a2, a3).
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterator
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import ConfigError, SingularityError
+from .geometry import ConvexWindow
+
+#: how far past eps a scan reaches, far above the float error of its bounds
+_SCAN_SLACK = 1e-6
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, value) for every integer value in [lo[row], hi[row]], in row order."""
+    counts = np.maximum(hi - lo + 1, 0)
+    row = np.repeat(np.arange(len(lo)), counts)
+    start = np.cumsum(counts) - counts
+    return row, lo[row] + (np.arange(len(row)) - start[row])
+
+
+def _integer_span(lo: np.ndarray, hi: np.ndarray, box_lo, box_hi):
+    """Integer bounds of the real intervals [lo, hi] within [box_lo, box_hi]."""
+    # np.minimum of np.maximum, which is np.clip without its Python wrapper
+    lo = np.ceil(np.minimum(np.maximum(lo, box_lo), box_hi + 1)).astype(np.int64)
+    hi = np.floor(np.minimum(np.maximum(hi, box_lo - 1), box_hi)).astype(np.int64)
+    return lo, hi
+
+
+class _LineScan(NamedTuple):
+    """Scan conversion of a convex window, widened by `reach`, in label
+    coordinates (u, v), where (u, v) moves a test point by u a + v b.
+
+    What depends only on the window and the steps is fixed once, by `of`;
+    each call scans the rows of one t0.
+    """
+
+    a: np.ndarray
+    inv_u: np.ndarray    # u = inv_u . (t - t0)
+    u_lo: float          # the widened window's extent in u
+    u_hi: float
+    normals: np.ndarray  # edges bounding v from above, from below, then parallel to b
+    room: np.ndarray     # offsets + reach, as a column
+    slope: np.ndarray    # normals . b, as a column
+    up: int              # the number of edges that bound v from above
+    down: int            # ... and the number that bound it from either side
+
+    @classmethod
+    def of(cls, a: np.ndarray, b: np.ndarray, window: ConvexWindow,
+           reach: float) -> "_LineScan":
+        normals = window.normals
+        # row 0 of the inverse of [a b], which needs no LAPACK call
+        inv_u = np.array([b[1], -b[0]]) / (a[0] * b[1] - a[1] * b[0])
+        # widening moves a vertex out by reach / cos(half its turning angle)
+        turn = np.einsum("ij,ij->i", normals, np.roll(normals, -1, axis=0))
+        push = reach / np.sqrt((1.0 + turn.min()) / 2.0) * np.linalg.norm(inv_u)
+        vertex_u = window.polygon @ inv_u
+        slope = normals @ b
+        up, down = slope >= 1e-12, slope <= -1e-12
+        order = np.concatenate([np.flatnonzero(up), np.flatnonzero(down),
+                                np.flatnonzero(~(up | down))])
+        return cls(a, inv_u, vertex_u.min() - push, vertex_u.max() + push,
+                   normals[order], (window.offsets + reach)[order, None],
+                   slope[order, None], int(up.sum()), int(up.sum() + down.sum()))
+
+    def __call__(self, t0: np.ndarray, radius: int):
+        """(row, u, v_lo, v_hi): for each row of t0, the test point of
+        (u, v) = (0, 0), every u in [-radius, radius] whose line can meet the
+        widened window, with the real v interval where it does (empty when
+        v_lo > v_hi)."""
+        u0 = t0 @ self.inv_u
+        u_lo, u_hi = _integer_span(self.u_lo - u0, self.u_hi - u0, -radius, radius)
+        row, u = _expand(u_lo, u_hi)
+        t = t0[row] + u[:, None] * self.a
+        # slope * v must not exceed room, per (edge, line)
+        room = self.normals @ t.T
+        np.subtract(self.room, room, out=room)
+        limit = room[:self.down]
+        limit /= self.slope[:self.down]
+        v_hi = limit[:self.up].min(axis=0)
+        v_lo = limit[self.up:].max(axis=0)
+        if self.down < len(room):  # an edge parallel to b: all or nothing
+            v_hi[(room[self.down:] < 0).any(axis=0)] = -np.inf
+        return row, u, v_lo, v_hi
+
+
+#: memory an enumeration may plan for, and what a qc run holds at its peak per
+#: accepted label (ru_maxrss above the start: ~320 B for the whole 3-d lattice
+#: at radius 35).  `qc freq` and `qc overlap-census` hold one chunk of their
+#: scan, not its labels: `qc freq` peaks ~0.5 MB higher at radius 200 than
+#: at radius 5 (32.2 against 31.8 MB), and the census at 31.9 MB at radius
+#: 20 and 32.2 MB at radius 57 (31.4 MB at radius 5; medians of 7, auto
+#: gamma).  Their refusal radii still follow BYTES_PER_LABEL, and both 3-d
+#: modes check the lattice's estimate, so they refuse the same radii.
+MEMORY_BUDGET = 4 * 10 ** 9
+BYTES_PER_LABEL = 320
+
+
+def _check_budget(radius: int, rows: int, windows, a: np.ndarray,
+                  b: np.ndarray) -> None:
+    """Refuse a box whose accepted labels would not fit in MEMORY_BUDGET.
+
+    The scan meets `rows` lines of fixed label coordinates, and on each it
+    tests the integer (u, v) of the windows, where a unit step in u and in v
+    moves the test point by a and b.  So rows times their total area over
+    |a x b| estimates the accepted count before anything is allocated.
+    """
+    area = sum(w.area for w in windows)
+    estimate = rows * area / abs(float(a[0] * b[1] - a[1] * b[0]))
+    if estimate * BYTES_PER_LABEL > MEMORY_BUDGET:
+        raise ConfigError(
+            f"radius {radius} would accept about {estimate:.3g} labels, "
+            f"{estimate * BYTES_PER_LABEL / 1e9:.3g} GB at {BYTES_PER_LABEL} B each, "
+            f"above the {MEMORY_BUDGET / 1e9:g} GB budget; use a smaller radius")
+
+
+#: rows per chunk of a scan: (k0, k1) rows in 2-d, (a0, a1) rows of column
+#: representatives in 3-d.  Everything a scan holds per row, line or label
+#: lives for one chunk, so its working set does not grow with the radius: a
+#: 2-d chunk tests at most ~8,400 labels at c = 0.5 (8,357 at radius 200),
+#: and the traced peak of `qc freq`'s tally is about 1.0 MB at radius 100,
+#: that of the overlap census about 0.75 MB at radius 57.  At 256, 1024 and
+#: 4096 rows, `qc freq --radius 80` peaks at 31.8, 32.3 and 35.6 MB in 0.51,
+#: 0.38 and 0.36 s, and `qc overlap-census --radius 20` at 31.4, 31.9 and
+#: 34.1 MB in 0.27-0.29 s (ru_maxrss, medians of 7, auto gamma, 2 vCPUs):
+#: fewer rows save little memory, and more cost it.
+SCAN_ROWS = 1024
+
+
+def _scan_chunks(n_rows: int, scan_rows, boundaries: tuple, shift,
+                 radius: int) -> Iterator:
+    """Run scan_rows on range(n_rows), SCAN_ROWS rows at a time, and yield
+    what it finds in each chunk.
+
+    scan_rows(rows) returns (found, singular), where singular holds, per
+    boundary of `boundaries`, the keys of the labels of those rows within
+    eps of it.  A chunk with a singular label is not yielded, nor is any
+    after it; the scan runs on, and after the last chunk raises
+    SingularityError naming the least such label of the first boundary
+    that has one.
+    """
+    held = [[] for _ in boundaries]
+    for start in range(0, n_rows, SCAN_ROWS):
+        found, singular = scan_rows(np.arange(start, min(start + SCAN_ROWS, n_rows)))
+        for keys, bad in zip(held, singular):
+            if len(bad):
+                keys.append(bad)
+        if not any(held):
+            yield found
+        # free this chunk before the next is made
+        del found, singular
+    for keys, describe in zip(held, boundaries):
+        if keys:
+            first = label_columns(min(map(np.min, keys)), radius)
+            raise SingularityError(
+                f"label {tuple(int(x) for x in first)} lands within eps of {describe} "
+                f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
+
+
+#: largest box half-width whose label keys fit in int64, (2R+1)^5 < 2^63
+MAX_KEY_RADIUS = 3103
+
+
+def _key_weights(radius: int) -> np.ndarray:
+    if radius > MAX_KEY_RADIUS:
+        raise ValueError(f"radius {radius} is too large for int64 label keys")
+    return (2 * radius + 1) ** np.arange(4, -1, -1, dtype=np.int64)
+
+
+def label_extent(labels) -> np.ndarray:
+    """max_j |k_j| of each label (last axis 5): its distance from the box centre.
+
+    A column-wise maximum chain, which runs several times faster than a
+    reduction along the short label axis.
+    """
+    labels = np.asarray(labels)
+    extent = np.abs(labels[..., 0])
+    for j in range(1, labels.shape[-1]):
+        extent = np.maximum(extent, np.abs(labels[..., j]))
+    return extent
+
+
+def label_index(labels) -> np.ndarray:
+    """sum_j k_j of each label (last axis 5): its slice index in 2-d.
+
+    A column-wise sum chain, like `label_extent`.
+    """
+    labels = np.asarray(labels)
+    index = labels[..., 0].copy()
+    for j in range(1, labels.shape[-1]):
+        index += labels[..., j]
+    return index
+
+
+def label_keys(labels, radius: int) -> np.ndarray:
+    """Mixed-radix int64 key (k + R) . (2R+1)^(4..0) of each label, -1 outside the box.
+
+    Inside the box [-R, R]^5 the key order is the enumerators' lexicographic
+    label order, and key(k + m) = key(k) + m @ _key_weights(R) while k + m
+    stays in the box.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    radius = int(radius)
+    weights = _key_weights(radius)
+    inside = label_extent(labels) <= radius
+    return np.where(inside, (labels + radius) @ weights, -1)
+
+
+def label_columns(keys, radius: int) -> tuple:
+    """The components k_0 .. k_4, five int64 arrays, of the labels whose
+    label_keys in the box [-radius, radius]^5 are `keys`: its inverse."""
+    keys = np.asarray(keys, dtype=np.int64)
+    radius = int(radius)
+    base = 2 * radius + 1
+    columns = []
+    for _ in range(4):
+        # floor division by a scalar runs about twice as fast as np.divmod
+        rest = keys // base
+        columns.append(keys - rest * base - radius)
+        keys = rest
+    columns.append(keys - radius)
+    return tuple(columns[::-1])

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import CensusViolationError, ConfigError
 from .geometry import BASIS, PHI
-from .window import GridShift, WindowSet, scan_2d
+from .scan2d import WindowSet, scan_2d
+from .window import GridShift
 
 _P = PHI
 

@@ -13,7 +13,7 @@ the whole 3-d lattice of the box, finds its tips, assembles cells by lookup
 of lattice rows, finds overlapping neighbor tips by merging label keys, and
 counts shared atoms one pair of cells at a time.  The reference writers are
 the tuple-based SVG and dict-based OBJ serialisers the array writers
-replaced.
+replaced.  The shift-draw oracle is numpy.random itself.
 """
 
 import random
@@ -29,11 +29,11 @@ from quasiproj.io import fmt
 from quasiproj.lattice3d import (_CLASS_OF_CODE, _CLASSES, ANALYTIC_CLASS_FREQUENCIES,
                                  OVERLAP_OFFSETS, OverlapCensus, _check_cells)
 from quasiproj import window
-from quasiproj.window import (_SCAN_SLACK, CUBE_VERTICES, HULL_INDICES,
-                              INTERIOR_INDICES, _check_budget, _expand,
-                              _LineScan, _integer_span, _key_weights,
-                              d_test_points, enumerate_accepted_2d, label_extent,
-                              label_index, label_keys)
+from quasiproj.scan import (_SCAN_SLACK, _check_budget, _expand, _LineScan,
+                            _integer_span, _key_weights, label_extent, label_index,
+                            label_keys)
+from quasiproj.scan2d import enumerate_accepted_2d
+from quasiproj.window import CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, d_test_points
 
 
 def mesh_margin_2d(k, shift, basis) -> float:
@@ -128,6 +128,11 @@ def benchmark_gamma(c, seed):
     rng = random.Random(seed)
     tail = [rng.random() for _ in range(4)]
     return [c - sum(tail)] + tail
+
+
+def numpy_draw(seed):
+    """gamma_1..4 as `random_shift` drew them from numpy.random."""
+    return np.random.default_rng(seed).uniform(0.0, 1.0, 4)
 
 
 def moved_shift(shift, gen, k, target):

@@ -16,7 +16,8 @@ from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
 from quasiproj.pentagrid import mesh_locator, tiling_from_pentagrid
 from quasiproj.tiling2d import (CENSUS, analytic_A, analytic_probability,
                                 census_support, empirical_frequencies)
-from quasiproj.window import accept_3d_bulk, enumerate_accepted_2d, random_shift
+from quasiproj.scan2d import enumerate_accepted_2d
+from quasiproj.window import accept_3d_bulk, random_shift
 
 from helpers import VOLUME_FLOOR, find_tips, overlap_table
 

@@ -16,7 +16,8 @@ from quasiproj.cli import run
 from quasiproj.errors import QcError, SingularityError
 from quasiproj.io import RunConfig
 from quasiproj.tiling2d import empirical_frequencies
-from quasiproj.window import build_windows, enumerate_accepted_2d, random_shift
+from quasiproj.scan2d import build_windows, enumerate_accepted_2d
+from quasiproj.window import random_shift
 
 
 def test_freq_end_to_end(tmp_path):
@@ -170,6 +171,10 @@ def test_config_errors():
     assert run(["freq", "--gamma", "a,b,c,d,e"]) == 2
     assert run(["freq", "--radius", "0"]) == 2
     assert run(["freq", "--seed=-1"]) == 2  # numpy's generator would raise ValueError
+    # c = sum(gamma) mod 1 is lost: the sum overflows, or gamma_4's float
+    # spacing, 16, swamps the other components
+    assert run(["tiling2d", "--gamma=1e308,1e308,0,0,0", "--radius", "4"]) == 2
+    assert run(["tiling2d", "--gamma=0.1,0.1,0.1,0.1,1e17", "--radius", "4"]) == 2
     assert run(["nonsense"]) == 2
     assert run(["freq", "--format", "csv"]) == 2  # no such flag
 
@@ -415,18 +420,23 @@ out, modes = sys.argv[1], json.loads(sys.argv[2])
 codes = [run([mode, "--c", "0.4", "--radius", radius, "--out", f"{out}/{mode}"])
          for mode, radius in modes]
 print(json.dumps({"codes": codes, "loaded": sorted(
-    name for name in ("dataclasses", "quasiproj.lattice3d", "quasiproj.pentagrid",
-                      "quasiproj.tiling2d") if name in sys.modules)}))
+    name for name in ("dataclasses", "numpy.random", "quasiproj.lattice3d",
+                      "quasiproj.pentagrid", "quasiproj.scan2d", "quasiproj.tiling2d",
+                      "quasiproj.tipscan") if name in sys.modules)}))
 """
 
 
 @pytest.mark.parametrize("modes, loaded", [
-    ([("windows", "1"), ("tiling2d", "4"), ("freq", "4")], ["quasiproj.tiling2d"]),
-    ([("lattice3d", "5"), ("overlap-census", "6")], ["quasiproj.lattice3d"]),
+    ([("windows", "1"), ("tiling2d", "4"), ("freq", "4")],
+     ["quasiproj.scan2d", "quasiproj.tiling2d"]),
+    ([("lattice3d", "5"), ("overlap-census", "6")],
+     ["quasiproj.lattice3d", "quasiproj.tipscan"]),
 ], ids=["2-d", "3-d"])
 def test_each_mode_loads_only_what_it_runs(modes, loaded, tmp_path):
-    # the 2-d modes never load lattice3d, the 3-d modes never load tiling2d,
-    # no mode loads pentagrid or dataclasses, and none calls into LAPACK
+    # the 2-d modes never load lattice3d or the tip scan, the 3-d modes never
+    # load tiling2d or the 2-d scan, no mode loads pentagrid, dataclasses or
+    # numpy.random (auto gamma is drawn in pure Python), and none calls into
+    # LAPACK
     report = _fresh_python(_RUN_AND_LIST_LOADED, tmp_path, json.dumps(modes),
                            OPENBLAS_NUM_THREADS="1")
     assert report == {"codes": [0] * len(modes), "loaded": loaded}

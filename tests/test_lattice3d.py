@@ -10,10 +10,10 @@ from quasiproj.geometry import ConvexWindow, points_in_convex_polygon
 from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
                                  OVERLAP_SIGNATURES, build_cells, overlap_census,
                                  overlap_signatures)
+from quasiproj.scan import _key_weights, label_columns, label_extent, label_keys
+from quasiproj.tipscan import enumerate_tips, scan_tip_columns
 from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, accept_3d_bulk,
-                              _key_weights, d_test_points, enumerate_tips, label_columns,
-                              label_extent, label_keys, normalize_shift, random_shift,
-                              scan_tip_columns)
+                              d_test_points, normalize_shift, random_shift)
 
 from helpers import (VOLUME_FLOOR, benchmark_gamma, build_lattice3,
                      convex_intersection, enumerate_accepted_3d, fan_triangles,
@@ -453,7 +453,7 @@ def test_census_violation_names_the_least_key_tip_across_chunks(Q, monkeypatch,
     # at 37 rows per chunk the doctored columns come in different chunks,
     # and the least-key tip is named whichever of them comes first
     shift, inner = _violation_tips(Q, lattice_for)
-    monkeypatch.setattr(qp.window, "SCAN_ROWS", 37)
+    monkeypatch.setattr(qp.scan, "SCAN_ROWS", 37)
     rep = inner - inner[:, 4:]
     chunk = ((rep[:, 0] + 20) * 41 + rep[:, 1] + 20) // 37
     assert chunk[2] < chunk[5] and chunk[2] < chunk[0]
@@ -657,7 +657,7 @@ def test_tip_scan_chunks_leave_every_result_unchanged(Q, basis, monkeypatch):
         enumerate_accepted_3d(10, singular_shift, Q, basis, 1e-3)
     assert _named_label(singular.value) == _named_label(expected.value)
     for rows in (37, 400):
-        monkeypatch.setattr(qp.window, "SCAN_ROWS", rows)
+        monkeypatch.setattr(qp.scan, "SCAN_ROWS", rows)
         got = _tip_scan(20, shift)
         assert all(np.array_equal(a, b) for a, b in zip(got, columns))
         assert all(np.array_equal(a, b) for a, b in zip(enumerate_tips(20, shift), tips))
@@ -689,7 +689,7 @@ def test_a_singular_label_in_a_later_chunk_comes_before_any_census_result(
         classified.append(len(points))
         raise SingularityError("a neighbor test point")
 
-    monkeypatch.setattr(qp.window, "SCAN_ROWS", 37)
+    monkeypatch.setattr(qp.scan, "SCAN_ROWS", 37)
     for doctored in (outside, neighbor):
         monkeypatch.setattr(qp.lattice3d, "overlap_signatures", doctored)
         classified.clear()
@@ -702,7 +702,7 @@ def test_a_singular_label_in_a_later_chunk_comes_before_any_census_result(
 def test_a_neighbor_singularity_comes_before_a_census_violation(monkeypatch):
     # signatures outside the five classes in the first chunks, then a
     # neighbour singularity in a later one: the singularity is raised
-    monkeypatch.setattr(qp.window, "SCAN_ROWS", 37)
+    monkeypatch.setattr(qp.scan, "SCAN_ROWS", 37)
     calls = []
 
     def doctored(points, *args):

@@ -10,7 +10,9 @@ from quasiproj.errors import CensusViolationError, ConfigError, SingularityError
 from quasiproj.io import build_tiling_document
 from quasiproj.tiling2d import (CENSUS, VertexType, analytic_A, analytic_probability,
                                 census_support, empirical_frequencies, neighbor_masks)
-from quasiproj.window import SCAN_ROWS, enumerate_accepted_2d, random_shift
+from quasiproj.scan import SCAN_ROWS
+from quasiproj.scan2d import enumerate_accepted_2d
+from quasiproj.window import random_shift
 
 from helpers import accept_2d_bulk, step_rows
 from helpers import neighbor_counts as whole_box_neighbor_counts
@@ -396,7 +398,7 @@ def test_scan_chunks_leave_every_result_unchanged(basis, windows_for, monkeypatc
     with pytest.raises(SingularityError) as singular:
         empirical_frequencies(10, singular_shift, singular_ws)
     for rows in (37, 400):
-        monkeypatch.setattr(qp.window, "SCAN_ROWS", rows)
+        monkeypatch.setattr(qp.scan, "SCAN_ROWS", rows)
         assert np.array_equal(enumerate_accepted_2d(20, shift, ws)[2], keys)
         assert empirical_frequencies(20, shift, ws) == report
         got = build_tiling_document(20, shift, ws)
@@ -421,7 +423,7 @@ def test_a_singular_label_in_a_later_chunk_comes_before_any_result(P, monkeypatc
         classified.append(points.shape[1])
         return np.zeros(points.shape[1], dtype=np.int64)
 
-    monkeypatch.setattr(qp.window, "SCAN_ROWS", 37)
+    monkeypatch.setattr(qp.scan, "SCAN_ROWS", 37)
     monkeypatch.setattr(qp.tiling2d, "neighbor_masks", zero_masks)
     with pytest.raises(SingularityError) as got:
         empirical_frequencies(10, shift, ws)

@@ -8,18 +8,18 @@ from quasiproj.errors import (DegenerateWindowError, EmptyWindowError,
 from quasiproj.geometry import (PREDICATE_CHUNK, max_edge_distance,
                                 points_in_convex_polygon)
 from quasiproj.lattice3d import overlap_census
+from quasiproj.scan import (MAX_KEY_RADIUS, label_columns, label_extent, label_index,
+                            label_keys)
+from quasiproj.scan2d import enumerate_accepted_2d, slice_window
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
-                              INTERIOR_INDICES, MAX_KEY_RADIUS, accept_3d_bulk,
-                              d_test_points, enumerate_accepted_2d,
-                              label_columns, label_extent, label_index,
-                              label_keys, normalize_shift, random_shift,
-                              slice_window)
+                              INTERIOR_INDICES, accept_3d_bulk, d_test_points,
+                              normalize_shift, random_shift)
 
 from helpers import (accept_2d_bulk, benchmark_gamma, enumerate_accepted_3d,
                      fan_triangles, label_rows, lambda_box_candidates_2d,
                      lambda_box_candidates_3d, mesh_margin_2d, mesh_margin_3d,
-                     mesh_solution_2d, moved_shift, neighbor_counts, polygon_area,
-                     step_rows)
+                     mesh_solution_2d, moved_shift, neighbor_counts, numpy_draw,
+                     polygon_area, step_rows)
 
 P_GOLD = qp.PHI
 
@@ -72,6 +72,20 @@ def test_random_shift_sum_pinned():
         s = random_shift(0.37, seed)
         assert s.c == pytest.approx(0.37, abs=1e-12)
         assert s.gamma.sum() == pytest.approx(0.37, abs=1e-12)
+
+
+def test_random_shift_draws_numpy_s_draw():
+    # the CI pins use auto gamma, so the pure-Python draw must be numpy's
+    # bit for bit: the seeds a run starts from, the redraw seeds of
+    # io.shift_draws, and seeds of two to seven 32-bit words
+    seeds = [*range(3000),
+             *(seed + 1009 * attempt for seed in (0, 7, 8, 2999) for attempt in range(20)),
+             2 ** 32, 2 ** 40, 2 ** 63, 2 ** 64 + 5, 2 ** 128 + 3, 2 ** 200 - 1]
+    for seed in seeds:
+        drawn = random_shift(0.5, seed).gamma[1:]
+        assert drawn.tobytes() == numpy_draw(seed).tobytes(), seed
+    with pytest.raises(ValueError):
+        random_shift(0.5, -1)
 
 
 # -- cube vertex table -------------------------------------------------------
@@ -367,13 +381,13 @@ def test_a_window_mismatch_names_plain_numbers(windows_for):
     assert type(shift.c) is float
     with pytest.raises(ValueError, match=r"^the windows are built for c = 0\.2, "
                                          r"the shift has c = 0\.5$"):
-        next(qp.window.scan_2d(8, shift, windows_for(0.2)))
+        next(qp.scan2d.scan_2d(8, shift, windows_for(0.2)))
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5])
 def test_scan_2d_pieces_describe_their_labels(c, basis, windows_for, monkeypatch):
     # 37 rows per chunk, so the 25^2 rows of R = 12 span 17 chunks
-    monkeypatch.setattr(qp.window, "SCAN_ROWS", 37)
+    monkeypatch.setattr(qp.scan, "SCAN_ROWS", 37)
     R, ws = 12, windows_for(c)
     shift = random_shift(c, 3)
     # the oracle: the accepted labels of the whole box, on multiplied-out points
@@ -381,7 +395,7 @@ def test_scan_2d_pieces_describe_their_labels(c, basis, windows_for, monkeypatch
     cand = cand[accept_2d_bulk(cand, shift, ws, basis) == 1]
     found = {index: [] for index in range(1, 6)}
     chunks = 0
-    for pieces in qp.window.scan_2d(R, shift, ws):
+    for pieces in qp.scan2d.scan_2d(R, shift, ws):
         chunks += 1
         assert [piece.index for piece in pieces] == [1, 2, 3, 4, 5]
         for piece in pieces:
