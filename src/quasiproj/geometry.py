@@ -103,37 +103,38 @@ class ConvexWindow(NamedTuple):
         """+1 inside, 0 outside, -1 within eps of the boundary, per point."""
         return points_in_convex_polygon(pts, self.normals, self.offsets, eps)
 
-
-#: points per product in max_edge_distance.  It bounds the (edges, points)
-#: temporary to 640 kB at 10 edges, which stays in cache and runs faster than
-#: one product over every point.
-PREDICATE_CHUNK = 8192
+    def classify_steps(self, points: np.ndarray, steps: np.ndarray,
+                       eps: float) -> np.ndarray:
+        """`classify` of each t + steps[i], t the x and y rows of points:
+        (steps, points).  Step i moves every edge distance by normals . steps[i]."""
+        along = self.normals @ points
+        along -= self.offsets[:, None]
+        moved = np.empty_like(along)
+        d_max = np.empty((len(steps), along.shape[1]))
+        for row, step in zip(d_max, steps @ self.normals.T):
+            np.add(along, step[:, None], out=moved)
+            moved.max(axis=0, out=row)
+        return _eps_band(d_max, eps)
 
 
 def max_edge_distance(pts: np.ndarray, normals: np.ndarray,
                       offsets: np.ndarray) -> np.ndarray:
     """Largest signed distance of each point past an edge line; < 0 strictly inside."""
-    n = len(pts)
-    out = np.empty(n)
-    start = 0
-    while start < n:
-        # a last chunk of one point would go through gemv, which differs
-        # from the gemm of wider chunks in the last bit, so it joins the one
-        # before it
-        stop = n if n - start <= PREDICATE_CHUNK + 1 else start + PREDICATE_CHUNK
-        # as (edges, points), so that the max runs elementwise across a few long rows
-        d = normals @ pts[start:stop].T
-        d -= offsets[:, None]
-        d.max(axis=0, out=out[start:stop])
-        start = stop
-    return out
+    # as (edges, points), so that the max runs elementwise across a few long rows
+    d = normals @ pts.T
+    d -= offsets[:, None]
+    return d.max(axis=0)
+
+
+def _eps_band(d_max: np.ndarray, eps: float) -> np.ndarray:
+    """+1 where the largest edge distance is below -eps, -1 within eps of 0."""
+    status = np.zeros(d_max.shape, dtype=np.int8)
+    status[d_max < -eps] = 1
+    status[np.abs(d_max) <= eps] = -1
+    return status
 
 
 def points_in_convex_polygon(pts: np.ndarray, normals: np.ndarray,
                              offsets: np.ndarray, eps: float) -> np.ndarray:
     """Vectorized classification: +1 inside, 0 outside, -1 boundary-within-eps."""
-    d_max = max_edge_distance(pts, normals, offsets)
-    status = np.zeros(len(pts), dtype=np.int8)
-    status[d_max < -eps] = 1
-    status[np.abs(d_max) <= eps] = -1
-    return status
+    return _eps_band(max_edge_distance(pts, normals, offsets), eps)

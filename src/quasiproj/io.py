@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ConfigError, ConsistencyError
 from .geometry import BASIS, DEFAULT_EPS
-from .scan import _key_weights, label_columns, label_extent, label_index, label_keys
+from .scan import (_key_weights, check_eps, label_columns, label_extent, label_index,
+                   label_keys)
 from .window import DECAGON, POLYTOPE, GridShift, normalize_shift, random_shift
 
 if TYPE_CHECKING:  # each mode loads only the modules it runs
@@ -103,9 +104,9 @@ def build_tiling_document(radius: int, shift: GridShift,
     ConsistencyError if an upper end is not an accepted label.
     """
     from .scan2d import scan_2d
-    from .tiling2d import check_eps, neighbor_masks
+    from .tiling2d import neighbor_masks
 
-    check_eps(radius, wset)
+    check_eps(radius, wset.eps, "vertex types")
     keys, masks = [], []
     for pieces in scan_2d(radius, shift, wset):
         for piece in pieces:

@@ -13,14 +13,13 @@ Both the cells and the classes are properties of the tips, so nothing here
 holds the lattice.  Since sum_j d_j = 0, the labels k + n (1,1,1,1,1) of a
 column share one test point and so one decision; the decagon scan tests each
 column once, keeps only the tip columns, and still raises for a singular
-label that is not a tip.  A tip's overlap class is fixed by which of the
-test points t + m.D of its 30 overlapping neighbors k + m fall in the inner
-decagon, so it is read off the tip's test point t by point location.  The
-census classifies each chunk of the scan's tip columns as it comes, each
-column once, counts it as many times as it has boundary-complete tips, and
-keeps only the five class tallies, so its memory does not grow with the
-radius.  A cell is its tip plus the 32 cube vertices, and build_cells
-decides each of those atoms by the decagon test on its test point.
+label that is not a tip.  A tip's cell and class are read off its test
+point t by point location: atom k + m, m a cube vertex, is a lattice point
+when t + m.D falls in the decagon, and overlapping neighbor k + m a tip
+when it falls in the inner decagon.  The census classifies each chunk of
+the scan's tip columns as it comes, each column once, counts it as many
+times as it has boundary-complete tips, and keeps only the five class
+tallies, so its memory does not grow with the radius.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ from .errors import (CensusViolationError, ConfigError, ConsistencyError,
 from .geometry import BASIS, DEFAULT_EPS, PHI
 from .scan import _key_weights, label_columns
 from .tipscan import scan_tip_columns
-from .window import (CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES,
-                     GridShift, accept_3d_bulk)
+from .window import CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES, GridShift
 
 #: overlap classes keyed by (neighbor count, K count, J count)
 OVERLAP_SIGNATURES = {
@@ -72,7 +70,7 @@ _INTERIOR_BY_LABEL = np.array(INTERIOR_INDICES)[
 
 
 def build_cells(tips, shift: GridShift, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms of each tip's cell, decided by one decagon test of tip + cube vertices.
+    """The atoms k + m of each tip's cell, read off its test point t by t + m.D.
 
     Returns (hull (n, 22, 5) in POLYTOPE.vertices order, the tip first,
     interior (n, 4, 5) in label order).  Raises SingularityError for an atom within
@@ -84,10 +82,11 @@ def build_cells(tips, shift: GridShift, eps: float) -> tuple[np.ndarray, np.ndar
     them must hit.
     """
     tips = np.asarray(tips, dtype=np.int64).reshape(-1, 5)
-    atoms = tips[:, None, :] + CUBE_VERTICES             # (n, 32, 5)
-    status = accept_3d_bulk(atoms.reshape(-1, 5), shift, eps).reshape(atoms.shape[:2])
+    points = ((tips - shift.gamma) @ BASIS.D).T
+    status = DECAGON.window.classify_steps(points, DECAGON.projections, eps).T
     if np.any(status == -1):
-        bad = atoms[status == -1][0]
+        i, m = np.unravel_index(np.argmax(status == -1), status.shape)
+        bad = tips[i] + CUBE_VERTICES[m]
         raise SingularityError(
             f"cell atom {tuple(bad.tolist())} lands within eps of the decagon boundary "
             f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
@@ -96,8 +95,9 @@ def build_cells(tips, shift: GridShift, eps: float) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"{tuple(bad.tolist())} is not a lattice point")
     present = status == 1
     _check_cells(tips, present)
-    interior = atoms[:, _INTERIOR_BY_LABEL][present[:, _INTERIOR_BY_LABEL]]
-    return atoms[:, HULL_INDICES], interior.reshape(-1, 4, 5)
+    interior = tips[:, None, :] + CUBE_VERTICES[_INTERIOR_BY_LABEL]
+    interior = interior[present[:, _INTERIOR_BY_LABEL]].reshape(-1, 4, 5)
+    return tips[:, None, :] + CUBE_VERTICES[list(HULL_INDICES)], interior
 
 
 def _check_cells(tips: np.ndarray, present: np.ndarray) -> None:
@@ -142,11 +142,8 @@ OVERLAP_OFFSETS["K"].setflags(write=False)
 OVERLAP_OFFSETS["J"].setflags(write=False)
 
 
-#: the 30 offsets m in OVERLAP_OFFSETS order, and how far each moves a test
-#: point past each edge line of the inner decagon: normals . (m.D), (30, edges)
+#: the 30 offsets m in OVERLAP_OFFSETS order
 _OFFSETS = np.vstack([OVERLAP_OFFSETS["K"], OVERLAP_OFFSETS["J"]])
-_OFFSET_STEPS = (_OFFSETS @ BASIS.D) @ DECAGON.inner.normals.T
-_OFFSET_STEPS.setflags(write=False)
 
 
 def overlap_signatures(points: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -154,30 +151,21 @@ def overlap_signatures(points: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarr
 
     The cell of k + m overlaps the tip k's for every m of OVERLAP_OFFSETS,
     and k + m is a tip when its test point t + m.D lies strictly inside the
-    inner decagon, so the signature is a property of t alone.  The points
-    are projected on the edge normals once; each offset then moves every
-    edge distance by its row of _OFFSET_STEPS.  Raises SingularityError
-    for a neighbor test point within eps of the inner decagon boundary,
-    naming the first offset in OVERLAP_OFFSETS order that has one.
+    inner decagon, so the signature is a property of t alone.  Raises
+    SingularityError for a neighbor test point within eps of the inner
+    decagon boundary, naming the first offset in OVERLAP_OFFSETS order that
+    has one.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    inner = DECAGON.inner
-    along = inner.normals @ points.T
-    along -= inner.offsets[:, None]
-    moved = np.empty_like(along)
-    d_max = np.empty(len(points))
-    hits = np.zeros((len(_OFFSETS), len(points)), dtype=bool)
-    for i, (m, step) in enumerate(zip(_OFFSETS, _OFFSET_STEPS)):
-        np.add(along, step[:, None], out=moved)
-        moved.max(axis=0, out=d_max)
-        singular = np.abs(d_max) <= eps
-        if singular.any():
-            first = int(np.argmax(singular))
-            raise SingularityError(
-                f"neighbor test point {tuple((points[first] + m @ BASIS.D).tolist())} of "
-                f"the tip at {tuple(points[first].tolist())}, offset {tuple(m.tolist())}, lies "
-                "within eps of the inner decagon boundary; perturb the shift")
-        np.less(d_max, -eps, out=hits[i])
+    status = DECAGON.inner.classify_steps(points.T, _OFFSETS @ BASIS.D, eps)
+    if np.any(status == -1):
+        i, first = np.unravel_index(np.argmax(status == -1), status.shape)
+        m = _OFFSETS[i]
+        raise SingularityError(
+            f"neighbor test point {tuple((points[first] + m @ BASIS.D).tolist())} of "
+            f"the tip at {tuple(points[first].tolist())}, offset {tuple(m.tolist())}, "
+            "lies within eps of the inner decagon boundary; perturb the shift")
+    hits = status == 1
     n_k = len(OVERLAP_OFFSETS["K"])
     k, j = hits[:n_k].sum(axis=0), hits[n_k:].sum(axis=0)
     return np.column_stack([k + j, k, j])

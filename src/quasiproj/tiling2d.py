@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import CensusViolationError, ConfigError
 from .geometry import BASIS, PHI
+from .scan import check_eps
 from .scan2d import WindowSet, scan_2d
 from .window import GridShift
 
@@ -44,9 +45,9 @@ def neighbor_masks(points: np.ndarray, index: int, wset: WindowSet) -> np.ndarra
     within eps of the boundary.  So at the scan's test point p of each
     neighbour, n . p - o is below -eps on every edge of an accepted one and
     above eps on some edge of a rejected one.  t + v lies within the float
-    error of the scan's points from p, which `_POINT_DRIFT` bounds and
-    `check_eps` keeps below eps, so every difference keeps its sign against
-    0, and each bit is the scan's own decision.
+    error of the scan's points from p, which `scan._POINT_DRIFT` bounds
+    and `check_eps` keeps below eps, so every difference keeps its sign
+    against 0, and each bit is the scan's own decision.
     """
     if not 1 <= index <= 5:
         raise ValueError(f"index must be in [1, 5], got {index}")
@@ -247,25 +248,6 @@ class FrequencyReport(NamedTuple):
         return sum(r.analytic for r in self.rows)
 
 
-#: a bound, per unit of radius, on how far t + w_m lies from the scan's own
-#: test point of k + e_m.  `scan_2d` forms each coordinate with about ten
-#: roundings of terms below ~5 radius, so the two differ by at most ~1.2e-14
-#: radius, and by ~1e-15 more in n . t - o; measured, 7.1e-16 radius at most
-#: (radius 10 to 160, three shifts)
-_POINT_DRIFT = 2e-14
-
-
-def check_eps(radius: int, wset: WindowSet) -> None:
-    """Raise ConfigError unless eps is above _POINT_DRIFT (radius + 1), so
-    that each bit of `neighbor_masks` is the scan's own decision."""
-    drift = _POINT_DRIFT * (radius + 1)
-    if not wset.eps > drift:
-        raise ConfigError(
-            f"eps {wset.eps:g} is not above {drift:.2g}, the float error of the test "
-            f"points at radius {radius}, so vertex types cannot be read off them; "
-            f"use a larger tolerance")
-
-
 #: label steps from the box edge within which a vertex's type is not counted
 VERTEX_MARGIN = 2
 
@@ -292,7 +274,7 @@ def empirical_frequencies(radius: int, shift: GridShift,
     label order, if a classified type falls outside the analytic support at
     this c.
     """
-    check_eps(radius, wset)
+    check_eps(radius, wset.eps, "vertex types")
     support = [(vt.index, vt.n_pos, vt.n_neg) for vt in census_support(shift.c)]
     # type [n, n']_I as the code 36 I + 6 n + n'
     allowed = np.zeros((6, 36), dtype=bool)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .geometry import BASIS, DEFAULT_EPS
 from .scan import (_SCAN_SLACK, _check_budget, _expand, _integer_span, _key_weights,
-                   _LineScan, _scan_chunks, label_columns)
+                   _LineScan, _scan_chunks, check_eps, label_columns)
 from .window import DECAGON, GridShift
 
 
@@ -37,15 +37,17 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
     t0 + a2 d2 + a3 d3 and its key follow from its scan line and a3.
 
     Raises ConfigError, before anything is allocated, if the lattice would
-    not fit in MEMORY_BUDGET.  A chunk that holds a singular label is not
-    yielded, nor is any after it; after the last chunk the scan raises
-    SingularityError naming the first label within eps of the decagon
-    boundary, then the first within eps of the inner decagon boundary.
+    not fit in MEMORY_BUDGET or eps fails `check_eps`.  A chunk that holds
+    a singular label is not yielded, nor is any after it; after the last
+    chunk the scan raises SingularityError naming the first label within
+    eps of the decagon boundary, then the first within eps of the inner
+    decagon boundary.
     """
     M, S = int(radius), 2 * int(radius)
     side = 2 * S + 1
     d = BASIS.D
     _check_budget(M, (2 * M + 1) ** 3, [DECAGON.window], d[3], d[4])
+    check_eps(M, eps, "cells and overlap classes")
     scan = _LineScan.of(d[2], d[3], DECAGON.window, eps + _SCAN_SLACK)
     gamma_d = shift.gamma @ d
     weights = _key_weights(M)

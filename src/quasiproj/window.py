@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError
-from .geometry import BASIS, DEFAULT_EPS, PHI, ConvexWindow, ProjectionBasis, make_basis
+from .geometry import BASIS, PHI, ConvexWindow, ProjectionBasis, make_basis
 
 # the 32 vertices of the 5-d unit cube, in the fixed order used throughout:
 # one point of index 0, then five of index 1, ten of index 2, ten of index 3,
@@ -235,18 +235,6 @@ def build_decagon_Q(basis: ProjectionBasis | None = None) -> DecagonQ:
 #: the 3-d window and the plane window of BASIS, which every enumerator reads
 POLYTOPE = build_polytope_P(BASIS)
 DECAGON = build_decagon_Q(BASIS)
-
-
-def d_test_points(labels: np.ndarray, shift: GridShift) -> np.ndarray:
-    """Plane test points sum_j (k_j - gamma_j) d_j for 3-d acceptance."""
-    return (np.asarray(labels, dtype=float) - shift.gamma) @ BASIS.D
-
-
-def accept_3d_bulk(labels: np.ndarray, shift: GridShift,
-                   eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Vectorized 3-d acceptance against the decagon window."""
-    labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
-    return DECAGON.window.classify(d_test_points(labels, shift), eps)
 
 
 #: the public names of the scan modules, which importing this one does not

@@ -6,7 +6,8 @@ grid-projection + gamma + lambda = k?) with an LP, bypassing the window
 construction entirely.  The whole-box 2-d route tests any labels against
 their index windows on test points multiplied out from the labels, and
 finds and counts a vertex's neighbours by key lookup in the whole box's
-key array.
+key array; the 3-d route likewise tests labels against the decagon on
+their own multiplied-out test points.
 The overlap oracle intersects translated copies of the polytope
 numerically, with an LP and Qhull.  The lattice route builds
 the whole 3-d lattice of the box, finds its tips, assembles cells by lookup
@@ -24,7 +25,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from quasiproj.errors import CensusViolationError, ConfigError, SingularityError
-from quasiproj.geometry import DEFAULT_EPS, PHI, make_basis
+from quasiproj.geometry import BASIS, DEFAULT_EPS, PHI, make_basis
 from quasiproj.io import fmt
 from quasiproj.lattice3d import (_CLASS_OF_CODE, _CLASSES, ANALYTIC_CLASS_FREQUENCIES,
                                  OVERLAP_OFFSETS, OverlapCensus, _check_cells)
@@ -33,7 +34,7 @@ from quasiproj.scan import (_SCAN_SLACK, _check_budget, _expand, _LineScan,
                             _integer_span, _key_weights, label_extent, label_index,
                             label_keys)
 from quasiproj.scan2d import enumerate_accepted_2d
-from quasiproj.window import CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES, d_test_points
+from quasiproj.window import CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES
 
 
 def mesh_margin_2d(k, shift, basis) -> float:
@@ -223,6 +224,18 @@ def neighbor_counts(labels, keys, radius):
 # assembled by lookup of lattice rows
 # ---------------------------------------------------------------------------
 
+def d_test_points(labels, shift):
+    """Plane test points sum_j (k_j - gamma_j) d_j for 3-d acceptance."""
+    return (np.asarray(labels, dtype=float) - shift.gamma) @ BASIS.D
+
+
+def accept_3d_bulk(labels, shift, eps=DEFAULT_EPS):
+    """Vectorized 3-d acceptance against the decagon window: +1 accept, 0
+    reject, -1 singular, on test points multiplied out from the labels."""
+    labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
+    return DECAGON.window.classify(d_test_points(labels, shift), eps)
+
+
 def scan_3d(radius, shift, Q, basis, eps):
     """The decagon scan of the box label by label, as (candidates, decagon
     status, test points) blocks of one k0 layer each, in key order.
@@ -245,8 +258,8 @@ def scan_3d(radius, shift, Q, basis, eps):
         row, k3, v_lo, v_hi = scan(base + k0 * d[0], M)
         sub, k4 = _expand(*_integer_span(v_lo, v_hi, -M, M))
         cand = np.column_stack([np.full(len(sub), k0), k12[row[sub]], k3[sub], k4])
-        # through the module, so that a test can record what it tests
-        status = window.accept_3d_bulk(cand, shift, eps)
+        # a global of this module, so that a test can record what it tests
+        status = accept_3d_bulk(cand, shift, eps)
         yield cand, status, d_test_points(cand, shift)
 
 
@@ -446,8 +459,8 @@ def overlap_signatures_by_offset(points, eps=DEFAULT_EPS):
     for shape, offsets in OVERLAP_OFFSETS.items():
         hits[shape] = np.zeros(len(points), dtype=np.int64)
         for m in offsets:
-            moved = points + m @ window.BASIS.D
-            status = window.DECAGON.inner.classify(moved, eps)
+            moved = points + m @ BASIS.D
+            status = DECAGON.inner.classify(moved, eps)
             if np.any(status == -1):
                 i = int(np.argmax(status == -1))
                 raise SingularityError(

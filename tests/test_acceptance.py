@@ -17,9 +17,9 @@ from quasiproj.pentagrid import mesh_locator, tiling_from_pentagrid
 from quasiproj.tiling2d import (CENSUS, analytic_A, analytic_probability,
                                 census_support, empirical_frequencies)
 from quasiproj.scan2d import enumerate_accepted_2d
-from quasiproj.window import accept_3d_bulk, random_shift
+from quasiproj.window import random_shift
 
-from helpers import VOLUME_FLOOR, find_tips, overlap_table
+from helpers import VOLUME_FLOOR, accept_3d_bulk, find_tips, overlap_table
 
 PHI = qp.PHI
 PINV2 = PHI ** -2

@@ -521,6 +521,19 @@ def test_coarse_tolerance_for_the_lattice_names_the_inner_decagon(caplog):
     assert "redrawing" not in caplog.text
 
 
+@pytest.mark.parametrize("mode", ["overlap-census", "lattice3d"])
+def test_3d_modes_refuse_a_tol_within_the_float_error_of_the_points(mode, caplog):
+    # cells and overlap classes are read off the tip scan's test points, as
+    # vertex types are off the 2-d scan's, so the same bound holds, with a
+    # message of the same form
+    with caplog.at_level(logging.ERROR, logger="qc"):
+        assert run([mode, "--radius", "8", "--tol", "1e-20"]) == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "configuration error: eps 1e-20 is not above 1.8e-13, the float error of the "
+        "test points at radius 8, so cells and overlap classes cannot be read off "
+        "them; use a larger tolerance"]
+
+
 @pytest.mark.parametrize("mode", ["overlap-census", "freq"])
 def test_infeasible_radius_is_refused_before_allocating(mode, caplog):
     tracemalloc.start()

@@ -4,6 +4,7 @@ import pytest
 import quasiproj as qp
 from quasiproj.errors import PolygonError
 from quasiproj.geometry import points_in_convex_polygon, polygon_halfplanes
+from quasiproj.lattice3d import OVERLAP_OFFSETS
 
 EPS = 1e-12
 
@@ -107,6 +108,31 @@ def test_point_in_polygon_vertex_list_rotation():
     pts = np.random.default_rng(2).uniform(-1.2, 1.2, (25, 2))
     results = {tuple(_status(pts, np.roll(pent, s, axis=0))) for s in range(5)}
     assert len(results) == 1
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_classify_steps_equals_classify_of_the_moved_points(eps, Q, P):
+    # random points, and points that one step moves f eps off an edge
+    # midpoint, on the decagons and the slice windows at three values of c
+    rng = np.random.default_rng(17)
+    windows = [Q.window, Q.inner]
+    for c in (0.0, 0.5, qp.PHI ** -2):
+        windows += qp.build_windows(P, c).slices.values()
+    offsets = np.vstack(list(OVERLAP_OFFSETS.values()))
+    seen = set()
+    for win in windows:
+        mids = (win.polygon + np.roll(win.polygon, -1, axis=0)) / 2
+        edges = np.arange(len(mids))
+        for steps in (Q.projections, offsets @ qp.BASIS.D, rng.uniform(-1, 1, (3, 2))):
+            # edge e's midpoint, f eps off it, is where step e + j moves its point
+            near = [mids + f * eps * win.normals - steps[(edges + j) % len(steps)]
+                    for j, f in enumerate((-2, -0.9, 0.9, 2))]
+            points = np.vstack([rng.uniform(-2, 2, (300, 2)), *near])
+            got = win.classify_steps(points.T, steps, eps)
+            want = np.array([win.classify(points + step, eps) for step in steps])
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            seen.update(np.unique(got).tolist())
+    assert seen == {-1, 0, 1}
 
 
 def test_point_in_polygon_malformed():

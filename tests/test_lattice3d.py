@@ -5,22 +5,23 @@ import numpy as np
 import pytest
 
 import quasiproj as qp
-from quasiproj.errors import ConsistencyError, SingularityError
+from quasiproj.errors import ConfigError, ConsistencyError, SingularityError
 from quasiproj.geometry import ConvexWindow, points_in_convex_polygon
 from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
                                  OVERLAP_SIGNATURES, build_cells, overlap_census,
                                  overlap_signatures)
 from quasiproj.scan import _key_weights, label_columns, label_extent, label_keys
 from quasiproj.tipscan import enumerate_tips, scan_tip_columns
-from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, accept_3d_bulk,
-                              d_test_points, normalize_shift, random_shift)
+from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, normalize_shift,
+                              random_shift)
 
-from helpers import (VOLUME_FLOOR, benchmark_gamma, build_lattice3,
-                     convex_intersection, enumerate_accepted_3d, fan_triangles,
-                     find_tips, interior_atoms_sweep, label_rows, lattice_cells,
-                     moved_shift, overlap_census_lattice, overlap_signature_loop,
-                     overlap_signatures_by_keys, overlap_signatures_by_offset,
-                     overlap_table, scan_3d, shared_atom_count)
+from helpers import (VOLUME_FLOOR, accept_3d_bulk, benchmark_gamma, build_lattice3,
+                     convex_intersection, d_test_points, enumerate_accepted_3d,
+                     fan_triangles, find_tips, interior_atoms_sweep, label_rows,
+                     lattice_cells, moved_shift, overlap_census_lattice,
+                     overlap_signature_loop, overlap_signatures_by_keys,
+                     overlap_signatures_by_offset, overlap_table, scan_3d,
+                     shared_atom_count)
 
 PHI = qp.PHI
 
@@ -731,6 +732,17 @@ def test_census_peak_does_not_grow_with_the_radius():
             tracemalloc.stop()
     assert peaks[57] <= 2e6
     assert peaks[57] <= peaks[20] + 0.5e6
+
+
+def test_tip_scan_refuses_an_eps_within_the_float_error_of_the_points():
+    # the bound grows with the radius: eps 2e-13 is above it at radius 5
+    # and below it at radius 20
+    shift = random_shift(0.5, 0)
+    assert overlap_census(5, shift, 2e-13).n_tips > 0
+    for run in (lambda: enumerate_tips(20, shift, 2e-13),
+                lambda: overlap_census(20, shift, 2e-13)):
+        with pytest.raises(ConfigError, match="float error of the test points at radius 20"):
+            run()
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3])

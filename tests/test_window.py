@@ -5,21 +5,20 @@ import quasiproj as qp
 from quasiproj import geometry
 from quasiproj.errors import (DegenerateWindowError, EmptyWindowError,
                               PolygonError)
-from quasiproj.geometry import (PREDICATE_CHUNK, max_edge_distance,
-                                points_in_convex_polygon)
+from quasiproj.geometry import max_edge_distance, points_in_convex_polygon
 from quasiproj.lattice3d import overlap_census
 from quasiproj.scan import (MAX_KEY_RADIUS, label_columns, label_extent, label_index,
                             label_keys)
 from quasiproj.scan2d import enumerate_accepted_2d, slice_window
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
-                              INTERIOR_INDICES, accept_3d_bulk, d_test_points,
-                              normalize_shift, random_shift)
+                              INTERIOR_INDICES, normalize_shift, random_shift)
 
-from helpers import (accept_2d_bulk, benchmark_gamma, enumerate_accepted_3d,
-                     fan_triangles, label_rows, lambda_box_candidates_2d,
-                     lambda_box_candidates_3d, mesh_margin_2d, mesh_margin_3d,
-                     mesh_solution_2d, moved_shift, neighbor_counts, numpy_draw,
-                     polygon_area, step_rows)
+import helpers
+from helpers import (accept_2d_bulk, accept_3d_bulk, benchmark_gamma, d_test_points,
+                     enumerate_accepted_3d, fan_triangles, label_rows,
+                     lambda_box_candidates_2d, lambda_box_candidates_3d, mesh_margin_2d,
+                     mesh_margin_3d, mesh_solution_2d, moved_shift, neighbor_counts,
+                     numpy_draw, polygon_area, step_rows)
 
 P_GOLD = qp.PHI
 
@@ -314,11 +313,11 @@ def test_accept_3d_examples(Q, basis):
     _, points, keys, _ = enumerate_accepted_3d(1, shift, Q, basis)
     assert np.allclose(points[label_rows(keys, label_keys(np.zeros(5), 1))], [0, 0, 0])
     # the test point is tiny compared to the decagon inradius
-    t = qp.window.d_test_points(np.zeros((1, 5)), shift)[0]
+    t = d_test_points(np.zeros((1, 5)), shift)[0]
     assert np.linalg.norm(t) < P_GOLD * np.cos(np.pi / 10)
 
     assert accept_3d_bulk([3, 0, 0, 0, 0], shift)[0] == 0
-    t3 = qp.window.d_test_points(np.array([[3, 0, 0, 0, 0]]), shift)[0]
+    t3 = d_test_points(np.array([[3, 0, 0, 0, 0]]), shift)[0]
     assert np.linalg.norm(t3) > P_GOLD
 
 
@@ -472,7 +471,7 @@ def test_enumerate_matches_lambda_box_oracle(c, Q, basis, windows_for):
             assert np.array_equal(labels, _lex_sorted(cand[status == 1])), (seed, R)
 
 
-def _record(monkeypatch, name, module=qp.window):
+def _record(monkeypatch, name, module):
     """Wrap module.<name> so every (points or candidates, status) it sees is kept."""
     tested = []
     original = getattr(module, name)
@@ -492,7 +491,7 @@ def test_enumeration_tests_at_most_twice_what_it_accepts(Q, basis, windows_for,
     # windows; the c = 0 index-5 point window, which accepts nothing, is
     # tested by the norm of the point instead
     tested2 = _record(monkeypatch, "points_in_convex_polygon", geometry)
-    tested3 = _record(monkeypatch, "accept_3d_bulk")
+    tested3 = _record(monkeypatch, "accept_3d_bulk", helpers)
     for c, seed in ((0.0, 1), (0.5, 7), (0.9, 2)):
         shift = random_shift(c, seed)
         tested2.clear()
@@ -540,7 +539,7 @@ def test_enumerate_2d_raises_just_outside_a_window_edge(eps, P, basis):
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3])
 def test_enumerate_3d_raises_just_outside_a_decagon_edge(eps, Q, basis, monkeypatch):
-    tested = _record(monkeypatch, "accept_3d_bulk")
+    tested = _record(monkeypatch, "accept_3d_bulk", helpers)
     for edge in (0, 3, 7):
         k = np.array([1, -1, 2, 0, -2])
         mid = (Q.window.polygon[edge] + Q.window.polygon[(edge + 1) % 10]) / 2
@@ -631,10 +630,11 @@ def test_label_columns_inverts_label_keys(R):
 
 
 def test_max_edge_distance_is_bitwise_equal_across_chunks(Q, P):
-    # a last chunk of one point would go through gemv and differ in the last bit
+    # one product over every point: gemv for one point, gemm for more,
+    # here around and past 8192 and 16384 points
     rng = np.random.default_rng(5)
     windows = [Q.window, Q.inner, *qp.build_windows(P, 0.5).slices.values()]
-    for n in (1, PREDICATE_CHUNK - 1, PREDICATE_CHUNK + 1, 2 * PREDICATE_CHUNK + 1):
+    for n in (1, 8191, 8193, 16385):
         pts = rng.uniform(-2.0, 2.0, size=(n, 2))
         for win in windows:
             for layout in (pts, np.asfortranarray(pts)):
