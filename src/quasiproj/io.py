@@ -94,32 +94,32 @@ def build_tiling_document(radius: int, shift: GridShift,
                           wset: WindowSet) -> TilingDocument:
     """Window-accepted vertices in the label box plus all edges between them.
 
-    A vertex's +e_m edges are read off its test point, as bits 0-4 of
-    `neighbor_masks`, chunk by chunk of the scan; the steps that leave the
-    box's top face (k_m = radius) are dropped.  The rows are in label order,
-    and the upper end of a step has the key of its lower end plus
-    _key_weights(radius)[m], so one search of the sorted accepted keys
-    gives the rows of the upper ends.  Raises ConfigError, by `check_eps`,
-    if eps is too small for the masks to be the scan's decisions, and
-    ConsistencyError if an upper end is not an accepted label.
+    The vertices are those of `enumerate_accepted_2d`, which applies
+    MEMORY_BUDGET.  A vertex's +e_m edges are bits 0-4 of `neighbor_masks`
+    at its test point (k - gamma) . W, less the steps out of the box's top
+    face (k_m = radius).  These points' float error, at most 3.3e-16
+    radius, is far below the 2e-14 (radius + 1) of `check_eps`, so the
+    argument of `neighbor_masks` covers them.  The upper end of a step has
+    the key of its lower end plus _key_weights(radius)[m], so one search of
+    the sorted keys gives the rows of the upper ends.  Raises ConfigError
+    by `check_eps` or MEMORY_BUDGET, and ConsistencyError if an upper end
+    is not an accepted label.
     """
-    from .scan2d import scan_2d
+    from .scan2d import enumerate_accepted_2d
     from .tiling2d import neighbor_masks
 
     check_eps(radius, wset.eps, "vertex types")
-    keys, masks = [], []
-    for pieces in scan_2d(radius, shift, wset):
-        for piece in pieces:
-            keys.append(piece.keys)
-            masks.append(neighbor_masks(piece.points, piece.index, wset))
-    keys = np.concatenate(keys)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    labels = np.column_stack(label_columns(keys, radius))
+    labels, points, keys = enumerate_accepted_2d(radius, shift, wset)
+    test_points = ((labels - shift.gamma) @ BASIS.W[:, :2]).T
+    indices = label_index(labels)
+    masks = np.zeros(len(keys), dtype=np.int64)
+    for index in range(1, 6):
+        rows = np.flatnonzero(indices == index)
+        masks[rows] = neighbor_masks(test_points[:, rows], index, wset)
     # the steps e_4 .. e_0, whose key steps increase, so that the upper ends
     # of each vertex come in key order and the edges sorted by row pair
     m = np.arange(4, -1, -1)
-    up = (np.concatenate(masks)[order, None] & (1 << m)) != 0
+    up = (masks[:, None] & (1 << m)) != 0
     up &= labels[:, m] < radius
     i, step = np.nonzero(up)
     upper = keys[i] + _key_weights(radius)[m[step]]
@@ -129,8 +129,7 @@ def build_tiling_document(radius: int, shift: GridShift,
         label = tuple(int(x) for x in label_columns(upper[~found].min(), radius))
         raise ConsistencyError(f"label {label} is a step of a vertex by its neighbour "
                                "mask, but the scan did not accept it")
-    return TilingDocument(labels=labels, points=labels.astype(float) @ BASIS.D,
-                          edges=np.column_stack([i, j]))
+    return TilingDocument(labels=labels, points=points, edges=np.column_stack([i, j]))
 
 
 #: stroke classes for the four edge kinds, keyed by the index of the lower end
@@ -142,7 +141,7 @@ SVG_STYLES = {
 }
 
 
-def render_svg(doc: TilingDocument, pad: float = 1.0) -> str:
+def render_svg(doc: TilingDocument) -> str:
     """One path element per edge, four stroke classes, deterministic order.
 
     The y axis is flipped (SVG y grows downward) so the drawing matches the
@@ -150,8 +149,8 @@ def render_svg(doc: TilingDocument, pad: float = 1.0) -> str:
     """
     xs, ys = doc.points[:, 0], -doc.points[:, 1]
     if len(xs):
-        x0, x1 = xs.min() - pad, xs.max() + pad
-        y0, y1 = ys.min() - pad, ys.max() + pad
+        x0, x1 = xs.min() - 1.0, xs.max() + 1.0
+        y0, y1 = ys.min() - 1.0, ys.max() + 1.0
     else:
         x0, y0, x1, y1 = -1.0, -1.0, 1.0, 1.0
 

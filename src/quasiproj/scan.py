@@ -119,14 +119,12 @@ class _LineScan(NamedTuple):
         return row, u, v_lo, v_hi
 
 
-#: memory an enumeration may plan for, and what a qc run holds at its peak per
-#: accepted label (ru_maxrss above the start: ~320 B for the whole 3-d lattice
-#: at radius 35).  `qc freq` and `qc overlap-census` hold one chunk of their
-#: scan, not its labels: `qc freq` peaks ~0.5 MB higher at radius 200 than
-#: at radius 5 (32.2 against 31.8 MB), and the census at 31.9 MB at radius
-#: 20 and 32.2 MB at radius 57 (31.4 MB at radius 5; medians of 7, auto
-#: gamma).  Their refusal radii still follow BYTES_PER_LABEL, and both 3-d
-#: modes check the lattice's estimate, so they refuse the same radii.
+#: memory an enumeration that holds labels may plan for, and what a qc run
+#: holds at its peak per accepted label (ru_maxrss above the start: ~320 B
+#: for the whole 3-d lattice at radius 35).  Only enumerate_accepted_2d and
+#: enumerate_tips hold labels, so only they check it.  The scans hold one
+#: chunk: `qc freq` peaks at 32.2 MB at radius 200 and 31.8 MB at radius 5,
+#: the census at 32.4 and 31.3 MB at radius 100 and 5 (medians of 7).
 MEMORY_BUDGET = 4 * 10 ** 9
 BYTES_PER_LABEL = 320
 
@@ -192,7 +190,9 @@ def _scan_chunks(n_rows: int, scan_rows, boundaries: tuple, shift,
                 f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
 
 
-#: largest box half-width whose label keys fit in int64, (2R+1)^5 < 2^63
+#: largest box half-width whose label keys fit in int64, (2R+1)^5 < 2^63; the
+#: tip scan's largest intermediate value, |a . w| <= 2R sum(w) for a column
+#: representative a, is then about 9.212e18 < 2^63 ~ 9.223e18 (R = 3103)
 MAX_KEY_RADIUS = 3103
 
 

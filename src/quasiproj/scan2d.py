@@ -123,13 +123,12 @@ def scan_2d(radius: int, shift: GridShift,
     its own window only; nearly every label tested is accepted (all 161,833
     of the `freq_census` benchmark box, c = 0.5 and radius 80).
 
-    Raises ValueError unless wset was built for shift.c, then ConfigError,
-    before anything is allocated, if the box would not fit in
-    MEMORY_BUDGET.  A chunk that holds a singular label is not yielded, nor
-    is any after it; the scan runs on, and after the last chunk raises
-    SingularityError naming the lexicographically first label, of any
-    index, whose test point lies within eps of its window boundary, the
-    c = 0 index-5 point window included.
+    Only MAX_KEY_RADIUS limits the radius: the scan holds one chunk at a
+    time.  Raises ValueError unless wset was built for shift.c.  A chunk
+    with a singular label is not yielded, nor is any after it; the scan
+    runs on, and after the last chunk raises SingularityError naming the
+    first label in key order, of any index, whose test point lies within
+    eps of its window boundary, the c = 0 index-5 point window included.
     """
     if wset.c != shift.c:
         raise ValueError(f"the windows are built for c = {wset.c!r}, "
@@ -138,7 +137,6 @@ def scan_2d(radius: int, shift: GridShift,
     side = 2 * M + 1
     w = BASIS.W[:, :2]
     a, b = w[2] - w[4], w[3] - w[4]
-    _check_budget(M, side ** 2, wset.slices.values(), a, b)
     weights = _key_weights(M)
     reach = wset.eps + _SCAN_SLACK
     windows = [wset.slices[index] for index in range(1, 5)]
@@ -205,10 +203,12 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet
     the keys are label_keys(labels, radius), strictly increasing.  The
     keys of `scan_2d`'s pieces are in key order within each index, so one
     stable sort merges them, and the labels are decoded from the keys.
-    Raises SingularityError if any label in the box has its test point
-    within eps of a window boundary, and ConfigError if the box would not
-    fit in MEMORY_BUDGET.
+    Raises ConfigError, before anything is allocated, if the labels would
+    not fit in MEMORY_BUDGET, and SingularityError if any label in the box
+    has its test point within eps of a window boundary.
     """
+    _check_budget(radius, (2 * radius + 1) ** 2, wset.slices.values(),
+                  *(BASIS.W[2:4, :2] - BASIS.W[4, :2]))
     keys = np.concatenate([piece.keys for pieces in scan_2d(radius, shift, wset)
                            for piece in pieces])
     keys.sort(kind="stable")

@@ -36,17 +36,16 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
     scan-converts (a2, a3); as in scan_2d, a column's test point
     t0 + a2 d2 + a3 d3 and its key follow from its scan line and a3.
 
-    Raises ConfigError, before anything is allocated, if the lattice would
-    not fit in MEMORY_BUDGET or eps fails `check_eps`.  A chunk that holds
-    a singular label is not yielded, nor is any after it; after the last
-    chunk the scan raises SingularityError naming the first label within
-    eps of the decagon boundary, then the first within eps of the inner
-    decagon boundary.
+    Only MAX_KEY_RADIUS limits the radius: the scan holds one chunk at a
+    time.  Raises ConfigError, before anything is allocated, if eps fails
+    `check_eps`.  A chunk that holds a singular label is not yielded, nor
+    is any after it; after the last chunk the scan raises SingularityError
+    naming the first label within eps of the decagon boundary, then the
+    first within eps of the inner decagon boundary.
     """
     M, S = int(radius), 2 * int(radius)
     side = 2 * S + 1
     d = BASIS.D
-    _check_budget(M, (2 * M + 1) ** 3, [DECAGON.window], d[3], d[4])
     check_eps(M, eps, "cells and overlap classes")
     scan = _LineScan.of(d[2], d[3], DECAGON.window, eps + _SCAN_SLACK)
     gamma_d = shift.gamma @ d
@@ -92,12 +91,13 @@ def enumerate_tips(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
     number of lattice points in the box).
 
     Tips are the lattice points whose test point falls strictly inside the
-    inner decagon: the members of the tip columns of scan_tip_columns,
-    whose keys follow from their first member's.  One sort puts the keys in
-    order, and the labels are decoded from them; the lattice is never held.
-    Raises as scan_tip_columns does.
+    inner decagon: the members of scan_tip_columns' tip columns, whose keys
+    follow from their first member's.  One sort orders the keys, and the
+    labels are decoded from them.  Raises ConfigError if the lattice would
+    not fit in MEMORY_BUDGET, and otherwise as scan_tip_columns does.
     """
     M = int(radius)
+    _check_budget(M, (2 * M + 1) ** 3, [DECAGON.window], BASIS.D[3], BASIS.D[4])
     keys, n_points = [], 0
     for _, first, spread, count in scan_tip_columns(M, shift, eps):
         column, n = _expand(np.zeros_like(spread), 2 * M - spread)

@@ -1,15 +1,18 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
 import quasiproj as qp
 from quasiproj import geometry
-from quasiproj.errors import (DegenerateWindowError, EmptyWindowError,
+from quasiproj.errors import (ConfigError, DegenerateWindowError, EmptyWindowError,
                               PolygonError)
 from quasiproj.geometry import max_edge_distance, points_in_convex_polygon
 from quasiproj.lattice3d import overlap_census
 from quasiproj.scan import (MAX_KEY_RADIUS, label_columns, label_extent, label_index,
                             label_keys)
 from quasiproj.scan2d import enumerate_accepted_2d, slice_window
+from quasiproj.tipscan import enumerate_tips, scan_tip_columns
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               INTERIOR_INDICES, normalize_shift, random_shift)
 
@@ -627,6 +630,49 @@ def test_label_columns_inverts_label_keys(R):
     keys = np.sort(rng.integers(0, (2 * R + 1) ** 5, size=1000))
     assert np.array_equal(label_keys(np.column_stack(label_columns(keys, R)), R), keys)
     assert all(c.dtype == np.int64 for c in label_columns(keys, R))
+
+
+@pytest.mark.parametrize("c", [0.2, 0.5])
+def test_the_scans_run_past_the_memory_budget_to_max_key_radius(c, basis, windows_for):
+    # the scans hold one chunk, so only the enumerators that hold labels
+    # refuse a box by the memory budget
+    shift, ws = random_shift(c, 0), windows_for(c)
+    with pytest.raises(ConfigError, match="radius 622 would accept about"):
+        enumerate_accepted_2d(622, shift, ws)
+    with pytest.raises(ConfigError, match="radius 58 would accept about"):
+        enumerate_tips(58, shift)
+    # the first chunks of both scans at a refused radius and at the int64 edge
+    # of the keys; at MAX_KEY_RADIUS the first non-empty 2-d chunk is the
+    # second, and the first non-empty 3-d chunk the fourth
+    for R in (622, MAX_KEY_RADIUS):
+        drift = 2e-14 * (R + 1)
+        n = 0
+        for pieces in islice(qp.scan2d.scan_2d(R, shift, ws), 4):
+            for piece in pieces:
+                labels = np.column_stack(label_columns(piece.keys, R))
+                assert np.all(label_extent(labels) <= R)
+                assert np.array_equal(label_keys(labels, R), piece.keys)
+                assert np.array_equal(label_extent(labels), piece.extent)
+                assert np.all(label_index(labels) == piece.index)
+                t = (labels - shift.gamma) @ basis.W[:, :2]
+                assert np.allclose(piece.points.T, t, rtol=0, atol=drift)
+                n += len(labels)
+        assert n > 0
+    for R in (58, MAX_KEY_RADIUS):
+        drift = 2e-14 * (R + 1)
+        n = 0
+        for points, keys, spread, _ in islice(scan_tip_columns(R, shift), 4):
+            # each tip column's first member in the box, whose least
+            # component is -R
+            labels = np.column_stack(label_columns(keys, R))
+            assert np.all(label_extent(labels) <= R)
+            assert np.array_equal(label_keys(labels, R), keys)
+            assert np.all(labels.min(axis=1) == -R)
+            assert np.array_equal(labels.max(axis=1) + R, spread)
+            t = (labels - shift.gamma) @ basis.D
+            assert np.allclose(points.T, t, rtol=0, atol=drift)
+            n += len(labels)
+        assert n > 0
 
 
 def test_max_edge_distance_is_bitwise_equal_across_chunks(Q, P):
