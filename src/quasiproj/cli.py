@@ -1,12 +1,18 @@
-"""Command-line entry point: qc {tiling2d,freq,windows,lattice3d,overlap-census}."""
+"""Command-line entry point: qc {tiling2d,freq,windows,lattice3d,overlap-census}.
+
+The checked argparse namespace is the run configuration; a run echoes it on
+stderr, with the gamma and c it resolved, so that it can be repeated.
+"""
 
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 # The BLAS products here are (N, 5) @ (5, 2) and smaller, so a second BLAS
 # thread only spins.  Pin one before the imports below load numpy, unless
@@ -15,13 +21,12 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 if not any(var in os.environ for var in _BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
-from .errors import (ConfigError, EmptyWindowError, QcError, SingularConfigError,
-                     SingularityError)
-from .io import (MAX_SHIFT_DRAWS, RunConfig, build_tiling_document, cells_obj,
-                 frequency_csv, overlap_csv, render_svg, shift_draws,
-                 window_document, write_json, write_text)
+from .errors import ConfigError, QcError, SingularConfigError, SingularityError
+from .geometry import DEFAULT_EPS
+from .io import (build_tiling_document, cells_obj, frequency_csv, overlap_csv,
+                 render_svg, window_document, write_json, write_text)
 from .scan import MAX_KEY_RADIUS, label_extent
-from .window import DECAGON, POLYTOPE
+from .window import DECAGON, POLYTOPE, GridShift, normalize_shift, random_shift
 
 # scan2d, tiling2d, tipscan and lattice3d are imported in their modes'
 # branches of _run_mode, so a run neither compiles nor loads the scan or the
@@ -32,6 +37,9 @@ log = logging.getLogger("qc")
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
+
+#: how many seeded draws --gamma auto tries before giving up
+MAX_SHIFT_DRAWS = 20
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -49,23 +57,25 @@ def _parser() -> argparse.ArgumentParser:
     ]:
         sp = sub.add_parser(mode, help=text)
         sp.add_argument("--c", type=float, default=0.5,
-                        help="sum of the grid shifts, in [0, 1) (default 0.5)")
+                        help="sum of the grid shifts, in [0, 1) (default %(default)s)")
         sp.add_argument("--gamma", default="auto",
-                        help="'auto' or five comma-separated reals (default auto)")
+                        help="'auto' or five comma-separated reals (default %(default)s)")
         sp.add_argument("--seed", type=int, default=0,
-                        help="seed for auto gamma (default 0)")
+                        help="seed for auto gamma (default %(default)s)")
         sp.add_argument("--radius", type=int, default=20,
-                        help="label-box half-width (default 20)")
-        sp.add_argument("--tol", type=float, default=1e-9,
-                        help="absolute boundary tolerance (default 1e-9)")
+                        help="label-box half-width (default %(default)s)")
+        sp.add_argument("--tol", type=float, default=DEFAULT_EPS,
+                        help="absolute boundary tolerance (default %(default)s)")
+        sp.set_defaults(index=None)  # only the windows mode takes an --index
         if mode == "windows":
-            sp.add_argument("--index", type=int, default=None,
+            sp.add_argument("--index", type=int,
                             help="restrict the output to one slice index")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> None:
+    """Check args, the run's configuration, and parse its --gamma in place."""
     gamma = args.gamma
     if gamma != "auto":
         try:
@@ -96,14 +106,32 @@ def _config_from_args(args) -> RunConfig:
                 f"--gamma component {coarsest!r} has a float spacing of "
                 f"{math.ulp(coarsest):.3g}, above --tol {args.tol}, so c is unknown "
                 "to within the tolerance")
-    index = getattr(args, "index", None)  # only the windows mode takes one
-    if index is not None and not 1 <= index <= 5:
-        raise ConfigError(f"--index must lie in [1, 5], got {index}")
-    return RunConfig(mode=args.mode, c=args.c, gamma=gamma, seed=args.seed,
-                     radius=args.radius, tol=args.tol, index=index, out=args.out)
+    if args.index is not None and not 1 <= args.index <= 5:
+        raise ConfigError(f"--index must lie in [1, 5], got {args.index}")
+    args.gamma = gamma
 
 
-def _emit(config: RunConfig, content: str) -> None:
+def shift_draws(config: argparse.Namespace) -> Iterator[GridShift]:
+    """The grid shifts a run may try, in order.
+
+    Explicit gamma yields one shift, normalized as given (its sum wins over
+    config.c).  "auto" yields up to MAX_SHIFT_DRAWS draws, each with
+    gamma_1..4 uniform from an incremented seed and the sum pinned to
+    config.c; the caller takes the next one while a draw is singular.
+    """
+    if config.gamma != "auto":
+        yield normalize_shift(config.gamma)
+        return
+    for attempt in range(MAX_SHIFT_DRAWS):
+        yield random_shift(config.c, config.seed + 1009 * attempt)
+
+
+def _log_config(config: argparse.Namespace, **resolved) -> None:
+    """Echo the run's configuration, with the values it resolved, as sorted JSON."""
+    log.info("resolved config: %s", json.dumps({**vars(config), **resolved}, sort_keys=True))
+
+
+def _emit(config: argparse.Namespace, content: str) -> None:
     if config.out:
         write_text(config.out, content)
         log.info("wrote %s", config.out)
@@ -129,10 +157,10 @@ def _check_tol(tol: float, wset=None, decagons: bool = False) -> None:
             f"{name} to its nearest edge: every test point in it would be singular")
 
 
-def _run_mode(config: RunConfig) -> None:
+def _run_mode(config: argparse.Namespace) -> None:
     if config.mode == "windows":
         from .scan2d import build_windows, slice_window
-        log.info("resolved config: %s", config.to_json())
+        _log_config(config)
         wset = build_windows(POLYTOPE, config.c, config.tol)
         _check_tol(config.tol, wset, decagons=True)
         if config.index is not None:
@@ -189,8 +217,7 @@ def _run_mode(config: RunConfig) -> None:
         raise SingularityError(
             f"no regular shift found after {MAX_SHIFT_DRAWS} draws: every draw was singular "
             f"at tol={config.tol}; last draw: {last_error}")
-    resolved = config._replace(gamma=shift.gamma.tolist(), c=shift.c)
-    log.info("resolved config: %s", resolved.to_json())
+    _log_config(config, gamma=shift.gamma.tolist(), c=shift.c)
     _emit(config, content)
     for level, line in notes:
         log.log(level, "%s", line)
@@ -204,12 +231,12 @@ def run(argv) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
-        config = _config_from_args(args)
-        _run_mode(config)
+        _config_from_args(args)
+        _run_mode(args)
     except SingularConfigError as exc:
         log.error("singular configuration: %s", exc)
         return EXIT_SINGULAR
-    except (ConfigError, EmptyWindowError) as exc:
+    except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
     except QcError as exc:

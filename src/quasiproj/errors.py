@@ -25,10 +25,6 @@ class DegenerateWindowError(SingularConfigError):
     """A slice window collapsed to a point (c = 0 with index 5)."""
 
 
-class EmptyWindowError(QcError):
-    """Requested slice height lies outside the polytope."""
-
-
 class ConsistencyError(QcError):
     """Internal geometric invariant failed (wrong hull counts, atom counts...)."""
 

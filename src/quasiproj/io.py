@@ -1,4 +1,4 @@
-"""Deterministic serialization: SVG patches, OBJ cells, CSV/JSON reports.
+"""Deterministic serialization: tiling documents, SVG, OBJ cells, CSV/JSON reports.
 
 Every writer is a pure function of its inputs; element order is sorted and
 floats are printed with 12 significant digits, so identical runs produce
@@ -8,16 +8,15 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError
-from .geometry import BASIS, DEFAULT_EPS
+from .geometry import BASIS
 from .scan import (_key_weights, check_eps, label_columns, label_extent, label_index,
                    label_keys)
-from .window import DECAGON, POLYTOPE, GridShift, normalize_shift, random_shift
+from .window import DECAGON, POLYTOPE, GridShift
 
 if TYPE_CHECKING:  # each mode loads only the modules it runs
     from .lattice3d import OverlapCensus
@@ -28,54 +27,6 @@ if TYPE_CHECKING:  # each mode loads only the modules it runs
 def fmt(x: float) -> str:
     """12-significant-digit float formatting shared by all text outputs."""
     return f"{float(x):.12g}"
-
-
-# ---------------------------------------------------------------------------
-# run configuration
-# ---------------------------------------------------------------------------
-
-class RunConfig(NamedTuple):
-    """Everything needed to reproduce a run; round-trips losslessly via JSON."""
-
-    mode: str = "tiling2d"
-    c: float = 0.5
-    gamma: object = "auto"   # "auto" or a list of 5 reals
-    seed: int = 0
-    radius: int = 20
-    tol: float = DEFAULT_EPS
-    index: int | None = None
-    out: str | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(self._asdict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
-
-
-#: how many seeded draws --gamma auto tries before giving up
-MAX_SHIFT_DRAWS = 20
-
-
-def shift_draws(config: RunConfig) -> Iterator[GridShift]:
-    """The grid shifts a run may try, in order.
-
-    Explicit gamma yields one shift, normalized as given (its sum wins over
-    config.c).  "auto" yields up to MAX_SHIFT_DRAWS draws, each with
-    gamma_1..4 uniform from an incremented seed and the sum pinned to
-    config.c; the caller takes the next one while a draw is singular.
-    """
-    if config.gamma != "auto":
-        gamma = [float(g) for g in config.gamma]
-        if len(gamma) != 5:
-            raise ConfigError(f"gamma needs 5 components, got {len(gamma)}")
-        yield normalize_shift(gamma)
-        return
-    if not 0.0 <= config.c < 1.0:
-        raise ConfigError(f"c must lie in [0, 1), got {config.c}")
-    for attempt in range(MAX_SHIFT_DRAWS):
-        yield random_shift(config.c, config.seed + 1009 * attempt)
 
 
 # ---------------------------------------------------------------------------

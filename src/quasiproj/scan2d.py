@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateWindowError, EmptyWindowError
+from .errors import ConsistencyError, DegenerateWindowError
 from .geometry import BASIS, DEFAULT_EPS, ConvexWindow
 from .scan import (_SCAN_SLACK, _check_budget, _expand, _integer_span, _key_weights,
                    _LineScan, _scan_chunks, label_columns)
@@ -33,8 +33,6 @@ def slice_window(P: PolytopeP, index: int, c: float) -> ConvexWindow:
         raise ValueError(f"c must lie in [0, 1), got {c}")
     h = index - c
     eps = CONSTRUCTION_TOL
-    if h <= -eps or h >= 5.0 + eps:
-        raise EmptyWindowError(f"slice height {h} outside the polytope span [0, 5]")
     if abs(h) <= eps or abs(h - 5.0) <= eps:
         raise DegenerateWindowError(
             f"slice at height {h} degenerates to a tip (index {index}, c = {c})")
@@ -51,22 +49,19 @@ def slice_window(P: PolytopeP, index: int, c: float) -> ConvexWindow:
             if (za - h) * (zb - h) < 0:
                 t = (h - za) / (zb - za)
                 pts.append((1 - t) * P.vertices[a, :2] + t * P.vertices[b, :2])
-    if not pts:
-        raise EmptyWindowError(f"no face crosses height {h}")
 
-    arr = np.array(pts)
     # eps-dedup, then angular order around the centroid
     uniq: list[np.ndarray] = []
-    for p in arr:
+    for p in pts:
         if not any(np.max(np.abs(p - q)) <= eps for q in uniq):
             uniq.append(p)
+    if len(uniq) not in (5, 10):
+        raise ConsistencyError(
+            f"slice window at height {h} has {len(uniq)} vertices, expected 5 or 10")
     poly = np.array(uniq)
     cen = poly.mean(axis=0)
     ang = np.arctan2(poly[:, 1] - cen[1], poly[:, 0] - cen[0])
     poly = poly[np.argsort(ang)]
-    if len(poly) not in (5, 10):
-        raise ConsistencyError(
-            f"slice window at height {h} has {len(poly)} vertices, expected 5 or 10")
     return ConvexWindow.of(poly)
 
 

@@ -12,9 +12,8 @@ from pathlib import Path
 import pytest
 
 import quasiproj as qp
-from quasiproj.cli import run
+from quasiproj.cli import MAX_SHIFT_DRAWS, _config_from_args, _parser, run, shift_draws
 from quasiproj.errors import QcError, SingularityError
-from quasiproj.io import RunConfig
 from quasiproj.tiling2d import empirical_frequencies
 from quasiproj.scan2d import build_windows, enumerate_accepted_2d
 from quasiproj.window import random_shift
@@ -192,6 +191,54 @@ def test_only_the_windows_mode_takes_an_index(mode, caplog):
     assert json.loads(lines[0].partition(": ")[2])["index"] is None
 
 
+_AUTO_GAMMA = ("[-0.4642495605500484, 0.6369616873214543, 0.2697867137638703, "
+               "0.04097352393619469, 0.016527635528529094]")
+
+
+@pytest.mark.parametrize("args, line", [
+    (["freq", "--gamma=0.1,0.1,0.1,0.1,0.1", "--radius", "4"],
+     '{"c": 0.5, "gamma": [0.1, 0.1, 0.1, 0.1, 0.1], "index": null, "mode": "freq", '
+     '"out": null, "radius": 4, "seed": 0, "tol": 1e-09}'),
+    (["windows", "--c", "0.3", "--index", "3"],
+     '{"c": 0.3, "gamma": "auto", "index": 3, "mode": "windows", "out": null, '
+     '"radius": 20, "seed": 0, "tol": 1e-09}'),
+    (["lattice3d", "--radius", "5"],
+     f'{{"c": 0.5, "gamma": {_AUTO_GAMMA}, "index": null, "mode": "lattice3d", '
+     '"out": null, "radius": 5, "seed": 0, "tol": 1e-09}'),
+    (["overlap-census", "--radius", "6"],
+     f'{{"c": 0.5, "gamma": {_AUTO_GAMMA}, "index": null, "mode": "overlap-census", '
+     '"out": null, "radius": 6, "seed": 0, "tol": 1e-09}'),
+], ids=["freq-explicit-gamma", "windows-index", "lattice3d-auto", "overlap-census-auto"])
+def test_resolved_config_line_is_pinned(args, line, caplog, capsys):
+    # the whole echo, its eight keys sorted: a run is repeated from it, and
+    # perfbench reads the gamma a run used off it
+    with caplog.at_level(logging.INFO, logger="qc"):
+        assert run(args) == 0
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("resolved config: ")] == [f"resolved config: {line}"]
+
+
+def _checked(*argv):
+    """The configuration of `qc freq *argv`, parsed and checked as run() does."""
+    config = _parser().parse_args(["freq", *argv])
+    _config_from_args(config)
+    return config
+
+
+def test_shift_draws_explicit_vs_auto():
+    explicit = next(shift_draws(_checked("--gamma=0.1,0.1,0.1,0.1,0.1")))
+    assert explicit.c == pytest.approx(0.5, abs=1e-12)
+    auto1 = next(shift_draws(_checked("--c", "0.3", "--seed", "5")))
+    auto2 = next(shift_draws(_checked("--c", "0.3", "--seed", "5")))
+    assert auto1.gamma.tolist() == auto2.gamma.tolist()
+    # an explicit shift is tried once, and auto draws MAX_SHIFT_DRAWS at most
+    assert len(list(shift_draws(_checked("--gamma=0.1,0.1,0.1,0.1,0.1")))) == 1
+    draws = list(shift_draws(_checked("--c", "0.3", "--seed", "5")))
+    assert len(draws) == MAX_SHIFT_DRAWS
+    assert all(d.c == 0.3 for d in draws)
+    assert len({tuple(d.gamma.tolist()) for d in draws}) == MAX_SHIFT_DRAWS
+
+
 def test_explicit_gamma_passthrough(tmp_path):
     out = tmp_path / "freq.csv"
     code = run(["freq", "--gamma", "0.1,0.1,0.1,0.1,0.1", "--radius", "8",
@@ -310,8 +357,10 @@ def test_internal_value_error_is_not_a_configuration_error(monkeypatch):
         run(["freq", "--radius", "4"])
 
 
-def test_tolerance_validation():
-    assert RunConfig().tol == 1e-9
+def test_tolerance_validation(caplog, capsys):
+    with caplog.at_level(logging.INFO, logger="qc"):
+        assert run(["windows"]) == 0
+    assert '"tol": 1e-09' in caplog.text
     for tol in ("0", "-1e-9", "nan"):
         assert run(["freq", "--tol", tol]) == 2
 

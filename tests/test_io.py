@@ -5,40 +5,14 @@ import pytest
 
 import quasiproj as qp
 from quasiproj.errors import ConfigError, ConsistencyError
-from quasiproj.io import (MAX_SHIFT_DRAWS, SVG_STYLES, RunConfig, TilingDocument,
-                          build_tiling_document, cells_obj, frequency_csv,
-                          overlap_csv, render_svg, shift_draws,
-                          window_document, write_json, write_text)
+from quasiproj.io import (SVG_STYLES, TilingDocument, build_tiling_document, cells_obj,
+                          frequency_csv, overlap_csv, render_svg, window_document,
+                          write_json, write_text)
 from quasiproj.lattice3d import OverlapCensus, build_cells
 from quasiproj.tiling2d import FrequencyReport, FrequencyRow
 from quasiproj.window import random_shift
 
 from helpers import cells_obj_reference, find_tips, tiling_svg_reference
-
-
-def test_runconfig_json_roundtrip():
-    cfg = RunConfig(mode="freq", c=0.25, gamma=[0.1, 0.2, -0.3, 0.15, 0.1],
-                    seed=42, radius=30, tol=1e-10, index=None,
-                    out="x.csv")
-    assert RunConfig.from_json(cfg.to_json()) == cfg
-    auto = RunConfig()
-    assert RunConfig.from_json(auto.to_json()) == auto
-
-
-def test_shift_draws_explicit_vs_auto():
-    explicit = next(shift_draws(RunConfig(gamma=[0.1, 0.1, 0.1, 0.1, 0.1])))
-    assert explicit.c == pytest.approx(0.5, abs=1e-12)
-    auto1 = next(shift_draws(RunConfig(c=0.3, seed=5)))
-    auto2 = next(shift_draws(RunConfig(c=0.3, seed=5)))
-    assert np.array_equal(auto1.gamma, auto2.gamma)
-    with pytest.raises(ConfigError):
-        next(shift_draws(RunConfig(gamma=[0.1, 0.2])))
-    # an explicit shift is tried once, and auto draws MAX_SHIFT_DRAWS at most
-    assert len(list(shift_draws(RunConfig(gamma=[0.1, 0.1, 0.1, 0.1, 0.1])))) == 1
-    draws = list(shift_draws(RunConfig(c=0.3, seed=5)))
-    assert len(draws) == MAX_SHIFT_DRAWS
-    assert all(d.c == 0.3 for d in draws)
-    assert len({tuple(d.gamma.tolist()) for d in draws}) == MAX_SHIFT_DRAWS
 
 
 def test_empty_document_svg():

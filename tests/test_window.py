@@ -5,8 +5,7 @@ import pytest
 
 import quasiproj as qp
 from quasiproj import geometry
-from quasiproj.errors import (ConfigError, DegenerateWindowError, EmptyWindowError,
-                              PolygonError)
+from quasiproj.errors import ConfigError, DegenerateWindowError, PolygonError
 from quasiproj.geometry import max_edge_distance, points_in_convex_polygon
 from quasiproj.lattice3d import overlap_census
 from quasiproj.scan import (MAX_KEY_RADIUS, label_columns, label_extent, label_index,
