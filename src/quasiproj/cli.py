@@ -1,7 +1,8 @@
 """Command-line entry point: qc {tiling2d,freq,windows,lattice3d,overlap-census}.
 
 The checked argparse namespace is the run configuration; a run echoes it on
-stderr, with the gamma and c it resolved, so that it can be repeated.
+stderr, a lattice run with the gamma and c it resolved, so that it can be
+repeated.
 """
 
 from __future__ import annotations
@@ -58,56 +59,59 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(mode, help=text)
         sp.add_argument("--c", type=float, default=0.5,
                         help="sum of the grid shifts, in [0, 1) (default %(default)s)")
-        sp.add_argument("--gamma", default="auto",
-                        help="'auto' or five comma-separated reals (default %(default)s)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for auto gamma (default %(default)s)")
-        sp.add_argument("--radius", type=int, default=20,
-                        help="label-box half-width (default %(default)s)")
-        sp.add_argument("--tol", type=float, default=DEFAULT_EPS,
-                        help="absolute boundary tolerance (default %(default)s)")
-        sp.set_defaults(index=None)  # only the windows mode takes an --index
         if mode == "windows":
+            # the windows depend on the shift only through c
             sp.add_argument("--index", type=int,
                             help="restrict the output to one slice index")
+        else:
+            sp.add_argument("--gamma", default="auto",
+                            help="'auto' or five comma-separated reals (default %(default)s)")
+            sp.add_argument("--seed", type=int, default=0,
+                            help="seed for auto gamma (default %(default)s)")
+            sp.add_argument("--radius", type=int, default=20,
+                            help="label-box half-width (default %(default)s)")
+            sp.set_defaults(index=None)
+        sp.add_argument("--tol", type=float, default=DEFAULT_EPS,
+                        help="absolute boundary tolerance (default %(default)s)")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> None:
     """Check args, the run's configuration, and parse its --gamma in place."""
-    gamma = args.gamma
-    if gamma != "auto":
-        try:
-            gamma = [float(x) for x in str(gamma).split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse --gamma {args.gamma!r}: {exc}") from exc
-        if len(gamma) != 5:
-            raise ConfigError(f"--gamma needs 5 components, got {len(gamma)}")
-        if not all(map(math.isfinite, gamma)):
-            raise ConfigError(f"--gamma components must be finite, got {args.gamma!r}")
     if not 0.0 <= args.c < 1.0:
         raise ConfigError(f"--c must lie in [0, 1), got {args.c}")
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be positive, got {args.tol}")
+    if args.index is not None and not 1 <= args.index <= 5:
+        raise ConfigError(f"--index must lie in [1, 5], got {args.index}")
+    if args.mode == "windows":
+        return
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     if not 1 <= args.radius <= MAX_KEY_RADIUS:
         raise ConfigError(f"--radius must lie in [1, {MAX_KEY_RADIUS}], got {args.radius}")
-    if not 0.0 < args.tol < math.inf:
-        raise ConfigError(f"--tol must be positive, got {args.tol}")
-    if gamma != "auto":
-        # the windows are cut at c = sum(gamma) mod 1, which must be known
-        # to within the boundary tolerance
-        total = sum(gamma)
-        if not math.isfinite(total):
-            raise ConfigError(f"--gamma {args.gamma!r} sums to {total}, so c is unknown")
-        coarsest = max(gamma, key=math.ulp)
-        if math.ulp(coarsest) > args.tol:
-            raise ConfigError(
-                f"--gamma component {coarsest!r} has a float spacing of "
-                f"{math.ulp(coarsest):.3g}, above --tol {args.tol}, so c is unknown "
-                "to within the tolerance")
-    if args.index is not None and not 1 <= args.index <= 5:
-        raise ConfigError(f"--index must lie in [1, 5], got {args.index}")
+    if args.gamma == "auto":
+        return
+    try:
+        gamma = [float(x) for x in str(args.gamma).split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse --gamma {args.gamma!r}: {exc}") from exc
+    if len(gamma) != 5:
+        raise ConfigError(f"--gamma needs 5 components, got {len(gamma)}")
+    if not all(map(math.isfinite, gamma)):
+        raise ConfigError(f"--gamma components must be finite, got {args.gamma!r}")
+    # the windows are cut at c = sum(gamma) mod 1, which must be known to
+    # within the boundary tolerance
+    total = sum(gamma)
+    if not math.isfinite(total):
+        raise ConfigError(f"--gamma {args.gamma!r} sums to {total}, so c is unknown")
+    coarsest = max(gamma, key=math.ulp)
+    if math.ulp(coarsest) > args.tol:
+        raise ConfigError(
+            f"--gamma component {coarsest!r} has a float spacing of "
+            f"{math.ulp(coarsest):.3g}, above --tol {args.tol}, so c is unknown "
+            "to within the tolerance")
     args.gamma = gamma
 
 

@@ -18,6 +18,7 @@ names this module exported before they moved resolve here on first use.
 from __future__ import annotations
 
 import importlib
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -84,18 +85,19 @@ def normalize_shift(gamma) -> GridShift:
 
     Subtracting an integer n from gamma_0 relabels k_0 -> k_0 + n and leaves
     the generated pattern unchanged, so only the fractional part of the sum
-    matters.
+    matters.  The sums are `math.fsum`s, so c does not depend on the order
+    of the components.
     """
     g = np.array(gamma, dtype=float)
     if g.shape != (5,):
         raise ValueError(f"gamma must have 5 components, got shape {g.shape}")
-    total = g.sum()
+    total = math.fsum(g)
     g[0] -= np.floor(total)
-    c = g.sum()
+    c = math.fsum(g)
     # guard against float roundup at the top of the interval
     if c >= 1.0:
         g[0] -= 1.0
-        c = g.sum()
+        c = math.fsum(g)
     return GridShift(gamma=g, c=max(c, 0.0))
 
 

@@ -7,8 +7,10 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quasiproj as qp
@@ -16,7 +18,7 @@ from quasiproj.cli import MAX_SHIFT_DRAWS, _config_from_args, _parser, run, shif
 from quasiproj.errors import QcError, SingularityError
 from quasiproj.tiling2d import empirical_frequencies
 from quasiproj.scan2d import build_windows, enumerate_accepted_2d
-from quasiproj.window import random_shift
+from quasiproj.window import normalize_shift, random_shift
 
 
 def test_freq_end_to_end(tmp_path):
@@ -174,6 +176,11 @@ def test_config_errors():
     # spacing, 16, swamps the other components
     assert run(["tiling2d", "--gamma=1e308,1e308,0,0,0", "--radius", "4"]) == 2
     assert run(["tiling2d", "--gamma=0.1,0.1,0.1,0.1,1e17", "--radius", "4"]) == 2
+    # the windows depend on the shift only through --c, so windows refuses
+    # a gamma, a seed and a radius, which it would ignore
+    assert run(["windows", "--gamma=0.1,0.2,0.05,0.1,0.1"]) == 2
+    assert run(["windows", "--seed", "3"]) == 2
+    assert run(["windows", "--radius", "5"]) == 2
     assert run(["nonsense"]) == 2
     assert run(["freq", "--format", "csv"]) == 2  # no such flag
 
@@ -200,8 +207,7 @@ _AUTO_GAMMA = ("[-0.4642495605500484, 0.6369616873214543, 0.2697867137638703, "
      '{"c": 0.5, "gamma": [0.1, 0.1, 0.1, 0.1, 0.1], "index": null, "mode": "freq", '
      '"out": null, "radius": 4, "seed": 0, "tol": 1e-09}'),
     (["windows", "--c", "0.3", "--index", "3"],
-     '{"c": 0.3, "gamma": "auto", "index": 3, "mode": "windows", "out": null, '
-     '"radius": 20, "seed": 0, "tol": 1e-09}'),
+     '{"c": 0.3, "index": 3, "mode": "windows", "out": null, "tol": 1e-09}'),
     (["lattice3d", "--radius", "5"],
      f'{{"c": 0.5, "gamma": {_AUTO_GAMMA}, "index": null, "mode": "lattice3d", '
      '"out": null, "radius": 5, "seed": 0, "tol": 1e-09}'),
@@ -210,8 +216,9 @@ _AUTO_GAMMA = ("[-0.4642495605500484, 0.6369616873214543, 0.2697867137638703, "
      '"out": null, "radius": 6, "seed": 0, "tol": 1e-09}'),
 ], ids=["freq-explicit-gamma", "windows-index", "lattice3d-auto", "overlap-census-auto"])
 def test_resolved_config_line_is_pinned(args, line, caplog, capsys):
-    # the whole echo, its eight keys sorted: a run is repeated from it, and
-    # perfbench reads the gamma a run used off it
+    # the whole echo, its keys sorted: a run is repeated from it, and
+    # perfbench reads the gamma a run used off it.  The lattice modes echo
+    # eight keys, windows only the five options it reads
     with caplog.at_level(logging.INFO, logger="qc"):
         assert run(args) == 0
     assert [r.getMessage() for r in caplog.records
@@ -244,6 +251,69 @@ def test_explicit_gamma_passthrough(tmp_path):
     code = run(["freq", "--gamma", "0.1,0.1,0.1,0.1,0.1", "--radius", "8",
                 "--out", str(out)])
     assert code == 0
+
+
+def _reorderings(gamma):
+    """gamma under the 10 elements of the dihedral group on its five slots,
+    slot j taking component (s j + r) mod 5, each as a --gamma option."""
+    return ["--gamma=" + ",".join(repr(float(gamma[(s * j + r) % 5])) for j in range(5))
+            for s in (1, -1) for r in range(5)]
+
+
+def _resolved(caplog):
+    """The configuration echoed by the last run logged in caplog."""
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("resolved config: ")]
+    return json.loads(lines[-1].partition(": ")[2])
+
+
+def test_a_shift_summing_to_zero_runs_at_c_zero_in_any_order(caplog, capsys):
+    # c is the fsum of gamma, so it does not depend on the order of the
+    # components.  With the float sum, the orders that put -0.4 first ran at
+    # c = 0.9999999999999999 and exited 3 (the index-1 slice is a tip there),
+    # and -0.4 in slot 1 had gamma_0 moved to 0.10000000000000009
+    outputs = set()
+    for option in _reorderings([-0.4, 0.1, 0.1, 0.1, 0.1]):
+        with caplog.at_level(logging.INFO, logger="qc"):
+            assert run(["freq", option, "--radius", "20"]) == 0
+        config = _resolved(caplog)
+        assert config["c"] == 0.0
+        assert config["gamma"] == [float(x) for x in option.partition("=")[2].split(",")]
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
+
+
+_SEEDED_C = float(np.random.default_rng(31).uniform())
+
+
+@pytest.mark.parametrize("gamma", [
+    [-0.3, 0.05, 0.1, 0.2, -0.05],  # exact sum 2**-55 < tol: the c = 0 windows
+    random_shift(0.5, 3).gamma,
+    random_shift(qp.PHI ** -2, 3).gamma,
+    random_shift(_SEEDED_C, 3).gamma,
+], ids=["c-0", "c-0.5", "c-p^-2", "c-seeded"])
+def test_permuting_gamma_leaves_every_count_unchanged(gamma, capsys):
+    # the label box, its margin, the index and c are invariant under permuting
+    # the slots of gamma, and a cyclic shift or a reversal only rotates or
+    # reflects the projections, so the census tables are byte-identical.  The
+    # permuted runs meet the labels in other chunks, scan lines and key order.
+    # Precondition: normalize_shift leaves gamma as it is; a gamma_0 it moves
+    # would translate the box along a different axis in each order.
+    assert 0 <= sum(map(Fraction, gamma)) < 1
+    assert normalize_shift(gamma).gamma.tolist() == list(gamma)
+    for mode, radius in [("freq", "20"), ("overlap-census", "8")]:
+        outputs = set()
+        for option in _reorderings(gamma):
+            assert run([mode, option, "--radius", radius]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1, mode
+
+
+def test_a_singular_shift_is_singular_in_any_order():
+    # only the exit code: which label is named first depends on the key order
+    for mode, radius in [("freq", "20"), ("overlap-census", "8")]:
+        for option in _reorderings([1, -1, 0, 0, 0]):
+            assert run([mode, option, "--radius", radius]) == 3, (mode, option)
 
 
 def test_deterministic_outputs(tmp_path):
@@ -381,9 +451,9 @@ sys.modules["scipy"] = None
 from quasiproj.cli import run
 from quasiproj.errors import QcError
 out = sys.argv[1]
-codes = [run([mode, "--c", "0.4", "--radius", radius, "--out", f"{out}/{mode}"])
-         for mode, radius in [("windows", "1"), ("tiling2d", "4"), ("freq", "4"),
-                              ("lattice3d", "5"), ("overlap-census", "6")]]
+codes = [run([*args, "--c", "0.4", "--out", f"{out}/{args[0]}"])
+         for args in [["windows"], ["tiling2d", "--radius", "4"], ["freq", "--radius", "4"],
+                      ["lattice3d", "--radius", "5"], ["overlap-census", "--radius", "6"]]]
 sys.exit(max(codes))
 """
 
@@ -466,8 +536,7 @@ for name in ("inv", "solve", "det", "lstsq", "eig", "svd"):
     setattr(numpy.linalg, name, lapack)
 from quasiproj.cli import run
 out, modes = sys.argv[1], json.loads(sys.argv[2])
-codes = [run([mode, "--c", "0.4", "--radius", radius, "--out", f"{out}/{mode}"])
-         for mode, radius in modes]
+codes = [run([*args, "--c", "0.4", "--out", f"{out}/{args[0]}"]) for args in modes]
 print(json.dumps({"codes": codes, "loaded": sorted(
     name for name in ("dataclasses", "numpy.random", "quasiproj.lattice3d",
                       "quasiproj.pentagrid", "quasiproj.scan2d", "quasiproj.tiling2d",
@@ -476,9 +545,9 @@ print(json.dumps({"codes": codes, "loaded": sorted(
 
 
 @pytest.mark.parametrize("modes, loaded", [
-    ([("windows", "1"), ("tiling2d", "4"), ("freq", "4")],
+    ([["windows"], ["tiling2d", "--radius", "4"], ["freq", "--radius", "4"]],
      ["quasiproj.scan2d", "quasiproj.tiling2d"]),
-    ([("lattice3d", "5"), ("overlap-census", "6")],
+    ([["lattice3d", "--radius", "5"], ["overlap-census", "--radius", "6"]],
      ["quasiproj.lattice3d", "quasiproj.tipscan"]),
 ], ids=["2-d", "3-d"])
 def test_each_mode_loads_only_what_it_runs(modes, loaded, tmp_path):

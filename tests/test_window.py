@@ -40,6 +40,11 @@ def test_normalize_shift_examples():
     assert s.c == pytest.approx(0.4, abs=1e-12)
     assert np.allclose(s.gamma, [0.2, 0.2, 0, 0, 0])
 
+    # c is the fsum, correctly rounded: an exact sum of 0 is c = 0 in any order
+    for g in ([-0.4, 0.1, 0.1, 0.1, 0.1], [0.1, -0.4, 0.1, 0.1, 0.1], [0.1] * 4 + [-0.4]):
+        s = normalize_shift(g)
+        assert s.c == 0.0 and s.gamma.tolist() == g
+
 
 def test_normalize_shift_relabels_pattern(basis, windows_for):
     # normalization shifts gamma_0 by an integer n, which relabels k_0 -> k_0 + n;
