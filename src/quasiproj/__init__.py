@@ -26,7 +26,6 @@ _EXPORTS = {
                "random_shift"),
     "scan": ("label_keys",),
     "scan2d": ("WindowSet", "build_windows", "enumerate_accepted_2d", "slice_window"),
-    "tipscan": ("enumerate_tips",),
     "pentagrid": ("PentagridTiling", "enumerate_intersections",
                   "k_vector_2d", "k_vector_3d", "tiling_from_pentagrid"),
     "tiling2d": ("CENSUS", "FrequencyReport", "VertexType", "analytic_A",

@@ -22,16 +22,17 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 if not any(var in os.environ for var in _BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
-from .errors import ConfigError, QcError, SingularConfigError, SingularityError
+from .errors import (ConfigError, DegenerateWindowError, QcError, SingularConfigError,
+                     SingularityError)
 from .geometry import DEFAULT_EPS
 from .io import (build_tiling_document, cells_obj, frequency_csv, overlap_csv,
                  render_svg, window_document, write_json, write_text)
-from .scan import MAX_KEY_RADIUS, label_extent
+from .scan import MAX_KEY_RADIUS
 from .window import DECAGON, POLYTOPE, GridShift, normalize_shift, random_shift
 
-# scan2d, tiling2d, tipscan and lattice3d are imported in their modes'
-# branches of _run_mode, so a run neither compiles nor loads the scan or the
-# module of another mode
+# scan2d, tiling2d and lattice3d (with its tip scan) are imported in their
+# modes' branches of _run_mode, so a run neither compiles nor loads the scan
+# or the module of another mode
 
 log = logging.getLogger("qc")
 
@@ -163,14 +164,17 @@ def _check_tol(tol: float, wset=None, decagons: bool = False) -> None:
 
 def _run_mode(config: argparse.Namespace) -> None:
     if config.mode == "windows":
-        from .scan2d import build_windows, slice_window
+        from .scan2d import build_windows
         _log_config(config)
         wset = build_windows(POLYTOPE, config.c, config.tol)
         _check_tol(config.tol, wset, decagons=True)
         if config.index is not None:
-            win = slice_window(POLYTOPE, config.index, config.c)
-            doc = {"c": config.c, "index": config.index,
-                   "height": config.index - config.c, "polygon": win.polygon.tolist()}
+            if config.index not in wset.slices:
+                raise DegenerateWindowError(
+                    f"slice at height {config.index - config.c} degenerates to a tip "
+                    f"(index {config.index}, c = {config.c})")
+            doc = {"c": config.c, "index": config.index, "height": config.index - config.c,
+                   "polygon": wset.slices[config.index].polygon.tolist()}
         else:
             doc = window_document(wset)
         _emit(config, write_json(doc))
@@ -191,13 +195,10 @@ def _run_mode(config: argparse.Namespace) -> None:
         _check_tol(config.tol, decagons=True)
         if config.mode == "lattice3d":
             from .lattice3d import TIP_MARGIN, build_cells
-            from .tipscan import enumerate_tips
-            tips, _, n_points = enumerate_tips(config.radius, shift, config.tol)
-            inner = tips[label_extent(tips) <= config.radius - TIP_MARGIN]
-            cells = build_cells(inner, shift, config.tol)
+            cells, n_points, n_tips = build_cells(config.radius, shift, config.tol)
             notes = [(logging.INFO, f"lattice: {n_points} points, "
-                                    f"{len(tips)} tips, {len(inner)} complete cells")]
-            if not len(inner):
+                                    f"{n_tips} tips, {len(cells[0])} complete cells")]
+            if not len(cells[0]):
                 notes.append((logging.WARNING,
                               f"no complete cells: every tip lies within {TIP_MARGIN} "
                               "label steps of the box edge; raise --radius"))

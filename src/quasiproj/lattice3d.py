@@ -11,15 +11,13 @@ neighbor's 8, so the class also fixes the mean atoms a cell shares.
 
 Both the cells and the classes are properties of the tips, so nothing here
 holds the lattice.  Since sum_j d_j = 0, the labels k + n (1,1,1,1,1) of a
-column share one test point and so one decision; the decagon scan tests each
-column once, keeps only the tip columns, and still raises for a singular
-label that is not a tip.  A tip's cell and class are read off its test
-point t by point location: atom k + m, m a cube vertex, is a lattice point
-when t + m.D falls in the decagon, and overlapping neighbor k + m a tip
-when it falls in the inner decagon.  The census classifies each chunk of
-the scan's tip columns as it comes, each column once, counts it as many
-times as it has boundary-complete tips, and keeps only the five class
-tallies, so its memory does not grow with the radius.
+column share one test point and so one decision, and the tip scan tests
+each column once.  A tip's cell and class are read off its test point t by
+point location: atom k + m, m a cube vertex, is a lattice point when t + m.D
+falls in the decagon, and overlapping neighbor k + m a tip when it falls in
+the inner decagon.  Cells and census read one pass over the tip columns that
+hold a boundary-complete tip and decide each column once; the census keeps
+only the five class tallies, so its memory does not grow with the radius.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 from .errors import (CensusViolationError, ConfigError, ConsistencyError,
                      SingularityError)
 from .geometry import BASIS, DEFAULT_EPS, PHI
-from .scan import _key_weights, label_columns
+from .scan import _check_budget, _expand, _key_weights, label_columns
 from .tipscan import scan_tip_columns
 from .window import CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES, GridShift
 
@@ -69,35 +67,68 @@ _INTERIOR_BY_LABEL = np.array(INTERIOR_INDICES)[
     np.lexsort(CUBE_VERTICES[list(INTERIOR_INDICES)].T[::-1])]
 
 
-def build_cells(tips, shift: GridShift, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms k + m of each tip's cell, read off its test point t by t + m.D.
+#: label steps from the box edge within which a tip is not classified or
+#: given a cell, so that none of its neighbours or atoms lies outside the box
+TIP_MARGIN = 3
 
-    Returns (hull (n, 22, 5) in POLYTOPE.vertices order, the tip first,
-    interior (n, 4, 5) in label order).  Raises SingularityError for an atom within
-    eps of the decagon boundary and ValueError for a tip that is not a
-    lattice point.  All 22 hull translates must be lattice points.  The only
-    offsets that can carry an interior atom are the ten interior cube
-    vertices (no other m has m.W strictly inside the polytope with m.D short
-    enough for both ends to pass the decagon test), and exactly four of
-    them must hit.
+
+def _complete_columns(M: int, shift: GridShift, eps: float):
+    """Per chunk of scan_tip_columns, (points (2, n), first, count, n_tips,
+    n_points): for each tip column that holds a boundary-complete tip, its
+    test point, the key of its first such tip and how many it holds; then
+    the chunk's numbers of tips and lattice points.  A column's first member
+    in the box has its least component at -M, so TIP_MARGIN steps up the
+    column reach its first tip clear of the box edge, one of
+    2 (M - TIP_MARGIN) + 1 - s at spread s."""
+    step = _key_weights(M).sum()
+    for points, keys, spread, n_points in scan_tip_columns(M, shift, eps):
+        count = 2 * (M - TIP_MARGIN) + 1 - spread
+        held = count > 0
+        yield (points[:, held], keys[held] + TIP_MARGIN * step, count[held],
+               int(np.sum(2 * M + 1 - spread)), n_points)
+
+
+def build_cells(radius: int, shift: GridShift, eps: float
+                ) -> tuple[tuple[np.ndarray, np.ndarray], int, int]:
+    """The cells of the boundary-complete tips of the box [-radius, radius]^5.
+
+    Returns ((hull (n, 22, 5) in POLYTOPE.vertices order, the tip first,
+    interior (n, 4, 5) in label order), lattice points in the box, tips in
+    it), the n tips in key order.  Atom k + m is a lattice point when t + m.D
+    falls in the decagon, t the test point the tips of k's column share, so
+    one classify_steps call decides the 32 atoms of each column of
+    _complete_columns for all its tips.  All 22 hull translates must be
+    lattice points.  The only offsets that can carry an interior atom are
+    the ten interior cube vertices (no other m has m.W strictly inside the
+    polytope with m.D short enough for both ends to pass the decagon test),
+    and exactly four of them must hit.  Raises ConfigError, before anything
+    is allocated, if the lattice would not fit in MEMORY_BUDGET; otherwise as
+    scan_tip_columns does, then SingularityError naming the first atom
+    within eps of the decagon boundary of the least-key tip that has one.
     """
-    tips = np.asarray(tips, dtype=np.int64).reshape(-1, 5)
-    points = ((tips - shift.gamma) @ BASIS.D).T
-    status = DECAGON.window.classify_steps(points, DECAGON.projections, eps).T
+    M = int(radius)
+    _check_budget(M, (2 * M + 1) ** 3, [DECAGON.window], BASIS.D[3], BASIS.D[4])
+    points, first, count, n_tips, n_points = zip(*_complete_columns(M, shift, eps))
+    status = DECAGON.window.classify_steps(np.concatenate(points, axis=1),
+                                           DECAGON.projections, eps).T
+    count = np.concatenate(count)
+    column, n = _expand(np.zeros_like(count), count - 1)
+    keys = np.concatenate(first)[column] + n * _key_weights(M).sum()
+    order = np.argsort(keys)
+    tips = np.column_stack(label_columns(keys[order], M))
+    status = status[column[order]]
     if np.any(status == -1):
         i, m = np.unravel_index(np.argmax(status == -1), status.shape)
         bad = tips[i] + CUBE_VERTICES[m]
         raise SingularityError(
             f"cell atom {tuple(bad.tolist())} lands within eps of the decagon boundary "
             f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
-    if np.any(status[:, 0] != 1):
-        bad = tips[np.argmax(status[:, 0] != 1)]
-        raise ValueError(f"{tuple(bad.tolist())} is not a lattice point")
     present = status == 1
     _check_cells(tips, present)
     interior = tips[:, None, :] + CUBE_VERTICES[_INTERIOR_BY_LABEL]
     interior = interior[present[:, _INTERIOR_BY_LABEL]].reshape(-1, 4, 5)
-    return tips[:, None, :] + CUBE_VERTICES[list(HULL_INDICES)], interior
+    hull = tips[:, None, :] + CUBE_VERTICES[list(HULL_INDICES)]
+    return (hull, interior), sum(n_points), sum(n_tips)
 
 
 def _check_cells(tips: np.ndarray, present: np.ndarray) -> None:
@@ -180,11 +211,6 @@ class OverlapCensus(NamedTuple):
     shared_atoms: dict  # class label -> mean atoms shared with neighbors, nan if no tips
 
 
-#: label steps from the box edge within which a tip is not classified or
-#: given a cell, so that none of its neighbours or atoms lies outside the box
-TIP_MARGIN = 3
-
-
 def overlap_census(radius: int, shift: GridShift,
                    eps: float = DEFAULT_EPS) -> OverlapCensus:
     """Classify every boundary-complete tip of the box and tally the five overlap classes.
@@ -192,11 +218,9 @@ def overlap_census(radius: int, shift: GridShift,
     Tips within TIP_MARGIN label steps of the box edge are not classified.
     The tips k + n (1,1,1,1,1) of a column share their test point, so their
     neighboring tips are translates of each other and they have one class.
-    So each tip column of scan_tip_columns is classified once, as its chunk
-    comes, and its class counted once per boundary-complete tip:
-    2 (radius - TIP_MARGIN) + 1 - s, s the column's spread.  The class is
-    read off the column's test point by overlap_signatures.  Only the class
-    tallies outlive a chunk.
+    So each column of _complete_columns is classified once, as its chunk
+    comes, by overlap_signatures on its test point, and its class counted
+    once per boundary-complete tip.  Only the class tallies outlive a chunk.
 
     The scan's SingularityError comes first, after its last chunk, though
     the chunks before the singular one have been classified.  Then, in
@@ -215,11 +239,9 @@ def overlap_census(radius: int, shift: GridShift,
     total = 0
     neighbor_error = None
     outside = []  # (key, message) of the least-key offending tip of a chunk
-    for points, keys, spread, _ in scan_tip_columns(M, shift, eps):
-        weight = 2 * (M - TIP_MARGIN) + 1 - spread
-        points, keys, weight = points[:, weight > 0], keys[weight > 0], weight[weight > 0]
-        total += int(weight.sum())
-        if neighbor_error or not len(weight):
+    for points, first, count, _, _ in _complete_columns(M, shift, eps):
+        total += int(count.sum())
+        if neighbor_error or not len(count):
             continue
         try:
             sigs = overlap_signatures(points.T, eps)
@@ -229,17 +251,14 @@ def overlap_census(radius: int, shift: GridShift,
             continue
         cls = _CLASS_OF_CODE[11 * sigs[:, 1] + sigs[:, 2]]
         if np.any(cls < 0):
-            # the first boundary-complete tip of each offending column, TIP_MARGIN
-            # steps k -> k + (1,1,1,1,1) after the column's first member
             bad = np.flatnonzero(cls < 0)
-            first = keys[bad] + TIP_MARGIN * _key_weights(M).sum()
-            i = int(np.argmin(first))
+            i = bad[np.argmin(first[bad])]
             tip = tuple(int(k) for k in label_columns(first[i], M))
             outside.append((int(first[i]),
                             f"tip {tip} has overlap signature "
-                            f"{tuple(sigs[bad[i]].tolist())}, outside the five known classes"))
+                            f"{tuple(sigs[i].tolist())}, outside the five known classes"))
             continue
-        tally += np.bincount(cls, weights=weight, minlength=len(_CLASSES))
+        tally += np.bincount(cls, weights=count, minlength=len(_CLASSES))
     if total == 0:
         raise ConfigError("no boundary-complete tips in the lattice box")
     if neighbor_error:

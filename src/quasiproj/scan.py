@@ -122,9 +122,9 @@ class _LineScan(NamedTuple):
 #: memory an enumeration that holds labels may plan for, and what a qc run
 #: holds at its peak per accepted label (ru_maxrss above the start: ~320 B
 #: for the whole 3-d lattice at radius 35).  Only enumerate_accepted_2d and
-#: enumerate_tips hold labels, so only they check it.  The scans hold one
-#: chunk: `qc freq` peaks at 32.2 MB at radius 200 and 31.8 MB at radius 5,
-#: the census at 32.4 and 31.3 MB at radius 100 and 5 (medians of 7).
+#: lattice3d.build_cells hold labels, so only they check it.  The scans hold
+#: one chunk: `qc freq` peaks at 32.2 MB at radius 200 and 31.8 MB at radius
+#: 5, the census at 32.4 and 31.3 MB at radius 100 and 5 (medians of 7).
 MEMORY_BUDGET = 4 * 10 ** 9
 BYTES_PER_LABEL = 320
 

@@ -1,7 +1,9 @@
 """The 3-d label-box scan: every column of the box against the decagon and
 the inner decagon, whose points are the tips of the 3-d unit cells.
 
-The 2-d modes read neither decagon, so they do not import this module.
+It yields tip columns, not tips: `lattice3d` reads the cells and overlap
+classes of all a column's tips off its test point.  The 2-d modes read
+neither decagon, so they do not import this module.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from .geometry import BASIS, DEFAULT_EPS
-from .scan import (_SCAN_SLACK, _check_budget, _expand, _integer_span, _key_weights,
-                   _LineScan, _scan_chunks, check_eps, label_columns)
+from .scan import (_SCAN_SLACK, _expand, _integer_span, _key_weights, _LineScan,
+                   _scan_chunks, check_eps)
 from .window import DECAGON, GridShift
 
 
@@ -84,24 +86,3 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
                             ("the decagon boundary", "the inner decagon boundary"),
                             shift, M)
 
-
-def enumerate_tips(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
-                   ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The tips of the box [-radius, radius]^5, in key order: (labels, keys,
-    number of lattice points in the box).
-
-    Tips are the lattice points whose test point falls strictly inside the
-    inner decagon: the members of scan_tip_columns' tip columns, whose keys
-    follow from their first member's.  One sort orders the keys, and the
-    labels are decoded from them.  Raises ConfigError if the lattice would
-    not fit in MEMORY_BUDGET, and otherwise as scan_tip_columns does.
-    """
-    M = int(radius)
-    _check_budget(M, (2 * M + 1) ** 3, [DECAGON.window], BASIS.D[3], BASIS.D[4])
-    keys, n_points = [], 0
-    for _, first, spread, count in scan_tip_columns(M, shift, eps):
-        column, n = _expand(np.zeros_like(spread), 2 * M - spread)
-        keys.append(first[column] + n * _key_weights(M).sum())
-        n_points += count
-    keys = np.sort(np.concatenate(keys))
-    return np.column_stack(label_columns(keys, M)), keys, n_points

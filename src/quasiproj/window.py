@@ -11,7 +11,7 @@ slice windows depend on c.
 
 Every mode reads this module.  The label-box scans live apart, so that a
 run compiles only the one it runs: `scan` holds what they share, `scan2d`
-the slice windows and the 2-d scan, `tipscan` the 3-d tip scan.  The six
+the slice windows and the 2-d scan, `tipscan` the 3-d tip scan.  Five
 names this module exported before they moved resolve here on first use.
 """
 
@@ -247,7 +247,6 @@ DECAGON = build_decagon_Q(BASIS)
 _MOVED = {
     "scan": ("label_keys",),
     "scan2d": ("WindowSet", "build_windows", "enumerate_accepted_2d", "slice_window"),
-    "tipscan": ("enumerate_tips",),
 }
 _HOME = {name: module for module, names in _MOVED.items() for name in names}
 

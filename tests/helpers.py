@@ -7,7 +7,8 @@ construction entirely.  The whole-box 2-d route tests any labels against
 their index windows on test points multiplied out from the labels, and
 finds and counts a vertex's neighbours by key lookup in the whole box's
 key array; the 3-d route likewise tests labels against the decagon on
-their own multiplied-out test points.
+their own multiplied-out test points, and the all-tips route expands every
+tip column of the tip scan into its members, margin tips included.
 The overlap oracle intersects translated copies of the polytope
 numerically, with an LP and Qhull.  The lattice route builds
 the whole 3-d lattice of the box, finds its tips, assembles cells by lookup
@@ -31,10 +32,12 @@ from quasiproj.lattice3d import (_CLASS_OF_CODE, _CLASSES, ANALYTIC_CLASS_FREQUE
                                  OVERLAP_OFFSETS, OverlapCensus, _check_cells)
 from quasiproj import window
 from quasiproj.scan import (_SCAN_SLACK, _check_budget, _expand, _LineScan,
-                            _integer_span, _key_weights, label_extent, label_index,
-                            label_keys)
+                            _integer_span, _key_weights, label_columns, label_extent,
+                            label_index, label_keys)
 from quasiproj.scan2d import enumerate_accepted_2d
-from quasiproj.window import CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES
+from quasiproj.tipscan import scan_tip_columns
+from quasiproj.window import (CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES,
+                              GridShift)
 
 
 def mesh_margin_2d(k, shift, basis) -> float:
@@ -288,6 +291,28 @@ def enumerate_accepted_3d(radius, shift, Q, basis=None, eps=DEFAULT_EPS):
     _raise_singular(cand, status, "the decagon boundary", shift, M)
     labels = cand[status == 1]
     return labels, labels.astype(float) @ basis.W, label_keys(labels, M), pts[status == 1]
+
+
+def enumerate_tips(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """The tips of the box [-radius, radius]^5, in key order: (labels, keys,
+    number of lattice points in the box).
+
+    Tips are the lattice points whose test point falls strictly inside the
+    inner decagon: the members of scan_tip_columns' tip columns, whose keys
+    follow from their first member's.  One sort orders the keys, and the
+    labels are decoded from them.  Raises ConfigError if the lattice would
+    not fit in MEMORY_BUDGET, and otherwise as scan_tip_columns does.
+    """
+    M = int(radius)
+    _check_budget(M, (2 * M + 1) ** 3, [DECAGON.window], BASIS.D[3], BASIS.D[4])
+    keys, n_points = [], 0
+    for _, first, spread, count in scan_tip_columns(M, shift, eps):
+        column, n = _expand(np.zeros_like(spread), 2 * M - spread)
+        keys.append(first[column] + n * _key_weights(M).sum())
+        n_points += count
+    keys = np.sort(np.concatenate(keys))
+    return np.column_stack(label_columns(keys, M)), keys, n_points
 
 
 @dataclass(frozen=True)

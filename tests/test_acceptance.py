@@ -159,7 +159,8 @@ def test_criterion_6_cell_census(Q, lattice_for):
     assert len(inner) >= 1000
     violations = 0
     # raises unless 22 + 4 atoms per tip
-    hull_atoms, interior_atoms = build_cells(inner, shift, 1e-9)
+    (hull_atoms, interior_atoms), _, _ = build_cells(lat.radius, shift, 1e-9)
+    assert np.array_equal(hull_atoms[:, 0], inner)
     # the ten neighbours k +- e_m of every tip, in one lookup
     steps = np.vstack([np.eye(5, dtype=np.int64), -np.eye(5, dtype=np.int64)])
     violations += int(np.count_nonzero(lat.rows(inner[:, None, :] + steps) < 0))

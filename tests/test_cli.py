@@ -49,6 +49,21 @@ def test_windows_full_document(tmp_path):
     assert len(doc["polygon"]) == 10
 
 
+def test_windows_index_reads_the_window_set_it_checked(tmp_path):
+    # below --tol, c leaves V_5 the point 0 in the full document, and an
+    # index reads the same window set: 5 is degenerate, 3 is its slice "3"
+    out = tmp_path / "w.json"
+    assert run(["windows", "--c", "1e-6", "--tol", "1e-5", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["degenerate_top"] is True and "5" not in doc["slices"]
+    assert run(["windows", "--c", "1e-6", "--tol", "1e-5", "--index", "5",
+                "--out", str(tmp_path / "5.json")]) == 3
+    assert not (tmp_path / "5.json").exists()
+    assert run(["windows", "--c", "1e-6", "--tol", "1e-5", "--index", "3",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["polygon"] == doc["slices"]["3"]["polygon"]
+
+
 @pytest.mark.parametrize("args, digest", [
     (["--c", "0"], "28f859a65625b6870a75e6250f93d4934d99aa3220454f717c8fa2aab0174ff9"),
     (["--c", "0.3819660112501051"],
@@ -574,7 +589,7 @@ _OLD_EXPORTS = {
                  "make_basis"],
     "window": ["CUBE_VERTICES", "DecagonQ", "GridShift", "PolytopeP", "WindowSet",
                "build_decagon_Q", "build_polytope_P", "build_windows",
-               "enumerate_accepted_2d", "enumerate_tips", "label_keys",
+               "enumerate_accepted_2d", "label_keys",
                "normalize_shift", "random_shift", "slice_window"],
     "pentagrid": ["PentagridTiling", "enumerate_intersections",
                   "k_vector_2d", "k_vector_3d", "tiling_from_pentagrid"],

@@ -111,9 +111,11 @@ def test_cells_obj_matches_reference_writer(c, seed, P, Q, lattice_for):
         tips = find_tips(lat, Q)
         inner = tips[np.abs(tips).max(axis=1) <= radius - 3]
         assert len(inner) > 0
-        for chosen in (inner, inner[:0]):
-            assert (cells_obj(build_cells(chosen, shift, 1e-9))
-                    == cells_obj_reference(chosen, lat, P))
+        (hull, interior), _, _ = build_cells(radius, shift, 1e-9)
+        assert np.array_equal(hull[:, 0], inner)
+        for n in (len(inner), 0):
+            assert (cells_obj((hull[:n], interior[:n]))
+                    == cells_obj_reference(inner[:n], lat, P))
 
 
 def test_frequency_csv_format():
@@ -156,22 +158,19 @@ def test_window_document_structure(windows_for):
     assert write_json(doc) == write_json(json.loads(write_json(doc)))
 
 
-def test_cells_obj_dedupes_shared_vertices(Q, lattice_for):
+def test_cells_obj_dedupes_shared_vertices():
     shift = random_shift(0.5, 11)
-    lat = lattice_for(8, shift)
-    tips = find_tips(lat, Q)
-    inner = tips[np.abs(tips).max(axis=1) <= 5]
+    (hull, interior), _, _ = build_cells(8, shift, 1e-9)
     # find two tips one z-period apart: their cells share the touching tip
-    tipset = {tuple(r) for r in inner}
+    row_of = {tuple(t): i for i, t in enumerate(hull[:, 0].tolist())}
     pair = None
-    for t in inner:
-        other = tuple(np.array(t) + 1)
-        if other in tipset:
-            pair = (t, np.array(other))
+    for i, t in enumerate(hull[:, 0].tolist()):
+        other = row_of.get(tuple(x + 1 for x in t))
+        if other is not None:
+            pair = [i, other]
             break
     assert pair is not None
-    cells = build_cells(np.vstack(pair), shift, 1e-9)
-    text = cells_obj(cells)
+    text = cells_obj((hull[pair], interior[pair]))
     n_v = text.count("\nv ")
     n_f = text.count("\nf ")
     assert n_f == 40  # 20 faces per cell

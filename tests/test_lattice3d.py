@@ -8,17 +8,17 @@ import quasiproj as qp
 from quasiproj.errors import ConfigError, ConsistencyError, SingularityError
 from quasiproj.geometry import ConvexWindow, points_in_convex_polygon
 from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
-                                 OVERLAP_SIGNATURES, build_cells, overlap_census,
-                                 overlap_signatures)
+                                 OVERLAP_SIGNATURES, TIP_MARGIN, _check_cells,
+                                 build_cells, overlap_census, overlap_signatures)
 from quasiproj.scan import _key_weights, label_columns, label_extent, label_keys
-from quasiproj.tipscan import enumerate_tips, scan_tip_columns
-from quasiproj.window import (CUBE_VERTICES, INTERIOR_INDICES, normalize_shift,
-                              random_shift)
+from quasiproj.tipscan import scan_tip_columns
+from quasiproj.window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES,
+                              normalize_shift, random_shift)
 
 from helpers import (VOLUME_FLOOR, accept_3d_bulk, benchmark_gamma, build_lattice3,
                      convex_intersection, d_test_points, enumerate_accepted_3d,
-                     fan_triangles, find_tips, interior_atoms_sweep, label_rows,
-                     lattice_cells, moved_shift, overlap_census_lattice,
+                     enumerate_tips, fan_triangles, find_tips, interior_atoms_sweep,
+                     label_rows, lattice_cells, moved_shift, overlap_census_lattice,
                      overlap_signature_loop, overlap_signatures_by_keys,
                      overlap_signatures_by_offset, overlap_table, scan_3d,
                      shared_atom_count)
@@ -113,11 +113,10 @@ def test_non_tip_with_missing_neighbor(lat_env, Q):
 
 def test_cells_26_atoms(lat_env):
     shift, lat, tips = lat_env
-    inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
+    (hull_atoms, interior_atoms), _, _ = build_cells(lat.radius, shift, 1e-9)
     rng = np.random.default_rng(1)
-    hull_atoms, interior_atoms = build_cells(
-        inner[rng.choice(len(inner), 150, replace=False)], shift, 1e-9)
-    for hull, interior in zip(hull_atoms, interior_atoms):
+    rows = rng.choice(len(hull_atoms), 150, replace=False)
+    for hull, interior in zip(hull_atoms[rows], interior_atoms[rows]):
         assert len(hull) == 22
         assert len(interior) == 4
         # atoms really are lattice points and sit where they should
@@ -128,18 +127,18 @@ def test_cells_26_atoms(lat_env):
 
 def test_same_triangle_same_interior_offsets(lat_env, Q):
     shift, lat, tips = lat_env
-    inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
+    (hull, interior), _, _ = build_cells(lat.radius, shift, 1e-9)
     by_triangle = {}
     rng = np.random.default_rng(2)
-    sample = inner[rng.choice(len(inner), 120, replace=False)]
+    rows = rng.choice(len(hull), 120, replace=False)
+    sample = hull[rows, 0]
     # one pass of all tips against the ten fan triangles (0, v_i, v_{i+1})
     pts = d_test_points(sample, shift)
     status = np.array([ConvexWindow.of(t).classify(pts, 1e-9)
                        for t in fan_triangles(Q.inner.polygon)])
     assert np.all((status == 1).sum(axis=0) == 1)  # no tip on a triangle edge
-    for tip, tri in zip(sample, np.argmax(status == 1, axis=0).tolist()):
-        _, interior = build_cells(tip, shift, 1e-9)
-        offsets = frozenset(tuple(int(x) for x in (a - tip)) for a in interior[0])
+    for row, tip, tri in zip(rows, sample, np.argmax(status == 1, axis=0).tolist()):
+        offsets = frozenset(tuple(int(x) for x in (a - tip)) for a in interior[row])
         by_triangle.setdefault(tri, set()).add(offsets)
     assert len(by_triangle) >= 8  # most triangles sampled
     for tri, offset_sets in by_triangle.items():
@@ -154,18 +153,17 @@ def test_z_translated_cells_are_translates(lat_env):
     # atom labels included
     shift, lat, tips = lat_env
     ones = np.ones(5, dtype=np.int64)
-    tipset = {tuple(r) for r in tips}
-    inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 4]
+    (hull, interior), _, _ = build_cells(lat.radius, shift, 1e-9)
+    row_of = {tuple(t): i for i, t in enumerate(hull[:, 0].tolist())}
     checked = 0
-    for t in inner[:400]:
-        up = t + ones
-        if tuple(up) not in tipset or np.abs(up).max() > lat.radius - 3:
+    for i, t in enumerate(hull[:400, 0]):
+        j = row_of.get(tuple((t + ones).tolist()))
+        if j is None:
             continue
-        hull, interior = build_cells(np.vstack([t, up]), shift, 1e-9)
-        a, b = lat.points[lat.rows(hull[:, 0])]
+        a, b = lat.points[lat.rows(hull[[i, j], 0])]
         assert np.allclose(b - a, [0, 0, 5], atol=1e-9)
-        assert np.array_equal(interior[1], interior[0] + ones)
-        assert np.array_equal(hull[1], hull[0] + ones)
+        assert np.array_equal(interior[j], interior[i] + ones)
+        assert np.array_equal(hull[j], hull[i] + ones)
         checked += 1
         if checked >= 40:
             break
@@ -208,7 +206,8 @@ def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, oracle_table,
     tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     assert len(inner) > 1000
-    _, interior = build_cells(inner, shift, 1e-9)
+    (hull, interior), _, _ = build_cells(lat.radius, shift, 1e-9)
+    assert np.array_equal(hull[:, 0], inner)
     for atoms, expected in zip(interior, interior_atoms_sweep(inner, lat, P)):
         assert np.array_equal(atoms, expected)
     tip_set = {tuple(r) for r in tips.tolist()}
@@ -223,27 +222,22 @@ def _non_tips(lat, Q):
     return lat.labels[Q.inner.classify(lat.test_points, 1e-9) == 0]
 
 
-def test_build_cells_rejects_non_lattice_tip(lat_env):
-    shift, lat, tips = lat_env
-    with pytest.raises(ValueError, match="not a lattice point"):
-        build_cells(np.array([lat.radius + 1, 0, 0, 0, 0]), shift, 1e-9)
-
-
 def test_build_cells_rejects_a_lattice_point_that_is_not_a_tip(lat_env, Q):
     # every hull atom of a tip is a lattice point, and some hull atom of
-    # every other lattice point is not
+    # every other lattice point is not; the atoms of these lie in the box
     shift, lat, tips = lat_env
     non_tips = _non_tips(lat, Q)
     assert len(non_tips) > len(tips)
+    non_tips = non_tips[label_extent(non_tips) <= lat.radius - 1]
     for k in non_tips[:: len(non_tips) // 40]:
         label = re.escape(str(tuple(k.tolist())))
         with pytest.raises(ConsistencyError,
                            match=rf"cell at {label}: \d+ hull atoms are not lattice "
                                  rf"points, so {label} is not a tip"):
-            build_cells(k, shift, 1e-9)
+            _check_cells(k[None], lat.rows(k + CUBE_VERTICES)[None] >= 0)
 
 
-def test_build_cells_names_the_singular_atom(Q, basis):
+def test_build_cells_names_the_singular_atom(Q, basis, monkeypatch):
     # put the origin's test point where its atom at the decagon vertex m.D
     # lands just outside decagon edge 0, within eps, and the origin is still
     # a tip.  The same step moves the atom at the opposite vertex along the
@@ -259,12 +253,33 @@ def test_build_cells_names_the_singular_atom(Q, basis):
     tip = np.zeros(5, dtype=np.int64)
     assert np.allclose(d_test_points(tip[None], shift), target, atol=1e-12)
     assert Q.inner.classify(d_test_points(tip[None], shift), eps)[0] == 1
-    with pytest.raises(SingularityError,
-                       match=rf"cell atom {re.escape(str(tuple(m.tolist())))} lands within "
-                             r"eps of the decagon boundary"):
-        build_cells(tip, shift, eps)
     singular = CUBE_VERTICES[accept_3d_bulk(tip + CUBE_VERTICES, shift, eps) == -1]
     assert len(singular) == 2 and np.array_equal(singular[0], m)
+    # the atoms are labels of the box too, so at this shift the scan raises
+    # first
+    with pytest.raises(SingularityError):
+        build_cells(4, shift, eps)
+
+    # at a regular shift, move the test point of one column that holds a
+    # boundary-complete tip there: the atom is named at that column's
+    # least-key tip
+    original, doctored = qp.lattice3d._complete_columns, []
+
+    def columns(*args):
+        for points, first, *counts in original(*args):
+            if not doctored and len(first):
+                i = len(first) // 2
+                points = points.copy()
+                points[:, i] = target
+                doctored.append(first[i])
+            yield points, first, *counts
+
+    monkeypatch.setattr(qp.lattice3d, "_complete_columns", columns)
+    with pytest.raises(SingularityError) as got:
+        build_cells(6, base, eps)
+    named = np.array(label_columns(doctored[0], 6)) + m
+    assert str(got.value).startswith(
+        f"cell atom {tuple(named.tolist())} lands within eps of the decagon boundary")
 
 
 @pytest.mark.parametrize("radius", [8, 12])
@@ -276,11 +291,31 @@ def test_build_cells_matches_the_lattice_lookup(c, radius, Q, lattice_for):
     tips = find_tips(lat, Q)
     inner = tips[np.abs(tips).max(axis=1) <= radius - 3]
     assert len(inner) > 0
-    hull, interior = build_cells(inner, shift, 1e-9)
+    (hull, interior), n_points, n_tips = build_cells(radius, shift, 1e-9)
+    assert (n_points, n_tips) == (len(lat.labels), len(tips))
     tip_rows, hull_rows, interior_rows = lattice_cells(inner, lat)
     assert np.array_equal(hull[:, 0], lat.labels[tip_rows])
     assert np.array_equal(hull, lat.labels[hull_rows])
     assert np.array_equal(interior, lat.labels[interior_rows])
+
+
+@pytest.mark.parametrize("c", [0.05, PHI ** -2, 0.9])
+def test_build_cells_are_the_complete_tips_of_the_all_tips_oracle(c, monkeypatch):
+    # one cell per tip of the oracle at least TIP_MARGIN label steps inside
+    # the box, in key order, with the oracle's point and tip counts; and the
+    # chunks of the scan change neither the arrays nor the counts
+    radius = 12
+    shift = random_shift(c, 5)
+    tips, _, n_points = enumerate_tips(radius, shift)
+    inner = tips[label_extent(tips) <= radius - TIP_MARGIN]
+    (hull, interior), *counts = build_cells(radius, shift, 1e-9)
+    assert counts == [n_points, len(tips)]
+    assert len(inner) > 0
+    assert np.array_equal(hull, inner[:, None] + CUBE_VERTICES[list(HULL_INDICES)])
+    monkeypatch.setattr(qp.scan, "SCAN_ROWS", 37)
+    (hull37, interior37), *counts37 = build_cells(radius, shift, 1e-9)
+    assert counts37 == counts
+    assert np.array_equal(hull37, hull) and np.array_equal(interior37, interior)
 
 
 def test_convex_intersection_identity(P):
@@ -518,8 +553,8 @@ def test_overlap_census_matches_the_lattice_route(c, radius, Q, lattice_for):
         tip, other = pairs(OVERLAP_OFFSETS[shape])
         assert len(tip) == sum(census.counts[lab] * sig[column]
                                for sig, lab in OVERLAP_SIGNATURES.items())
-        hull, interior = build_cells(np.concatenate([tip, other]), shift, 1e-9)
-        a, b = np.split(label_keys(np.concatenate([hull, interior], axis=1), radius), 2)
+        _, hull, interior = lattice_cells(np.concatenate([tip, other]), lat)
+        a, b = np.split(np.concatenate([hull, interior], axis=1), 2)
         assert np.all((a[:, :, None] == b[:, None, :]).sum(axis=(1, 2)) == shared), shape
 
 
@@ -740,6 +775,7 @@ def test_tip_scan_refuses_an_eps_within_the_float_error_of_the_points():
     shift = random_shift(0.5, 0)
     assert overlap_census(5, shift, 2e-13).n_tips > 0
     for run in (lambda: enumerate_tips(20, shift, 2e-13),
+                lambda: build_cells(20, shift, 2e-13),
                 lambda: overlap_census(20, shift, 2e-13)):
         with pytest.raises(ConfigError, match="float error of the test points at radius 20"):
             run()

@@ -7,11 +7,11 @@ import quasiproj as qp
 from quasiproj import geometry
 from quasiproj.errors import ConfigError, DegenerateWindowError, PolygonError
 from quasiproj.geometry import max_edge_distance, points_in_convex_polygon
-from quasiproj.lattice3d import overlap_census
+from quasiproj.lattice3d import build_cells, overlap_census
 from quasiproj.scan import (MAX_KEY_RADIUS, label_columns, label_extent, label_index,
                             label_keys)
 from quasiproj.scan2d import enumerate_accepted_2d, slice_window
-from quasiproj.tipscan import enumerate_tips, scan_tip_columns
+from quasiproj.tipscan import scan_tip_columns
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               INTERIOR_INDICES, normalize_shift, random_shift)
 
@@ -638,13 +638,13 @@ def test_label_columns_inverts_label_keys(R):
 
 @pytest.mark.parametrize("c", [0.2, 0.5])
 def test_the_scans_run_past_the_memory_budget_to_max_key_radius(c, basis, windows_for):
-    # the scans hold one chunk, so only the enumerators that hold labels
-    # refuse a box by the memory budget
+    # the scans hold one chunk, so only what holds labels, the 2-d
+    # enumerator and the cells, refuses a box by the memory budget
     shift, ws = random_shift(c, 0), windows_for(c)
     with pytest.raises(ConfigError, match="radius 622 would accept about"):
         enumerate_accepted_2d(622, shift, ws)
     with pytest.raises(ConfigError, match="radius 58 would accept about"):
-        enumerate_tips(58, shift)
+        build_cells(58, shift, 1e-9)
     # the first chunks of both scans at a refused radius and at the int64 edge
     # of the keys; at MAX_KEY_RADIUS the first non-empty 2-d chunk is the
     # second, and the first non-empty 3-d chunk the fourth
