@@ -22,8 +22,7 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 if not any(var in os.environ for var in _BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
-from .errors import (ConfigError, DegenerateWindowError, QcError, SingularConfigError,
-                     SingularityError)
+from .errors import ConfigError, DegenerateWindowError, SingularConfigError, SingularityError
 from .geometry import DEFAULT_EPS
 from .io import (build_tiling_document, cells_obj, frequency_csv, overlap_csv,
                  render_svg, window_document, write_json, write_text)
@@ -243,9 +242,6 @@ def run(argv) -> int:
         return EXIT_SINGULAR
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
-        return EXIT_CONFIG
-    except QcError as exc:
-        log.error("%s", exc)
         return EXIT_CONFIG
     return EXIT_OK
 

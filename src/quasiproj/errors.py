@@ -26,7 +26,7 @@ class DegenerateWindowError(SingularConfigError):
 
 
 class ConsistencyError(QcError):
-    """Internal geometric invariant failed (wrong hull counts, atom counts...)."""
+    """Internal invariant failed (hull or atom counts...): a fault, which the CLI raises."""
 
 
 class CensusViolationError(ConsistencyError):

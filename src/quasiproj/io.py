@@ -2,7 +2,8 @@
 
 Every writer is a pure function of its inputs; element order is sorted and
 floats are printed with 12 significant digits, so identical runs produce
-byte-identical files.
+byte-identical files.  A tiling document's edges are found among its
+vertices' keys, not at their test points.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError
+from .errors import ConfigError
 from .geometry import BASIS
-from .scan import (_key_weights, check_eps, label_columns, label_extent, label_index,
-                   label_keys)
+from .scan import _key_weights, label_extent, label_index, label_keys
 from .window import DECAGON, POLYTOPE, GridShift
 
 if TYPE_CHECKING:  # each mode loads only the modules it runs
@@ -46,41 +46,29 @@ def build_tiling_document(radius: int, shift: GridShift,
     """Window-accepted vertices in the label box plus all edges between them.
 
     The vertices are those of `enumerate_accepted_2d`, which applies
-    MEMORY_BUDGET.  A vertex's +e_m edges are bits 0-4 of `neighbor_masks`
-    at its test point (k - gamma) . W, less the steps out of the box's top
-    face (k_m = radius).  These points' float error, at most 3.3e-16
-    radius, is far below the 2e-14 (radius + 1) of `check_eps`, so the
-    argument of `neighbor_masks` covers them.  The upper end of a step has
-    the key of its lower end plus _key_weights(radius)[m], so one search of
-    the sorted keys gives the rows of the upper ends.  Raises ConfigError
-    by `check_eps` or MEMORY_BUDGET, and ConsistencyError if an upper end
-    is not an accepted label.
+    MEMORY_BUDGET and `check_eps`.  An edge joins two accepted labels k and
+    k + e_m.  The key of k + e_m is that of k plus _key_weights(radius)[m],
+    unless k_m = radius takes the step out of the box, so one search of the
+    sorted keys per step finds every edge and the row of its upper end.
+    Raises ConfigError by `check_eps` or MEMORY_BUDGET.
     """
     from .scan2d import enumerate_accepted_2d
-    from .tiling2d import neighbor_masks
 
-    check_eps(radius, wset.eps, "vertex types")
     labels, points, keys = enumerate_accepted_2d(radius, shift, wset)
-    test_points = ((labels - shift.gamma) @ BASIS.W[:, :2]).T
-    indices = label_index(labels)
-    masks = np.zeros(len(keys), dtype=np.int64)
-    for index in range(1, 6):
-        rows = np.flatnonzero(indices == index)
-        masks[rows] = neighbor_masks(test_points[:, rows], index, wset)
+    weights = _key_weights(radius)
+    found = np.empty((len(keys), 5), dtype=bool)
+    rows = np.empty((len(keys), 5), dtype=np.int32)
     # the steps e_4 .. e_0, whose key steps increase, so that the upper ends
     # of each vertex come in key order and the edges sorted by row pair
-    m = np.arange(4, -1, -1)
-    up = (masks[:, None] & (1 << m)) != 0
-    up &= labels[:, m] < radius
-    i, step = np.nonzero(up)
-    upper = keys[i] + _key_weights(radius)[m[step]]
-    j = np.searchsorted(keys, upper)
-    found = keys[np.minimum(j, len(keys) - 1)] == upper
-    if not found.all():
-        label = tuple(int(x) for x in label_columns(upper[~found].min(), radius))
-        raise ConsistencyError(f"label {label} is a step of a vertex by its neighbour "
-                               "mask, but the scan did not accept it")
-    return TilingDocument(labels=labels, points=points, edges=np.column_stack([i, j]))
+    for col, m in enumerate(range(4, -1, -1)):
+        upper = keys + weights[m]
+        j = np.searchsorted(keys, upper)
+        np.minimum(j, len(keys) - 1, out=j)
+        found[:, col] = (keys[j] == upper) & (labels[:, m] < radius)
+        rows[:, col] = j
+    i, col = np.nonzero(found)
+    return TilingDocument(labels=labels, points=points,
+                          edges=np.column_stack([i, rows[i, col]]))
 
 
 #: stroke classes for the four edge kinds, keyed by the index of the lower end

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConsistencyError, DegenerateWindowError
 from .geometry import BASIS, DEFAULT_EPS, ConvexWindow
 from .scan import (_SCAN_SLACK, _check_budget, _expand, _integer_span, _key_weights,
-                   _LineScan, _scan_chunks, label_columns)
+                   _LineScan, _scan_chunks, check_eps, label_columns)
 from .window import CONSTRUCTION_TOL, GridShift, PolytopeP
 
 
@@ -119,7 +119,10 @@ def scan_2d(radius: int, shift: GridShift,
     of the `freq_census` benchmark box, c = 0.5 and radius 80).
 
     Only MAX_KEY_RADIUS limits the radius: the scan holds one chunk at a
-    time.  Raises ValueError unless wset was built for shift.c.  A chunk
+    time.  Raises ValueError unless wset was built for shift.c, and
+    ConfigError, before anything is allocated, if wset.eps is not above the
+    float error of the test points (`check_eps`), so that no label, and no
+    vertex type read off a test point, is decided by that error.  A chunk
     with a singular label is not yielded, nor is any after it; the scan
     runs on, and after the last chunk raises SingularityError naming the
     first label in key order, of any index, whose test point lies within
@@ -129,6 +132,7 @@ def scan_2d(radius: int, shift: GridShift,
         raise ValueError(f"the windows are built for c = {wset.c!r}, "
                          f"the shift has c = {shift.c!r}")
     M = int(radius)
+    check_eps(M, wset.eps, "vertex types")
     side = 2 * M + 1
     w = BASIS.W[:, :2]
     a, b = w[2] - w[4], w[3] - w[4]
@@ -199,8 +203,9 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet
     keys of `scan_2d`'s pieces are in key order within each index, so one
     stable sort merges them, and the labels are decoded from the keys.
     Raises ConfigError, before anything is allocated, if the labels would
-    not fit in MEMORY_BUDGET, and SingularityError if any label in the box
-    has its test point within eps of a window boundary.
+    not fit in MEMORY_BUDGET or, by `check_eps`, if eps is within the float
+    error of the scan's test points, and SingularityError if any label in
+    the box has its test point within eps of a window boundary.
     """
     _check_budget(radius, (2 * radius + 1) ** 2, wset.slices.values(),
                   *(BASIS.W[2:4, :2] - BASIS.W[4, :2]))

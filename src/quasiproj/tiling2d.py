@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import CensusViolationError, ConfigError
 from .geometry import BASIS, PHI
-from .scan import check_eps
 from .scan2d import WindowSet, scan_2d
 from .window import GridShift
 
@@ -45,9 +44,10 @@ def neighbor_masks(points: np.ndarray, index: int, wset: WindowSet) -> np.ndarra
     within eps of the boundary.  So at the scan's test point p of each
     neighbour, n . p - o is below -eps on every edge of an accepted one and
     above eps on some edge of a rejected one.  t + v lies within the float
-    error of the scan's points from p, which `scan._POINT_DRIFT` bounds
-    and `check_eps` keeps below eps, so every difference keeps its sign
-    against 0, and each bit is the scan's own decision.
+    error of the scan's points from p, which `scan._POINT_DRIFT` bounds and
+    `scan_2d` keeps below eps, refusing any eps not above it (`check_eps`),
+    so every difference keeps its sign against 0, and each bit is the
+    scan's own decision.
     """
     if not 1 <= index <= 5:
         raise ValueError(f"index must be in [1, 5], got {index}")
@@ -266,15 +266,14 @@ def empirical_frequencies(radius: int, shift: GridShift,
     `neighbor_masks`, so nothing is kept per vertex and the working set
     does not grow with the radius.
 
-    Raises ConfigError, by `check_eps`, if eps is too small for the masks
-    to be the scan's decisions.  The scan raises SingularityError after its
-    last chunk, so a singular label is named before any result or
+    The scan raises ConfigError, by `check_eps`, if eps is too small for
+    the masks to be its decisions, and SingularityError after its last
+    chunk, so a singular label is named before any result or
     CensusViolationError, though the chunks before its own have been
     classified.  Raises CensusViolationError, naming the first vertex in
     label order, if a classified type falls outside the analytic support at
     this c.
     """
-    check_eps(radius, wset.eps, "vertex types")
     support = [(vt.index, vt.n_pos, vt.n_neg) for vt in census_support(shift.c)]
     # type [n, n']_I as the code 36 I + 6 n + n'
     allowed = np.zeros((6, 36), dtype=bool)

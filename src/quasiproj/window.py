@@ -11,8 +11,9 @@ slice windows depend on c.
 
 Every mode reads this module.  The label-box scans live apart, so that a
 run compiles only the one it runs: `scan` holds what they share, `scan2d`
-the slice windows and the 2-d scan, `tipscan` the 3-d tip scan.  Five
-names this module exported before they moved resolve here on first use.
+the slice windows and the 2-d scan, `tipscan` the 3-d tip scan.  The two
+names of the 2-d scan that this module exported before they moved, and
+that perfbench reads here, resolve here on first use.
 """
 
 from __future__ import annotations
@@ -239,19 +240,14 @@ POLYTOPE = build_polytope_P(BASIS)
 DECAGON = build_decagon_Q(BASIS)
 
 
-#: the scan names this module exported before they moved, kept for the old
-#: callers: perfbench reads build_windows and enumerate_accepted_2d here, and
-#: test_cli's list of old exports pins all six.  The tunables SCAN_ROWS,
-#: MEMORY_BUDGET and BYTES_PER_LABEL have one home, `scan`, so a patch of
-#: them here raises instead of doing nothing.
-_MOVED = {
-    "scan": ("label_keys",),
-    "scan2d": ("WindowSet", "build_windows", "enumerate_accepted_2d", "slice_window"),
-}
-_HOME = {name: module for module, names in _MOVED.items() for name in names}
+#: the names of the 2-d scan this module exported before they moved that
+#: perfbench still reads here.  The other moved names, and the tunables
+#: SCAN_ROWS, MEMORY_BUDGET and BYTES_PER_LABEL, have one home each, so a
+#: read or a patch of them here raises instead of doing nothing.
+_MOVED = ("build_windows", "enumerate_accepted_2d")
 
 
 def __getattr__(name):
-    if name not in _HOME:
+    if name not in _MOVED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_HOME[name]}", __package__), name)
+    return getattr(importlib.import_module(".scan2d", __package__), name)

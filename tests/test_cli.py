@@ -15,7 +15,7 @@ import pytest
 
 import quasiproj as qp
 from quasiproj.cli import MAX_SHIFT_DRAWS, _config_from_args, _parser, run, shift_draws
-from quasiproj.errors import QcError, SingularityError
+from quasiproj.errors import CensusViolationError, QcError, SingularityError
 from quasiproj.tiling2d import empirical_frequencies
 from quasiproj.scan2d import build_windows, enumerate_accepted_2d
 from quasiproj.window import normalize_shift, random_shift
@@ -442,6 +442,39 @@ def test_internal_value_error_is_not_a_configuration_error(monkeypatch):
         run(["freq", "--radius", "4"])
 
 
+_ZERO_SIGNATURES = """
+import numpy as np
+import quasiproj.lattice3d
+from quasiproj.cli import run
+
+def zero_signatures(points, *args):
+    return np.zeros((len(points), 3), dtype=np.int64)
+
+quasiproj.lattice3d.overlap_signatures = zero_signatures
+run(["overlap-census", "--radius", "8"])
+"""
+
+
+def test_a_census_violation_is_a_fault_with_a_traceback(monkeypatch):
+    # a signature outside the five classes is a fault in the program, not a
+    # configuration error, so it is raised, and a qc process ends with a
+    # traceback and exit code 1
+    monkeypatch.setattr("quasiproj.lattice3d.overlap_signatures",
+                        lambda points, *args: np.zeros((len(points), 3), dtype=np.int64))
+    with pytest.raises(CensusViolationError) as err:
+        run(["overlap-census", "--radius", "8"])
+    assert str(err.value) == ("tip (-5, -5, -4, -5, -5) has overlap signature (0, 0, 0), "
+                              "outside the five known classes")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _ZERO_SIGNATURES], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr
+    assert proc.stderr.rstrip().endswith("CensusViolationError: " + str(err.value))
+
+
 def test_tolerance_validation(caplog, capsys):
     with caplog.at_level(logging.INFO, logger="qc"):
         assert run(["windows"]) == 0
@@ -564,12 +597,14 @@ print(json.dumps({"codes": codes, "loaded": sorted(
      ["quasiproj.scan2d", "quasiproj.tiling2d"]),
     ([["lattice3d", "--radius", "5"], ["overlap-census", "--radius", "6"]],
      ["quasiproj.lattice3d", "quasiproj.tipscan"]),
-], ids=["2-d", "3-d"])
+    ([["tiling2d", "--radius", "4"]], ["quasiproj.scan2d"]),
+], ids=["2-d", "3-d", "tiling"])
 def test_each_mode_loads_only_what_it_runs(modes, loaded, tmp_path):
     # the 2-d modes never load lattice3d or the tip scan, the 3-d modes never
-    # load tiling2d or the 2-d scan, no mode loads pentagrid, dataclasses or
-    # numpy.random (auto gamma is drawn in pure Python), and none calls into
-    # LAPACK
+    # load tiling2d or the 2-d scan, the tiling finds its edges among its
+    # vertices' keys and does not load tiling2d either, no mode loads
+    # pentagrid, dataclasses or numpy.random (auto gamma is drawn in pure
+    # Python), and none calls into LAPACK
     report = _fresh_python(_RUN_AND_LIST_LOADED, tmp_path, json.dumps(modes),
                            OPENBLAS_NUM_THREADS="1")
     assert report == {"codes": [0] * len(modes), "loaded": loaded}
@@ -587,10 +622,12 @@ def test_importing_the_package_loads_no_numpy():
 _OLD_EXPORTS = {
     "geometry": ["DEFAULT_EPS", "PHI", "THETA", "ConvexWindow", "ProjectionBasis",
                  "make_basis"],
-    "window": ["CUBE_VERTICES", "DecagonQ", "GridShift", "PolytopeP", "WindowSet",
+    "window": ["CUBE_VERTICES", "DecagonQ", "GridShift", "PolytopeP",
                "build_decagon_Q", "build_polytope_P", "build_windows",
-               "enumerate_accepted_2d", "label_keys",
-               "normalize_shift", "random_shift", "slice_window"],
+               "enumerate_accepted_2d", "normalize_shift", "random_shift"],
+    # the old exports that window no longer forwards, at their homes
+    "scan": ["label_keys"],
+    "scan2d": ["WindowSet", "slice_window"],
     "pentagrid": ["PentagridTiling", "enumerate_intersections",
                   "k_vector_2d", "k_vector_3d", "tiling_from_pentagrid"],
     "tiling2d": ["CENSUS", "FrequencyReport", "VertexType", "analytic_A",

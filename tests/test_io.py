@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quasiproj as qp
-from quasiproj.errors import ConfigError, ConsistencyError
+from quasiproj.errors import ConfigError
 from quasiproj.io import (SVG_STYLES, TilingDocument, build_tiling_document, cells_obj,
                           frequency_csv, overlap_csv, render_svg, window_document,
                           write_json, write_text)
@@ -72,24 +72,28 @@ def test_document_edges_consistent(windows_for):
     assert pos_ends == neg_ends == len(doc.edges)
 
 
-def test_a_mask_step_to_an_unaccepted_label_is_inconsistent(windows_for, monkeypatch):
-    # with every bit set, the masks name steps k + e_m in the box that the
-    # scan did not accept, and the least of them is named
-    shift, ws = random_shift(0.5, 7), windows_for(0.5)
-    labels, _, keys = qp.enumerate_accepted_2d(6, shift, ws)
-    ups = (labels[:, None, :] + np.eye(5, dtype=np.int64)).reshape(-1, 5)
-    ups = ups[np.abs(ups).max(axis=1) <= 6]
-    missing = ups[~np.isin(qp.label_keys(ups, 6), keys)]
-    least = missing[np.argmin(qp.label_keys(missing, 6))]
-
-    def all_steps(points, *args):
-        return np.full(points.shape[1], 1023, dtype=np.int64)
-
-    monkeypatch.setattr(qp.tiling2d, "neighbor_masks", all_steps)
-    with pytest.raises(ConsistencyError) as err:
-        build_tiling_document(6, shift, ws)
-    assert str(err.value) == (f"label {tuple(least.tolist())} is a step of a vertex by "
-                              "its neighbour mask, but the scan did not accept it")
+@pytest.mark.parametrize("c", [0.0, qp.PHI ** -2, 0.5, 0.9])
+def test_document_edges_are_the_neighbour_mask_steps(c, basis, windows_for):
+    # the edges k -> k + e_m are bits 0-4 of the neighbour masks at the
+    # re-projected test points (k - gamma) . W, less the steps out of the
+    # box's top face (k_m = R); R = 20 spans two chunks of SCAN_ROWS
+    shift, ws = random_shift(c, 1), windows_for(c)
+    for radius in (8, 20):
+        doc = build_tiling_document(radius, shift, ws)
+        index = doc.labels.sum(axis=1)
+        points = ((doc.labels - shift.gamma) @ basis.W[:, :2]).T
+        masks = np.zeros(len(doc.labels), dtype=np.int64)
+        for i in range(1, 6):
+            at = index == i
+            masks[at] = qp.neighbor_masks(points[:, at], i, ws)
+        steps = (masks[:, None] >> np.arange(5)) & 1 == 1
+        steps &= doc.labels < radius
+        row = {label: n for n, label in enumerate(map(tuple, doc.labels.tolist()))}
+        unit = np.eye(5, dtype=np.int64)
+        expected = [[i, row[tuple((doc.labels[i] + unit[m]).tolist())]]
+                    for i, m in zip(*map(np.ndarray.tolist, np.nonzero(steps)))]
+        assert len(expected) > 0
+        assert doc.edges.tolist() == sorted(expected)
 
 
 @pytest.mark.parametrize("c", [0.0, qp.PHI ** -2, 0.5])

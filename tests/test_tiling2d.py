@@ -11,7 +11,7 @@ from quasiproj.io import build_tiling_document
 from quasiproj.tiling2d import (CENSUS, VertexType, analytic_A, analytic_probability,
                                 census_support, empirical_frequencies, neighbor_masks)
 from quasiproj.scan import SCAN_ROWS
-from quasiproj.scan2d import enumerate_accepted_2d
+from quasiproj.scan2d import enumerate_accepted_2d, scan_2d
 from quasiproj.window import random_shift
 
 from helpers import accept_2d_bulk, step_rows
@@ -470,8 +470,8 @@ def test_freq_refuses_an_eps_within_the_float_error_of_the_points(P):
 
 
 def test_tiling_refuses_an_eps_within_the_float_error_of_the_points(P, caplog):
-    # the edges are read off the same masks, so the same bound holds, with
-    # the same message as qc freq's
+    # the tiling's vertices come from the same scan, which refuses the eps,
+    # with the same message as qc freq's
     shift = random_shift(0.5, 0)
     ws = qp.build_windows(P, 0.5, 1e-13)
     assert len(build_tiling_document(3, shift, ws).edges) > 0
@@ -503,6 +503,26 @@ def test_the_scan_refuses_windows_built_for_another_c(windows_for):
                 lambda: empirical_frequencies(30, shift, windows_for(0.5))):
         with pytest.raises(ValueError, match=r"built for c = 0\.5, .* c = 0\.2"):
             run()
+
+
+def test_the_scan_refuses_an_eps_within_the_float_error_of_the_points(P, caplog):
+    # the 2-d scan applies the floor itself, as the tip scan does, so every
+    # reader of it refuses the eps with the text qc freq gives
+    shift = random_shift(0.5, 0)
+    ws = qp.build_windows(P, 0.5, 1e-20)
+    assert run(["freq", "--radius", "8", "--tol", "1e-20"]) == 2
+    message = ("configuration error: eps 1e-20 is not above 1.8e-13, the float error of "
+               "the test points at radius 8, so vertex types cannot be read off them; "
+               "use a larger tolerance")
+    assert [r.getMessage() for r in caplog.records] == [message]
+    for scan in (lambda: enumerate_accepted_2d(8, shift, ws),
+                 lambda: next(scan_2d(8, shift, ws))):
+        with pytest.raises(ConfigError) as err:
+            scan()
+        assert f"configuration error: {err.value}" == message
+    caplog.clear()
+    assert run(["tiling2d", "--radius", "8", "--tol", "1e-20"]) == 2
+    assert [r.getMessage() for r in caplog.records] == [message]
 
 
 def direct_masks(points, index, ws, basis):
