@@ -155,22 +155,26 @@ def _check_budget(radius: int, rows: int, windows, a: np.ndarray,
 #: that of the overlap census about 0.75 MB at radius 57.  At 256, 1024 and
 #: 4096 rows, `qc freq --radius 80` peaks at 31.8, 32.3 and 35.6 MB in 0.51,
 #: 0.38 and 0.36 s, and `qc overlap-census --radius 20` at 31.4, 31.9 and
-#: 34.1 MB in 0.27-0.29 s (ru_maxrss, medians of 7, auto gamma, 2 vCPUs):
-#: fewer rows save little memory, and more cost it.
+#: 34.1 MB in 0.27-0.29 s (ru_maxrss, medians of 7, auto gamma, 2 vCPUs).
+#: Start-up hides the census there: in process, 256 rows take it from 13 to
+#: 26 ms at radius 20 and from 268 to 555 ms at radius 100 (medians, c =
+#: 0.2).  Fewer rows save little memory and cost time; more cost memory.
 SCAN_ROWS = 1024
 
 
 def _scan_chunks(n_rows: int, scan_rows, boundaries: tuple, shift,
-                 radius: int) -> Iterator:
+                 radius: int, ascending: bool) -> Iterator:
     """Run scan_rows on range(n_rows), SCAN_ROWS rows at a time, and yield
     what it finds in each chunk.
 
     scan_rows(rows) returns (found, singular), where singular holds, per
     boundary of `boundaries`, the keys of the labels of those rows within
     eps of it.  A chunk with a singular label is not yielded, nor is any
-    after it; the scan runs on, and after the last chunk raises
-    SingularityError naming the least such label of the first boundary
-    that has one.
+    after it, and the scan then raises SingularityError naming the least
+    such label of the first boundary that has one.  To find that label it
+    runs on to the last chunk, unless `ascending`: every key of a chunk is
+    below every key of the next, so the first chunk with a label singular
+    at the first boundary holds the least one, and the scan stops there.
     """
     held = [[] for _ in boundaries]
     for start in range(0, n_rows, SCAN_ROWS):
@@ -182,6 +186,8 @@ def _scan_chunks(n_rows: int, scan_rows, boundaries: tuple, shift,
             yield found
         # free this chunk before the next is made
         del found, singular
+        if ascending and held[0]:
+            break
     for keys, describe in zip(held, boundaries):
         if keys:
             first = label_columns(min(map(np.min, keys)), radius)

@@ -123,10 +123,13 @@ def scan_2d(radius: int, shift: GridShift,
     ConfigError, before anything is allocated, if wset.eps is not above the
     float error of the test points (`check_eps`), so that no label, and no
     vertex type read off a test point, is decided by that error.  A chunk
-    with a singular label is not yielded, nor is any after it; the scan
-    runs on, and after the last chunk raises SingularityError naming the
-    first label in key order, of any index, whose test point lies within
-    eps of its window boundary, the c = 0 index-5 point window included.
+    with a singular label is not yielded, nor is any after it: the scan
+    stops there and raises SingularityError naming the first label in key
+    order, of any index, whose test point lies within eps of its window
+    boundary, the c = 0 index-5 point window included.  The chunks are
+    runs of (k0, k1) rows, the two leading digits of the key, so every key
+    of a chunk is below every key of the next, and that label is in the
+    first chunk that holds a singular one.
     """
     if wset.c != shift.c:
         raise ValueError(f"the windows are built for c = {wset.c!r}, "
@@ -191,7 +194,8 @@ def scan_2d(radius: int, shift: GridShift,
             del status, accepted, pts, keys, extent
         return tuple(pieces), (np.concatenate(singular),)
 
-    yield from _scan_chunks(side ** 2, scan_rows, ("a window boundary",), shift, M)
+    yield from _scan_chunks(side ** 2, scan_rows, ("a window boundary",), shift, M,
+                            ascending=True)
 
 
 def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet

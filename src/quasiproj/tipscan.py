@@ -43,7 +43,9 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
     `check_eps`.  A chunk that holds a singular label is not yielded, nor
     is any after it; after the last chunk the scan raises SingularityError
     naming the first label within eps of the decagon boundary, then the
-    first within eps of the inner decagon boundary.
+    first within eps of the inner decagon boundary.  It runs to the last
+    chunk because first members' keys carry -min(a) sum(w), so they do not
+    ascend from one chunk to the next.
     """
     M, S = int(radius), 2 * int(radius)
     side = 2 * S + 1
@@ -84,5 +86,5 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
 
     yield from _scan_chunks(side ** 2, scan_rows,
                             ("the decagon boundary", "the inner decagon boundary"),
-                            shift, M)
+                            shift, M, ascending=False)
 

@@ -443,15 +443,21 @@ def test_internal_value_error_is_not_a_configuration_error(monkeypatch):
 
 
 _ZERO_SIGNATURES = """
+import sys
 import numpy as np
 import quasiproj.lattice3d
-from quasiproj.cli import run
+from quasiproj.cli import main, run
 
 def zero_signatures(points, *args):
     return np.zeros((len(points), 3), dtype=np.int64)
 
 quasiproj.lattice3d.overlap_signatures = zero_signatures
-run(["overlap-census", "--radius", "8"])
+args = ["overlap-census", "--radius", "8"]
+if sys.argv[1:] == ["main"]:
+    sys.argv = ["qc", *args]
+    main()
+else:
+    run(args)
 """
 
 
@@ -468,11 +474,14 @@ def test_a_census_violation_is_a_fault_with_a_traceback(monkeypatch):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _ZERO_SIGNATURES], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert "Traceback" in proc.stderr
-    assert proc.stderr.rstrip().endswith("CensusViolationError: " + str(err.value))
+    # through run() and through main(), the entry point of qc, which freezes
+    # the import heap first
+    for entry in ([], ["main"]):
+        proc = subprocess.run([sys.executable, "-c", _ZERO_SIGNATURES, *entry], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr
+        assert proc.stderr.rstrip().endswith("CensusViolationError: " + str(err.value))
 
 
 def test_tolerance_validation(caplog, capsys):
@@ -555,6 +564,34 @@ def test_a_preset_blas_thread_count_is_kept(tmp_path):
     assert report["code"] == 0
     assert report["env"] == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None,
                              "MKL_NUM_THREADS": None}
+
+
+_ENTRY_AND_REPORT = """
+import gc, json, sys
+from quasiproj.cli import main, run
+entry, out = sys.argv[1:]
+args = ["freq", "--radius", "4", "--out", out]
+if entry == "main":
+    sys.argv = ["qc", *args]
+    try:
+        main()
+    except SystemExit as exc:
+        code = exc.code
+else:
+    code = run(args)
+print(json.dumps({"code": code, "frozen": gc.get_freeze_count() > 0}))
+"""
+
+
+def test_the_entry_point_freezes_the_import_heap_and_the_library_call_does_not(tmp_path):
+    # main(), the entry point of qc and of python -m quasiproj.cli, moves the
+    # import heap out of the collector's reach, so the interpreter's final
+    # collections skip it; run() leaves an in-process caller's heap as it was
+    reports = {entry: _fresh_python(_ENTRY_AND_REPORT, entry, tmp_path / entry)
+               for entry in ("main", "run")}
+    assert reports == {"main": {"code": 0, "frozen": True},
+                       "run": {"code": 0, "frozen": False}}
+    assert (tmp_path / "main").read_bytes() == (tmp_path / "run").read_bytes()
 
 
 _RUN_AND_LIST_MODULES = """

@@ -400,10 +400,15 @@ def test_scan_2d_pieces_describe_their_labels(c, basis, windows_for, monkeypatch
     cand = lambda_box_candidates_2d(R, shift)
     cand = cand[accept_2d_bulk(cand, shift, ws, basis) == 1]
     found = {index: [] for index in range(1, 6)}
-    chunks = 0
+    chunks, below = 0, -1
     for pieces in qp.scan2d.scan_2d(R, shift, ws):
         chunks += 1
         assert [piece.index for piece in pieces] == [1, 2, 3, 4, 5]
+        # every key of a chunk, over all five indices, is below every key of
+        # the next, which lets the scan stop at its first singular chunk
+        keys = np.concatenate([piece.keys for piece in pieces])
+        assert len(keys) and keys.min() > below
+        below = keys.max()
         for piece in pieces:
             labels = np.column_stack(label_columns(piece.keys, R))
             assert np.array_equal(label_keys(labels, R), piece.keys)
@@ -423,6 +428,29 @@ def test_scan_2d_pieces_describe_their_labels(c, basis, windows_for, monkeypatch
         assert np.array_equal(np.concatenate(found[index]), expected)
     # the c = 0 index-5 window is a point, which accepts nothing
     assert (len(np.concatenate(found[5])) == 0) == (c == 0)
+
+
+def test_scan_2d_stops_at_its_first_singular_chunk(P, monkeypatch):
+    # at tol 1e-3 and 37 rows per chunk, this draw's first singular label is
+    # in the eighth of twelve chunks, and the four after it are never scanned
+    shift, R = random_shift(0.5, 28), 10
+    ws = qp.build_windows(P, 0.5, 1e-3)
+    with pytest.raises(qp.errors.SingularityError) as whole:
+        enumerate_accepted_2d(R, shift, ws)
+    monkeypatch.setattr(qp.scan, "SCAN_ROWS", 37)
+    calls = []
+    line_scan = qp.scan._LineScan.__call__
+    monkeypatch.setattr(qp.scan._LineScan, "__call__",
+                        lambda self, t0, radius: calls.append(1)
+                        or line_scan(self, t0, radius))
+    with pytest.raises(qp.errors.SingularityError) as chunked:
+        enumerate_accepted_2d(R, shift, ws)
+    assert str(chunked.value) == str(whole.value)
+    k0, k1 = map(int, str(whole.value).removeprefix("label (").split(", ")[:2])
+    first = ((k0 + R) * (2 * R + 1) + k1 + R) // 37
+    assert first == 7
+    # one line scan per index and chunk, through the first singular chunk
+    assert len(calls) == 5 * (first + 1)
 
 
 def test_enumerate_3d_matches_naive(Q, basis):
