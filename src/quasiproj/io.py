@@ -46,11 +46,12 @@ def build_tiling_document(radius: int, shift: GridShift,
     """Window-accepted vertices in the label box plus all edges between them.
 
     The vertices are those of `enumerate_accepted_2d`, which applies
-    MEMORY_BUDGET and `check_eps`.  An edge joins two accepted labels k and
-    k + e_m.  The key of k + e_m is that of k plus _key_weights(radius)[m],
-    unless k_m = radius takes the step out of the box, so one search of the
-    sorted keys per step finds every edge and the row of its upper end.
-    Raises ConfigError by `check_eps` or MEMORY_BUDGET.
+    MAX_TILING_RADIUS and `check_eps`.  An edge joins two accepted labels k
+    and k + e_m.  The key of k + e_m is that of k plus
+    _key_weights(radius)[m], unless k_m = radius takes the step out of the
+    box, so one search of the sorted keys per step finds every edge and the
+    row of its upper end.
+    Raises ConfigError by `check_eps` or MAX_TILING_RADIUS.
     """
     from .scan2d import enumerate_accepted_2d
 

@@ -1,5 +1,5 @@
-"""Label-box enumeration by scan conversion: the line scan, chunking, the
-memory budget and the label keys that the 2-d scan and the tip scan share.
+"""Label-box enumeration by scan conversion: the line scan, chunking and the
+label keys that the 2-d scan and the tip scan share.
 
 Fix all but two label coordinates (u, v).  The test point is then affine in
 them, t0 + u a + v b, and one-to-one, so the labels a window accepts are the
@@ -8,11 +8,11 @@ scans that polygon, widened by eps plus a float slack so the whole singular
 band |d| <= eps is inside it, and tests every point it finds against the
 window.  Candidates are then accepted labels, rejects within the slack of
 the window, and singular labels, which raise.
-  2-d (`scan2d`):  fix (k0, k1, I) and scan (k2, k3);
-                   k4 = I - k0 - k1 - k2 - k3.
-  3-d (`tipscan`): the labels k + n (1,1,1,1,1) of a column share one test
-                   point, so the scan runs over column representatives
-                   a = k - k4 (1,1,1,1,1): fix (a0, a1) and scan (a2, a3).
+  2-d (`scan2d`):     fix (k0, k1, I) and scan (k2, k3);
+                      k4 = I - k0 - k1 - k2 - k3.
+  3-d (`lattice3d`):  the labels k + n (1,1,1,1,1) of a column share one
+                      test point, so the scan runs over column representatives
+                      a = k - k4 (1,1,1,1,1): fix (a0, a1) and scan (a2, a3).
 """
 
 from __future__ import annotations
@@ -117,34 +117,6 @@ class _LineScan(NamedTuple):
         if self.down < len(room):  # an edge parallel to b: all or nothing
             v_hi[(room[self.down:] < 0).any(axis=0)] = -np.inf
         return row, u, v_lo, v_hi
-
-
-#: memory an enumeration that holds labels may plan for, and what a qc run
-#: holds at its peak per accepted label (ru_maxrss above the start: ~320 B
-#: for the whole 3-d lattice at radius 35).  Only enumerate_accepted_2d and
-#: lattice3d.build_cells hold labels, so only they check it.  The scans hold
-#: one chunk: `qc freq` peaks at 32.2 MB at radius 200 and 31.8 MB at radius
-#: 5, the census at 32.4 and 31.3 MB at radius 100 and 5 (medians of 7).
-MEMORY_BUDGET = 4 * 10 ** 9
-BYTES_PER_LABEL = 320
-
-
-def _check_budget(radius: int, rows: int, windows, a: np.ndarray,
-                  b: np.ndarray) -> None:
-    """Refuse a box whose accepted labels would not fit in MEMORY_BUDGET.
-
-    The scan meets `rows` lines of fixed label coordinates, and on each it
-    tests the integer (u, v) of the windows, where a unit step in u and in v
-    moves the test point by a and b.  So rows times their total area over
-    |a x b| estimates the accepted count before anything is allocated.
-    """
-    area = sum(w.area for w in windows)
-    estimate = rows * area / abs(float(a[0] * b[1] - a[1] * b[0]))
-    if estimate * BYTES_PER_LABEL > MEMORY_BUDGET:
-        raise ConfigError(
-            f"radius {radius} would accept about {estimate:.3g} labels, "
-            f"{estimate * BYTES_PER_LABEL / 1e9:.3g} GB at {BYTES_PER_LABEL} B each, "
-            f"above the {MEMORY_BUDGET / 1e9:g} GB budget; use a smaller radius")
 
 
 #: rows per chunk of a scan: (k0, k1) rows in 2-d, (a0, a1) rows of column

@@ -13,9 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateWindowError
+from .errors import ConfigError, ConsistencyError, DegenerateWindowError
 from .geometry import BASIS, DEFAULT_EPS, ConvexWindow
-from .scan import (_SCAN_SLACK, _check_budget, _expand, _integer_span, _key_weights,
+from .scan import (_SCAN_SLACK, _expand, _integer_span, _key_weights,
                    _LineScan, _scan_chunks, check_eps, label_columns)
 from .window import CONSTRUCTION_TOL, GridShift, PolytopeP
 
@@ -198,6 +198,16 @@ def scan_2d(radius: int, shift: GridShift,
                             ascending=True)
 
 
+#: largest radius whose accepted labels enumerate_accepted_2d holds within a
+#: 4 GB memory budget.  `qc tiling2d` (c = 0.5) peaks at 98.4, 283.0, 599.9
+#: and 1575.9 MiB at radius 50, 100, 150 and 250 (ru_maxrss, medians of 3),
+#: which 39.6e6 + 6433 (2R+1)^2 B fits to 6.6 MB: 3.98 GB at radius 391 and
+#: 4.004 GB at 392.  The windows' areas sum to vol(P) = 17.2048 at every c
+#: (to 1e-14 at c = p^-2, 0.1, 0.2, 0.5, 0.7, 0.9 and 0.999), so the vertex
+#: density, and this radius, do not depend on c.
+MAX_TILING_RADIUS = 391
+
+
 def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All accepted labels in the box [-radius, radius]^5, in key order.
@@ -206,13 +216,15 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet
     the keys are label_keys(labels, radius), strictly increasing.  The
     keys of `scan_2d`'s pieces are in key order within each index, so one
     stable sort merges them, and the labels are decoded from the keys.
-    Raises ConfigError, before anything is allocated, if the labels would
-    not fit in MEMORY_BUDGET or, by `check_eps`, if eps is within the float
-    error of the scan's test points, and SingularityError if any label in
-    the box has its test point within eps of a window boundary.
+    Raises ConfigError, before anything is allocated, if radius is above
+    MAX_TILING_RADIUS or, by `check_eps`, if eps is within the float error
+    of the scan's test points, and SingularityError if any label in the box
+    has its test point within eps of a window boundary.
     """
-    _check_budget(radius, (2 * radius + 1) ** 2, wset.slices.values(),
-                  *(BASIS.W[2:4, :2] - BASIS.W[4, :2]))
+    if radius > MAX_TILING_RADIUS:
+        raise ConfigError(
+            f"radius {radius} is above {MAX_TILING_RADIUS}, the largest whose tiling "
+            f"vertices fit in the 4 GB memory budget; use a smaller radius")
     keys = np.concatenate([piece.keys for pieces in scan_2d(radius, shift, wset)
                            for piece in pieces])
     keys.sort(kind="stable")

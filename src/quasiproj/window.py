@@ -11,7 +11,7 @@ slice windows depend on c.
 
 Every mode reads this module.  The label-box scans live apart, so that a
 run compiles only the one it runs: `scan` holds what they share, `scan2d`
-the slice windows and the 2-d scan, `tipscan` the 3-d tip scan.  The two
+the slice windows and the 2-d scan, `lattice3d` the 3-d tip scan.  The two
 names of the 2-d scan that this module exported before they moved, and
 that perfbench reads here, resolve here on first use.
 """
@@ -168,8 +168,6 @@ def build_polytope_P(basis: ProjectionBasis | None = None) -> PolytopeP:
             edge_set.add((min(a, b), max(a, b)))
     if len(edge_set) != 40:
         raise ConsistencyError(f"expected 40 edges, got {len(edge_set)}")
-    if 22 - 40 + 20 != 2:  # Euler check, here for the reader
-        raise ConsistencyError("Euler characteristic violated")
 
     corners = vertices[np.array(loops)]                  # (20, 4, 3)
     normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 1])
@@ -241,9 +239,9 @@ DECAGON = build_decagon_Q(BASIS)
 
 
 #: the names of the 2-d scan this module exported before they moved that
-#: perfbench still reads here.  The other moved names, and the tunables
-#: SCAN_ROWS, MEMORY_BUDGET and BYTES_PER_LABEL, have one home each, so a
-#: read or a patch of them here raises instead of doing nothing.
+#: perfbench still reads here.  The other moved names, and the tunable
+#: SCAN_ROWS, have one home each, so a read or a patch of them here raises
+#: instead of doing nothing.
 _MOVED = ("build_windows", "enumerate_accepted_2d")
 
 

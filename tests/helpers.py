@@ -29,13 +29,13 @@ from quasiproj.errors import CensusViolationError, ConfigError, SingularityError
 from quasiproj.geometry import BASIS, DEFAULT_EPS, PHI, make_basis
 from quasiproj.io import fmt
 from quasiproj.lattice3d import (_CLASS_OF_CODE, _CLASSES, ANALYTIC_CLASS_FREQUENCIES,
-                                 OVERLAP_OFFSETS, OverlapCensus, _check_cells)
+                                 OVERLAP_OFFSETS, OverlapCensus, _check_cells,
+                                 scan_tip_columns)
 from quasiproj import window
-from quasiproj.scan import (_SCAN_SLACK, _check_budget, _expand, _LineScan,
+from quasiproj.scan import (_SCAN_SLACK, _expand, _LineScan,
                             _integer_span, _key_weights, label_columns, label_extent,
                             label_index, label_keys)
 from quasiproj.scan2d import enumerate_accepted_2d
-from quasiproj.tipscan import scan_tip_columns
 from quasiproj.window import (CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES,
                               GridShift)
 
@@ -245,12 +245,10 @@ def scan_3d(radius, shift, Q, basis, eps):
 
     Fix (k0, k1, k2) and scan-convert (k3, k4).  Each label is tested on its
     own test point, with no use of the z-periodicity that enumerate_tips
-    rests on.  Raises ConfigError, before the first block, if the lattice
-    would not fit in MEMORY_BUDGET.
+    rests on.
     """
     M = int(radius)
     d = basis.D
-    _check_budget(M, (2 * M + 1) ** 3, [Q.window], d[3], d[4])
     k = np.arange(-M, M + 1, dtype=np.int64)
     k12 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
     base = k12 @ d[1:3] - shift.gamma @ d
@@ -301,11 +299,9 @@ def enumerate_tips(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
     Tips are the lattice points whose test point falls strictly inside the
     inner decagon: the members of scan_tip_columns' tip columns, whose keys
     follow from their first member's.  One sort orders the keys, and the
-    labels are decoded from them.  Raises ConfigError if the lattice would
-    not fit in MEMORY_BUDGET, and otherwise as scan_tip_columns does.
+    labels are decoded from them.  Raises as scan_tip_columns does.
     """
     M = int(radius)
-    _check_budget(M, (2 * M + 1) ** 3, [DECAGON.window], BASIS.D[3], BASIS.D[4])
     keys, n_points = [], 0
     for _, first, spread, count in scan_tip_columns(M, shift, eps):
         column, n = _expand(np.zeros_like(spread), 2 * M - spread)

@@ -9,9 +9,9 @@ from quasiproj.errors import ConfigError, ConsistencyError, SingularityError
 from quasiproj.geometry import ConvexWindow, points_in_convex_polygon
 from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
                                  OVERLAP_SIGNATURES, TIP_MARGIN, _check_cells,
-                                 build_cells, overlap_census, overlap_signatures)
+                                 build_cells, overlap_census, overlap_signatures,
+                                 scan_tip_columns)
 from quasiproj.scan import _key_weights, label_columns, label_extent, label_keys
-from quasiproj.tipscan import scan_tip_columns
 from quasiproj.window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES,
                               normalize_shift, random_shift)
 

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import quasiproj as qp
-from quasiproj import geometry
+from quasiproj import geometry, lattice3d, scan2d
 from quasiproj.errors import ConfigError, DegenerateWindowError, PolygonError
 from quasiproj.geometry import max_edge_distance, points_in_convex_polygon
-from quasiproj.lattice3d import build_cells, overlap_census
+from quasiproj.lattice3d import (MAX_CELLS_RADIUS, build_cells, overlap_census,
+                                 scan_tip_columns)
 from quasiproj.scan import (MAX_KEY_RADIUS, label_columns, label_extent, label_index,
                             label_keys)
-from quasiproj.scan2d import enumerate_accepted_2d, slice_window
-from quasiproj.tipscan import scan_tip_columns
+from quasiproj.scan2d import (MAX_TILING_RADIUS, ScanPiece, enumerate_accepted_2d,
+                              slice_window)
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               INTERIOR_INDICES, normalize_shift, random_shift)
 
@@ -669,9 +670,9 @@ def test_the_scans_run_past_the_memory_budget_to_max_key_radius(c, basis, window
     # the scans hold one chunk, so only what holds labels, the 2-d
     # enumerator and the cells, refuses a box by the memory budget
     shift, ws = random_shift(c, 0), windows_for(c)
-    with pytest.raises(ConfigError, match="radius 622 would accept about"):
+    with pytest.raises(ConfigError, match="radius 622 is above"):
         enumerate_accepted_2d(622, shift, ws)
-    with pytest.raises(ConfigError, match="radius 58 would accept about"):
+    with pytest.raises(ConfigError, match="radius 58 is above"):
         build_cells(58, shift, 1e-9)
     # the first chunks of both scans at a refused radius and at the int64 edge
     # of the keys; at MAX_KEY_RADIUS the first non-empty 2-d chunk is the
@@ -705,6 +706,32 @@ def test_the_scans_run_past_the_memory_budget_to_max_key_radius(c, basis, window
             assert np.allclose(points.T, t, rtol=0, atol=drift)
             n += len(labels)
         assert n > 0
+
+
+def test_the_tiling_vertices_are_refused_above_max_tiling_radius(monkeypatch, windows_for):
+    # the guard reads only the radius, so the scan is stubbed, and neither side
+    # of the limit allocates even if the guard is wrong
+    shift, ws = random_shift(0.5, 0), windows_for(0.5)
+    empty = ScanPiece(1, np.empty((2, 0)), np.empty(0, np.int64), np.empty(0, np.int64))
+    monkeypatch.setattr(scan2d, "scan_2d", lambda *args: iter([(empty,)]))
+    with pytest.raises(ConfigError, match=f"radius {MAX_TILING_RADIUS + 1} is above "
+                       f"{MAX_TILING_RADIUS}, .* the 4 GB memory budget"):
+        enumerate_accepted_2d(MAX_TILING_RADIUS + 1, shift, ws)
+    labels, points, keys = enumerate_accepted_2d(MAX_TILING_RADIUS, shift, ws)
+    assert labels.shape == (0, 5) and points.shape == (0, 2) and keys.shape == (0,)
+
+
+def test_the_cells_are_refused_above_max_cells_radius(monkeypatch):
+    # as for the tiling vertices, with the tip columns stubbed as one empty chunk
+    shift = random_shift(0.4, 0)
+    chunk = (np.empty((2, 0)), np.empty(0, np.int64), np.empty(0, np.int64), 0, 0)
+    monkeypatch.setattr(lattice3d, "_complete_columns", lambda *args: iter([chunk]))
+    with pytest.raises(ConfigError, match=f"radius {MAX_CELLS_RADIUS + 1} is above "
+                       f"{MAX_CELLS_RADIUS}, .* the 4 GB memory budget"):
+        build_cells(MAX_CELLS_RADIUS + 1, shift, 1e-9)
+    (hull, interior), n_points, n_tips = build_cells(MAX_CELLS_RADIUS, shift, 1e-9)
+    assert hull.shape == (0, 22, 5) and interior.shape == (0, 4, 5)
+    assert n_points == n_tips == 0
 
 
 def test_max_edge_distance_is_bitwise_equal_across_chunks(Q, P):
