@@ -93,11 +93,14 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
     Only MAX_KEY_RADIUS limits the radius: the scan holds one chunk at a
     time.  Raises ConfigError, before anything is allocated, if eps fails
     `check_eps`.  A chunk that holds a singular label is not yielded, nor
-    is any after it; after the last chunk the scan raises SingularityError
-    naming the first label within eps of the decagon boundary, then the
-    first within eps of the inner decagon boundary.  It runs to the last
-    chunk because first members' keys carry -min(a) sum(w), so they do not
-    ascend from one chunk to the next.
+    is any after it; the scan raises SingularityError naming the first
+    label within eps of the decagon boundary, else the first within eps of
+    the inner decagon boundary.  First members' keys carry -min(a) sum(w),
+    so they do not ascend from one chunk to the next, but a column's first
+    member has k0 + radius = a0 - min(a, 0) >= max(a0, 0).  So once a label
+    on the decagon boundary is found, the scan stops at the first chunk
+    whose rows all have a0 > k0 + radius of the least one found; while only
+    the inner decagon boundary has one, it runs to the last chunk.
     """
     M, S = int(radius), 2 * int(radius)
     side = 2 * S + 1
@@ -136,9 +139,11 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
         return ((pts[:, tip], keys[tip], spread[tip], n_points),
                 (keys[status == -1], keys[inner == -1]))
 
+    # a column's first member has k0 + radius = a0 - min(a, 0) >= max(a0, 0),
+    # so no row from a0 on holds a key below max(a0, 0) weights[0]
     yield from _scan_chunks(side ** 2, scan_rows,
                             ("the decagon boundary", "the inner decagon boundary"),
-                            shift, M, ascending=False)
+                            shift, M, lambda row: max(row // side - S, 0) * weights[0])
 
 
 

@@ -1,18 +1,19 @@
-"""Label-box enumeration by scan conversion: the line scan, chunking and the
-label keys that the 2-d scan and the tip scan share.
+"""Label-box enumeration by scan conversion: the line scan, the chunking and
+the label keys of the 2-d scan and the tip scan.
 
 Fix all but two label coordinates (u, v).  The test point is then affine in
 them, t0 + u a + v b, and one-to-one, so the labels a window accepts are the
 integer points of a convex polygon in the (u, v) plane.  Each enumerator
-scans that polygon, widened by eps plus a float slack so the whole singular
-band |d| <= eps is inside it, and tests every point it finds against the
-window.  Candidates are then accepted labels, rejects within the slack of
-the window, and singular labels, which raise.
-  2-d (`scan2d`):     fix (k0, k1, I) and scan (k2, k3);
-                      k4 = I - k0 - k1 - k2 - k3.
+finds the integer points of that polygon, widened by eps plus a float slack
+so the whole singular band |d| <= eps is inside it, and tests every point it
+finds against the window.  Candidates are then accepted labels, rejects
+within the slack of the window, and singular labels, which raise.
+  2-d (`scan2d`):     fix (k0, k1, I) and read (k2, k3) off a row stencil
+                      (`locate2d`); k4 = I - k0 - k1 - k2 - k3.
   3-d (`lattice3d`):  the labels k + n (1,1,1,1,1) of a column share one
                       test point, so the scan runs over column representatives
-                      a = k - k4 (1,1,1,1,1): fix (a0, a1) and scan (a2, a3).
+                      a = k - k4 (1,1,1,1,1): fix (a0, a1) and line-scan
+                      (a2, a3) with _LineScan.
 """
 
 from __future__ import annotations
@@ -119,23 +120,23 @@ class _LineScan(NamedTuple):
         return row, u, v_lo, v_hi
 
 
-#: rows per chunk of a scan: (k0, k1) rows in 2-d, (a0, a1) rows of column
-#: representatives in 3-d.  Everything a scan holds per row, line or label
-#: lives for one chunk, so its working set does not grow with the radius: a
-#: 2-d chunk tests at most ~8,400 labels at c = 0.5 (8,357 at radius 200),
-#: and the traced peak of `qc freq`'s tally is about 1.0 MB at radius 100,
+#: rows per chunk of both scans: (k0, k1) rows in `scan2d.scan_2d`, (a0, a1)
+#: rows of column representatives in `lattice3d.scan_tip_columns`.
+#: Everything a scan holds per row or label lives for one chunk, so its
+#: working set does not grow with the radius: a 2-d chunk tests at most
+#: about 9,100 candidates at c = 0.5 (8,624 at radius 80, 9,066 at 200), and
+#: the traced peak of `qc freq`'s tally is about 1.1 MB at radius 40 to 100,
 #: that of the overlap census about 0.75 MB at radius 57.  At 256, 1024 and
-#: 4096 rows, `qc freq --radius 80` peaks at 31.8, 32.3 and 35.6 MB in 0.51,
-#: 0.38 and 0.36 s, and `qc overlap-census --radius 20` at 31.4, 31.9 and
-#: 34.1 MB in 0.27-0.29 s (ru_maxrss, medians of 7, auto gamma, 2 vCPUs).
-#: Start-up hides the census there: in process, 256 rows take it from 13 to
-#: 26 ms at radius 20 and from 268 to 555 ms at radius 100 (medians, c =
-#: 0.2).  Fewer rows save little memory and cost time; more cost memory.
+#: 4096 rows, `qc freq --radius 80` peaks at 32.4, 32.9 and 36.8 MB in 0.31,
+#: 0.21 and 0.25 s, and `qc overlap-census --c 0.2 --radius 20` at 31.6, 32.0
+#: and 34.3 MB in 0.17, 0.17 and 0.16 s (ru_maxrss and wall time, medians of
+#: 7, auto gamma, 2 shared vCPUs).  Fewer rows save little memory and cost
+#: time; more cost memory.
 SCAN_ROWS = 1024
 
 
 def _scan_chunks(n_rows: int, scan_rows, boundaries: tuple, shift,
-                 radius: int, ascending: bool) -> Iterator:
+                 radius: int, least_key) -> Iterator:
     """Run scan_rows on range(n_rows), SCAN_ROWS rows at a time, and yield
     what it finds in each chunk.
 
@@ -143,14 +144,16 @@ def _scan_chunks(n_rows: int, scan_rows, boundaries: tuple, shift,
     boundary of `boundaries`, the keys of the labels of those rows within
     eps of it.  A chunk with a singular label is not yielded, nor is any
     after it, and the scan then raises SingularityError naming the least
-    such label of the first boundary that has one.  To find that label it
-    runs on to the last chunk, unless `ascending`: every key of a chunk is
-    below every key of the next, so the first chunk with a label singular
-    at the first boundary holds the least one, and the scan stops there.
+    such label of the first boundary that has one.  least_key(row) bounds
+    from below every key the rows from `row` on can find, so the scan stops
+    once a label singular at the first boundary is below that bound at the
+    next chunk; while only a later boundary has one, it runs on, since a
+    label of the first found later is named before it.
     """
     held = [[] for _ in boundaries]
     for start in range(0, n_rows, SCAN_ROWS):
-        found, singular = scan_rows(np.arange(start, min(start + SCAN_ROWS, n_rows)))
+        stop = min(start + SCAN_ROWS, n_rows)
+        found, singular = scan_rows(np.arange(start, stop))
         for keys, bad in zip(held, singular):
             if len(bad):
                 keys.append(bad)
@@ -158,7 +161,7 @@ def _scan_chunks(n_rows: int, scan_rows, boundaries: tuple, shift,
             yield found
         # free this chunk before the next is made
         del found, singular
-        if ascending and held[0]:
+        if held[0] and min(map(np.min, held[0])) < least_key(stop):
             break
     for keys, describe in zip(held, boundaries):
         if keys:

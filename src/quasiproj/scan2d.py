@@ -15,17 +15,19 @@ import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegenerateWindowError
 from .geometry import BASIS, DEFAULT_EPS, ConvexWindow
-from .scan import (_SCAN_SLACK, _expand, _integer_span, _key_weights,
-                   _LineScan, _scan_chunks, check_eps, label_columns)
+from . import locate2d
+from .scan import _SCAN_SLACK, _key_weights, _scan_chunks, check_eps, label_columns
 from .window import CONSTRUCTION_TOL, GridShift, PolytopeP
 
 
 def slice_window(P: PolytopeP, index: int, c: float) -> ConvexWindow:
     """Clip the polytope faces against the plane z = index - c: the window V_index.
 
-    Collects face/plane intersection segments, deduplicates endpoints within
-    CONSTRUCTION_TOL and orders them by angle.  The result is a pentagon
-    near the tips and a decagon through the middle of the polytope.
+    Collects face/plane intersection points, face by face in loop order (a
+    vertex on the plane, then the crossing of the edge that leaves it),
+    keeps the first of those within CONSTRUCTION_TOL of each other and
+    orders them by angle.  The result is a pentagon near the tips and a
+    decagon through the middle of the polytope.
     """
     if not 1 <= index <= 5:
         raise ValueError(f"index must be in [1, 5], got {index}")
@@ -37,28 +39,27 @@ def slice_window(P: PolytopeP, index: int, c: float) -> ConvexWindow:
         raise DegenerateWindowError(
             f"slice at height {h} degenerates to a tip (index {index}, c = {c})")
 
-    pts: list[np.ndarray] = []
-    for loop in P.face_loops:
-        zs = P.vertices[list(loop), 2]
-        m = len(loop)
-        for i in range(m):
-            a, b = loop[i], loop[(i + 1) % m]
-            za, zb = zs[i], zs[(i + 1) % m]
-            if abs(za - h) <= eps:
-                pts.append(P.vertices[a, :2])
-            if (za - h) * (zb - h) < 0:
-                t = (h - za) / (zb - za)
-                pts.append((1 - t) * P.vertices[a, :2] + t * P.vertices[b, :2])
+    # (face, edge, 2): each loop edge from its vertex a to the next vertex b
+    loops = np.array(P.face_loops)
+    ends = P.vertices[np.stack([loops, np.roll(loops, -1, axis=1)], axis=2)]
+    za, zb = ends[..., 0, 2], ends[..., 1, 2]
+    found = np.empty(loops.shape + (2, 2))
+    found[..., 0, :] = ends[..., 0, :2]
+    cross = (za - h) * (zb - h) < 0
+    t = ((h - za[cross]) / (zb[cross] - za[cross]))[:, None]
+    found[cross, 1] = (1 - t) * ends[cross, 0, :2] + t * ends[cross, 1, :2]
+    pts = found[np.stack([np.abs(za - h) <= eps, cross], axis=2)]
 
-    # eps-dedup, then angular order around the centroid
-    uniq: list[np.ndarray] = []
-    for p in pts:
-        if not any(np.max(np.abs(p - q)) <= eps for q in uniq):
-            uniq.append(p)
+    # eps-dedup, keeping the first of each cluster, then angular order
+    close = np.abs(pts[:, None] - pts[None]).max(axis=2) <= eps
+    uniq, rest = [], np.arange(len(pts))
+    while len(rest):
+        uniq.append(rest[0])
+        rest = rest[~close[rest[0], rest]]
     if len(uniq) not in (5, 10):
         raise ConsistencyError(
             f"slice window at height {h} has {len(uniq)} vertices, expected 5 or 10")
-    poly = np.array(uniq)
+    poly = pts[uniq]
     cen = poly.mean(axis=0)
     ang = np.arctan2(poly[:, 1] - cen[1], poly[:, 0] - cen[0])
     poly = poly[np.argsort(ang)]
@@ -86,37 +87,40 @@ def build_windows(P: PolytopeP, c: float, eps: float = DEFAULT_EPS) -> WindowSet
     return WindowSet(c=c, eps=eps, slices=slices, degenerate_top=degenerate_top)
 
 
-#: the c = 0 index-5 window is the point 0, given as a square of zero size:
-#: widened by eps and the slack, it holds the singular disk |t| <= eps
-_POINT_WINDOW = ConvexWindow(np.zeros((1, 2)),
-                             np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
-                             np.zeros(4))
-
-
 class ScanPiece(NamedTuple):
-    """The labels of one index that one chunk of the 2-d scan accepted, in key order."""
+    """The labels one chunk of the 2-d scan accepted, of all five indices."""
 
-    index: int
+    index: np.ndarray   # slice index I of each label
     points: np.ndarray  # (2, n) test points, as x and y rows
     keys: np.ndarray    # label_keys of the labels
     extent: np.ndarray  # label_extent of the labels: max_j |k_j|
+    masks: np.ndarray   # neighbour mask of each (see tiling2d.neighbor_masks), < 0 if undecided
 
 
-def scan_2d(radius: int, shift: GridShift,
-            wset: WindowSet) -> Iterator[tuple[ScanPiece, ...]]:
+def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiece]:
     """Test every label of the box [-radius, radius]^5 against its index
     window, SCAN_ROWS rows of (k0, k1) at a time.
 
-    Yields, per chunk, one ScanPiece per index I = 1 .. 5, which holds the
-    labels of that index the chunk accepted.  The pieces of an index come
-    in key order, chunk after chunk.  The scan fixes (k0, k1) and
-    scan-converts (k2, k3), with k4 = I - k0 - k1 - k2 - k3.  Along a
-    scan line a label's key, its extent and its test point all follow from
-    the line and k3, so no label array is multiplied out: the test point is
-    t0 + k2 a + k3 b, which differs from sum_j (k_j - gamma_j) w_j by up to
-    about 5e-14 at radius 80, far inside eps.  Each index is tested against
-    its own window only; nearly every label tested is accepted (all 161,833
-    of the `freq_census` benchmark box, c = 0.5 and radius 80).
+    Yields, per chunk, one ScanPiece: the labels of every index that the
+    chunk accepted, in no set order.  A label's test point is
+    t = t0 + k2 a + k3 b, with a = w2 - w4, b = w3 - w4 and t0 fixed by the
+    row (k0, k1) and the index I, and k4 = I - k0 - k1 - k2 - k3.  It is
+    summed as k3 b + (t0 + k2 a), and differs from sum_j (k_j - gamma_j) w_j
+    by up to about 5e-14 at radius 80, far inside eps.
+
+    The tables of `locate2d`, built once per call from wset, locate every
+    test point.  A row stencil names a row's candidates for each index,
+    every label within eps of its window among them: about 1.05 labels are
+    tested per accepted one.  Five lookups in the direction tables give a
+    candidate's status against its window and its neighbour mask, where
+    they are sure, which is exactly what the edge tests give.  Only the
+    candidates whose status is not sure are tested, in the chunk, by
+    `ConvexWindow.classify`, once per index (274 of the 170,329 candidates
+    of the `freq_census` benchmark, c = 0.5 and radius 80); a mask that is
+    not sure is negative in the piece, for its reader to compute (2,307 of
+    its 161,833 accepted labels).  At c = 0 the index-5 window is the point
+    0, and each of its few candidates is tested as |t| <= eps, which is
+    singular.
 
     Only MAX_KEY_RADIUS limits the radius: the scan holds one chunk at a
     time.  Raises ValueError unless wset was built for shift.c, and
@@ -137,65 +141,107 @@ def scan_2d(radius: int, shift: GridShift,
     M = int(radius)
     check_eps(M, wset.eps, "vertex types")
     side = 2 * M + 1
+    G = locate2d.STENCIL_GRID
     w = BASIS.W[:, :2]
     a, b = w[2] - w[4], w[3] - w[4]
     weights = _key_weights(M)
-    reach = wset.eps + _SCAN_SLACK
-    windows = [wset.slices[index] for index in range(1, 5)]
-    windows.append(_POINT_WINDOW if wset.degenerate_top else wset.slices[5])
-    scans = [_LineScan.of(a, b, window, reach) for window in windows]
+    tables = locate2d.build(wset, np.column_stack([a, b]), wset.eps + _SCAN_SLACK)
     gamma_w = shift.gamma @ w
+    index = np.arange(1, 6)
+    # a row's t0 and s are those of (k0, k1, 0, 0, 0), plus what I adds, as
+    # x and y rows of (index, row) pairs, index-major
+    t0_index = np.ascontiguousarray((index[:, None] * w[4]).T)[..., None]
+    s_index = np.ascontiguousarray(((index[:, None] * w[4] - gamma_w) @ tables.inv.T).T)[..., None]
+    # the key of (k0, k1, k2, k3, I - k0 - k1 - k2 - k3) is that of
+    # (k0, k1, 0, 0, I - k0 - k1) plus k2 (w2 - w4) + k3 (w3 - w4)
+    key_k2, key_k3 = weights[2] - weights[4], weights[3] - weights[4]
+    key_base = M * (weights[2] + weights[3] + weights[4])
+    windows = [wset.slices.get(i) for i in range(1, 6)]
 
     def scan_rows(rows):
-        k01 = np.column_stack([rows // side - M, rows % side - M])
-        k01_sum = k01.sum(axis=1)
-        row_extent = np.maximum(np.abs(k01[:, 0]), np.abs(k01[:, 1]))
-        # the key (k + M) . weights of (k0, k1, k2, k3, k34 - k3) is the key of
-        # its line, (k0, k1, k2, 0, k34), plus k3 (weights[3] - weights[4])
-        row_key = (k01 + M) @ weights[:2] + M * weights[3]
-        t01 = k01 @ (w[:2] - w[4])
-        del k01
-        pieces, singular = [], []
-        for index in range(1, 6):
-            t0 = t01 + index * w[4]
-            t0 -= gamma_w
-            row, k2, v_lo, v_hi = scans[index - 1](t0, M)
-            k34 = index - k01_sum[row] - k2
-            lo, hi = _integer_span(v_lo, v_hi, np.maximum(k34 - M, -M),
-                                   np.minimum(k34 + M, M))
-            del v_lo, v_hi
-            # drop the lines whose k3 span holds no label of the box
-            held = lo <= hi
-            row, k2, k34, lo, hi = (x[held] for x in (row, k2, k34, lo, hi))
-            line, k3 = _expand(lo, hi)
-            del lo, hi, held
-            keys = (row_key[row] + (k2 + M) * weights[2] + (k34 + M) * weights[4])[line]
-            keys += k3 * (weights[3] - weights[4])
-            extent = np.maximum(row_extent[row], np.abs(k2))[line]
-            np.maximum(extent, np.abs(k3), out=extent)
-            k4 = k34[line]
-            k4 -= k3
-            np.maximum(extent, np.abs(k4, out=k4), out=extent)
-            # x and y rows, which the predicate's (edges, n) product reads fastest
-            pts = np.empty((2, len(k3)))
-            for j, xy in enumerate(pts):
-                np.multiply(k3, b[j], out=xy)
-                xy += (t0[row, j] + k2 * a[j])[line]
-            del row, k2, k34, line, k3, k4
-            if index == 5 and wset.degenerate_top:
-                # nothing is accepted, and a test point within eps of 0 is singular
-                status = np.where(np.linalg.norm(pts, axis=0) <= wset.eps, -1, 0)
-            else:
-                status = windows[index - 1].classify(pts.T, wset.eps)
-            singular.append(keys[status == -1])
-            accepted = status == 1
-            pieces.append(ScanPiece(index, pts[:, accepted], keys[accepted],
-                                    extent[accepted]))
-            del status, accepted, pts, keys, extent
-        return tuple(pieces), (np.concatenate(singular),)
+        n = len(rows)
+        k0, k1 = rows // side - M, rows % side - M
+        t01 = np.column_stack([k0, k1]) @ (w[:2] - w[4])
+        t0 = t01.T[:, None] + t0_index
+        t0 -= gamma_w[:, None, None]
+        s = (tables.inv @ t01.T)[:, None] + s_index
+        base = np.floor(s)
+        s -= base
+        s *= G
+        cell = s.astype(np.intp)
+        # the stencil of the cell of f, per pair
+        stencil = cell[0] * G
+        stencil += cell[1]
+        stencil += (index[:, None] - 1) * (G * G)
+        start = tables.first[stencil].ravel()
+        count = tables.first[stencil.ravel() + 1] - start
+        base = base.astype(np.int32).reshape(2, -1)
+        # k4 of (k0, k1, -floor(s)) at I, the key of (k0, k1, 0, 0) at I and
+        # the pair's extent so far
+        k4_row = index[:, None] - (k0 + k1)
+        key_pair = (k4_row + (rows * weights[1] + key_base)).ravel()
+        k4_pair = k4_row.astype(np.int32).ravel()
+        k4_pair += base[0]
+        k4_pair += base[1]
+        extent_pair = np.tile(np.maximum(np.abs(k0), np.abs(k1)).astype(np.int32), 5)
+        del k0, k1, k4_row, t01, s, cell, stencil
+
+        pair = np.repeat(np.arange(5 * n, dtype=np.int32), count)
+        pos = np.repeat(start - np.cumsum(count, dtype=np.int32) + count, count)
+        pos += np.arange(len(pos), dtype=np.int32)
+        z = tables.z.take(pos, axis=1)
+        del pos, start, count
+        k23 = base.take(pair, axis=1)
+        np.subtract(z, k23, out=k23)
+        k4 = k4_pair.take(pair)
+        k4 -= z[0]
+        k4 -= z[1]
+        extent = np.abs(k23).max(axis=0)
+        np.maximum(extent, np.abs(k4, out=k4), out=extent)
+        inside = extent <= M
+        pair, k23, extent = pair[inside], k23.compress(inside, axis=1), extent[inside]
+        del z, k4, inside
+        np.maximum(extent, extent_pair.take(pair), out=extent)
+        k2, k3 = k23
+        keys = key_pair.take(pair)
+        keys += k2 * key_k2
+        keys += k3 * key_k3
+        # x and y rows, summed as k3 b + (t0 + k2 a)
+        pts = t0.reshape(2, -1).take(pair, axis=1)
+        pts += np.multiply.outer(a, k2)
+        pts += np.multiply.outer(b, k3)
+        del k2, k3, k23
+        at = pair // n
+        word = locate2d.words(tables, pts, at)
+        state = word & (locate2d.INSIDE | locate2d.NOT_OUTSIDE)
+        accepted = state == locate2d.INSIDE | locate2d.NOT_OUTSIDE
+        doubt = np.flatnonzero(state == locate2d.NOT_OUTSIDE)
+        singular = []
+        if len(doubt):
+            for i in range(5):
+                mine = doubt[at[doubt] == i]
+                if not len(mine):
+                    continue
+                if i == 4 and wset.degenerate_top:
+                    # nothing is accepted, and a test point within eps of 0 is singular
+                    status = np.where(np.linalg.norm(pts[:, mine], axis=0) <= wset.eps, -1, 0)
+                else:
+                    status = windows[i].classify(pts[:, mine].T, wset.eps)
+                accepted[mine[status == 1]] = True
+                singular.append(keys[mine[status == -1]])
+        # the mask bits less MASK_SURE, so negative where the tables cannot tell
+        masks = word[accepted].view(np.int16)
+        masks &= locate2d.MASK_SURE | 1023
+        masks -= locate2d.MASK_SURE
+        at = at[accepted]
+        at += 1
+        # compress, as pts[:, accepted] runs several times slower
+        piece = ScanPiece(at, pts.compress(accepted, axis=1), keys[accepted],
+                          extent[accepted], masks)
+        return piece, (np.concatenate(singular) if singular else keys[:0],)
 
     yield from _scan_chunks(side ** 2, scan_rows, ("a window boundary",), shift, M,
-                            ascending=True)
+                            lambda row: row * weights[1])
 
 
 #: largest radius whose accepted labels enumerate_accepted_2d holds within a
@@ -213,20 +259,18 @@ def enumerate_accepted_2d(radius: int, shift: GridShift, wset: WindowSet
     """All accepted labels in the box [-radius, radius]^5, in key order.
 
     Returns (labels (N,5) int64, tiling vertices (N,2), keys (N,) int64):
-    the keys are label_keys(labels, radius), strictly increasing.  The
-    keys of `scan_2d`'s pieces are in key order within each index, so one
-    stable sort merges them, and the labels are decoded from the keys.
-    Raises ConfigError, before anything is allocated, if radius is above
-    MAX_TILING_RADIUS or, by `check_eps`, if eps is within the float error
-    of the scan's test points, and SingularityError if any label in the box
-    has its test point within eps of a window boundary.
+    the keys are label_keys(labels, radius), strictly increasing.  One sort
+    puts the keys of `scan_2d`'s pieces in order, and the labels are decoded
+    from the keys.  Raises ConfigError, before anything is allocated, if
+    radius is above MAX_TILING_RADIUS or, by `check_eps`, if eps is within
+    the float error of the scan's test points, and SingularityError if any
+    label in the box has its test point within eps of a window boundary.
     """
     if radius > MAX_TILING_RADIUS:
         raise ConfigError(
             f"radius {radius} is above {MAX_TILING_RADIUS}, the largest whose tiling "
             f"vertices fit in the 4 GB memory budget; use a smaller radius")
-    keys = np.concatenate([piece.keys for pieces in scan_2d(radius, shift, wset)
-                           for piece in pieces])
-    keys.sort(kind="stable")
+    keys = np.concatenate([piece.keys for piece in scan_2d(radius, shift, wset)])
+    keys.sort()
     labels = np.column_stack(label_columns(keys, radius))
     return labels, labels.astype(float) @ BASIS.D, keys

@@ -36,7 +36,9 @@ def neighbor_masks(points: np.ndarray, index: int, wset: WindowSet) -> np.ndarra
     vertices, so its type [n, n']_I is (popcount(mask & 31),
     popcount(mask >> 5)).  Inside is strictly inside every edge line of the
     window, n . t < o - n . v for each of its edges (n, o), with v = w_m or
-    -w_m, and the window's own normals and offsets.
+    -w_m, and the window's own normals and offsets.  The 2-d scan's
+    direction tables (`locate2d`) give these masks wherever they are sure,
+    bit for bit; this is the exact test for the rest, and their reference.
 
     Why it is exact for a boundary-complete vertex of a regular scan: its
     neighbours lie in the box, and the scan has tested each against its
@@ -251,9 +253,17 @@ class FrequencyReport(NamedTuple):
 #: label steps from the box edge within which a vertex's type is not counted
 VERTEX_MARGIN = 2
 
-#: the type code 6 n + n' of each neighbour mask
-_TYPE_OF_MASK = np.array([6 * bin(m & 31).count("1") + bin(m >> 5).count("1")
-                          for m in range(1024)], dtype=np.intp)
+#: how many undecided neighbour masks empirical_frequencies holds before it
+#: computes them, about 115 kB of test points and keys: `qc freq --radius 80`
+#: (c = 0.5, the benchmark's shift) holds 2,307 at its end
+_MASK_BATCH = 1 << 12
+
+#: the number of set bits of each 5-bit number
+_POP5 = np.array([bin(m).count("1") for m in range(32)], dtype=np.intp)
+
+#: the type code 36 I + 6 n + n' of each index I and neighbour mask m, at
+#: (I << 10) + m, where m = 32 (k - e_m bits) + (k + e_m bits)
+_TYPE_CODE = (36 * np.arange(6)[:, None] + np.add.outer(_POP5, 6 * _POP5).ravel()).ravel()
 
 
 def empirical_frequencies(radius: int, shift: GridShift,
@@ -261,38 +271,72 @@ def empirical_frequencies(radius: int, shift: GridShift,
     """Classify every boundary-complete vertex in the label box and tally types.
 
     Vertices within VERTEX_MARGIN label steps of the box edge are discarded
-    so no neighborhood is truncated.  Each chunk of `scan_2d` is classified
-    as it comes: the type of a vertex is read off its test point by
-    `neighbor_masks`, so nothing is kept per vertex and the working set
-    does not grow with the radius.
+    so no neighborhood is truncated.  Each chunk of `scan_2d` is tallied as
+    it comes: the type of a vertex is read off the neighbour mask the
+    scan's direction tables give its test point.  The masks the tables
+    leave undecided (about 2%) are kept, with their test points, and
+    computed by `neighbor_masks`, one call per index, when _MASK_BATCH of
+    them are held and at the end of the scan.  So the working set hardly
+    grows with the radius.
 
     The scan raises ConfigError, by `check_eps`, if eps is too small for
-    the masks to be its decisions, and SingularityError after its last
-    chunk, so a singular label is named before any result or
+    the masks to be its decisions, and SingularityError at its first
+    singular chunk, so a singular label is named before any result or
     CensusViolationError, though the chunks before its own have been
     classified.  Raises CensusViolationError, naming the first vertex in
     label order, if a classified type falls outside the analytic support at
     this c.
     """
     support = [(vt.index, vt.n_pos, vt.n_neg) for vt in census_support(shift.c)]
-    # type [n, n']_I as the code 36 I + 6 n + n'
-    allowed = np.zeros((6, 36), dtype=bool)
-    allowed.flat[[36 * i + 6 * n + nn for i, n, nn in support]] = True
-    counts = np.zeros((6, 36), dtype=np.int64)
-    outside = []  # (key, code) of the first vertex of a piece outside the support
-    for pieces in scan_2d(radius, shift, wset):
-        for piece in pieces:
-            inner = piece.extent <= radius - VERTEX_MARGIN
-            masks = neighbor_masks(piece.points[:, inner], piece.index, wset)
-            code = _TYPE_OF_MASK[masks]
-            found = np.bincount(code, minlength=36)
-            counts[piece.index] += found
-            if found[~allowed[piece.index]].any():
-                bad = np.argmax(~allowed[piece.index][code])
-                key = piece.keys[np.flatnonzero(inner)[bad]]
-                outside.append((int(key), 36 * piece.index + int(code[bad])))
+    # type [n, n']_I as the code 36 I + 6 n + n'; code 216 is not counted
+    allowed = np.zeros(217, dtype=bool)
+    allowed[[36 * i + 6 * n + nn for i, n, nn in support] + [216]] = True
+    counts = np.zeros(216, dtype=np.int64)
+    outside = []  # (key, code) of the first vertex of a tally outside the support
+    held = []     # (index, points, keys) of the vertices whose masks are undecided
+
+    def tally(code, keys):
+        found = np.bincount(code, minlength=217)[:216]
+        counts[:] += found
+        if found[~allowed[:216]].any():
+            bad = np.flatnonzero(~allowed[code])
+            first = bad[np.argmin(keys[bad])]
+            outside.append((int(keys[first]), int(code[first])))
+
+    def classify_held():
+        index = np.concatenate([h[0] for h in held])
+        points = np.concatenate([h[1] for h in held], axis=1)
+        keys = np.concatenate([h[2] for h in held])
+        held.clear()
+        for i in range(1, 6):
+            mine = index == i
+            if mine.any():
+                masks = neighbor_masks(points.compress(mine, axis=1), i, wset)
+                tally(_TYPE_CODE[(i << 10) + masks], keys[mine])
+
+    n_held = 0
+    for piece in scan_2d(radius, shift, wset):
+        inner = piece.extent <= radius - VERTEX_MARGIN
+        code = piece.index << 10
+        code += piece.masks
+        code = _TYPE_CODE.take(code)
+        # an undecided mask is negative: like an outer vertex, it is not counted
+        doubt = piece.masks < 0
+        code[~inner | doubt] = 216
+        doubt &= inner
+        if doubt.any():
+            held.append((piece.index[doubt], piece.points.compress(doubt, axis=1),
+                         piece.keys[doubt]))
+            n_held += len(held[-1][2])
+        tally(code, piece.keys)
         # free this chunk before the scan makes the next
-        del pieces, piece, inner, masks, code
+        del piece, inner, code, doubt
+        if n_held >= _MASK_BATCH:
+            classify_held()
+            n_held = 0
+    if held:
+        classify_held()
+    counts = counts.reshape(6, 36)
     total = int(counts.sum())
     if total == 0:
         raise ConfigError("label box too small: no boundary-complete vertices")

@@ -11,9 +11,10 @@ slice windows depend on c.
 
 Every mode reads this module.  The label-box scans live apart, so that a
 run compiles only the one it runs: `scan` holds what they share, `scan2d`
-the slice windows and the 2-d scan, `lattice3d` the 3-d tip scan.  The two
-names of the 2-d scan that this module exported before they moved, and
-that perfbench reads here, resolve here on first use.
+the slice windows and the 2-d scan, `locate2d` the 2-d scan's tables, and
+`lattice3d` the 3-d tip scan.  The two names of the 2-d scan that this
+module exported before they moved, and that perfbench reads here, resolve
+here on first use.
 """
 
 from __future__ import annotations

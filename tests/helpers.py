@@ -149,6 +149,43 @@ def moved_shift(shift, gen, k, target):
     return window.GridShift(gamma=shift.gamma + delta, c=shift.c)
 
 
+def slice_window_loop(P, index, c):
+    """The slice window V_index as the face-by-face loop clipped it before it
+    was vectorised: each face/plane crossing appended in turn, and each kept
+    unless it lies within CONSTRUCTION_TOL of one kept before.  Returns the
+    window, or the exception it raised."""
+    from quasiproj.errors import ConsistencyError, DegenerateWindowError
+    from quasiproj.geometry import ConvexWindow
+    h = index - c
+    eps = window.CONSTRUCTION_TOL
+    if abs(h) <= eps or abs(h - 5.0) <= eps:
+        return DegenerateWindowError(
+            f"slice at height {h} degenerates to a tip (index {index}, c = {c})")
+    pts = []
+    for loop in P.face_loops:
+        zs = P.vertices[list(loop), 2]
+        m = len(loop)
+        for i in range(m):
+            a, b = loop[i], loop[(i + 1) % m]
+            za, zb = zs[i], zs[(i + 1) % m]
+            if abs(za - h) <= eps:
+                pts.append(P.vertices[a, :2])
+            if (za - h) * (zb - h) < 0:
+                t = (h - za) / (zb - za)
+                pts.append((1 - t) * P.vertices[a, :2] + t * P.vertices[b, :2])
+    uniq = []
+    for p in pts:
+        if not any(np.max(np.abs(p - q)) <= eps for q in uniq):
+            uniq.append(p)
+    if len(uniq) not in (5, 10):
+        return ConsistencyError(
+            f"slice window at height {h} has {len(uniq)} vertices, expected 5 or 10")
+    poly = np.array(uniq)
+    cen = poly.mean(axis=0)
+    ang = np.arctan2(poly[:, 1] - cen[1], poly[:, 0] - cen[0])
+    return ConvexWindow.of(poly[np.argsort(ang)])
+
+
 # ---------------------------------------------------------------------------
 # the whole-box 2-d route: acceptance of any labels, and neighbour rows and
 # counts by lookup in the key array of every accepted label in the box

@@ -415,10 +415,20 @@ def test_freq_names_the_enumerators_singular_label_before_classifying(P, monkeyp
     def unreachable(*args):
         raise AssertionError("a vertex was classified before the singular label raised")
 
+    classified = []
+
+    def pieces(*args):
+        for piece in qp.scan2d.scan_2d(*args):
+            classified.append(len(piece.keys))
+            yield piece
+
     monkeypatch.setattr(qp.tiling2d, "neighbor_masks", unreachable)
+    monkeypatch.setattr(qp.tiling2d, "scan_2d", pieces)
     with pytest.raises(SingularityError) as got:
         empirical_frequencies(10, shift, ws)
     assert str(got.value) == str(expected.value)
+    # the scan's tables type the vertices of each chunk it yields, so none is
+    assert classified == []
 
 
 def test_user_errors_exit_2_before_running(caplog):
@@ -624,17 +634,18 @@ out, modes = sys.argv[1], json.loads(sys.argv[2])
 codes = [run([*args, "--c", "0.4", "--out", f"{out}/{args[0]}"]) for args in modes]
 print(json.dumps({"codes": codes, "loaded": sorted(
     name for name in ("dataclasses", "numpy.random", "quasiproj.lattice3d",
-                      "quasiproj.pentagrid", "quasiproj.scan2d", "quasiproj.tiling2d")
+                      "quasiproj.locate2d", "quasiproj.pentagrid", "quasiproj.scan2d",
+                      "quasiproj.tiling2d")
     if name in sys.modules)}))
 """
 
 
 @pytest.mark.parametrize("modes, loaded", [
     ([["windows"], ["tiling2d", "--radius", "4"], ["freq", "--radius", "4"]],
-     ["quasiproj.scan2d", "quasiproj.tiling2d"]),
+     ["quasiproj.locate2d", "quasiproj.scan2d", "quasiproj.tiling2d"]),
     ([["lattice3d", "--radius", "5"], ["overlap-census", "--radius", "6"]],
      ["quasiproj.lattice3d"]),
-    ([["tiling2d", "--radius", "4"]], ["quasiproj.scan2d"]),
+    ([["tiling2d", "--radius", "4"]], ["quasiproj.locate2d", "quasiproj.scan2d"]),
 ], ids=["2-d", "3-d", "tiling"])
 def test_each_mode_loads_only_what_it_runs(modes, loaded, tmp_path):
     # the 2-d modes never load lattice3d or the tip scan, the 3-d modes never

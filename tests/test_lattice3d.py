@@ -705,6 +705,43 @@ def test_tip_scan_chunks_leave_every_result_unchanged(Q, basis, monkeypatch):
             assert str(got_error.value) == str(singular.value)
 
 
+def test_the_tip_scan_stops_once_no_later_chunk_can_name_a_lower_label(monkeypatch):
+    # a column's first member has k0 + R >= max(a0, 0), so once a label on
+    # the decagon boundary is found, the scan stops at the first chunk whose
+    # rows all have a0 > k0 + R: at tol 1e-2, radius 10 and 37 rows per chunk,
+    # after 24 of 46 chunks, with the message of the scan in one chunk
+    shift, radius, eps = random_shift(0.5, 4), 10, 1e-2
+    monkeypatch.setattr(qp.scan, "SCAN_ROWS", 10 ** 6)
+    with pytest.raises(SingularityError, match="of the decagon boundary") as whole:
+        overlap_census(radius, shift, eps)
+    monkeypatch.setattr(qp.scan, "SCAN_ROWS", 37)
+    calls = []
+    scan_chunks = qp.lattice3d._scan_chunks
+    monkeypatch.setattr(qp.lattice3d, "_scan_chunks",
+                        lambda n_rows, scan_rows, *args: scan_chunks(
+                            n_rows, lambda rows: calls.append(rows[-1]) or scan_rows(rows),
+                            *args))
+    with pytest.raises(SingularityError) as chunked:
+        overlap_census(radius, shift, eps)
+    assert str(chunked.value) == str(whole.value)
+    k = np.array(eval(_named_label(whole.value)))
+    side, key = 4 * radius + 1, label_keys(k, radius)
+    # the chunk of its column, then the first chunk past which a0 > k0 + R
+    a = k - k[4]
+    column = (a[0] + 2 * radius) * side + a[1] + 2 * radius
+    stop = next(c for c in range(column // 37, side ** 2 // 37 + 1)
+                if max((c + 1) * 37 // side - 2 * radius, 0) * _key_weights(radius)[0] > key)
+    assert len(calls) == stop + 1 == 24 < -(-side ** 2 // 37)
+    # while only the inner decagon has a singular label it runs to the last
+    # chunk, 9 of 3 rows at radius 1, since one on the decagon found later
+    # would be named first
+    monkeypatch.setattr(qp.scan, "SCAN_ROWS", 3)
+    calls.clear()
+    with pytest.raises(SingularityError, match="inner decagon"):
+        overlap_census(1, random_shift(0.5, 30), 0.01)
+    assert len(calls) == 9
+
+
 def test_a_singular_label_in_a_later_chunk_comes_before_any_census_result(
         Q, basis, monkeypatch):
     # at tol 1e-3 and 37 rows per chunk, this draw's singular columns are all

@@ -1,10 +1,12 @@
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import quasiproj as qp
+from quasiproj import locate2d
 from quasiproj.cli import run
 from quasiproj.errors import CensusViolationError, ConfigError, SingularityError
 from quasiproj.io import build_tiling_document
@@ -14,7 +16,7 @@ from quasiproj.scan import SCAN_ROWS
 from quasiproj.scan2d import enumerate_accepted_2d, scan_2d
 from quasiproj.window import random_shift
 
-from helpers import accept_2d_bulk, step_rows
+from helpers import accept_2d_bulk, lambda_box_candidates_2d, step_rows
 from helpers import neighbor_counts as whole_box_neighbor_counts
 
 P = qp.PHI
@@ -279,20 +281,21 @@ def test_empirical_frequencies_match_the_whole_box_oracle(c, seed, radius, empti
 
 
 def doctor_masks(monkeypatch, shift, basis, labels, types):
-    """Make neighbor_masks give each of these vertices the mask of its
+    """Make the scan give each of these vertices the neighbour mask of its
     (n, n'), finding it by index and test point in whichever chunk of the
     scan holds it."""
     index = labels.sum(axis=1)
     test_points = (labels - shift.gamma) @ basis.W[:, :2]
     forged = [(1 << n) - 1 | ((1 << nn) - 1) << 5 for n, nn in types]
 
-    def masks(points, at, *args):
-        found = neighbor_masks(points, at, *args)
-        for i, p, mask in zip(index, test_points, forged):
-            if i == at:
-                found[np.abs(points.T - p).max(axis=1) < 1e-9] = mask
-        return found
-    monkeypatch.setattr(qp.tiling2d, "neighbor_masks", masks)
+    def doctored(*args):
+        for piece in scan_2d(*args):
+            masks = piece.masks.copy()
+            for i, p, mask in zip(index, test_points, forged):
+                masks[(piece.index == i)
+                      & (np.abs(piece.points.T - p).max(axis=1) < 1e-9)] = mask
+            yield piece._replace(masks=masks)
+    monkeypatch.setattr(qp.tiling2d, "scan_2d", doctored)
 
 
 def test_census_violation_names_the_first_offending_type(basis, windows_for,
@@ -419,12 +422,13 @@ def test_a_singular_label_in_a_later_chunk_comes_before_any_result(P, monkeypatc
         enumerate_accepted_2d(10, shift, ws)
     classified = []
 
-    def zero_masks(points, *args):
-        classified.append(points.shape[1])
-        return np.zeros(points.shape[1], dtype=np.int64)
+    def zero_masks(*args):
+        for piece in scan_2d(*args):
+            classified.append(len(piece.keys))
+            yield piece._replace(masks=np.zeros_like(piece.masks))
 
     monkeypatch.setattr(qp.scan, "SCAN_ROWS", 37)
-    monkeypatch.setattr(qp.tiling2d, "neighbor_masks", zero_masks)
+    monkeypatch.setattr(qp.tiling2d, "scan_2d", zero_masks)
     with pytest.raises(SingularityError) as got:
         empirical_frequencies(10, shift, ws)
     assert str(got.value) == str(expected.value)
@@ -565,3 +569,172 @@ def test_neighbor_masks_beside_and_beyond_every_edge(c, basis, windows_for):
         points = np.array(points).T
         assert np.array_equal(neighbor_masks(points, index, ws),
                               direct_masks(points, index, ws, basis))
+
+
+# -- the scan's direction tables ------------------------------------------------
+
+def recorded_words(monkeypatch):
+    """Record the test points, index - 1 and table word of every candidate
+    that the 2-d scan looks up in its direction tables."""
+    seen = []
+    words = locate2d.words
+
+    def recorded(tables, points, at):
+        word = words(tables, points, at)
+        seen.append((points.copy(), at.copy(), word.copy()))
+        return word
+    monkeypatch.setattr(locate2d, "words", recorded)
+    return seen
+
+
+def assert_sure_words_are_the_edge_tests(seen, ws):
+    """A status the words call sure is classify's, a sure mask neighbor_masks'."""
+    for points, at, word in seen:
+        for index in range(1, 6):
+            mine = at == index - 1
+            t, w = points[:, mine], word[mine]
+            inside = w & locate2d.INSIDE != 0
+            outside = w & locate2d.NOT_OUTSIDE == 0
+            if index == 5 and ws.degenerate_top:
+                # the point window decides nothing by the tables
+                assert not inside.any() and not outside.any()
+                continue
+            status = ws.slices[index].classify(t.T, ws.eps)
+            assert np.all(status[inside] == 1) and np.all(status[outside] == 0)
+            sure = w & locate2d.MASK_SURE != 0
+            assert np.array_equal(w[sure] & 1023, neighbor_masks(t[:, sure], index, ws))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+@pytest.mark.parametrize("c", [0.0, 2e-9, 0.5] + [b + s for b in BREAKPOINTS
+                                                  for s in (-1e-9, 0.0, 1e-9)])
+def test_scan_tables_decide_as_the_edge_tests(c, eps, P, basis, monkeypatch):
+    # for every candidate of the scan, a status its tables call sure is the
+    # status classify gives, and a sure mask is the mask of neighbor_masks,
+    # bit for bit; and the scan accepts the oracle's labels, or names a
+    # singular label below every singular label of the oracle's.  (At
+    # c = 1e-9 V_2 has 8 vertices within CONSTRUCTION_TOL, so no window set
+    # is built there; 2e-9 stands in for it.)
+    radius = 10
+    shift, ws = random_shift(c, 3), qp.build_windows(P, c, eps)
+    cand = lambda_box_candidates_2d(radius, shift)
+    status = accept_2d_bulk(cand, shift, ws, basis)
+    seen = recorded_words(monkeypatch)
+    if (status == -1).any():
+        with pytest.raises(SingularityError) as err:
+            enumerate_accepted_2d(radius, shift, ws)
+        named = np.array([int(k) for k in str(err.value)[7:].split(")")[0].split(", ")])
+        assert accept_2d_bulk(named, shift, ws, basis)[0] == -1
+        keys = qp.label_keys(cand[status == -1], radius)
+        assert qp.label_keys(named, radius) <= keys.min()
+    else:
+        keys = enumerate_accepted_2d(radius, shift, ws)[2]
+        assert np.array_equal(keys, np.sort(qp.label_keys(cand[status == 1], radius)))
+    assert seen
+    assert_sure_words_are_the_edge_tests(seen, ws)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1 - 1e-6, 1 - 1e-7])
+def test_the_tables_build_quietly_beside_a_tip(c, P, basis, monkeypatch):
+    # a window beside a tip has edges ~1e-6 long, whose normals are off the
+    # five directions by ~1e-6, so some are nearly parallel to b and bound a
+    # stencil row far outside its extent: the stencils clip those bounds
+    # (their int32 cast warned), and the tables stay exact
+    radius = 12
+    shift, ws = random_shift(c, 0), qp.build_windows(P, c)
+    seen = recorded_words(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keys = enumerate_accepted_2d(radius, shift, ws)[2]
+    cand = lambda_box_candidates_2d(radius, shift)
+    accepted = cand[accept_2d_bulk(cand, shift, ws, basis) == 1]
+    assert np.array_equal(keys, np.sort(qp.label_keys(accepted, radius)))
+    assert_sure_words_are_the_edge_tests(seen, ws)
+
+
+def test_scan_tables_decide_beside_every_threshold(P, basis):
+    # test points 1e-12 inside and outside each edge of V_I, and each point
+    # t with t +- w_m that near an edge of V_{I+-1}, wherever a stencil
+    # reaches: the sure words are the edge tests there too
+    w = basis.W[:, :2]
+    for c in (0.0, 0.5, PINV2, PINV2 + 1e-9):
+        ws = qp.build_windows(P, c)
+        a, b = w[2] - w[4], w[3] - w[4]
+        tables = locate2d.build(ws, np.column_stack([a, b]), ws.eps + 1e-6)
+        for index in range(1, 6):
+            points = []
+            for other, steps in ((index, [0 * w[0]]), (index + 1, -w), (index - 1, w)):
+                window = ws.slices.get(other)
+                if window is None:
+                    continue
+                start = window.polygon
+                stop = np.roll(start, -1, axis=0)
+                for n, on_edge in zip(window.normals, zip(start, (start + stop) / 2, stop)):
+                    for p in on_edge:
+                        for d in (-1e-12, 1e-12, -ws.eps - 1e-12, ws.eps + 1e-12):
+                            points.extend(p + d * n + steps)
+            points = np.array(points).T
+            points = points[:, np.hypot(*points) < 1.7]
+            at = np.full(points.shape[1], index - 1)
+            word = locate2d.words(tables, points, at)
+            assert_sure_words_are_the_edge_tests([(points, at, word)], ws)
+
+
+def test_scan_tables_leave_few_labels_to_the_edge_tests(P, monkeypatch):
+    # the tables are exact when they decide nothing, only slow: at radius 40
+    # and c = 0.5 they decide the status of all but 0.5% of the candidates and
+    # the mask of all but 5% of the accepted labels (this draw leaves 58 and
+    # 257 of 42,902 to the edge tests)
+    shift, ws = random_shift(0.5, 1), qp.build_windows(P, 0.5)
+    seen = recorded_words(monkeypatch)
+    enumerate_accepted_2d(40, shift, ws)
+    word = np.concatenate([w for _, _, w in seen])
+    state = word & (locate2d.INSIDE | locate2d.NOT_OUTSIDE)
+    accepted = state == locate2d.INSIDE | locate2d.NOT_OUTSIDE
+    assert len(word) > 40000
+    assert np.mean(state == locate2d.NOT_OUTSIDE) < 0.005
+    assert np.mean(word[accepted] & locate2d.MASK_SURE == 0) < 0.05
+
+
+def test_the_edge_tests_alone_give_every_result(P, basis, monkeypatch):
+    # with a table margin wider than the windows, no bucket is sure: every
+    # status goes to classify and every mask to neighbor_masks, in batches
+    # of 64, and the keys, the tallies, the singular label and the census
+    # violation named are those the tables give
+    shift, ws = random_shift(0.5, 7), qp.build_windows(P, 0.5)
+    singular_shift, singular_ws = random_shift(0.5, 8), qp.build_windows(P, 0.5, 1e-4)
+    keys = enumerate_accepted_2d(20, shift, ws)[2]
+    report = empirical_frequencies(20, shift, ws)
+    with pytest.raises(SingularityError) as singular:
+        empirical_frequencies(10, singular_shift, singular_ws)
+    seen = recorded_words(monkeypatch)
+    monkeypatch.setattr(locate2d, "TABLE_MARGIN", 8.0)
+    monkeypatch.setattr(qp.tiling2d, "_MASK_BATCH", 64)
+    assert np.array_equal(enumerate_accepted_2d(20, shift, ws)[2], keys)
+    assert empirical_frequencies(20, shift, ws) == report
+    with pytest.raises(SingularityError) as got:
+        empirical_frequencies(10, singular_shift, singular_ws)
+    assert str(got.value) == str(singular.value)
+    word = np.concatenate([w for _, _, w in seen])
+    assert not (word & (locate2d.INSIDE | locate2d.MASK_SURE)).any()
+    assert (word & locate2d.NOT_OUTSIDE).all()
+    # a violation among the held masks: the first in label order is named
+    shift, ws = random_shift(0.2, 13), qp.build_windows(P, 0.2)
+    labels = enumerate_accepted_2d(20, shift, ws)[0]
+    inner = labels[np.abs(labels).max(axis=1) <= 18]
+    index = inner.sum(axis=1)
+    late1 = len(index) - 1 - int(np.argmax(index[::-1] == 1))
+    early2 = int(np.argmax(index == 2))
+    test_points = (inner[[late1, early2]] - shift.gamma) @ basis.W[:, :2]
+
+    def forged(points, at, *args):
+        found = neighbor_masks(points, at, *args)
+        for p, i, mask in zip(test_points, (1, 2), (0b100001, 0b1111)):
+            if i == at:
+                found[np.abs(points.T - p).max(axis=1) < 1e-9] = mask
+        return found
+    monkeypatch.setattr(qp.tiling2d, "neighbor_masks", forged)
+    assert early2 < late1
+    with pytest.raises(CensusViolationError,
+                       match=r"type \[4,0\]_2 has zero analytic frequency at c=0.2"):
+        empirical_frequencies(20, shift, ws)

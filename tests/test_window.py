@@ -242,6 +242,26 @@ def test_slice_window_errors(P):
         slice_window(P, 3, 1.5)
 
 
+@pytest.mark.parametrize("c", [0.0, 1e-12, P_GOLD ** -3, P_GOLD ** -2, 2 * P_GOLD ** -3,
+                               P_GOLD ** -2 + P_GOLD ** -4, 1 / P_GOLD, 0.5, 0.999,
+                               P_GOLD ** -2 - 1e-9, P_GOLD ** -2 + 1e-9, 2e-9,
+                               1 - 1e-9])
+def test_slice_window_is_the_face_loop_it_replaced(c, P):
+    # each polygon, with its normals and offsets, is bit for bit the one the
+    # face-by-face loop found, and what the loop refused is refused alike: at
+    # c = 0 and 1e-12 V_5 is a tip, and at 1 - 1e-9 V_1 is one and V_4 has
+    # vertices closer than CONSTRUCTION_TOL
+    for index in range(1, 6):
+        expected = helpers.slice_window_loop(P, index, c)
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as err:
+                slice_window(P, index, c)
+            assert str(err.value) == str(expected)
+            continue
+        got = slice_window(P, index, c)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
 def test_slice_windows_nest_in_shadow(P, Q):
     # the xy shadow of the polytope is the circumradius-p decagon
     for c in (0.0, 0.25, 0.5, 0.8):
@@ -402,31 +422,33 @@ def test_scan_2d_pieces_describe_their_labels(c, basis, windows_for, monkeypatch
     cand = cand[accept_2d_bulk(cand, shift, ws, basis) == 1]
     found = {index: [] for index in range(1, 6)}
     chunks, below = 0, -1
-    for pieces in qp.scan2d.scan_2d(R, shift, ws):
+    for piece in qp.scan2d.scan_2d(R, shift, ws):
         chunks += 1
-        assert [piece.index for piece in pieces] == [1, 2, 3, 4, 5]
         # every key of a chunk, over all five indices, is below every key of
         # the next, which lets the scan stop at its first singular chunk
-        keys = np.concatenate([piece.keys for piece in pieces])
-        assert len(keys) and keys.min() > below
-        below = keys.max()
-        for piece in pieces:
-            labels = np.column_stack(label_columns(piece.keys, R))
-            assert np.array_equal(label_keys(labels, R), piece.keys)
-            assert np.array_equal(label_extent(labels), piece.extent)
-            assert np.all(label_index(labels) == piece.index)
-            t = (labels - shift.gamma) @ basis.W[:, :2]
-            assert np.allclose(piece.points.T, t, rtol=0, atol=1e-12)
-            # every label a piece holds is accepted by its own window
-            assert np.all(accept_2d_bulk(labels, shift, ws, basis) == 1)
-            found[piece.index].append(piece.keys)
+        assert len(piece.keys) and piece.keys.min() > below
+        below = piece.keys.max()
+        labels = np.column_stack(label_columns(piece.keys, R))
+        assert np.array_equal(label_keys(labels, R), piece.keys)
+        assert np.array_equal(label_extent(labels), piece.extent)
+        assert np.all(label_index(labels) == piece.index)
+        t = (labels - shift.gamma) @ basis.W[:, :2]
+        assert np.allclose(piece.points.T, t, rtol=0, atol=1e-12)
+        # every label a piece holds is accepted by its own window
+        assert np.all(accept_2d_bulk(labels, shift, ws, basis) == 1)
+        for index in range(1, 6):
+            found[index].append(piece.keys[piece.index == index])
+        # a mask the tables decide is the mask of the edge tests
+        for index in range(1, 6):
+            sure = (piece.index == index) & (piece.masks >= 0)
+            assert np.array_equal(piece.masks[sure],
+                                  qp.neighbor_masks(piece.points[:, sure], index, ws))
     assert chunks == 17
     assert (c == 0) == ws.degenerate_top
     for index in range(1, 6):
-        # each index's keys, chunk after chunk, are the box's accepted keys,
-        # strictly increasing
+        # each index's keys, over all chunks, are the box's accepted keys
         expected = np.unique(label_keys(cand[label_index(cand) == index], R))
-        assert np.array_equal(np.concatenate(found[index]), expected)
+        assert np.array_equal(np.sort(np.concatenate(found[index])), expected)
     # the c = 0 index-5 window is a point, which accepts nothing
     assert (len(np.concatenate(found[5])) == 0) == (c == 0)
 
@@ -440,18 +462,18 @@ def test_scan_2d_stops_at_its_first_singular_chunk(P, monkeypatch):
         enumerate_accepted_2d(R, shift, ws)
     monkeypatch.setattr(qp.scan, "SCAN_ROWS", 37)
     calls = []
-    line_scan = qp.scan._LineScan.__call__
-    monkeypatch.setattr(qp.scan._LineScan, "__call__",
-                        lambda self, t0, radius: calls.append(1)
-                        or line_scan(self, t0, radius))
+    scan_chunks = qp.scan2d._scan_chunks
+    monkeypatch.setattr(qp.scan2d, "_scan_chunks",
+                        lambda n_rows, scan_rows, *args: scan_chunks(
+                            n_rows, lambda rows: calls.append(1) or scan_rows(rows), *args))
     with pytest.raises(qp.errors.SingularityError) as chunked:
         enumerate_accepted_2d(R, shift, ws)
     assert str(chunked.value) == str(whole.value)
     k0, k1 = map(int, str(whole.value).removeprefix("label (").split(", ")[:2])
     first = ((k0 + R) * (2 * R + 1) + k1 + R) // 37
     assert first == 7
-    # one line scan per index and chunk, through the first singular chunk
-    assert len(calls) == 5 * (first + 1)
+    # one scan per chunk, through the first singular chunk
+    assert len(calls) == first + 1
 
 
 def test_enumerate_3d_matches_naive(Q, basis):
@@ -680,16 +702,15 @@ def test_the_scans_run_past_the_memory_budget_to_max_key_radius(c, basis, window
     for R in (622, MAX_KEY_RADIUS):
         drift = 2e-14 * (R + 1)
         n = 0
-        for pieces in islice(qp.scan2d.scan_2d(R, shift, ws), 4):
-            for piece in pieces:
-                labels = np.column_stack(label_columns(piece.keys, R))
-                assert np.all(label_extent(labels) <= R)
-                assert np.array_equal(label_keys(labels, R), piece.keys)
-                assert np.array_equal(label_extent(labels), piece.extent)
-                assert np.all(label_index(labels) == piece.index)
-                t = (labels - shift.gamma) @ basis.W[:, :2]
-                assert np.allclose(piece.points.T, t, rtol=0, atol=drift)
-                n += len(labels)
+        for piece in islice(qp.scan2d.scan_2d(R, shift, ws), 4):
+            labels = np.column_stack(label_columns(piece.keys, R))
+            assert np.all(label_extent(labels) <= R)
+            assert np.array_equal(label_keys(labels, R), piece.keys)
+            assert np.array_equal(label_extent(labels), piece.extent)
+            assert np.all(label_index(labels) == piece.index)
+            t = (labels - shift.gamma) @ basis.W[:, :2]
+            assert np.allclose(piece.points.T, t, rtol=0, atol=drift)
+            n += len(labels)
         assert n > 0
     for R in (58, MAX_KEY_RADIUS):
         drift = 2e-14 * (R + 1)
@@ -712,8 +733,9 @@ def test_the_tiling_vertices_are_refused_above_max_tiling_radius(monkeypatch, wi
     # the guard reads only the radius, so the scan is stubbed, and neither side
     # of the limit allocates even if the guard is wrong
     shift, ws = random_shift(0.5, 0), windows_for(0.5)
-    empty = ScanPiece(1, np.empty((2, 0)), np.empty(0, np.int64), np.empty(0, np.int64))
-    monkeypatch.setattr(scan2d, "scan_2d", lambda *args: iter([(empty,)]))
+    empty = ScanPiece(np.empty(0, np.int8), np.empty((2, 0)), np.empty(0, np.int64),
+                      np.empty(0, np.int64), np.empty(0, np.int16))
+    monkeypatch.setattr(scan2d, "scan_2d", lambda *args: iter([empty]))
     with pytest.raises(ConfigError, match=f"radius {MAX_TILING_RADIUS + 1} is above "
                        f"{MAX_TILING_RADIUS}, .* the 4 GB memory budget"):
         enumerate_accepted_2d(MAX_TILING_RADIUS + 1, shift, ws)
@@ -768,14 +790,19 @@ def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, monkeypatch):
 
     monkeypatch.setattr(geometry, "max_edge_distance", recorded)
     shift = normalize_shift(benchmark_gamma(0.5, 0))
-    enumerate_accepted_2d(80, shift, qp.build_windows(P, shift.c))
+    ws = qp.build_windows(P, shift.c)
+    for piece in qp.scan2d.scan_2d(80, shift, ws):
+        for index in range(1, 6):
+            ws.slices[index].classify(piece.points[:, piece.index == index].T, ws.eps)
     shift = normalize_shift(benchmark_gamma(0.2, 0))
     overlap_census(20, shift)
-    # the 2-d scan's 161,833 candidates, and the census's 25,258 tip-scan
-    # columns, each tested against the decagon and the inner decagon; the
-    # neighbor points of its tip columns are decided by overlap_signatures,
-    # which projects each column's test point once and does not come here
-    assert sum(len(pts) for pts, _, _ in seen) == 161833 + 2 * 25258
+    # the 274 test points of the 2-d scan whose status its direction tables
+    # leave undecided, its 161,833 accepted labels, tested again here against
+    # their own windows, and the census's 25,258 tip-scan columns, each
+    # tested against the decagon and the inner decagon; the neighbor points
+    # of its tip columns are decided by overlap_signatures, which projects
+    # each column's test point once and does not come here
+    assert sum(len(pts) for pts, _, _ in seen) == 274 + 161833 + 2 * 25258
     for pts, normals, offsets in seen:
         old = np.max(pts @ normals.T - offsets, axis=1)
         assert np.array_equal(max_edge_distance(pts, normals, offsets), old)
