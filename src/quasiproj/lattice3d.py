@@ -32,8 +32,8 @@ import numpy as np
 from .errors import (CensusViolationError, ConfigError, ConsistencyError,
                      SingularityError)
 from .geometry import BASIS, DEFAULT_EPS, PHI
-from .scan import (_SCAN_SLACK, _expand, _integer_span, _key_weights, _LineScan,
-                   _scan_chunks, check_eps, label_columns)
+from .scan import (_SCAN_SLACK, RowStencils, _expand, _key_weights, _scan_chunks,
+                   check_eps, label_columns)
 from .window import CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES, GridShift
 
 #: overlap classes keyed by (neighbor count, K count, J count)
@@ -87,8 +87,9 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
     -radius - min(a) <= n <= radius - max(a).  The first has the key
     a . w - min(a) sum(w), w = _key_weights(radius), and each next one
     sum(w) more.  The scan fixes (a0, a1) in [-2 radius, 2 radius]^2 and
-    scan-converts (a2, a3); as in scan_2d, a column's test point
-    t0 + a2 d2 + a3 d3 and its key follow from its scan line and a3.
+    reads a row's (a2, a3) off the decagon's row stencil over d2 and d3,
+    keeping those of spread s <= 2 radius; as in scan_2d, a column's test
+    point t0 + a2 d2 + a3 d3 and its key follow from its row and (a2, a3).
 
     Only MAX_KEY_RADIUS limits the radius: the scan holds one chunk at a
     time.  Raises ConfigError, before anything is allocated, if eps fails
@@ -106,7 +107,7 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
     side = 2 * S + 1
     d = BASIS.D
     check_eps(M, eps, "cells and overlap classes")
-    scan = _LineScan.of(d[2], d[3], DECAGON.window, eps + _SCAN_SLACK)
+    stencils = RowStencils.of([DECAGON.window], d[2:4].T, eps + _SCAN_SLACK)
     gamma_d = shift.gamma @ d
     weights = _key_weights(M)
 
@@ -118,20 +119,18 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
         a0, a1, hi, lo = a0[meets], a1[meets], hi[meets], lo[meets]
         t0 = np.outer(a0, d[0]) + np.outer(a1, d[1]) - gamma_d
         row_key = a0 * weights[0] + a1 * weights[1]
-        row, a2, v_lo, v_hi = scan(t0, S)
-        hi, lo = np.maximum(hi[row], a2), np.minimum(lo[row], a2)
-        meets = hi - lo <= S
-        row, a2, v_lo, v_hi, hi, lo = (x[meets] for x in (row, a2, v_lo, v_hi, hi, lo))
-        # a3 keeps the spread within 2 radius
-        line, a3 = _expand(*_integer_span(v_lo, v_hi, hi - S, lo + S))
-        lo = np.minimum(lo[line], a3)
-        spread = np.maximum(hi[line], a3) - lo
-        keys = (row_key[row] + a2 * weights[2])[line] + a3 * weights[3] - lo * weights.sum()
+        row, a23 = stencils.candidates(stencils.inv @ t0.T)
+        lo = np.minimum(np.minimum(lo[row], a23[0]), a23[1])
+        spread = np.maximum(np.maximum(hi[row], a23[0]), a23[1]) - lo
+        meets = spread <= S
+        row, a23, lo, spread = row[meets], a23.compress(meets, axis=1), lo[meets], spread[meets]
+        keys = row_key[row] + weights[2:4] @ a23 - lo * weights.sum()
+        a2, a3 = a23
         pts = np.empty((2, len(a3)))
         for j, xy in enumerate(pts):
             np.multiply(a3, d[3, j], out=xy)
-            xy += (t0[row, j] + a2 * d[2, j])[line]
-        del row, a2, hi, lo, line, a3
+            xy += t0[row, j] + a2 * d[2, j]
+        del row, a23, a2, a3, lo, meets
         status = DECAGON.window.classify(pts.T, eps)
         inner = DECAGON.inner.classify(pts.T, eps)
         n_points = int(np.sum((2 * M + 1 - spread)[status == 1]))

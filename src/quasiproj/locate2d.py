@@ -5,17 +5,12 @@ u_d, at 36 d degrees: a window is a slice of the zonohedron of the w_j, so
 each edge is parallel to some w_i - w_j.  So whether a test point t is
 inside V_I, and which of its steps t +- w_m land in V_{I+-1} (its neighbour
 mask, the vertex type), depend on t only through the five projections
-u_d . t.  Two tables are built once per WindowSet:
-
-  - a row stencil per index, which names the labels of a scan row that can
-    lie in the window: a row's test points are t0 + k2 a + k3 b, and with
-    s = [a b]^-1 t0 = floor(s) + f, its candidates are z - floor(s) for the
-    z in the stencil of the cell of f, of side 1/STENCIL_GRID;
-  - a direction table per index and direction, of TABLE_SIZE buckets of
-    u_d . t, whose uint16 word holds, along u_d, the ten neighbour-mask
-    bits, MASK_SURE, INSIDE (t inside V_I beyond eps) and NOT_OUTSIDE (t not
-    beyond eps outside V_I); the five words of a point, ANDed, hold them for
-    the whole window.
+u_d . t.  Built once per WindowSet, a direction table per index and
+direction, of TABLE_SIZE buckets of u_d . t, holds in a uint16 word, along
+u_d, the ten neighbour-mask bits, MASK_SURE, INSIDE (t inside V_I beyond
+eps) and NOT_OUTSIDE (t not beyond eps outside V_I); the five words of a
+point, ANDed, hold them for the whole window.  The scan's row stencils
+(`scan.RowStencils`) name the test points they are read at.
 
 A bucket is sure of a bit only if no threshold of that bit lies within a
 margin of the bucket: TABLE_MARGIN, plus the normals' largest distance from
@@ -36,26 +31,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError
-from .geometry import BASIS, ConvexWindow
-from .scan import _expand
+from .geometry import BASIS
+from .scan import STENCIL_GRID
 
-
-#: the c = 0 index-5 window is the point 0, given as a square of zero size:
-#: widened by eps and the slack, it holds the singular disk |t| <= eps
-POINT_WINDOW = ConvexWindow(np.zeros((1, 2)),
-                            np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
-                            np.zeros(4))
-
-#: cells per side of a row stencil's grid over f.  At 32, `qc freq --radius
-#: 80` (c = 0.5, the benchmark's shift) tests 170,329 candidates for its
-#: 161,833 accepted labels, and the five stencils hold 8,718 offsets; at 16
-#: it tests 177,441 and at 64 165,924, with 33,988 offsets, and its census
-#: takes 45, 40 and 40 ms (in process, warm)
-STENCIL_GRID = 32
 
 #: buckets of a direction table, over a span of 4.  At 4096, 274 statuses
-#: of those 170,329 candidates and 2,307 masks of the accepted labels fall
-#: back to the edge tests; at 2048, 440 and 3,033; at 8192, 182 and 1,544,
+#: of the 170,329 candidates of `qc freq --radius 80` (c = 0.5) and 2,307
+#: masks of its accepted labels fall back to the edge tests; at 2048, 440 and 3,033; at 8192, 182 and 1,544,
 #: each in the same time.  The 25 tables hold 200 kB
 TABLE_SIZE = 4096
 
@@ -77,65 +59,11 @@ DIRECTIONS = np.column_stack([np.cos(np.arange(5) * np.pi / 5),
 
 
 class Tables(NamedTuple):
-    """The row stencils and the direction tables of one WindowSet."""
+    """The direction tables of one WindowSet."""
 
-    inv: np.ndarray    # [a b]^-1, so that a row's s = inv @ t0
-    first: np.ndarray  # CSR starts of the stencil of (index I, cell), at (I - 1) G^2 + cell
-    z: np.ndarray      # (2, n) int16 offsets (z2, z3) of all stencils, in CSR order
     units: np.ndarray  # (5, 2) the directions, times buckets per unit of projection
     lift: float        # added to a scaled projection to give its bucket
     words: np.ndarray  # uint16 words of direction d, index I at (5 d + I - 1) K + bucket
-
-
-def _stencils(shapes: list, step: np.ndarray, inv: np.ndarray, reach: float):
-    """The row stencils of five windows: CSR starts of the stencil of each
-    (index I, cell), at (I - 1) G^2 + cell, and its offsets (z2, z3), int16.
-
-    A row's labels in window I, widened by reach, are z - floor(s) for the z
-    with z + [f] in it, [f] the cell of f of side 1/G.  In (k2, k3) units
-    that is the fine point Q = G z + cell, Q / G in the widened window
-    Minkowski-grown by [-1/G, 0]^2: the half-planes of its edges, each grown
-    by the cell's support, within its extent.  step is [a b], inv its
-    inverse; each window's edges and corners are padded to ten by repeats.
-    """
-    G, ten = STENCIL_GRID, np.arange(10)
-    normals = np.array([s.normals.take(ten % len(s.normals), axis=0) for s in shapes])
-    room = np.array([s.offsets.take(ten % len(s.offsets)) for s in shapes]) + reach
-    corners = np.array([s.polygon.take(ten % len(s.polygon), axis=0) for s in shapes]) @ inv.T
-    # widening moves a corner by at most reach / cos(45 degrees) here
-    push = 2 * reach * np.hypot(*inv.T)
-    lo = np.floor((corners.min(axis=1) - push) * G) - 1
-    hi = np.ceil((corners.max(axis=1) + push) * G)
-    if max(-lo.min(), hi.max()) >= 2 ** 15 * G:
-        raise ConsistencyError(f"the stencils' offsets at reach {reach:g} do not fit in int16")
-    m = normals @ step
-    room += np.maximum(-m, 0).sum(axis=2) / G
-    # rows of Q1, then each row's Q2 between the edges that bound it
-    win, q1 = _expand(lo[:, 0].astype(np.int64), hi[:, 0].astype(np.int64))
-    bound = (room[win] - m[win, :, 0] * (q1 / G)[:, None]) * G
-    slope = m[win, :, 1]
-    up, down = slope >= 1e-12, slope <= -1e-12
-    ratio = bound / np.where(up | down, slope, 1.0)
-    # (clipped, as an edge nearly parallel to b bounds far outside the extent)
-    q2_lo = np.ceil(np.clip(np.where(down, ratio, -np.inf).max(axis=1), lo[win, 1],
-                            hi[win, 1] + 1))
-    q2_hi = np.floor(np.minimum(np.where(up, ratio, np.inf).min(axis=1), hi[win, 1]))
-    # an edge parallel to b bounds the rows alone
-    q2_hi[(~(up | down) & (bound < -1e-9)).any(axis=1)] = -np.inf
-    count = np.maximum(q2_hi - q2_lo + 1, 0).astype(np.int32)
-    # G is a power of two, so Q mod G and Q // G are a mask and a shift
-    shift = G.bit_length() - 1
-    q2 = np.arange(count.sum(), dtype=np.int32)
-    q2 += np.repeat(q2_lo.astype(np.int32) - np.cumsum(count, dtype=np.int32) + count, count)
-    cell = np.repeat(((win * G + (q1 & (G - 1))) * G).astype(np.int16), count)
-    cell += (q2 & (G - 1)).astype(np.int16)
-    z = np.stack([np.repeat((q1 >> shift).astype(np.int16), count),
-                  (q2 >> shift).astype(np.int16)])
-    # a stable argsort of int16 is a radix sort
-    z = z.take(np.argsort(cell, kind="stable"), axis=1)
-    first = np.zeros(5 * G * G + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cell, minlength=5 * G * G), out=first[1:])
-    return first, z
 
 
 def _intervals(wset):
@@ -179,16 +107,12 @@ def _intervals(wset):
 
 
 def build(wset, step: np.ndarray, reach: float) -> Tables:
-    """Build the row stencils and the direction tables of wset (see the module docstring)."""
-    G, K = STENCIL_GRID, TABLE_SIZE
-    inv = np.array([[step[1, 1], -step[0, 1]], [-step[1, 0], step[0, 0]]])
-    inv /= step[0, 0] * step[1, 1] - step[0, 1] * step[1, 0]
-    shapes = [wset.slices.get(index, POINT_WINDOW) for index in range(1, 6)]
-    first, z = _stencils(shapes, step, inv, reach)
-
+    """Build the direction tables of wset (see the module docstring) for
+    the scan's row stencils over step = [a b], at `reach`."""
+    K = TABLE_SIZE
     # every test point a stencil reaches lies within `span` / 2 of 0
-    radius = max(float(np.hypot(*shape.polygon.T).max()) for shape in shapes)
-    reach_t = radius + 2 * reach + np.hypot(*step).sum() / G
+    radius = max(float(np.hypot(*shape.polygon.T).max()) for shape in wset.slices.values())
+    reach_t = radius + 2 * reach + np.hypot(*step).sum() / STENCIL_GRID
     span = 2.0 ** math.ceil(math.log2(2 * reach_t + 1e-6))
     scale = K / span
     lo, hi, worst = _intervals(wset)
@@ -216,7 +140,7 @@ def build(wset, step: np.ndarray, reach: float) -> Tables:
     word |= NOT_OUTSIDE * (holds[:, 11] | unsure[:, 11])
     lengths = np.diff(cuts, axis=1, append=K)
     table = np.repeat(word.astype(np.uint16).ravel(), lengths.ravel())
-    return Tables(inv, first, z, DIRECTIONS * scale, span / 2 * scale, table)
+    return Tables(DIRECTIONS * scale, span / 2 * scale, table)
 
 
 def words(tables: Tables, points: np.ndarray, at: np.ndarray) -> np.ndarray:

@@ -1,19 +1,20 @@
-"""Label-box enumeration by scan conversion: the line scan, the chunking and
-the label keys of the 2-d scan and the tip scan.
+"""Label-box enumeration by scan conversion: the row stencils, the chunking
+and the label keys of the 2-d scan and the tip scan.
 
 Fix all but two label coordinates (u, v).  The test point is then affine in
 them, t0 + u a + v b, and one-to-one, so the labels a window accepts are the
-integer points of a convex polygon in the (u, v) plane.  Each enumerator
-finds the integer points of that polygon, widened by eps plus a float slack
-so the whole singular band |d| <= eps is inside it, and tests every point it
-finds against the window.  Candidates are then accepted labels, rejects
-within the slack of the window, and singular labels, which raise.
-  2-d (`scan2d`):     fix (k0, k1, I) and read (k2, k3) off a row stencil
-                      (`locate2d`); k4 = I - k0 - k1 - k2 - k3.
+integer points of a convex polygon in the (u, v) plane.  Both scans read a
+row's candidates off the row stencils (`RowStencils`) of their windows,
+widened by eps plus a float slack so the whole singular band |d| <= eps is
+inside them, and test every candidate against its window.  Candidates are
+then accepted labels, rejects near the window, and singular labels, which
+raise.
+  2-d (`scan2d`):     a row is (k0, k1, I), its labels (k2, k3), and
+                      k4 = I - k0 - k1 - k2 - k3.
   3-d (`lattice3d`):  the labels k + n (1,1,1,1,1) of a column share one
                       test point, so the scan runs over column representatives
-                      a = k - k4 (1,1,1,1,1): fix (a0, a1) and line-scan
-                      (a2, a3) with _LineScan.
+                      a = k - k4 (1,1,1,1,1): a row is (a0, a1), its
+                      labels (a2, a3).
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, SingularityError
-from .geometry import ConvexWindow
+from .errors import ConfigError, ConsistencyError, SingularityError
 
 #: how far past eps a scan reaches, far above the float error of its bounds
 _SCAN_SLACK = 1e-6
@@ -55,69 +55,107 @@ def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row, lo[row] + (np.arange(len(row)) - start[row])
 
 
-def _integer_span(lo: np.ndarray, hi: np.ndarray, box_lo, box_hi):
-    """Integer bounds of the real intervals [lo, hi] within [box_lo, box_hi]."""
-    # np.minimum of np.maximum, which is np.clip without its Python wrapper
-    lo = np.ceil(np.minimum(np.maximum(lo, box_lo), box_hi + 1)).astype(np.int64)
-    hi = np.floor(np.minimum(np.maximum(hi, box_lo - 1), box_hi)).astype(np.int64)
-    return lo, hi
+#: cells per side of a row stencil's grid over f.  At 32, `qc freq --radius
+#: 80` (c = 0.5, the benchmark's shift) tests 170,329 candidates for its
+#: 161,833 accepted labels, and the five stencils hold 8,718 offsets; at 16
+#: it tests 177,441 and at 64 165,924, with 33,988 offsets, and its census
+#: takes 45, 40 and 40 ms (in process, warm)
+STENCIL_GRID = 32
 
 
-class _LineScan(NamedTuple):
-    """Scan conversion of a convex window, widened by `reach`, in label
-    coordinates (u, v), where (u, v) moves a test point by u a + v b.
+class RowStencils(NamedTuple):
+    """The row stencils of convex windows, widened by a reach, over steps
+    [a b]: which labels (u, v) of a row put its test point t0 + u a + v b in
+    a window.
 
-    What depends only on the window and the steps is fixed once, by `of`;
-    each call scans the rows of one t0.
+    With s = [a b]^-1 t0 = floor(s) + f, a row's candidates are z - floor(s)
+    for the z stored for the cell [f] of f, of side 1/G: every z with z + [f]
+    meeting the widened window.  Built once by `of`; `candidates` reads them.
     """
 
-    a: np.ndarray
-    inv_u: np.ndarray    # u = inv_u . (t - t0)
-    u_lo: float          # the widened window's extent in u
-    u_hi: float
-    normals: np.ndarray  # edges bounding v from above, from below, then parallel to b
-    room: np.ndarray     # offsets + reach, as a column
-    slope: np.ndarray    # normals . b, as a column
-    up: int              # the number of edges that bound v from above
-    down: int            # ... and the number that bound it from either side
+    inv: np.ndarray    # [a b]^-1, so that a row's s = inv @ t0
+    first: np.ndarray  # CSR starts of the stencil of (window, cell), at window G^2 + cell
+    z: np.ndarray      # (2, n) int16 offsets of all stencils, in CSR order
 
     @classmethod
-    def of(cls, a: np.ndarray, b: np.ndarray, window: ConvexWindow,
-           reach: float) -> "_LineScan":
-        normals = window.normals
-        # row 0 of the inverse of [a b], which needs no LAPACK call
-        inv_u = np.array([b[1], -b[0]]) / (a[0] * b[1] - a[1] * b[0])
-        # widening moves a vertex out by reach / cos(half its turning angle)
-        turn = np.einsum("ij,ij->i", normals, np.roll(normals, -1, axis=0))
-        push = reach / np.sqrt((1.0 + turn.min()) / 2.0) * np.linalg.norm(inv_u)
-        vertex_u = window.polygon @ inv_u
-        slope = normals @ b
-        up, down = slope >= 1e-12, slope <= -1e-12
-        order = np.concatenate([np.flatnonzero(up), np.flatnonzero(down),
-                                np.flatnonzero(~(up | down))])
-        return cls(a, inv_u, vertex_u.min() - push, vertex_u.max() + push,
-                   normals[order], (window.offsets + reach)[order, None],
-                   slope[order, None], int(up.sum()), int(up.sum() + down.sum()))
+    def of(cls, shapes: list, step: np.ndarray, reach: float) -> "RowStencils":
+        """The stencils of the windows `shapes` over step = [a b].
 
-    def __call__(self, t0: np.ndarray, radius: int):
-        """(row, u, v_lo, v_hi): for each row of t0, the test point of
-        (u, v) = (0, 0), every u in [-radius, radius] whose line can meet the
-        widened window, with the real v interval where it does (empty when
-        v_lo > v_hi)."""
-        u0 = t0 @ self.inv_u
-        u_lo, u_hi = _integer_span(self.u_lo - u0, self.u_hi - u0, -radius, radius)
-        row, u = _expand(u_lo, u_hi)
-        t = t0[row] + u[:, None] * self.a
-        # slope * v must not exceed room, per (edge, line)
-        room = self.normals @ t.T
-        np.subtract(self.room, room, out=room)
-        limit = room[:self.down]
-        limit /= self.slope[:self.down]
-        v_hi = limit[:self.up].min(axis=0)
-        v_lo = limit[self.up:].max(axis=0)
-        if self.down < len(room):  # an edge parallel to b: all or nothing
-            v_hi[(room[self.down:] < 0).any(axis=0)] = -np.inf
-        return row, u, v_lo, v_hi
+        In (u, v) units, z + [f] meets the widened window when the fine
+        point Q = G z + cell has Q / G in it Minkowski-grown by [-1/G, 0]^2:
+        the half-planes of its edges, each grown by the cell's support,
+        within its extent.  Each window's edges and corners are padded to
+        the most any has by repeats.
+        """
+        G = STENCIL_GRID
+        if len(shapes) * G * G > 2 ** 15:
+            raise ValueError(f"{len(shapes)} windows' cells do not fit in int16")
+        inv = np.array([[step[1, 1], -step[0, 1]], [-step[1, 0], step[0, 0]]])
+        inv /= step[0, 0] * step[1, 1] - step[0, 1] * step[1, 0]
+        pad = np.arange(max(len(s.offsets) for s in shapes))
+        normals = np.array([s.normals.take(pad % len(s.normals), axis=0) for s in shapes])
+        room = np.array([s.offsets.take(pad % len(s.offsets)) for s in shapes]) + reach
+        corners = np.array([s.polygon.take(pad % len(s.polygon), axis=0)
+                            for s in shapes]) @ inv.T
+        # widening moves a corner by reach / cos(half its turn), at most
+        # reach / cos(45 degrees) where edges turn by up to 90 degrees, as here
+        push = 2 * reach * np.hypot(*inv.T)
+        lo = np.floor((corners.min(axis=1) - push) * G) - 1
+        hi = np.ceil((corners.max(axis=1) + push) * G)
+        if max(-lo.min(), hi.max()) >= 2 ** 15 * G:
+            raise ConsistencyError(f"the stencils' offsets at reach {reach:g} do not fit in int16")
+        m = normals @ step
+        room += np.maximum(-m, 0).sum(axis=2) / G
+        # rows of Q1, then each row's Q2 between the edges that bound it
+        win, q1 = _expand(lo[:, 0].astype(np.int64), hi[:, 0].astype(np.int64))
+        bound = (room[win] - m[win, :, 0] * (q1 / G)[:, None]) * G
+        slope = m[win, :, 1]
+        up, down = slope >= 1e-12, slope <= -1e-12
+        ratio = bound / np.where(up | down, slope, 1.0)
+        # (clipped, as an edge nearly parallel to b bounds far outside the extent)
+        q2_lo = np.ceil(np.clip(np.where(down, ratio, -np.inf).max(axis=1), lo[win, 1],
+                                hi[win, 1] + 1))
+        q2_hi = np.floor(np.minimum(np.where(up, ratio, np.inf).min(axis=1), hi[win, 1]))
+        # an edge parallel to b bounds the rows alone
+        q2_hi[(~(up | down) & (bound < -1e-9)).any(axis=1)] = -np.inf
+        count = np.maximum(q2_hi - q2_lo + 1, 0).astype(np.int32)
+        q2 = np.arange(count.sum())
+        q2 += np.repeat(q2_lo.astype(np.int64) - np.cumsum(count) + count, count)
+        cell = np.repeat(((win * G + q1 % G) * G).astype(np.int16), count)
+        cell += (q2 % G).astype(np.int16)
+        z = np.stack([np.repeat((q1 // G).astype(np.int16), count), (q2 // G).astype(np.int16)])
+        # free what the sort does not need
+        del q2, bound, ratio
+        # a stable argsort of int16 is a radix sort
+        z = z.take(np.argsort(cell, kind="stable"), axis=1)
+        first = np.zeros(len(shapes) * G * G + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cell, minlength=len(shapes) * G * G), out=first[1:])
+        return cls(inv, first, z)
+
+    def candidates(self, s: np.ndarray, window=0) -> tuple[np.ndarray, np.ndarray]:
+        """(row, (u, v)), int32: every candidate of each row, rows ascending.
+
+        s holds the rows' s = inv @ t0 as x and y rows, of any shape after
+        the first axis, and window (broadcast against s[0]) the index in
+        `shapes` of each row's window; row numbers the flattened rows.
+        """
+        G = STENCIL_GRID
+        base = np.floor(s)
+        cell = ((s - base) * G).astype(np.intp)
+        # an s a hair below an integer gives f = 1 in floats, in the last cell
+        np.minimum(cell, G - 1, out=cell)
+        stencil = cell[0] * G
+        stencil += cell[1]
+        stencil += window * (G * G)
+        stencil = stencil.ravel()
+        start = self.first[stencil]
+        count = self.first[stencil + 1] - start
+        row = np.repeat(np.arange(len(start), dtype=np.int32), count)
+        pos = np.repeat(start - np.cumsum(count, dtype=np.int32) + count, count)
+        pos += np.arange(len(pos), dtype=np.int32)
+        uv = base.astype(np.int32).reshape(2, -1).take(row, axis=1)
+        np.subtract(self.z.take(pos, axis=1), uv, out=uv)
+        return row, uv
 
 
 #: rows per chunk of both scans: (k0, k1) rows in `scan2d.scan_2d`, (a0, a1)

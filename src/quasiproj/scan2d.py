@@ -16,8 +16,15 @@ import numpy as np
 from .errors import ConfigError, ConsistencyError, DegenerateWindowError
 from .geometry import BASIS, DEFAULT_EPS, ConvexWindow
 from . import locate2d
-from .scan import _SCAN_SLACK, _key_weights, _scan_chunks, check_eps, label_columns
+from .scan import (_SCAN_SLACK, RowStencils, _key_weights, _scan_chunks, check_eps,
+                   label_columns)
 from .window import CONSTRUCTION_TOL, GridShift, PolytopeP
+
+#: the c = 0 index-5 window is the point 0, given as a square of zero size:
+#: widened by eps and the slack, it holds the singular disk |t| <= eps
+POINT_WINDOW = ConvexWindow(np.zeros((1, 2)),
+                            np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                            np.zeros(4))
 
 
 def slice_window(P: PolytopeP, index: int, c: float) -> ConvexWindow:
@@ -108,12 +115,12 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiec
     summed as k3 b + (t0 + k2 a), and differs from sum_j (k_j - gamma_j) w_j
     by up to about 5e-14 at radius 80, far inside eps.
 
-    The tables of `locate2d`, built once per call from wset, locate every
-    test point.  A row stencil names a row's candidates for each index,
-    every label within eps of its window among them: about 1.05 labels are
-    tested per accepted one.  Five lookups in the direction tables give a
-    candidate's status against its window and its neighbour mask, where
-    they are sure, which is exactly what the edge tests give.  Only the
+    A row stencil per index (`scan.RowStencils`), built once per call from
+    wset, names a row's candidates, every label within eps of its window
+    among them: about 1.05 labels are tested per accepted one.  Five
+    lookups in the direction tables of `locate2d`, built once per call too,
+    give a candidate's status against its window and its neighbour mask,
+    where they are sure, which is exactly what the edge tests give.  Only the
     candidates whose status is not sure are tested, in the chunk, by
     `ConvexWindow.classify`, once per index (274 of the 170,329 candidates
     of the `freq_census` benchmark, c = 0.5 and radius 80); a mask that is
@@ -141,22 +148,25 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiec
     M = int(radius)
     check_eps(M, wset.eps, "vertex types")
     side = 2 * M + 1
-    G = locate2d.STENCIL_GRID
     w = BASIS.W[:, :2]
     a, b = w[2] - w[4], w[3] - w[4]
     weights = _key_weights(M)
-    tables = locate2d.build(wset, np.column_stack([a, b]), wset.eps + _SCAN_SLACK)
+    step, reach = np.column_stack([a, b]), wset.eps + _SCAN_SLACK
+    windows = [wset.slices.get(i) for i in range(1, 6)]
+    stencils = RowStencils.of([wset.slices.get(i, POINT_WINDOW) for i in range(1, 6)],
+                              step, reach)
+    tables = locate2d.build(wset, step, reach)
     gamma_w = shift.gamma @ w
     index = np.arange(1, 6)
     # a row's t0 and s are those of (k0, k1, 0, 0, 0), plus what I adds, as
     # x and y rows of (index, row) pairs, index-major
     t0_index = np.ascontiguousarray((index[:, None] * w[4]).T)[..., None]
-    s_index = np.ascontiguousarray(((index[:, None] * w[4] - gamma_w) @ tables.inv.T).T)[..., None]
+    s_index = (index[:, None] * w[4] - gamma_w) @ stencils.inv.T
+    s_index = np.ascontiguousarray(s_index.T)[..., None]
     # the key of (k0, k1, k2, k3, I - k0 - k1 - k2 - k3) is that of
     # (k0, k1, 0, 0, I - k0 - k1) plus k2 (w2 - w4) + k3 (w3 - w4)
     key_k2, key_k3 = weights[2] - weights[4], weights[3] - weights[4]
     key_base = M * (weights[2] + weights[3] + weights[4])
-    windows = [wset.slices.get(i) for i in range(1, 6)]
 
     def scan_rows(rows):
         n = len(rows)
@@ -164,43 +174,22 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiec
         t01 = np.column_stack([k0, k1]) @ (w[:2] - w[4])
         t0 = t01.T[:, None] + t0_index
         t0 -= gamma_w[:, None, None]
-        s = (tables.inv @ t01.T)[:, None] + s_index
-        base = np.floor(s)
-        s -= base
-        s *= G
-        cell = s.astype(np.intp)
-        # the stencil of the cell of f, per pair
-        stencil = cell[0] * G
-        stencil += cell[1]
-        stencil += (index[:, None] - 1) * (G * G)
-        start = tables.first[stencil].ravel()
-        count = tables.first[stencil.ravel() + 1] - start
-        base = base.astype(np.int32).reshape(2, -1)
-        # k4 of (k0, k1, -floor(s)) at I, the key of (k0, k1, 0, 0) at I and
-        # the pair's extent so far
+        s = (stencils.inv @ t01.T)[:, None] + s_index
+        pair, k23 = stencils.candidates(s, index[:, None] - 1)
+        # k4 of (k0, k1, 0, 0) at I, the key of (k0, k1, 0, 0) at I and the
+        # pair's extent so far
         k4_row = index[:, None] - (k0 + k1)
         key_pair = (k4_row + (rows * weights[1] + key_base)).ravel()
-        k4_pair = k4_row.astype(np.int32).ravel()
-        k4_pair += base[0]
-        k4_pair += base[1]
+        k4 = k4_row.astype(np.int32).ravel().take(pair)
+        k4 -= k23[0]
+        k4 -= k23[1]
         extent_pair = np.tile(np.maximum(np.abs(k0), np.abs(k1)).astype(np.int32), 5)
-        del k0, k1, k4_row, t01, s, cell, stencil
-
-        pair = np.repeat(np.arange(5 * n, dtype=np.int32), count)
-        pos = np.repeat(start - np.cumsum(count, dtype=np.int32) + count, count)
-        pos += np.arange(len(pos), dtype=np.int32)
-        z = tables.z.take(pos, axis=1)
-        del pos, start, count
-        k23 = base.take(pair, axis=1)
-        np.subtract(z, k23, out=k23)
-        k4 = k4_pair.take(pair)
-        k4 -= z[0]
-        k4 -= z[1]
+        del k0, k1, k4_row, t01, s
         extent = np.abs(k23).max(axis=0)
         np.maximum(extent, np.abs(k4, out=k4), out=extent)
         inside = extent <= M
         pair, k23, extent = pair[inside], k23.compress(inside, axis=1), extent[inside]
-        del z, k4, inside
+        del k4, inside
         np.maximum(extent, extent_pair.take(pair), out=extent)
         k2, k3 = k23
         keys = key_pair.take(pair)

@@ -32,9 +32,8 @@ from quasiproj.lattice3d import (_CLASS_OF_CODE, _CLASSES, ANALYTIC_CLASS_FREQUE
                                  OVERLAP_OFFSETS, OverlapCensus, _check_cells,
                                  scan_tip_columns)
 from quasiproj import window
-from quasiproj.scan import (_SCAN_SLACK, _expand, _LineScan,
-                            _integer_span, _key_weights, label_columns, label_extent,
-                            label_index, label_keys)
+from quasiproj.scan import (_SCAN_SLACK, RowStencils, _expand, _key_weights,
+                            label_columns, label_extent, label_index, label_keys)
 from quasiproj.scan2d import enumerate_accepted_2d
 from quasiproj.window import (CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES,
                               GridShift)
@@ -280,22 +279,25 @@ def scan_3d(radius, shift, Q, basis, eps):
     """The decagon scan of the box label by label, as (candidates, decagon
     status, test points) blocks of one k0 layer each, in key order.
 
-    Fix (k0, k1, k2) and scan-convert (k3, k4).  Each label is tested on its
-    own test point, with no use of the z-periodicity that enumerate_tips
-    rests on.
+    Fix (k0, k1, k2) and read the candidate (k3, k4) of each row off the
+    row stencil of the decagon over d3 and d4, clipped to the box.  Each
+    label is tested on its own test point, with no use of the
+    z-periodicity that enumerate_tips rests on.
     """
     M = int(radius)
     d = basis.D
     k = np.arange(-M, M + 1, dtype=np.int64)
     k12 = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
     base = k12 @ d[1:3] - shift.gamma @ d
-    scan = _LineScan.of(d[3], d[4], Q.window, eps + _SCAN_SLACK)
-    # k0 ascends over the blocks, and (k1, k2), k3, k4 within each, so the
-    # candidates come out in key order
+    stencils = RowStencils.of([Q.window], d[3:5].T, eps + _SCAN_SLACK)
+    # k0 ascends over the blocks; a stencil names each row's candidates in
+    # the order of its cells, so each block is sorted into key order
     for k0 in range(-M, M + 1):
-        row, k3, v_lo, v_hi = scan(base + k0 * d[0], M)
-        sub, k4 = _expand(*_integer_span(v_lo, v_hi, -M, M))
-        cand = np.column_stack([np.full(len(sub), k0), k12[row[sub]], k3[sub], k4])
+        row, (k3, k4) = stencils.candidates(stencils.inv @ (base + k0 * d[0]).T)
+        inside = (np.abs(k3) <= M) & (np.abs(k4) <= M)
+        cand = np.column_stack([np.full(inside.sum(), k0), k12[row[inside]],
+                                k3[inside], k4[inside]])
+        cand = cand[np.argsort(label_keys(cand, M))]
         # a global of this module, so that a test can record what it tests
         status = accept_3d_bulk(cand, shift, eps)
         yield cand, status, d_test_points(cand, shift)

@@ -2,6 +2,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import quasiproj as qp
 from quasiproj import geometry, lattice3d, scan2d
@@ -9,8 +10,8 @@ from quasiproj.errors import ConfigError, DegenerateWindowError, PolygonError
 from quasiproj.geometry import max_edge_distance, points_in_convex_polygon
 from quasiproj.lattice3d import (MAX_CELLS_RADIUS, build_cells, overlap_census,
                                  scan_tip_columns)
-from quasiproj.scan import (MAX_KEY_RADIUS, label_columns, label_extent, label_index,
-                            label_keys)
+from quasiproj.scan import (MAX_KEY_RADIUS, STENCIL_GRID, RowStencils, label_columns,
+                            label_extent, label_index, label_keys)
 from quasiproj.scan2d import (MAX_TILING_RADIUS, ScanPiece, enumerate_accepted_2d,
                               slice_window)
 from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
@@ -619,6 +620,89 @@ def test_enumerate_2d_raises_at_the_c0_index5_point_window(P, basis):
                      _box_2d(4, shift, ws, basis), k)
 
 
+def _stencil_cases():
+    """(windows, steps) of both scans: the five slice windows at four c, the
+    c = 0 index-5 point window among them, over w2 - w4 and w3 - w4, and
+    each decagon over d2 and d3."""
+    w = qp.BASIS.W[:, :2]
+    d = qp.BASIS.D
+    for c in (0.0, 0.5, P_GOLD ** -2, 0.999999):
+        ws = qp.build_windows(qp.POLYTOPE, c)
+        yield ([ws.slices.get(i, scan2d.POINT_WINDOW) for i in range(1, 6)],
+               np.column_stack([w[2] - w[4], w[3] - w[4]]))
+    yield [qp.DECAGON.window, qp.DECAGON.inner], d[2:4].T
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_row_stencils_name_every_label_within_reach_of_its_window(eps):
+    # rows of seeded t0, rows whose f lies at each corner of each stencil
+    # cell, where a cell's candidates are fewest, and rows whose label (0, 0)
+    # lies just inside the widened window at each of its corners and edge
+    # midpoints: every (u, v) of a bounding box whose test point
+    # t0 + u a + v b is within reach of the window is a candidate of its row
+    reach = eps + 1e-6
+    rng = np.random.default_rng(5)
+    g = np.arange(STENCIL_GRID) / STENCIL_GRID
+    g = np.concatenate([g, g + (1 - 1e-9) / STENCIL_GRID])
+    f = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    f += rng.integers(-9, 9, f.shape)
+    for shapes, step in _stencil_cases():
+        stencils = RowStencils.of(shapes, step, reach)
+        for i, shape in enumerate(shapes):
+            corners = np.vstack([shape.polygon, (shape.polygon + np.roll(
+                shape.polygon, -1, axis=0)) / 2])
+            near = [corners + 0.999 * reach * n for n in shape.normals]
+            t0 = np.vstack([rng.uniform(-6, 6, (200, 2)), f @ step.T] + near)
+            row, uv = stencils.candidates(stencils.inv @ t0.T, i)
+            named = (row.astype(np.int64) << 24) + ((uv[0] + 2048) << 12) + uv[1] + 2048
+            # the (u, v) box of the window, for every row
+            span = (shape.polygon[:, None] - t0) @ stencils.inv.T
+            lo = np.floor(span.min(axis=0)).astype(int) - 2
+            size = (np.ceil(span.max(axis=0)).astype(int) + 2 - lo).max(axis=0) + 1
+            box = np.indices(size).reshape(2, -1).T
+            uv = lo[:, None] + box
+            t = (t0[:, None] + uv @ step.T).reshape(-1, 2)
+            hit = np.flatnonzero(max_edge_distance(t, shape.normals, shape.offsets) <= reach)
+            r, (u, v) = hit // len(box), uv.reshape(-1, 2)[hit].T
+            need = (r.astype(np.int64) << 24) + ((u + 2048) << 12) + v + 2048
+            # (the rows put just inside the widened window need their (0, 0))
+            first = 200 + len(f)
+            assert np.isin((np.arange(first, len(t0)) << 24) + (2048 << 12) + 2048, need).all()
+            missing = ~np.isin(need, named)
+            assert not missing.any(), (i, r[missing][:5], u[missing][:5], v[missing][:5])
+            # an s just below an integer has f = 1 in floats: its cell is the last
+            edge = stencils.candidates(np.array([[-1e-20, 0.5], [0.5, -1e-20]]), i)
+            last = stencils.candidates(np.array([[-1e-9, 0.5], [0.5, -1e-9]]), i)
+            assert all(np.array_equal(x, y) for x, y in zip(edge, last))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_the_tip_scan_tests_every_column_within_reach_of_the_decagon(eps, Q, monkeypatch):
+    # every column representative a (a4 = 0) of [-2R, 2R]^4 that meets the
+    # box, whose test point is within reach of the decagon, is tested
+    R, reach = 5, eps + 1e-6
+    shift = random_shift(0.3, 4)
+    tested = []
+
+    class Recording(type(Q.window)):
+        def classify(self, points, eps):
+            tested.append(np.array(points))
+            return super().classify(points, eps)
+
+    monkeypatch.setattr(lattice3d, "DECAGON", Q._replace(window=Recording(*Q.window)))
+    list(scan_tip_columns(R, shift, eps))
+    tested = np.concatenate(tested)
+    k = np.arange(-2 * R, 2 * R + 1)
+    a = np.stack(np.meshgrid(k, k, k, k, indexing="ij"), axis=-1).reshape(-1, 4)
+    a = np.column_stack([a, np.zeros(len(a), dtype=int)])
+    a = a[np.ptp(a, axis=1) <= 2 * R]
+    t = d_test_points(a, shift)
+    t = t[max_edge_distance(t, Q.window.normals, Q.window.offsets) <= reach]
+    assert len(t) > 1000
+    gap, _ = cKDTree(tested).query(t)
+    assert gap.max() < 1e-9
+
+
 # -- the key stream: enumerator order, merge membership, polygon reduction ----
 
 @pytest.mark.parametrize("c", [0.0, P_GOLD ** -2, 0.5, 0.9])
@@ -798,11 +882,12 @@ def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, monkeypatch):
     overlap_census(20, shift)
     # the 274 test points of the 2-d scan whose status its direction tables
     # leave undecided, its 161,833 accepted labels, tested again here against
-    # their own windows, and the census's 25,258 tip-scan columns, each
-    # tested against the decagon and the inner decagon; the neighbor points
+    # their own windows, and the census's 25,774 tip-scan columns, each
+    # tested against the decagon and the inner decagon (every column its row
+    # stencil names within the spread of the box); the neighbor points
     # of its tip columns are decided by overlap_signatures, which projects
     # each column's test point once and does not come here
-    assert sum(len(pts) for pts, _, _ in seen) == 274 + 161833 + 2 * 25258
+    assert sum(len(pts) for pts, _, _ in seen) == 274 + 161833 + 2 * 25774
     for pts, normals, offsets in seen:
         old = np.max(pts @ normals.T - offsets, axis=1)
         assert np.array_equal(max_edge_distance(pts, normals, offsets), old)
