@@ -73,7 +73,9 @@ class ConvexWindow(NamedTuple):
     """A CCW convex polygon and its outward unit edge normals and offsets.
 
     A point x is strictly inside iff normals @ x < offsets componentwise.
-    Every acceptance decision tests points against one of these.
+    Every window decision tests points against one of these, given as x
+    and y rows (2, n): acceptance of tiling vertices, 3-d lattice points
+    and tips, and the neighbour masks of vertices.
     """
 
     polygon: np.ndarray  # (n, 2) CCW
@@ -99,9 +101,10 @@ class ConvexWindow(NamedTuple):
         """Distance from the origin, the centre of every window here, to the nearest edge."""
         return float(self.offsets.min())
 
-    def classify(self, pts: np.ndarray, eps: float) -> np.ndarray:
-        """+1 inside, 0 outside, -1 within eps of the boundary, per point."""
-        return points_in_convex_polygon(pts, self.normals, self.offsets, eps)
+    def classify(self, points: np.ndarray, eps: float) -> np.ndarray:
+        """+1 inside, 0 outside, -1 within eps of the boundary, per point of
+        points, given as x and y rows (2, n)."""
+        return points_in_convex_polygon(points, self.normals, self.offsets, eps)
 
     def classify_steps(self, points: np.ndarray, steps: np.ndarray,
                        eps: float) -> np.ndarray:
@@ -117,15 +120,6 @@ class ConvexWindow(NamedTuple):
         return _eps_band(d_max, eps)
 
 
-def max_edge_distance(pts: np.ndarray, normals: np.ndarray,
-                      offsets: np.ndarray) -> np.ndarray:
-    """Largest signed distance of each point past an edge line; < 0 strictly inside."""
-    # as (edges, points), so that the max runs elementwise across a few long rows
-    d = normals @ pts.T
-    d -= offsets[:, None]
-    return d.max(axis=0)
-
-
 def _eps_band(d_max: np.ndarray, eps: float) -> np.ndarray:
     """+1 where the largest edge distance is below -eps, -1 within eps of 0."""
     status = np.zeros(d_max.shape, dtype=np.int8)
@@ -134,7 +128,12 @@ def _eps_band(d_max: np.ndarray, eps: float) -> np.ndarray:
     return status
 
 
-def points_in_convex_polygon(pts: np.ndarray, normals: np.ndarray,
+def points_in_convex_polygon(points: np.ndarray, normals: np.ndarray,
                              offsets: np.ndarray, eps: float) -> np.ndarray:
-    """Vectorized classification: +1 inside, 0 outside, -1 boundary-within-eps."""
-    return _eps_band(max_edge_distance(pts, normals, offsets), eps)
+    """+1 inside, 0 outside, -1 within eps of the boundary, per point of
+    points (x and y rows, (2, n)): the eps band of the largest signed
+    distance of each point past an edge line, < 0 strictly inside."""
+    # as (edges, points), so that the max runs elementwise across a few long rows
+    d = normals @ points
+    d -= offsets[:, None]
+    return _eps_band(d.max(axis=0), eps)

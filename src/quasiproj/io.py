@@ -166,7 +166,7 @@ def window_document(wset: WindowSet) -> dict:
             str(i): {"height": i - wset.c, "polygon": w.polygon.tolist()}
             for i, w in sorted(wset.slices.items())
         },
-        "degenerate_top": wset.degenerate_top,
+        "degenerate_top": 5 not in wset.slices,
     }
 
 

@@ -131,8 +131,8 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
             np.multiply(a3, d[3, j], out=xy)
             xy += t0[row, j] + a2 * d[2, j]
         del row, a23, a2, a3, lo, meets
-        status = DECAGON.window.classify(pts.T, eps)
-        inner = DECAGON.inner.classify(pts.T, eps)
+        status = DECAGON.window.classify(pts, eps)
+        inner = DECAGON.inner.classify(pts, eps)
         n_points = int(np.sum((2 * M + 1 - spread)[status == 1]))
         tip = inner == 1
         return ((pts[:, tip], keys[tip], spread[tip], n_points),
@@ -269,7 +269,8 @@ _OFFSETS = np.vstack([OVERLAP_OFFSETS["K"], OVERLAP_OFFSETS["J"]])
 
 
 def overlap_signatures(points: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """(neighbors, K, J) of each tip, from its plane test point t (n, 2).
+    """(neighbors, K, J) of each tip, from its plane test point t, given as
+    x and y rows (2, n).
 
     The cell of k + m overlaps the tip k's for every m of OVERLAP_OFFSETS,
     and k + m is a tip when its test point t + m.D lies strictly inside the
@@ -278,14 +279,14 @@ def overlap_signatures(points: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarr
     decagon boundary, naming the first offset in OVERLAP_OFFSETS order that
     has one.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    status = DECAGON.inner.classify_steps(points.T, _OFFSETS @ BASIS.D, eps)
+    points = np.asarray(points, dtype=float)
+    status = DECAGON.inner.classify_steps(points, _OFFSETS @ BASIS.D, eps)
     if np.any(status == -1):
         i, first = np.unravel_index(np.argmax(status == -1), status.shape)
         m = _OFFSETS[i]
         raise SingularityError(
-            f"neighbor test point {tuple((points[first] + m @ BASIS.D).tolist())} of "
-            f"the tip at {tuple(points[first].tolist())}, offset {tuple(m.tolist())}, "
+            f"neighbor test point {tuple((points[:, first] + m @ BASIS.D).tolist())} of "
+            f"the tip at {tuple(points[:, first].tolist())}, offset {tuple(m.tolist())}, "
             "lies within eps of the inner decagon boundary; perturb the shift")
     hits = status == 1
     n_k = len(OVERLAP_OFFSETS["K"])
@@ -335,7 +336,7 @@ def overlap_census(radius: int, shift: GridShift,
         if neighbor_error or not len(count):
             continue
         try:
-            sigs = overlap_signatures(points.T, eps)
+            sigs = overlap_signatures(points, eps)
         except SingularityError as exc:
             # the scan may still raise for a later chunk, which comes first
             neighbor_error = exc

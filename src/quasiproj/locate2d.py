@@ -72,19 +72,19 @@ def _intervals(wset):
     largest |n - (+-u_d)| over the windows' normals n.
 
     The conditions of index I are: k + e_m is a vertex (bit m: t + w_m in
-    V_{I+1}, n . t < o - n . w_m on each of its edges, as neighbor_masks
-    reads it), k - e_m is one (bit 5 + m), t is inside V_I beyond eps, and
-    t is not beyond eps outside V_I.  An edge of normal n ~ +u_d bounds p
-    from above, one of normal n ~ -u_d from below.  No vertex has index 0
-    or 6, nor 5 at c = 0, whose window decides no status.
+    V_{I+1}, (n . t - o) + n . w_m < 0 on each of its edges, as
+    neighbor_masks reads it), k - e_m is one (bit 5 + m), t is inside V_I
+    beyond eps, and t is not beyond eps outside V_I.  An edge of normal
+    n ~ +u_d bounds p from above, one of normal n ~ -u_d from below.  No
+    vertex has index 0 or 6, nor 5 at c = 0, whose window decides no status.
     """
     eps = wset.eps
     # the interval of each condition that window J bounds, at rows J = 0 .. 6
     lo = np.full((7, 5, 12), -np.inf)
     hi = np.full((7, 5, 12), np.inf)
-    absent = [0, 6] + ([5] if wset.degenerate_top else [])
+    absent = [j for j in range(7) if j not in wset.slices]
     lo[absent], hi[absent] = np.inf, -np.inf
-    if wset.degenerate_top:
+    if 5 in absent:
         # the point window: t is never inside it, nor surely outside
         lo[5, :, 11], hi[5, :, 11] = -np.inf, np.inf
     owner = np.concatenate([np.full(len(wset.slices[j].offsets), j) for j in wset.slices])

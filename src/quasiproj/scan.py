@@ -48,11 +48,13 @@ def check_eps(radius: int, eps: float, reading: str) -> None:
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, value) for every integer value in [lo[row], hi[row]], in row order."""
+    """(row, value) for every integer value in [lo[row], hi[row]], in row
+    order, both of the integer type of hi - lo."""
     counts = np.maximum(hi - lo + 1, 0)
-    row = np.repeat(np.arange(len(lo)), counts)
-    start = np.cumsum(counts) - counts
-    return row, lo[row] + (np.arange(len(row)) - start[row])
+    row = np.repeat(np.arange(len(lo), dtype=counts.dtype), counts)
+    value = np.repeat(lo - np.cumsum(counts, dtype=counts.dtype) + counts, counts)
+    value += np.arange(len(value), dtype=counts.dtype)
+    return row, value
 
 
 #: cells per side of a row stencil's grid over f.  At 32, `qc freq --radius
@@ -148,11 +150,7 @@ class RowStencils(NamedTuple):
         stencil += cell[1]
         stencil += window * (G * G)
         stencil = stencil.ravel()
-        start = self.first[stencil]
-        count = self.first[stencil + 1] - start
-        row = np.repeat(np.arange(len(start), dtype=np.int32), count)
-        pos = np.repeat(start - np.cumsum(count, dtype=np.int32) + count, count)
-        pos += np.arange(len(pos), dtype=np.int32)
+        row, pos = _expand(self.first[stencil], self.first[stencil + 1] - 1)
         uv = base.astype(np.int32).reshape(2, -1).take(row, axis=1)
         np.subtract(self.z.take(pos, axis=1), uv, out=uv)
         return row, uv

@@ -20,8 +20,10 @@ from .scan import (_SCAN_SLACK, RowStencils, _key_weights, _scan_chunks, check_e
                    label_columns)
 from .window import CONSTRUCTION_TOL, GridShift, PolytopeP
 
-#: the c = 0 index-5 window is the point 0, given as a square of zero size:
-#: widened by eps and the slack, it holds the singular disk |t| <= eps
+#: the c = 0 index-5 window is the point 0, given as a square of zero size.
+#: It accepts nothing, and its eps band is the singular square |t|_inf <= eps,
+#: the band every window has at a corner; widened by eps and the slack, its
+#: row stencil names every label in that square
 POINT_WINDOW = ConvexWindow(np.zeros((1, 2)),
                             np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
                             np.zeros(4))
@@ -79,19 +81,17 @@ class WindowSet(NamedTuple):
     c: float
     eps: float
     slices: dict  # index -> ConvexWindow
-    degenerate_top: bool
 
 
 def build_windows(P: PolytopeP, c: float, eps: float = DEFAULT_EPS) -> WindowSet:
     """The slice windows at c, with eps as the boundary tolerance of acceptance.
 
     When c < eps (or below CONSTRUCTION_TOL) the top slice is a tip, and the
-    index-5 window is taken to be the point 0.
+    index-5 window is taken to be the point 0, and slices holds no 5.
     """
-    degenerate_top = c < max(eps, CONSTRUCTION_TOL)
-    top = 4 if degenerate_top else 5
+    top = 4 if c < max(eps, CONSTRUCTION_TOL) else 5
     slices = {index: slice_window(P, index, c) for index in range(1, top + 1)}
-    return WindowSet(c=c, eps=eps, slices=slices, degenerate_top=degenerate_top)
+    return WindowSet(c=c, eps=eps, slices=slices)
 
 
 class ScanPiece(NamedTuple):
@@ -126,8 +126,8 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiec
     of the `freq_census` benchmark, c = 0.5 and radius 80); a mask that is
     not sure is negative in the piece, for its reader to compute (2,307 of
     its 161,833 accepted labels).  At c = 0 the index-5 window is the point
-    0, and each of its few candidates is tested as |t| <= eps, which is
-    singular.
+    0, POINT_WINDOW, which accepts none of its few candidates and finds
+    singular those within eps of 0 in the max norm.
 
     Only MAX_KEY_RADIUS limits the radius: the scan holds one chunk at a
     time.  Raises ValueError unless wset was built for shift.c, and
@@ -152,9 +152,8 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiec
     a, b = w[2] - w[4], w[3] - w[4]
     weights = _key_weights(M)
     step, reach = np.column_stack([a, b]), wset.eps + _SCAN_SLACK
-    windows = [wset.slices.get(i) for i in range(1, 6)]
-    stencils = RowStencils.of([wset.slices.get(i, POINT_WINDOW) for i in range(1, 6)],
-                              step, reach)
+    windows = [wset.slices.get(i, POINT_WINDOW) for i in range(1, 6)]
+    stencils = RowStencils.of(windows, step, reach)
     tables = locate2d.build(wset, step, reach)
     gamma_w = shift.gamma @ w
     index = np.arange(1, 6)
@@ -207,15 +206,11 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiec
         doubt = np.flatnonzero(state == locate2d.NOT_OUTSIDE)
         singular = []
         if len(doubt):
-            for i in range(5):
+            for i, window in enumerate(windows):
                 mine = doubt[at[doubt] == i]
                 if not len(mine):
                     continue
-                if i == 4 and wset.degenerate_top:
-                    # nothing is accepted, and a test point within eps of 0 is singular
-                    status = np.where(np.linalg.norm(pts[:, mine], axis=0) <= wset.eps, -1, 0)
-                else:
-                    status = windows[i].classify(pts[:, mine].T, wset.eps)
+                status = window.classify(pts[:, mine], wset.eps)
                 accepted[mine[status == 1]] = True
                 singular.append(keys[mine[status == -1]])
         # the mask bits less MASK_SURE, so negative where the tables cannot tell

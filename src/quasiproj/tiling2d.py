@@ -34,11 +34,12 @@ def neighbor_masks(points: np.ndarray, index: int, wset: WindowSet) -> np.ndarra
     Bit m is set when t + w_m lies inside V_{I+1}, and bit 5 + m when t - w_m
     lies inside V_{I-1}: the steps k + e_m and k - e_m of a vertex k that are
     vertices, so its type [n, n']_I is (popcount(mask & 31),
-    popcount(mask >> 5)).  Inside is strictly inside every edge line of the
-    window, n . t < o - n . v for each of its edges (n, o), with v = w_m or
-    -w_m, and the window's own normals and offsets.  The 2-d scan's
-    direction tables (`locate2d`) give these masks wherever they are sure,
-    bit for bit; this is the exact test for the rest, and their reference.
+    popcount(mask >> 5)).  Inside is strictly inside the window, its
+    `ConvexWindow.classify_steps` status at eps 0 with steps v = w_m or
+    -w_m: (n . t - o) + n . v < 0 on each of its edges (n, o).  The 2-d
+    scan's direction tables (`locate2d`) give these masks wherever they are
+    sure, bit for bit; this is the exact test for the rest, and their
+    reference.
 
     Why it is exact for a boundary-complete vertex of a regular scan: its
     neighbours lie in the box, and the scan has tested each against its
@@ -62,10 +63,7 @@ def neighbor_masks(points: np.ndarray, index: int, wset: WindowSet) -> np.ndarra
         window = wset.slices.get(other)
         if window is None:  # no vertex has that index
             continue
-        # (edges, n) against (edges, 5 steps): bit first + m where every edge holds
-        along = window.normals @ points
-        room = window.offsets[:, None] - window.normals @ steps.T
-        inside = (along[:, None, :] < room[:, :, None]).all(axis=0)
+        inside = window.classify_steps(points, steps, 0.0) == 1
         masks |= (1 << (first + np.arange(5))) @ inside
     return masks
 

@@ -217,7 +217,7 @@ def build_decagon_Q(basis: ProjectionBasis | None = None) -> DecagonQ:
     proj = CUBE_VERTICES.astype(float) @ basis.D
     window = ConvexWindow.of(_ccw_by_angle(proj[list(INTERIOR_INDICES)]))
     interior = proj[[i for i in range(32) if i not in INTERIOR_INDICES]]
-    inside = window.classify(interior, CONSTRUCTION_TOL)
+    inside = window.classify(interior.T, CONSTRUCTION_TOL)
     if np.any(inside != 1):
         raise ConsistencyError(
             f"{int(np.sum(inside != 1))} cube-vertex images are not strictly inside "

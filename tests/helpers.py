@@ -194,7 +194,10 @@ def accept_2d_bulk(labels, shift, wset, basis):
     """Vectorized 2-d acceptance: +1 accept, 0 reject, -1 singular.
 
     The test point of each label is sum_j (k_j - gamma_j) w_j, multiplied
-    out, and each label is tested against the window of its own index.
+    out, and each label is tested against the window of its own index.  At
+    c = 0 the index-5 window is the point 0: it accepts nothing, and a test
+    point within eps of 0 in the max norm, the eps band of a square of zero
+    size, is singular.
     """
     labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
     idx = label_index(labels)
@@ -204,13 +207,10 @@ def accept_2d_bulk(labels, shift, wset, basis):
         m = idx == index
         if not np.any(m):
             continue
-        if index == 5 and wset.degenerate_top:
-            r = np.linalg.norm(pts[m], axis=1)
-            sub = np.zeros(int(m.sum()), dtype=np.int8)
-            sub[r <= wset.eps] = -1
-            status[m] = sub
+        if index not in wset.slices:
+            status[m] = np.where(np.abs(pts[m]).max(axis=1) <= wset.eps, -1, 0)
             continue
-        status[m] = wset.slices[index].classify(pts[m], wset.eps)
+        status[m] = wset.slices[index].classify(pts[m].T, wset.eps)
     return status
 
 
@@ -272,7 +272,7 @@ def accept_3d_bulk(labels, shift, eps=DEFAULT_EPS):
     """Vectorized 3-d acceptance against the decagon window: +1 accept, 0
     reject, -1 singular, on test points multiplied out from the labels."""
     labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
-    return DECAGON.window.classify(d_test_points(labels, shift), eps)
+    return DECAGON.window.classify(d_test_points(labels, shift).T, eps)
 
 
 def scan_3d(radius, shift, Q, basis, eps):
@@ -374,7 +374,7 @@ def build_lattice3(radius, shift, Q, basis=None, eps=DEFAULT_EPS):
 def find_tips(lat, Q, eps=DEFAULT_EPS):
     """Labels whose test point, as the lattice's acceptance test decided on
     it, falls strictly inside the inner decagon."""
-    status = Q.inner.classify(lat.test_points, eps)
+    status = Q.inner.classify(lat.test_points.T, eps)
     if np.any(status == -1):
         bad = lat.labels[status == -1][0]
         raise SingularityError(
@@ -508,19 +508,20 @@ def overlap_signatures_by_keys(inner, tips, radius):
 
 
 def overlap_signatures_by_offset(points, eps=DEFAULT_EPS):
-    """(neighbors, K, J) of each tip's test point (n, 2), by one inner-decagon
-    classify of the moved points t + m.D per offset m of OVERLAP_OFFSETS.
+    """(neighbors, K, J) of each tip's test point, given as x and y rows
+    (2, n), by one inner-decagon classify of the moved points t + m.D per
+    offset m of OVERLAP_OFFSETS.
 
     Raises SingularityError, with the census's text, for the first offset
     that moves some point within eps of the inner decagon boundary.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    points = np.asarray(points, dtype=float).T
     hits = {}
     for shape, offsets in OVERLAP_OFFSETS.items():
         hits[shape] = np.zeros(len(points), dtype=np.int64)
         for m in offsets:
             moved = points + m @ BASIS.D
-            status = DECAGON.inner.classify(moved, eps)
+            status = DECAGON.inner.classify(moved.T, eps)
             if np.any(status == -1):
                 i = int(np.argmax(status == -1))
                 raise SingularityError(

@@ -459,7 +459,7 @@ import quasiproj.lattice3d
 from quasiproj.cli import main, run
 
 def zero_signatures(points, *args):
-    return np.zeros((len(points), 3), dtype=np.int64)
+    return np.zeros((points.shape[1], 3), dtype=np.int64)
 
 quasiproj.lattice3d.overlap_signatures = zero_signatures
 args = ["overlap-census", "--radius", "8"]
@@ -476,7 +476,7 @@ def test_a_census_violation_is_a_fault_with_a_traceback(monkeypatch):
     # configuration error, so it is raised, and a qc process ends with a
     # traceback and exit code 1
     monkeypatch.setattr("quasiproj.lattice3d.overlap_signatures",
-                        lambda points, *args: np.zeros((len(points), 3), dtype=np.int64))
+                        lambda points, *args: np.zeros((points.shape[1], 3), dtype=np.int64))
     with pytest.raises(CensusViolationError) as err:
         run(["overlap-census", "--radius", "8"])
     assert str(err.value) == ("tip (-5, -5, -4, -5, -5) has overlap signature (0, 0, 0), "

@@ -87,7 +87,7 @@ INSIDE, OUTSIDE, BOUNDARY = 1, 0, -1
 
 
 def _status(pts, polygon, eps=qp.DEFAULT_EPS):
-    return points_in_convex_polygon(np.atleast_2d(np.asarray(pts, dtype=float)),
+    return points_in_convex_polygon(np.atleast_2d(np.asarray(pts, dtype=float)).T,
                                     *polygon_halfplanes(polygon), eps).tolist()
 
 
@@ -129,7 +129,7 @@ def test_classify_steps_equals_classify_of_the_moved_points(eps, Q, P):
                     for j, f in enumerate((-2, -0.9, 0.9, 2))]
             points = np.vstack([rng.uniform(-2, 2, (300, 2)), *near])
             got = win.classify_steps(points.T, steps, eps)
-            want = np.array([win.classify(points + step, eps) for step in steps])
+            want = np.array([win.classify((points + step).T, eps) for step in steps])
             assert got.dtype == want.dtype and np.array_equal(got, want)
             seen.update(np.unique(got).tolist())
     assert seen == {-1, 0, 1}

@@ -105,7 +105,7 @@ def test_non_tip_with_missing_neighbor(lat_env, Q):
             missing += 1
             assert tuple(k) not in tipset
             t = d_test_points(k[None, :], shift)[0]
-            assert points_in_convex_polygon(t[None, :], Q.inner.normals,
+            assert points_in_convex_polygon(t[:, None], Q.inner.normals,
                                             Q.inner.offsets, 1e-9)[0] != 1
             assert np.linalg.norm(t) > np.cos(np.pi / 10) / PHI - 1e-9  # inradius
     assert missing > 50
@@ -134,7 +134,7 @@ def test_same_triangle_same_interior_offsets(lat_env, Q):
     sample = hull[rows, 0]
     # one pass of all tips against the ten fan triangles (0, v_i, v_{i+1})
     pts = d_test_points(sample, shift)
-    status = np.array([ConvexWindow.of(t).classify(pts, 1e-9)
+    status = np.array([ConvexWindow.of(t).classify(pts.T, 1e-9)
                        for t in fan_triangles(Q.inner.polygon)])
     assert np.all((status == 1).sum(axis=0) == 1)  # no tip on a triangle edge
     for row, tip, tri in zip(rows, sample, np.argmax(status == 1, axis=0).tolist()):
@@ -211,7 +211,7 @@ def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, oracle_table,
     for atoms, expected in zip(interior, interior_atoms_sweep(inner, lat, P)):
         assert np.array_equal(atoms, expected)
     tip_set = {tuple(r) for r in tips.tolist()}
-    sigs = overlap_signatures(d_test_points(inner, shift)).tolist()
+    sigs = overlap_signatures(d_test_points(inner, shift).T).tolist()
     assert sigs == [list(overlap_signature_loop(t, tip_set, oracle_table))
                     for t in inner.tolist()]
     assert sigs == overlap_signatures_by_keys(inner, tips, lat.radius).tolist()
@@ -219,7 +219,7 @@ def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, oracle_table,
 
 def _non_tips(lat, Q):
     """The lattice points whose test point is outside the inner decagon."""
-    return lat.labels[Q.inner.classify(lat.test_points, 1e-9) == 0]
+    return lat.labels[Q.inner.classify(lat.test_points.T, 1e-9) == 0]
 
 
 def test_build_cells_rejects_a_lattice_point_that_is_not_a_tip(lat_env, Q):
@@ -252,7 +252,7 @@ def test_build_cells_names_the_singular_atom(Q, basis, monkeypatch):
     shift = qp.GridShift(gamma=gamma, c=base.c)
     tip = np.zeros(5, dtype=np.int64)
     assert np.allclose(d_test_points(tip[None], shift), target, atol=1e-12)
-    assert Q.inner.classify(d_test_points(tip[None], shift), eps)[0] == 1
+    assert Q.inner.classify(d_test_points(tip[None], shift).T, eps)[0] == 1
     singular = CUBE_VERTICES[accept_3d_bulk(tip + CUBE_VERTICES, shift, eps) == -1]
     assert len(singular) == 2 and np.array_equal(singular[0], m)
     # the atoms are labels of the box too, so at this shift the scan raises
@@ -363,7 +363,7 @@ def test_classify_overlap_signatures(lat_env):
     shift, lat, tips = lat_env
     inner = tips[np.abs(tips).max(axis=1) <= lat.radius - 3]
     seen = set()
-    for sig in overlap_signatures(d_test_points(inner, shift)).tolist():
+    for sig in overlap_signatures(d_test_points(inner, shift).T).tolist():
         assert tuple(sig) in OVERLAP_SIGNATURES
         seen.add(OVERLAP_SIGNATURES[tuple(sig)])
     assert seen == {"A1", "A23", "A46", "A57", "A8"}
@@ -431,7 +431,7 @@ def test_find_tips_reads_the_acceptance_test_points(Q, lattice_for):
         lat = lattice_for(8, shift)
         recomputed = d_test_points(lat.labels, shift)
         assert np.array_equal(lat.test_points, recomputed)
-        status = points_in_convex_polygon(recomputed, Q.inner.normals,
+        status = points_in_convex_polygon(recomputed.T, Q.inner.normals,
                                           Q.inner.offsets, 1e-9)
         assert np.array_equal(find_tips(lat, Q), lat.labels[status == 1])
 
@@ -449,7 +449,7 @@ def _doctor_signatures(monkeypatch, shift, doctored):
         sigs = original(points, *args)
         for n, (tip, sig) in enumerate(doctored):
             at = d_test_points(tip[None], shift)
-            row = np.all(np.abs(points - at) < 1e-12, axis=1)
+            row = np.all(np.abs(points - at.T) < 1e-12, axis=0)
             assert row.sum() <= 1
             seen[n] += int(row.sum())
             sigs[row] = sig
@@ -645,8 +645,8 @@ def test_the_members_of_a_column_share_one_decision(shift, radius, Q, basis):
     reps = labels - labels[:, 4:]
     at_rep = d_test_points(reps, shift)
     assert np.max(np.abs(pts - at_rep)) < 1e-12
-    assert np.array_equal(status, Q.window.classify(at_rep, 1e-9))
-    assert np.array_equal(Q.inner.classify(pts, 1e-9), Q.inner.classify(at_rep, 1e-9))
+    assert np.array_equal(status, Q.window.classify(at_rep.T, 1e-9))
+    assert np.array_equal(Q.inner.classify(pts.T, 1e-9), Q.inner.classify(at_rep.T, 1e-9))
     assert np.count_nonzero(status == 1) > 1000
     _, column, members = np.unique(label_keys(reps, 2 * radius), return_inverse=True,
                                    return_counts=True)
@@ -779,10 +779,10 @@ def test_a_neighbor_singularity_comes_before_a_census_violation(monkeypatch):
     calls = []
 
     def doctored(points, *args):
-        calls.append(len(points))
+        calls.append(points.shape[1])
         if len(calls) == 3:
             raise SingularityError("a neighbor test point")
-        return np.zeros((len(points), 3), dtype=np.int64)
+        return np.zeros((points.shape[1], 3), dtype=np.int64)
 
     monkeypatch.setattr(qp.lattice3d, "overlap_signatures", doctored)
     with pytest.raises(SingularityError, match="a neighbor test point"):
@@ -851,7 +851,7 @@ def test_overlap_signatures_match_the_key_oracle_at_the_benchmark_box():
     # three steps along the column from its first member in the box
     first = np.column_stack(label_columns(keys[inner] + 3 * _key_weights(20).sum(), 20))
     assert label_extent(first).max() == 17
-    assert np.array_equal(overlap_signatures(points[:, inner].T),
+    assert np.array_equal(overlap_signatures(points[:, inner]),
                           overlap_signatures_by_keys(first, tips, 20))
 
 
@@ -868,10 +868,10 @@ def test_overlap_signatures_match_one_classify_per_offset(eps):
     # around the inner decagon; at eps 1e-3 some of them are singular, and
     # both versions must then name the same neighbour
     rng = np.random.default_rng(5)
-    batches = [_tip_scan(8, shift)[0].T
+    batches = [_tip_scan(8, shift)[0]
                for shift in (random_shift(0.2, 0), random_shift(0.5, 3),
                              random_shift(0.9, 7))]
-    batches += [rng.uniform(-0.7, 0.7, (n, 2)) for n in (1, 2, 50, 400, 3000)]
+    batches += [rng.uniform(-0.7, 0.7, (n, 2)).T for n in (1, 2, 50, 400, 3000)]
     outcomes = set()
     for points in batches:
         got = _signatures_or_error(overlap_signatures, points, eps)
@@ -895,9 +895,9 @@ def test_overlap_signatures_name_the_first_singular_offset(f, Q, basis):
         mid = (Q.inner.polygon[edge] + Q.inner.polygon[(edge + 1) % 10]) / 2
         points[at] = mid + f * eps * Q.inner.normals[edge] - step
     with pytest.raises(SingularityError) as expected:
-        overlap_signatures_by_offset(points, eps)
+        overlap_signatures_by_offset(points.T, eps)
     with pytest.raises(SingularityError) as got:
-        overlap_signatures(points, eps)
+        overlap_signatures(points.T, eps)
     assert str(got.value) == str(expected.value)
     assert f"offset {tuple(offsets[10].tolist())}" in str(got.value)
     assert f"tip at {tuple(points[30].tolist())}" in str(got.value)
@@ -919,7 +919,7 @@ def test_overlap_signatures_at_the_inner_decagon_boundary(shape, eps, Q, basis,
     for f in (-2, -0.9, 0.9, 2):
         target = mid + f * eps * Q.inner.normals[edge] - step
         shift = moved_shift(random_shift(0.3, 5), basis.D, k, target)
-        at_k = d_test_points(k[None], shift)
+        at_k = d_test_points(k[None], shift).T
         assert Q.inner.classify(at_k, eps)[0] == 1
         if abs(f) < 1:
             with pytest.raises(SingularityError, match="the inner decagon boundary"):

@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 import quasiproj as qp
 from quasiproj import geometry, lattice3d, scan2d
 from quasiproj.errors import ConfigError, DegenerateWindowError, PolygonError
-from quasiproj.geometry import max_edge_distance, points_in_convex_polygon
+from quasiproj.geometry import points_in_convex_polygon
 from quasiproj.lattice3d import (MAX_CELLS_RADIUS, build_cells, overlap_census,
                                  scan_tip_columns)
 from quasiproj.scan import (MAX_KEY_RADIUS, STENCIL_GRID, RowStencils, label_columns,
@@ -218,14 +218,14 @@ def test_inner_decagon(Q):
 def test_slice_shapes_generic_c(P):
     ws = qp.build_windows(P, 0.5)
     assert [len(ws.slices[i].polygon) for i in range(1, 6)] == [5, 10, 10, 10, 5]
-    assert not ws.degenerate_top
+    assert 5 in ws.slices
 
 
 def test_slice_shapes_c_zero(P, basis):
     ws = qp.build_windows(P, 0.0)
     assert sorted(ws.slices) == [1, 2, 3, 4]
     assert all(len(ws.slices[i].polygon) == 5 for i in ws.slices)
-    assert ws.degenerate_top
+    assert 5 not in ws.slices
     # V_1 at c=0 is the pentagon spanned by the five plane generators
     v1 = ws.slices[1].polygon
     expect = basis.D[np.argsort(np.arctan2(basis.D[:, 1], basis.D[:, 0]))]
@@ -268,7 +268,7 @@ def test_slice_windows_nest_in_shadow(P, Q):
     for c in (0.0, 0.25, 0.5, 0.8):
         ws = qp.build_windows(P, c)
         for w in ws.slices.values():
-            status = points_in_convex_polygon(w.polygon, Q.window.normals,
+            status = points_in_convex_polygon(w.polygon.T, Q.window.normals,
                                               Q.window.offsets, 1e-9)
             assert np.all(status != 0)
 
@@ -445,7 +445,7 @@ def test_scan_2d_pieces_describe_their_labels(c, basis, windows_for, monkeypatch
             assert np.array_equal(piece.masks[sure],
                                   qp.neighbor_masks(piece.points[:, sure], index, ws))
     assert chunks == 17
-    assert (c == 0) == ws.degenerate_top
+    assert (c == 0) == (5 not in ws.slices)
     for index in range(1, 6):
         # each index's keys, over all chunks, are the box's accepted keys
         expected = np.unique(label_keys(cand[label_index(cand) == index], R))
@@ -547,15 +547,15 @@ def _record(monkeypatch, name, module):
 def test_enumeration_tests_at_most_twice_what_it_accepts(Q, basis, windows_for,
                                                           monkeypatch):
     # the 2-d scan tests its candidates' test points against the index
-    # windows; the c = 0 index-5 point window, which accepts nothing, is
-    # tested by the norm of the point instead
+    # windows, the c = 0 index-5 point window, which accepts nothing, among
+    # them
     tested2 = _record(monkeypatch, "points_in_convex_polygon", geometry)
     tested3 = _record(monkeypatch, "accept_3d_bulk", helpers)
     for c, seed in ((0.0, 1), (0.5, 7), (0.9, 2)):
         shift = random_shift(c, seed)
         tested2.clear()
         labels, _, _ = enumerate_accepted_2d(12, shift, windows_for(c))
-        assert sum(len(t) for t, _ in tested2) <= 2 * len(labels)
+        assert sum(len(s) for _, s in tested2) <= 2 * len(labels)
         tested3.clear()
         labels, *_ = enumerate_accepted_3d(8, shift, Q, basis)
         assert sum(len(t) for t, _ in tested3) <= 2 * len(labels)
@@ -611,13 +611,16 @@ def test_enumerate_3d_raises_just_outside_a_decagon_edge(eps, Q, basis, monkeypa
 
 def test_enumerate_2d_raises_at_the_c0_index5_point_window(P, basis):
     # at c = 0 the index-5 window is the single point 0; put the test point
-    # of an index-5 label just off it, keeping the other labels generic
+    # of an index-5 label just off it, keeping the other labels generic.
+    # Its singular band is the square within eps of 0 in the max norm, so
+    # (0.9, 0.9) eps, 1.27 eps from 0, is in it too
     ws = qp.build_windows(P, 0.0)
     generic = qp.GridShift(gamma=basis.D @ np.array([0.31, -0.17]), c=0.0)
     k = np.array([3, -1, 2, 0, 1])
-    shift = moved_shift(generic, basis.W[:, :2], k, np.array([0.6e-9, -0.3e-9]))
-    _assert_singular(lambda: enumerate_accepted_2d(4, shift, ws),
-                     _box_2d(4, shift, ws, basis), k)
+    for target in ([0.6e-9, -0.3e-9], [0.9e-9, 0.9e-9]):
+        shift = moved_shift(generic, basis.W[:, :2], k, np.array(target))
+        _assert_singular(lambda: enumerate_accepted_2d(4, shift, ws),
+                         _box_2d(4, shift, ws, basis), k)
 
 
 def _stencil_cases():
@@ -662,7 +665,8 @@ def test_row_stencils_name_every_label_within_reach_of_its_window(eps):
             box = np.indices(size).reshape(2, -1).T
             uv = lo[:, None] + box
             t = (t0[:, None] + uv @ step.T).reshape(-1, 2)
-            hit = np.flatnonzero(max_edge_distance(t, shape.normals, shape.offsets) <= reach)
+            hit = np.flatnonzero(points_in_convex_polygon(t.T, shape.normals, shape.offsets,
+                                                          reach) != 0)
             r, (u, v) = hit // len(box), uv.reshape(-1, 2)[hit].T
             need = (r.astype(np.int64) << 24) + ((u + 2048) << 12) + v + 2048
             # (the rows put just inside the widened window need their (0, 0))
@@ -686,7 +690,7 @@ def test_the_tip_scan_tests_every_column_within_reach_of_the_decagon(eps, Q, mon
 
     class Recording(type(Q.window)):
         def classify(self, points, eps):
-            tested.append(np.array(points))
+            tested.append(np.array(points).T)
             return super().classify(points, eps)
 
     monkeypatch.setattr(lattice3d, "DECAGON", Q._replace(window=Recording(*Q.window)))
@@ -697,7 +701,7 @@ def test_the_tip_scan_tests_every_column_within_reach_of_the_decagon(eps, Q, mon
     a = np.column_stack([a, np.zeros(len(a), dtype=int)])
     a = a[np.ptp(a, axis=1) <= 2 * R]
     t = d_test_points(a, shift)
-    t = t[max_edge_distance(t, Q.window.normals, Q.window.offsets) <= reach]
+    t = t[points_in_convex_polygon(t.T, Q.window.normals, Q.window.offsets, reach) != 0]
     assert len(t) > 1000
     gap, _ = cKDTree(tested).query(t)
     assert gap.max() < 1e-9
@@ -840,17 +844,44 @@ def test_the_cells_are_refused_above_max_cells_radius(monkeypatch):
     assert n_points == n_tips == 0
 
 
-def test_max_edge_distance_is_bitwise_equal_across_chunks(Q, P):
+def _record_edge_distances(monkeypatch):
+    """Record (points, normals, offsets, d_max) for each call of
+    points_in_convex_polygon: d_max is the largest edge distance of each
+    point that it hands to the eps band."""
+    seen, bands = [], []
+    eps_band, original = geometry._eps_band, geometry.points_in_convex_polygon
+
+    def band(d_max, eps):
+        bands.append(d_max)
+        return eps_band(d_max, eps)
+
+    def recorded(points, normals, offsets, eps):
+        bands.clear()
+        status = original(points, normals, offsets, eps)
+        (d_max,) = bands
+        seen.append((points, normals, offsets, d_max))
+        return status
+
+    monkeypatch.setattr(geometry, "_eps_band", band)
+    monkeypatch.setattr(geometry, "points_in_convex_polygon", recorded)
+    return seen
+
+
+def test_points_in_convex_polygon_is_bitwise_equal_across_chunks(Q, P, monkeypatch):
     # one product over every point: gemv for one point, gemm for more,
-    # here around and past 8192 and 16384 points
+    # here around and past 8192 and 16384 points, as x and y rows in both
+    # memory orders
     rng = np.random.default_rng(5)
     windows = [Q.window, Q.inner, *qp.build_windows(P, 0.5).slices.values()]
+    seen = _record_edge_distances(monkeypatch)
     for n in (1, 8191, 8193, 16385):
         pts = rng.uniform(-2.0, 2.0, size=(n, 2))
         for win in windows:
-            for layout in (pts, np.asfortranarray(pts)):
-                want = np.max(layout @ win.normals.T - win.offsets, axis=1)
-                got = max_edge_distance(layout, win.normals, win.offsets)
+            for layout in (pts.T, np.ascontiguousarray(pts.T)):
+                seen.clear()
+                geometry.points_in_convex_polygon(layout, win.normals, win.offsets, 1e-9)
+                (_, _, _, got), = seen
+                want = np.max(layout.T @ win.normals.T - win.offsets, axis=1)
                 assert np.array_equal(got, want), (n, len(win.normals))
 
 
@@ -865,19 +896,12 @@ def test_label_axis_chains_equal_the_axis_reductions():
 def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, monkeypatch):
     # every point set the acceptance tests see in `qc freq --c 0.5 --radius 80`
     # and `qc overlap-census --c 0.2 --radius 20` at the benchmark's seed 0
-    seen = []
-    original = geometry.max_edge_distance
-
-    def recorded(pts, normals, offsets):
-        seen.append((pts, normals, offsets))
-        return original(pts, normals, offsets)
-
-    monkeypatch.setattr(geometry, "max_edge_distance", recorded)
+    seen = _record_edge_distances(monkeypatch)
     shift = normalize_shift(benchmark_gamma(0.5, 0))
     ws = qp.build_windows(P, shift.c)
     for piece in qp.scan2d.scan_2d(80, shift, ws):
         for index in range(1, 6):
-            ws.slices[index].classify(piece.points[:, piece.index == index].T, ws.eps)
+            ws.slices[index].classify(piece.points[:, piece.index == index], ws.eps)
     shift = normalize_shift(benchmark_gamma(0.2, 0))
     overlap_census(20, shift)
     # the 274 test points of the 2-d scan whose status its direction tables
@@ -887,7 +911,6 @@ def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, monkeypatch):
     # stencil names within the spread of the box); the neighbor points
     # of its tip columns are decided by overlap_signatures, which projects
     # each column's test point once and does not come here
-    assert sum(len(pts) for pts, _, _ in seen) == 274 + 161833 + 2 * 25774
-    for pts, normals, offsets in seen:
-        old = np.max(pts @ normals.T - offsets, axis=1)
-        assert np.array_equal(max_edge_distance(pts, normals, offsets), old)
+    assert sum(points.shape[1] for points, *_ in seen) == 274 + 161833 + 2 * 25774
+    for points, normals, offsets, d_max in seen:
+        assert np.array_equal(d_max, np.max(points.T @ normals.T - offsets, axis=1))
