@@ -12,14 +12,23 @@ neighbor's 8, so the class also fixes the mean atoms a cell shares.
 Both the cells and the classes are properties of the tips, so nothing here
 holds the lattice.  Since sum_j d_j = 0, the labels k + n (1,1,1,1,1) of a
 column share one test point and so one decision, and the tip scan tests
-each column once.  A tip's cell and class are read off its test point t by
-point location: atom k + m, m a cube vertex, is a lattice point when t + m.D
-falls in the decagon, and overlapping neighbor k + m a tip when it falls in
-the inner decagon.  Cells and census read one pass over the tip columns that
-hold a boundary-complete tip and decide each column once; the census keeps
-only the five class tallies, so its memory does not grow with the radius.
-The tip scan lives here, with its only reader: the 2-d modes read neither
-decagon, so they load none of this module.
+each column once against both decagons, raising for a label within eps of
+either boundary.  Cells and census read one pass over the tip columns that
+hold a boundary-complete tip; the census keeps only the five class
+tallies, so its memory does not grow with the radius.  The tip scan lives
+here, with its only reader: the 2-d modes read neither decagon, so they
+load none of this module.
+
+A tip's cell and class are read off its test point t by sign, as
+tiling2d.neighbor_masks reads the 2-d steps: atom k + m, m a cube vertex,
+is a lattice point when t + m.D lies strictly inside the decagon (the
+classify_steps status at eps 0), and overlapping neighbor k + m a tip when
+it lies strictly inside the inner decagon.  For a boundary-complete tip of
+a regular scan that is the scan's own decision: TIP_MARGIN = 3 keeps every
+atom offset in {0,1}^5 and every overlap offset in {-1,0,1}^5 inside the
+box, so the scan has put the test point of k + m more than eps inside or
+outside each decagon, and t + m.D lies within scan._POINT_DRIFT (radius +
+1) of it, which check_eps keeps below eps.
 """
 
 from __future__ import annotations
@@ -29,8 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CensusViolationError, ConfigError, ConsistencyError,
-                     SingularityError)
+from .errors import CensusViolationError, ConfigError, ConsistencyError
 from .geometry import BASIS, DEFAULT_EPS, PHI
 from .scan import (_SCAN_SLACK, RowStencils, _expand, _key_weights, _scan_chunks,
                    check_eps, label_columns)
@@ -183,16 +191,16 @@ def build_cells(radius: int, shift: GridShift, eps: float
     Returns ((hull (n, 22, 5) in POLYTOPE.vertices order, the tip first,
     interior (n, 4, 5) in label order), lattice points in the box, tips in
     it), the n tips in key order.  Atom k + m is a lattice point when t + m.D
-    falls in the decagon, t the test point the tips of k's column share, so
-    one classify_steps call decides the 32 atoms of each column of
-    _complete_columns for all its tips.  All 22 hull translates must be
-    lattice points.  The only offsets that can carry an interior atom are
-    the ten interior cube vertices (no other m has m.W strictly inside the
-    polytope with m.D short enough for both ends to pass the decagon test),
-    and exactly four of them must hit.  Raises ConfigError, before anything
-    is allocated, if radius is above MAX_CELLS_RADIUS; otherwise as
-    scan_tip_columns does, then SingularityError naming the first atom
-    within eps of the decagon boundary of the least-key tip that has one.
+    lies strictly inside the decagon, t the test point the tips of k's
+    column share, so one classify_steps call at eps 0 reads the 32 atoms of
+    each column of _complete_columns for all its tips (exact, by the
+    module's argument).  All 22 hull translates must be lattice points.
+    The only offsets that can carry an interior atom are the ten interior
+    cube vertices (no other m has m.W strictly inside the polytope with m.D
+    short enough for both ends to pass the decagon test), and exactly four
+    of them must hit.  Raises ConfigError, before anything is allocated, if
+    radius is above MAX_CELLS_RADIUS; otherwise as scan_tip_columns does,
+    then ConsistencyError from _check_cells.
     """
     M = int(radius)
     if M > MAX_CELLS_RADIUS:
@@ -200,21 +208,13 @@ def build_cells(radius: int, shift: GridShift, eps: float
             f"radius {M} is above {MAX_CELLS_RADIUS}, the largest whose cells fit in "
             f"the 4 GB memory budget; use a smaller radius")
     points, first, count, n_tips, n_points = zip(*_complete_columns(M, shift, eps))
-    status = DECAGON.window.classify_steps(np.concatenate(points, axis=1),
-                                           DECAGON.projections, eps).T
     count = np.concatenate(count)
     column, n = _expand(np.zeros_like(count), count - 1)
     keys = np.concatenate(first)[column] + n * _key_weights(M).sum()
     order = np.argsort(keys)
     tips = np.column_stack(label_columns(keys[order], M))
-    status = status[column[order]]
-    if np.any(status == -1):
-        i, m = np.unravel_index(np.argmax(status == -1), status.shape)
-        bad = tips[i] + CUBE_VERTICES[m]
-        raise SingularityError(
-            f"cell atom {tuple(bad.tolist())} lands within eps of the decagon boundary "
-            f"for gamma={tuple(shift.gamma.tolist())}; perturb the shift")
-    present = status == 1
+    present = DECAGON.window.classify_steps(np.concatenate(points, axis=1),
+                                            DECAGON.projections, 0.0).T[column[order]] == 1
     _check_cells(tips, present)
     interior = tips[:, None, :] + CUBE_VERTICES[_INTERIOR_BY_LABEL]
     interior = interior[present[:, _INTERIOR_BY_LABEL]].reshape(-1, 4, 5)
@@ -268,27 +268,18 @@ OVERLAP_OFFSETS["J"].setflags(write=False)
 _OFFSETS = np.vstack([OVERLAP_OFFSETS["K"], OVERLAP_OFFSETS["J"]])
 
 
-def overlap_signatures(points: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
+def overlap_signatures(points: np.ndarray) -> np.ndarray:
     """(neighbors, K, J) of each tip, from its plane test point t, given as
     x and y rows (2, n).
 
     The cell of k + m overlaps the tip k's for every m of OVERLAP_OFFSETS,
     and k + m is a tip when its test point t + m.D lies strictly inside the
-    inner decagon, so the signature is a property of t alone.  Raises
-    SingularityError for a neighbor test point within eps of the inner
-    decagon boundary, naming the first offset in OVERLAP_OFFSETS order that
-    has one.
+    inner decagon, so the signature is a property of t alone: the
+    classify_steps status at eps 0 with the 30 steps m.D, the scan's own
+    decision for a boundary-complete tip (see the module docstring).
     """
-    points = np.asarray(points, dtype=float)
-    status = DECAGON.inner.classify_steps(points, _OFFSETS @ BASIS.D, eps)
-    if np.any(status == -1):
-        i, first = np.unravel_index(np.argmax(status == -1), status.shape)
-        m = _OFFSETS[i]
-        raise SingularityError(
-            f"neighbor test point {tuple((points[:, first] + m @ BASIS.D).tolist())} of "
-            f"the tip at {tuple(points[:, first].tolist())}, offset {tuple(m.tolist())}, "
-            "lies within eps of the inner decagon boundary; perturb the shift")
-    hits = status == 1
+    hits = DECAGON.inner.classify_steps(np.asarray(points, dtype=float),
+                                        _OFFSETS @ BASIS.D, 0.0) == 1
     n_k = len(OVERLAP_OFFSETS["K"])
     k, j = hits[:n_k].sum(axis=0), hits[n_k:].sum(axis=0)
     return np.column_stack([k + j, k, j])
@@ -315,10 +306,9 @@ def overlap_census(radius: int, shift: GridShift,
     once per boundary-complete tip.  Only the class tallies outlive a chunk.
 
     The scan's SingularityError comes first, after its last chunk, though
-    the chunks before the singular one have been classified.  Then, in
-    this order: ConfigError if no tip is boundary-complete; the first
-    chunk's SingularityError from overlap_signatures, for a neighbor test
-    point within eps of the inner decagon boundary; and
+    the chunks before the singular one have been classified; it is the
+    only one, since overlap_signatures reads the scan's decisions by sign.
+    Then ConfigError if no tip is boundary-complete, and then
     CensusViolationError, naming the least-key boundary-complete tip whose
     signature is outside the five classes.
 
@@ -329,18 +319,10 @@ def overlap_census(radius: int, shift: GridShift,
     M = int(radius)
     tally = np.zeros(len(_CLASSES))
     total = 0
-    neighbor_error = None
     outside = []  # (key, message) of the least-key offending tip of a chunk
     for points, first, count, _, _ in _complete_columns(M, shift, eps):
         total += int(count.sum())
-        if neighbor_error or not len(count):
-            continue
-        try:
-            sigs = overlap_signatures(points, eps)
-        except SingularityError as exc:
-            # the scan may still raise for a later chunk, which comes first
-            neighbor_error = exc
-            continue
+        sigs = overlap_signatures(points)
         cls = _CLASS_OF_CODE[11 * sigs[:, 1] + sigs[:, 2]]
         if np.any(cls < 0):
             bad = np.flatnonzero(cls < 0)
@@ -353,8 +335,6 @@ def overlap_census(radius: int, shift: GridShift,
         tally += np.bincount(cls, weights=count, minlength=len(_CLASSES))
     if total == 0:
         raise ConfigError("no boundary-complete tips in the lattice box")
-    if neighbor_error:
-        raise neighbor_error
     if outside:
         raise CensusViolationError(min(outside)[1])
     counts = dict(zip(_CLASSES, tally.astype(np.int64).tolist()))

@@ -512,8 +512,8 @@ def overlap_signatures_by_offset(points, eps=DEFAULT_EPS):
     (2, n), by one inner-decagon classify of the moved points t + m.D per
     offset m of OVERLAP_OFFSETS.
 
-    Raises SingularityError, with the census's text, for the first offset
-    that moves some point within eps of the inner decagon boundary.
+    Raises SingularityError for the first offset that moves some point
+    within eps of the inner decagon boundary; at eps 0, only onto it.
     """
     points = np.asarray(points, dtype=float).T
     hits = {}

@@ -11,7 +11,8 @@ from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
                                  OVERLAP_SIGNATURES, TIP_MARGIN, _check_cells,
                                  build_cells, overlap_census, overlap_signatures,
                                  scan_tip_columns)
-from quasiproj.scan import _key_weights, label_columns, label_extent, label_keys
+from quasiproj.scan import (_POINT_DRIFT, _key_weights, label_columns, label_extent,
+                            label_keys)
 from quasiproj.window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES,
                               normalize_shift, random_shift)
 
@@ -255,43 +256,55 @@ def test_build_cells_names_the_singular_atom(Q, basis, monkeypatch):
     assert Q.inner.classify(d_test_points(tip[None], shift).T, eps)[0] == 1
     singular = CUBE_VERTICES[accept_3d_bulk(tip + CUBE_VERTICES, shift, eps) == -1]
     assert len(singular) == 2 and np.array_equal(singular[0], m)
-    # the atoms are labels of the box too, so at this shift the scan raises
-    # first
-    with pytest.raises(SingularityError):
+    # the atoms are labels of the box too, so at this shift the scan raises,
+    # naming the label the per-label scan names
+    with pytest.raises(SingularityError) as expected:
+        enumerate_accepted_3d(4, shift, Q, basis, eps)
+    with pytest.raises(SingularityError) as got:
         build_cells(4, shift, eps)
+    assert _named_label(got.value) == _named_label(expected.value)
 
     # at a regular shift, move the test point of one column that holds a
-    # boundary-complete tip there: the atom is named at that column's
-    # least-key tip
-    original, doctored = qp.lattice3d._complete_columns, []
+    # boundary-complete tip f eps across edge 0: the cells read each atom by
+    # sign, so atom m of that column's least-key tip is present exactly when
+    # it lies inside (f < 0), and the opposite atom, which the same step
+    # moves f eps into the decagon across edge 5, exactly when f > 0
+    original, opposite = qp.lattice3d._complete_columns, singular[1]
+    for f in (-0.5, 0.5):
+        doctored = []
 
-    def columns(*args):
-        for points, first, *counts in original(*args):
-            if not doctored and len(first):
-                i = len(first) // 2
-                points = points.copy()
-                points[:, i] = target
-                doctored.append(first[i])
-            yield points, first, *counts
+        def columns(*args):
+            for points, first, *counts in original(*args):
+                if not doctored and len(first):
+                    i = len(first) // 2
+                    points = points.copy()
+                    points[:, i] = 0.3 * (poly[1] - poly[0]) + f * eps * normals[0]
+                    doctored.append(first[i])
+                yield points, first, *counts
 
-    monkeypatch.setattr(qp.lattice3d, "_complete_columns", columns)
-    with pytest.raises(SingularityError) as got:
-        build_cells(6, base, eps)
-    named = np.array(label_columns(doctored[0], 6)) + m
-    assert str(got.value).startswith(
-        f"cell atom {tuple(named.tolist())} lands within eps of the decagon boundary")
+        monkeypatch.setattr(qp.lattice3d, "_complete_columns", columns)
+        (hull, interior), *_ = build_cells(6, base, eps)
+        k = np.array(label_columns(doctored[0], 6))
+        cell = interior[np.all(hull[:, 0] == k, axis=1)][0]
+        assert np.all(cell == k + m, axis=1).any() == (f < 0)
+        assert np.all(cell == k + opposite, axis=1).any() == (f > 0)
 
 
-@pytest.mark.parametrize("radius", [8, 12])
-@pytest.mark.parametrize("c", [0.05, 0.2, PHI ** -2, 0.5, 0.9])
-def test_build_cells_matches_the_lattice_lookup(c, radius, Q, lattice_for):
-    # atom for atom: the hull in P.vertices order, the interior in label order
+@pytest.mark.parametrize("c, radius, eps", [
+    *(pytest.param(c, radius, 1e-9, id=f"{c}-{radius}")
+      for radius in (8, 12) for c in (0.05, 0.2, PHI ** -2, 0.5, 0.9)),
+    # the ends of eps: a wide band, and one just above check_eps' floor
+    *(pytest.param(c, 8, eps, id=f"{c}-8-{name}") for c in (0.2, PHI ** -2, 0.9)
+      for name, eps in (("tol1e-3", 1e-3), ("floor", 1.05 * _POINT_DRIFT * 9)))])
+def test_build_cells_matches_the_lattice_lookup(c, radius, eps, Q, lattice_for):
+    # atom for atom: the hull in P.vertices order, the interior in label order;
+    # reading the atoms by sign gives the per-label decisions at every eps
     shift = random_shift(c, 5)
-    lat = lattice_for(radius, shift)
-    tips = find_tips(lat, Q)
+    lat = lattice_for(radius, shift, eps)
+    tips = find_tips(lat, Q, eps)
     inner = tips[np.abs(tips).max(axis=1) <= radius - 3]
     assert len(inner) > 0
-    (hull, interior), n_points, n_tips = build_cells(radius, shift, 1e-9)
+    (hull, interior), n_points, n_tips = build_cells(radius, shift, eps)
     assert (n_points, n_tips) == (len(lat.labels), len(tips))
     tip_rows, hull_rows, interior_rows = lattice_cells(inner, lat)
     assert np.array_equal(hull[:, 0], lat.labels[tip_rows])
@@ -746,48 +759,23 @@ def test_a_singular_label_in_a_later_chunk_comes_before_any_census_result(
         Q, basis, monkeypatch):
     # at tol 1e-3 and 37 rows per chunk, this draw's singular columns are all
     # in the 44th of 46 chunks.  The chunks before it are classified, with
-    # signatures outside the five classes or with a neighbour singularity,
-    # and still the census raises the scan's SingularityError, with the
-    # label the per-label scan names
+    # signatures outside the five classes, and still the census raises the
+    # scan's SingularityError, with the label the per-label scan names
     shift, eps = random_shift(0.5, 26), 1e-3
     with pytest.raises(SingularityError) as expected:
         enumerate_accepted_3d(10, shift, Q, basis, eps)
     classified = []
 
-    def outside(points, *args):
-        classified.append(len(points))
-        return np.zeros((len(points), 3), dtype=np.int64)
-
-    def neighbor(points, *args):
-        classified.append(len(points))
-        raise SingularityError("a neighbor test point")
-
-    monkeypatch.setattr(qp.scan, "SCAN_ROWS", 37)
-    for doctored in (outside, neighbor):
-        monkeypatch.setattr(qp.lattice3d, "overlap_signatures", doctored)
-        classified.clear()
-        with pytest.raises(SingularityError) as got:
-            overlap_census(10, shift, eps)
-        assert _named_label(got.value) == _named_label(expected.value)
-        assert sum(classified) > 0
-
-
-def test_a_neighbor_singularity_comes_before_a_census_violation(monkeypatch):
-    # signatures outside the five classes in the first chunks, then a
-    # neighbour singularity in a later one: the singularity is raised
-    monkeypatch.setattr(qp.scan, "SCAN_ROWS", 37)
-    calls = []
-
-    def doctored(points, *args):
-        calls.append(points.shape[1])
-        if len(calls) == 3:
-            raise SingularityError("a neighbor test point")
+    def outside(points):
+        classified.append(points.shape[1])
         return np.zeros((points.shape[1], 3), dtype=np.int64)
 
-    monkeypatch.setattr(qp.lattice3d, "overlap_signatures", doctored)
-    with pytest.raises(SingularityError, match="a neighbor test point"):
-        overlap_census(10, random_shift(0.3, 4))
-    assert len(calls) == 3
+    monkeypatch.setattr(qp.scan, "SCAN_ROWS", 37)
+    monkeypatch.setattr(qp.lattice3d, "overlap_signatures", outside)
+    with pytest.raises(SingularityError) as got:
+        overlap_census(10, shift, eps)
+    assert _named_label(got.value) == _named_label(expected.value)
+    assert sum(classified) > 0
 
 
 def test_census_peak_does_not_grow_with_the_radius():
@@ -838,16 +826,22 @@ def test_tip_scan_names_a_label_just_outside_a_decagon_edge(eps, Q, basis):
 # overlap classes by point location
 # ---------------------------------------------------------------------------
 
-def test_overlap_signatures_match_the_key_oracle_at_the_benchmark_box():
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.05 * _POINT_DRIFT * 21],
+                         ids=["1e-09", "tol1e-3", "floor"])
+@pytest.mark.parametrize("shift, n_columns", [
+    pytest.param(normalize_shift(benchmark_gamma(0.2, 0)), 2673, id="benchmark"),
+    pytest.param(random_shift(0.2, 5), 2665, id="0.2-5"),
+    pytest.param(random_shift(0.9, 6), 2684, id="0.9-6")])
+def test_overlap_signatures_match_the_key_oracle_at_the_benchmark_box(shift, n_columns, eps):
     # every boundary-complete tip column of the census's box (spread at most
     # 2 (R - margin), R - margin = 17), classified by its test point and by
     # merging the key of its first boundary-complete tip with the keys of
-    # every tip of the box
-    shift = normalize_shift(benchmark_gamma(0.2, 0))
-    points, keys, spread, _ = _tip_scan(20, shift)
-    tips, _, _ = enumerate_tips(20, shift)
+    # every tip of the box; read by sign, the signatures are the per-label
+    # decisions at either end of eps, and so are the columns
+    points, keys, spread, _ = _tip_scan(20, shift, eps)
+    tips, _, _ = enumerate_tips(20, shift, eps)
     inner = spread <= 2 * 17
-    assert np.count_nonzero(inner) == 2673
+    assert np.count_nonzero(inner) == n_columns
     # three steps along the column from its first member in the box
     first = np.column_stack(label_columns(keys[inner] + 3 * _key_weights(20).sum(), 20))
     assert label_extent(first).max() == 17
@@ -855,36 +849,37 @@ def test_overlap_signatures_match_the_key_oracle_at_the_benchmark_box():
                           overlap_signatures_by_keys(first, tips, 20))
 
 
-def _signatures_or_error(signatures, points, eps):
-    try:
-        return signatures(points, eps).tolist()
-    except SingularityError as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("eps", [1e-9, 1e-3])
-def test_overlap_signatures_match_one_classify_per_offset(eps):
+def test_overlap_signatures_match_one_classify_per_offset(eps, Q, basis):
     # the tip columns' test points at several shifts, and random points
-    # around the inner decagon; at eps 1e-3 some of them are singular, and
-    # both versions must then name the same neighbour
+    # around the inner decagon: read by sign, the signatures are those of
+    # one classify per offset at eps 0, and at eps too for every point that
+    # no offset moves within eps of the inner decagon boundary; at eps 1e-3
+    # some points are moved that close
     rng = np.random.default_rng(5)
     batches = [_tip_scan(8, shift)[0]
                for shift in (random_shift(0.2, 0), random_shift(0.5, 3),
                              random_shift(0.9, 7))]
     batches += [rng.uniform(-0.7, 0.7, (n, 2)).T for n in (1, 2, 50, 400, 3000)]
-    outcomes = set()
+    steps = np.vstack(list(OVERLAP_OFFSETS.values())) @ basis.D
+    n_near = 0
     for points in batches:
-        got = _signatures_or_error(overlap_signatures, points, eps)
-        assert got == _signatures_or_error(overlap_signatures_by_offset, points, eps)
-        outcomes.add(type(got))
-    assert outcomes == ({list} if eps == 1e-9 else {list, str})
+        got = overlap_signatures(points)
+        assert np.array_equal(got, overlap_signatures_by_offset(points, 0.0))
+        clear = np.ones(points.shape[1], dtype=bool)
+        for step in steps:
+            clear &= Q.inner.classify(points + step[:, None], eps) != -1
+        assert np.array_equal(got[clear],
+                              overlap_signatures_by_offset(points[:, clear], eps))
+        n_near += np.count_nonzero(~clear)
+    assert (n_near > 0) == (eps == 1e-3)
 
 
-@pytest.mark.parametrize("f", [-0.9, -0.3, 0.0, 0.4, 0.9])
+@pytest.mark.parametrize("f", [-0.9, -0.3, 0.4, 0.9])
 def test_overlap_signatures_name_the_first_singular_offset(f, Q, basis):
-    # two points put f eps from an inner-decagon edge by different offsets:
-    # the first offset in OVERLAP_OFFSETS order is named, whatever the
-    # order of the points, with the text of one classify per offset
+    # two points put f eps from an inner-decagon edge by a J and a K offset:
+    # read by sign, each of those neighbours is a tip exactly when f < 0,
+    # and the signatures are those of one classify per offset at eps 0
     eps = 1e-9
     offsets = np.vstack([OVERLAP_OFFSETS["K"], OVERLAP_OFFSETS["J"]])
     rng = np.random.default_rng(11)
@@ -894,13 +889,9 @@ def test_overlap_signatures_name_the_first_singular_offset(f, Q, basis):
         edge = int(np.argmax(Q.inner.normals @ step))
         mid = (Q.inner.polygon[edge] + Q.inner.polygon[(edge + 1) % 10]) / 2
         points[at] = mid + f * eps * Q.inner.normals[edge] - step
-    with pytest.raises(SingularityError) as expected:
-        overlap_signatures_by_offset(points.T, eps)
-    with pytest.raises(SingularityError) as got:
-        overlap_signatures(points.T, eps)
-    assert str(got.value) == str(expected.value)
-    assert f"offset {tuple(offsets[10].tolist())}" in str(got.value)
-    assert f"tip at {tuple(points[30].tolist())}" in str(got.value)
+        assert (Q.inner.classify((points[at] + step)[:, None], 0.0)[0] == 1) == (f < 0)
+    assert np.array_equal(overlap_signatures(points.T),
+                          overlap_signatures_by_offset(points.T, 0.0))
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3])
@@ -909,7 +900,7 @@ def test_overlap_signatures_at_the_inner_decagon_boundary(shape, eps, Q, basis,
                                                          lattice_for):
     # put the test point of k + m at the midpoint of the inner-decagon edge
     # whose normal is most aligned with m.D, moved f eps along that normal:
-    # within eps the census raises, and outside it k + m is a tip exactly
+    # within eps the tip scan raises, and outside it k + m is a tip exactly
     # when f < 0 and the census is the lattice route's
     k = np.array([1, 0, -1, 0, 0])
     m = OVERLAP_OFFSETS[shape][0]
@@ -922,9 +913,8 @@ def test_overlap_signatures_at_the_inner_decagon_boundary(shape, eps, Q, basis,
         at_k = d_test_points(k[None], shift).T
         assert Q.inner.classify(at_k, eps)[0] == 1
         if abs(f) < 1:
-            with pytest.raises(SingularityError, match="the inner decagon boundary"):
-                overlap_signatures(at_k, eps)
-            # the tip scan raises first, for the label the per-label scan names
+            # the census raises the tip scan's error, for the label the
+            # per-label scan names
             with pytest.raises(SingularityError) as expected:
                 find_tips(build_lattice3(8, shift, Q, basis, eps), Q, eps)
             with pytest.raises(SingularityError) as got:
@@ -940,4 +930,4 @@ def test_overlap_signatures_at_the_inner_decagon_boundary(shape, eps, Q, basis,
         assert census.counts == oracle.counts
         if shape == "K":
             expected_sig = [6, 2, 4] if f < 0 else [5, 1, 4]
-            assert overlap_signatures(at_k, eps).tolist() == [expected_sig]
+            assert overlap_signatures(at_k).tolist() == [expected_sig]
