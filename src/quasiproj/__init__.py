@@ -27,10 +27,9 @@ _EXPORTS = {
     "scan": ("label_keys",),
     "scan2d": ("WindowSet", "build_windows", "enumerate_accepted_2d", "slice_window"),
     "pentagrid": ("PentagridTiling", "enumerate_intersections",
-                  "k_vector_2d", "k_vector_3d", "tiling_from_pentagrid"),
+                  "k_vector_2d", "tiling_from_pentagrid"),
     "tiling2d": ("CENSUS", "FrequencyReport", "VertexType", "analytic_A",
-                 "analytic_probability", "census_support", "empirical_frequencies",
-                 "neighbor_masks"),
+                 "analytic_probability", "census_support", "empirical_frequencies"),
     "lattice3d": ("ANALYTIC_CLASS_FREQUENCIES", "OVERLAP_OFFSETS", "OverlapCensus",
                   "build_cells", "overlap_census", "overlap_signatures"),
 }

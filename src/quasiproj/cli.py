@@ -82,6 +82,8 @@ def _config_from_args(args: argparse.Namespace) -> None:
     """Check args, the run's configuration, and parse its --gamma in place."""
     if not 0.0 <= args.c < 1.0:
         raise ConfigError(f"--c must lie in [0, 1), got {args.c}")
+    # -0.0 passes the check, but would be echoed and written as -0.0
+    args.c += 0.0
     if not 0.0 < args.tol < math.inf:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
     if args.index is not None and not 1 <= args.index <= 5:

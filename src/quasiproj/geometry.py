@@ -74,8 +74,9 @@ class ConvexWindow(NamedTuple):
 
     A point x is strictly inside iff normals @ x < offsets componentwise.
     Every window decision tests points against one of these, given as x
-    and y rows (2, n): acceptance of tiling vertices, 3-d lattice points
-    and tips, and the neighbour masks of vertices.
+    and y rows (2, n): acceptance of 3-d lattice points and tips, and their
+    cells' atoms and neighbours.  The 2-d scan decides tiling vertices and
+    their neighbour masks on the slice windows' edges, through `locate2d`.
     """
 
     polygon: np.ndarray  # (n, 2) CCW

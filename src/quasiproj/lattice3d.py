@@ -20,7 +20,7 @@ here, with its only reader: the 2-d modes read neither decagon, so they
 load none of this module.
 
 A tip's cell and class are read off its test point t by sign, as
-tiling2d.neighbor_masks reads the 2-d steps: atom k + m, m a cube vertex,
+`locate2d.exact` reads the 2-d steps: atom k + m, m a cube vertex,
 is a lattice point when t + m.D lies strictly inside the decagon (the
 classify_steps status at eps 0), and overlapping neighbor k + m a tip when
 it lies strictly inside the inner decagon.  For a boundary-complete tip of

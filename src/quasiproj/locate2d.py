@@ -1,14 +1,21 @@
-"""Point location in the slice windows: the tables the 2-d scan reads.
+"""Point location in the slice windows: every point decision of the 2-d scan.
 
-Every edge of every slice window V_I is normal to one of five directions
-u_d, at 36 d degrees: a window is a slice of the zonohedron of the w_j, so
-each edge is parallel to some w_i - w_j.  So whether a test point t is
-inside V_I, and which of its steps t +- w_m land in V_{I+-1} (its neighbour
-mask, the vertex type), depend on t only through the five projections
-u_d . t.  Built once per WindowSet, a direction table per index and
-direction, of TABLE_SIZE buckets of u_d . t, holds in a uint16 word, along
-u_d, the ten neighbour-mask bits, MASK_SURE, INSIDE (t inside V_I beyond
-eps) and NOT_OUTSIDE (t not beyond eps outside V_I); the five words of a
+A label k of index I is a vertex when its test point t is inside V_I, and
+its neighbour mask, the vertex type, says which of its steps t +- w_m land
+in V_{I+-1}.  Each label gets one uint16 word: the ten neighbour-mask bits,
+MASK_SURE, INSIDE (t inside V_I beyond eps) and NOT_OUTSIDE (t not beyond
+eps outside V_I).  The word is exact when its status is that of
+`ConvexWindow.classify` at eps, and bit m (bit 5 + m) of its mask says that
+t + w_m (t - w_m) is strictly inside V_{I+1} (V_{I-1}), the
+`classify_steps` status at eps 0.  `exact` computes it from the windows'
+own edges.
+
+Most labels need less.  Every edge of every slice window V_I is normal to
+one of five directions u_d, at 36 d degrees: a window is a slice of the
+zonohedron of the w_j, so each edge is parallel to some w_i - w_j.  So the
+word depends on t only through the five projections u_d . t.  Built once
+per WindowSet, a direction table per index and direction, of TABLE_SIZE
+buckets of u_d . t, holds the word's bits along u_d; the five words of a
 point, ANDed, hold them for the whole window.  The scan's row stencils
 (`scan.RowStencils`) name the test points they are read at.
 
@@ -17,10 +24,9 @@ margin of the bucket: TABLE_MARGIN, plus the normals' largest distance from
 the directions times the largest |t| a stencil reaches.  The margin bounds
 the gap between u_d . t and a window's own n . t, under 1e-15 where the
 normals are within 1e-16 of the directions and |t| < 2, and the rounding of
-the bucket index, under 1e-13.  So a sure status is the status
-`ConvexWindow.classify` gives on the same point, and a sure mask is
-`tiling2d.neighbor_masks` bit for bit, at every point a stencil reaches.
-The 2-d scan sends the rest to those exact tests.
+the bucket index, under 1e-13.  So where the tables are sure, their word
+is the exact word, at every point a stencil reaches; the 2-d scan sends
+the rest to `exact`.
 """
 
 from __future__ import annotations
@@ -31,14 +37,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError
-from .geometry import BASIS
+from .geometry import BASIS, ConvexWindow
 from .scan import STENCIL_GRID
 
 
 #: buckets of a direction table, over a span of 4.  At 4096, 274 statuses
 #: of the 170,329 candidates of `qc freq --radius 80` (c = 0.5) and 2,307
-#: masks of its accepted labels fall back to the edge tests; at 2048, 440 and 3,033; at 8192, 182 and 1,544,
-#: each in the same time.  The 25 tables hold 200 kB
+#: masks of its accepted labels take the exact word; at 2048, 440 and
+#: 3,033; at 8192, 182 and 1,544, each in the same time.  The 25 tables
+#: hold 200 kB
 TABLE_SIZE = 4096
 
 #: how far every threshold lies from a bucket the tables call sure, beyond
@@ -48,7 +55,7 @@ TABLE_SIZE = 4096
 #: V_1 has edges ~1e-6 long, 1.4e-10, which the normals' term covers
 TABLE_MARGIN = 1e-11
 
-# the bits of a direction table's word above the ten neighbour-mask bits
+# the bits of a word above the ten neighbour-mask bits
 MASK_SURE = 1 << 10
 INSIDE = 1 << 11
 NOT_OUTSIDE = 1 << 12
@@ -57,13 +64,22 @@ NOT_OUTSIDE = 1 << 12
 DIRECTIONS = np.column_stack([np.cos(np.arange(5) * np.pi / 5),
                               np.sin(np.arange(5) * np.pi / 5)])
 
+#: the c = 0 index-5 window is the point 0, given as a square of zero size.
+#: It accepts nothing, and its eps band is the singular square |t|_inf <= eps,
+#: the band every window has at a corner; widened by eps and the slack, its
+#: row stencil names every label in that square
+POINT_WINDOW = ConvexWindow(np.zeros((1, 2)),
+                            np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                            np.zeros(4))
 
 class Tables(NamedTuple):
-    """The direction tables of one WindowSet."""
+    """The direction tables of one WindowSet, and its windows' edges."""
 
     units: np.ndarray  # (5, 2) the directions, times buckets per unit of projection
     lift: float        # added to a scaled projection to give its bucket
     words: np.ndarray  # uint16 words of direction d, index I at (5 d + I - 1) K + bucket
+    edges: np.ndarray  # (3, E, 3, 5) the edges of V_I, V_{I+1}, V_{I-1} (`_edges`)
+    steps: np.ndarray  # (E, 11, 5) the step terms of the 11 tests of index I
 
 
 def _intervals(wset):
@@ -73,7 +89,7 @@ def _intervals(wset):
 
     The conditions of index I are: k + e_m is a vertex (bit m: t + w_m in
     V_{I+1}, (n . t - o) + n . w_m < 0 on each of its edges, as
-    neighbor_masks reads it), k - e_m is one (bit 5 + m), t is inside V_I
+    `exact` reads it), k - e_m is one (bit 5 + m), t is inside V_I
     beyond eps, and t is not beyond eps outside V_I.  An edge of normal
     n ~ +u_d bounds p from above, one of normal n ~ -u_d from below.  No
     vertex has index 0 or 6, nor 5 at c = 0, whose window decides no status.
@@ -140,7 +156,36 @@ def build(wset, step: np.ndarray, reach: float) -> Tables:
     word |= NOT_OUTSIDE * (holds[:, 11] | unsure[:, 11])
     lengths = np.diff(cuts, axis=1, append=K)
     table = np.repeat(word.astype(np.uint16).ravel(), lengths.ravel())
-    return Tables(DIRECTIONS * scale, span / 2 * scale, table)
+    return Tables(DIRECTIONS * scale, span / 2 * scale, table, *_edges(wset))
+
+
+def _edges(wset) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of the three windows each index I reads, and the step
+    terms of its 11 tests, with I - 1 on the last axis of both.
+
+    edges (3, E, 3, 5): the x and y of the outward normals n, and the
+    offsets o, of the E edges of V_I, V_{I+1} and V_{I-1}.  steps
+    (E, 11, 5): n . v for its tests, t + v in V_I (v = 0), in V_{I+1}
+    (v = w_m) and in V_{I-1} (v = -w_m), m = 0 .. 4.  The index-5 window is
+    POINT_WINDOW at c = 0, and an absent window, of index 0 or 6, one edge
+    of normal 0 and offset -inf, which no point is inside.  Each window's
+    edges are padded to the most any has by repeats, as
+    `scan.RowStencils.of` pads them.
+    """
+    windows = [wset.slices.get(j, POINT_WINDOW) for j in range(1, 6)]
+    pad = np.arange(max(len(window.offsets) for window in windows))
+    # x, y and o of the edges of the windows of index 0 .. 6
+    rows = np.zeros((3, len(pad), 7))
+    rows[2] = -np.inf
+    for j, window in enumerate(windows, 1):
+        rows[:2, :, j] = window.normals.take(pad % len(window.normals), axis=0).T
+        rows[2, :, j] = window.offsets.take(pad % len(window.offsets))
+    edges = rows[:, :, np.arange(1, 6) + [[0], [1], [-1]]]
+    w = BASIS.W[:, :2]
+    v = np.concatenate([np.zeros((1, 2)), w, -w])
+    # the normals of the 11 tests: 1 of V_I, 5 of V_{I+1}, 5 of V_{I-1}
+    n = np.repeat(edges[:2], [1, 5, 5], axis=2)
+    return edges, n[0] * v[:, :1] + n[1] * v[:, 1:]
 
 
 def words(tables: Tables, points: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -162,3 +207,37 @@ def words(tables: Tables, points: np.ndarray, at: np.ndarray) -> np.ndarray:
             word = tables.words.take(bucket)
         at_bucket += 5 * K
     return word
+
+
+#: the word bits of mask tests 1 .. 10, then INSIDE and NOT_OUTSIDE
+_TEST_BITS = np.array([1 << m for m in range(10)] + [INSIDE, NOT_OUTSIDE])
+
+
+def exact(tables: Tables, points: np.ndarray, at: np.ndarray, eps: float) -> np.ndarray:
+    """The exact word of each test point (x and y rows) of index at + 1,
+    read off the windows' own edges: the word the direction tables give
+    where they are sure, MASK_SURE set.
+
+    Each of a label's 11 tests takes the largest edge distance
+    d = (n . t - o) + n . v over its window's edges, elementwise, not by
+    a matrix product: INSIDE is d < -eps and NOT_OUTSIDE d <= eps for V_I
+    (v = 0), and a mask bit d < 0 for V_{I+-1} (v = +-w_m).  One call takes
+    any mix of indices.  The labels run along the last axis and the edges
+    along the first, so the largest distance is an elementwise maximum of
+    E rows, which runs several times faster than a reduction over a short
+    last axis.
+    """
+    edges = tables.edges.take(at, axis=3)
+    along = edges[0] * points[0]
+    along += edges[1] * points[1]
+    along -= edges[2]
+    # n . t - o is added to the step terms in place, window by window: a
+    # second array of d's size raised `qc freq`'s peak RSS by ~0.15 MB
+    del edges
+    d = tables.steps.take(at, axis=2)
+    d[:, :1] += along[:, :1]
+    d[:, 1:6] += along[:, 1:2]
+    d[:, 6:] += along[:, 2:]
+    d = d.max(axis=0)
+    holds = np.concatenate([d[1:] < 0, d[:1] < -eps, d[:1] <= eps])
+    return (_TEST_BITS @ holds).astype(np.uint16) | MASK_SURE

@@ -1,10 +1,10 @@
 """de Bruijn pentagrid: grid lines, mesh K-vectors, and the dual tiling.
 
-Five families of equidistant lines (or planes, in 3-d) cut the plane into
-meshes.  Each mesh carries the vector of ceiling functions K_j, and mapping
-a mesh to sum_j K_j d_j produces a tiling vertex.  The four meshes around a
-regular grid intersection map to the corners of one rhombus.  This route is
-kept fully independent of the window-acceptance route so the two can be
+Five families of equidistant lines cut the plane into meshes.  Each mesh
+carries the vector of ceiling functions K_j, and mapping a mesh to
+sum_j K_j d_j produces a tiling vertex.  The four meshes around a regular
+grid intersection map to the corners of one rhombus.  This route is kept
+fully independent of the window-acceptance route so the two can be
 cross-checked against each other.
 """
 
@@ -25,11 +25,6 @@ def grid_values_2d(points: np.ndarray, shift: GridShift) -> np.ndarray:
     return np.atleast_2d(points) @ BASIS.D.T + shift.gamma
 
 
-def grid_values_3d(points: np.ndarray, shift: GridShift) -> np.ndarray:
-    """w_j . R + gamma_j for each point and family; shape (N, 5)."""
-    return np.atleast_2d(points) @ BASIS.W.T + shift.gamma
-
-
 def _ceil_checked(vals: np.ndarray, eps: float, what: str) -> np.ndarray:
     dist = np.abs(vals - np.round(vals))
     if np.any(dist <= eps):
@@ -44,21 +39,6 @@ def k_vector_2d(r, shift: GridShift, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Mesh label of a plane point: K_j = ceil(d_j . r + gamma_j)."""
     vals = grid_values_2d(np.asarray(r, dtype=float), shift)
     return _ceil_checked(vals, eps, f"point {tuple(np.asarray(r, float).tolist())}")[0]
-
-
-def k_vector_3d(R, shift: GridShift, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Mesh label of a space point: K_j = ceil(w_j . R + gamma_j)."""
-    vals = grid_values_3d(np.asarray(R, dtype=float), shift)
-    return _ceil_checked(vals, eps, f"point {tuple(np.asarray(R, float).tolist())}")[0]
-
-
-def mesh_locator(labels: np.ndarray, shift: GridShift) -> np.ndarray:
-    """Approximate r-space location of each label's mesh: (2/5) D^T (k - gamma).
-
-    Lies within (2/5) p of every point of the actual mesh, which itself has
-    diameter below 1.8; useful for trimming region boundaries.
-    """
-    return 0.4 * ((np.atleast_2d(labels) - shift.gamma) @ BASIS.D)
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,10 @@ import numpy as np
 from .errors import ConfigError, ConsistencyError, DegenerateWindowError
 from .geometry import BASIS, DEFAULT_EPS, ConvexWindow
 from . import locate2d
+from .locate2d import POINT_WINDOW
 from .scan import (_SCAN_SLACK, RowStencils, _key_weights, _scan_chunks, check_eps,
                    label_columns)
 from .window import CONSTRUCTION_TOL, GridShift, PolytopeP
-
-#: the c = 0 index-5 window is the point 0, given as a square of zero size.
-#: It accepts nothing, and its eps band is the singular square |t|_inf <= eps,
-#: the band every window has at a corner; widened by eps and the slack, its
-#: row stencil names every label in that square
-POINT_WINDOW = ConvexWindow(np.zeros((1, 2)),
-                            np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
-                            np.zeros(4))
 
 
 def slice_window(P: PolytopeP, index: int, c: float) -> ConvexWindow:
@@ -98,10 +91,9 @@ class ScanPiece(NamedTuple):
     """The labels one chunk of the 2-d scan accepted, of all five indices."""
 
     index: np.ndarray   # slice index I of each label
-    points: np.ndarray  # (2, n) test points, as x and y rows
     keys: np.ndarray    # label_keys of the labels
     extent: np.ndarray  # label_extent of the labels: max_j |k_j|
-    masks: np.ndarray   # neighbour mask of each (see tiling2d.neighbor_masks), < 0 if undecided
+    masks: np.ndarray   # neighbour mask of each, exact (see `locate2d`)
 
 
 def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiece]:
@@ -119,15 +111,14 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiec
     wset, names a row's candidates, every label within eps of its window
     among them: about 1.05 labels are tested per accepted one.  Five
     lookups in the direction tables of `locate2d`, built once per call too,
-    give a candidate's status against its window and its neighbour mask,
-    where they are sure, which is exactly what the edge tests give.  Only the
-    candidates whose status is not sure are tested, in the chunk, by
-    `ConvexWindow.classify`, once per index (274 of the 170,329 candidates
-    of the `freq_census` benchmark, c = 0.5 and radius 80); a mask that is
-    not sure is negative in the piece, for its reader to compute (2,307 of
-    its 161,833 accepted labels).  At c = 0 the index-5 window is the point
-    0, POINT_WINDOW, which accepts none of its few candidates and finds
-    singular those within eps of 0 in the max norm.
+    give a candidate's status against its window and its neighbour mask
+    where they are sure.  The candidates whose status they leave unsure, and
+    the accepted ones whose mask they do, take the exact word of
+    `locate2d.exact`, in one call per chunk (2,581 of the 170,329
+    candidates of the `freq_census` benchmark, c = 0.5 and radius 80, at
+    seed 0).  So every mask a piece holds is exact.  At c = 0 the index-5
+    window is the point 0, POINT_WINDOW, which accepts none of its few
+    candidates and finds singular those within eps of 0 in the max norm.
 
     Only MAX_KEY_RADIUS limits the radius: the scan holds one chunk at a
     time.  Raises ValueError unless wset was built for shift.c, and
@@ -201,28 +192,22 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiec
         del k2, k3, k23
         at = pair // n
         word = locate2d.words(tables, pts, at)
+        # the candidates whose status the tables leave unsure, and the
+        # accepted ones whose mask they do, take the exact word
         state = word & (locate2d.INSIDE | locate2d.NOT_OUTSIDE)
+        unsure = state == locate2d.NOT_OUTSIDE
+        unsure |= (state != 0) & (word & locate2d.MASK_SURE == 0)
+        unsure = np.flatnonzero(unsure)
+        if len(unsure):
+            word[unsure] = locate2d.exact(tables, pts[:, unsure], at[unsure], wset.eps)
+            state = word & (locate2d.INSIDE | locate2d.NOT_OUTSIDE)
         accepted = state == locate2d.INSIDE | locate2d.NOT_OUTSIDE
-        doubt = np.flatnonzero(state == locate2d.NOT_OUTSIDE)
-        singular = []
-        if len(doubt):
-            for i, window in enumerate(windows):
-                mine = doubt[at[doubt] == i]
-                if not len(mine):
-                    continue
-                status = window.classify(pts[:, mine], wset.eps)
-                accepted[mine[status == 1]] = True
-                singular.append(keys[mine[status == -1]])
-        # the mask bits less MASK_SURE, so negative where the tables cannot tell
-        masks = word[accepted].view(np.int16)
-        masks &= locate2d.MASK_SURE | 1023
-        masks -= locate2d.MASK_SURE
+        singular = keys[state == locate2d.NOT_OUTSIDE]
+        masks = word[accepted]
+        masks &= 1023
         at = at[accepted]
         at += 1
-        # compress, as pts[:, accepted] runs several times slower
-        piece = ScanPiece(at, pts.compress(accepted, axis=1), keys[accepted],
-                          extent[accepted], masks)
-        return piece, (np.concatenate(singular) if singular else keys[:0],)
+        return ScanPiece(at, keys[accepted], extent[accepted], masks), (singular,)
 
     yield from _scan_chunks(side ** 2, scan_rows, ("a window boundary",), shift, M,
                             lambda row: row * weights[1])

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CensusViolationError, ConfigError
-from .geometry import BASIS, PHI
+from .geometry import PHI
 from .scan2d import WindowSet, scan_2d
 from .window import GridShift
 
@@ -25,47 +25,6 @@ class VertexType(NamedTuple):
     index: int
     n_pos: int
     n_neg: int
-
-
-def neighbor_masks(points: np.ndarray, index: int, wset: WindowSet) -> np.ndarray:
-    """The 10-bit neighbour mask of each test point t of index I, given as
-    x and y rows, shape (2, n).
-
-    Bit m is set when t + w_m lies inside V_{I+1}, and bit 5 + m when t - w_m
-    lies inside V_{I-1}: the steps k + e_m and k - e_m of a vertex k that are
-    vertices, so its type [n, n']_I is (popcount(mask & 31),
-    popcount(mask >> 5)).  Inside is strictly inside the window, its
-    `ConvexWindow.classify_steps` status at eps 0 with steps v = w_m or
-    -w_m: (n . t - o) + n . v < 0 on each of its edges (n, o).  The 2-d
-    scan's direction tables (`locate2d`) give these masks wherever they are
-    sure, bit for bit; this is the exact test for the rest, and their
-    reference.
-
-    Why it is exact for a boundary-complete vertex of a regular scan: its
-    neighbours lie in the box, and the scan has tested each against its
-    window, or passed it by as more than eps outside, and raises if any lies
-    within eps of the boundary.  So at the scan's test point p of each
-    neighbour, n . p - o is below -eps on every edge of an accepted one and
-    above eps on some edge of a rejected one.  t + v lies within the float
-    error of the scan's points from p, which `scan._POINT_DRIFT` bounds and
-    `scan_2d` keeps below eps, refusing any eps not above it (`check_eps`),
-    so every difference keeps its sign against 0, and each bit is the
-    scan's own decision.
-    """
-    if not 1 <= index <= 5:
-        raise ValueError(f"index must be in [1, 5], got {index}")
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or len(points) != 2:
-        raise ValueError(f"points must have shape (2, n), got {points.shape}")
-    w = BASIS.W[:, :2]
-    masks = np.zeros(points.shape[1], dtype=np.int64)
-    for first, other, steps in ((0, index + 1, w), (5, index - 1, -w)):
-        window = wset.slices.get(other)
-        if window is None:  # no vertex has that index
-            continue
-        inside = window.classify_steps(points, steps, 0.0) == 1
-        masks |= (1 << (first + np.arange(5))) @ inside
-    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +210,6 @@ class FrequencyReport(NamedTuple):
 #: label steps from the box edge within which a vertex's type is not counted
 VERTEX_MARGIN = 2
 
-#: how many undecided neighbour masks empirical_frequencies holds before it
-#: computes them, about 115 kB of test points and keys: `qc freq --radius 80`
-#: (c = 0.5, the benchmark's shift) holds 2,307 at its end
-_MASK_BATCH = 1 << 12
-
 #: the number of set bits of each 5-bit number
 _POP5 = np.array([bin(m).count("1") for m in range(32)], dtype=np.intp)
 
@@ -270,70 +224,46 @@ def empirical_frequencies(radius: int, shift: GridShift,
 
     Vertices within VERTEX_MARGIN label steps of the box edge are discarded
     so no neighborhood is truncated.  Each chunk of `scan_2d` is tallied as
-    it comes: the type of a vertex is read off the neighbour mask the
-    scan's direction tables give its test point.  The masks the tables
-    leave undecided (about 2%) are kept, with their test points, and
-    computed by `neighbor_masks`, one call per index, when _MASK_BATCH of
-    them are held and at the end of the scan.  So the working set hardly
-    grows with the radius.
+    it comes: the type [n, n']_I of a vertex is the two popcounts of the
+    neighbour mask the scan gives it, bit m set when k + e_m is a vertex and
+    bit 5 + m when k - e_m is one.  So the working set hardly grows with
+    the radius.
+
+    The masks are exact (`locate2d`): for a boundary-complete vertex of a
+    regular scan each bit is the scan's own decision.  Its neighbours lie
+    in the box, and the scan has put each one's test point more than eps
+    inside or outside its window, or raised.  t +- w_m lies within the
+    float error of the scan's points from that point, which
+    `scan._POINT_DRIFT` bounds and `scan_2d` keeps below eps, refusing any
+    eps not above it (`check_eps`), so every sign against the window's
+    edges is the scan's.
 
     The scan raises ConfigError, by `check_eps`, if eps is too small for
-    the masks to be its decisions, and SingularityError at its first
-    singular chunk, so a singular label is named before any result or
-    CensusViolationError, though the chunks before its own have been
-    classified.  Raises CensusViolationError, naming the first vertex in
-    label order, if a classified type falls outside the analytic support at
-    this c.
+    that, and SingularityError at its first singular chunk, so a singular
+    label is named before any result or CensusViolationError, though the
+    chunks before its own have been classified.  Raises
+    CensusViolationError, naming the first vertex in label order, if a
+    classified type falls outside the analytic support at this c.
     """
     support = [(vt.index, vt.n_pos, vt.n_neg) for vt in census_support(shift.c)]
     # type [n, n']_I as the code 36 I + 6 n + n'; code 216 is not counted
     allowed = np.zeros(217, dtype=bool)
     allowed[[36 * i + 6 * n + nn for i, n, nn in support] + [216]] = True
     counts = np.zeros(216, dtype=np.int64)
-    outside = []  # (key, code) of the first vertex of a tally outside the support
-    held = []     # (index, points, keys) of the vertices whose masks are undecided
-
-    def tally(code, keys):
-        found = np.bincount(code, minlength=217)[:216]
-        counts[:] += found
-        if found[~allowed[:216]].any():
-            bad = np.flatnonzero(~allowed[code])
-            first = bad[np.argmin(keys[bad])]
-            outside.append((int(keys[first]), int(code[first])))
-
-    def classify_held():
-        index = np.concatenate([h[0] for h in held])
-        points = np.concatenate([h[1] for h in held], axis=1)
-        keys = np.concatenate([h[2] for h in held])
-        held.clear()
-        for i in range(1, 6):
-            mine = index == i
-            if mine.any():
-                masks = neighbor_masks(points.compress(mine, axis=1), i, wset)
-                tally(_TYPE_CODE[(i << 10) + masks], keys[mine])
-
-    n_held = 0
+    outside = []  # (key, code) of the first vertex of a chunk outside the support
     for piece in scan_2d(radius, shift, wset):
-        inner = piece.extent <= radius - VERTEX_MARGIN
         code = piece.index << 10
         code += piece.masks
         code = _TYPE_CODE.take(code)
-        # an undecided mask is negative: like an outer vertex, it is not counted
-        doubt = piece.masks < 0
-        code[~inner | doubt] = 216
-        doubt &= inner
-        if doubt.any():
-            held.append((piece.index[doubt], piece.points.compress(doubt, axis=1),
-                         piece.keys[doubt]))
-            n_held += len(held[-1][2])
-        tally(code, piece.keys)
+        code[piece.extent > radius - VERTEX_MARGIN] = 216
+        found = np.bincount(code, minlength=217)[:216]
+        counts += found
+        if found[~allowed[:216]].any():
+            bad = np.flatnonzero(~allowed[code])
+            first = bad[np.argmin(piece.keys[bad])]
+            outside.append((int(piece.keys[first]), int(code[first])))
         # free this chunk before the scan makes the next
-        del piece, inner, code, doubt
-        if n_held >= _MASK_BATCH:
-            classify_held()
-            n_held = 0
-    if held:
-        classify_held()
+        del piece, code
     counts = counts.reshape(6, 36)
     total = int(counts.sum())
     if total == 0:

@@ -6,16 +6,19 @@ grid-projection + gamma + lambda = k?) with an LP, bypassing the window
 construction entirely.  The whole-box 2-d route tests any labels against
 their index windows on test points multiplied out from the labels, and
 finds and counts a vertex's neighbours by key lookup in the whole box's
-key array; the 3-d route likewise tests labels against the decagon on
-their own multiplied-out test points, and the all-tips route expands every
-tip column of the tip scan into its members, margin tips included.
+key array; the neighbour-mask oracle tests each step t +- w_m against its
+window by sign, as `locate2d.exact` must decide it.  The 3-d route likewise
+tests labels against the decagon on their own multiplied-out test points,
+and the all-tips route expands every tip column of the tip scan into its
+members, margin tips included.
 The overlap oracle intersects translated copies of the polytope
 numerically, with an LP and Qhull.  The lattice route builds
 the whole 3-d lattice of the box, finds its tips, assembles cells by lookup
 of lattice rows, finds overlapping neighbor tips by merging label keys, and
 counts shared atoms one pair of cells at a time.  The reference writers are
 the tuple-based SVG and dict-based OBJ serialisers the array writers
-replaced.  The shift-draw oracle is numpy.random itself.
+replaced.  The shift-draw oracle is numpy.random itself.  The pentagrid's
+3-d mesh labels, which only the tests read, live here too.
 """
 
 import random
@@ -32,6 +35,7 @@ from quasiproj.lattice3d import (_CLASS_OF_CODE, _CLASSES, ANALYTIC_CLASS_FREQUE
                                  OVERLAP_OFFSETS, OverlapCensus, _check_cells,
                                  scan_tip_columns)
 from quasiproj import window
+from quasiproj.pentagrid import _ceil_checked
 from quasiproj.scan import (_SCAN_SLACK, RowStencils, _expand, _key_weights,
                             label_columns, label_extent, label_index, label_keys)
 from quasiproj.scan2d import enumerate_accepted_2d
@@ -214,6 +218,34 @@ def accept_2d_bulk(labels, shift, wset, basis):
     return status
 
 
+def neighbor_masks(points: np.ndarray, index: int, wset) -> np.ndarray:
+    """The 10-bit neighbour mask of each test point t of index I, given as
+    x and y rows, shape (2, n).
+
+    Bit m is set when t + w_m lies inside V_{I+1}, and bit 5 + m when t - w_m
+    lies inside V_{I-1}: the steps k + e_m and k - e_m of a vertex k that are
+    vertices, so its type [n, n']_I is (popcount(mask & 31),
+    popcount(mask >> 5)).  Inside is strictly inside the window, its
+    `ConvexWindow.classify_steps` status at eps 0 with steps v = w_m or
+    -w_m: (n . t - o) + n . v < 0 on each of its edges (n, o).  No vertex
+    has index 0 or 6, nor 5 at c = 0.
+    """
+    if not 1 <= index <= 5:
+        raise ValueError(f"index must be in [1, 5], got {index}")
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or len(points) != 2:
+        raise ValueError(f"points must have shape (2, n), got {points.shape}")
+    w = BASIS.W[:, :2]
+    masks = np.zeros(points.shape[1], dtype=np.int64)
+    for first, other, steps in ((0, index + 1, w), (5, index - 1, -w)):
+        window = wset.slices.get(other)
+        if window is None:  # no vertex has that index
+            continue
+        inside = window.classify_steps(points, steps, 0.0) == 1
+        masks |= (1 << (first + np.arange(5))) @ inside
+    return masks
+
+
 def label_rows(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Row of each query key in the sorted key array, -1 where it is absent."""
     query = np.asarray(query, dtype=np.int64)
@@ -256,6 +288,30 @@ def neighbor_counts(labels, keys, radius):
     steps = np.eye(5, dtype=np.int64) @ _key_weights(radius)
     return tuple(sum(label_rows(keys, base + sign * step) >= 0 for step in steps)
                  for sign in (1, -1))
+
+
+# ---------------------------------------------------------------------------
+# the pentagrid in 3-d: the mesh labels of space points
+# ---------------------------------------------------------------------------
+
+def grid_values_3d(points: np.ndarray, shift: GridShift) -> np.ndarray:
+    """w_j . R + gamma_j for each point and family; shape (N, 5)."""
+    return np.atleast_2d(points) @ BASIS.W.T + shift.gamma
+
+
+def k_vector_3d(R, shift: GridShift, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Mesh label of a space point: K_j = ceil(w_j . R + gamma_j)."""
+    vals = grid_values_3d(np.asarray(R, dtype=float), shift)
+    return _ceil_checked(vals, eps, f"point {tuple(np.asarray(R, float).tolist())}")[0]
+
+
+def mesh_locator(labels: np.ndarray, shift: GridShift) -> np.ndarray:
+    """Approximate r-space location of each label's mesh: (2/5) D^T (k - gamma).
+
+    Lies within (2/5) p of every point of the actual mesh, which itself has
+    diameter below 1.8; useful for trimming region boundaries.
+    """
+    return 0.4 * ((np.atleast_2d(labels) - shift.gamma) @ BASIS.D)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ import quasiproj as qp
 from quasiproj.cli import run as cli_run
 from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
                                  build_cells, overlap_census)
-from quasiproj.pentagrid import mesh_locator, tiling_from_pentagrid
+from quasiproj.pentagrid import tiling_from_pentagrid
 from quasiproj.tiling2d import (CENSUS, analytic_A, analytic_probability,
                                 census_support, empirical_frequencies)
 from quasiproj.scan2d import enumerate_accepted_2d
 from quasiproj.window import random_shift
 
-from helpers import VOLUME_FLOOR, accept_3d_bulk, find_tips, overlap_table
+from helpers import VOLUME_FLOOR, accept_3d_bulk, find_tips, mesh_locator, overlap_table
 
 PHI = qp.PHI
 PINV2 = PHI ** -2

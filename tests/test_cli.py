@@ -78,16 +78,38 @@ def test_windows_stdout_is_pinned(args, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args", [["overlap-census", "--radius", "8"], ["windows"]])
+def test_a_negative_zero_c_runs_as_c_zero(args, caplog, capsys):
+    # --c -0.0 passes the [0, 1) check; it was echoed as "c": -0.0, and the
+    # census ended with "# c = -0" and the windows document held "c": -0.0
+    outputs = []
+    for c in ("-0.0", "0"):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="qc"):
+            assert run([args[0], "--c", c, *args[1:]]) == 0
+        outputs.append(capsys.readouterr().out)
+        echo = [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("resolved config: ")]
+        assert len(echo) == 1 and echo[0].startswith('resolved config: {"c": 0.0, ')
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("args, digest", [
     (["--radius", "12"], "5c052d21cdc3bf3cfc9e9fcce64fbaf25238556fb6cc68a807eceb667510258b"),
     (["--c", "0", "--radius", "10"],
      "b6770f8ea081b965afba670819da42f3264bd607a5bb0413b99d6ee096f8a118"),
     (["--c", "0.2360679775", "--radius", "10"],
      "96ed83f7d75a749f6762ef783805cf3bcd6e29fed0c31b7b0c4f3afedfcafe32"),
+    # beside the tips, where about 1% of the masks take the exact word
+    (["--c", "0.999999", "--radius", "40"],
+     "ca18dbd45753bdd89cab2785b33710783af34f8fde36757d1ba4a313349e2a2d"),
+    (["--c", "0.000001", "--radius", "40"],
+     "5a12bc00585c4cf8d62f07d4721d0424cfcb3c280dca6e9c94e1df5deb2fe9bf"),
 ])
 def test_freq_stdout_is_pinned(args, digest, capsys):
     # the frequency table as written when the vertices were classified
-    # against the whole box's key array, at c = 0.5, at c = 0 and at p^-3
+    # against the whole box's key array, at c = 0.5, at c = 0 and at p^-3,
+    # and as the per-index edge tests wrote it beside the tips
     assert run(["freq", *args]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -412,9 +434,6 @@ def test_freq_names_the_enumerators_singular_label_before_classifying(P, monkeyp
     with pytest.raises(SingularityError) as expected:
         enumerate_accepted_2d(10, shift, ws)
 
-    def unreachable(*args):
-        raise AssertionError("a vertex was classified before the singular label raised")
-
     classified = []
 
     def pieces(*args):
@@ -422,12 +441,11 @@ def test_freq_names_the_enumerators_singular_label_before_classifying(P, monkeyp
             classified.append(len(piece.keys))
             yield piece
 
-    monkeypatch.setattr(qp.tiling2d, "neighbor_masks", unreachable)
     monkeypatch.setattr(qp.tiling2d, "scan_2d", pieces)
     with pytest.raises(SingularityError) as got:
         empirical_frequencies(10, shift, ws)
     assert str(got.value) == str(expected.value)
-    # the scan's tables type the vertices of each chunk it yields, so none is
+    # the scan types the vertices of each chunk it yields, so none is
     assert classified == []
 
 
@@ -677,10 +695,9 @@ _OLD_EXPORTS = {
     "scan": ["label_keys"],
     "scan2d": ["WindowSet", "slice_window"],
     "pentagrid": ["PentagridTiling", "enumerate_intersections",
-                  "k_vector_2d", "k_vector_3d", "tiling_from_pentagrid"],
+                  "k_vector_2d", "tiling_from_pentagrid"],
     "tiling2d": ["CENSUS", "FrequencyReport", "VertexType", "analytic_A",
-                 "analytic_probability", "census_support", "empirical_frequencies",
-                 "neighbor_masks"],
+                 "analytic_probability", "census_support", "empirical_frequencies"],
     "lattice3d": ["ANALYTIC_CLASS_FREQUENCIES", "OVERLAP_OFFSETS", "OverlapCensus",
                   "build_cells", "overlap_census", "overlap_signatures"],
 }

@@ -12,7 +12,7 @@ from quasiproj.lattice3d import OverlapCensus, build_cells
 from quasiproj.tiling2d import FrequencyReport, FrequencyRow
 from quasiproj.window import random_shift
 
-from helpers import cells_obj_reference, find_tips, tiling_svg_reference
+from helpers import cells_obj_reference, find_tips, neighbor_masks, tiling_svg_reference
 
 
 def test_empty_document_svg():
@@ -85,7 +85,7 @@ def test_document_edges_are_the_neighbour_mask_steps(c, basis, windows_for):
         masks = np.zeros(len(doc.labels), dtype=np.int64)
         for i in range(1, 6):
             at = index == i
-            masks[at] = qp.neighbor_masks(points[:, at], i, ws)
+            masks[at] = neighbor_masks(points[:, at], i, ws)
         steps = (masks[:, None] >> np.arange(5)) & 1 == 1
         steps &= doc.labels < radius
         row = {label: n for n, label in enumerate(map(tuple, doc.labels.tolist()))}

@@ -4,9 +4,10 @@ import pytest
 import quasiproj as qp
 from quasiproj.errors import SingularityError
 from quasiproj.pentagrid import (enumerate_intersections, grid_values_2d,
-                                 k_vector_2d, k_vector_3d, mesh_locator,
-                                 tiling_from_pentagrid)
+                                 k_vector_2d, tiling_from_pentagrid)
 from quasiproj.window import normalize_shift, random_shift
+
+from helpers import k_vector_3d, mesh_locator
 
 
 class _RawShift:

@@ -11,12 +11,12 @@ from quasiproj.cli import run
 from quasiproj.errors import CensusViolationError, ConfigError, SingularityError
 from quasiproj.io import build_tiling_document
 from quasiproj.tiling2d import (CENSUS, VertexType, analytic_A, analytic_probability,
-                                census_support, empirical_frequencies, neighbor_masks)
+                                census_support, empirical_frequencies)
 from quasiproj.scan import SCAN_ROWS
 from quasiproj.scan2d import enumerate_accepted_2d, scan_2d
 from quasiproj.window import random_shift
 
-from helpers import accept_2d_bulk, lambda_box_candidates_2d, step_rows
+from helpers import accept_2d_bulk, lambda_box_candidates_2d, neighbor_masks, step_rows
 from helpers import neighbor_counts as whole_box_neighbor_counts
 
 P = qp.PHI
@@ -280,26 +280,22 @@ def test_empirical_frequencies_match_the_whole_box_oracle(c, seed, radius, empti
     assert {(r.index, r.n_pos, r.n_neg): r.count for r in rep.rows if r.count} == expected
 
 
-def doctor_masks(monkeypatch, shift, basis, labels, types):
+def doctor_masks(monkeypatch, labels, types):
     """Make the scan give each of these vertices the neighbour mask of its
-    (n, n'), finding it by index and test point in whichever chunk of the
-    scan holds it."""
-    index = labels.sum(axis=1)
-    test_points = (labels - shift.gamma) @ basis.W[:, :2]
+    (n, n'), finding it by key in whichever chunk of the scan holds it."""
     forged = [(1 << n) - 1 | ((1 << nn) - 1) << 5 for n, nn in types]
 
-    def doctored(*args):
-        for piece in scan_2d(*args):
+    def doctored(radius, *args):
+        keys = qp.label_keys(labels, radius)
+        for piece in scan_2d(radius, *args):
             masks = piece.masks.copy()
-            for i, p, mask in zip(index, test_points, forged):
-                masks[(piece.index == i)
-                      & (np.abs(piece.points.T - p).max(axis=1) < 1e-9)] = mask
+            for key, mask in zip(keys, forged):
+                masks[piece.keys == key] = mask
             yield piece._replace(masks=masks)
     monkeypatch.setattr(qp.tiling2d, "scan_2d", doctored)
 
 
-def test_census_violation_names_the_first_offending_type(basis, windows_for,
-                                                         monkeypatch):
+def test_census_violation_names_the_first_offending_type(windows_for, monkeypatch):
     # at c = 0.2 the type [4,0]_2 is in the census but has zero frequency
     shift = random_shift(0.2, 13)
     labels, _, _ = enumerate_accepted_2d(8, shift, windows_for(0.2))
@@ -307,7 +303,7 @@ def test_census_violation_names_the_first_offending_type(basis, windows_for,
     first2 = int(np.argmax(inner.sum(axis=1) == 2))
 
     def doctored(vertices, types):
-        doctor_masks(monkeypatch, shift, basis, inner[vertices], types)
+        doctor_masks(monkeypatch, inner[vertices], types)
 
     index = inner.sum(axis=1)
     doctored([first2 + 3, first2], [(1, 1), (4, 0)])
@@ -326,7 +322,7 @@ def test_census_violation_names_the_first_offending_type(basis, windows_for,
         empirical_frequencies(8, shift, windows_for(0.2))
 
 
-def test_census_violation_order_spans_the_scan_chunks(basis, windows_for, monkeypatch):
+def test_census_violation_order_spans_the_scan_chunks(windows_for, monkeypatch):
     # an index-2 vertex of the first chunk and an index-1 vertex of a later
     # one: whichever comes first in label order is named
     shift = random_shift(0.2, 13)
@@ -341,11 +337,11 @@ def test_census_violation_order_spans_the_scan_chunks(basis, windows_for, monkey
     late2 = int(np.argmax((index == 2) & (chunk == chunk.max())))
     assert chunk.max() > 0 and chunk[late1] > 0 and chunk[late2] > 0
     assert chunk[early2] == 0 and chunk[early1] == 0
-    doctor_masks(monkeypatch, shift, basis, inner[[late1, early2]], [(1, 1), (4, 0)])
+    doctor_masks(monkeypatch, inner[[late1, early2]], [(1, 1), (4, 0)])
     with pytest.raises(CensusViolationError,
                        match=r"type \[4,0\]_2 has zero analytic frequency at c=0.2"):
         empirical_frequencies(radius, shift, windows_for(0.2))
-    doctor_masks(monkeypatch, shift, basis, inner[[late2, early1]], [(4, 0), (1, 1)])
+    doctor_masks(monkeypatch, inner[[late2, early1]], [(4, 0), (1, 1)])
     with pytest.raises(CensusViolationError, match=r"type \[1,1\]_1 is outside the census"):
         empirical_frequencies(radius, shift, windows_for(0.2))
 
@@ -574,25 +570,30 @@ def test_neighbor_masks_beside_and_beyond_every_edge(c, basis, windows_for):
 # -- the scan's direction tables ------------------------------------------------
 
 def recorded_words(monkeypatch):
-    """Record the test points, index - 1 and table word of every candidate
-    that the 2-d scan looks up in its direction tables."""
+    """Record the tables, test points, index - 1 and table word of every
+    candidate that the 2-d scan looks up in its direction tables."""
     seen = []
     words = locate2d.words
 
     def recorded(tables, points, at):
         word = words(tables, points, at)
-        seen.append((points.copy(), at.copy(), word.copy()))
+        seen.append((tables, points.copy(), at.copy(), word.copy()))
         return word
     monkeypatch.setattr(locate2d, "words", recorded)
     return seen
 
 
-def assert_sure_words_are_the_edge_tests(seen, ws):
-    """A status the words call sure is classify's, a sure mask neighbor_masks'."""
-    for points, at, word in seen:
+def assert_words_are_the_edge_tests(seen, ws):
+    """The exact word of every point holds classify's status and the mask of
+    neighbor_masks; a status the table words call sure is classify's, and a
+    sure mask neighbor_masks'."""
+    status_bits = locate2d.INSIDE | locate2d.NOT_OUTSIDE
+    for tables, points, at, word in seen:
+        exact = locate2d.exact(tables, points, at, ws.eps)
+        assert exact.dtype == np.uint16 and (exact & locate2d.MASK_SURE).all()
         for index in range(1, 6):
             mine = at == index - 1
-            t, w = points[:, mine], word[mine]
+            t, w, e = points[:, mine], word[mine], exact[mine]
             inside = w & locate2d.INSIDE != 0
             outside = w & locate2d.NOT_OUTSIDE == 0
             if index in ws.slices:
@@ -604,18 +605,23 @@ def assert_sure_words_are_the_edge_tests(seen, ws):
                 assert not inside.any() and not outside.any()
                 status = np.where(np.abs(t).max(axis=0) <= ws.eps, -1, 0)
             assert np.all(status[inside] == 1) and np.all(status[outside] == 0)
+            assert np.array_equal(e & status_bits, np.choose(status + 1, [
+                locate2d.NOT_OUTSIDE, 0, status_bits]))
+            masks = neighbor_masks(t, index, ws)
+            assert np.array_equal(e & 1023, masks)
             sure = w & locate2d.MASK_SURE != 0
-            assert np.array_equal(w[sure] & 1023, neighbor_masks(t[:, sure], index, ws))
+            assert np.array_equal(w[sure] & 1023, masks[sure])
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3])
 @pytest.mark.parametrize("c", [0.0, 2e-9, 0.5] + [b + s for b in BREAKPOINTS
                                                   for s in (-1e-9, 0.0, 1e-9)])
 def test_scan_tables_decide_as_the_edge_tests(c, eps, P, basis, monkeypatch):
-    # for every candidate of the scan, a status its tables call sure is the
-    # status classify gives, and a sure mask is the mask of neighbor_masks,
-    # bit for bit; and the scan accepts the oracle's labels, or names a
-    # singular label below every singular label of the oracle's.  (At
+    # for every candidate of the scan, its exact word and a status its
+    # tables call sure are the status classify gives, and its exact mask and
+    # a sure one the mask of neighbor_masks, bit for bit; and the scan
+    # accepts the oracle's labels, or names a singular label below every
+    # singular label of the oracle's.  (At
     # c = 1e-9 V_2 has 8 vertices within CONSTRUCTION_TOL, so no window set
     # is built there; 2e-9 stands in for it.)
     radius = 10
@@ -634,7 +640,7 @@ def test_scan_tables_decide_as_the_edge_tests(c, eps, P, basis, monkeypatch):
         keys = enumerate_accepted_2d(radius, shift, ws)[2]
         assert np.array_equal(keys, np.sort(qp.label_keys(cand[status == 1], radius)))
     assert seen
-    assert_sure_words_are_the_edge_tests(seen, ws)
+    assert_words_are_the_edge_tests(seen, ws)
 
 
 @pytest.mark.parametrize("c", [1e-6, 1 - 1e-6, 1 - 1e-7])
@@ -652,25 +658,29 @@ def test_the_tables_build_quietly_beside_a_tip(c, P, basis, monkeypatch):
     cand = lambda_box_candidates_2d(radius, shift)
     accepted = cand[accept_2d_bulk(cand, shift, ws, basis) == 1]
     assert np.array_equal(keys, np.sort(qp.label_keys(accepted, radius)))
-    assert_sure_words_are_the_edge_tests(seen, ws)
+    assert_words_are_the_edge_tests(seen, ws)
 
 
 def test_scan_tables_decide_beside_every_threshold(P, basis):
-    # test points 1e-12 inside and outside each edge of V_I, and each point
-    # t with t +- w_m that near an edge of V_{I+-1}, wherever a stencil
-    # reaches: the sure words are the edge tests there too
+    # test points 1e-12 inside and outside each edge of V_I and of its eps
+    # band, and each point t with t +- w_m that near an edge of V_{I+-1},
+    # wherever a stencil reaches, beside a tip too, and at c = 0 beside the
+    # point window's edges: the exact word is the edge tests there, and so
+    # are the sure table words
     w = basis.W[:, :2]
-    for c in (0.0, 0.5, PINV2, PINV2 + 1e-9):
+    for c in (0.0, 0.5, PINV2, PINV2 + 1e-9, 1e-6, 1 - 1e-6):
         ws = qp.build_windows(P, c)
         a, b = w[2] - w[4], w[3] - w[4]
         tables = locate2d.build(ws, np.column_stack([a, b]), ws.eps + 1e-6)
         for index in range(1, 6):
             points = []
             for other, steps in ((index, [0 * w[0]]), (index + 1, -w), (index - 1, w)):
-                window = ws.slices.get(other)
+                window = ws.slices.get(other, locate2d.POINT_WINDOW if other == 5 else None)
                 if window is None:
                     continue
-                start = window.polygon
+                # (the point window's one corner, at each of its four edges)
+                start = window.polygon.take(np.arange(len(window.normals)) % len(window.polygon),
+                                            axis=0)
                 stop = np.roll(start, -1, axis=0)
                 for n, on_edge in zip(window.normals, zip(start, (start + stop) / 2, stop)):
                     for p in on_edge:
@@ -680,7 +690,7 @@ def test_scan_tables_decide_beside_every_threshold(P, basis):
             points = points[:, np.hypot(*points) < 1.7]
             at = np.full(points.shape[1], index - 1)
             word = locate2d.words(tables, points, at)
-            assert_sure_words_are_the_edge_tests([(points, at, word)], ws)
+            assert_words_are_the_edge_tests([(tables, points, at, word)], ws)
 
 
 def test_scan_tables_leave_few_labels_to_the_edge_tests(P, monkeypatch):
@@ -691,7 +701,7 @@ def test_scan_tables_leave_few_labels_to_the_edge_tests(P, monkeypatch):
     shift, ws = random_shift(0.5, 1), qp.build_windows(P, 0.5)
     seen = recorded_words(monkeypatch)
     enumerate_accepted_2d(40, shift, ws)
-    word = np.concatenate([w for _, _, w in seen])
+    word = np.concatenate([w for *_, w in seen])
     state = word & (locate2d.INSIDE | locate2d.NOT_OUTSIDE)
     accepted = state == locate2d.INSIDE | locate2d.NOT_OUTSIDE
     assert len(word) > 40000
@@ -701,9 +711,8 @@ def test_scan_tables_leave_few_labels_to_the_edge_tests(P, monkeypatch):
 
 def test_the_edge_tests_alone_give_every_result(P, basis, monkeypatch):
     # with a table margin wider than the windows, no bucket is sure: every
-    # status goes to classify and every mask to neighbor_masks, in batches
-    # of 64, and the keys, the tallies, the singular label and the census
-    # violation named are those the tables give
+    # candidate takes the exact word, and the keys, the tallies, the
+    # singular label and the census violation named are those the tables give
     shift, ws = random_shift(0.5, 7), qp.build_windows(P, 0.5)
     singular_shift, singular_ws = random_shift(0.5, 8), qp.build_windows(P, 0.5, 1e-4)
     keys = enumerate_accepted_2d(20, shift, ws)[2]
@@ -712,16 +721,15 @@ def test_the_edge_tests_alone_give_every_result(P, basis, monkeypatch):
         empirical_frequencies(10, singular_shift, singular_ws)
     seen = recorded_words(monkeypatch)
     monkeypatch.setattr(locate2d, "TABLE_MARGIN", 8.0)
-    monkeypatch.setattr(qp.tiling2d, "_MASK_BATCH", 64)
     assert np.array_equal(enumerate_accepted_2d(20, shift, ws)[2], keys)
     assert empirical_frequencies(20, shift, ws) == report
     with pytest.raises(SingularityError) as got:
         empirical_frequencies(10, singular_shift, singular_ws)
     assert str(got.value) == str(singular.value)
-    word = np.concatenate([w for _, _, w in seen])
+    word = np.concatenate([w for *_, w in seen])
     assert not (word & (locate2d.INSIDE | locate2d.MASK_SURE)).any()
     assert (word & locate2d.NOT_OUTSIDE).all()
-    # a violation among the held masks: the first in label order is named
+    # a violation among the exact words: the first in label order is named
     shift, ws = random_shift(0.2, 13), qp.build_windows(P, 0.2)
     labels = enumerate_accepted_2d(20, shift, ws)[0]
     inner = labels[np.abs(labels).max(axis=1) <= 18]
@@ -730,13 +738,15 @@ def test_the_edge_tests_alone_give_every_result(P, basis, monkeypatch):
     early2 = int(np.argmax(index == 2))
     test_points = (inner[[late1, early2]] - shift.gamma) @ basis.W[:, :2]
 
-    def forged(points, at, *args):
-        found = neighbor_masks(points, at, *args)
+    exact = locate2d.exact
+
+    def forged(tables, points, at, eps):
+        word = exact(tables, points, at, eps)
         for p, i, mask in zip(test_points, (1, 2), (0b100001, 0b1111)):
-            if i == at:
-                found[np.abs(points.T - p).max(axis=1) < 1e-9] = mask
-        return found
-    monkeypatch.setattr(qp.tiling2d, "neighbor_masks", forged)
+            hit = (at == i - 1) & (np.abs(points.T - p).max(axis=1) < 1e-9)
+            word[hit] = word[hit] >> 10 << 10 | mask
+        return word
+    monkeypatch.setattr(locate2d, "exact", forged)
     assert early2 < late1
     with pytest.raises(CensusViolationError,
                        match=r"type \[4,0\]_2 has zero analytic frequency at c=0.2"):

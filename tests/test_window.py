@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import quasiproj as qp
-from quasiproj import geometry, lattice3d, scan2d
+from quasiproj import geometry, lattice3d, locate2d, scan2d
 from quasiproj.errors import ConfigError, DegenerateWindowError, PolygonError
 from quasiproj.geometry import points_in_convex_polygon
 from quasiproj.lattice3d import (MAX_CELLS_RADIUS, build_cells, overlap_census,
@@ -22,7 +22,7 @@ from helpers import (accept_2d_bulk, accept_3d_bulk, benchmark_gamma, d_test_poi
                      enumerate_accepted_3d, fan_triangles, label_rows,
                      lambda_box_candidates_2d, lambda_box_candidates_3d, mesh_margin_2d,
                      mesh_margin_3d, mesh_solution_2d, moved_shift, neighbor_counts,
-                     numpy_draw, polygon_area, step_rows)
+                     neighbor_masks, numpy_draw, polygon_area, step_rows)
 
 P_GOLD = qp.PHI
 
@@ -403,6 +403,29 @@ def test_enumerate_2d_matches_naive(basis, windows_for):
     assert np.array_equal(chain, chain[np.lexsort(chain.T[::-1])])
 
 
+def _turns(normals, start):
+    """The multiple k of 36 degrees, 0 <= k < 10, nearest each normal's angle
+    less `start` degrees, and the largest distance of a normal from its
+    direction (cos, sin)(start + 36 k)."""
+    angle = np.degrees(np.arctan2(normals[:, 1], normals[:, 0])) - start
+    k = np.rint(angle / 36).astype(int) % 10
+    theta = np.radians(start + 36 * k)
+    return k, np.abs(normals - np.column_stack([np.cos(theta), np.sin(theta)])).max()
+
+
+def test_the_windows_edge_directions():
+    # every slice window's edges are normal to the ten directions at 36 k
+    # degrees, each at most once, which the direction tables of locate2d
+    # read; the decagons' are at 18 + 36 k degrees, which they do not share
+    for c in np.concatenate([[0.0], np.linspace(0.01, 0.99, 99)]):
+        for window in qp.build_windows(qp.POLYTOPE, c).slices.values():
+            k, off = _turns(window.normals, 0)
+            assert off <= 1e-12 and len(set(k.tolist())) == len(k)
+    for window in (qp.DECAGON.window, qp.DECAGON.inner):
+        k, off = _turns(window.normals, 18)
+        assert off <= 1e-12 and sorted(k.tolist()) == list(range(10))
+
+
 def test_a_window_mismatch_names_plain_numbers(windows_for):
     # normalize_shift sums gamma in numpy, but the shift keeps c as a float
     shift = normalize_shift([0.25, 0.25, 0.0, 0.0, 0.0])
@@ -433,17 +456,15 @@ def test_scan_2d_pieces_describe_their_labels(c, basis, windows_for, monkeypatch
         assert np.array_equal(label_keys(labels, R), piece.keys)
         assert np.array_equal(label_extent(labels), piece.extent)
         assert np.all(label_index(labels) == piece.index)
-        t = (labels - shift.gamma) @ basis.W[:, :2]
-        assert np.allclose(piece.points.T, t, rtol=0, atol=1e-12)
         # every label a piece holds is accepted by its own window
         assert np.all(accept_2d_bulk(labels, shift, ws, basis) == 1)
         for index in range(1, 6):
             found[index].append(piece.keys[piece.index == index])
-        # a mask the tables decide is the mask of the edge tests
+        # every mask is the mask of the edge tests, at the multiplied-out points
+        t = ((labels - shift.gamma) @ basis.W[:, :2]).T
         for index in range(1, 6):
-            sure = (piece.index == index) & (piece.masks >= 0)
-            assert np.array_equal(piece.masks[sure],
-                                  qp.neighbor_masks(piece.points[:, sure], index, ws))
+            mine = piece.index == index
+            assert np.array_equal(piece.masks[mine], neighbor_masks(t[:, mine], index, ws))
     assert chunks == 17
     assert (c == 0) == (5 not in ws.slices)
     for index in range(1, 6):
@@ -776,7 +797,8 @@ def test_label_columns_inverts_label_keys(R):
 
 
 @pytest.mark.parametrize("c", [0.2, 0.5])
-def test_the_scans_run_past_the_memory_budget_to_max_key_radius(c, basis, windows_for):
+def test_the_scans_run_past_the_memory_budget_to_max_key_radius(c, basis, windows_for,
+                                                               monkeypatch):
     # the scans hold one chunk, so only what holds labels, the 2-d
     # enumerator and the cells, refuses a box by the memory budget
     shift, ws = random_shift(c, 0), windows_for(c)
@@ -786,7 +808,14 @@ def test_the_scans_run_past_the_memory_budget_to_max_key_radius(c, basis, window
         build_cells(58, shift, 1e-9)
     # the first chunks of both scans at a refused radius and at the int64 edge
     # of the keys; at MAX_KEY_RADIUS the first non-empty 2-d chunk is the
-    # second, and the first non-empty 3-d chunk the fourth
+    # second, and the first non-empty 3-d chunk the fourth.  The 2-d scan's
+    # test points are those it looks up in its direction tables
+    looked_up, words = [], locate2d.words
+
+    def recorded(tables, points, at):
+        looked_up.append(points.T.copy())
+        return words(tables, points, at)
+    monkeypatch.setattr(locate2d, "words", recorded)
     for R in (622, MAX_KEY_RADIUS):
         drift = 2e-14 * (R + 1)
         n = 0
@@ -796,8 +825,12 @@ def test_the_scans_run_past_the_memory_budget_to_max_key_radius(c, basis, window
             assert np.array_equal(label_keys(labels, R), piece.keys)
             assert np.array_equal(label_extent(labels), piece.extent)
             assert np.all(label_index(labels) == piece.index)
+            # each label's multiplied-out test point is within the drift of one
+            # the scan looked up
             t = (labels - shift.gamma) @ basis.W[:, :2]
-            assert np.allclose(piece.points.T, t, rtol=0, atol=drift)
+            if len(t):
+                assert cKDTree(np.concatenate(looked_up)).query(t, p=np.inf)[0].max() <= drift
+            looked_up.clear()
             n += len(labels)
         assert n > 0
     for R in (58, MAX_KEY_RADIUS):
@@ -821,8 +854,8 @@ def test_the_tiling_vertices_are_refused_above_max_tiling_radius(monkeypatch, wi
     # the guard reads only the radius, so the scan is stubbed, and neither side
     # of the limit allocates even if the guard is wrong
     shift, ws = random_shift(0.5, 0), windows_for(0.5)
-    empty = ScanPiece(np.empty(0, np.int8), np.empty((2, 0)), np.empty(0, np.int64),
-                      np.empty(0, np.int64), np.empty(0, np.int16))
+    empty = ScanPiece(np.empty(0, np.int8), np.empty(0, np.int64), np.empty(0, np.int64),
+                      np.empty(0, np.uint16))
     monkeypatch.setattr(scan2d, "scan_2d", lambda *args: iter([empty]))
     with pytest.raises(ConfigError, match=f"radius {MAX_TILING_RADIUS + 1} is above "
                        f"{MAX_TILING_RADIUS}, .* the 4 GB memory budget"):
@@ -900,17 +933,19 @@ def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, monkeypatch):
     shift = normalize_shift(benchmark_gamma(0.5, 0))
     ws = qp.build_windows(P, shift.c)
     for piece in qp.scan2d.scan_2d(80, shift, ws):
+        labels = np.column_stack(label_columns(piece.keys, 80))
+        t = ((labels - shift.gamma) @ qp.BASIS.W[:, :2]).T
         for index in range(1, 6):
-            ws.slices[index].classify(piece.points[:, piece.index == index], ws.eps)
+            ws.slices[index].classify(t[:, piece.index == index], ws.eps)
     shift = normalize_shift(benchmark_gamma(0.2, 0))
     overlap_census(20, shift)
-    # the 274 test points of the 2-d scan whose status its direction tables
-    # leave undecided, its 161,833 accepted labels, tested again here against
-    # their own windows, and the census's 25,774 tip-scan columns, each
+    # the 2-d scan's 161,833 accepted labels, tested here against their own
+    # windows (the scan itself decides by `locate2d`, whose exact word
+    # does not come here), and the census's 25,774 tip-scan columns, each
     # tested against the decagon and the inner decagon (every column its row
     # stencil names within the spread of the box); the neighbor points
     # of its tip columns are decided by overlap_signatures, which projects
     # each column's test point once and does not come here
-    assert sum(points.shape[1] for points, *_ in seen) == 274 + 161833 + 2 * 25774
+    assert sum(points.shape[1] for points, *_ in seen) == 161833 + 2 * 25774
     for points, normals, offsets, d_max in seen:
         assert np.array_equal(d_max, np.max(points.T @ normals.T - offsets, axis=1))
