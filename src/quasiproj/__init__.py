@@ -19,8 +19,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "geometry": ("BASIS", "DEFAULT_EPS", "PHI", "THETA", "ConvexWindow",
-                 "ProjectionBasis", "make_basis"),
+    "geometry": ("BASIS", "DEFAULT_EPS", "PHI", "THETA", "ConvexWindow", "EdgeProbes",
+                 "ProjectionBasis", "edge_distances", "make_basis"),
     "window": ("CUBE_VERTICES", "DECAGON", "POLYTOPE", "DecagonQ", "GridShift",
                "PolytopeP", "build_decagon_Q", "build_polytope_P", "normalize_shift",
                "random_shift"),

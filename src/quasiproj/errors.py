@@ -22,7 +22,7 @@ class SingularityError(SingularConfigError):
 
 
 class DegenerateWindowError(SingularConfigError):
-    """A slice window collapsed to a point (c = 0 with index 5)."""
+    """A slice window collapsed to a point, or passes too near a vertex layer to be built."""
 
 
 class ConsistencyError(QcError):

@@ -1,4 +1,4 @@
-"""Numeric kernel: golden-ratio constants, projection bases, convex predicates.
+"""Numeric kernel: golden-ratio constants, projection bases, convex windows, edge_distances.
 
 Everything downstream projects the 5-d integer lattice through the two
 matrices of BASIS, built once here: D (5x2) maps to the tiling plane, W
@@ -51,32 +51,12 @@ def make_basis() -> ProjectionBasis:
 BASIS = make_basis()
 
 
-def polygon_halfplanes(polygon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outward unit normals and offsets of a CCW convex polygon.
-
-    A point x is strictly inside iff normals @ x < offsets componentwise.
-    """
-    poly = np.asarray(polygon, dtype=float)
-    if poly.ndim != 2 or poly.shape[0] < 3 or poly.shape[1] != 2:
-        raise PolygonError(f"need at least 3 plane vertices, got shape {poly.shape}")
-    edges = np.roll(poly, -1, axis=0) - poly
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    if np.any(lengths <= 0):
-        raise PolygonError("degenerate polygon edge of zero length")
-    # rotate each CCW edge by -90 degrees to point outward
-    normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
-    offsets = np.einsum("ij,ij->i", normals, poly)
-    return normals, offsets
-
-
 class ConvexWindow(NamedTuple):
     """A CCW convex polygon and its outward unit edge normals and offsets.
 
     A point x is strictly inside iff normals @ x < offsets componentwise.
-    Every window decision tests points against one of these, given as x
-    and y rows (2, n): acceptance of 3-d lattice points and tips, and their
-    cells' atoms and neighbours.  The 2-d scan decides tiling vertices and
-    their neighbour masks on the slice windows' edges, through `locate2d`.
+    Every window decision reads these edges through one kernel,
+    `edge_distances`, on `EdgeProbes` built from them.
     """
 
     polygon: np.ndarray  # (n, 2) CCW
@@ -87,7 +67,15 @@ class ConvexWindow(NamedTuple):
     def of(cls, polygon) -> "ConvexWindow":
         """The window of a CCW convex polygon, with its half-planes computed once."""
         poly = np.array(polygon, dtype=float)
-        normals, offsets = polygon_halfplanes(poly)
+        if poly.ndim != 2 or poly.shape[0] < 3 or poly.shape[1] != 2:
+            raise PolygonError(f"need at least 3 plane vertices, got shape {poly.shape}")
+        edges = np.roll(poly, -1, axis=0) - poly
+        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        if np.any(lengths <= 0):
+            raise PolygonError("degenerate polygon edge of zero length")
+        # rotate each CCW edge by -90 degrees to point outward
+        normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
+        offsets = np.einsum("ij,ij->i", normals, poly)
         for arr in (poly, normals, offsets):
             arr.setflags(write=False)
         return cls(poly, normals, offsets)
@@ -102,39 +90,68 @@ class ConvexWindow(NamedTuple):
         """Distance from the origin, the centre of every window here, to the nearest edge."""
         return float(self.offsets.min())
 
-    def classify(self, points: np.ndarray, eps: float) -> np.ndarray:
-        """+1 inside, 0 outside, -1 within eps of the boundary, per point of
-        points, given as x and y rows (2, n)."""
-        return points_in_convex_polygon(points, self.normals, self.offsets, eps)
 
-    def classify_steps(self, points: np.ndarray, steps: np.ndarray,
-                       eps: float) -> np.ndarray:
-        """`classify` of each t + steps[i], t the x and y rows of points:
-        (steps, points).  Step i moves every edge distance by normals . steps[i]."""
-        along = self.normals @ points
-        along -= self.offsets[:, None]
-        moved = np.empty_like(along)
-        d_max = np.empty((len(steps), along.shape[1]))
-        for row, step in zip(d_max, steps @ self.normals.T):
-            np.add(along, step[:, None], out=moved)
-            moved.max(axis=0, out=row)
-        return _eps_band(d_max, eps)
+def stack_edges(windows) -> np.ndarray:
+    """The x and y of the outward normals, and the offsets, of the windows'
+    edges, (3, E, W): each window's edges are padded to the E of the most
+    by repeats, which moves no largest edge distance."""
+    pad = np.arange(max(len(window.offsets) for window in windows))
+    return np.stack([np.column_stack([window.normals, window.offsets]).take(
+        pad % len(window.offsets), axis=0).T for window in windows], axis=2)
 
 
-def _eps_band(d_max: np.ndarray, eps: float) -> np.ndarray:
-    """+1 where the largest edge distance is below -eps, -1 within eps of 0."""
-    status = np.zeros(d_max.shape, dtype=np.int8)
-    status[d_max < -eps] = 1
-    status[np.abs(d_max) <= eps] = -1
-    return status
+class EdgeProbes(NamedTuple):
+    """Probe p of family f tests t + v against windows[window[p, f]], v its
+    move, over that window's edges (n, o): so its step terms n . v are
+    stacked once."""
+
+    edges: np.ndarray   # (3, E, W) the windows' edges, `stack_edges`
+    window: np.ndarray  # (P, F) the window of each probe of each family
+    steps: np.ndarray   # (E, P, F) n . v over the edges of that window
+
+    @classmethod
+    def of(cls, windows, window, moves) -> "EdgeProbes":
+        """The probes of moves (P, F, 2), window broadcast to (P, F)."""
+        edges = stack_edges(windows)
+        moves = np.asarray(moves, dtype=float)
+        window = np.broadcast_to(window, moves.shape[:2]).astype(np.intp)
+        nx, ny = edges[0].take(window, axis=1), edges[1].take(window, axis=1)
+        return cls(edges, window, nx * moves[..., 0] + ny * moves[..., 1])
 
 
-def points_in_convex_polygon(points: np.ndarray, normals: np.ndarray,
-                             offsets: np.ndarray, eps: float) -> np.ndarray:
-    """+1 inside, 0 outside, -1 within eps of the boundary, per point of
-    points (x and y rows, (2, n)): the eps band of the largest signed
-    distance of each point past an edge line, < 0 strictly inside."""
-    # as (edges, points), so that the max runs elementwise across a few long rows
-    d = normals @ points
-    d -= offsets[:, None]
-    return _eps_band(d.max(axis=0), eps)
+def edge_distances(probes: EdgeProbes, points: np.ndarray, at) -> np.ndarray:
+    """max_e (n_e . t - o_e) + n_e . v_p, the largest edge distance of each
+    probe p of each test point t (x and y rows, (2, n)) of family `at`, as
+    (P, n): below 0, t + v_p is strictly inside the probe's window.  Each
+    caller applies its own threshold.
+
+    Both forms sum it elementwise in one order, so a point's distances
+    depend neither on the form nor on the points decided with it.  With one
+    family (`at` an int) the maximum runs over the E edges in place, on
+    (P, n) rows; with a family per point (`at` an array), for the few points
+    the 2-d tables leave unsure, over one (E, P, n) array, in fewer calls.
+    """
+    nx, ny, offsets = probes.edges
+    if np.ndim(at):
+        window = probes.window.take(at, axis=1)
+        d = nx.take(window, axis=1) * points[0]
+        y = ny.take(window, axis=1)
+        y *= points[1]
+        d += y
+        # (a take into out= buffers a copy unless its mode is "clip" or "wrap")
+        d -= offsets.take(window, axis=1, out=y, mode="clip")
+        d += probes.steps.take(at, axis=2, out=y, mode="clip")
+        return d.max(axis=0)
+    window, steps = probes.window[:, at], probes.steps[:, :, at, None]
+    along, y = np.empty((2, nx.shape[1], points.shape[1]))
+    d = np.empty((len(window), points.shape[1]))
+    d_max = np.full_like(d, -np.inf)
+    for x_e, y_e, o_e, step in zip(nx, ny, offsets, steps):
+        # n . t - o on this edge of every window, (W, n)
+        np.multiply(x_e[:, None], points[0], out=along)
+        along += np.multiply(y_e[:, None], points[1], out=y)
+        along -= o_e[:, None]
+        along.take(window, axis=0, out=d, mode="clip")
+        d += step
+        np.maximum(d_max, d, out=d_max)
+    return d_max

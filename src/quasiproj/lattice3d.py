@@ -19,10 +19,10 @@ tallies, so its memory does not grow with the radius.  The tip scan lives
 here, with its only reader: the 2-d modes read neither decagon, so they
 load none of this module.
 
-A tip's cell and class are read off its test point t by sign, as
-`locate2d.exact` reads the 2-d steps: atom k + m, m a cube vertex,
-is a lattice point when t + m.D lies strictly inside the decagon (the
-classify_steps status at eps 0), and overlapping neighbor k + m a tip when
+Every test here is one `geometry.edge_distances` call.  A tip's cell and
+class are read off its test point t by sign, as `locate2d.exact` reads
+the 2-d steps: atom k + m, m a cube vertex, is a lattice point when t + m.D
+lies strictly inside the decagon, and overlapping neighbor k + m a tip when
 it lies strictly inside the inner decagon.  For a boundary-complete tip of
 a regular scan that is the scan's own decision: TIP_MARGIN = 3 keeps every
 atom offset in {0,1}^5 and every overlap offset in {-1,0,1}^5 inside the
@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CensusViolationError, ConfigError, ConsistencyError
-from .geometry import BASIS, DEFAULT_EPS, PHI
+from .geometry import BASIS, DEFAULT_EPS, PHI, EdgeProbes, edge_distances
 from .scan import (_SCAN_SLACK, RowStencils, _expand, _key_weights, _scan_chunks,
                    check_eps, label_columns)
 from .window import CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES, GridShift
@@ -76,6 +76,13 @@ ANALYTIC_CLASS_FREQUENCIES = {
 #: interior atoms tip + m of every cell
 _INTERIOR_BY_LABEL = np.array(INTERIOR_INDICES)[
     np.lexsort(CUBE_VERTICES[list(INTERIOR_INDICES)].T[::-1])]
+
+
+#: the probes of a column's test point t: t in the decagon and in the inner
+#: decagon (the tip scan), and t + m.D in the decagon, m the cube vertices
+#: in order (the 32 atoms of a cell)
+_TIP_PROBES = EdgeProbes.of([DECAGON.window, DECAGON.inner], [[0], [1]], np.zeros((2, 1, 2)))
+_ATOM_PROBES = EdgeProbes.of([DECAGON.window], 0, DECAGON.projections[:, None])
 
 
 def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
@@ -139,12 +146,13 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
             np.multiply(a3, d[3, j], out=xy)
             xy += t0[row, j] + a2 * d[2, j]
         del row, a23, a2, a3, lo, meets
-        status = DECAGON.window.classify(pts, eps)
-        inner = DECAGON.inner.classify(pts, eps)
-        n_points = int(np.sum((2 * M + 1 - spread)[status == 1]))
-        tip = inner == 1
+        # how far each column's t lies past the decagon and the inner decagon
+        past = edge_distances(_TIP_PROBES, pts, 0)
+        n_points = int(np.sum((2 * M + 1 - spread)[past[0] < -eps]))
+        tip = past[1] < -eps
+        singular = np.abs(past) <= eps
         return ((pts[:, tip], keys[tip], spread[tip], n_points),
-                (keys[status == -1], keys[inner == -1]))
+                (keys[singular[0]], keys[singular[1]]))
 
     # a column's first member has k0 + radius = a0 - min(a, 0) >= max(a0, 0),
     # so no row from a0 on holds a key below max(a0, 0) weights[0]
@@ -192,9 +200,9 @@ def build_cells(radius: int, shift: GridShift, eps: float
     interior (n, 4, 5) in label order), lattice points in the box, tips in
     it), the n tips in key order.  Atom k + m is a lattice point when t + m.D
     lies strictly inside the decagon, t the test point the tips of k's
-    column share, so one classify_steps call at eps 0 reads the 32 atoms of
-    each column of _complete_columns for all its tips (exact, by the
-    module's argument).  All 22 hull translates must be lattice points.
+    column share, so the 32 atom probes read them for each column of
+    _complete_columns, by sign (exact, by the module's argument).  All 22
+    hull translates must be lattice points.
     The only offsets that can carry an interior atom are the ten interior
     cube vertices (no other m has m.W strictly inside the polytope with m.D
     short enough for both ends to pass the decagon test), and exactly four
@@ -213,8 +221,7 @@ def build_cells(radius: int, shift: GridShift, eps: float
     keys = np.concatenate(first)[column] + n * _key_weights(M).sum()
     order = np.argsort(keys)
     tips = np.column_stack(label_columns(keys[order], M))
-    present = DECAGON.window.classify_steps(np.concatenate(points, axis=1),
-                                            DECAGON.projections, 0.0).T[column[order]] == 1
+    present = edge_distances(_ATOM_PROBES, np.concatenate(points, axis=1), 0).T[column[order]] < 0
     _check_cells(tips, present)
     interior = tips[:, None, :] + CUBE_VERTICES[_INTERIOR_BY_LABEL]
     interior = interior[present[:, _INTERIOR_BY_LABEL]].reshape(-1, 4, 5)
@@ -264,8 +271,10 @@ OVERLAP_OFFSETS["K"].setflags(write=False)
 OVERLAP_OFFSETS["J"].setflags(write=False)
 
 
-#: the 30 offsets m in OVERLAP_OFFSETS order
-_OFFSETS = np.vstack([OVERLAP_OFFSETS["K"], OVERLAP_OFFSETS["J"]])
+#: a tip's 30 overlapping neighbours: t + m.D in the inner decagon, m in
+#: OVERLAP_OFFSETS order
+_NEIGHBOR_PROBES = EdgeProbes.of(
+    [DECAGON.inner], 0, (np.vstack([OVERLAP_OFFSETS["K"], OVERLAP_OFFSETS["J"]]) @ BASIS.D)[:, None])
 
 
 def overlap_signatures(points: np.ndarray) -> np.ndarray:
@@ -274,12 +283,11 @@ def overlap_signatures(points: np.ndarray) -> np.ndarray:
 
     The cell of k + m overlaps the tip k's for every m of OVERLAP_OFFSETS,
     and k + m is a tip when its test point t + m.D lies strictly inside the
-    inner decagon, so the signature is a property of t alone: the
-    classify_steps status at eps 0 with the 30 steps m.D, the scan's own
-    decision for a boundary-complete tip (see the module docstring).
+    inner decagon, so the signature is a property of t alone: the signs of
+    the 30 neighbour probes, the scan's own decisions for a
+    boundary-complete tip (see the module docstring).
     """
-    hits = DECAGON.inner.classify_steps(np.asarray(points, dtype=float),
-                                        _OFFSETS @ BASIS.D, 0.0) == 1
+    hits = edge_distances(_NEIGHBOR_PROBES, np.asarray(points, dtype=float), 0) < 0
     n_k = len(OVERLAP_OFFSETS["K"])
     k, j = hits[:n_k].sum(axis=0), hits[n_k:].sum(axis=0)
     return np.column_stack([k + j, k, j])

@@ -4,11 +4,11 @@ A label k of index I is a vertex when its test point t is inside V_I, and
 its neighbour mask, the vertex type, says which of its steps t +- w_m land
 in V_{I+-1}.  Each label gets one uint16 word: the ten neighbour-mask bits,
 MASK_SURE, INSIDE (t inside V_I beyond eps) and NOT_OUTSIDE (t not beyond
-eps outside V_I).  The word is exact when its status is that of
-`ConvexWindow.classify` at eps, and bit m (bit 5 + m) of its mask says that
-t + w_m (t - w_m) is strictly inside V_{I+1} (V_{I-1}), the
-`classify_steps` status at eps 0.  `exact` computes it from the windows'
-own edges.
+eps outside V_I).  The word is exact when, with d the largest edge
+distance of a probe (`geometry.edge_distances`), INSIDE is d < -eps and
+NOT_OUTSIDE d <= eps for t in V_I, and bit m (bit 5 + m) of its mask is
+d < 0 for t + w_m in V_{I+1} (t - w_m in V_{I-1}).  `exact` computes it
+so, from the 11 probes of each index.
 
 Most labels need less.  Every edge of every slice window V_I is normal to
 one of five directions u_d, at 36 d degrees: a window is a slice of the
@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError
-from .geometry import BASIS, ConvexWindow
+from .geometry import BASIS, ConvexWindow, EdgeProbes, edge_distances
 from .scan import STENCIL_GRID
 
 
@@ -64,22 +64,22 @@ NOT_OUTSIDE = 1 << 12
 DIRECTIONS = np.column_stack([np.cos(np.arange(5) * np.pi / 5),
                               np.sin(np.arange(5) * np.pi / 5)])
 
-#: the c = 0 index-5 window is the point 0, given as a square of zero size.
-#: It accepts nothing, and its eps band is the singular square |t|_inf <= eps,
-#: the band every window has at a corner; widened by eps and the slack, its
-#: row stencil names every label in that square
+#: the point 0, the window of a slice that is a tip and of index 0 and 6.  A
+#: square of zero size, it accepts nothing, and its eps band is the singular
+#: square |t|_inf <= eps, the band every window has at a corner; widened by
+#: eps and the slack, its row stencil names every label in that square
 POINT_WINDOW = ConvexWindow(np.zeros((1, 2)),
                             np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
                             np.zeros(4))
 
+
 class Tables(NamedTuple):
-    """The direction tables of one WindowSet, and its windows' edges."""
+    """The direction tables of one WindowSet, and its windows' probes."""
 
     units: np.ndarray  # (5, 2) the directions, times buckets per unit of projection
     lift: float        # added to a scaled projection to give its bucket
     words: np.ndarray  # uint16 words of direction d, index I at (5 d + I - 1) K + bucket
-    edges: np.ndarray  # (3, E, 3, 5) the edges of V_I, V_{I+1}, V_{I-1} (`_edges`)
-    steps: np.ndarray  # (E, 11, 5) the step terms of the 11 tests of index I
+    probes: EdgeProbes  # the 11 probes of index I, family I - 1 (see `build`)
 
 
 def _intervals(wset):
@@ -91,8 +91,9 @@ def _intervals(wset):
     V_{I+1}, (n . t - o) + n . w_m < 0 on each of its edges, as
     `exact` reads it), k - e_m is one (bit 5 + m), t is inside V_I
     beyond eps, and t is not beyond eps outside V_I.  An edge of normal
-    n ~ +u_d bounds p from above, one of normal n ~ -u_d from below.  No
-    vertex has index 0 or 6, nor 5 at c = 0, whose window decides no status.
+    n ~ +u_d bounds p from above, one of normal n ~ -u_d from below.  A
+    window wset lacks, of index 0 or 6 or a slice that is a tip, is
+    POINT_WINDOW, which no point is inside, and none surely outside.
     """
     eps = wset.eps
     # the interval of each condition that window J bounds, at rows J = 0 .. 6
@@ -100,9 +101,7 @@ def _intervals(wset):
     hi = np.full((7, 5, 12), np.inf)
     absent = [j for j in range(7) if j not in wset.slices]
     lo[absent], hi[absent] = np.inf, -np.inf
-    if 5 in absent:
-        # the point window: t is never inside it, nor surely outside
-        lo[5, :, 11], hi[5, :, 11] = -np.inf, np.inf
+    lo[absent, :, 11], hi[absent, :, 11] = -np.inf, np.inf
     owner = np.concatenate([np.full(len(wset.slices[j].offsets), j) for j in wset.slices])
     normals = np.concatenate([window.normals for window in wset.slices.values()])
     offsets = np.concatenate([window.offsets for window in wset.slices.values()])[:, None]
@@ -156,36 +155,14 @@ def build(wset, step: np.ndarray, reach: float) -> Tables:
     word |= NOT_OUTSIDE * (holds[:, 11] | unsure[:, 11])
     lengths = np.diff(cuts, axis=1, append=K)
     table = np.repeat(word.astype(np.uint16).ravel(), lengths.ravel())
-    return Tables(DIRECTIONS * scale, span / 2 * scale, table, *_edges(wset))
-
-
-def _edges(wset) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of the three windows each index I reads, and the step
-    terms of its 11 tests, with I - 1 on the last axis of both.
-
-    edges (3, E, 3, 5): the x and y of the outward normals n, and the
-    offsets o, of the E edges of V_I, V_{I+1} and V_{I-1}.  steps
-    (E, 11, 5): n . v for its tests, t + v in V_I (v = 0), in V_{I+1}
-    (v = w_m) and in V_{I-1} (v = -w_m), m = 0 .. 4.  The index-5 window is
-    POINT_WINDOW at c = 0, and an absent window, of index 0 or 6, one edge
-    of normal 0 and offset -inf, which no point is inside.  Each window's
-    edges are padded to the most any has by repeats, as
-    `scan.RowStencils.of` pads them.
-    """
-    windows = [wset.slices.get(j, POINT_WINDOW) for j in range(1, 6)]
-    pad = np.arange(max(len(window.offsets) for window in windows))
-    # x, y and o of the edges of the windows of index 0 .. 6
-    rows = np.zeros((3, len(pad), 7))
-    rows[2] = -np.inf
-    for j, window in enumerate(windows, 1):
-        rows[:2, :, j] = window.normals.take(pad % len(window.normals), axis=0).T
-        rows[2, :, j] = window.offsets.take(pad % len(window.offsets))
-    edges = rows[:, :, np.arange(1, 6) + [[0], [1], [-1]]]
+    # the 11 probes of index I, family I - 1: t + v in V_I (v = 0), in V_{I+1}
+    # (v = w_m) and in V_{I-1} (v = -w_m), V_J POINT_WINDOW where wset has none
     w = BASIS.W[:, :2]
-    v = np.concatenate([np.zeros((1, 2)), w, -w])
-    # the normals of the 11 tests: 1 of V_I, 5 of V_{I+1}, 5 of V_{I-1}
-    n = np.repeat(edges[:2], [1, 5, 5], axis=2)
-    return edges, n[0] * v[:, :1] + n[1] * v[:, 1:]
+    moves = np.concatenate([np.zeros((1, 2)), w, -w])[:, None]
+    window = np.repeat([0, 1, -1], [1, 5, 5])[:, None] + np.arange(1, 6)
+    probes = EdgeProbes.of([wset.slices.get(j, POINT_WINDOW) for j in range(7)], window,
+                           np.broadcast_to(moves, (11, 5, 2)))
+    return Tables(DIRECTIONS * scale, span / 2 * scale, table, probes)
 
 
 def words(tables: Tables, points: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -215,29 +192,13 @@ _TEST_BITS = np.array([1 << m for m in range(10)] + [INSIDE, NOT_OUTSIDE])
 
 def exact(tables: Tables, points: np.ndarray, at: np.ndarray, eps: float) -> np.ndarray:
     """The exact word of each test point (x and y rows) of index at + 1,
-    read off the windows' own edges: the word the direction tables give
-    where they are sure, MASK_SURE set.
+    read off the largest edge distances d of its 11 probes: the word the
+    direction tables give where they are sure, MASK_SURE set.
 
-    Each of a label's 11 tests takes the largest edge distance
-    d = (n . t - o) + n . v over its window's edges, elementwise, not by
-    a matrix product: INSIDE is d < -eps and NOT_OUTSIDE d <= eps for V_I
-    (v = 0), and a mask bit d < 0 for V_{I+-1} (v = +-w_m).  One call takes
-    any mix of indices.  The labels run along the last axis and the edges
-    along the first, so the largest distance is an elementwise maximum of
-    E rows, which runs several times faster than a reduction over a short
-    last axis.
+    INSIDE is d < -eps and NOT_OUTSIDE d <= eps for V_I (v = 0), and a
+    mask bit d < 0 for V_{I+-1} (v = +-w_m).  One call takes any mix of
+    indices.
     """
-    edges = tables.edges.take(at, axis=3)
-    along = edges[0] * points[0]
-    along += edges[1] * points[1]
-    along -= edges[2]
-    # n . t - o is added to the step terms in place, window by window: a
-    # second array of d's size raised `qc freq`'s peak RSS by ~0.15 MB
-    del edges
-    d = tables.steps.take(at, axis=2)
-    d[:, :1] += along[:, :1]
-    d[:, 1:6] += along[:, 1:2]
-    d[:, 6:] += along[:, 2:]
-    d = d.max(axis=0)
+    d = edge_distances(tables.probes, points, at)
     holds = np.concatenate([d[1:] < 0, d[:1] < -eps, d[:1] <= eps])
     return (_TEST_BITS @ holds).astype(np.uint16) | MASK_SURE

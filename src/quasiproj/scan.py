@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, SingularityError
+from .geometry import stack_edges
 
 #: how far past eps a scan reaches, far above the float error of its bounds
 _SCAN_SLACK = 1e-6
@@ -86,17 +87,18 @@ class RowStencils(NamedTuple):
         In (u, v) units, z + [f] meets the widened window when the fine
         point Q = G z + cell has Q / G in it Minkowski-grown by [-1/G, 0]^2:
         the half-planes of its edges, each grown by the cell's support,
-        within its extent.  Each window's edges and corners are padded to
-        the most any has by repeats.
+        within its extent.  The edges come from `geometry.stack_edges`, and
+        the corners are padded to as many by repeats, as it pads the edges.
         """
         G = STENCIL_GRID
         if len(shapes) * G * G > 2 ** 15:
             raise ValueError(f"{len(shapes)} windows' cells do not fit in int16")
         inv = np.array([[step[1, 1], -step[0, 1]], [-step[1, 0], step[0, 0]]])
         inv /= step[0, 0] * step[1, 1] - step[0, 1] * step[1, 0]
-        pad = np.arange(max(len(s.offsets) for s in shapes))
-        normals = np.array([s.normals.take(pad % len(s.normals), axis=0) for s in shapes])
-        room = np.array([s.offsets.take(pad % len(s.offsets)) for s in shapes]) + reach
+        nx, ny, room = stack_edges(shapes).transpose(0, 2, 1)
+        normals = np.stack([nx, ny], axis=-1)
+        room += reach
+        pad = np.arange(room.shape[1])
         corners = np.array([s.polygon.take(pad % len(s.polygon), axis=0)
                             for s in shapes]) @ inv.T
         # widening moves a corner by reach / cos(half its turn), at most

@@ -59,6 +59,11 @@ def slice_window(P: PolytopeP, index: int, c: float) -> ConvexWindow:
         uniq.append(rest[0])
         rest = rest[~close[rest[0], rest]]
     if len(uniq) not in (5, 10):
+        # the dedup merges only some crossings around a vertex the plane nears
+        if abs(h - round(h)) <= 2 * eps:
+            raise DegenerateWindowError(
+                f"slice at height {h} passes within {2 * eps:g} of a vertex layer of "
+                f"the polytope, where it has {len(uniq)} vertices (index {index}, c = {c})")
         raise ConsistencyError(
             f"slice window at height {h} has {len(uniq)} vertices, expected 5 or 10")
     poly = pts[uniq]
@@ -69,7 +74,7 @@ def slice_window(P: PolytopeP, index: int, c: float) -> ConvexWindow:
 
 
 class WindowSet(NamedTuple):
-    """The five index windows for one value of c (V_5 is absent when c = 0)."""
+    """The index windows for one value of c, but for a slice that is a tip."""
 
     c: float
     eps: float
@@ -79,11 +84,14 @@ class WindowSet(NamedTuple):
 def build_windows(P: PolytopeP, c: float, eps: float = DEFAULT_EPS) -> WindowSet:
     """The slice windows at c, with eps as the boundary tolerance of acceptance.
 
-    When c < eps (or below CONSTRUCTION_TOL) the top slice is a tip, and the
-    index-5 window is taken to be the point 0, and slices holds no 5.
-    """
-    top = 4 if c < max(eps, CONSTRUCTION_TOL) else 5
-    slices = {index: slice_window(P, index, c) for index in range(1, top + 1)}
+    When c (1 - c) is below eps or CONSTRUCTION_TOL, the top (bottom) slice
+    is a tip, as V_{6-I}(1 - c) = -V_I(c): slices lacks it, and the scan
+    takes it to be the point 0, `locate2d.POINT_WINDOW`.  c and eps are
+    plain floats."""
+    c, eps = float(c), float(eps)
+    tol = max(eps, CONSTRUCTION_TOL)
+    tip = 5 if c < tol else 1 if 1 - c < tol else 0
+    slices = {index: slice_window(P, index, c) for index in range(1, 6) if index != tip}
     return WindowSet(c=c, eps=eps, slices=slices)
 
 
@@ -116,9 +124,9 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiec
     the accepted ones whose mask they do, take the exact word of
     `locate2d.exact`, in one call per chunk (2,581 of the 170,329
     candidates of the `freq_census` benchmark, c = 0.5 and radius 80, at
-    seed 0).  So every mask a piece holds is exact.  At c = 0 the index-5
-    window is the point 0, POINT_WINDOW, which accepts none of its few
-    candidates and finds singular those within eps of 0 in the max norm.
+    seed 0).  So every mask a piece holds is exact.  A slice that is a tip
+    is the point 0, POINT_WINDOW, which accepts none of its few candidates
+    and finds singular those within eps of 0 in the max norm.
 
     Only MAX_KEY_RADIUS limits the radius: the scan holds one chunk at a
     time.  Raises ValueError unless wset was built for shift.c, and
@@ -128,7 +136,7 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiec
     with a singular label is not yielded, nor is any after it: the scan
     stops there and raises SingularityError naming the first label in key
     order, of any index, whose test point lies within eps of its window
-    boundary, the c = 0 index-5 point window included.  The chunks are
+    boundary, the point window included.  The chunks are
     runs of (k0, k1) rows, the two leading digits of the key, so every key
     of a chunk is below every key of the next, and that label is in the
     first chunk that holds a singular one.

@@ -27,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError
-from .geometry import BASIS, PHI, ConvexWindow, ProjectionBasis, make_basis
+from .geometry import (BASIS, PHI, ConvexWindow, EdgeProbes, ProjectionBasis, edge_distances,
+                       make_basis)
 
 # the 32 vertices of the 5-d unit cube, in the fixed order used throughout:
 # one point of index 0, then five of index 1, ten of index 2, ten of index 3,
@@ -218,11 +219,11 @@ def build_decagon_Q(basis: ProjectionBasis | None = None) -> DecagonQ:
     proj = CUBE_VERTICES.astype(float) @ basis.D
     window = ConvexWindow.of(_ccw_by_angle(proj[list(INTERIOR_INDICES)]))
     interior = proj[[i for i in range(32) if i not in INTERIOR_INDICES]]
-    inside = window.classify(interior.T, CONSTRUCTION_TOL)
-    if np.any(inside != 1):
+    d = edge_distances(EdgeProbes.of([window], 0, np.zeros((1, 1, 2))), interior.T, 0)
+    if np.any(d >= -CONSTRUCTION_TOL):
         raise ConsistencyError(
-            f"{int(np.sum(inside != 1))} cube-vertex images are not strictly inside "
-            "the decagon of the interior cube vertices")
+            f"{int(np.sum(d >= -CONSTRUCTION_TOL))} cube-vertex images are not strictly "
+            "inside the decagon of the interior cube vertices")
 
     radii = np.linalg.norm(interior, axis=1)
     inner_mask = np.abs(radii - 1.0 / PHI) < CONSTRUCTION_TOL

@@ -1,5 +1,8 @@
 """Independent oracles used by the tests.
 
+The window oracle, `classify` and `classify_steps`, tests points against a
+window by one matrix product, as the modes did before one elementwise
+kernel, `geometry.edge_distances`, made every window decision.
 The mesh-condition oracles solve the defining linear feasibility problem
 directly (does some point r and some lambda in the open unit 5-cube satisfy
 grid-projection + gamma + lambda = k?) with an LP, bypassing the window
@@ -152,11 +155,52 @@ def moved_shift(shift, gen, k, target):
     return window.GridShift(gamma=shift.gamma + delta, c=shift.c)
 
 
+# ---------------------------------------------------------------------------
+# the BLAS window oracle: the point-in-window tests the modes ran before one
+# kernel, `geometry.edge_distances`, made every window decision
+# ---------------------------------------------------------------------------
+
+def eps_band(d_max: np.ndarray, eps: float) -> np.ndarray:
+    """+1 where the largest edge distance is below -eps, -1 within eps of 0."""
+    status = np.zeros(d_max.shape, dtype=np.int8)
+    status[d_max < -eps] = 1
+    status[np.abs(d_max) <= eps] = -1
+    return status
+
+
+def points_in_convex_polygon(points: np.ndarray, normals: np.ndarray,
+                             offsets: np.ndarray, eps: float) -> np.ndarray:
+    """+1 inside, 0 outside, -1 within eps of the boundary, per point of
+    points (x and y rows, (2, n)): the eps band of the largest signed
+    distance of each point past an edge line, by one matrix product."""
+    d = normals @ points
+    d -= offsets[:, None]
+    return eps_band(d.max(axis=0), eps)
+
+
+def classify(window, points: np.ndarray, eps: float) -> np.ndarray:
+    """`points_in_convex_polygon` against a ConvexWindow."""
+    return points_in_convex_polygon(points, window.normals, window.offsets, eps)
+
+
+def classify_steps(window, points: np.ndarray, steps: np.ndarray, eps: float) -> np.ndarray:
+    """`classify` of each t + steps[i], t the x and y rows of points:
+    (steps, points).  Step i moves every edge distance by normals . steps[i],
+    a matrix product too."""
+    along = window.normals @ points
+    along -= window.offsets[:, None]
+    d_max = np.empty((len(steps), along.shape[1]))
+    for row, step in zip(d_max, steps @ window.normals.T):
+        (along + step[:, None]).max(axis=0, out=row)
+    return eps_band(d_max, eps)
+
+
 def slice_window_loop(P, index, c):
     """The slice window V_index as the face-by-face loop clipped it before it
     was vectorised: each face/plane crossing appended in turn, and each kept
     unless it lies within CONSTRUCTION_TOL of one kept before.  Returns the
-    window, or the exception it raised."""
+    window, or the exception it raised, a count that fails within
+    2 CONSTRUCTION_TOL of an integer height being a degenerate slice."""
     from quasiproj.errors import ConsistencyError, DegenerateWindowError
     from quasiproj.geometry import ConvexWindow
     h = index - c
@@ -181,6 +225,12 @@ def slice_window_loop(P, index, c):
         if not any(np.max(np.abs(p - q)) <= eps for q in uniq):
             uniq.append(p)
     if len(uniq) not in (5, 10):
+        # within 2 CONSTRUCTION_TOL of a vertex layer the loop merged only
+        # some crossings around a vertex: the slice is degenerate there
+        if abs(h - round(h)) <= 2 * eps:
+            return DegenerateWindowError(
+                f"slice at height {h} passes within {2 * eps:g} of a vertex layer of "
+                f"the polytope, where it has {len(uniq)} vertices (index {index}, c = {c})")
         return ConsistencyError(
             f"slice window at height {h} has {len(uniq)} vertices, expected 5 or 10")
     poly = np.array(uniq)
@@ -214,7 +264,7 @@ def accept_2d_bulk(labels, shift, wset, basis):
         if index not in wset.slices:
             status[m] = np.where(np.abs(pts[m]).max(axis=1) <= wset.eps, -1, 0)
             continue
-        status[m] = wset.slices[index].classify(pts[m].T, wset.eps)
+        status[m] = classify(wset.slices[index], pts[m].T, wset.eps)
     return status
 
 
@@ -226,7 +276,7 @@ def neighbor_masks(points: np.ndarray, index: int, wset) -> np.ndarray:
     lies inside V_{I-1}: the steps k + e_m and k - e_m of a vertex k that are
     vertices, so its type [n, n']_I is (popcount(mask & 31),
     popcount(mask >> 5)).  Inside is strictly inside the window, its
-    `ConvexWindow.classify_steps` status at eps 0 with steps v = w_m or
+    `classify_steps` status at eps 0 with steps v = w_m or
     -w_m: (n . t - o) + n . v < 0 on each of its edges (n, o).  No vertex
     has index 0 or 6, nor 5 at c = 0.
     """
@@ -241,7 +291,7 @@ def neighbor_masks(points: np.ndarray, index: int, wset) -> np.ndarray:
         window = wset.slices.get(other)
         if window is None:  # no vertex has that index
             continue
-        inside = window.classify_steps(points, steps, 0.0) == 1
+        inside = classify_steps(window, points, steps, 0.0) == 1
         masks |= (1 << (first + np.arange(5))) @ inside
     return masks
 
@@ -328,7 +378,7 @@ def accept_3d_bulk(labels, shift, eps=DEFAULT_EPS):
     """Vectorized 3-d acceptance against the decagon window: +1 accept, 0
     reject, -1 singular, on test points multiplied out from the labels."""
     labels = np.atleast_2d(np.asarray(labels, dtype=np.int64))
-    return DECAGON.window.classify(d_test_points(labels, shift).T, eps)
+    return classify(DECAGON.window, d_test_points(labels, shift).T, eps)
 
 
 def scan_3d(radius, shift, Q, basis, eps):
@@ -430,7 +480,7 @@ def build_lattice3(radius, shift, Q, basis=None, eps=DEFAULT_EPS):
 def find_tips(lat, Q, eps=DEFAULT_EPS):
     """Labels whose test point, as the lattice's acceptance test decided on
     it, falls strictly inside the inner decagon."""
-    status = Q.inner.classify(lat.test_points.T, eps)
+    status = classify(Q.inner, lat.test_points.T, eps)
     if np.any(status == -1):
         bad = lat.labels[status == -1][0]
         raise SingularityError(
@@ -577,7 +627,7 @@ def overlap_signatures_by_offset(points, eps=DEFAULT_EPS):
         hits[shape] = np.zeros(len(points), dtype=np.int64)
         for m in offsets:
             moved = points + m @ BASIS.D
-            status = DECAGON.inner.classify(moved.T, eps)
+            status = classify(DECAGON.inner, moved.T, eps)
             if np.any(status == -1):
                 i = int(np.argmax(status == -1))
                 raise SingularityError(

@@ -37,6 +37,21 @@ def test_windows_degenerate_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("c", ["1e-10", "8e-10", "0.99999999895", "0.9999999999"])
+def test_a_c_beside_a_tip_exits_without_a_traceback(c, tmp_path):
+    # within about CONSTRUCTION_TOL of a tip or of a vertex layer, the slice
+    # windows are built, or the degenerate slice is named (exit 3); nothing
+    # escapes run() as a traceback.  c and its mirror 1 - c both run, with
+    # the slice at the tip the point 0: V_5 at 1e-10, V_1 at 1 - 1e-10
+    out = str(tmp_path / "out")
+    codes = [run(["freq", "--c", c, "--radius", "12", "--out", out]),
+             run(["tiling2d", "--c", c, "--radius", "4", "--out", out]),
+             run(["windows", "--c", c, "--out", out])]
+    assert set(codes) <= {0, 2, 3}
+    if c in ("1e-10", "0.9999999999"):
+        assert codes == [0, 0, 0]
+
+
 def test_windows_full_document(tmp_path):
     out = tmp_path / "w.json"
     assert run(["windows", "--c", "0", "--out", str(out)]) == 0

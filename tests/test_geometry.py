@@ -3,8 +3,12 @@ import pytest
 
 import quasiproj as qp
 from quasiproj.errors import PolygonError
-from quasiproj.geometry import points_in_convex_polygon, polygon_halfplanes
+from quasiproj import lattice3d, locate2d
+from quasiproj.geometry import ConvexWindow, EdgeProbes, edge_distances
 from quasiproj.lattice3d import OVERLAP_OFFSETS
+from quasiproj.window import CUBE_VERTICES
+
+from helpers import classify, classify_steps, eps_band
 
 EPS = 1e-12
 
@@ -87,8 +91,9 @@ INSIDE, OUTSIDE, BOUNDARY = 1, 0, -1
 
 
 def _status(pts, polygon, eps=qp.DEFAULT_EPS):
-    return points_in_convex_polygon(np.atleast_2d(np.asarray(pts, dtype=float)).T,
-                                    *polygon_halfplanes(polygon), eps).tolist()
+    probes = EdgeProbes.of([ConvexWindow.of(polygon)], 0, np.zeros((1, 1, 2)))
+    d = edge_distances(probes, np.atleast_2d(np.asarray(pts, dtype=float)).T, 0)[0]
+    return eps_band(d, eps).tolist()
 
 
 def test_point_in_polygon_basic():
@@ -111,9 +116,11 @@ def test_point_in_polygon_vertex_list_rotation():
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3])
-def test_classify_steps_equals_classify_of_the_moved_points(eps, Q, P):
+def test_edge_distances_of_steps_equal_classify_of_the_moved_points(eps, Q, P):
     # random points, and points that one step moves f eps off an edge
-    # midpoint, on the decagons and the slice windows at three values of c
+    # midpoint, on the decagons and the slice windows at three values of c:
+    # the eps band of the kernel's distances, in its one-family and its
+    # per-point form, is the oracle's status of each moved point
     rng = np.random.default_rng(17)
     windows = [Q.window, Q.inner]
     for c in (0.0, 0.5, qp.PHI ** -2):
@@ -128,10 +135,67 @@ def test_classify_steps_equals_classify_of_the_moved_points(eps, Q, P):
             near = [mids + f * eps * win.normals - steps[(edges + j) % len(steps)]
                     for j, f in enumerate((-2, -0.9, 0.9, 2))]
             points = np.vstack([rng.uniform(-2, 2, (300, 2)), *near])
-            got = win.classify_steps(points.T, steps, eps)
-            want = np.array([win.classify((points + step).T, eps) for step in steps])
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-            seen.update(np.unique(got).tolist())
+            want = np.array([classify(win, (points + step).T, eps) for step in steps])
+            probes = EdgeProbes.of([win], 0, steps[:, None])
+            for at in (0, np.zeros(len(points), dtype=int)):
+                got = eps_band(edge_distances(probes, points.T, at), eps)
+                assert np.array_equal(got, want)
+            seen.update(np.unique(want).tolist())
+    assert seen == {-1, 0, 1}
+
+
+def _probe_cases(P, Q):
+    """(probes, family, [(window, move)] per probe) of every probe set in
+    the package: the 11 probes of each index of the 2-d scan at four values
+    of c, the point window of the c = 0 index 5 and of index 0 and 6 among
+    them, and the tip scan's, the atoms' and the neighbours'."""
+    w = qp.BASIS.W[:, :2]
+    for c in (0.0, 0.5, qp.PHI ** -2, 1 - 1e-6):
+        ws = qp.build_windows(P, c)
+        probes = locate2d.build(ws, np.column_stack([w[2] - w[4], w[3] - w[4]]),
+                                ws.eps + 1e-6).probes
+        window = [ws.slices.get(j, locate2d.POINT_WINDOW) for j in range(7)]
+        for index in range(1, 6):
+            yield probes, index - 1, ([(window[index], 0 * w[0])]
+                                      + [(window[index + 1], v) for v in w]
+                                      + [(window[index - 1], -v) for v in w])
+    yield lattice3d._TIP_PROBES, 0, [(Q.window, np.zeros(2)), (Q.inner, np.zeros(2))]
+    yield lattice3d._ATOM_PROBES, 0, [(Q.window, v) for v in CUBE_VERTICES @ qp.BASIS.D]
+    offsets = np.vstack([OVERLAP_OFFSETS["K"], OVERLAP_OFFSETS["J"]])
+    yield lattice3d._NEIGHBOR_PROBES, 0, [(Q.inner, v) for v in offsets @ qp.BASIS.D]
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_edge_distances_decide_as_the_oracle_beside_every_threshold(eps, P, Q):
+    # seeded points, and points that a probe moves 1e-12 inside and outside
+    # each threshold, 0 and +-eps, of each edge of its window at the edge's
+    # ends and midpoint: strictly inside (d < 0), inside beyond eps
+    # (d < -eps) and not beyond eps outside (d <= eps), in both forms of the
+    # kernel, are the oracle's classify_steps decisions at eps 0 and at eps
+    rng = np.random.default_rng(23)
+    seen = set()
+    for probes, family, tests in _probe_cases(P, Q):
+        points = [rng.uniform(-2, 2, (200, 2))]
+        for window, v in tests:
+            # (the point window's one corner, at each of its four edges)
+            start = window.polygon.take(np.arange(len(window.normals)) % len(window.polygon),
+                                        axis=0)
+            for n, on_edge in zip(window.normals, zip(
+                    start, (start + np.roll(start, -1, axis=0)) / 2, np.roll(start, -1, axis=0))):
+                for p in on_edge:
+                    for d in (0.0, -eps, eps):
+                        points += [p + (d + s) * n - v for s in (-1e-12, 1e-12)]
+        points = np.vstack(points).T
+        for at in (family, np.full(points.shape[1], family)):
+            d = edge_distances(probes, points, at)
+            assert d.shape == (len(tests), points.shape[1])
+            for row, (window, v) in zip(d, tests):
+                strict = classify_steps(window, points, v[None], 0.0)[0]
+                band = classify_steps(window, points, v[None], eps)[0]
+                assert np.array_equal(row < 0, strict == 1)
+                assert np.array_equal(row < -eps, band == 1)
+                assert np.array_equal(row <= eps, band != 0)
+                seen.update(np.unique(band).tolist())
     assert seen == {-1, 0, 1}
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import quasiproj as qp
 from quasiproj.errors import ConfigError, ConsistencyError, SingularityError
-from quasiproj.geometry import ConvexWindow, points_in_convex_polygon
+from quasiproj.geometry import ConvexWindow
 from quasiproj.lattice3d import (ANALYTIC_CLASS_FREQUENCIES, OVERLAP_OFFSETS,
                                  OVERLAP_SIGNATURES, TIP_MARGIN, _check_cells,
                                  build_cells, overlap_census, overlap_signatures,
@@ -17,12 +17,12 @@ from quasiproj.window import (CUBE_VERTICES, HULL_INDICES, INTERIOR_INDICES,
                               normalize_shift, random_shift)
 
 from helpers import (VOLUME_FLOOR, accept_3d_bulk, benchmark_gamma, build_lattice3,
-                     convex_intersection, d_test_points, enumerate_accepted_3d,
+                     classify, convex_intersection, d_test_points, enumerate_accepted_3d,
                      enumerate_tips, fan_triangles, find_tips, interior_atoms_sweep,
                      label_rows, lattice_cells, moved_shift, overlap_census_lattice,
                      overlap_signature_loop, overlap_signatures_by_keys,
-                     overlap_signatures_by_offset, overlap_table, scan_3d,
-                     shared_atom_count)
+                     overlap_signatures_by_offset, overlap_table, points_in_convex_polygon,
+                     scan_3d, shared_atom_count)
 
 PHI = qp.PHI
 
@@ -135,7 +135,7 @@ def test_same_triangle_same_interior_offsets(lat_env, Q):
     sample = hull[rows, 0]
     # one pass of all tips against the ten fan triangles (0, v_i, v_{i+1})
     pts = d_test_points(sample, shift)
-    status = np.array([ConvexWindow.of(t).classify(pts.T, 1e-9)
+    status = np.array([classify(ConvexWindow.of(t), pts.T, 1e-9)
                        for t in fan_triangles(Q.inner.polygon)])
     assert np.all((status == 1).sum(axis=0) == 1)  # no tip on a triangle edge
     for row, tip, tri in zip(rows, sample, np.argmax(status == 1, axis=0).tolist()):
@@ -220,7 +220,7 @@ def test_vectorized_cells_and_classes_match_oracle(c, seed, P, Q, oracle_table,
 
 def _non_tips(lat, Q):
     """The lattice points whose test point is outside the inner decagon."""
-    return lat.labels[Q.inner.classify(lat.test_points.T, 1e-9) == 0]
+    return lat.labels[classify(Q.inner, lat.test_points.T, 1e-9) == 0]
 
 
 def test_build_cells_rejects_a_lattice_point_that_is_not_a_tip(lat_env, Q):
@@ -253,7 +253,7 @@ def test_build_cells_names_the_singular_atom(Q, basis, monkeypatch):
     shift = qp.GridShift(gamma=gamma, c=base.c)
     tip = np.zeros(5, dtype=np.int64)
     assert np.allclose(d_test_points(tip[None], shift), target, atol=1e-12)
-    assert Q.inner.classify(d_test_points(tip[None], shift).T, eps)[0] == 1
+    assert classify(Q.inner, d_test_points(tip[None], shift).T, eps)[0] == 1
     singular = CUBE_VERTICES[accept_3d_bulk(tip + CUBE_VERTICES, shift, eps) == -1]
     assert len(singular) == 2 and np.array_equal(singular[0], m)
     # the atoms are labels of the box too, so at this shift the scan raises,
@@ -658,8 +658,8 @@ def test_the_members_of_a_column_share_one_decision(shift, radius, Q, basis):
     reps = labels - labels[:, 4:]
     at_rep = d_test_points(reps, shift)
     assert np.max(np.abs(pts - at_rep)) < 1e-12
-    assert np.array_equal(status, Q.window.classify(at_rep.T, 1e-9))
-    assert np.array_equal(Q.inner.classify(pts.T, 1e-9), Q.inner.classify(at_rep.T, 1e-9))
+    assert np.array_equal(status, classify(Q.window, at_rep.T, 1e-9))
+    assert np.array_equal(classify(Q.inner, pts.T, 1e-9), classify(Q.inner, at_rep.T, 1e-9))
     assert np.count_nonzero(status == 1) > 1000
     _, column, members = np.unique(label_keys(reps, 2 * radius), return_inverse=True,
                                    return_counts=True)
@@ -868,7 +868,7 @@ def test_overlap_signatures_match_one_classify_per_offset(eps, Q, basis):
         assert np.array_equal(got, overlap_signatures_by_offset(points, 0.0))
         clear = np.ones(points.shape[1], dtype=bool)
         for step in steps:
-            clear &= Q.inner.classify(points + step[:, None], eps) != -1
+            clear &= classify(Q.inner, points + step[:, None], eps) != -1
         assert np.array_equal(got[clear],
                               overlap_signatures_by_offset(points[:, clear], eps))
         n_near += np.count_nonzero(~clear)
@@ -889,7 +889,7 @@ def test_overlap_signatures_name_the_first_singular_offset(f, Q, basis):
         edge = int(np.argmax(Q.inner.normals @ step))
         mid = (Q.inner.polygon[edge] + Q.inner.polygon[(edge + 1) % 10]) / 2
         points[at] = mid + f * eps * Q.inner.normals[edge] - step
-        assert (Q.inner.classify((points[at] + step)[:, None], 0.0)[0] == 1) == (f < 0)
+        assert (classify(Q.inner, (points[at] + step)[:, None], 0.0)[0] == 1) == (f < 0)
     assert np.array_equal(overlap_signatures(points.T),
                           overlap_signatures_by_offset(points.T, 0.0))
 
@@ -911,7 +911,7 @@ def test_overlap_signatures_at_the_inner_decagon_boundary(shape, eps, Q, basis,
         target = mid + f * eps * Q.inner.normals[edge] - step
         shift = moved_shift(random_shift(0.3, 5), basis.D, k, target)
         at_k = d_test_points(k[None], shift).T
-        assert Q.inner.classify(at_k, eps)[0] == 1
+        assert classify(Q.inner, at_k, eps)[0] == 1
         if abs(f) < 1:
             # the census raises the tip scan's error, for the label the
             # per-label scan names

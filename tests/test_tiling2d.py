@@ -16,7 +16,8 @@ from quasiproj.scan import SCAN_ROWS
 from quasiproj.scan2d import enumerate_accepted_2d, scan_2d
 from quasiproj.window import random_shift
 
-from helpers import accept_2d_bulk, lambda_box_candidates_2d, neighbor_masks, step_rows
+from helpers import (accept_2d_bulk, classify, lambda_box_candidates_2d, neighbor_masks,
+                     step_rows)
 from helpers import neighbor_counts as whole_box_neighbor_counts
 
 P = qp.PHI
@@ -597,7 +598,7 @@ def assert_words_are_the_edge_tests(seen, ws):
             inside = w & locate2d.INSIDE != 0
             outside = w & locate2d.NOT_OUTSIDE == 0
             if index in ws.slices:
-                status = ws.slices[index].classify(t, ws.eps)
+                status = classify(ws.slices[index], t, ws.eps)
             else:
                 # the point window 0, a square of zero size: the tables decide
                 # nothing by it, and the edge tests accept nothing there; a
@@ -664,18 +665,18 @@ def test_the_tables_build_quietly_beside_a_tip(c, P, basis, monkeypatch):
 def test_scan_tables_decide_beside_every_threshold(P, basis):
     # test points 1e-12 inside and outside each edge of V_I and of its eps
     # band, and each point t with t +- w_m that near an edge of V_{I+-1},
-    # wherever a stencil reaches, beside a tip too, and at c = 0 beside the
-    # point window's edges: the exact word is the edge tests there, and so
-    # are the sure table words
+    # wherever a stencil reaches, beside a tip too, and beside the point
+    # window's edges, V_5 at c = 0 and V_1 at 1 - 1e-10: the exact word is
+    # the edge tests there, and so are the sure table words
     w = basis.W[:, :2]
-    for c in (0.0, 0.5, PINV2, PINV2 + 1e-9, 1e-6, 1 - 1e-6):
+    for c in (0.0, 0.5, PINV2, PINV2 + 1e-9, 1e-6, 1 - 1e-6, 1 - 1e-10):
         ws = qp.build_windows(P, c)
         a, b = w[2] - w[4], w[3] - w[4]
         tables = locate2d.build(ws, np.column_stack([a, b]), ws.eps + 1e-6)
         for index in range(1, 6):
             points = []
             for other, steps in ((index, [0 * w[0]]), (index + 1, -w), (index - 1, w)):
-                window = ws.slices.get(other, locate2d.POINT_WINDOW if other == 5 else None)
+                window = ws.slices.get(other, locate2d.POINT_WINDOW if 1 <= other <= 5 else None)
                 if window is None:
                     continue
                 # (the point window's one corner, at each of its four edges)

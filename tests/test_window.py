@@ -7,7 +7,6 @@ from scipy.spatial import cKDTree
 import quasiproj as qp
 from quasiproj import geometry, lattice3d, locate2d, scan2d
 from quasiproj.errors import ConfigError, DegenerateWindowError, PolygonError
-from quasiproj.geometry import points_in_convex_polygon
 from quasiproj.lattice3d import (MAX_CELLS_RADIUS, build_cells, overlap_census,
                                  scan_tip_columns)
 from quasiproj.scan import (MAX_KEY_RADIUS, STENCIL_GRID, RowStencils, label_columns,
@@ -18,11 +17,12 @@ from quasiproj.window import (CUBE_VERTICES, FACE_LOOPS, HULL_INDICES,
                               INTERIOR_INDICES, normalize_shift, random_shift)
 
 import helpers
-from helpers import (accept_2d_bulk, accept_3d_bulk, benchmark_gamma, d_test_points,
+from helpers import (accept_2d_bulk, accept_3d_bulk, benchmark_gamma, classify, d_test_points,
                      enumerate_accepted_3d, fan_triangles, label_rows,
                      lambda_box_candidates_2d, lambda_box_candidates_3d, mesh_margin_2d,
                      mesh_margin_3d, mesh_solution_2d, moved_shift, neighbor_counts,
-                     neighbor_masks, numpy_draw, polygon_area, step_rows)
+                     neighbor_masks, numpy_draw, points_in_convex_polygon, polygon_area,
+                     step_rows)
 
 P_GOLD = qp.PHI
 
@@ -435,6 +435,15 @@ def test_a_window_mismatch_names_plain_numbers(windows_for):
         next(qp.scan2d.scan_2d(8, shift, windows_for(0.2)))
 
 
+def test_windows_built_at_a_numpy_c_name_plain_numbers():
+    # build_windows keeps c and eps as plain floats, as GridShift keeps c
+    ws = qp.build_windows(qp.POLYTOPE, np.float64(0.3), np.float64(1e-9))
+    assert type(ws.c) is float and type(ws.eps) is float
+    with pytest.raises(ValueError, match=r"^the windows are built for c = 0\.3, "
+                                         r"the shift has c = 0\.5$"):
+        next(qp.scan2d.scan_2d(8, random_shift(0.5, 1), ws))
+
+
 @pytest.mark.parametrize("c", [0.0, 0.5])
 def test_scan_2d_pieces_describe_their_labels(c, basis, windows_for, monkeypatch):
     # 37 rows per chunk, so the 25^2 rows of R = 12 span 17 chunks
@@ -567,10 +576,16 @@ def _record(monkeypatch, name, module):
 
 def test_enumeration_tests_at_most_twice_what_it_accepts(Q, basis, windows_for,
                                                           monkeypatch):
-    # the 2-d scan tests its candidates' test points against the index
-    # windows, the c = 0 index-5 point window, which accepts nothing, among
-    # them
-    tested2 = _record(monkeypatch, "points_in_convex_polygon", geometry)
+    # the 2-d scan looks up its candidates' test points in the direction
+    # tables of the index windows, the c = 0 index-5 point window, which
+    # accepts nothing, among them
+    tested2, words = [], locate2d.words
+
+    def recorded(tables, points, at):
+        word = words(tables, points, at)
+        tested2.append((points, word))
+        return word
+    monkeypatch.setattr(locate2d, "words", recorded)
     tested3 = _record(monkeypatch, "accept_3d_bulk", helpers)
     for c, seed in ((0.0, 1), (0.5, 7), (0.9, 2)):
         shift = random_shift(c, seed)
@@ -707,14 +722,14 @@ def test_the_tip_scan_tests_every_column_within_reach_of_the_decagon(eps, Q, mon
     # box, whose test point is within reach of the decagon, is tested
     R, reach = 5, eps + 1e-6
     shift = random_shift(0.3, 4)
-    tested = []
+    tested, kernel = [], lattice3d.edge_distances
 
-    class Recording(type(Q.window)):
-        def classify(self, points, eps):
+    def recorded(probes, points, at):
+        if probes is lattice3d._TIP_PROBES:
             tested.append(np.array(points).T)
-            return super().classify(points, eps)
+        return kernel(probes, points, at)
 
-    monkeypatch.setattr(lattice3d, "DECAGON", Q._replace(window=Recording(*Q.window)))
+    monkeypatch.setattr(lattice3d, "edge_distances", recorded)
     list(scan_tip_columns(R, shift, eps))
     tested = np.concatenate(tested)
     k = np.arange(-2 * R, 2 * R + 1)
@@ -877,45 +892,43 @@ def test_the_cells_are_refused_above_max_cells_radius(monkeypatch):
     assert n_points == n_tips == 0
 
 
-def _record_edge_distances(monkeypatch):
-    """Record (points, normals, offsets, d_max) for each call of
-    points_in_convex_polygon: d_max is the largest edge distance of each
-    point that it hands to the eps band."""
-    seen, bands = [], []
-    eps_band, original = geometry._eps_band, geometry.points_in_convex_polygon
-
-    def band(d_max, eps):
-        bands.append(d_max)
-        return eps_band(d_max, eps)
-
-    def recorded(points, normals, offsets, eps):
-        bands.clear()
-        status = original(points, normals, offsets, eps)
-        (d_max,) = bands
-        seen.append((points, normals, offsets, d_max))
-        return status
-
-    monkeypatch.setattr(geometry, "_eps_band", band)
-    monkeypatch.setattr(geometry, "points_in_convex_polygon", recorded)
-    return seen
+def _edge_distances_at_once(probes, points, at):
+    """The kernel's distances summed as it sums them, elementwise, but over
+    one (E, P, n) array in either form."""
+    nx, ny, offsets = probes.edges
+    at = np.broadcast_to(at, points.shape[1:])
+    window = probes.window[:, at]
+    along = nx[:, window] * points[0] + ny[:, window] * points[1] - offsets[:, window]
+    return (along + probes.steps[:, :, at]).max(axis=0)
 
 
-def test_points_in_convex_polygon_is_bitwise_equal_across_chunks(Q, P, monkeypatch):
-    # one product over every point: gemv for one point, gemm for more,
-    # here around and past 8192 and 16384 points, as x and y rows in both
-    # memory orders
+def test_edge_distances_are_bitwise_equal_across_chunks(Q, P):
+    # the 3-d probe sets, one family for every point, and the 2-d probes, a
+    # family per point as the 2-d scan reads them, here around and past 8192
+    # and 16384 points, as x and y rows in both memory orders, and a first
+    # chunk of the points alone: the distances of a point do not depend on
+    # the points it is decided with, and the 2-d probes give the same
+    # distances in the one-family form
     rng = np.random.default_rng(5)
-    windows = [Q.window, Q.inner, *qp.build_windows(P, 0.5).slices.values()]
-    seen = _record_edge_distances(monkeypatch)
+    w = qp.BASIS.W[:, :2]
+    ws = qp.build_windows(P, 0.5)
+    two_d = locate2d.build(ws, np.column_stack([w[2] - w[4], w[3] - w[4]]), 1e-6).probes
     for n in (1, 8191, 8193, 16385):
         pts = rng.uniform(-2.0, 2.0, size=(n, 2))
-        for win in windows:
+        head = n // 3 + 1
+        at = rng.integers(0, 5, n)
+        for probes, family in [(lattice3d._TIP_PROBES, 0), (lattice3d._ATOM_PROBES, 0),
+                               (lattice3d._NEIGHBOR_PROBES, 0), (two_d, at)]:
+            want = _edge_distances_at_once(probes, pts.T, family)
             for layout in (pts.T, np.ascontiguousarray(pts.T)):
-                seen.clear()
-                geometry.points_in_convex_polygon(layout, win.normals, win.offsets, 1e-9)
-                (_, _, _, got), = seen
-                want = np.max(layout.T @ win.normals.T - win.offsets, axis=1)
-                assert np.array_equal(got, want), (n, len(win.normals))
+                assert np.array_equal(geometry.edge_distances(probes, layout, family), want), n
+            first = family[:head] if np.ndim(family) else family
+            assert np.array_equal(geometry.edge_distances(probes, pts[:head].T, first),
+                                  want[:, :head])
+        for family in range(5):
+            mine = at == family
+            assert np.array_equal(geometry.edge_distances(two_d, pts[mine].T, family),
+                                  want[:, mine])
 
 
 def test_label_axis_chains_equal_the_axis_reductions():
@@ -927,25 +940,28 @@ def test_label_axis_chains_equal_the_axis_reductions():
 
 
 def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, monkeypatch):
-    # every point set the acceptance tests see in `qc freq --c 0.5 --radius 80`
-    # and `qc overlap-census --c 0.2 --radius 20` at the benchmark's seed 0
-    seen = _record_edge_distances(monkeypatch)
+    # every point set the kernel sees in `qc freq --c 0.5 --radius 80` and
+    # `qc overlap-census --c 0.2 --radius 20` at the benchmark's seed 0: its
+    # distances, a maximum over the edges one at a time in the one-family
+    # form, equal a reduction over one (E, P, n) array
+    seen = []
+    for module in (locate2d, lattice3d):
+        def recorded(probes, points, at, kernel=module.edge_distances):
+            d = kernel(probes, points, at)
+            seen.append((probes, points.copy(), np.copy(at), d))
+            return d
+        monkeypatch.setattr(module, "edge_distances", recorded)
     shift = normalize_shift(benchmark_gamma(0.5, 0))
-    ws = qp.build_windows(P, shift.c)
-    for piece in qp.scan2d.scan_2d(80, shift, ws):
-        labels = np.column_stack(label_columns(piece.keys, 80))
-        t = ((labels - shift.gamma) @ qp.BASIS.W[:, :2]).T
-        for index in range(1, 6):
-            ws.slices[index].classify(t[:, piece.index == index], ws.eps)
+    qp.empirical_frequencies(80, shift, qp.build_windows(P, shift.c))
     shift = normalize_shift(benchmark_gamma(0.2, 0))
     overlap_census(20, shift)
-    # the 2-d scan's 161,833 accepted labels, tested here against their own
-    # windows (the scan itself decides by `locate2d`, whose exact word
-    # does not come here), and the census's 25,774 tip-scan columns, each
-    # tested against the decagon and the inner decagon (every column its row
-    # stencil names within the spread of the box); the neighbor points
-    # of its tip columns are decided by overlap_signatures, which projects
-    # each column's test point once and does not come here
-    assert sum(points.shape[1] for points, *_ in seen) == 161833 + 2 * 25774
-    for points, normals, offsets, d_max in seen:
-        assert np.array_equal(d_max, np.max(points.T @ normals.T - offsets, axis=1))
+    # the 2,581 labels the 2-d scan's direction tables leave unsure, the
+    # census's 25,774 tip-scan columns, each against the decagon and the
+    # inner decagon, and the neighbours of its boundary-complete tip columns
+    tested = {}
+    for probes, points, at, d in seen:
+        tested[id(probes)] = tested.get(id(probes), 0) + points.shape[1]
+        assert np.array_equal(d, _edge_distances_at_once(probes, points, at))
+    assert tested.pop(id(lattice3d._TIP_PROBES)) == 25774
+    assert tested.pop(id(lattice3d._NEIGHBOR_PROBES)) > 0
+    assert list(tested.values()) == [2581]
