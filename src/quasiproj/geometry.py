@@ -55,8 +55,8 @@ class ConvexWindow(NamedTuple):
     """A CCW convex polygon and its outward unit edge normals and offsets.
 
     A point x is strictly inside iff normals @ x < offsets componentwise.
-    Every window decision reads these edges through one kernel,
-    `edge_distances`, on `EdgeProbes` built from them.
+    Every window decision reads these edges through one locator,
+    `locate.locate`, on `EdgeProbes` built from them.
     """
 
     polygon: np.ndarray  # (n, 2) CCW
@@ -119,39 +119,21 @@ class EdgeProbes(NamedTuple):
         return cls(edges, window, nx * moves[..., 0] + ny * moves[..., 1])
 
 
-def edge_distances(probes: EdgeProbes, points: np.ndarray, at) -> np.ndarray:
+def edge_distances(probes: EdgeProbes, points: np.ndarray, at: np.ndarray) -> np.ndarray:
     """max_e (n_e . t - o_e) + n_e . v_p, the largest edge distance of each
-    probe p of each test point t (x and y rows, (2, n)) of family `at`, as
-    (P, n): below 0, t + v_p is strictly inside the probe's window.  Each
-    caller applies its own threshold.
-
-    Both forms sum it elementwise in one order, so a point's distances
-    depend neither on the form nor on the points decided with it.  With one
-    family (`at` an int) the maximum runs over the E edges in place, on
-    (P, n) rows; with a family per point (`at` an array), for the few points
-    the 2-d tables leave unsure, over one (E, P, n) array, in fewer calls.
+    probe p of each test point t (x and y rows, (2, n)) of family at[i], as
+    (P, n): below 0, t + v_p is strictly inside the probe's window.  Every
+    caller reads it through `locate.locate`, which applies the thresholds.
+    It is summed elementwise in one order, over one (E, P, n) array, so a
+    point's distances do not depend on the points decided with it.
     """
     nx, ny, offsets = probes.edges
-    if np.ndim(at):
-        window = probes.window.take(at, axis=1)
-        d = nx.take(window, axis=1) * points[0]
-        y = ny.take(window, axis=1)
-        y *= points[1]
-        d += y
-        # (a take into out= buffers a copy unless its mode is "clip" or "wrap")
-        d -= offsets.take(window, axis=1, out=y, mode="clip")
-        d += probes.steps.take(at, axis=2, out=y, mode="clip")
-        return d.max(axis=0)
-    window, steps = probes.window[:, at], probes.steps[:, :, at, None]
-    along, y = np.empty((2, nx.shape[1], points.shape[1]))
-    d = np.empty((len(window), points.shape[1]))
-    d_max = np.full_like(d, -np.inf)
-    for x_e, y_e, o_e, step in zip(nx, ny, offsets, steps):
-        # n . t - o on this edge of every window, (W, n)
-        np.multiply(x_e[:, None], points[0], out=along)
-        along += np.multiply(y_e[:, None], points[1], out=y)
-        along -= o_e[:, None]
-        along.take(window, axis=0, out=d, mode="clip")
-        d += step
-        np.maximum(d_max, d, out=d_max)
-    return d_max
+    window = probes.window.take(at, axis=1)
+    d = nx.take(window, axis=1) * points[0]
+    y = ny.take(window, axis=1)
+    y *= points[1]
+    d += y
+    # (a take into out= buffers a copy unless its mode is "clip" or "wrap")
+    d -= offsets.take(window, axis=1, out=y, mode="clip")
+    d += probes.steps.take(at, axis=2, out=y, mode="clip")
+    return d.max(axis=0)

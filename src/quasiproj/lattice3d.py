@@ -19,9 +19,9 @@ tallies, so its memory does not grow with the radius.  The tip scan lives
 here, with its only reader: the 2-d modes read neither decagon, so they
 load none of this module.
 
-Every test here is one `geometry.edge_distances` call.  A tip's cell and
-class are read off its test point t by sign, as `locate2d.exact` reads
-the 2-d steps: atom k + m, m a cube vertex, is a lattice point when t + m.D
+Every test here is one `locate.locate` call.  A tip's cell and class are
+read off its test point t by sign, as the 2-d scan reads its steps: atom
+k + m, m a cube vertex, is a lattice point when t + m.D
 lies strictly inside the decagon, and overlapping neighbor k + m a tip when
 it lies strictly inside the inner decagon.  For a boundary-complete tip of
 a regular scan that is the scan's own decision: TIP_MARGIN = 3 keeps every
@@ -39,7 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CensusViolationError, ConfigError, ConsistencyError
-from .geometry import BASIS, DEFAULT_EPS, PHI, EdgeProbes, edge_distances
+from . import locate
+from .geometry import BASIS, DEFAULT_EPS, PHI, EdgeProbes
 from .scan import (_SCAN_SLACK, RowStencils, _expand, _key_weights, _scan_chunks,
                    check_eps, label_columns)
 from .window import CUBE_VERTICES, DECAGON, HULL_INDICES, INTERIOR_INDICES, GridShift
@@ -79,10 +80,11 @@ _INTERIOR_BY_LABEL = np.array(INTERIOR_INDICES)[
 
 
 #: the probes of a column's test point t: t in the decagon and in the inner
-#: decagon (the tip scan), and t + m.D in the decagon, m the cube vertices
-#: in order (the 32 atoms of a cell)
+#: decagon (the tip scan, with INSIDE and NOT_OUTSIDE of each, _TIP_BITS),
+#: and t + m.D in the decagon, m the cube vertices in order (a cell's atoms)
 _TIP_PROBES = EdgeProbes.of([DECAGON.window, DECAGON.inner], [[0], [1]], np.zeros((2, 1, 2)))
 _ATOM_PROBES = EdgeProbes.of([DECAGON.window], 0, DECAGON.projections[:, None])
+_TIP_BITS = (locate.status_bits(0, 0), locate.status_bits(0, 1))
 
 
 def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
@@ -123,6 +125,7 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
     d = BASIS.D
     check_eps(M, eps, "cells and overlap classes")
     stencils = RowStencils.of([DECAGON.window], d[2:4].T, eps + _SCAN_SLACK)
+    locator = locate.build(_TIP_PROBES, stencils.radius, 2, eps)
     gamma_d = shift.gamma @ d
     weights = _key_weights(M)
 
@@ -146,13 +149,12 @@ def scan_tip_columns(radius: int, shift: GridShift, eps: float = DEFAULT_EPS
             np.multiply(a3, d[3, j], out=xy)
             xy += t0[row, j] + a2 * d[2, j]
         del row, a23, a2, a3, lo, meets
-        # how far each column's t lies past the decagon and the inner decagon
-        past = edge_distances(_TIP_PROBES, pts, 0)
-        n_points = int(np.sum((2 * M + 1 - spread)[past[0] < -eps]))
-        tip = past[1] < -eps
-        singular = np.abs(past) <= eps
+        # where each column's t lies against the decagon and the inner decagon
+        word = locate.locate(locator, pts)
+        n_points = int(np.sum((2 * M + 1 - spread)[word & _TIP_BITS[0][0] != 0]))
+        tip = word & _TIP_BITS[1][0] != 0
         return ((pts[:, tip], keys[tip], spread[tip], n_points),
-                (keys[singular[0]], keys[singular[1]]))
+                tuple(keys[word & (inside | band) == band] for inside, band in _TIP_BITS))
 
     # a column's first member has k0 + radius = a0 - min(a, 0) >= max(a0, 0),
     # so no row from a0 on holds a key below max(a0, 0) weights[0]
@@ -200,9 +202,9 @@ def build_cells(radius: int, shift: GridShift, eps: float
     interior (n, 4, 5) in label order), lattice points in the box, tips in
     it), the n tips in key order.  Atom k + m is a lattice point when t + m.D
     lies strictly inside the decagon, t the test point the tips of k's
-    column share, so the 32 atom probes read them for each column of
-    _complete_columns, by sign (exact, by the module's argument).  All 22
-    hull translates must be lattice points.
+    column share, so the locator of the 32 atom probes reads them for each
+    column of _complete_columns, by sign (exact, by the module's argument).
+    All 22 hull translates must be lattice points.
     The only offsets that can carry an interior atom are the ten interior
     cube vertices (no other m has m.W strictly inside the polytope with m.D
     short enough for both ends to pass the decagon test), and exactly four
@@ -221,7 +223,9 @@ def build_cells(radius: int, shift: GridShift, eps: float
     keys = np.concatenate(first)[column] + n * _key_weights(M).sum()
     order = np.argsort(keys)
     tips = np.column_stack(label_columns(keys[order], M))
-    present = edge_distances(_ATOM_PROBES, np.concatenate(points, axis=1), 0).T[column[order]] < 0
+    # (every tip's test point lies in the inner decagon, of circumradius 1/p)
+    atoms = locate.locate(locate.build(_ATOM_PROBES, 1 / PHI), np.concatenate(points, axis=1))
+    present = (atoms[column[order], None] >> np.arange(32, dtype=atoms.dtype) & 1).astype(bool)
     _check_cells(tips, present)
     interior = tips[:, None, :] + CUBE_VERTICES[_INTERIOR_BY_LABEL]
     interior = interior[present[:, _INTERIOR_BY_LABEL]].reshape(-1, 4, 5)
@@ -275,9 +279,11 @@ OVERLAP_OFFSETS["J"].setflags(write=False)
 #: OVERLAP_OFFSETS order
 _NEIGHBOR_PROBES = EdgeProbes.of(
     [DECAGON.inner], 0, (np.vstack([OVERLAP_OFFSETS["K"], OVERLAP_OFFSETS["J"]]) @ BASIS.D)[:, None])
+#: the number of set bits of each 10-bit number
+_POP10 = np.array([bin(m).count("1") for m in range(1024)])
 
 
-def overlap_signatures(points: np.ndarray) -> np.ndarray:
+def overlap_signatures(points: np.ndarray, locator: locate.Locator | None = None) -> np.ndarray:
     """(neighbors, K, J) of each tip, from its plane test point t, given as
     x and y rows (2, n).
 
@@ -285,11 +291,14 @@ def overlap_signatures(points: np.ndarray) -> np.ndarray:
     and k + m is a tip when its test point t + m.D lies strictly inside the
     inner decagon, so the signature is a property of t alone: the signs of
     the 30 neighbour probes, the scan's own decisions for a
-    boundary-complete tip (see the module docstring).
+    boundary-complete tip (see the module docstring).  locator is theirs,
+    by default built for these points: bits 0-19 of a word K, 20-29 J.
     """
-    hits = edge_distances(_NEIGHBOR_PROBES, np.asarray(points, dtype=float), 0) < 0
-    n_k = len(OVERLAP_OFFSETS["K"])
-    k, j = hits[:n_k].sum(axis=0), hits[n_k:].sum(axis=0)
+    points = np.asarray(points, dtype=float)
+    locator = locator or locate.build(_NEIGHBOR_PROBES, float(np.hypot(*points).max(initial=0)))
+    word = locate.locate(locator, points)
+    k = _POP10[word & 1023] + _POP10[word >> 10 & 1023]
+    j = _POP10[word >> 20 & 1023]
     return np.column_stack([k + j, k, j])
 
 
@@ -310,8 +319,9 @@ def overlap_census(radius: int, shift: GridShift,
     The tips k + n (1,1,1,1,1) of a column share their test point, so their
     neighboring tips are translates of each other and they have one class.
     So each column of _complete_columns is classified once, as its chunk
-    comes, by overlap_signatures on its test point, and its class counted
-    once per boundary-complete tip.  Only the class tallies outlive a chunk.
+    comes, by overlap_signatures on its test point and one locator, and its
+    class counted once per boundary-complete tip.  Only the class tallies
+    outlive a chunk.
 
     The scan's SingularityError comes first, after its last chunk, though
     the chunks before the singular one have been classified; it is the
@@ -328,9 +338,10 @@ def overlap_census(radius: int, shift: GridShift,
     tally = np.zeros(len(_CLASSES))
     total = 0
     outside = []  # (key, message) of the least-key offending tip of a chunk
+    neighbours = locate.build(_NEIGHBOR_PROBES, 1 / PHI)  # as the atoms' in build_cells
     for points, first, count, _, _ in _complete_columns(M, shift, eps):
         total += int(count.sum())
-        sigs = overlap_signatures(points)
+        sigs = overlap_signatures(points, neighbours)
         cls = _CLASS_OF_CODE[11 * sigs[:, 1] + sigs[:, 2]]
         if np.any(cls < 0):
             bad = np.flatnonzero(cls < 0)

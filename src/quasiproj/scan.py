@@ -79,6 +79,7 @@ class RowStencils(NamedTuple):
     inv: np.ndarray    # [a b]^-1, so that a row's s = inv @ t0
     first: np.ndarray  # CSR starts of the stencil of (window, cell), at window G^2 + cell
     z: np.ndarray      # (2, n) int16 offsets of all stencils, in CSR order
+    radius: float      # how far from 0 a test point the stencils name can lie
 
     @classmethod
     def of(cls, shapes: list, step: np.ndarray, reach: float) -> "RowStencils":
@@ -134,7 +135,8 @@ class RowStencils(NamedTuple):
         z = z.take(np.argsort(cell, kind="stable"), axis=1)
         first = np.zeros(len(shapes) * G * G + 1, dtype=np.int32)
         np.cumsum(np.bincount(cell, minlength=len(shapes) * G * G), out=first[1:])
-        return cls(inv, first, z)
+        radius = max(float(np.hypot(*shape.polygon.T).max()) for shape in shapes)
+        return cls(inv, first, z, radius + 2 * reach + np.hypot(*step).sum() / G)
 
     def candidates(self, s: np.ndarray, window=0) -> tuple[np.ndarray, np.ndarray]:
         """(row, (u, v)), int32: every candidate of each row, rows ascending.

@@ -14,12 +14,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DegenerateWindowError
-from .geometry import BASIS, DEFAULT_EPS, ConvexWindow
-from . import locate2d
-from .locate2d import POINT_WINDOW
+from .geometry import BASIS, DEFAULT_EPS, ConvexWindow, EdgeProbes
+from . import locate
 from .scan import (_SCAN_SLACK, RowStencils, _key_weights, _scan_chunks, check_eps,
                    label_columns)
 from .window import CONSTRUCTION_TOL, GridShift, PolytopeP
+
+#: the point 0, the window of a slice that is a tip and of index 0 and 6: a
+#: square of zero size, it accepts nothing; its eps band, |t|_inf <= eps as at
+#: every window's corners, is singular, and its row stencil names every label there
+POINT_WINDOW = ConvexWindow(np.zeros((1, 2)), np.array([[1.0, 0], [0, 1], [-1, 0], [0, -1]]),
+                            np.zeros(4))
+
+#: a label's word (`locate`): its neighbour mask, MASK_SURE, and its status
+MASK_SURE, (INSIDE, NOT_OUTSIDE) = 1 << 10, locate.status_bits(10, 0)
 
 
 def slice_window(P: PolytopeP, index: int, c: float) -> ConvexWindow:
@@ -86,13 +94,23 @@ def build_windows(P: PolytopeP, c: float, eps: float = DEFAULT_EPS) -> WindowSet
 
     When c (1 - c) is below eps or CONSTRUCTION_TOL, the top (bottom) slice
     is a tip, as V_{6-I}(1 - c) = -V_I(c): slices lacks it, and the scan
-    takes it to be the point 0, `locate2d.POINT_WINDOW`.  c and eps are
-    plain floats."""
+    takes it to be the point 0, POINT_WINDOW.  c and eps are plain floats."""
     c, eps = float(c), float(eps)
     tol = max(eps, CONSTRUCTION_TOL)
     tip = 5 if c < tol else 1 if 1 - c < tol else 0
     slices = {index: slice_window(P, index, c) for index in range(1, 6) if index != tip}
     return WindowSet(c=c, eps=eps, slices=slices)
+
+
+def index_probes(wset: WindowSet) -> EdgeProbes:
+    """The 11 probes of index I, family I - 1: t in V_I (its status), t + w_m
+    in V_{I+1} (bit m) and t - w_m in V_{I-1} (bit 5 + m), POINT_WINDOW for
+    a V_J wset lacks."""
+    w = BASIS.W[:, :2]
+    moves = np.concatenate([np.zeros((1, 2)), w, -w])[:, None]
+    window = np.repeat([0, 1, -1], [1, 5, 5])[:, None] + np.arange(1, 6)
+    return EdgeProbes.of([wset.slices.get(j, POINT_WINDOW) for j in range(7)], window,
+                         np.broadcast_to(moves, (11, 5, 2)))
 
 
 class ScanPiece(NamedTuple):
@@ -101,7 +119,7 @@ class ScanPiece(NamedTuple):
     index: np.ndarray   # slice index I of each label
     keys: np.ndarray    # label_keys of the labels
     extent: np.ndarray  # label_extent of the labels: max_j |k_j|
-    masks: np.ndarray   # neighbour mask of each, exact (see `locate2d`)
+    masks: np.ndarray   # neighbour mask of each, exact (see `locate`)
 
 
 def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiece]:
@@ -117,16 +135,14 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiec
 
     A row stencil per index (`scan.RowStencils`), built once per call from
     wset, names a row's candidates, every label within eps of its window
-    among them: about 1.05 labels are tested per accepted one.  Five
-    lookups in the direction tables of `locate2d`, built once per call too,
-    give a candidate's status against its window and its neighbour mask
-    where they are sure.  The candidates whose status they leave unsure, and
-    the accepted ones whose mask they do, take the exact word of
-    `locate2d.exact`, in one call per chunk (2,581 of the 170,329
-    candidates of the `freq_census` benchmark, c = 0.5 and radius 80, at
-    seed 0).  So every mask a piece holds is exact.  A slice that is a tip
-    is the point 0, POINT_WINDOW, which accepts none of its few candidates
-    and finds singular those within eps of 0 in the max norm.
+    among them: about 1.05 labels are tested per accepted one.  One
+    `locate.locate` call per chunk, on the locator of the 11 probes of each
+    index, built once per call too, gives each candidate's exact word, its
+    status and its neighbour mask; its direction tables leave 2,581 of the
+    170,329 candidates of the `freq_census` benchmark (c = 0.5, radius 80,
+    seed 0) to the kernel.  So every mask a piece holds is exact.  A slice
+    that is a tip is the point 0, POINT_WINDOW, which accepts none of its few
+    candidates and finds singular those within eps of 0 in the max norm.
 
     Only MAX_KEY_RADIUS limits the radius: the scan holds one chunk at a
     time.  Raises ValueError unless wset was built for shift.c, and
@@ -153,7 +169,7 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiec
     step, reach = np.column_stack([a, b]), wset.eps + _SCAN_SLACK
     windows = [wset.slices.get(i, POINT_WINDOW) for i in range(1, 6)]
     stencils = RowStencils.of(windows, step, reach)
-    tables = locate2d.build(wset, step, reach)
+    locator = locate.build(index_probes(wset), stencils.radius, 1, wset.eps)
     gamma_w = shift.gamma @ w
     index = np.arange(1, 6)
     # a row's t0 and s are those of (k0, k1, 0, 0, 0), plus what I adds, as
@@ -199,18 +215,10 @@ def scan_2d(radius: int, shift: GridShift, wset: WindowSet) -> Iterator[ScanPiec
         pts += np.multiply.outer(b, k3)
         del k2, k3, k23
         at = pair // n
-        word = locate2d.words(tables, pts, at)
-        # the candidates whose status the tables leave unsure, and the
-        # accepted ones whose mask they do, take the exact word
-        state = word & (locate2d.INSIDE | locate2d.NOT_OUTSIDE)
-        unsure = state == locate2d.NOT_OUTSIDE
-        unsure |= (state != 0) & (word & locate2d.MASK_SURE == 0)
-        unsure = np.flatnonzero(unsure)
-        if len(unsure):
-            word[unsure] = locate2d.exact(tables, pts[:, unsure], at[unsure], wset.eps)
-            state = word & (locate2d.INSIDE | locate2d.NOT_OUTSIDE)
-        accepted = state == locate2d.INSIDE | locate2d.NOT_OUTSIDE
-        singular = keys[state == locate2d.NOT_OUTSIDE]
+        word = locate.locate(locator, pts, at)
+        state = word & (INSIDE | NOT_OUTSIDE)
+        accepted = state == INSIDE | NOT_OUTSIDE
+        singular = keys[state == NOT_OUTSIDE]
         masks = word[accepted]
         masks &= 1023
         at = at[accepted]

@@ -229,7 +229,7 @@ def empirical_frequencies(radius: int, shift: GridShift,
     bit 5 + m when k - e_m is one.  So the working set hardly grows with
     the radius.
 
-    The masks are exact (`locate2d`): for a boundary-complete vertex of a
+    The masks are exact (`locate`): for a boundary-complete vertex of a
     regular scan each bit is the scan's own decision.  Its neighbours lie
     in the box, and the scan has put each one's test point more than eps
     inside or outside its window, or raised.  t +- w_m lies within the

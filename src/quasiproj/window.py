@@ -11,9 +11,9 @@ slice windows depend on c.
 
 Every mode reads this module.  The label-box scans live apart, so that a
 run compiles only the one it runs: `scan` holds what they share, the row
-stencils among it, `scan2d` the slice windows and the 2-d scan, `locate2d`
-every point decision of the 2-d scan (its direction tables and the exact
-word for the labels they leave unsure), and `lattice3d` the 3-d tip scan.
+stencils among it, `locate` every window decision of both (direction
+tables, and the exact word where they are unsure), `scan2d` the slice
+windows and the 2-d scan, and `lattice3d` the 3-d tip scan.
 The two names of the 2-d scan that this module exported before they moved,
 and that perfbench reads here, resolve here on first use.
 """
@@ -219,7 +219,8 @@ def build_decagon_Q(basis: ProjectionBasis | None = None) -> DecagonQ:
     proj = CUBE_VERTICES.astype(float) @ basis.D
     window = ConvexWindow.of(_ccw_by_angle(proj[list(INTERIOR_INDICES)]))
     interior = proj[[i for i in range(32) if i not in INTERIOR_INDICES]]
-    d = edge_distances(EdgeProbes.of([window], 0, np.zeros((1, 1, 2))), interior.T, 0)
+    d = edge_distances(EdgeProbes.of([window], 0, np.zeros((1, 1, 2))), interior.T,
+                       np.zeros(len(interior), np.intp))
     if np.any(d >= -CONSTRUCTION_TOL):
         raise ConsistencyError(
             f"{int(np.sum(d >= -CONSTRUCTION_TOL))} cube-vertex images are not strictly "

@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 The window oracle, `classify` and `classify_steps`, tests points against a
-window by one matrix product, as the modes did before one elementwise
-kernel, `geometry.edge_distances`, made every window decision.
+window by one matrix product, as the modes did before one locator,
+`locate.locate`, made every window decision from direction tables and one
+elementwise kernel, `geometry.edge_distances`.
 The mesh-condition oracles solve the defining linear feasibility problem
 directly (does some point r and some lambda in the open unit 5-cube satisfy
 grid-projection + gamma + lambda = k?) with an LP, bypassing the window
@@ -10,7 +11,7 @@ construction entirely.  The whole-box 2-d route tests any labels against
 their index windows on test points multiplied out from the labels, and
 finds and counts a vertex's neighbours by key lookup in the whole box's
 key array; the neighbour-mask oracle tests each step t +- w_m against its
-window by sign, as `locate2d.exact` must decide it.  The 3-d route likewise
+window by sign, as the 2-d locator must decide it.  The 3-d route likewise
 tests labels against the decagon on their own multiplied-out test points,
 and the all-tips route expands every tip column of the tip scan into its
 members, margin tips included.
@@ -37,7 +38,7 @@ from quasiproj.io import fmt
 from quasiproj.lattice3d import (_CLASS_OF_CODE, _CLASSES, ANALYTIC_CLASS_FREQUENCIES,
                                  OVERLAP_OFFSETS, OverlapCensus, _check_cells,
                                  scan_tip_columns)
-from quasiproj import window
+from quasiproj import locate, scan2d, window
 from quasiproj.pentagrid import _ceil_checked
 from quasiproj.scan import (_SCAN_SLACK, RowStencils, _expand, _key_weights,
                             label_columns, label_extent, label_index, label_keys)
@@ -157,7 +158,7 @@ def moved_shift(shift, gen, k, target):
 
 # ---------------------------------------------------------------------------
 # the BLAS window oracle: the point-in-window tests the modes ran before one
-# kernel, `geometry.edge_distances`, made every window decision
+# locator, `locate.locate`, made every window decision
 # ---------------------------------------------------------------------------
 
 def eps_band(d_max: np.ndarray, eps: float) -> np.ndarray:
@@ -193,6 +194,16 @@ def classify_steps(window, points: np.ndarray, steps: np.ndarray, eps: float) ->
     for row, step in zip(d_max, steps @ window.normals.T):
         (along + step[:, None]).max(axis=0, out=row)
     return eps_band(d_max, eps)
+
+
+def locator_2d(ws):
+    """The locator of the 2-d scan's probes that `scan2d.scan_2d` builds for
+    the window set ws."""
+    w = BASIS.W[:, :2]
+    windows = [ws.slices.get(i, scan2d.POINT_WINDOW) for i in range(1, 6)]
+    stencils = RowStencils.of(windows, np.column_stack([w[2] - w[4], w[3] - w[4]]),
+                              ws.eps + _SCAN_SLACK)
+    return locate.build(scan2d.index_probes(ws), stencils.radius, 1, ws.eps)
 
 
 def slice_window_loop(P, index, c):

@@ -667,7 +667,7 @@ out, modes = sys.argv[1], json.loads(sys.argv[2])
 codes = [run([*args, "--c", "0.4", "--out", f"{out}/{args[0]}"]) for args in modes]
 print(json.dumps({"codes": codes, "loaded": sorted(
     name for name in ("dataclasses", "numpy.random", "quasiproj.lattice3d",
-                      "quasiproj.locate2d", "quasiproj.pentagrid", "quasiproj.scan2d",
+                      "quasiproj.locate", "quasiproj.pentagrid", "quasiproj.scan2d",
                       "quasiproj.tiling2d")
     if name in sys.modules)}))
 """
@@ -675,14 +675,15 @@ print(json.dumps({"codes": codes, "loaded": sorted(
 
 @pytest.mark.parametrize("modes, loaded", [
     ([["windows"], ["tiling2d", "--radius", "4"], ["freq", "--radius", "4"]],
-     ["quasiproj.locate2d", "quasiproj.scan2d", "quasiproj.tiling2d"]),
+     ["quasiproj.locate", "quasiproj.scan2d", "quasiproj.tiling2d"]),
     ([["lattice3d", "--radius", "5"], ["overlap-census", "--radius", "6"]],
-     ["quasiproj.lattice3d"]),
-    ([["tiling2d", "--radius", "4"]], ["quasiproj.locate2d", "quasiproj.scan2d"]),
+     ["quasiproj.lattice3d", "quasiproj.locate"]),
+    ([["tiling2d", "--radius", "4"]], ["quasiproj.locate", "quasiproj.scan2d"]),
 ], ids=["2-d", "3-d", "tiling"])
 def test_each_mode_loads_only_what_it_runs(modes, loaded, tmp_path):
     # the 2-d modes never load lattice3d or the tip scan, the 3-d modes never
-    # load tiling2d or the 2-d scan, the tiling finds its edges among its
+    # load tiling2d or the 2-d scan, both load the locator that makes every
+    # window decision of both scans, the tiling finds its edges among its
     # vertices' keys and does not load tiling2d either, no mode loads
     # pentagrid, dataclasses or numpy.random (auto gamma is drawn in pure
     # Python), and none calls into LAPACK

@@ -3,7 +3,7 @@ import pytest
 
 import quasiproj as qp
 from quasiproj.errors import PolygonError
-from quasiproj import lattice3d, locate2d
+from quasiproj import lattice3d, scan2d
 from quasiproj.geometry import ConvexWindow, EdgeProbes, edge_distances
 from quasiproj.lattice3d import OVERLAP_OFFSETS
 from quasiproj.window import CUBE_VERTICES
@@ -92,7 +92,8 @@ INSIDE, OUTSIDE, BOUNDARY = 1, 0, -1
 
 def _status(pts, polygon, eps=qp.DEFAULT_EPS):
     probes = EdgeProbes.of([ConvexWindow.of(polygon)], 0, np.zeros((1, 1, 2)))
-    d = edge_distances(probes, np.atleast_2d(np.asarray(pts, dtype=float)).T, 0)[0]
+    pts = np.atleast_2d(np.asarray(pts, dtype=float)).T
+    d = edge_distances(probes, pts, np.zeros(pts.shape[1], dtype=int))[0]
     return eps_band(d, eps).tolist()
 
 
@@ -119,8 +120,8 @@ def test_point_in_polygon_vertex_list_rotation():
 def test_edge_distances_of_steps_equal_classify_of_the_moved_points(eps, Q, P):
     # random points, and points that one step moves f eps off an edge
     # midpoint, on the decagons and the slice windows at three values of c:
-    # the eps band of the kernel's distances, in its one-family and its
-    # per-point form, is the oracle's status of each moved point
+    # the eps band of the kernel's distances is the oracle's status of each
+    # moved point
     rng = np.random.default_rng(17)
     windows = [Q.window, Q.inner]
     for c in (0.0, 0.5, qp.PHI ** -2):
@@ -137,9 +138,9 @@ def test_edge_distances_of_steps_equal_classify_of_the_moved_points(eps, Q, P):
             points = np.vstack([rng.uniform(-2, 2, (300, 2)), *near])
             want = np.array([classify(win, (points + step).T, eps) for step in steps])
             probes = EdgeProbes.of([win], 0, steps[:, None])
-            for at in (0, np.zeros(len(points), dtype=int)):
-                got = eps_band(edge_distances(probes, points.T, at), eps)
-                assert np.array_equal(got, want)
+            got = eps_band(edge_distances(probes, points.T, np.zeros(len(points), dtype=int)),
+                           eps)
+            assert np.array_equal(got, want)
             seen.update(np.unique(want).tolist())
     assert seen == {-1, 0, 1}
 
@@ -152,9 +153,8 @@ def _probe_cases(P, Q):
     w = qp.BASIS.W[:, :2]
     for c in (0.0, 0.5, qp.PHI ** -2, 1 - 1e-6):
         ws = qp.build_windows(P, c)
-        probes = locate2d.build(ws, np.column_stack([w[2] - w[4], w[3] - w[4]]),
-                                ws.eps + 1e-6).probes
-        window = [ws.slices.get(j, locate2d.POINT_WINDOW) for j in range(7)]
+        probes = scan2d.index_probes(ws)
+        window = [ws.slices.get(j, scan2d.POINT_WINDOW) for j in range(7)]
         for index in range(1, 6):
             yield probes, index - 1, ([(window[index], 0 * w[0])]
                                       + [(window[index + 1], v) for v in w]
@@ -170,8 +170,8 @@ def test_edge_distances_decide_as_the_oracle_beside_every_threshold(eps, P, Q):
     # seeded points, and points that a probe moves 1e-12 inside and outside
     # each threshold, 0 and +-eps, of each edge of its window at the edge's
     # ends and midpoint: strictly inside (d < 0), inside beyond eps
-    # (d < -eps) and not beyond eps outside (d <= eps), in both forms of the
-    # kernel, are the oracle's classify_steps decisions at eps 0 and at eps
+    # (d < -eps) and not beyond eps outside (d <= eps) are the oracle's
+    # classify_steps decisions at eps 0 and at eps
     rng = np.random.default_rng(23)
     seen = set()
     for probes, family, tests in _probe_cases(P, Q):
@@ -186,16 +186,15 @@ def test_edge_distances_decide_as_the_oracle_beside_every_threshold(eps, P, Q):
                     for d in (0.0, -eps, eps):
                         points += [p + (d + s) * n - v for s in (-1e-12, 1e-12)]
         points = np.vstack(points).T
-        for at in (family, np.full(points.shape[1], family)):
-            d = edge_distances(probes, points, at)
-            assert d.shape == (len(tests), points.shape[1])
-            for row, (window, v) in zip(d, tests):
-                strict = classify_steps(window, points, v[None], 0.0)[0]
-                band = classify_steps(window, points, v[None], eps)[0]
-                assert np.array_equal(row < 0, strict == 1)
-                assert np.array_equal(row < -eps, band == 1)
-                assert np.array_equal(row <= eps, band != 0)
-                seen.update(np.unique(band).tolist())
+        d = edge_distances(probes, points, np.full(points.shape[1], family))
+        assert d.shape == (len(tests), points.shape[1])
+        for row, (window, v) in zip(d, tests):
+            strict = classify_steps(window, points, v[None], 0.0)[0]
+            band = classify_steps(window, points, v[None], eps)[0]
+            assert np.array_equal(row < 0, strict == 1)
+            assert np.array_equal(row < -eps, band == 1)
+            assert np.array_equal(row <= eps, band != 0)
+            seen.update(np.unique(band).tolist())
     assert seen == {-1, 0, 1}
 
 

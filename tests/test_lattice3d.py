@@ -766,7 +766,7 @@ def test_a_singular_label_in_a_later_chunk_comes_before_any_census_result(
         enumerate_accepted_3d(10, shift, Q, basis, eps)
     classified = []
 
-    def outside(points):
+    def outside(points, *args):
         classified.append(points.shape[1])
         return np.zeros((points.shape[1], 3), dtype=np.int64)
 

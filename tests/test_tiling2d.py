@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 
 import quasiproj as qp
-from quasiproj import locate2d
+from quasiproj import lattice3d, locate
 from quasiproj.cli import run
 from quasiproj.errors import CensusViolationError, ConfigError, SingularityError
 from quasiproj.io import build_tiling_document
 from quasiproj.tiling2d import (CENSUS, VertexType, analytic_A, analytic_probability,
                                 census_support, empirical_frequencies)
-from quasiproj.scan import SCAN_ROWS
-from quasiproj.scan2d import enumerate_accepted_2d, scan_2d
-from quasiproj.window import random_shift
+from quasiproj.lattice3d import OVERLAP_OFFSETS, build_cells, overlap_census
+from quasiproj.scan import _SCAN_SLACK, SCAN_ROWS, RowStencils
+from quasiproj.scan2d import (INSIDE, MASK_SURE, NOT_OUTSIDE, POINT_WINDOW,
+                              enumerate_accepted_2d, scan_2d)
+from quasiproj.window import normalize_shift, random_shift
 
-from helpers import (accept_2d_bulk, classify, lambda_box_candidates_2d, neighbor_masks,
-                     step_rows)
+from helpers import (accept_2d_bulk, classify, classify_steps, d_test_points,
+                     lambda_box_candidates_2d, locator_2d, neighbor_masks, step_rows)
 from helpers import neighbor_counts as whole_box_neighbor_counts
 
 P = qp.PHI
@@ -571,16 +573,16 @@ def test_neighbor_masks_beside_and_beyond_every_edge(c, basis, windows_for):
 # -- the scan's direction tables ------------------------------------------------
 
 def recorded_words(monkeypatch):
-    """Record the tables, test points, index - 1 and table word of every
-    candidate that the 2-d scan looks up in its direction tables."""
+    """Record the locator, test points, family and table word of every
+    point looked up in direction tables: index - 1 for the 2-d scan."""
     seen = []
-    words = locate2d.words
+    words = locate.words
 
-    def recorded(tables, points, at):
-        word = words(tables, points, at)
-        seen.append((tables, points.copy(), at.copy(), word.copy()))
+    def recorded(loc, points, at):
+        word = words(loc, points, at)
+        seen.append((loc, points.copy(), np.copy(at), word.copy()))
         return word
-    monkeypatch.setattr(locate2d, "words", recorded)
+    monkeypatch.setattr(locate, "words", recorded)
     return seen
 
 
@@ -588,15 +590,15 @@ def assert_words_are_the_edge_tests(seen, ws):
     """The exact word of every point holds classify's status and the mask of
     neighbor_masks; a status the table words call sure is classify's, and a
     sure mask neighbor_masks'."""
-    status_bits = locate2d.INSIDE | locate2d.NOT_OUTSIDE
-    for tables, points, at, word in seen:
-        exact = locate2d.exact(tables, points, at, ws.eps)
-        assert exact.dtype == np.uint16 and (exact & locate2d.MASK_SURE).all()
+    status_bits = INSIDE | NOT_OUTSIDE
+    for loc, points, at, word in seen:
+        exact = locate.exact(loc, points, at)
+        assert exact.dtype == np.uint16 and (exact & MASK_SURE).all()
         for index in range(1, 6):
             mine = at == index - 1
             t, w, e = points[:, mine], word[mine], exact[mine]
-            inside = w & locate2d.INSIDE != 0
-            outside = w & locate2d.NOT_OUTSIDE == 0
+            inside = w & INSIDE != 0
+            outside = w & NOT_OUTSIDE == 0
             if index in ws.slices:
                 status = classify(ws.slices[index], t, ws.eps)
             else:
@@ -607,10 +609,10 @@ def assert_words_are_the_edge_tests(seen, ws):
                 status = np.where(np.abs(t).max(axis=0) <= ws.eps, -1, 0)
             assert np.all(status[inside] == 1) and np.all(status[outside] == 0)
             assert np.array_equal(e & status_bits, np.choose(status + 1, [
-                locate2d.NOT_OUTSIDE, 0, status_bits]))
+                NOT_OUTSIDE, 0, status_bits]))
             masks = neighbor_masks(t, index, ws)
             assert np.array_equal(e & 1023, masks)
-            sure = w & locate2d.MASK_SURE != 0
+            sure = w & MASK_SURE != 0
             assert np.array_equal(w[sure] & 1023, masks[sure])
 
 
@@ -662,7 +664,21 @@ def test_the_tables_build_quietly_beside_a_tip(c, P, basis, monkeypatch):
     assert_words_are_the_edge_tests(seen, ws)
 
 
-def test_scan_tables_decide_beside_every_threshold(P, basis):
+def _beside_every_edge(window, moves, eps):
+    """Points that each move puts 1e-12 inside and outside each edge of
+    window and of its eps band, at the edge's ends and midpoint (the point
+    window's one corner, at each of its four edges)."""
+    start = window.polygon.take(np.arange(len(window.normals)) % len(window.polygon), axis=0)
+    stop = np.roll(start, -1, axis=0)
+    points = []
+    for n, on_edge in zip(window.normals, zip(start, (start + stop) / 2, stop)):
+        for p in on_edge:
+            for d in (-1e-12, 1e-12, -eps - 1e-12, eps + 1e-12):
+                points.extend(p + d * n - moves)
+    return points
+
+
+def test_scan_tables_decide_beside_every_threshold(P, Q, basis):
     # test points 1e-12 inside and outside each edge of V_I and of its eps
     # band, and each point t with t +- w_m that near an edge of V_{I+-1},
     # wherever a stencil reaches, beside a tip too, and beside the point
@@ -671,27 +687,52 @@ def test_scan_tables_decide_beside_every_threshold(P, basis):
     w = basis.W[:, :2]
     for c in (0.0, 0.5, PINV2, PINV2 + 1e-9, 1e-6, 1 - 1e-6, 1 - 1e-10):
         ws = qp.build_windows(P, c)
-        a, b = w[2] - w[4], w[3] - w[4]
-        tables = locate2d.build(ws, np.column_stack([a, b]), ws.eps + 1e-6)
+        loc = locator_2d(ws)
         for index in range(1, 6):
             points = []
-            for other, steps in ((index, [0 * w[0]]), (index + 1, -w), (index - 1, w)):
-                window = ws.slices.get(other, locate2d.POINT_WINDOW if 1 <= other <= 5 else None)
-                if window is None:
-                    continue
-                # (the point window's one corner, at each of its four edges)
-                start = window.polygon.take(np.arange(len(window.normals)) % len(window.polygon),
-                                            axis=0)
-                stop = np.roll(start, -1, axis=0)
-                for n, on_edge in zip(window.normals, zip(start, (start + stop) / 2, stop)):
-                    for p in on_edge:
-                        for d in (-1e-12, 1e-12, -ws.eps - 1e-12, ws.eps + 1e-12):
-                            points.extend(p + d * n + steps)
+            for other, steps in ((index, [0 * w[0]]), (index + 1, w), (index - 1, -w)):
+                window = ws.slices.get(other, POINT_WINDOW if 1 <= other <= 5 else None)
+                if window is not None:
+                    points += _beside_every_edge(window, steps, ws.eps)
             points = np.array(points).T
             points = points[:, np.hypot(*points) < 1.7]
             at = np.full(points.shape[1], index - 1)
-            word = locate2d.words(tables, points, at)
-            assert_words_are_the_edge_tests([(tables, points, at, word)], ws)
+            word = locate.words(loc, points, at)
+            assert_words_are_the_edge_tests([(loc, points, at, word)], ws)
+    # and the decagons' probe sets, as the tip scan (at eps 1e-9 and 1e-3),
+    # the cells and the overlap classes build them, at such points and at
+    # seeded ones: the word is the one packed from the kernel's distances,
+    # and every bit the tables are sure of is the BLAS oracle's
+    rng = np.random.default_rng(29)
+    neighbours = np.vstack([OVERLAP_OFFSETS["K"], OVERLAP_OFFSETS["J"]]) @ basis.D
+    for eps in (1e-9, 1e-3):
+        reach = RowStencils.of([Q.window], basis.D[2:4].T, eps + _SCAN_SLACK).radius
+        for probes, status, radius, tests in (
+                (lattice3d._TIP_PROBES, 2, reach, [(Q.window, 0 * w[0]), (Q.inner, 0 * w[0])]),
+                (lattice3d._ATOM_PROBES, 0, 1 / qp.PHI, [(Q.window, v) for v in Q.projections]),
+                (lattice3d._NEIGHBOR_PROBES, 0, 1 / qp.PHI, [(Q.inner, v) for v in neighbours])):
+            loc = locate.build(probes, radius, status, eps)
+            points = [rng.uniform(-radius, radius, (400, 2))]
+            for window, v in tests:
+                points += _beside_every_edge(window, [v], eps)
+            points = np.vstack(points).T
+            points = points[:, np.hypot(*points) < radius]
+            word = locate.words(loc, points, 0)
+            exact = locate.locate(loc, points)
+            assert np.array_equal(exact, locate.exact(loc, points, np.zeros(len(word), int)))
+            M = len(tests) - status
+            for s, (window, v) in enumerate(tests[:status]):
+                inside, band = locate.status_bits(M, s)
+                oracle = classify_steps(window, points, v[None], eps)[0]
+                assert np.all(oracle[word & inside != 0] == 1)
+                assert np.all(oracle[word & band == 0] == 0)
+                assert {-1, 0, 1} <= set(oracle.tolist())
+                assert (word & inside).any() and not (word & band).all()
+            sure = word & 1 << M != 0
+            assert sure.any()
+            for m, (window, v) in enumerate(tests[status:]):
+                oracle = classify_steps(window, points, v[None], 0.0)[0] == 1
+                assert np.array_equal(word[sure] >> m & 1 == 1, oracle[sure])
 
 
 def test_scan_tables_leave_few_labels_to_the_edge_tests(P, monkeypatch):
@@ -703,33 +744,66 @@ def test_scan_tables_leave_few_labels_to_the_edge_tests(P, monkeypatch):
     seen = recorded_words(monkeypatch)
     enumerate_accepted_2d(40, shift, ws)
     word = np.concatenate([w for *_, w in seen])
-    state = word & (locate2d.INSIDE | locate2d.NOT_OUTSIDE)
-    accepted = state == locate2d.INSIDE | locate2d.NOT_OUTSIDE
+    state = word & (INSIDE | NOT_OUTSIDE)
+    accepted = state == INSIDE | NOT_OUTSIDE
     assert len(word) > 40000
-    assert np.mean(state == locate2d.NOT_OUTSIDE) < 0.005
-    assert np.mean(word[accepted] & locate2d.MASK_SURE == 0) < 0.05
+    assert np.mean(state == NOT_OUTSIDE) < 0.005
+    assert np.mean(word[accepted] & MASK_SURE == 0) < 0.05
+
+
+def _forged(monkeypatch, n_probes, test_points, word_of):
+    """Give the exact word of each (test point, family f) of test_points, of
+    the locators of n_probes probes, the word word_of(word, f) makes of it."""
+    exact = locate.exact
+
+    def forged(loc, points, at):
+        word = exact(loc, points, at)
+        if len(loc.probes.window) == n_probes:
+            for p, f in test_points:
+                hit = (at == f) & (np.abs(points.T - p).max(axis=1) < 1e-9)
+                word[hit] = word_of(word[hit], f)
+        return word
+    monkeypatch.setattr(locate, "exact", forged)
 
 
 def test_the_edge_tests_alone_give_every_result(P, basis, monkeypatch):
     # with a table margin wider than the windows, no bucket is sure: every
-    # candidate takes the exact word, and the keys, the tallies, the
-    # singular label and the census violation named are those the tables give
+    # point takes the exact word, and the keys, the tallies, the census, the
+    # cells, the singular labels and the census violations named are those
+    # the tables give
     shift, ws = random_shift(0.5, 7), qp.build_windows(P, 0.5)
     singular_shift, singular_ws = random_shift(0.5, 8), qp.build_windows(P, 0.5, 1e-4)
+    shift3, singular3 = random_shift(0.2, 0), normalize_shift([1, -1, 0, 0, 0])
     keys = enumerate_accepted_2d(20, shift, ws)[2]
     report = empirical_frequencies(20, shift, ws)
+    census = overlap_census(20, shift3)
+    (hull, interior), *counts = build_cells(10, shift3, 1e-9)
     with pytest.raises(SingularityError) as singular:
         empirical_frequencies(10, singular_shift, singular_ws)
+    with pytest.raises(SingularityError) as singular_3d:
+        overlap_census(8, singular3)
     seen = recorded_words(monkeypatch)
-    monkeypatch.setattr(locate2d, "TABLE_MARGIN", 8.0)
+    monkeypatch.setattr(locate, "TABLE_MARGIN", 8.0)
     assert np.array_equal(enumerate_accepted_2d(20, shift, ws)[2], keys)
     assert empirical_frequencies(20, shift, ws) == report
+    assert overlap_census(20, shift3) == census
+    (got_hull, got_interior), *got_counts = build_cells(10, shift3, 1e-9)
+    assert np.array_equal(got_hull, hull) and np.array_equal(got_interior, interior)
+    assert got_counts == counts
     with pytest.raises(SingularityError) as got:
         empirical_frequencies(10, singular_shift, singular_ws)
     assert str(got.value) == str(singular.value)
-    word = np.concatenate([w for *_, w in seen])
-    assert not (word & (locate2d.INSIDE | locate2d.MASK_SURE)).any()
-    assert (word & locate2d.NOT_OUTSIDE).all()
+    with pytest.raises(SingularityError) as got:
+        overlap_census(8, singular3)
+    assert str(got.value) == str(singular_3d.value)
+    # the 2-d, tip, atom and neighbour tables, none sure of a word
+    assert {len(loc.probes.window) for loc, *_ in seen} == {11, 2, 32, 30}
+    for loc, _, _, word in seen:
+        M = len(loc.probes.window) - loc.status
+        assert M == 0 or not (word & 1 << M).any()
+        for s in range(loc.status):
+            inside, band = locate.status_bits(M, s)
+            assert np.all(word & (inside | band) == band)
     # a violation among the exact words: the first in label order is named
     shift, ws = random_shift(0.2, 13), qp.build_windows(P, 0.2)
     labels = enumerate_accepted_2d(20, shift, ws)[0]
@@ -738,17 +812,19 @@ def test_the_edge_tests_alone_give_every_result(P, basis, monkeypatch):
     late1 = len(index) - 1 - int(np.argmax(index[::-1] == 1))
     early2 = int(np.argmax(index == 2))
     test_points = (inner[[late1, early2]] - shift.gamma) @ basis.W[:, :2]
-
-    exact = locate2d.exact
-
-    def forged(tables, points, at, eps):
-        word = exact(tables, points, at, eps)
-        for p, i, mask in zip(test_points, (1, 2), (0b100001, 0b1111)):
-            hit = (at == i - 1) & (np.abs(points.T - p).max(axis=1) < 1e-9)
-            word[hit] = word[hit] >> 10 << 10 | mask
-        return word
-    monkeypatch.setattr(locate2d, "exact", forged)
+    masks = {0: 0b100001, 1: 0b1111}
+    _forged(monkeypatch, 11, list(zip(test_points, (0, 1))),
+            lambda word, f: word >> 10 << 10 | masks[f])
     assert early2 < late1
     with pytest.raises(CensusViolationError,
                        match=r"type \[4,0\]_2 has zero analytic frequency at c=0.2"):
         empirical_frequencies(20, shift, ws)
+    # and among the neighbours' exact words, a tip with no neighbour: the
+    # least-key tip of the box, and a later one
+    tips = hull[:, 0][[0, len(hull) // 2]]
+    _forged(monkeypatch, 30, [(t, 0) for t in d_test_points(tips, shift3)],
+            lambda word, f: 1 << 30)
+    with pytest.raises(CensusViolationError) as got:
+        overlap_census(10, shift3)
+    assert str(got.value) == (f"tip {tuple(tips[0].tolist())} has overlap signature "
+                              "(0, 0, 0), outside the five known classes")

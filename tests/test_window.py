@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import quasiproj as qp
-from quasiproj import geometry, lattice3d, locate2d, scan2d
+from quasiproj import geometry, lattice3d, locate, scan2d
 from quasiproj.errors import ConfigError, DegenerateWindowError, PolygonError
 from quasiproj.lattice3d import (MAX_CELLS_RADIUS, build_cells, overlap_census,
                                  scan_tip_columns)
@@ -415,8 +415,8 @@ def _turns(normals, start):
 
 def test_the_windows_edge_directions():
     # every slice window's edges are normal to the ten directions at 36 k
-    # degrees, each at most once, which the direction tables of locate2d
-    # read; the decagons' are at 18 + 36 k degrees, which they do not share
+    # degrees, each at most once, which the 2-d scan's direction tables
+    # read; the decagons' are at 18 + 36 k degrees, which theirs read
     for c in np.concatenate([[0.0], np.linspace(0.01, 0.99, 99)]):
         for window in qp.build_windows(qp.POLYTOPE, c).slices.values():
             k, off = _turns(window.normals, 0)
@@ -579,13 +579,13 @@ def test_enumeration_tests_at_most_twice_what_it_accepts(Q, basis, windows_for,
     # the 2-d scan looks up its candidates' test points in the direction
     # tables of the index windows, the c = 0 index-5 point window, which
     # accepts nothing, among them
-    tested2, words = [], locate2d.words
+    tested2, words = [], locate.words
 
-    def recorded(tables, points, at):
-        word = words(tables, points, at)
+    def recorded(loc, points, at):
+        word = words(loc, points, at)
         tested2.append((points, word))
         return word
-    monkeypatch.setattr(locate2d, "words", recorded)
+    monkeypatch.setattr(locate, "words", recorded)
     tested3 = _record(monkeypatch, "accept_3d_bulk", helpers)
     for c, seed in ((0.0, 1), (0.5, 7), (0.9, 2)):
         shift = random_shift(c, seed)
@@ -722,14 +722,14 @@ def test_the_tip_scan_tests_every_column_within_reach_of_the_decagon(eps, Q, mon
     # box, whose test point is within reach of the decagon, is tested
     R, reach = 5, eps + 1e-6
     shift = random_shift(0.3, 4)
-    tested, kernel = [], lattice3d.edge_distances
+    tested, words = [], locate.words
 
-    def recorded(probes, points, at):
-        if probes is lattice3d._TIP_PROBES:
+    def recorded(loc, points, at):
+        if loc.probes is lattice3d._TIP_PROBES:
             tested.append(np.array(points).T)
-        return kernel(probes, points, at)
+        return words(loc, points, at)
 
-    monkeypatch.setattr(lattice3d, "edge_distances", recorded)
+    monkeypatch.setattr(locate, "words", recorded)
     list(scan_tip_columns(R, shift, eps))
     tested = np.concatenate(tested)
     k = np.arange(-2 * R, 2 * R + 1)
@@ -825,12 +825,12 @@ def test_the_scans_run_past_the_memory_budget_to_max_key_radius(c, basis, window
     # of the keys; at MAX_KEY_RADIUS the first non-empty 2-d chunk is the
     # second, and the first non-empty 3-d chunk the fourth.  The 2-d scan's
     # test points are those it looks up in its direction tables
-    looked_up, words = [], locate2d.words
+    looked_up, words = [], locate.words
 
-    def recorded(tables, points, at):
+    def recorded(loc, points, at):
         looked_up.append(points.T.copy())
-        return words(tables, points, at)
-    monkeypatch.setattr(locate2d, "words", recorded)
+        return words(loc, points, at)
+    monkeypatch.setattr(locate, "words", recorded)
     for R in (622, MAX_KEY_RADIUS):
         drift = 2e-14 * (R + 1)
         n = 0
@@ -893,41 +893,36 @@ def test_the_cells_are_refused_above_max_cells_radius(monkeypatch):
 
 
 def _edge_distances_at_once(probes, points, at):
-    """The kernel's distances summed as it sums them, elementwise, but over
-    one (E, P, n) array in either form."""
+    """The kernel's distances summed as it sums them, elementwise, over one
+    (E, P, n) array, with no take into a buffer."""
     nx, ny, offsets = probes.edges
-    at = np.broadcast_to(at, points.shape[1:])
     window = probes.window[:, at]
     along = nx[:, window] * points[0] + ny[:, window] * points[1] - offsets[:, window]
     return (along + probes.steps[:, :, at]).max(axis=0)
 
 
 def test_edge_distances_are_bitwise_equal_across_chunks(Q, P):
-    # the 3-d probe sets, one family for every point, and the 2-d probes, a
-    # family per point as the 2-d scan reads them, here around and past 8192
-    # and 16384 points, as x and y rows in both memory orders, and a first
-    # chunk of the points alone: the distances of a point do not depend on
-    # the points it is decided with, and the 2-d probes give the same
-    # distances in the one-family form
+    # the 3-d probe sets, of one family, and the 2-d probes, a family per
+    # point as the 2-d scan reads them, here around and past 8192 and 16384
+    # points, as x and y rows in both memory orders, a first chunk of the
+    # points alone and the 2-d points of each family alone: the distances of
+    # a point do not depend on the points it is decided with
     rng = np.random.default_rng(5)
-    w = qp.BASIS.W[:, :2]
-    ws = qp.build_windows(P, 0.5)
-    two_d = locate2d.build(ws, np.column_stack([w[2] - w[4], w[3] - w[4]]), 1e-6).probes
+    two_d = scan2d.index_probes(qp.build_windows(P, 0.5))
     for n in (1, 8191, 8193, 16385):
         pts = rng.uniform(-2.0, 2.0, size=(n, 2))
         head = n // 3 + 1
         at = rng.integers(0, 5, n)
-        for probes, family in [(lattice3d._TIP_PROBES, 0), (lattice3d._ATOM_PROBES, 0),
-                               (lattice3d._NEIGHBOR_PROBES, 0), (two_d, at)]:
+        for probes, family in [(lattice3d._TIP_PROBES, 0 * at), (lattice3d._ATOM_PROBES, 0 * at),
+                               (lattice3d._NEIGHBOR_PROBES, 0 * at), (two_d, at)]:
             want = _edge_distances_at_once(probes, pts.T, family)
             for layout in (pts.T, np.ascontiguousarray(pts.T)):
                 assert np.array_equal(geometry.edge_distances(probes, layout, family), want), n
-            first = family[:head] if np.ndim(family) else family
-            assert np.array_equal(geometry.edge_distances(probes, pts[:head].T, first),
+            assert np.array_equal(geometry.edge_distances(probes, pts[:head].T, family[:head]),
                                   want[:, :head])
         for family in range(5):
             mine = at == family
-            assert np.array_equal(geometry.edge_distances(two_d, pts[mine].T, family),
+            assert np.array_equal(geometry.edge_distances(two_d, pts[mine].T, at[mine]),
                                   want[:, mine])
 
 
@@ -942,26 +937,25 @@ def test_label_axis_chains_equal_the_axis_reductions():
 def test_polygon_reduction_bitwise_equal_on_benchmark_inputs(P, monkeypatch):
     # every point set the kernel sees in `qc freq --c 0.5 --radius 80` and
     # `qc overlap-census --c 0.2 --radius 20` at the benchmark's seed 0: its
-    # distances, a maximum over the edges one at a time in the one-family
-    # form, equal a reduction over one (E, P, n) array
+    # distances, summed with takes into buffers, equal a reduction over one
+    # (E, P, n) array
     seen = []
-    for module in (locate2d, lattice3d):
-        def recorded(probes, points, at, kernel=module.edge_distances):
-            d = kernel(probes, points, at)
-            seen.append((probes, points.copy(), np.copy(at), d))
-            return d
-        monkeypatch.setattr(module, "edge_distances", recorded)
+    kernel = locate.edge_distances
+
+    def recorded(probes, points, at):
+        d = kernel(probes, points, at)
+        seen.append((probes, points.copy(), np.copy(at), d))
+        return d
+    monkeypatch.setattr(locate, "edge_distances", recorded)
     shift = normalize_shift(benchmark_gamma(0.5, 0))
     qp.empirical_frequencies(80, shift, qp.build_windows(P, shift.c))
     shift = normalize_shift(benchmark_gamma(0.2, 0))
     overlap_census(20, shift)
-    # the 2,581 labels the 2-d scan's direction tables leave unsure, the
-    # census's 25,774 tip-scan columns, each against the decagon and the
-    # inner decagon, and the neighbours of its boundary-complete tip columns
+    # the 2,581 labels the 2-d scan's direction tables leave unsure; the
+    # decagons' tables decide every one of the census's 25,774 tip-scan
+    # columns and of its tips' neighbours, so none of them reaches the kernel
     tested = {}
     for probes, points, at, d in seen:
-        tested[id(probes)] = tested.get(id(probes), 0) + points.shape[1]
+        tested[len(probes.window)] = tested.get(len(probes.window), 0) + points.shape[1]
         assert np.array_equal(d, _edge_distances_at_once(probes, points, at))
-    assert tested.pop(id(lattice3d._TIP_PROBES)) == 25774
-    assert tested.pop(id(lattice3d._NEIGHBOR_PROBES)) > 0
-    assert list(tested.values()) == [2581]
+    assert tested == {11: 2581}
